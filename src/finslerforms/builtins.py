@@ -17,7 +17,7 @@ from .errors import ConfigError
 from .forms import HorizontalForm
 from .jets import gcos, gsin
 from .metric import ChartSpec, FinslerStructure
-from .quadrature import QuadratureGrid
+from .quadrature import DEFAULT_BASE_COUNTS, DEFAULT_FIBER_COUNTS, QuadratureGrid
 
 SPHERE_BAND_MARGIN = 0.15  # keeps the near-pole fiber ellipses resolvable
 
@@ -291,7 +291,7 @@ def list_builtins() -> dict:
         "forms": list(FORM_IDS),
         "vector_fields": list(FIELD_IDS),
         "default_grids": {
-            "dim2": {"base": [32, 32], "fiber": [64]},
-            "dim3": {"base": [16, 16, 16], "fiber": [32, 16]},
+            f"dim{n}": {"base": list(DEFAULT_BASE_COUNTS[n]), "fiber": list(DEFAULT_FIBER_COUNTS[n])}
+            for n in (2, 3)
         },
     }

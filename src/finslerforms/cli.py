@@ -17,13 +17,11 @@ import sys
 import numpy as np
 
 from . import builtins as bi
-from . import curvature as curvature_mod
 from . import forms as forms_mod
 from . import jets
 from . import quadrature as quad
 from . import scenario as scenario_mod
-from .connection import DERIVATIVE_PATHS, cartan_coefficients
-from .errors import ConfigError, FinslerError
+from .errors import ConfigError, DomainError, FinslerError
 
 
 def _parse_at(s, text):
@@ -33,9 +31,7 @@ def _parse_at(s, text):
         y = [float(v) for v in ypart.split(",")]
     except ValueError as exc:
         raise ConfigError("--at expects 'x1,...,xn;y1,...,yn'") from exc
-    if len(x) != s.dim or len(y) != s.dim:
-        raise ConfigError(f"--at needs {s.dim} coordinates per part")
-    return x, y
+    return scenario_mod._parse_point(s, {"at": {"x": x, "y": y}})
 
 
 def _parse_grid(s, text, tolerance):
@@ -51,10 +47,12 @@ def _parse_grid(s, text, tolerance):
 
 
 def _emit(doc, out, fmt):
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=2, default=float, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise DomainError(f"report holds a non-finite value: {exc}") from None
     if fmt == "csv":
         text = _to_csv(doc)
-    else:
-        text = json.dumps(doc, sort_keys=True, indent=2, default=float) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -134,6 +132,8 @@ def _laplacian_pointwise_csv(s, phi, grid):
     from .connection import pack
 
     arr = pack(vals, phi.degree)
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("Laplacian is not finite at some node")
     arr = np.broadcast_to(arr, arr.shape[: phi.degree] + grid.shape)
     axes = grid.axis_arrays()
     header = (
@@ -209,7 +209,6 @@ def cmd_diagnostics(args):
             "metric": s.label,
             "comparisons": comparisons,
             "max_rel_diff": worst,
-            "derivative_paths": dict(DERIVATIVE_PATHS),
         },
         args.out,
         args.format,

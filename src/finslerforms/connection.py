@@ -11,25 +11,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
 from . import jets
-from .errors import DomainError
-from .jets import grad_x, grad_y, grad_wrt
+from .jets import grad_x, grad_y
 from .metric import (
     FinslerStructure,
     TensorValue,
     cartan_components,
     cartan_trace_components,
-    hilbert_components,
     inverse_components,
     metric_components,
 )
-
-# how tensor-field derivatives were obtained, for the CLI diagnostics view
-DERIVATIVE_PATHS = {"jets": 0, "fd": 0}
 
 
 def tget(nested, idx):
@@ -110,10 +104,6 @@ class LocalTower:
     @cached_property
     def Tt(self):
         return cartan_trace_components(self.s, self.xs, self.ys, g_inv=self.gi, C=self.C)
-
-    @cached_property
-    def ell(self):
-        return hilbert_components(self.s, self.xs, self.ys)
 
     @cached_property
     def y_lower(self):
@@ -425,21 +415,14 @@ def cov_hh(tower, p2, variance):
 class TensorField:
     """A tensor field on the slit tangent bundle.
 
-    The evaluator must accept arbitrary nonzero y near the indicatrix; fields
-    that are only defined on the sphere bundle should be wrapped with
-    :meth:`from_sphere_evaluator`, which extends them by the declared
-    homogeneity degree.  A ``generic`` evaluator takes lists of scalars and
-    may be fed jets; a ``pointwise`` evaluator only sees float arrays and is
-    differentiated by finite differences instead.
+    The evaluator ``fn(xs, ys)`` takes lists of generic scalars (floats,
+    arrays or jets) and must accept arbitrary nonzero y near the indicatrix.
+    Its derivatives are exact, taken by feeding it jets.
     """
 
-    def __init__(self, fn, variance, homogeneity_degree=0, mode="generic", label=""):
+    def __init__(self, fn, variance, label=""):
         self.fn = fn
         self.variance = variance
-        self.homogeneity_degree = int(homogeneity_degree)
-        if mode not in ("generic", "pointwise"):
-            raise ValueError("mode must be 'generic' or 'pointwise'")
-        self.mode = mode
         self.label = label
 
     @property
@@ -451,49 +434,19 @@ class TensorField:
         """Vector field on the base manifold, components independent of y."""
         return cls(lambda xs, ys: vfn(xs), "u", label=label)
 
-    @classmethod
-    def from_sphere_evaluator(cls, s, fn, variance, homogeneity_degree=0, label=""):
-        """Extend an SM-only evaluator to TM0 by positive homogeneity in y."""
-
-        def extended(xs, ys, _fn=fn, _d=homogeneity_degree, _s=s):
-            F = jets.gsqrt(_s.f2(xs, ys))
-            invF = jets._reciprocal(F) if isinstance(F, jets.Jet) else 1.0 / F
-            unit = [y * invF for y in ys]
-            comps = _fn(xs, unit)
-            if _d == 0:
-                return comps
-            scale = F ** _d if _d >= 0 else invF ** (-_d)
-            return jets.tree_map(lambda c: c * scale, comps)
-
-        return cls(extended, variance, homogeneity_degree, label=label)
-
     def components(self, xs, ys):
-        if self.mode == "generic":
-            return self.fn(xs, ys)
-        x = np.asarray([float(v) for v in xs])
-        y = np.asarray([float(v) for v in ys])
-        return self.fn(x, y).tolist()
+        return self.fn(xs, ys)
 
     def partials(self, xs, ys):
         """(value, dx, dy) with dx[c] and dy[m] pytrees of plain partials."""
-        if self.mode == "generic":
-            DERIVATIVE_PATHS["jets"] += 1
-            return (
-                self.fn(xs, ys),
-                grad_x(self.fn, xs, ys),
-                grad_y(self.fn, xs, ys),
-            )
-        DERIVATIVE_PATHS["fd"] += 1
-        n = len(xs)
-        val = self.components(xs, ys)
-        dx = [self._fd_dir(xs, ys, 0, c) for c in range(n)]
-        dy = [self._fd_dir(xs, ys, 1, m) for m in range(n)]
-        return val, dx, dy
+        return (
+            self.fn(xs, ys),
+            grad_x(self.fn, xs, ys),
+            grad_y(self.fn, xs, ys),
+        )
 
     def partials2(self, xs, ys):
         """(val, dx, dy, dxx, dxy, dyy); second partials of every component."""
-        if self.mode != "generic":
-            raise DomainError("second derivatives require a jet-capable evaluator")
         fn = self.fn
         return (
             fn(xs, ys),
@@ -503,20 +456,6 @@ class TensorField:
             grad_x(lambda a, b: grad_y(fn, a, b), xs, ys),
             grad_y(lambda a, b: grad_y(fn, a, b), xs, ys),
         )
-
-    def _fd_dir(self, xs, ys, which, axis, step=1e-4):
-        coord = (xs, ys)[which][axis]
-        h = step * (1.0 + abs(float(coord)))
-
-        def shifted(d):
-            sx, sy = list(xs), list(ys)
-            (sx if which == 0 else sy)[axis] = coord + d
-            return np.asarray(self.components(sx, sy), float)
-
-        v = (
-            -shifted(2 * h) + 8.0 * shifted(h) - 8.0 * shifted(-h) + shifted(-2 * h)
-        ) / (12.0 * h)
-        return v.tolist()
 
 
 # -- public pointwise operations --------------------------------------------------

@@ -4,9 +4,9 @@ The hh-curvature is assembled from horizontal derivatives of the Cartan
 coefficients; the curvature of the nonlinear connection (the ``flag``
 tensor) is defined with the sign that makes it equal the y-contraction of
 the hh-curvature, which is also the sign under which the Ricci identity
-holds.  The hv-block is reported in two variants because its textbook
-component formula is frequently misprinted; both vanish on Riemannian
-inputs, which is the property the rest of the engine relies on.
+holds.  The hv-block is the P curvature of the Cartan connection
+(Bao-Chern-Shen, *An Introduction to Riemann-Finsler Geometry*, 2000); it
+vanishes on Riemannian inputs.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .connection import (
     nested_build,
     pack,
     sum_terms,
-    tget,
 )
 from .errors import DomainError
 from .metric import TensorValue
@@ -51,9 +50,9 @@ def hh_components(tower: LocalTower):
     return nested_build(n, 4, entry)
 
 
-def hv_components(tower: LocalTower, printed=False):
-    """hv-curvature; ``printed=True`` evaluates the common misprinted variant
-    literally (repeated indices read as labels, not sums)."""
+def hv_components(tower: LocalTower):
+    """hv[h][k][i][j]: hv-curvature with upper index h, argument k, h-slot i
+    and v-slot j."""
     n = tower.n
     dGy = tower.dGamma_y
     dNy = tower.dN_y
@@ -67,12 +66,6 @@ def hv_components(tower: LocalTower, printed=False):
 
     def entry(idx):
         h, k, i, j = idx
-        if printed:
-            acc = dGy[k][h][k][i] - delta_C(i, h, k, j)
-            for r in range(n):
-                acc = acc + Gamma[r][k][i] * Cmix[h][r][j] - Cmix[r][k][j] * Gamma[h][r][j]
-                acc = acc + dNy[j][r][i] * Cmix[h][k][r]
-            return acc
         acc = dGy[j][h][k][i] - delta_C(i, h, k, j)
         for r in range(n):
             acc = acc + Gamma[r][k][i] * Cmix[h][r][j] - Cmix[r][k][j] * Gamma[h][r][i]
@@ -106,7 +99,6 @@ class CurvatureAtPoint:
 
     R_hh: np.ndarray
     P_hv: np.ndarray
-    P_hv_printed: np.ndarray
     Q_vv: np.ndarray
     R_flag: np.ndarray
     Ricci: np.ndarray
@@ -139,9 +131,9 @@ def flag_curvature_tensor(s, z, y=None, cross_check=True):
     return TensorValue(flag, "ull", pt)
 
 
-def hv_curvature(s, z, y=None, printed=False):
+def hv_curvature(s, z, y=None):
     tower, pt = _point_tower(s, z, y)
-    return TensorValue(pack(hv_components(tower, printed=printed), 4), "ulll", pt)
+    return TensorValue(pack(hv_components(tower), 4), "ulll", pt)
 
 
 def vv_curvature(s, z, y=None):
@@ -160,7 +152,6 @@ def curvature_at_point(s, z, y=None):
     return CurvatureAtPoint(
         R_hh=pack(hh, 4),
         P_hv=pack(hv_components(tower), 4),
-        P_hv_printed=pack(hv_components(tower, printed=True), 4),
         Q_vv=pack(vv_components(tower), 4),
         R_flag=pack(tower.flag, 3),
         Ricci=pack(ricci_components(tower, hh=hh), 2),

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable
 
-import numpy as np
-
 from . import jets
 from .connection import (
     LocalTower,
@@ -67,20 +65,6 @@ class HorizontalForm:
         return TensorValue(pack(val, self.degree), "l" * self.degree, (x, yv))
 
 
-def zero_form(n, degree, label="0"):
-    def coeffs(xs, ys):
-        return nested_build(n, degree, lambda idx: 0.0)
-
-    return HorizontalForm(degree, coeffs, label=label)
-
-
-def form_partials(phi: HorizontalForm, xs, ys):
-    val = phi.coeffs(xs, ys)
-    dx = grad_x(phi.coeffs, xs, ys)
-    dy = grad_y(phi.coeffs, xs, ys)
-    return val, dx, dy
-
-
 # -- operator kernels (work at any tower: pointwise, batched or jet-valued) ----
 
 
@@ -88,7 +72,7 @@ def dH_coeffs(tower: LocalTower, phi: HorizontalForm):
     """Alternated horizontal covariant derivative, degree p -> p + 1."""
     n = tower.n
     p = phi.degree
-    val, dx, dy = form_partials(phi, tower.xs, tower.ys)
+    val, dx, dy = TensorField(phi.coeffs, "l" * p).partials(tower.xs, tower.ys)
     nab = cov_h(tower, val, dx, dy, "l" * p)  # nab[h][I]
 
     def entry(idx):
@@ -108,7 +92,7 @@ def deltaH_coeffs(tower: LocalTower, psi: HorizontalForm):
     """Horizontal co-differential, degree q -> q - 1."""
     n = tower.n
     q = psi.degree
-    val, dx, dy = form_partials(psi, tower.xs, tower.ys)
+    val, dx, dy = TensorField(psi.coeffs, "l" * q).partials(tower.xs, tower.ys)
     nab = cov_h(tower, val, dx, dy, "l" * q)
     gi = tower.gi
     nT = tower.nabla0T
@@ -129,7 +113,7 @@ def laplacian_expansion_coeffs(tower: LocalTower, phi: HorizontalForm):
     corrections from the Cartan trace, and its covariant derivative."""
     n = tower.n
     p = phi.degree
-    p2 = phi_partials2(phi, tower.xs, tower.ys)
+    p2 = TensorField(phi.coeffs, "l" * p).partials2(tower.xs, tower.ys)
     val = p2[0]
     nab = cov_h(tower, val, p2[1], p2[2], "l" * p)
     D = cov_hh(tower, p2, "l" * p)  # D[a][b][I] = nabla_a nabla_b phi_I
@@ -154,18 +138,6 @@ def laplacian_expansion_coeffs(tower: LocalTower, phi: HorizontalForm):
         return out
 
     return nested_build(n, p, entry)
-
-
-def phi_partials2(phi: HorizontalForm, xs, ys):
-    fn = phi.coeffs
-    return (
-        fn(xs, ys),
-        grad_x(fn, xs, ys),
-        grad_y(fn, xs, ys),
-        grad_x(lambda a, b: grad_x(fn, a, b), xs, ys),
-        grad_x(lambda a, b: grad_y(fn, a, b), xs, ys),
-        grad_y(lambda a, b: grad_y(fn, a, b), xs, ys),
-    )
 
 
 def inner_coeffs(tower: LocalTower, a, b, degree):
@@ -213,12 +185,8 @@ def horizontal_codifferential(s, psi: HorizontalForm) -> HorizontalForm:
     return HorizontalForm(psi.degree - 1, coeffs, label=f"deltaH({psi.label})")
 
 
-def horizontal_laplacian(s, omega: HorizontalForm, verify_p1_tol=None) -> HorizontalForm:
-    """Laplacian as the anticommutator of differential and co-differential.
-
-    With ``verify_p1_tol`` set and degree 1, every evaluation also runs the
-    expanded formula and raises if the two disagree beyond the tolerance.
-    """
+def horizontal_laplacian(s, omega: HorizontalForm) -> HorizontalForm:
+    """Laplacian as the anticommutator of differential and co-differential."""
     p = omega.degree
     parts = []
     if p < s.dim:
@@ -231,11 +199,6 @@ def horizontal_laplacian(s, omega: HorizontalForm, verify_p1_tol=None) -> Horizo
         out = vals[0]
         for v in vals[1:]:
             out = _tree_add(out, v)
-        if verify_p1_tol is not None and p == 1:
-            alt = laplacian_expansion_coeffs(LocalTower(s, xs, ys), omega)
-            diff = pack(jets.tree_map(jets.primal, _tree_sub(out, alt)), p)
-            if float(np.max(np.abs(diff))) > verify_p1_tol:
-                raise DomainError("expanded and composed Laplacians disagree")
         return out
 
     return HorizontalForm(p, coeffs, label=f"laplacian({omega.label})")
@@ -245,12 +208,6 @@ def _tree_add(a, b):
     if isinstance(a, list):
         return [_tree_add(x, y) for x, y in zip(a, b)]
     return a + b
-
-
-def _tree_sub(a, b):
-    if isinstance(a, list):
-        return [_tree_sub(x, y) for x, y in zip(a, b)]
-    return a - b
 
 
 def laplacian_expansion(s, phi: HorizontalForm) -> HorizontalForm:
@@ -340,7 +297,7 @@ def weitzenbock_residual(s, X: TensorField, z, y=None):
     horizontal Laplacian of the associated form; agreement is enforced by
     the test suite rather than assumed here.
     """
-    from .curvature import hh_components, ricci_components
+    from .curvature import ricci_components
 
     tower, pt = _point_tower(s, z, y)
     n = tower.n

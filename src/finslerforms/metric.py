@@ -10,8 +10,7 @@ differentiate straight through them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .errors import (
     SingularMetric,
     ZeroVector,
 )
-from .jets import grad_wrt, grad_x, grad_y, gsqrt
+from .jets import grad_y, gsqrt
 
 TWO_PI = 2.0 * math.pi
 
@@ -237,7 +236,7 @@ class FinslerStructure:
     points and directions.
     """
 
-    def __init__(self, dim, chart, family, f2_generic, label="", base_independent=False, params=None):
+    def __init__(self, dim, chart, family, f2_generic, label=""):
         self.dim = int(dim)
         self.chart = chart if chart is not None else default_chart(dim)
         if self.chart.dim != self.dim:
@@ -245,8 +244,6 @@ class FinslerStructure:
         self.family = family
         self._f2 = f2_generic
         self.label = label or family
-        self.base_independent = bool(base_independent)
-        self.params = dict(params or {})
         self._validate()
 
     # generic scalar evaluation, the root of the whole tower
@@ -266,7 +263,7 @@ class FinslerStructure:
                 acc = acc + ys[k] * ys[k]
             return acc
 
-        return cls(dim, chart, "euclidean", f2, label="euclidean", base_independent=True)
+        return cls(dim, chart, "euclidean", f2, label="euclidean")
 
     @classmethod
     def riemannian(cls, a, dim=None, chart=None, label="riemannian"):
@@ -275,7 +272,7 @@ class FinslerStructure:
         ``a`` is a constant symmetric matrix or a callable ``a(xs)`` returning
         nested lists of generic scalars.
         """
-        a_field, const, dim = _matrix_field(a, dim)
+        a_field, dim = _matrix_field(a, dim)
 
         def f2(xs, ys):
             aij = a_field(xs)
@@ -285,14 +282,13 @@ class FinslerStructure:
                     acc = acc + aij[i][j] * (ys[i] * ys[j])
             return acc
 
-        return cls(dim, chart, "riemannian", f2, label=label,
-                   base_independent=const, params={"a": a})
+        return cls(dim, chart, "riemannian", f2, label=label)
 
     @classmethod
     def randers(cls, a, b, dim=None, chart=None, label="randers"):
         """Randers structure F = sqrt(a_ij y^i y^j) + b_i y^i."""
-        a_field, a_const, dim = _matrix_field(a, dim)
-        b_field, b_const = _vector_field(b, dim)
+        a_field, dim = _matrix_field(a, dim)
+        b_field = _vector_field(b, dim)
 
         def f2(xs, ys):
             aij = a_field(xs)
@@ -306,8 +302,7 @@ class FinslerStructure:
             F = gsqrt(quad) + lin
             return F * F
 
-        s = cls(dim, chart, "randers", f2, label=label,
-                base_independent=a_const and b_const, params={"a": a, "b": b})
+        s = cls(dim, chart, "randers", f2, label=label)
         s._check_randers(a_field, b_field)
         return s
 
@@ -405,6 +400,8 @@ class FinslerStructure:
             x, yv = z
         x = np.asarray(x, float)
         yv = np.asarray(yv, float)
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(yv))):
+            raise DomainError(f"non-finite coordinate in x={x.tolist()}, y={yv.tolist()}")
         self._check_nonzero(yv)
         self._check_chart(x)
         return x, yv
@@ -453,7 +450,7 @@ def _matrix_field(a, dim):
     if callable(a):
         if dim is None:
             raise ConfigError("dim is required for a callable coefficient field")
-        return a, False, int(dim)
+        return a, int(dim)
     arr = np.asarray(a, float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ConfigError("coefficient matrix must be square")
@@ -463,13 +460,13 @@ def _matrix_field(a, dim):
     if dim != arr.shape[0]:
         raise ConfigError("dim does not match coefficient matrix size")
     rows = [[float(v) for v in row] for row in arr]
-    return (lambda xs: rows), True, dim
+    return (lambda xs: rows), dim
 
 
 def _vector_field(b, dim):
     if callable(b):
-        return b, False
+        return b
     vec = [float(v) for v in np.asarray(b, float)]
     if len(vec) != dim:
         raise ConfigError("drift vector length does not match dim")
-    return (lambda xs: vec), True
+    return lambda xs: vec

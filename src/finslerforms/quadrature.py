@@ -13,16 +13,14 @@ panels.
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import forms as _forms
 from . import jets
-from .connection import LocalTower, TensorField, pack, sum_terms
+from .connection import LocalTower, TensorField
 from .errors import (
     DegreeMismatch,
     DimensionUnsupported,
@@ -30,10 +28,14 @@ from .errors import (
     PoleSingularity,
 )
 from .jets import gcos, gsin, gsqrt, grad_wrt
-from .metric import FinslerStructure, hilbert_components
+from .metric import hilbert_components
 
 FIBER_POLAR_MARGIN = 1e-3
 DEFAULT_TOLERANCE = 1e-4
+
+# default node counts per base dimension: chart axes, then fiber angles
+DEFAULT_BASE_COUNTS = {2: (32, 32), 3: (16, 16, 16)}
+DEFAULT_FIBER_COUNTS = {2: (64,), 3: (32, 16)}
 
 
 @dataclass(frozen=True)
@@ -79,10 +81,10 @@ def fiber_direction(thetas, n):
 
 def fiber_axes_for(n, counts=None):
     if n == 2:
-        counts = counts or (64,)
+        counts = counts or DEFAULT_FIBER_COUNTS[2]
         return (AxisSpec(0.0, 2.0 * math.pi, True, counts[0]),)
     if n == 3:
-        counts = counts or (32, 16)
+        counts = counts or DEFAULT_FIBER_COUNTS[3]
         return (
             AxisSpec(FIBER_POLAR_MARGIN, math.pi - FIBER_POLAR_MARGIN, False, counts[0]),
             AxisSpec(0.0, 2.0 * math.pi, True, counts[1]),
@@ -114,7 +116,7 @@ class QuadratureGrid:
         if n not in (2, 3):
             raise DimensionUnsupported("default grids exist for n in {2, 3} only")
         if base_counts is None:
-            base_counts = (32, 32) if n == 2 else (16, 16, 16)
+            base_counts = DEFAULT_BASE_COUNTS[n]
         if len(base_counts) != n:
             raise GridError("one base node count per chart axis is required")
         base = []
@@ -267,49 +269,14 @@ def volume_density(s, x, theta, fiber_sign=1.0) -> VolumeDensity:
 # -- integration ----------------------------------------------------------------
 
 
-def _threads():
-    try:
-        return max(1, int(os.environ.get("FINSLER_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _eval_scalar(s, f, grid):
-    """Evaluate a scalar field at all grid nodes, optionally fanning out
-    chunks of the leading base axis over threads.  The reduction order is
-    fixed regardless of the thread count."""
-    xs, ys = grid.coords_for(s)
-    nt = _threads()
-    lead = grid.shape[0]
-    if nt <= 1 or lead < 2 * nt:
-        return f(xs, ys)
-
-    def take(arrs, a, b):
-        return [v[a:b] if (hasattr(v, "shape") and v.ndim and v.shape[0] > 1) else v for v in arrs]
-
-    bounds = np.linspace(0, lead, nt + 1, dtype=int)
-    with ThreadPoolExecutor(max_workers=nt) as pool:
-        futs = [
-            pool.submit(f, take(xs, a, b), take(ys, a, b))
-            for a, b in zip(bounds[:-1], bounds[1:])
-            if b > a
-        ]
-        chunks = [fut.result() for fut in futs]
-    shaped = []
-    for (a, b), ch in zip([(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a], chunks):
-        ch = np.asarray(ch, float)
-        target = (b - a,) + grid.shape[1:]
-        shaped.append(np.broadcast_to(ch, target))
-    return np.concatenate(shaped, axis=0)
-
-
 def integrate_scalar(s, f, grid: QuadratureGrid) -> float:
     """Integral of a scalar field over the sphere bundle.
 
-    ``f`` is a generic callable (xs, ys) -> scalar, or a precomputed array
+    ``f`` is a generic callable (xs, ys) -> scalar, evaluated once on the
+    grid's broadcast-shaped node coordinates, or a precomputed array
     broadcastable to the grid shape.
     """
-    vals = _eval_scalar(s, f, grid) if callable(f) else f
+    vals = f(*grid.coords_for(s)) if callable(f) else f
     vals = np.broadcast_to(np.asarray(vals, float), grid.shape)
     if not np.all(np.isfinite(vals)):
         raise GridError("integrand is not finite at some node")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 
 import numpy as np
@@ -31,10 +32,21 @@ ENGINE_TOLERANCES = {
     "grid_default": 1e-4,
 }
 
-TASK_KINDS = ("tensor", "curvature", "laplacian", "harmonic", "integrate", "check")
+TASK_KINDS = ("tensor", "curvature", "laplacian", "integrate", "check")
 CHECK_KINDS = ("ricci-identity", "adjointness", "divergence", "bochner")
 TENSOR_WHICH = ("g", "ginv", "C", "T", "ell", "G", "N", "Gamma", "Cv")
-CURVATURE_WHICH = ("Rhh", "P", "Pprinted", "Q", "Rflag", "Ricci")
+# the curvature function that computes each block alone; looked up by name
+# at call time, so wrappers installed on the module (bench/tracing.py) apply
+CURVATURE_BLOCKS = {
+    "Rhh": "hh_curvature",
+    "P": "hv_curvature",
+    "Q": "vv_curvature",
+    "Rflag": "flag_curvature_tensor",
+    "Ricci": "ricci_trace",
+}
+CURVATURE_WHICH = tuple(CURVATURE_BLOCKS)
+# integer task parameters; run_task reads each with int()
+INT_PARAMS = ("p", "pairs", "forms", "fields", "points", "degree")
 
 
 def metric_from_config(cfg) -> FinslerStructure:
@@ -49,6 +61,8 @@ def metric_from_config(cfg) -> FinslerStructure:
     chart = None
     if "chart" in cfg:
         c = cfg["chart"]
+        if not isinstance(c, dict) or "bounds" not in c:
+            raise ConfigError("chart object needs 'bounds'")
         chart = ChartSpec(
             bounds=tuple(tuple(b) for b in c["bounds"]),
             periodic=tuple(c.get("periodic", [True] * len(c["bounds"]))),
@@ -75,8 +89,13 @@ def metric_from_config(cfg) -> FinslerStructure:
 def grid_from_config(s, cfg) -> QuadratureGrid:
     if cfg is None:
         return bi.default_grid(s)
+    if not isinstance(cfg, dict):
+        raise ConfigError("grid must be an object")
     base = cfg.get("base")
     fiber = cfg.get("fiber")
+    for v in (base, fiber):
+        if v and not (isinstance(v, list) and all(isinstance(c, int) for c in v)):
+            raise ConfigError("grid 'base' and 'fiber' must be lists of integer node counts")
     tol = float(cfg.get("tolerance", quad.DEFAULT_TOLERANCE))
     return QuadratureGrid.for_structure(
         s,
@@ -88,28 +107,46 @@ def grid_from_config(s, cfg) -> QuadratureGrid:
 
 def _parse_point(s, params):
     at = params.get("at")
-    if at is None:
+    if not isinstance(at, dict) or "x" not in at or "y" not in at:
         raise ConfigError("task needs an 'at' point {x: [...], y: [...]}")
-    x = [float(v) for v in at["x"]]
-    y = [float(v) for v in at["y"]]
+    try:
+        x = [float(v) for v in at["x"]]
+        y = [float(v) for v in at["y"]]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("'at' coordinates must be lists of numbers") from exc
     if len(x) != s.dim or len(y) != s.dim:
         raise ConfigError("'at' point has wrong dimension")
+    if not all(math.isfinite(v) for v in x + y):
+        raise ConfigError("'at' point has a non-finite coordinate")
     return x, y
 
 
-def validate_scenario(doc) -> None:
-    """Raise ConfigError on any malformed element before running math."""
+def validate_scenario(doc):
+    """Raise ConfigError on any malformed element before running math.
+
+    Returns the scenario's metric and grid.
+    """
     if not isinstance(doc, dict):
         raise ConfigError("scenario must be a JSON object")
     s = metric_from_config(doc.get("metric", "euclidean"))
+    grid = grid_from_config(s, doc.get("grid"))
     tasks = doc.get("tasks", [])
     if not isinstance(tasks, list):
         raise ConfigError("'tasks' must be a list")
     for i, t in enumerate(tasks):
+        if not isinstance(t, dict):
+            raise ConfigError(f"task {i}: must be an object")
         kind = t.get("kind")
         if kind not in TASK_KINDS:
             raise ConfigError(f"task {i}: unknown kind {kind!r}")
         params = t.get("params", {})
+        if not isinstance(params, dict):
+            raise ConfigError(f"task {i}: 'params' must be an object")
+        for key in INT_PARAMS:
+            try:
+                int(params.get(key, 0))
+            except (TypeError, ValueError):
+                raise ConfigError(f"task {i}: {key!r} must be an integer") from None
         if kind == "tensor":
             which = params.get("which", "g")
             if which not in TENSOR_WHICH:
@@ -121,9 +158,6 @@ def validate_scenario(doc) -> None:
                 raise ConfigError(f"task {i}: unknown curvature block {which!r}")
             _parse_point(s, params)
         elif kind == "laplacian":
-            name = params.get("form", "dx1")
-            bi.get_form(name, s)
-        elif kind == "harmonic":
             bi.get_form(params.get("form", "dx1"), s)
         elif kind == "integrate":
             f = params.get("field", "one")
@@ -141,6 +175,7 @@ def validate_scenario(doc) -> None:
                     fid not in bi.FIELD_IDS and fid not in ("trig-random", "constant")
                 ):
                     raise ConfigError(f"task {i}: unknown vector field {fid!r}")
+    return s, grid
 
 
 def scenario_hash(doc) -> str:
@@ -185,23 +220,10 @@ def run_task(s, grid, kind, params, tolerance, rng):
     if kind == "curvature":
         which = params.get("which", "Rhh")
         x, y = _parse_point(s, params)
-        cur = curvature_mod.curvature_at_point(s, (x, y))
-        data = {
-            "Rhh": cur.R_hh,
-            "P": cur.P_hv,
-            "Pprinted": cur.P_hv_printed,
-            "Q": cur.Q_vv,
-            "Rflag": cur.R_flag,
-            "Ricci": cur.Ricci,
-        }[which]
+        data = getattr(curvature_mod, CURVATURE_BLOCKS[which])(s, (x, y)).data
         return {"which": which, "components": np.asarray(data).tolist()}, True
 
     if kind == "laplacian":
-        phi = bi.get_form(params.get("form", "dx1"), s)
-        report = forms_mod.is_h_harmonic(s, phi, grid, tol=float(params.get("tol", 1e-8)))
-        return {"form": phi.label, **report}, bool(report["equivalence_consistent"])
-
-    if kind == "harmonic":
         phi = bi.get_form(params.get("form", "dx1"), s)
         report = forms_mod.is_h_harmonic(s, phi, grid, tol=float(params.get("tol", 1e-8)))
         return {"form": phi.label, **report}, bool(report["equivalence_consistent"])
@@ -262,10 +284,8 @@ def _default_check_tol(which, grid):
 
 
 def run_scenario(doc) -> dict:
-    """Execute a validated scenario and assemble the report."""
-    validate_scenario(doc)
-    s = metric_from_config(doc.get("metric", "euclidean"))
-    grid = grid_from_config(s, doc.get("grid"))
+    """Validate and execute a scenario and assemble the report."""
+    s, grid = validate_scenario(doc)
     seed = int(doc.get("seed", 0))
     t_start = time.time()
     tasks_out = []

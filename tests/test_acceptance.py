@@ -97,7 +97,7 @@ def test_criterion_02_riemannian_reduction():
         worst_closed = max(worst_closed, np.max(np.abs(cur.R_hh - sphere_riemann(th))))
         ricci_expect = np.diag([1.0, math.sin(th) ** 2])
         worst_closed = max(worst_closed, np.max(np.abs(cur.Ricci - ricci_expect)))
-        for block in (conn.Cv, cur.P_hv, cur.P_hv_printed, cur.Q_vv):
+        for block in (conn.Cv, cur.P_hv, cur.Q_vv):
             worst_vanish = max(worst_vanish, np.max(np.abs(block)))
         worst_vanish = max(worst_vanish, np.max(np.abs(s.cartan_trace((z.x, z.y)).data)))
     ok1 = report("criterion 2 sphere closed forms", worst_closed, 1e-6)

@@ -61,9 +61,32 @@ class TestScenarioRunner:
         with pytest.raises(ConfigError, match="a-norm of b"):
             validate_scenario(doc)
 
-    def test_unknown_task_kind_rejected(self):
-        with pytest.raises(ConfigError, match="unknown kind"):
-            validate_scenario({"metric": "euclidean", "tasks": [{"kind": "frobnicate"}]})
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"metric": "euclidean", "tasks": [{"kind": "frobnicate"}]}, "unknown kind"),
+            ({"tasks": [1]}, "must be an object"),
+            ({"tasks": [{"kind": "tensor", "params": []}]}, "'params' must be an object"),
+            (
+                {"tasks": [{"kind": "tensor", "params": {"at": {"x": [0.1, 0.2]}}}]},
+                "needs an 'at' point",
+            ),
+            (
+                {"metric": {"family": "euclidean", "dim": 2, "chart": {"periodic": [True, True]}}},
+                "needs 'bounds'",
+            ),
+            (
+                {"tasks": [{"kind": "check", "params": {"which": "adjointness", "p": "x"}}]},
+                "'p' must be an integer",
+            ),
+            ({"grid": {"base": "ab"}}, "lists of integer node counts"),
+        ],
+        ids=["unknown-kind", "task-not-object", "params-not-object", "point-without-y",
+             "chart-without-bounds", "degree-not-integer", "grid-counts-not-integers"],
+    )
+    def test_unknown_task_kind_rejected(self, doc, message):
+        with pytest.raises(ConfigError, match=message):
+            validate_scenario(doc)
 
     def test_determinism_excluding_wall_times(self):
         """Identical scenario and seed produce identical reports."""
@@ -214,9 +237,23 @@ class TestCommandLine:
         assert code == 0
         doc = json.loads(out)
         assert doc["max_rel_diff"] < 1e-6
-        assert "derivative_paths" in doc
 
     def test_bad_at_argument(self, capsys):
         code, _, err = run_cli(capsys, "tensor", "--metric", "euclidean", "--at", "nonsense")
         assert code == 2
         assert "configuration error" in err
+
+    def test_non_finite_at_argument(self, capsys):
+        code, out, err = run_cli(capsys, "tensor", "--metric", "euclidean", "--at", "0.1,0.2;nan,1")
+        assert code == 2
+        assert out == ""
+        assert "non-finite" in err
+
+    def test_non_finite_report_is_an_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "tensor", "--metric", "randers-torus", "--which", "Gamma",
+            "--at", "0.1,0.2;1e-150,1e-150",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "non-finite" in err

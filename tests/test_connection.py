@@ -5,7 +5,6 @@ import pytest
 
 from finslerforms import builtins as bi
 from finslerforms.connection import (
-    DERIVATIVE_PATHS,
     TensorField,
     cartan_coefficients,
     delta_derivative,
@@ -212,21 +211,3 @@ class TestNablaZero:
             n0 = nabla_0(sphere, gfield, (z.x, z.y)).data
             assert np.max(np.abs(n0)) < 1e-8
 
-
-class TestPointwiseFieldMode:
-    def test_fd_fallback_matches_generic(self, sphere):
-        """Pointwise evaluators go through the finite-difference path."""
-        from finslerforms.jets import gsin
-
-        generic = TensorField(lambda xs, ys: [gsin(xs[0]), 0.0], "l")
-        pointwise = TensorField(
-            lambda x, y: np.array([math.sin(x[0]), 0.0]), "l", mode="pointwise"
-        )
-        z = sample_points(sphere, 1)[0]
-        before = dict(DERIVATIVE_PATHS)
-        a = h_covariant_derivative(sphere, generic, (z.x, z.y)).data
-        b = h_covariant_derivative(sphere, pointwise, (z.x, z.y)).data
-        after = dict(DERIVATIVE_PATHS)
-        assert np.max(np.abs(a - b)) < 1e-6
-        assert after["fd"] == before["fd"] + 1
-        assert after["jets"] > before["jets"]

@@ -38,7 +38,7 @@ class TestFlatFamilies:
             s = bi.get_metric(name)
             for z in sample_points(s, 5):
                 cur = curvature_at_point(s, (z.x, z.y))
-                for block in (cur.R_hh, cur.P_hv, cur.P_hv_printed, cur.R_flag, cur.Ricci):
+                for block in (cur.R_hh, cur.P_hv, cur.R_flag, cur.Ricci):
                     assert np.max(np.abs(block)) < 1e-10, name
         # the vv block vanishes for flat metrics with C = 0 only
         e = bi.get_metric("euclidean")
@@ -62,7 +62,6 @@ class TestSphereClosedForms:
     def test_hv_and_vv_vanish(self, sphere):
         for z in sample_points(sphere, 3):
             assert np.max(np.abs(hv_curvature(sphere, (z.x, z.y)).data)) < 1e-8
-            assert np.max(np.abs(hv_curvature(sphere, (z.x, z.y), printed=True).data)) < 1e-8
             assert np.max(np.abs(vv_curvature(sphere, (z.x, z.y)).data)) < 1e-14
 
     def test_last_pair_antisymmetry(self, sphere):
@@ -140,7 +139,5 @@ class TestHvVariants:
         z = sample_points(randers, 1)[0]
         cur = curvature_at_point(randers, (z.x, z.y))
         assert cur.P_hv.shape == (2, 2, 2, 2)
-        assert cur.P_hv_printed.shape == (2, 2, 2, 2)
-        # locally Minkowski: both readings vanish identically
+        # locally Minkowski: the hv block vanishes identically
         assert np.max(np.abs(cur.P_hv)) < 1e-12
-        assert np.max(np.abs(cur.P_hv_printed)) < 1e-12

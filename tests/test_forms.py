@@ -127,12 +127,6 @@ class TestLaplacian:
         b = laplacian_expansion(sphere, phi).at(sphere, (z.x, z.y)).data
         assert np.max(np.abs(a - b)) < 1e-5
 
-    def test_p1_verify_flag(self, randers):
-        phi = HorizontalForm(1, lambda xs, ys: [gsin(xs[0]), 0.0])
-        z = trig_point(randers)
-        lap = horizontal_laplacian(randers, phi, verify_p1_tol=1e-5)
-        lap.at(randers, (z.x, z.y))  # raises on disagreement
-
 
 class TestInnerProduct:
     def test_orthonormal_values(self, euclidean):

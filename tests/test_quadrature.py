@@ -209,12 +209,3 @@ class TestBochnerIntegral:
         res = bochner_integral(randers, X, grid)
         assert res["divergence_defect"] < 1e-5
 
-
-class TestThreadedEvaluation:
-    def test_thread_fanout_matches_serial(self, euclidean, monkeypatch):
-        grid = small_grid(euclidean)
-        f = lambda xs, ys: gsin(xs[0]) * gcos(xs[1]) + ys[0] * ys[0]
-        serial = integrate_scalar(euclidean, f, grid)
-        monkeypatch.setenv("FINSLER_THREADS", "4")
-        threaded = integrate_scalar(euclidean, f, grid)
-        assert serial == threaded
