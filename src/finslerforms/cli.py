@@ -21,7 +21,7 @@ from . import forms as forms_mod
 from . import jets
 from . import quadrature as quad
 from . import scenario as scenario_mod
-from .errors import ConfigError, DomainError, FinslerError
+from .errors import ConfigError, DomainError, FinslerError, GridError
 
 
 def _parse_at(s, text):
@@ -43,7 +43,10 @@ def _parse_grid(s, text, tolerance):
         fiber = tuple(int(v) for v in fiber_txt.split(","))
     except ValueError as exc:
         raise ConfigError("--grid expects 'b1,b2[,b3]xf1[,f2]'") from exc
-    return quad.QuadratureGrid.for_structure(s, base, fiber, tolerance=tolerance)
+    try:
+        return quad.QuadratureGrid.for_structure(s, base, fiber, tolerance=tolerance)
+    except GridError as exc:
+        raise ConfigError(f"--grid: {exc}") from None
 
 
 def _emit(doc, out, fmt):

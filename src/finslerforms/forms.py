@@ -3,7 +3,11 @@
 Forms are represented extensionally: a :class:`HorizontalForm` carries a
 coefficient evaluator over the slit tangent bundle, and every operator
 returns a new form whose evaluator composes the machinery at whatever point
-(or batch of points, or jet) it is asked for.  Grids enter only through the
+(or batch of points, or jet) it is asked for.  A form built by an operator
+of this module evaluates on the :class:`LocalTower` it is handed
+(:meth:`HorizontalForm.on`), so a caller that holds a tower, such as a
+quadrature grid with its cached tower, computes each connection layer once
+for all the forms it evaluates there.  Grids enter only through the
 quadrature module.
 
 Conventions.  A degree-p form is stored as its full antisymmetric
@@ -51,18 +55,35 @@ class HorizontalForm:
 
     ``coeffs(xs, ys)`` returns nested lists over p component axes (a bare
     scalar for p = 0) and must accept jets, so operators can differentiate
-    through it.
+    through it.  ``on(tower)`` returns the same coefficients at a tower's
+    point.  A form built by an operator of this module holds a ``kernel``
+    (tower -> coefficients) and evaluates on the tower it is handed, reusing
+    the layers that tower has cached; its ``coeffs`` runs the kernel on a
+    fresh tower.
     """
 
     degree: int
     coeffs: Callable
     label: str = ""
+    kernel: Callable | None = None
+
+    def on(self, tower: LocalTower):
+        """Coefficients at the tower's point."""
+        if self.kernel is None:
+            return self.coeffs(tower.xs, tower.ys)
+        return self.kernel(tower)
 
     def at(self, s, z, y=None):
         """Packed coefficient array at a single validated point."""
-        x, yv = s._coords(z, y)
-        val = self.coeffs([float(v) for v in x], [float(v) for v in yv])
-        return TensorValue(pack(val, self.degree), "l" * self.degree, (x, yv))
+        tower, pt = _point_tower(s, z, y)
+        return TensorValue(pack(self.on(tower), self.degree), "l" * self.degree, pt)
+
+
+def _operator_form(s, degree, kernel, label):
+    """Form whose coefficients are ``kernel`` at a tower of ``s``."""
+    return HorizontalForm(
+        degree, lambda xs, ys: kernel(LocalTower(s, xs, ys)), label=label, kernel=kernel
+    )
 
 
 # -- operator kernels (work at any tower: pointwise, batched or jet-valued) ----
@@ -168,21 +189,17 @@ def inner_coeffs(tower: LocalTower, a, b, degree):
 def horizontal_differential(s, phi: HorizontalForm) -> HorizontalForm:
     if phi.degree >= s.dim:
         raise DegreeOverflow(f"cannot raise degree {phi.degree} in dimension {s.dim}")
-
-    def coeffs(xs, ys):
-        return dH_coeffs(LocalTower(s, xs, ys), phi)
-
-    return HorizontalForm(phi.degree + 1, coeffs, label=f"dH({phi.label})")
+    return _operator_form(
+        s, phi.degree + 1, lambda tw: dH_coeffs(tw, phi), f"dH({phi.label})"
+    )
 
 
 def horizontal_codifferential(s, psi: HorizontalForm) -> HorizontalForm:
     if psi.degree < 1:
         raise DegreeUnderflow("co-differential needs degree >= 1")
-
-    def coeffs(xs, ys):
-        return deltaH_coeffs(LocalTower(s, xs, ys), psi)
-
-    return HorizontalForm(psi.degree - 1, coeffs, label=f"deltaH({psi.label})")
+    return _operator_form(
+        s, psi.degree - 1, lambda tw: deltaH_coeffs(tw, psi), f"deltaH({psi.label})"
+    )
 
 
 def horizontal_laplacian(s, omega: HorizontalForm) -> HorizontalForm:
@@ -194,14 +211,14 @@ def horizontal_laplacian(s, omega: HorizontalForm) -> HorizontalForm:
     if p >= 1:
         parts.append(horizontal_differential(s, horizontal_codifferential(s, omega)))
 
-    def coeffs(xs, ys):
-        vals = [part.coeffs(xs, ys) for part in parts]
+    def kernel(tower):
+        vals = [part.on(tower) for part in parts]
         out = vals[0]
         for v in vals[1:]:
             out = _tree_add(out, v)
         return out
 
-    return HorizontalForm(p, coeffs, label=f"laplacian({omega.label})")
+    return _operator_form(s, p, kernel, f"laplacian({omega.label})")
 
 
 def _tree_add(a, b):
@@ -213,19 +230,18 @@ def _tree_add(a, b):
 def laplacian_expansion(s, phi: HorizontalForm) -> HorizontalForm:
     """The expanded Laplacian as an independent evaluator; must agree with
     the composed operator, which the test suite verifies degree by degree."""
-
-    def coeffs(xs, ys):
-        return laplacian_expansion_coeffs(LocalTower(s, xs, ys), phi)
-
-    return HorizontalForm(phi.degree, coeffs, label=f"laplacian_exp({phi.label})")
+    return _operator_form(
+        s, phi.degree, lambda tw: laplacian_expansion_coeffs(tw, phi),
+        f"laplacian_exp({phi.label})",
+    )
 
 
 def pointwise_inner(s, phi: HorizontalForm, psi: HorizontalForm, z, y=None):
     if phi.degree != psi.degree:
         raise DegreeMismatch(f"degrees {phi.degree} and {psi.degree} differ")
     tower, _ = _point_tower(s, z, y)
-    a = phi.coeffs(tower.xs, tower.ys)
-    b = psi.coeffs(tower.xs, tower.ys)
+    a = phi.on(tower)
+    b = psi.on(tower)
     return float(jets.primal(inner_coeffs(tower, a, b, phi.degree)))
 
 

@@ -119,6 +119,8 @@ class QuadratureGrid:
             base_counts = DEFAULT_BASE_COUNTS[n]
         if len(base_counts) != n:
             raise GridError("one base node count per chart axis is required")
+        if fiber_counts is not None and len(fiber_counts) != n - 1:
+            raise GridError("one fiber node count per fiber angle is required")
         base = []
         for a in range(n):
             lo, hi = s.chart.interior(a)
@@ -162,6 +164,9 @@ class QuadratureGrid:
         return w
 
     # -- per-structure caches -------------------------------------------------
+    # Keyed by id(s) and holding s, so the id stays valid while cached.  Forms
+    # are evaluated on tower(s), so each connection layer is computed once per
+    # grid and metric, not once per form.
 
     def coords_for(self, s):
         """(xs, ys) coordinate scalar lists at all nodes, broadcast shaped."""
@@ -286,9 +291,8 @@ def integrate_scalar(s, f, grid: QuadratureGrid) -> float:
 
 def _form_values_inner(s, phi, psi, grid):
     tower = grid.tower(s)
-    xs, ys = grid.coords_for(s)
-    a = phi.coeffs(xs, ys)
-    b = psi.coeffs(xs, ys) if psi is not phi else a
+    a = phi.on(tower)
+    b = psi.on(tower) if psi is not phi else a
     return _forms.inner_coeffs(tower, a, b, phi.degree)
 
 
@@ -324,12 +328,11 @@ def adjointness_defect(s, phi, psi, grid: QuadratureGrid) -> float:
     if psi.degree != phi.degree + 1:
         raise DegreeMismatch("psi must have degree one higher than phi")
     tower = grid.tower(s)
-    xs, ys = grid.coords_for(s)
     dphi = _forms.dH_coeffs(tower, phi)
-    psivals = psi.coeffs(xs, ys)
+    psivals = psi.on(tower)
     lhs = integrate_scalar(s, _forms.inner_coeffs(tower, dphi, psivals, psi.degree), grid)
     dpsi = _forms.deltaH_coeffs(tower, psi)
-    phivals = phi.coeffs(xs, ys)
+    phivals = phi.on(tower)
     rhs = integrate_scalar(s, _forms.inner_coeffs(tower, phivals, dpsi, phi.degree), grid)
     return abs(lhs - rhs) / (1.0 + abs(lhs))
 

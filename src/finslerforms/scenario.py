@@ -21,7 +21,7 @@ from . import curvature as curvature_mod
 from . import forms as forms_mod
 from . import quadrature as quad
 from .connection import cartan_coefficients
-from .errors import ConfigError, FinslerError, TaskError
+from .errors import ConfigError, FinslerError, GridError, TaskError
 from .metric import ChartSpec, FinslerStructure
 from .quadrature import QuadratureGrid
 
@@ -96,13 +96,25 @@ def grid_from_config(s, cfg) -> QuadratureGrid:
     for v in (base, fiber):
         if v and not (isinstance(v, list) and all(isinstance(c, int) for c in v)):
             raise ConfigError("grid 'base' and 'fiber' must be lists of integer node counts")
-    tol = float(cfg.get("tolerance", quad.DEFAULT_TOLERANCE))
-    return QuadratureGrid.for_structure(
-        s,
-        base_counts=tuple(base) if base else None,
-        fiber_counts=tuple(fiber) if fiber else None,
-        tolerance=tol,
-    )
+    tol = _parse_tolerance(cfg.get("tolerance", quad.DEFAULT_TOLERANCE), "grid 'tolerance'")
+    try:
+        return QuadratureGrid.for_structure(
+            s,
+            base_counts=tuple(base) if base else None,
+            fiber_counts=tuple(fiber) if fiber else None,
+            tolerance=tol,
+        )
+    except GridError as exc:
+        raise ConfigError(f"grid: {exc}") from None
+
+
+def _parse_tolerance(value, what):
+    """A tolerance as a float; anything but a finite number >= 0 is a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    if not (math.isfinite(value) and value >= 0):
+        raise ConfigError(f"{what} must be a finite number >= 0, got {value!r}")
+    return float(value)
 
 
 def _parse_point(s, params):
@@ -147,6 +159,8 @@ def validate_scenario(doc):
                 int(params.get(key, 0))
             except (TypeError, ValueError):
                 raise ConfigError(f"task {i}: {key!r} must be an integer") from None
+        if t.get("tolerance") is not None:
+            _parse_tolerance(t["tolerance"], f"task {i}: 'tolerance'")
         if kind == "tensor":
             which = params.get("which", "g")
             if which not in TENSOR_WHICH:
@@ -159,6 +173,8 @@ def validate_scenario(doc):
             _parse_point(s, params)
         elif kind == "laplacian":
             bi.get_form(params.get("form", "dx1"), s)
+            if "tol" in params:
+                _parse_tolerance(params["tol"], f"task {i}: 'tol'")
         elif kind == "integrate":
             f = params.get("field", "one")
             if f != "one":

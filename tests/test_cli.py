@@ -80,9 +80,35 @@ class TestScenarioRunner:
                 "'p' must be an integer",
             ),
             ({"grid": {"base": "ab"}}, "lists of integer node counts"),
+            (
+                {"tasks": [{"kind": "check", "params": {"which": "divergence"}, "tolerance": "x"}]},
+                "'tolerance' must be a number",
+            ),
+            (
+                {"tasks": [{"kind": "check", "params": {"which": "divergence"},
+                            "tolerance": float("nan")}]},
+                "'tolerance' must be a finite number >= 0",
+            ),
+            (
+                {"tasks": [{"kind": "check", "params": {"which": "divergence"}, "tolerance": -1e-4}]},
+                "'tolerance' must be a finite number >= 0",
+            ),
+            (
+                {"tasks": [{"kind": "laplacian", "params": {"form": "dx1", "tol": "x"}}]},
+                "'tol' must be a number",
+            ),
+            ({"grid": {"tolerance": "x"}}, "grid 'tolerance' must be a number"),
+            ({"grid": {"base": [4, 4]}}, "at least 8 nodes per axis"),
+            (
+                {"metric": "randers-torus-3d", "grid": {"base": [8, 8, 8], "fiber": [16]}},
+                "one fiber node count per fiber angle",
+            ),
         ],
         ids=["unknown-kind", "task-not-object", "params-not-object", "point-without-y",
-             "chart-without-bounds", "degree-not-integer", "grid-counts-not-integers"],
+             "chart-without-bounds", "degree-not-integer", "grid-counts-not-integers",
+             "tolerance-not-number", "tolerance-nan", "tolerance-negative",
+             "laplacian-tol-not-number", "grid-tolerance-not-number", "grid-too-few-nodes",
+             "grid-fiber-counts-short"],
     )
     def test_unknown_task_kind_rejected(self, doc, message):
         with pytest.raises(ConfigError, match=message):
@@ -242,6 +268,12 @@ class TestCommandLine:
         code, _, err = run_cli(capsys, "tensor", "--metric", "euclidean", "--at", "nonsense")
         assert code == 2
         assert "configuration error" in err
+
+    def test_too_few_grid_nodes_is_a_config_error(self, capsys):
+        code, out, err = run_cli(capsys, "integrate", "--metric", "euclidean", "--grid", "4,4x4")
+        assert code == 2
+        assert out == ""
+        assert "configuration error" in err and "at least 8 nodes" in err
 
     def test_non_finite_at_argument(self, capsys):
         code, out, err = run_cli(capsys, "tensor", "--metric", "euclidean", "--at", "0.1,0.2;nan,1")

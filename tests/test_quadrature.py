@@ -5,15 +5,26 @@ import numpy as np
 import pytest
 
 from finslerforms import builtins as bi
+from finslerforms.connection import LocalTower
 from finslerforms.errors import DegreeMismatch, GridError, PoleSingularity
-from finslerforms.forms import HorizontalForm
-from finslerforms.jets import gcos, gsin
+from finslerforms.forms import (
+    HorizontalForm,
+    horizontal_codifferential,
+    horizontal_differential,
+    horizontal_laplacian,
+    inner_coeffs,
+    is_h_harmonic,
+    laplacian_expansion,
+)
+from finslerforms.jets import Jet, gcos, gsin
+from finslerforms.metric import FinslerStructure
 from finslerforms.quadrature import (
     AxisSpec,
     QuadratureGrid,
     adjointness_defect,
     bochner_integral,
     divergence_integral_check,
+    form_grid_norm,
     global_inner_product,
     integrate_scalar,
     volume_density,
@@ -209,3 +220,61 @@ class TestBochnerIntegral:
         res = bochner_integral(randers, X, grid)
         assert res["divergence_defect"] < 1e-5
 
+
+
+def base_dependent_randers():
+    """Genuinely Finsler Randers metric whose a and b depend on the base point."""
+
+    def a(xs):
+        return [
+            [1.2 + 0.2 * gcos(xs[0]), 0.1 * gsin(xs[1])],
+            [0.1 * gsin(xs[1]), 1.0 + 0.1 * gsin(xs[0] + xs[1])],
+        ]
+
+    def b(xs):
+        return [0.3 * gcos(xs[1]), 0.2 * gsin(xs[0])]
+
+    return FinslerStructure.randers(a, b, dim=2)
+
+
+class TestFormsOnGridTower:
+    """Operator-built forms evaluate on the grid's cached tower."""
+
+    @pytest.fixture(scope="class")
+    def setting(self):
+        s = base_dependent_randers()
+        grid = small_grid(s, base=8, fiber=16)
+        phi = bi.random_trig_form(np.random.default_rng(5), s, 1)
+        return s, grid, phi
+
+    def test_norms_match_a_fresh_tower_bit_for_bit(self, setting):
+        s, grid, phi = setting
+        for op in (
+            horizontal_differential,
+            horizontal_codifferential,
+            horizontal_laplacian,
+            laplacian_expansion,
+        ):
+            form = op(s, phi)
+            on_grid = form_grid_norm(s, form, grid)
+            vals = form.coeffs(*grid.coords_for(s))  # a fresh LocalTower
+            inner = inner_coeffs(grid.tower(s), vals, vals, form.degree)
+            fresh = math.sqrt(max(integrate_scalar(s, inner, grid), 0.0))
+            assert on_grid.hex() == fresh.hex(), form.label
+
+    def test_is_h_harmonic_builds_no_tower_once_warm(self, setting, monkeypatch):
+        s, grid, phi = setting
+        first = is_h_harmonic(s, phi, grid)
+        builds = 0
+        init = LocalTower.__init__
+
+        def counted(tower, s_, xs, ys):
+            nonlocal builds
+            if not any(isinstance(v, Jet) for v in list(xs) + list(ys)):
+                builds += 1
+            init(tower, s_, xs, ys)
+
+        monkeypatch.setattr(LocalTower, "__init__", counted)
+        again = is_h_harmonic(s, phi, grid)
+        assert builds == 0
+        assert again == first
