@@ -34,6 +34,20 @@ def _parse_at(s, text):
     return scenario_mod._parse_point(s, {"at": {"x": x, "y": y}})
 
 
+def _parse_tolerances(args):
+    """Check ``--tol`` and ``--tol-grid`` as scenario tolerances are checked."""
+    for attr in ("tol", "tol_grid"):
+        value = getattr(args, attr, None)
+        if value is None:
+            continue
+        flag = "--" + attr.replace("_", "-")
+        try:
+            value = float(value)
+        except ValueError:
+            raise ConfigError(f"{flag} must be a number, got {value!r}") from None
+        setattr(args, attr, scenario_mod._parse_tolerance(value, flag))
+
+
 def _parse_grid(s, text, tolerance):
     if text is None:
         return bi.default_grid(s, tolerance=tolerance)
@@ -240,7 +254,7 @@ def build_parser():
             sp.add_argument("--at", required=True, help="point as 'x1,..;y1,..'")
         if grid:
             sp.add_argument("--grid", default=None, help="counts as 'b1,b2xf1'")
-            sp.add_argument("--tol-grid", type=float, default=quad.DEFAULT_TOLERANCE)
+            sp.add_argument("--tol-grid", default=quad.DEFAULT_TOLERANCE)
         sp.add_argument("--out", default=None, help="write the report to a file")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -262,7 +276,7 @@ def build_parser():
 
     sp = sub.add_parser("laplacian", help="grid norms and verdict for a named form")
     sp.add_argument("--form", default="dx1")
-    sp.add_argument("--tol", type=float, default=1e-8)
+    sp.add_argument("--tol", default=1e-8)
     sp.add_argument("--points", action="store_true", help="emit per-node CSV components")
     common(sp, grid=True)
     sp.set_defaults(fn=cmd_laplacian)
@@ -277,7 +291,7 @@ def build_parser():
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--count", type=int, default=10)
     sp.add_argument("--p", type=int, default=1)
-    sp.add_argument("--tol", type=float, default=None)
+    sp.add_argument("--tol", default=None)
     sp.add_argument("--field", default="d1")
     sp.add_argument("--expect-harmonic", action="store_true")
     common(sp, grid=True)
@@ -299,6 +313,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _parse_tolerances(args)
         return args.fn(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -8,6 +8,15 @@ coefficients are again scalars, so nesting jets inside jets yields exact
 mixed partials of any modest order.  Each jet carries a level tag so that
 independent differentiation contexts never mix their perturbations.
 
+:func:`grad_wrt` chooses its seeding from the input.  At a point (every
+primal 0-d) it runs in vector mode: one pass seeds all n coordinates, the
+tangent of coordinate m being ``eye(n)[m]``, and each nesting level keeps its
+directions on its own array axis, so a k-fold nested derivative costs one
+evaluation of the innermost field instead of n^k.  On arrays (quadrature
+grids) it seeds one coordinate per pass with the scalar tangent 1.0: vector
+mode there would grow each nested scalar from 2^k to (1+n)^k node arrays,
+which raised peak memory by 25% (3D) to 92% (2D) on the benchmark grids.
+
 Fields are callables ``f(xs, ys) -> scalar`` where ``xs`` and ``ys`` are
 plain lists of scalars.  The finite-difference routines exist only as an
 independent oracle for tests.
@@ -243,7 +252,18 @@ def grad_wrt(fn, lists, which):
 
     ``lists`` is a tuple of scalar lists; ``which`` selects the differentiated
     list.  Returns ``out[m]`` = pytree of d(fn)/d(lists[which][m]).
+
+    At a point (every primal 0-d) one pass seeds all n coordinates, each
+    nesting level on its own direction axis (see :func:`_vector_grad`).  With
+    array-valued coordinates each coordinate gets its own pass and a scalar
+    tangent 1.0, because vector mode multiplies every node array by the n
+    directions of each level: on the benchmark grids peak memory rose from
+    50.5 to 97.0 MB (2D) and from 95.3 to 119.0 MB (3D).  ``fn`` must take
+    every jet it depends on through its arguments.
     """
+    depth = _point_depth(lists)
+    if depth is not None:
+        return _vector_grad(fn, lists, which, depth)
     out = []
     for m in range(len(lists[which])):
         tag = _new_tag()
@@ -253,6 +273,80 @@ def grad_wrt(fn, lists, which):
         res = fn(*seeded)
         out.append(tree_map(lambda s: _taylor_coeff(s, tag, 1), res))
     return out
+
+
+def hessian_wrt(fn, lists, which):
+    """Second derivatives ``out[i][j]`` of a scalar ``fn(*lists)`` along one list.
+
+    At a point one nested vector pass gives the whole matrix from a single
+    evaluation of ``fn``; on arrays the n(n+1)/2 pairs i <= j are seeded with
+    two tags each and mirrored.
+    """
+    depth = _point_depth(lists)
+    if depth is not None:
+        return _vector_grad(lambda *ls: _vector_grad(fn, ls, which, depth + 1), lists, which, depth)
+    n = len(lists[which])
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            t1 = _new_tag()
+            t2 = _new_tag()
+            seeded = [list(l) for l in lists]
+            vec = seeded[which]
+            vec[i] = Jet([vec[i], 1.0], t1)
+            vec[j] = Jet([vec[j], 1.0], t2)
+            val = _taylor_coeff(_taylor_coeff(fn(*seeded), t2, 1), t1, 1)
+            rows[i][j] = rows[j][i] = val
+    return rows
+
+
+def _point_depth(lists):
+    """Largest leaf ndim over ``lists`` if every primal is 0-d, else None."""
+    depth = 0
+    for v in itertools.chain(*lists):
+        if getattr(primal(v), "ndim", 0):
+            return None
+        stack = [v]
+        while stack:
+            c = stack.pop()
+            if isinstance(c, Jet):
+                stack.extend(c.coeffs)
+            else:
+                depth = max(depth, getattr(c, "ndim", 0))
+    return depth
+
+
+def _vector_grad(fn, lists, which, depth):
+    """One pass seeding all n coordinates of ``lists[which]`` at a point.
+
+    Coordinate m gets the tangent ``eye(n)[m]`` with its direction axis at
+    position ``-(depth + 1)``; ``depth`` is the largest leaf ndim of the
+    inputs, so each nesting level owns one axis and levels cannot mix.  The
+    result's tangent is then split into its n components.  ``fn`` must take
+    every jet it depends on through its arguments: a jet it closes over is
+    invisible to ``depth`` and could share an axis with this level.
+    """
+    n = len(lists[which])
+    tag = _new_tag()
+    eye = np.eye(n).reshape((n, n) + (1,) * depth)
+    seeded = [list(l) for l in lists]
+    seeded[which] = [Jet([v, eye[m]], tag) for m, v in enumerate(seeded[which])]
+    # non-finite tangents stay silent, as Python floats are on the loop path
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = fn(*seeded)
+    d = tree_map(lambda s: _taylor_coeff(s, tag, 1), res)
+
+    def component(s, m):
+        if isinstance(s, Jet):
+            return Jet([component(c, m) for c in s.coeffs], s.tag)
+        if getattr(s, "ndim", 0) <= depth:
+            return s  # constant along this level's axis
+        s = s[(Ellipsis, m if s.shape[-depth - 1] > 1 else 0) + (slice(None),) * depth]
+        while s.ndim and s.shape[0] == 1:  # drop broadcast placeholders of outer levels
+            s = s[0]
+        return s
+
+    return [tree_map(lambda s: component(s, m), d) for m in range(n)]
 
 
 def grad_x(fn, xs, ys):

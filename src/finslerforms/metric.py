@@ -125,24 +125,11 @@ class TensorValue:
 def metric_components(s, xs, ys):
     """Fundamental tensor g_ij = half the y-Hessian of F^2 (generic)."""
     n = s.dim
+    h = jets.hessian_wrt(s.f2, (xs, ys), 1)
     rows = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            t1 = jets._new_tag()
-            t2 = jets._new_tag()
-            seeded = list(ys)
-            seeded[i] = jets.Jet([seeded[i], 1.0], t1)
-            seeded[j] = (
-                jets.Jet([seeded[j], 1.0], t2)
-                if j != i
-                else jets.Jet([seeded[i], 1.0], t2)
-            )
-            val = s.f2(xs, seeded)
-            val = jets._taylor_coeff(val, t2, 1)
-            val = jets._taylor_coeff(val, t1, 1)
-            gij = 0.5 * val if not isinstance(val, jets.Jet) else val * 0.5
-            rows[i][j] = gij
-            rows[j][i] = gij
+            rows[i][j] = rows[j][i] = 0.5 * h[i][j]
     return rows
 
 
@@ -327,15 +314,26 @@ class FinslerStructure:
 
     def _validate(self):
         xs, dirs = self._sample_points()
-        for x in xs:
-            for u in dirs:
-                f2 = self.f2(list(x), list(u))
-                if not np.isfinite(f2) or f2 <= 0.0:
-                    raise NotPositiveDefinite(
-                        f"{self.label}: F^2 not positive at x={x.tolist()}, y={u.tolist()}"
-                    )
-                g = np.array(metric_components(self, list(x), list(u)), float)
-                _cholesky_check(g, where=f"x={x.tolist()}, y={u.tolist()}", label=self.label)
+        # every (x, u) pair as one array-valued sample, x-major like a nested loop
+        x = np.repeat(xs, len(dirs), axis=0)
+        u = np.tile(dirs, (len(xs), 1))
+        cx, cu = list(x.T), list(u.T)
+        with np.errstate(all="ignore"):  # a bad sample is reported below
+            f2 = np.broadcast_to(np.asarray(self.f2(cx, cu), float), len(x))
+            g = np.empty((len(x), self.dim, self.dim))
+            for i, row in enumerate(metric_components(self, cx, cu)):
+                for j, v in enumerate(row):
+                    g[:, i, j] = v
+        try:
+            suspect = _pivot_too_small(g, np.linalg.cholesky(g))
+        except np.linalg.LinAlgError:
+            suspect = np.ones(len(x), bool)  # some sample failed; find the first below
+        suspect |= ~(np.isfinite(f2) & (f2 > 0.0))
+        for k in np.flatnonzero(suspect):
+            where = f"x={x[k].tolist()}, y={u[k].tolist()}"
+            if not (np.isfinite(f2[k]) and f2[k] > 0.0):
+                raise NotPositiveDefinite(f"{self.label}: F^2 not positive at {where}")
+            _cholesky_check(g[k], where=where, label=self.label)
 
     def _check_randers(self, a_field, b_field):
         xs, _ = self._sample_points()
@@ -441,9 +439,14 @@ def _cholesky_check(g, where, label):
         L = np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite(f"{label}: fundamental tensor not positive-definite at {where}")
-    scale = max(1.0, float(np.max(np.abs(np.diag(g)))))
-    if float(np.min(np.diag(L))) <= CHOLESKY_PIVOT * scale:
+    if _pivot_too_small(g, L):
         raise NotPositiveDefinite(f"{label}: Cholesky pivot below threshold at {where}")
+
+
+def _pivot_too_small(g, L):
+    """Whether the Cholesky factor L of g, or of each matrix of a stack, has a small pivot."""
+    scale = np.maximum(1.0, np.max(np.abs(np.diagonal(g, axis1=-2, axis2=-1)), axis=-1))
+    return np.min(np.diagonal(L, axis1=-2, axis2=-1), axis=-1) <= CHOLESKY_PIVOT * scale
 
 
 def _matrix_field(a, dim):

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -282,10 +283,32 @@ class TestCommandLine:
         assert "non-finite" in err
 
     def test_non_finite_report_is_an_error(self, capsys):
-        code, out, err = run_cli(
-            capsys, "tensor", "--metric", "randers-torus", "--which", "Gamma",
-            "--at", "0.1,0.2;1e-150,1e-150",
-        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(
+                capsys, "tensor", "--metric", "randers-torus", "--which", "Gamma",
+                "--at", "0.1,0.2;1e-150,1e-150",
+            )
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and "non-finite" in err
+        assert err.count("\n") == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("check", "divergence", "--tol", "-1"), "--tol must be a finite number >= 0"),
+            (("laplacian", "--tol", "nan"), "--tol must be a finite number >= 0"),
+            (("check", "divergence", "--tol", "x"), "--tol must be a number"),
+            (("integrate", "--tol-grid", "-5"), "--tol-grid must be a finite number >= 0"),
+            (("laplacian", "--tol-grid", "inf"), "--tol-grid must be a finite number >= 0"),
+        ],
+        ids=["check-tol-negative", "laplacian-tol-nan", "check-tol-not-number",
+             "integrate-tol-grid-negative", "laplacian-tol-grid-inf"],
+    )
+    def test_bad_tolerance_flag_is_a_config_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv, "--metric", "euclidean", "--grid", "8,8x8")
+        assert code == 2
+        assert out == ""
+        assert "configuration error" in err and message in err

@@ -4,17 +4,23 @@ import numpy as np
 import pytest
 
 from finslerforms import builtins as bi
+from finslerforms.curvature import curvature_at_point
 from finslerforms.errors import OrderTooHigh
 from finslerforms.jets import (
     Jet,
     JetRequest,
+    _new_tag,
+    _taylor_coeff,
     fd_partial,
     gcos,
     grad_wrt,
     gsin,
     gsqrt,
+    hessian_wrt,
     partial,
+    tree_map,
 )
+from finslerforms.metric import FinslerStructure
 
 
 def field(xs, ys):
@@ -124,3 +130,153 @@ class TestJetAlgebra:
 
         d = grad_wrt(f, ([0.7], [0.3]), 0)[0]
         assert abs(d - 2 * 0.7) < 1e-15
+
+
+# -- vector mode at a point against the per-coordinate loop -----------------------
+
+
+def loop_grad(fn, lists, which):
+    """Reference: one seeded pass per coordinate, with a scalar tangent 1.0."""
+    out = []
+    for m in range(len(lists[which])):
+        tag = _new_tag()
+        seeded = [list(l) for l in lists]
+        seeded[which][m] = Jet([seeded[which][m], 1.0], tag)
+        res = fn(*seeded)
+        out.append(tree_map(lambda s, tag=tag: _taylor_coeff(s, tag, 1), res))
+    return out
+
+
+def loop_hessian(fn, lists, which):
+    """Reference: the pairs i <= j seeded with two tags each."""
+    n = len(lists[which])
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            t1, t2 = _new_tag(), _new_tag()
+            seeded = [list(l) for l in lists]
+            seeded[which][i] = Jet([seeded[which][i], 1.0], t1)
+            seeded[which][j] = Jet([seeded[which][j], 1.0], t2)
+            rows[i][j] = rows[j][i] = _taylor_coeff(_taylor_coeff(fn(*seeded), t2, 1), t1, 1)
+    return rows
+
+
+def nested(grad, fn, order):
+    """``grad`` applied along ``order`` (a tuple of list indices), outermost first."""
+    if not order:
+        return fn
+    inner = nested(grad, fn, order[1:])
+    return lambda *ls: grad(inner, ls, order[0])
+
+
+def field3(xs, ys):
+    r = gsqrt(ys[0] * ys[0] + ys[1] * ys[1] + ys[2] * ys[2])
+    return gsin(xs[0] * ys[0]) + r * gcos(xs[1]) + (xs[2] * ys[1]) * ys[2]
+
+
+def quotient3(xs, ys):
+    return (xs[2] * ys[2]) / gsqrt(ys[0] * ys[0] + ys[1] * ys[1] + ys[2] * ys[2])
+
+
+def _base_dependent_randers(n):
+    def a(xs):
+        rows = [[0.0] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = 1.2 + 0.2 * gcos(xs[i])
+        rows[0][1] = rows[1][0] = 0.1 * gsin(xs[n - 1])
+        return rows
+
+    def b(xs):
+        return [0.3 * gcos(xs[1])] + [0.2 * gsin(xs[0])] * (n - 1)
+
+    return FinslerStructure.randers(a, b, dim=n)
+
+
+POINTS = {
+    2: ([0.7, 0.3], [1.2, -0.5]),
+    3: ([0.7, 0.3, 1.1], [1.2, -0.5, 0.4]),
+}
+SCALARS = {
+    2: [field, bi.get_metric("quartic-torus").f2, _base_dependent_randers(2).f2],
+    3: [field3, bi.get_metric("randers-torus-3d").f2, _base_dependent_randers(3).f2],
+}
+ORDERS = [(0,), (1,), (0, 1), (1, 0), (1, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1), (0, 0, 0)]
+
+
+def flat(tree):
+    """Every float of a pytree whose leaves are scalars or equal-shape arrays."""
+    if isinstance(tree, (list, tuple)):
+        return np.concatenate([flat(c) for c in tree])
+    return np.atleast_1d(np.asarray(tree, float))
+
+
+class TestVectorMode:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("order", ORDERS, ids=lambda o: "".join("xy"[w] for w in o))
+    def test_point_grad_equals_loop(self, n, order):
+        """At a point, one seeded pass per level gives the loop's numbers exactly."""
+        for fn in SCALARS[n]:
+            got = flat(nested(grad_wrt, fn, order)(*POINTS[n]))
+            want = flat(nested(loop_grad, fn, order)(*POINTS[n]))
+            assert got.shape == want.shape == (n ** len(order),)
+            # equal as floats: an exact zero may carry the other sign
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("order", [(1,), (1, 1), (0, 1, 1)], ids=["y", "yy", "xyy"])
+    def test_point_quotient_agrees_to_rounding(self, order):
+        """A quotient of two jets rounds otherwise than a jet over a constant.
+
+        In the loop, ``a / b`` with ``b`` constant in the seeded coordinate
+        divides each coefficient by ``b``; in vector mode ``b`` is a jet too
+        and the jet quotient multiplies by ``1 / b``.  The two agree to a few
+        ulp, not bit for bit.
+        """
+        got = flat(nested(grad_wrt, quotient3, order)(*POINTS[3]))
+        want = flat(nested(loop_grad, quotient3, order)(*POINTS[3]))
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_point_grad_is_one_pass(self, n):
+        calls = []
+
+        def fn(xs, ys):
+            calls.append(None)
+            return SCALARS[n][0](xs, ys)
+
+        grad_wrt(lambda a, b: grad_wrt(fn, (a, b), 1), POINTS[n], 0)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_point_hessian_matches_loop(self, n):
+        for fn in SCALARS[n]:
+            got = np.asarray(hessian_wrt(fn, POINTS[n], 1), float)
+            want = np.asarray(loop_hessian(fn, POINTS[n], 1), float)
+            assert np.max(np.abs(got - want)) <= 1e-14 * (1.0 + np.max(np.abs(want)))
+
+    def test_array_inputs_take_the_loop(self):
+        xs = [np.array([0.7, 0.1, 0.4]), np.array([0.3, 0.2, 0.9])]
+        ys = [np.array([1.2, 0.9, -0.3]), np.array([-0.5, 0.4, 1.0])]
+        for fn in SCALARS[2]:
+            for order in ORDERS[:5]:
+                got = nested(grad_wrt, fn, order)(xs, ys)
+                want = nested(loop_grad, fn, order)(xs, ys)
+                assert [v.hex() for v in flat(got)] == [v.hex() for v in flat(want)]
+            got = hessian_wrt(fn, (xs, ys), 1)
+            want = loop_hessian(fn, (xs, ys), 1)
+            assert [v.hex() for v in flat(got)] == [v.hex() for v in flat(want)]
+
+    def test_curvature_f2_count_does_not_grow_with_dimension(self):
+        counts = []
+        for n, b in ((2, [0.5, 0.0]), (3, [0.3, 0.0, 0.0])):
+            s = FinslerStructure.randers(np.eye(n).tolist(), b)
+            z = bi.random_chart_points(np.random.default_rng(1), s, 1)[0]
+            f2, calls = s.f2, []
+
+            def counted(xs, ys, f2=f2, calls=calls):
+                calls.append(None)
+                return f2(xs, ys)
+
+            s.f2 = counted
+            curvature_at_point(s, (z.x, z.y))
+            counts.append(len(calls))
+        assert counts == [28, 28]

@@ -6,7 +6,7 @@ import pytest
 from finslerforms import builtins as bi
 from finslerforms.errors import ConfigError, DomainError, NotPositiveDefinite, OutOfChart, ZeroVector
 from finslerforms.jets import JetRequest, fd_partial
-from finslerforms.metric import ChartSpec, FinslerStructure
+from finslerforms.metric import ChartSpec, FinslerStructure, _cholesky_check, metric_components
 
 from conftest import sample_points
 
@@ -38,6 +38,48 @@ class TestNormEvaluation:
     def test_degenerate_riemannian_rejected(self):
         with pytest.raises(NotPositiveDefinite):
             FinslerStructure.riemannian([[1.0, 2.0], [2.0, 1.0]])
+
+
+def loop_validate(s):
+    """Reference for FinslerStructure._validate: one sample at a time, x-major."""
+    xs, dirs = s._sample_points()
+    for x in xs:
+        for u in dirs:
+            where = f"x={x.tolist()}, y={u.tolist()}"
+            f2 = s.f2(list(x), list(u))
+            if not np.isfinite(f2) or f2 <= 0.0:
+                raise NotPositiveDefinite(f"{s.label}: F^2 not positive at {where}")
+            g = np.array(metric_components(s, list(x), list(u)), float)
+            _cholesky_check(g, where=where, label=s.label)
+
+
+def _shrinking(xs, ys):
+    # F^2 = (2 - x1)|y|^2, not positive from x1 = pi on
+    return (2.0 - xs[0]) * (ys[0] * ys[0] + ys[1] * ys[1])
+
+
+def _flattening(xs, ys):
+    # g = diag(1, (x1 - pi)^2 + 1e-30): positive, but its second pivot is 1e-15 at x1 = pi
+    d = xs[0] - math.pi
+    return ys[0] * ys[0] + (d * d + 1e-30) * (ys[1] * ys[1])
+
+
+class TestBatchedValidation:
+    @pytest.mark.parametrize(
+        "f2, message",
+        [(_shrinking, "F^2 not positive at"), (_flattening, "Cholesky pivot below threshold at")],
+        ids=["non-positive-f2", "cholesky-pivot"],
+    )
+    def test_first_failing_sample_is_named(self, f2, message):
+        s = FinslerStructure.euclidean(2)
+        s._f2 = f2
+        with pytest.raises(NotPositiveDefinite) as want:
+            loop_validate(s)
+        with pytest.raises(NotPositiveDefinite) as got:
+            s._validate()
+        assert str(got.value) == str(want.value)
+        xs, dirs = s._sample_points()
+        assert str(got.value) == f"euclidean: {message} x={xs[3].tolist()}, y={dirs[0].tolist()}"
 
 
 class TestSpherePoints:
