@@ -48,6 +48,16 @@ def pack(nested, rank):
     return np.stack(children, axis=0)
 
 
+def _rebuilt_partial(layer, grad):
+    """Cached plain partial (``grad`` is grad_x or grad_y) of one tower layer,
+    taken by rebuilding the tower at jet-valued coordinates."""
+
+    def partials(self):
+        return grad(lambda a, b: getattr(LocalTower(self.s, a, b), layer), self.xs, self.ys)
+
+    return cached_property(partials)
+
+
 class LocalTower:
     """Connection tower at one point, computed lazily and memoized.
 
@@ -57,6 +67,11 @@ class LocalTower:
     the curvature of the nonlinear connection, equal to the y-contraction of
     the hh-curvature.  Derivative prefixes: ``dX_x[c]`` is the plain x
     partial along axis c, ``dX_y[m]`` the fiber partial.
+
+    Every horizontal derivative goes through :meth:`delta`, which combines
+    a layer's plain partials into delta_c = d/dx^c - N^m_c d/dy^m; the
+    ``deltaX`` layers and the covariant derivatives of the Cartan trace are
+    built on it.
     """
 
     def __init__(self, s: FinslerStructure, xs, ys):
@@ -64,6 +79,20 @@ class LocalTower:
         self.xs = list(xs)
         self.ys = list(ys)
         self.n = s.dim
+
+    def delta(self, dx, dy, rank):
+        """Horizontal derivative ``out[c][components]`` of a rank-``rank``
+        layer from its plain partials ``dx[c]`` and ``dy[m]``."""
+        n, N = self.n, self.N
+        return [
+            nested_build(
+                n,
+                rank,
+                lambda idx, c=c: tget(dx[c], idx)
+                - sum_terms(N[m][c] * tget(dy[m], idx) for m in range(n)),
+            )
+            for c in range(n)
+        ]
 
     # -- zeroth layer --------------------------------------------------------
 
@@ -145,18 +174,7 @@ class LocalTower:
     @cached_property
     def deltag(self):
         """deltag[c][i][j]: horizontal basis derivative of g_ij along axis c."""
-        n = self.n
-        return [
-            [
-                [
-                    self.dgx[c][i][j]
-                    - sum_terms(self.N[m][c] * (2.0 * self.C[m][i][j]) for m in range(n))
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-            for c in range(n)
-        ]
+        return self.delta(self.dgx, nested_build(self.n, 3, lambda idx: 2.0 * tget(self.C, idx)), 2)
 
     @cached_property
     def Gamma(self):
@@ -189,13 +207,10 @@ class LocalTower:
     def nabla_h_T(self):
         """nabla_h_T[h][j]: horizontal covariant derivative of the Cartan trace."""
         n = self.n
+        dT = self.delta(self.dT_x, self.dT_y, 1)
+        Gamma, Tt = self.Gamma, self.Tt
         return [
-            [
-                self.dT_x[h][j]
-                - sum_terms(self.N[m][h] * self.dT_y[m][j] for m in range(n))
-                - sum_terms(self.Gamma[p][j][h] * self.Tt[p] for p in range(n))
-                for j in range(n)
-            ]
+            [dT[h][j] - sum_terms(Gamma[p][j][h] * Tt[p] for p in range(n)) for j in range(n)]
             for h in range(n)
         ]
 
@@ -209,54 +224,20 @@ class LocalTower:
 
     # -- first derivatives of the tower (feed curvature and second covariants) ----
 
-    @cached_property
-    def dN_x(self):
-        return grad_x(lambda a, b: LocalTower(self.s, a, b).N, self.xs, self.ys)
-
-    @cached_property
-    def dN_y(self):
-        return grad_y(lambda a, b: LocalTower(self.s, a, b).N, self.xs, self.ys)
-
-    @cached_property
-    def dGamma_x(self):
-        return grad_x(lambda a, b: LocalTower(self.s, a, b).Gamma, self.xs, self.ys)
-
-    @cached_property
-    def dGamma_y(self):
-        return grad_y(lambda a, b: LocalTower(self.s, a, b).Gamma, self.xs, self.ys)
+    dN_x = _rebuilt_partial("N", grad_x)
+    dN_y = _rebuilt_partial("N", grad_y)
+    dGamma_x = _rebuilt_partial("Gamma", grad_x)
+    dGamma_y = _rebuilt_partial("Gamma", grad_y)
 
     @cached_property
     def deltaGamma(self):
         """deltaGamma[c][h][j][k]: horizontal derivative of Gamma along axis c."""
-        n = self.n
-        return [
-            nested_build(
-                n,
-                3,
-                lambda idx, c=c: self.dGamma_x[c][idx[0]][idx[1]][idx[2]]
-                - sum_terms(
-                    self.N[m][c] * self.dGamma_y[m][idx[0]][idx[1]][idx[2]]
-                    for m in range(n)
-                ),
-            )
-            for c in range(n)
-        ]
+        return self.delta(self.dGamma_x, self.dGamma_y, 3)
 
     @cached_property
     def deltaN(self):
         """deltaN[c][i][k]: horizontal derivative of N^i_k along axis c."""
-        n = self.n
-        return [
-            [
-                [
-                    self.dN_x[c][i][k]
-                    - sum_terms(self.N[m][c] * self.dN_y[m][i][k] for m in range(n))
-                    for k in range(n)
-                ]
-                for i in range(n)
-            ]
-            for c in range(n)
-        ]
+        return self.delta(self.dN_x, self.dN_y, 2)
 
     @cached_property
     def flag(self):
@@ -270,33 +251,25 @@ class LocalTower:
             for i in range(n)
         ]
 
-    @cached_property
-    def dCmix_x(self):
-        return grad_x(lambda a, b: LocalTower(self.s, a, b).Cmix, self.xs, self.ys)
+    dCmix_x = _rebuilt_partial("Cmix", grad_x)
+    dCmix_y = _rebuilt_partial("Cmix", grad_y)
 
     @cached_property
-    def dCmix_y(self):
-        return grad_y(lambda a, b: LocalTower(self.s, a, b).Cmix, self.xs, self.ys)
+    def deltaCmix(self):
+        """deltaCmix[c][h][k][j]: horizontal derivative of Cmix along axis c."""
+        return self.delta(self.dCmix_x, self.dCmix_y, 3)
 
-    @cached_property
-    def d_nabla0T_x(self):
-        return grad_x(lambda a, b: LocalTower(self.s, a, b).nabla0T, self.xs, self.ys)
-
-    @cached_property
-    def d_nabla0T_y(self):
-        return grad_y(lambda a, b: LocalTower(self.s, a, b).nabla0T, self.xs, self.ys)
+    d_nabla0T_x = _rebuilt_partial("nabla0T", grad_x)
+    d_nabla0T_y = _rebuilt_partial("nabla0T", grad_y)
 
     @cached_property
     def nabla_nabla0T(self):
         """nabla_nabla0T[i][r]: horizontal covariant derivative of the 1-form nabla0T."""
         n = self.n
+        dT = self.delta(self.d_nabla0T_x, self.d_nabla0T_y, 1)
+        Gamma, nT = self.Gamma, self.nabla0T
         return [
-            [
-                self.d_nabla0T_x[i][r]
-                - sum_terms(self.N[m][i] * self.d_nabla0T_y[m][r] for m in range(n))
-                - sum_terms(self.Gamma[p][r][i] * self.nabla0T[p] for p in range(n))
-                for r in range(n)
-            ]
+            [dT[i][r] - sum_terms(Gamma[p][r][i] * nT[p] for p in range(n)) for r in range(n)]
             for i in range(n)
         ]
 
@@ -493,8 +466,7 @@ def delta_derivative(s, f, z, axis, y=None):
     tower, _ = _point_tower(s, z, y)
     dxf = grad_x(f, tower.xs, tower.ys)
     dyf = grad_y(f, tower.xs, tower.ys)
-    val = dxf[axis] - sum_terms(tower.N[m][axis] * dyf[m] for m in range(tower.n))
-    return float(jets.primal(val))
+    return float(jets.primal(tower.delta(dxf, dyf, 0)[axis]))
 
 
 def cartan_coefficients(s, z, y=None):

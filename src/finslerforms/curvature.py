@@ -57,16 +57,11 @@ def hv_components(tower: LocalTower):
     dGy = tower.dGamma_y
     dNy = tower.dN_y
     Gamma, Cmix = tower.Gamma, tower.Cmix
-    dCx = tower.dCmix_x
-    dCy = tower.dCmix_y
-    N = tower.N
-
-    def delta_C(c, h, k, j):
-        return dCx[c][h][k][j] - sum_terms(N[m][c] * dCy[m][h][k][j] for m in range(n))
+    dC = tower.deltaCmix
 
     def entry(idx):
         h, k, i, j = idx
-        acc = dGy[j][h][k][i] - delta_C(i, h, k, j)
+        acc = dGy[j][h][k][i] - dC[i][h][k][j]
         for r in range(n):
             acc = acc + Gamma[r][k][i] * Cmix[h][r][j] - Cmix[r][k][j] * Gamma[h][r][i]
             acc = acc + dNy[j][r][i] * Cmix[h][k][r]

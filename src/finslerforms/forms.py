@@ -291,13 +291,9 @@ def associate_one_form(s, X: TensorField) -> AssociatedForm:
                 t2.g[i][j] * b[i] * Xv[j] for i in range(n) for j in range(n)
             )
 
-        dxw = grad_x(w_scalar, xs, ys)
-        dyw = grad_y(w_scalar, xs, ys)
-        nab0w = sum_terms(
-            tw.ys[h] * (dxw[h] - sum_terms(tw.N[m][h] * dyw[m] for m in range(n)))
-            for h in range(n)
-        )
-        invF = jets._reciprocal(tw.F) if isinstance(tw.F, jets.Jet) else 1.0 / tw.F
+        dw = tw.delta(grad_x(w_scalar, xs, ys), grad_y(w_scalar, xs, ys), 0)
+        nab0w = sum_terms(tw.ys[h] * dw[h] for h in range(n))
+        invF = jets._reciprocal(tw.F)
         invF2 = invF * invF
         return [
             (nab0X[i] - tw.y_lower[i] * nab0w * invF2) * invF for i in range(n)

@@ -1,12 +1,13 @@
-"""Nested forward-mode differentiation with truncated Taylor jets.
+"""Nested forward-mode differentiation with first-order jets.
 
 Every quantity in the engine is built from derivatives of smooth scalar
 fields of the slit tangent bundle coordinates (x, y).  A "scalar" here is a
 Python float, a numpy array (batched evaluation over many points at once)
-or a :class:`Jet`.  Jets are univariate truncated Taylor polynomials whose
-coefficients are again scalars, so nesting jets inside jets yields exact
-mixed partials of any modest order.  Each jet carries a level tag so that
-independent differentiation contexts never mix their perturbations.
+or a :class:`Jet`.  A jet is first order, c0 + c1 t with t^2 = 0, and its
+coefficients are again scalars.  Higher derivatives come from nesting: each
+derivative order seeds its own jet level, tagged so that independent
+differentiation contexts never mix their perturbations, and k nested levels
+give exact k-th mixed partials.
 
 :func:`grad_wrt` chooses its seeding from the input.  At a point (every
 primal 0-d) it runs in vector mode: one pass seeds all n coordinates, the
@@ -43,9 +44,11 @@ def _new_tag() -> int:
 
 
 class Jet:
-    """Truncated univariate Taylor polynomial c0 + c1 t + ... + cm t^m.
+    """First-order jet c0 + c1 t with t^2 = 0, stored as ``coeffs = [c0, c1]``.
 
-    Coefficients are stored in the normalized form c_k = f^(k)(0)/k!.
+    c1 is the derivative along the jet's direction.  Both coefficients are
+    scalars, so they may be jets of outer levels in turn: nesting k
+    first-order jets with distinct tags gives exact k-th mixed partials.
     Binary operations between jets of different tags treat the jet with the
     smaller tag as a constant, which is exactly the algebra of nested
     perturbations.
@@ -55,135 +58,80 @@ class Jet:
     __array_ufunc__ = None  # force ndarray ops to defer to the reflected methods
 
     def __init__(self, coeffs, tag):
-        self.coeffs = coeffs if isinstance(coeffs, list) else list(coeffs)
+        self.coeffs = coeffs
         self.tag = tag
-
-    @property
-    def order(self):
-        return len(self.coeffs) - 1
-
-    def _aligned(self, other):
-        a, b = self.coeffs, other.coeffs
-        la, lb = len(a), len(b)
-        if la < lb:
-            a = a + [0.0] * (lb - la)
-        elif lb < la:
-            b = b + [0.0] * (la - lb)
-        return a, b
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, o):
+        a0, a1 = self.coeffs
         if isinstance(o, Jet):
             if o.tag == self.tag:
-                a, b = self._aligned(o)
-                return Jet([x + y for x, y in zip(a, b)], self.tag)
+                return Jet([a0 + o.coeffs[0], a1 + o.coeffs[1]], self.tag)
             if o.tag > self.tag:
-                return Jet([o.coeffs[0] + self] + o.coeffs[1:], o.tag)
-        return Jet([self.coeffs[0] + o] + self.coeffs[1:], self.tag)
+                return Jet([o.coeffs[0] + self, o.coeffs[1]], o.tag)
+        return Jet([a0 + o, a1], self.tag)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet([-c for c in self.coeffs], self.tag)
+        return Jet([-self.coeffs[0], -self.coeffs[1]], self.tag)
 
     def __sub__(self, o):
+        a0, a1 = self.coeffs
         if isinstance(o, Jet):
             if o.tag == self.tag:
-                a, b = self._aligned(o)
-                return Jet([x - y for x, y in zip(a, b)], self.tag)
+                return Jet([a0 - o.coeffs[0], a1 - o.coeffs[1]], self.tag)
             if o.tag > self.tag:
-                return Jet([self - o.coeffs[0]] + [-c for c in o.coeffs[1:]], o.tag)
-        return Jet([self.coeffs[0] - o] + self.coeffs[1:], self.tag)
+                return Jet([self - o.coeffs[0], -o.coeffs[1]], o.tag)
+        return Jet([a0 - o, a1], self.tag)
 
     def __rsub__(self, o):
-        return Jet([o - self.coeffs[0]] + [-c for c in self.coeffs[1:]], self.tag)
+        return Jet([o - self.coeffs[0], -self.coeffs[1]], self.tag)
 
     def __mul__(self, o):
+        a0, a1 = self.coeffs
         if isinstance(o, Jet):
             if o.tag == self.tag:
-                a, b = self._aligned(o)
-                out = []
-                for k in range(len(a)):
-                    s = a[0] * b[k]
-                    for j in range(1, k + 1):
-                        s = s + a[j] * b[k - j]
-                    out.append(s)
-                return Jet(out, self.tag)
+                b0, b1 = o.coeffs
+                return Jet([a0 * b0, a0 * b1 + a1 * b0], self.tag)
             if o.tag > self.tag:
-                return Jet([self * c for c in o.coeffs], o.tag)
-        return Jet([c * o for c in self.coeffs], self.tag)
+                return Jet([self * o.coeffs[0], self * o.coeffs[1]], o.tag)
+        return Jet([a0 * o, a1 * o], self.tag)
 
     __rmul__ = __mul__
 
     def reciprocal(self):
-        c = self.coeffs
-        inv0 = _reciprocal(c[0])
-        out = [inv0]
-        for k in range(1, len(c)):
-            s = c[k] * out[0]
-            for j in range(1, k):
-                s = s + c[j] * out[k - j]
-            out.append((-s) * inv0)
-        return Jet(out, self.tag)
+        c0, c1 = self.coeffs
+        inv0 = _reciprocal(c0)
+        return Jet([inv0, (-(c1 * inv0)) * inv0], self.tag)
 
     def __truediv__(self, o):
+        a0, a1 = self.coeffs
         if isinstance(o, Jet):
             if o.tag == self.tag:
-                a, b = self._aligned(o)
-                inv0 = _reciprocal(b[0])
-                q = [a[0] * inv0]
-                for k in range(1, len(a)):
-                    s = a[k]
-                    for j in range(1, k + 1):
-                        s = s - b[j] * q[k - j]
-                    q.append(s * inv0)
-                return Jet(q, self.tag)
+                b0, b1 = o.coeffs
+                inv0 = _reciprocal(b0)
+                q0 = a0 * inv0
+                return Jet([q0, (a1 - b1 * q0) * inv0], self.tag)
             if o.tag > self.tag:
                 return self * o.reciprocal()
-        return Jet([c / o for c in self.coeffs], self.tag)
+        return Jet([a0 / o, a1 / o], self.tag)
 
     def __rtruediv__(self, o):
         return self.reciprocal() * o
 
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            raise TypeError("jets support integer powers only; use sqrt()")
-        if n < 0:
-            return self.reciprocal() ** (-n)
-        out = Jet([1.0], self.tag)
-        for _ in range(n):
-            out = out * self
-        return out
-
     # -- elementary functions ----------------------------------------------
 
     def sqrt(self):
-        c = self.coeffs
-        s0 = gsqrt(c[0])
-        out = [s0]
-        inv = _reciprocal(s0 + s0)
-        for k in range(1, len(c)):
-            acc = c[k]
-            for j in range(1, k):
-                acc = acc - out[j] * out[k - j]
-            out.append(acc * inv)
-        return Jet(out, self.tag)
+        c0, c1 = self.coeffs
+        s0 = gsqrt(c0)
+        return Jet([s0, c1 * _reciprocal(s0 + s0)], self.tag)
 
     def sincos(self):
-        u = self.coeffs
-        s = [gsin(u[0])]
-        c = [gcos(u[0])]
-        for k in range(1, len(u)):
-            ds = 0.0
-            dc = 0.0
-            for j in range(1, k + 1):
-                du = u[j] * float(j)
-                ds = ds + du * c[k - j]
-                dc = dc - du * s[k - j]
-            s.append(ds * (1.0 / k))
-            c.append(dc * (1.0 / k))
-        return Jet(s, self.tag), Jet(c, self.tag)
+        u0, u1 = self.coeffs
+        s0, c0 = gsin(u0), gcos(u0)
+        return Jet([s0, 0.0 + u1 * c0], self.tag), Jet([c0, 0.0 - u1 * s0], self.tag)
 
     def __repr__(self):
         return f"Jet(tag={self.tag}, coeffs={self.coeffs!r})"
@@ -238,9 +186,9 @@ def tree_map(f, tree):
 
 
 def _taylor_coeff(value, tag, k):
-    """k-th Taylor coefficient of ``value`` at jet level ``tag``."""
+    """Coefficient k (0: value, 1: derivative) of ``value`` at jet level ``tag``."""
     if isinstance(value, Jet) and value.tag == tag:
-        return value.coeffs[k] if k < len(value.coeffs) else 0.0
+        return value.coeffs[k]
     return value if k == 0 else 0.0
 
 
@@ -367,7 +315,7 @@ class JetRequest:
 
 
 def partial(req: JetRequest) -> float:
-    """Exact mixed partial via simultaneously seeded nested jets."""
+    """Exact mixed partial: one nested first-order jet level per order."""
     x_orders, y_orders = req.multi_index
     xs, ys = [list(map(float, v)) for v in req.point]
     total = int(sum(x_orders) + sum(y_orders))
@@ -376,14 +324,13 @@ def partial(req: JetRequest) -> float:
     tags = []
     for vec, orders in ((xs, x_orders), (ys, y_orders)):
         for axis, o in enumerate(orders):
-            if o == 0:
-                continue
-            tag = _new_tag()
-            vec[axis] = Jet([vec[axis], 1.0] + [0.0] * (o - 1), tag)
-            tags.append((tag, int(o)))
+            for _ in range(int(o)):
+                tag = _new_tag()
+                vec[axis] = Jet([vec[axis], 1.0], tag)
+                tags.append(tag)
     val = req.target(xs, ys)
-    for tag, o in sorted(tags, reverse=True):
-        val = _taylor_coeff(val, tag, o) * math.factorial(o)
+    for tag in reversed(tags):
+        val = _taylor_coeff(val, tag, 1)
     return float(primal(val))
 
 

@@ -140,7 +140,7 @@ def inverse_components(g, n):
     without pivoting is safe because g is positive-definite.
     """
     if n == 1:
-        return [[1.0 / g[0][0] if not isinstance(g[0][0], jets.Jet) else g[0][0].reciprocal()]]
+        return [[jets._reciprocal(g[0][0])]]
     if n == 2:
         det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
         inv = jets._reciprocal(det)
@@ -184,7 +184,7 @@ def cartan_components(s, xs, ys):
     for k in range(n):
         for i in range(n):
             for j in range(n):
-                C[k][i][j] = 0.5 * dg[k][i][j] if not isinstance(dg[k][i][j], jets.Jet) else dg[k][i][j] * 0.5
+                C[k][i][j] = 0.5 * dg[k][i][j]
     return C
 
 
@@ -208,7 +208,7 @@ def hilbert_components(s, xs, ys):
     """Hilbert form ell_i = dF/dy^i, computed from the gradient of F^2."""
     f2 = s.f2(xs, ys)
     dyf2 = grad_y(s.f2, xs, ys)
-    inv2f = jets._reciprocal(2.0 * gsqrt(f2)) if isinstance(f2, jets.Jet) else 1.0 / (2.0 * gsqrt(f2))
+    inv2f = jets._reciprocal(2.0 * gsqrt(f2))
     return [d * inv2f for d in dyf2]
 
 

@@ -234,7 +234,7 @@ def _raw_density(s, xs, thetas, fiber_sign=1.0):
         th = [fiber_sign * t for t in xi[n:]]
         u = fiber_direction(th, n)
         F = gsqrt(s.f2(bxs, u))
-        invF = jets._reciprocal(F) if isinstance(F, jets.Jet) else 1.0 / F
+        invF = jets._reciprocal(F)
         ys = [uk * invF for uk in u]
         ell = hilbert_components(s, bxs, ys)
         return ell + [0.0] * (d - n)

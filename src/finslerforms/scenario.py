@@ -20,7 +20,7 @@ from . import builtins as bi
 from . import curvature as curvature_mod
 from . import forms as forms_mod
 from . import quadrature as quad
-from .connection import cartan_coefficients
+from .connection import _point_tower, pack
 from .errors import ConfigError, FinslerError, GridError, TaskError
 from .metric import ChartSpec, FinslerStructure
 from .quadrature import QuadratureGrid
@@ -34,7 +34,9 @@ ENGINE_TOLERANCES = {
 
 TASK_KINDS = ("tensor", "curvature", "laplacian", "integrate", "check")
 CHECK_KINDS = ("ricci-identity", "adjointness", "divergence", "bochner")
-TENSOR_WHICH = ("g", "ginv", "C", "T", "ell", "G", "N", "Gamma", "Cv")
+# the connection tensors a tensor task reads off a point tower: attribute, rank
+TOWER_TENSORS = {"G": ("G", 1), "N": ("N", 2), "Gamma": ("Gamma", 3), "Cv": ("Cmix", 3)}
+TENSOR_WHICH = ("g", "ginv", "C", "T", "ell", *TOWER_TENSORS)
 # the curvature function that computes each block alone; looked up by name
 # at call time, so wrappers installed on the module (bench/tracing.py) apply
 CURVATURE_BLOCKS = {
@@ -220,9 +222,9 @@ def run_task(s, grid, kind, params, tolerance, rng):
         which = params.get("which", "g")
         x, y = _parse_point(s, params)
         z = (x, y)
-        if which in ("G", "N", "Gamma", "Cv"):
-            conn = cartan_coefficients(s, z)
-            data = getattr(conn, {"G": "G", "N": "N", "Gamma": "Gamma", "Cv": "Cv"}[which])
+        if which in TOWER_TENSORS:
+            attr, rank = TOWER_TENSORS[which]
+            data = pack(getattr(_point_tower(s, z)[0], attr), rank)
         else:
             data = {
                 "g": lambda: s.fundamental_tensor(z).data,

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from finslerforms import builtins as bi
+from finslerforms.jets import gcos, gsin
+from finslerforms.metric import FinslerStructure
 
 
 @pytest.fixture(scope="session")
@@ -27,6 +29,26 @@ def sphere():
 @pytest.fixture(scope="session")
 def quartic():
     return bi.get_metric("quartic-torus")
+
+
+@pytest.fixture(scope="session")
+def randers_base():
+    """Genuinely Finsler 2D Randers metric whose a and b depend on x.
+
+    On every built-in family the horizontal derivatives of the Cartan layers
+    (nabla_h_T, nabla_nabla0T, deltaCmix) vanish identically; here they do not.
+    """
+
+    def a(xs):
+        return [
+            [1.2 + 0.2 * gcos(xs[0]), 0.1 * gsin(xs[1])],
+            [0.1 * gsin(xs[1]), 1.0 + 0.1 * gsin(xs[0] + xs[1])],
+        ]
+
+    def b(xs):
+        return [0.3 * gcos(xs[1]), 0.2 * gsin(xs[0])]
+
+    return FinslerStructure.randers(a, b, dim=2, label="randers-base-dependent")
 
 
 @pytest.fixture()

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,12 +6,15 @@ import pytest
 
 from finslerforms import builtins as bi
 from finslerforms.connection import (
+    LocalTower,
     TensorField,
+    _point_tower,
     cartan_coefficients,
     delta_derivative,
     h_covariant_derivative,
     nabla_0,
     nonlinear_connection,
+    pack,
     spray,
     v_covariant_derivative,
 )
@@ -211,3 +215,38 @@ class TestNablaZero:
             n0 = nabla_0(sphere, gfield, (z.x, z.y)).data
             assert np.max(np.abs(n0)) < 1e-8
 
+
+class TestBaseDependentRanders:
+    """Horizontal derivatives of the Cartan layers, which vanish on every
+    built-in family, checked on a metric where they do not."""
+
+    @pytest.mark.parametrize("layer, source", [("nabla_h_T", "Tt"), ("nabla_nabla0T", "nabla0T")])
+    def test_layer_is_covariant_derivative_of_its_one_form(self, randers_base, layer, source):
+        s = randers_base
+        one_form = TensorField(lambda xs, ys: getattr(LocalTower(s, xs, ys), source), "l")
+        for z in sample_points(s, 2):
+            tower, _ = _point_tower(s, (z.x, z.y))
+            got = pack(getattr(tower, layer), 2)  # [h][j]
+            want = h_covariant_derivative(s, one_form, (z.x, z.y)).data  # [j][h]
+            assert np.max(np.abs(got)) > 1e-3
+            assert np.max(np.abs(got - want.T)) < 1e-12
+
+    def test_deltaCmix_fd_oracle(self, randers_base):
+        s = randers_base
+        z = sample_points(s, 1)[0]
+        tower, _ = _point_tower(s, (z.x, z.y))
+        point = (list(tower.xs), list(tower.ys))
+        dC = pack(tower.deltaCmix, 4)  # [c][h][k][j]
+        N = pack(tower.N, 2)
+        assert np.max(np.abs(dC)) > 1e-3
+        unit = ((1, 0), (0, 1))
+        for h, k, j in itertools.product(range(2), repeat=3):
+
+            def comp(xs, ys, h=h, k=k, j=j):
+                return LocalTower(s, xs, ys).Cmix[h][k][j]
+
+            dx = [fd_partial(JetRequest(comp, point, (e, (0, 0)))) for e in unit]
+            dy = [fd_partial(JetRequest(comp, point, ((0, 0), e))) for e in unit]
+            for c in range(2):
+                expected = dx[c] - sum(N[m, c] * dy[m] for m in range(2))
+                assert abs(dC[c, h, k, j] - expected) < 1e-6

@@ -133,6 +133,14 @@ class TestRicciIdentity:
                     worst = max(worst, float(np.max(np.abs(res.data))))
             assert worst < 1e-5, name
 
+    def test_random_trig_fields_base_dependent(self, randers_base):
+        rng = np.random.default_rng(18)
+        for _ in range(2):
+            X = bi.random_trig_vector(rng, randers_base, trig_degree=2)
+            for z in bi.random_chart_points(rng, randers_base, 2):
+                res = ricci_identity_residual(randers_base, X, (z.x, z.y))
+                assert np.max(np.abs(res.data)) < 1e-5
+
 
 class TestHvVariants:
     def test_both_variants_reported(self, randers):

@@ -120,6 +120,15 @@ class TestLaplacian:
                     b = laplacian_expansion(s, phi).at(s, (z.x, z.y)).data
                     assert np.max(np.abs(a - b)) < 1e-5, (name, p)
 
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_composition_matches_expansion_base_dependent(self, randers_base, rng, p):
+        s = randers_base
+        phi = bi.random_trig_form(rng, s, p)
+        for z in bi.random_chart_points(rng, s, 2):
+            a = horizontal_laplacian(s, phi).at(s, (z.x, z.y)).data
+            b = laplacian_expansion(s, phi).at(s, (z.x, z.y)).data
+            assert np.max(np.abs(a - b)) < 1e-5
+
     def test_expansion_on_sphere_against_composition(self, sphere, rng):
         phi = bi.random_trig_form(rng, sphere, 1)
         z = trig_point(sphere)

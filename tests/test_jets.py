@@ -53,6 +53,41 @@ class TestPartial:
         got = partial(JetRequest(g11, ([th, 0.1], [1.0, 0.0]), ((1, 0), (0, 0))))
         assert abs(got - 2 * math.sin(th) * math.cos(th)) < 1e-14
 
+    @pytest.mark.parametrize(
+        "fn, orders, exact",
+        [
+            (lambda xs, ys: ys[0] * ys[0] * ys[0] * ys[0], ((0, 0), (4, 0)), lambda x, y: 24.0),
+            (lambda xs, ys: ys[0] * ys[0] * ys[0] * ys[0], ((0, 0), (2, 0)), lambda x, y: 12.0 * y[0] ** 2),
+            (lambda xs, ys: gsin(xs[0]), ((3, 0), (0, 0)), lambda x, y: -math.cos(x[0])),
+            (lambda xs, ys: gsin(xs[0]), ((4, 0), (0, 0)), lambda x, y: math.sin(x[0])),
+            (lambda xs, ys: 1.0 / ys[0], ((0, 0), (3, 0)), lambda x, y: -6.0 / y[0] ** 4),
+            (lambda xs, ys: gsqrt(ys[0]), ((0, 0), (4, 0)), lambda x, y: -15.0 / 16.0 * y[0] ** -3.5),
+            (
+                lambda xs, ys: gsin(xs[0]) * ys[0] * ys[0] * ys[0],
+                ((2, 0), (2, 0)),
+                lambda x, y: -math.sin(x[0]) * 6.0 * y[0],
+            ),
+            (
+                lambda xs, ys: gcos(ys[0]) * gsin(ys[1]),
+                ((0, 0), (2, 2)),
+                lambda x, y: math.cos(y[0]) * math.sin(y[1]),
+            ),
+        ],
+        ids=[
+            "y0^4-order4",
+            "y0^4-order2",
+            "sin-order3",
+            "sin-order4",
+            "recip-order3",
+            "sqrt-order4",
+            "mixed-x2-y2",
+            "mixed-y2-y2",
+        ],
+    )
+    def test_higher_order_closed_form(self, fn, orders, exact):
+        x, y = POINT
+        assert abs(partial(JetRequest(fn, POINT, orders)) - exact(x, y)) < 1e-12
+
     def test_mixed_partial_order_independent(self):
         a = grad_wrt(lambda xs, ys: grad_wrt(field, (xs, ys), 1)[0], POINT, 0)[0]
         b = grad_wrt(lambda xs, ys: grad_wrt(field, (xs, ys), 0)[0], POINT, 1)[0]
