@@ -12,9 +12,9 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .connection import TensorField, nested_build
+from .connection import TensorField
 from .errors import ConfigError
-from .forms import HorizontalForm
+from .forms import HorizontalForm, form_build
 from .jets import gcos, gsin
 from .metric import ChartSpec, FinslerStructure
 from .quadrature import DEFAULT_BASE_COUNTS, DEFAULT_FIBER_COUNTS, QuadratureGrid
@@ -229,21 +229,10 @@ def random_trig_form(rng, s, degree_p, trig_degree=2) -> HorizontalForm:
     if degree_p == 0:
         f = random_trig_scalar(rng, n, trig_degree)
         return HorizontalForm(0, lambda xs, ys: f(xs), label="trig-random")
-    combos = list(combinations(range(n), degree_p))
-    fns = {c: random_trig_scalar(rng, n, trig_degree) for c in combos}
+    fns = {c: random_trig_scalar(rng, n, trig_degree) for c in combinations(range(n), degree_p)}
 
     def coeffs(xs, ys):
-        vals = {c: fns[c](xs) for c in combos}
-
-        def entry(idx):
-            if len(set(idx)) < len(idx):
-                return 0.0
-            order = tuple(sorted(idx))
-            sign = _permutation_sign(idx)
-            v = vals[order]
-            return v if sign > 0 else -v
-
-        return nested_build(n, degree_p, entry)
+        return form_build(n, degree_p, lambda idx: fns[idx](xs))
 
     return HorizontalForm(degree_p, coeffs, label="trig-random")
 
@@ -252,16 +241,6 @@ def random_trig_vector(rng, s, trig_degree=2) -> TensorField:
     """Seeded vector field with trigonometric component functions."""
     fns = [random_trig_scalar(rng, s.dim, trig_degree) for _ in range(s.dim)]
     return TensorField.from_vector(lambda xs: [f(xs) for f in fns], label="trig-random")
-
-
-def _permutation_sign(idx):
-    sign = 1
-    idx = list(idx)
-    for i in range(len(idx)):
-        for j in range(i + 1, len(idx)):
-            if idx[i] > idx[j]:
-                sign = -sign
-    return sign
 
 
 def random_chart_points(rng, s, count):

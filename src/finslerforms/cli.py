@@ -98,8 +98,13 @@ def _to_csv(doc, prefix=""):
 
 
 def cmd_run(args):
-    with open(args.scenario) as fh:
-        doc = json.load(fh)
+    try:
+        with open(args.scenario) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read scenario file: {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"scenario file is not JSON: {exc}") from None
     report = scenario_mod.run_scenario(doc)
     _emit(report, args.out, args.format)
     return 0 if report["pass"] else 1
@@ -191,6 +196,7 @@ def cmd_check(args):
     elif args.which == "bochner":
         params["field"] = args.field
         params["expect_harmonic"] = args.expect_harmonic
+    scenario_mod.validate_task(s, {"kind": "check", "params": params}, "check")
     result, ok = scenario_mod.run_task(s, grid, "check", params, args.tol, rng)
     _emit(
         {"metric": s.label, "grid": grid.meta(), "seed": args.seed, "pass": bool(ok), **result},
@@ -236,7 +242,10 @@ def cmd_diagnostics(args):
 def _metric_arg(args):
     text = args.metric
     if text.strip().startswith("{"):
-        return json.loads(text)
+        try:
+            return json.loads(text)
+        except ValueError as exc:
+            raise ConfigError(f"--metric is not valid JSON: {exc}") from None
     return text
 
 

@@ -39,13 +39,18 @@ def nested_build(n, rank, fn, prefix=()):
 
 
 def pack(nested, rank):
-    """Nested lists of scalars -> ndarray with component axes first."""
-    if rank == 0:
-        return np.asarray(nested, float)
-    children = [pack(c, rank - 1) for c in nested]
-    shape = np.broadcast_shapes(*[c.shape for c in children])
-    children = [np.broadcast_to(c, shape) for c in children]
-    return np.stack(children, axis=0)
+    """Nested lists of scalars -> ndarray with component axes first.
+
+    Every leaf is broadcast to the common shape of all leaves, so a component
+    that is a plain float may sit beside node arrays anywhere in the tree.
+    """
+    dims, node = [], nested
+    for _ in range(rank):
+        dims.append(len(node))
+        node = node[0]
+    leaves = [np.asarray(tget(nested, idx), float) for idx in np.ndindex(*dims)]
+    shape = np.broadcast_shapes(*(leaf.shape for leaf in leaves))
+    return np.stack([np.broadcast_to(leaf, shape) for leaf in leaves]).reshape((*dims, *shape))
 
 
 def _rebuilt_partial(layer, grad):
@@ -288,11 +293,21 @@ def cov_h(tower, val, dx, dy, variance):
     """Horizontal covariant derivative; returns nested [h][components].
 
     ``val`` is the nested component pytree, ``dx[c]`` and ``dy[m]`` its plain
-    coordinate partials.  Sign rule: minus Gamma terms on lower slots, plus
-    on upper slots.
+    coordinate partials.
     """
     n = tower.n
-    rank = len(variance)
+    entry = cov_h_entry(tower, val, dx, dy, variance)
+    return [nested_build(n, len(variance), lambda idx, h=h: entry(h, idx)) for h in range(n)]
+
+
+def cov_h_entry(tower, val, dx, dy, variance):
+    """The horizontal covariant derivative one entry at a time.
+
+    Returns ``entry(h, idx)`` = (nabla_h T)_idx for the field of :func:`cov_h`,
+    so a caller that needs a few entries computes only those.  Sign rule:
+    minus Gamma terms on lower slots, plus on upper slots.
+    """
+    n = tower.n
     N, Gamma = tower.N, tower.Gamma
 
     def entry(h, idx):
@@ -309,7 +324,7 @@ def cov_h(tower, val, dx, dy, variance):
                     acc = acc + tget(val, jdx) * Gamma[it][p][h]
         return acc
 
-    return [nested_build(n, rank, lambda idx, h=h: entry(h, idx)) for h in range(n)]
+    return entry
 
 
 def cov_v(tower, val, dy, variance):

@@ -10,10 +10,16 @@ quadrature grid with its cached tower, computes each connection layer once
 for all the forms it evaluates there.  Grids enter only through the
 quadrature module.
 
-Conventions.  A degree-p form is stored as its full antisymmetric
-coefficient array; the horizontal differential is the plain (p+1)-term
-alternation of the covariant derivative with no factorial prefactor, and
-the pointwise inner product carries 1/p!.  Under these choices the
+Conventions.  A degree-p form is handed around as nested lists over all
+n^p index tuples, but its C(n, p) entries at increasing indices
+i1 < ... < ip are the only independent ones.  The operator kernels compute
+those alone, and the horizontal covariant derivative under them only at the
+entries they read; :func:`form_build` fills the rest by the sign of the
+permutation, with ``0.0`` at repeated indices.  The horizontal differential
+is the plain (p+1)-term alternation of the covariant derivative with no
+factorial prefactor, and the pointwise inner product is the Gram
+determinant sum over increasing indices, which equals the full contraction
+with weight 1/p! (see :func:`inner_coeffs`).  Under these choices the
 differential and co-differential are numerically adjoint with respect to
 the sphere-bundle inner product, which is the invariant the test suite
 pins down.
@@ -21,9 +27,10 @@ pins down.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations
 from typing import Callable
 
 from . import jets
@@ -32,6 +39,7 @@ from .connection import (
     TensorField,
     _point_tower,
     cov_h,
+    cov_h_entry,
     cov_hh,
     cov_v,
     nested_build,
@@ -89,32 +97,57 @@ def _operator_form(s, degree, kernel, label):
 # -- operator kernels (work at any tower: pointwise, batched or jet-valued) ----
 
 
+def form_build(n, p, fn):
+    """Antisymmetric nested coefficients of a degree-p form from ``fn(idx)``.
+
+    ``fn`` is called once per increasing index i1 < ... < ip.  An index with
+    a repeated entry gets the float ``0.0``; a permutation of an increasing
+    index gets ``v`` or ``-v`` by the parity of the permutation.
+    """
+    vals = {idx: fn(idx) for idx in combinations(range(n), p)}
+
+    def entry(idx):
+        v = vals.get(tuple(sorted(idx)))
+        if v is None:
+            return 0.0
+        odd = sum(a > b for k, a in enumerate(idx) for b in idx[k + 1 :]) % 2
+        return -v if odd else v
+
+    return nested_build(n, p, entry)
+
+
+def _lazy_cov_h(tower, form):
+    """Memoized (h, idx) -> (nabla_h form)_idx, with the form's coefficients."""
+    p = form.degree
+    val, dx, dy = TensorField(form.coeffs, "l" * p).partials(tower.xs, tower.ys)
+    return functools.cache(cov_h_entry(tower, val, dx, dy, "l" * p)), val
+
+
 def dH_coeffs(tower: LocalTower, phi: HorizontalForm):
     """Alternated horizontal covariant derivative, degree p -> p + 1."""
-    n = tower.n
-    p = phi.degree
-    val, dx, dy = TensorField(phi.coeffs, "l" * p).partials(tower.xs, tower.ys)
-    nab = cov_h(tower, val, dx, dy, "l" * p)  # nab[h][I]
+    nab, _ = _lazy_cov_h(tower, phi)
 
     def entry(idx):
         acc = None
-        for k in range(p + 1):
-            rest = idx[:k] + idx[k + 1 :]
-            term = tget(nab[idx[k]], rest)
+        for k in range(phi.degree + 1):
+            term = nab(idx[k], idx[:k] + idx[k + 1 :])
             if k % 2:
                 term = -term
             acc = term if acc is None else acc + term
         return acc
 
-    return nested_build(n, p + 1, entry)
+    return form_build(tower.n, phi.degree + 1, entry)
 
 
 def deltaH_coeffs(tower: LocalTower, psi: HorizontalForm):
-    """Horizontal co-differential, degree q -> q - 1."""
+    """Horizontal co-differential, degree q -> q - 1.
+
+    Only j outside ``idx`` contribute to the trace over (j, idx); ``(j,) + idx``
+    is the increasing index J with j moved to its front from slot k, so its
+    entries are (-1)^k times those at J.
+    """
     n = tower.n
-    q = psi.degree
-    val, dx, dy = TensorField(psi.coeffs, "l" * q).partials(tower.xs, tower.ys)
-    nab = cov_h(tower, val, dx, dy, "l" * q)
+    nab, val = _lazy_cov_h(tower, psi)
     gi = tower.gi
     nT = tower.nabla0T
 
@@ -122,11 +155,16 @@ def deltaH_coeffs(tower: LocalTower, psi: HorizontalForm):
         acc = None
         for i in range(n):
             for j in range(n):
-                term = gi[i][j] * (tget(nab[i], (j,) + idx) - tget(val, (j,) + idx) * nT[i])
+                if j in idx:
+                    continue
+                J = tuple(sorted((j,) + idx))
+                term = gi[i][j] * (nab(i, J) - tget(val, J) * nT[i])
+                if J.index(j) % 2:
+                    term = -term
                 acc = term if acc is None else acc + term
         return -acc
 
-    return nested_build(n, q - 1, entry)
+    return form_build(n, psi.degree - 1, entry)
 
 
 def laplacian_expansion_coeffs(tower: LocalTower, phi: HorizontalForm):
@@ -158,29 +196,43 @@ def laplacian_expansion_coeffs(tower: LocalTower, phi: HorizontalForm):
                     out = out + gi[r][s_] * tget(val, sub) * nnT[ik][r]
         return out
 
-    return nested_build(n, p, entry)
+    return form_build(n, p, entry)
 
 
 def inner_coeffs(tower: LocalTower, a, b, degree):
-    """Pointwise inner product of same-degree coefficient pytrees, 1/p! weight."""
-    n = tower.n
+    """Pointwise inner product of same-degree coefficient pytrees.
+
+    <a, b> = sum over increasing I and J of a_I b_J det(g^{IJ}), where g^{IJ}
+    is the minor of the inverse metric on rows I and columns J.  For
+    antisymmetric a and b this equals the full contraction
+    (1/p!) a_{i1..ip} b_{j1..jp} g^{i1j1} ... g^{ipjp}: the p! orderings of
+    I and the p! of J each appear in that sum, and their signed products of
+    g^{ij} add up to p! det(g^{IJ}).
+    """
     if degree == 0:
         return a * b
     gi = tower.gi
-    raised = a
-    for slot in range(degree):
-        raised = nested_build(
-            n,
-            degree,
-            lambda idx, _r=raised, _s=slot: sum_terms(
-                gi[idx[_s]][m] * tget(_r, idx[:_s] + (m,) + idx[_s + 1 :]) for m in range(n)
-            ),
-        )
+
+    def det(rows, cols):
+        # cofactor expansion along the first row
+        if len(rows) == 1:
+            return gi[rows[0]][cols[0]]
+        acc = None
+        for k, c in enumerate(cols):
+            t = gi[rows[0]][c] * det(rows[1:], cols[:k] + cols[k + 1 :])
+            if k % 2:
+                t = -t
+            acc = t if acc is None else acc + t
+        return acc
+
+    combos = list(combinations(range(tower.n), degree))
     acc = None
-    for idx in product(range(n), repeat=degree):
-        t = tget(raised, idx) * tget(b, idx)
-        acc = t if acc is None else acc + t
-    return acc * (1.0 / math.factorial(degree))
+    for I in combos:
+        aI = tget(a, I)
+        for J in combos:
+            t = (aI * tget(b, J)) * det(I, J)
+            acc = t if acc is None else acc + t
+    return acc
 
 
 # -- public operators ---------------------------------------------------------

@@ -49,6 +49,8 @@ CURVATURE_BLOCKS = {
 CURVATURE_WHICH = tuple(CURVATURE_BLOCKS)
 # integer task parameters; run_task reads each with int()
 INT_PARAMS = ("p", "pairs", "forms", "fields", "points", "degree")
+# the sample counts among them: a check over no samples would pass vacuously
+COUNT_PARAMS = ("pairs", "forms", "fields", "points")
 
 
 def metric_from_config(cfg) -> FinslerStructure:
@@ -148,52 +150,66 @@ def validate_scenario(doc):
     if not isinstance(tasks, list):
         raise ConfigError("'tasks' must be a list")
     for i, t in enumerate(tasks):
-        if not isinstance(t, dict):
-            raise ConfigError(f"task {i}: must be an object")
-        kind = t.get("kind")
-        if kind not in TASK_KINDS:
-            raise ConfigError(f"task {i}: unknown kind {kind!r}")
-        params = t.get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigError(f"task {i}: 'params' must be an object")
-        for key in INT_PARAMS:
-            try:
-                int(params.get(key, 0))
-            except (TypeError, ValueError):
-                raise ConfigError(f"task {i}: {key!r} must be an integer") from None
-        if t.get("tolerance") is not None:
-            _parse_tolerance(t["tolerance"], f"task {i}: 'tolerance'")
-        if kind == "tensor":
-            which = params.get("which", "g")
-            if which not in TENSOR_WHICH:
-                raise ConfigError(f"task {i}: unknown tensor {which!r}")
-            _parse_point(s, params)
-        elif kind == "curvature":
-            which = params.get("which", "Rhh")
-            if which not in CURVATURE_WHICH:
-                raise ConfigError(f"task {i}: unknown curvature block {which!r}")
-            _parse_point(s, params)
-        elif kind == "laplacian":
-            bi.get_form(params.get("form", "dx1"), s)
-            if "tol" in params:
-                _parse_tolerance(params["tol"], f"task {i}: 'tol'")
-        elif kind == "integrate":
-            f = params.get("field", "one")
-            if f != "one":
-                bi.get_form(f, s)
-        elif kind == "check":
-            which = params.get("which")
-            if which not in CHECK_KINDS:
-                raise ConfigError(f"task {i}: unknown check {which!r}")
-            if which == "adjointness" and int(params.get("p", 1)) not in (0, 1, 2):
-                raise ConfigError(f"task {i}: adjointness degree must be 0, 1 or 2")
-            if which == "bochner":
-                fid = params.get("field", "d1")
-                if not isinstance(fid, str) or (
-                    fid not in bi.FIELD_IDS and fid not in ("trig-random", "constant")
-                ):
-                    raise ConfigError(f"task {i}: unknown vector field {fid!r}")
+        validate_task(s, t, f"task {i}")
     return s, grid
+
+
+def validate_task(s, t, where):
+    """Raise ConfigError, prefixed by ``where``, if task ``t`` is malformed
+    for metric ``s``."""
+    if not isinstance(t, dict):
+        raise ConfigError(f"{where}: must be an object")
+    kind = t.get("kind")
+    if kind not in TASK_KINDS:
+        raise ConfigError(f"{where}: unknown kind {kind!r}")
+    params = t.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"{where}: 'params' must be an object")
+    for key in INT_PARAMS:
+        if key not in params:
+            continue
+        try:
+            value = int(params[key])
+        except (TypeError, ValueError):
+            raise ConfigError(f"{where}: {key!r} must be an integer") from None
+        if key in COUNT_PARAMS and value < 1:
+            raise ConfigError(f"{where}: {key!r} must be at least 1, got {value}")
+    if t.get("tolerance") is not None:
+        _parse_tolerance(t["tolerance"], f"{where}: 'tolerance'")
+    if kind == "tensor":
+        which = params.get("which", "g")
+        if which not in TENSOR_WHICH:
+            raise ConfigError(f"{where}: unknown tensor {which!r}")
+        _parse_point(s, params)
+    elif kind == "curvature":
+        which = params.get("which", "Rhh")
+        if which not in CURVATURE_WHICH:
+            raise ConfigError(f"{where}: unknown curvature block {which!r}")
+        _parse_point(s, params)
+    elif kind == "laplacian":
+        bi.get_form(params.get("form", "dx1"), s)
+        if "tol" in params:
+            _parse_tolerance(params["tol"], f"{where}: 'tol'")
+    elif kind == "integrate":
+        f = params.get("field", "one")
+        if f != "one":
+            bi.get_form(f, s)
+    elif kind == "check":
+        which = params.get("which")
+        if which not in CHECK_KINDS:
+            raise ConfigError(f"{where}: unknown check {which!r}")
+        if which == "adjointness" and not 0 <= int(params.get("p", 1)) < s.dim:
+            # psi has degree p + 1, which must not exceed the dimension
+            raise ConfigError(
+                f"{where}: adjointness degree must be between 0 and {s.dim - 1}, "
+                f"got {params.get('p', 1)!r}"
+            )
+        if which == "bochner":
+            fid = params.get("field", "d1")
+            if not isinstance(fid, str) or (
+                fid not in bi.FIELD_IDS and fid not in ("trig-random", "constant")
+            ):
+                raise ConfigError(f"{where}: unknown vector field {fid!r}")
 
 
 def scenario_hash(doc) -> str:

@@ -104,12 +104,39 @@ class TestScenarioRunner:
                 {"metric": "randers-torus-3d", "grid": {"base": [8, 8, 8], "fiber": [16]}},
                 "one fiber node count per fiber angle",
             ),
+            (
+                {"metric": "randers-torus",
+                 "tasks": [{"kind": "check", "params": {"which": "adjointness", "p": 2}}]},
+                "adjointness degree must be between 0 and 1",
+            ),
+            (
+                {"tasks": [{"kind": "check", "params": {"which": "adjointness", "p": -1}}]},
+                "adjointness degree must be between 0 and 1",
+            ),
+            (
+                {"tasks": [{"kind": "check", "params": {"which": "adjointness", "pairs": 0}}]},
+                "'pairs' must be at least 1",
+            ),
+            (
+                {"tasks": [{"kind": "check", "params": {"which": "divergence", "forms": 0}}]},
+                "'forms' must be at least 1",
+            ),
+            (
+                {"tasks": [{"kind": "check", "params": {"which": "ricci-identity", "fields": 0}}]},
+                "'fields' must be at least 1",
+            ),
+            (
+                {"tasks": [{"kind": "check", "params": {"which": "ricci-identity", "points": -2}}]},
+                "'points' must be at least 1",
+            ),
         ],
         ids=["unknown-kind", "task-not-object", "params-not-object", "point-without-y",
              "chart-without-bounds", "degree-not-integer", "grid-counts-not-integers",
              "tolerance-not-number", "tolerance-nan", "tolerance-negative",
              "laplacian-tol-not-number", "grid-tolerance-not-number", "grid-too-few-nodes",
-             "grid-fiber-counts-short"],
+             "grid-fiber-counts-short", "adjointness-psi-above-top-degree",
+             "adjointness-negative-degree", "no-pairs", "no-forms", "no-fields",
+             "negative-points"],
     )
     def test_unknown_task_kind_rejected(self, doc, message):
         with pytest.raises(ConfigError, match=message):
@@ -149,6 +176,26 @@ class TestCommandLine:
         code, _, err = run_cli(capsys, "run", str(path))
         assert code != 0
         assert "a-norm of b" in err
+
+    @pytest.mark.parametrize(
+        "contents, message",
+        [(None, "cannot read scenario file"), ("{not json", "scenario file is not JSON")],
+        ids=["missing-file", "not-json"],
+    )
+    def test_unreadable_scenario_file_is_a_config_error(self, tmp_path, capsys, contents, message):
+        path = tmp_path / "scenario.json"
+        if contents is not None:
+            path.write_text(contents)
+        code, out, err = run_cli(capsys, "run", str(path))
+        assert code == 2
+        assert out == ""
+        assert "configuration error" in err and message in err
+
+    def test_malformed_inline_metric_is_a_config_error(self, capsys):
+        code, out, err = run_cli(capsys, "tensor", "--metric", "{bad", "--at", "0.3,0.4;1.0,0.5")
+        assert code == 2
+        assert out == ""
+        assert "configuration error" in err and "--metric is not valid JSON" in err
 
     def test_tensor_subcommand(self, capsys):
         code, out, _ = run_cli(
@@ -199,6 +246,23 @@ class TestCommandLine:
         )
         assert code == 0
         assert json.loads(out)["pass"] is True
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--p", "3"), "adjointness degree must be between 0 and 1, got 3"),
+            (("--p", "-1"), "adjointness degree must be between 0 and 1, got -1"),
+            (("--count", "0"), "'pairs' must be at least 1"),
+        ],
+        ids=["p-above-top-degree", "p-negative", "count-zero"],
+    )
+    def test_vacuous_check_is_a_config_error(self, capsys, argv, message):
+        code, out, err = run_cli(
+            capsys, "check", "adjointness", "--metric", "randers-torus", "--grid", "8,8x8", *argv
+        )
+        assert code == 2
+        assert out == ""
+        assert "configuration error" in err and message in err
 
     def test_laplacian_subcommand(self, capsys):
         code, out, _ = run_cli(

@@ -250,3 +250,19 @@ class TestBaseDependentRanders:
             for c in range(2):
                 expected = dx[c] - sum(N[m, c] * dy[m] for m in range(2))
                 assert abs(dC[c, h, k, j] - expected) < 1e-6
+
+
+class TestPack:
+    def test_scalar_row_beside_array_rows(self):
+        """A sub-list of plain floats broadcasts against node-array leaves."""
+        arr = np.arange(4.0)
+        got = pack([[0.0, 1.0], [arr, 2.0 * arr]], 2)
+        assert got.shape == (2, 2, 4)
+        assert np.array_equal(got[0, 0], np.zeros(4)) and np.array_equal(got[0, 1], np.ones(4))
+        assert np.array_equal(got[1, 0], arr) and np.array_equal(got[1, 1], 2.0 * arr)
+
+    def test_all_zero_rows_of_a_three_form(self):
+        n = 3
+        coeffs = [[[0.0] * n for _ in range(n)] for _ in range(n)]
+        coeffs[0][1][2] = np.ones((2, 5))
+        assert pack(coeffs, 3).shape == (3, 3, 3, 2, 5)

@@ -1,27 +1,32 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from finslerforms import builtins as bi
-from finslerforms.connection import LocalTower, TensorField
+from finslerforms import forms
+from finslerforms.connection import LocalTower, TensorField, cov_h, nested_build, pack, tget
 from finslerforms.curvature import ricci_trace
 from finslerforms.errors import DegreeMismatch, DegreeOverflow, DegreeUnderflow
 from finslerforms.forms import (
     HorizontalForm,
     associate_one_form,
     bochner_scalar,
+    dH_coeffs,
     deltaH_coeffs,
     energy_identity_residuals,
     horizontal_codifferential,
     horizontal_differential,
     horizontal_laplacian,
+    inner_coeffs,
     is_h_harmonic,
     laplacian_expansion,
     pointwise_inner,
     weitzenbock_residual,
 )
 from finslerforms.jets import gcos, gsin
+from finslerforms.quadrature import QuadratureGrid
 
 from conftest import sample_points
 
@@ -286,3 +291,144 @@ class TestHarmonicVerdict:
         rep = is_h_harmonic(randers, bi.get_form("dx1", randers), grid, tol=1e-8)
         assert rep["verdict"] == "harmonic"
         assert rep["equivalence_consistent"]
+
+
+# -- full-index reference kernels: every entry of every index tuple ----------------
+
+
+def full_dH_coeffs(tower, phi):
+    n, p = tower.n, phi.degree
+    val, dx, dy = TensorField(phi.coeffs, "l" * p).partials(tower.xs, tower.ys)
+    nab = cov_h(tower, val, dx, dy, "l" * p)
+
+    def entry(idx):
+        acc = None
+        for k in range(p + 1):
+            term = tget(nab[idx[k]], idx[:k] + idx[k + 1 :])
+            if k % 2:
+                term = -term
+            acc = term if acc is None else acc + term
+        return acc
+
+    return nested_build(n, p + 1, entry)
+
+
+def full_deltaH_coeffs(tower, psi):
+    n, q = tower.n, psi.degree
+    val, dx, dy = TensorField(psi.coeffs, "l" * q).partials(tower.xs, tower.ys)
+    nab = cov_h(tower, val, dx, dy, "l" * q)
+    gi, nT = tower.gi, tower.nabla0T
+
+    def entry(idx):
+        acc = None
+        for i in range(n):
+            for j in range(n):
+                term = gi[i][j] * (tget(nab[i], (j,) + idx) - tget(val, (j,) + idx) * nT[i])
+                acc = term if acc is None else acc + term
+        return -acc
+
+    return nested_build(n, q - 1, entry)
+
+
+def full_inner_coeffs(tower, a, b, degree):
+    """Slot-by-slot raising with the 1/p! weight."""
+    n = tower.n
+    if degree == 0:
+        return a * b
+    gi = tower.gi
+    raised = a
+    for slot in range(degree):
+        raised = nested_build(
+            n,
+            degree,
+            lambda idx, _r=raised, _s=slot: sum(
+                gi[idx[_s]][m] * tget(_r, idx[:_s] + (m,) + idx[_s + 1 :]) for m in range(n)
+            ),
+        )
+    acc = None
+    for idx in itertools.product(range(n), repeat=degree):
+        t = tget(raised, idx) * tget(b, idx)
+        acc = t if acc is None else acc + t
+    return acc * (1.0 / math.factorial(degree))
+
+
+def odd_permutation(idx):
+    return sum(a > b for k, a in enumerate(idx) for b in idx[k + 1 :]) % 2 == 1
+
+
+class TestIndependentComponents:
+    """Kernels computed on increasing indices against the full-index ones."""
+
+    REL_TOL = 1e-14  # times the largest |coefficient| of the reference
+
+    @pytest.fixture(scope="class", params=["randers-base", "randers-torus-3d"])
+    def setting(self, request, randers_base):
+        if request.param == "randers-base":
+            s = randers_base
+            grid = QuadratureGrid.for_structure(s, (8, 8), (16,))
+        else:
+            s = bi.get_metric("randers-torus-3d")
+            grid = QuadratureGrid.for_structure(s, (8, 8, 8), (8, 8))
+        rng = np.random.default_rng(31)
+        form_list = [bi.random_trig_form(rng, s, p) for p in range(s.dim + 1)]
+        return s, grid.tower(s), form_list
+
+    def assert_close(self, got, want, degree):
+        got, want = pack(got, degree), pack(want, degree)
+        scale = np.max(np.abs(want))
+        assert scale > 0.0
+        assert np.max(np.abs(got - want)) <= self.REL_TOL * scale
+
+    def assert_antisymmetric(self, coeffs, degree, n):
+        for idx in itertools.product(range(n), repeat=degree):
+            v = tget(coeffs, idx)
+            if len(set(idx)) < degree:
+                assert type(v) is float and v == 0.0, idx
+                continue
+            w = tget(coeffs, tuple(sorted(idx)))
+            assert np.array_equal(v, -w if odd_permutation(idx) else w), idx
+
+    def test_dH(self, setting):
+        s, tower, form_list = setting
+        for p in range(s.dim):
+            got = dH_coeffs(tower, form_list[p])
+            self.assert_close(got, full_dH_coeffs(tower, form_list[p]), p + 1)
+            self.assert_antisymmetric(got, p + 1, s.dim)
+
+    def test_deltaH(self, setting):
+        s, tower, form_list = setting
+        for q in range(1, s.dim + 1):
+            got = deltaH_coeffs(tower, form_list[q])
+            self.assert_close(got, full_deltaH_coeffs(tower, form_list[q]), q - 1)
+            self.assert_antisymmetric(got, q - 1, s.dim)
+
+    def test_inner(self, setting):
+        s, tower, form_list = setting
+        rng = np.random.default_rng(32)
+        for p in range(s.dim + 1):
+            a = form_list[p].on(tower)
+            b = bi.random_trig_form(rng, s, p).on(tower)
+            self.assert_close(inner_coeffs(tower, a, b, p), full_inner_coeffs(tower, a, b, p), 0)
+
+    def test_covariant_entries_only_at_increasing_indices(self, setting, monkeypatch):
+        s, tower, form_list = setting
+        n = s.dim
+        calls = []
+        real = forms.cov_h_entry
+
+        def counting_cov_h_entry(*args):
+            entry = real(*args)
+
+            def counted(h, idx):
+                calls.append((h, idx))
+                return entry(h, idx)
+
+            return counted
+
+        monkeypatch.setattr(forms, "cov_h_entry", counting_cov_h_entry)
+        for p, kernel in [(p, dH_coeffs) for p in range(n)] + [
+            (p, deltaH_coeffs) for p in range(1, n + 1)
+        ]:
+            calls.clear()
+            kernel(tower, form_list[p])
+            assert 0 < len(calls) <= math.comb(n, p) * n, (kernel.__name__, p, len(calls))
