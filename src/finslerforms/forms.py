@@ -53,7 +53,7 @@ from .errors import (
     DegreeUnderflow,
     DomainError,
 )
-from .jets import grad_x, grad_y
+from .jets import grad_y
 from .metric import TensorValue
 
 
@@ -323,32 +323,26 @@ def lowered_field(s, X: TensorField):
 
 
 def associate_one_form(s, X: TensorField) -> AssociatedForm:
+    """Horizontal part g_ij X^j; vertical part (g_ij nabla_0 X^j - y_i (y_j nabla_0 X^j)
+    / F^2) / F, which is (nabla_0 X_i - y_i nabla_0 (y_j X^j) / F^2) / F since the
+    connection is h-metrical and nabla y = 0."""
     if X.variance != "u":
         raise DomainError("associated form needs a vector field (variance 'u')")
-    low = lowered_field(s, X)
-    horizontal = HorizontalForm(1, low, label=f"assoc({X.label})")
+    horizontal = HorizontalForm(1, lowered_field(s, X), label=f"assoc({X.label})")
 
     def vertical(xs, ys):
         tw = LocalTower(s, xs, ys)
         n = s.dim
-        lowfield = TensorField(low, "l")
-        val, dx, dy = lowfield.partials(xs, ys)
-        nab = cov_h(tw, val, dx, dy, "l")
-        nab0X = [sum_terms(tw.ys[h] * nab[h][i] for h in range(n)) for i in range(n)]
-
-        def w_scalar(a, b):
-            t2 = LocalTower(s, a, b)
-            Xv = X.components(a, b)
-            return sum_terms(
-                t2.g[i][j] * b[i] * Xv[j] for i in range(n) for j in range(n)
-            )
-
-        dw = tw.delta(grad_x(w_scalar, xs, ys), grad_y(w_scalar, xs, ys), 0)
-        nab0w = sum_terms(tw.ys[h] * dw[h] for h in range(n))
+        val, dx, dy = X.partials(xs, ys)
+        nabU = cov_h(tw, val, dx, dy, "u")
+        nab0X = [sum_terms(tw.ys[h] * nabU[h][j] for h in range(n)) for j in range(n)]
+        nab0w = sum_terms(tw.y_lower[j] * nab0X[j] for j in range(n))
         invF = jets._reciprocal(tw.F)
         invF2 = invF * invF
         return [
-            (nab0X[i] - tw.y_lower[i] * nab0w * invF2) * invF for i in range(n)
+            (sum_terms(tw.g[i][j] * nab0X[j] for j in range(n)) - tw.y_lower[i] * nab0w * invF2)
+            * invF
+            for i in range(n)
         ]
 
     return AssociatedForm(horizontal=horizontal, vertical=vertical, source=X)
@@ -365,8 +359,7 @@ def weitzenbock_residual(s, X: TensorField, z, y=None):
 
     tower, pt = _point_tower(s, z, y)
     n = tower.n
-    low = TensorField(lowered_field(s, X), "l")
-    p2 = low.partials2(tower.xs, tower.ys)
+    p2 = TensorField(lowered_field(s, X), "l").partials2(tower.xs, tower.ys)
     val = p2[0]
     nab = cov_h(tower, val, p2[1], p2[2], "l")
     D = cov_hh(tower, p2, "l")
@@ -376,11 +369,9 @@ def weitzenbock_residual(s, X: TensorField, z, y=None):
     ricci = ricci_components(tower)
     flag = tower.flag
 
-    raised = TensorField(
-        lambda a, b: _raise_index(LocalTower(s, a, b), low.fn(a, b)), "u"
-    )
-    rval, _, rdy = raised.partials(tower.xs, tower.ys)
-    vt = cov_v(tower, rval, rdy, "u")  # vt[t][r] = vertical derivative of X^r
+    Xv = X.components(tower.xs, tower.ys)
+    # vt[t][r] = vertical derivative of X^r
+    vt = cov_v(tower, Xv, grad_y(X.fn, tower.xs, tower.ys), "u")
 
     out = []
     for i in range(n):
@@ -389,18 +380,11 @@ def weitzenbock_residual(s, X: TensorField, z, y=None):
             for r in range(n)
             for s_ in range(n)
         )
-        acc = acc - sum_terms(rval[t] * ricci[t][i] for t in range(n))
+        acc = acc - sum_terms(Xv[t] * ricci[t][i] for t in range(n))
         acc = acc + sum_terms(vt[t][r] * flag[t][r][i] for t in range(n) for r in range(n))
-        acc = acc - sum_terms(rval[r] * nnT[i][r] for r in range(n))
+        acc = acc - sum_terms(Xv[r] * nnT[i][r] for r in range(n))
         out.append(acc)
     return TensorValue(pack(out, 1), "l", pt)
-
-
-def _raise_index(tower, lowered):
-    n = tower.n
-    return [
-        sum_terms(tower.gi[r][m] * lowered[m] for m in range(n)) for r in range(n)
-    ]
 
 
 def bochner_scalar(s, X: TensorField, z, y=None):
@@ -432,77 +416,72 @@ def bochner_scalar_at(tower: LocalTower, X: TensorField):
     return acc
 
 
-def gradient_norm_squared_at(tower: LocalTower, X: TensorField):
-    """Squared norm of the horizontal covariant derivative of the lowered field."""
+def _lowered_gradient(tower, nabU):
+    """nabla_i X_j = g_jk nabla_i X^k, from nabU[i][k] = nabla_i X^k (h-metricity)."""
     n = tower.n
-    val, dx, dy = X.partials(tower.xs, tower.ys)
-    nabU = cov_h(tower, val, dx, dy, "u")
-    nabL = [
+    return [
         [sum_terms(tower.g[j][k] * nabU[i][k] for k in range(n)) for j in range(n)]
         for i in range(n)
     ]
+
+
+def _g_norm2(tower, A):
+    """A_ij A^ij of a covariant 2-tensor, both slots raised by g^-1."""
+    n = tower.n
     acc = None
     for i in range(n):
         for j in range(n):
             up = sum_terms(
-                tower.gi[i][a] * tower.gi[j][b] * nabL[a][b]
+                tower.gi[i][a] * tower.gi[j][b] * A[a][b]
                 for a in range(n)
                 for b in range(n)
             )
-            t = nabL[i][j] * up
+            t = A[i][j] * up
             acc = t if acc is None else acc + t
     return acc
 
 
-def transport_forms(s, X: TensorField):
-    """The 1-forms Y = X^k nabla_k X_i dx^i and Z = X_i nabla_j X^j dx^i."""
+def gradient_norm_squared_at(tower: LocalTower, X: TensorField):
+    """Squared norm of the horizontal covariant derivative of the lowered field."""
+    val, dx, dy = X.partials(tower.xs, tower.ys)
+    return _g_norm2(tower, _lowered_gradient(tower, cov_h(tower, val, dx, dy, "u")))
+
+
+def transport_form(s, X: TensorField) -> HorizontalForm:
+    """The 1-form Z - Y, where Y = X^k nabla_k X_i dx^i and Z = X_i nabla_j X^j dx^i.
+
+    By h-metricity nabla_k X_i = g_ij nabla_k X^j, so its coefficients are
+    g_ij (X^j div X - X^k nabla_k X^j), read off nabla X on the tower at hand.
+    """
     n = s.dim
-    low = lowered_field(s, X)
 
-    def Y_coeffs(a, b):
-        tw = LocalTower(s, a, b)
-        Xv = X.components(a, b)
-        lf = TensorField(low, "l")
-        lval, ldx, ldy = lf.partials(a, b)
-        nabL = cov_h(tw, lval, ldx, ldy, "l")
-        return [sum_terms(Xv[k] * nabL[k][i] for k in range(n)) for i in range(n)]
-
-    def Z_coeffs(a, b):
-        tw = LocalTower(s, a, b)
-        Xv = X.components(a, b)
-        uval, udx, udy = X.partials(a, b)
-        nabU = cov_h(tw, uval, udx, udy, "u")
+    def kernel(tw):
+        val, dx, dy = X.partials(tw.xs, tw.ys)
+        nabU = cov_h(tw, val, dx, dy, "u")
         div = sum_terms(nabU[j][j] for j in range(n))
-        lval = low(a, b)
-        return [lval[i] * div for i in range(n)]
+        V = [val[j] * div - sum_terms(val[k] * nabU[k][j] for k in range(n)) for j in range(n)]
+        return [sum_terms(tw.g[i][j] * V[j] for j in range(n)) for i in range(n)]
 
-    return (
-        HorizontalForm(1, Y_coeffs, label=f"Y({X.label})"),
-        HorizontalForm(1, Z_coeffs, label=f"Z({X.label})"),
-    )
+    return _operator_form(s, 1, kernel, f"transport({X.label})")
 
 
 def energy_identity_residuals(s, X: TensorField, z, y=None):
     """Residuals of the two pointwise identities behind the Bochner argument.
 
-    The first compares the co-differentials of the transport forms with
-    their expansion; the second checks the quarter-norm identity relating
-    the alternated derivative to the full gradient.  Both are zero
-    analytically; the returned values measure end-to-end numerical
-    consistency of the covariant derivative stack.
+    The first compares the co-differential of the transport form with its
+    expansion; the second checks the quarter-norm identity relating the
+    alternated derivative to the full gradient.  Both are zero analytically;
+    the returned values measure end-to-end numerical consistency of the
+    covariant derivative stack.
     """
     tower, _ = _point_tower(s, z, y)
     n = tower.n
-    low = lowered_field(s, X)
-    Yf, Zf = transport_forms(s, X)
-    Xf = HorizontalForm(1, low, label="X")
-    dY = jets.primal(deltaH_coeffs(tower, Yf))
-    dZ = jets.primal(deltaH_coeffs(tower, Zf))
-    dX = jets.primal(deltaH_coeffs(tower, Xf))
+    dW = jets.primal(deltaH_coeffs(tower, transport_form(s, X)))
+    dX = jets.primal(deltaH_coeffs(tower, HorizontalForm(1, lowered_field(s, X), label="X")))
 
-    uval, udx, udy = X.partials(tower.xs, tower.ys)
-    nabU = cov_h(tower, uval, udx, udy, "u")
     p2u = X.partials2(tower.xs, tower.ys)
+    uval = p2u[0]
+    nabU = cov_h(tower, uval, p2u[1], p2u[2], "u")
     D2U = cov_hh(tower, p2u, "u")  # D2U[a][b][j] = nabla_a nabla_b X^j
     divX = sum_terms(nabU[j][j] for j in range(n))
     comm = sum_terms(
@@ -512,27 +491,13 @@ def energy_identity_residuals(s, X: TensorField, z, y=None):
     tterm = sum_terms(
         uval[k] * nabU[k][j] * tower.nabla0T[j] for k in range(n) for j in range(n)
     )
-    r1 = dZ - dY - jets.primal(divX * dX + comm + cross - tterm)
+    r1 = dW - jets.primal(divX * dX + comm + cross - tterm)
 
     # quarter-norm identity for the alternated derivative
-    nabL = [
-        [sum_terms(tower.g[j][m] * nabU[i][m] for m in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
-    gradsq = gradient_norm_squared_at(tower, X)
-    quarter = None
-    for i in range(n):
-        for j in range(n):
-            anti = nabL[i][j] - nabL[j][i]
-            up = sum_terms(
-                tower.gi[i][a] * tower.gi[j][b] * (nabL[a][b] - nabL[b][a])
-                for a in range(n)
-                for b in range(n)
-            )
-            t = anti * up
-            quarter = t if quarter is None else quarter + t
-    dH_norm2 = 0.25 * quarter
-    r2 = jets.primal(cross - gradsq + 2.0 * dH_norm2)
+    nabL = _lowered_gradient(tower, nabU)
+    anti = [[nabL[i][j] - nabL[j][i] for j in range(n)] for i in range(n)]
+    dH_norm2 = 0.25 * _g_norm2(tower, anti)
+    r2 = jets.primal(cross - _g_norm2(tower, nabL) + 2.0 * dH_norm2)
     return float(r1), float(r2)
 
 

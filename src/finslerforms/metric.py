@@ -41,12 +41,15 @@ class ChartSpec:
     excluded_margin: tuple = None
 
     def __post_init__(self):
-        bounds = tuple((float(a), float(b)) for a, b in self.bounds)
-        periodic = tuple(bool(p) for p in self.periodic)
-        margin = self.excluded_margin
-        if margin is None:
-            margin = tuple(0.0 for _ in bounds)
-        margin = tuple(float(m) for m in margin)
+        try:
+            bounds = tuple((float(a), float(b)) for a, b in self.bounds)
+            periodic = tuple(bool(p) for p in self.periodic)
+            margin = self.excluded_margin
+            margin = (0.0,) * len(bounds) if margin is None else tuple(float(m) for m in margin)
+        except (TypeError, ValueError):
+            raise ConfigError(
+                "chart bounds must be [lo, hi] pairs of numbers, periodic flags and margins lists"
+            ) from None
         if not (len(bounds) == len(periodic) == len(margin)):
             raise ConfigError("chart axis lists have inconsistent lengths")
         for (lo, hi), m in zip(bounds, margin):
@@ -454,7 +457,10 @@ def _matrix_field(a, dim):
         if dim is None:
             raise ConfigError("dim is required for a callable coefficient field")
         return a, int(dim)
-    arr = np.asarray(a, float)
+    try:
+        arr = np.asarray(a, float)
+    except (TypeError, ValueError):
+        raise ConfigError("coefficient matrix must hold numbers") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ConfigError("coefficient matrix must be square")
     if not np.allclose(arr, arr.T, atol=1e-12):
@@ -469,7 +475,10 @@ def _matrix_field(a, dim):
 def _vector_field(b, dim):
     if callable(b):
         return b
-    vec = [float(v) for v in np.asarray(b, float)]
+    try:
+        vec = [float(v) for v in np.asarray(b, float)]
+    except (TypeError, ValueError):
+        raise ConfigError("drift vector must hold numbers") from None
     if len(vec) != dim:
         raise ConfigError("drift vector length does not match dim")
     return lambda xs: vec

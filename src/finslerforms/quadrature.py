@@ -341,18 +341,16 @@ def bochner_integral(s, X: TensorField, grid: QuadratureGrid) -> dict:
     """Curvature and gradient integrals for the harmonic field classification.
 
     The sum of the two integrals is the quantity that vanishes for harmonic
-    fields; the divergence defect of the transport forms is reported for any
-    field since both sides are co-differentials.
+    fields; the divergence defect of the transport form is reported for any
+    field since it is a co-differential.
     """
     tower = grid.tower(s)
     K = _forms.bochner_scalar_at(tower, X)
     grad2 = _forms.gradient_norm_squared_at(tower, X)
     K_integral = integrate_scalar(s, np.broadcast_to(np.asarray(K, float), grid.shape), grid)
     grad_integral = integrate_scalar(s, np.broadcast_to(np.asarray(grad2, float), grid.shape), grid)
-    Yf, Zf = _forms.transport_forms(s, X)
-    dY = _forms.deltaH_coeffs(tower, Yf)
-    dZ = _forms.deltaH_coeffs(tower, Zf)
-    div = integrate_scalar(s, np.asarray(dZ, float) - np.asarray(dY, float), grid)
+    dW = _forms.deltaH_coeffs(tower, _forms.transport_form(s, X))
+    div = integrate_scalar(s, np.asarray(dW, float), grid)
     return {
         "K_integral": K_integral,
         "grad_norm_integral": grad_integral,

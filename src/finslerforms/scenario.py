@@ -62,18 +62,20 @@ def metric_from_config(cfg) -> FinslerStructure:
     if family is None:
         raise ConfigError("metric object needs a 'family' key")
     dim = cfg.get("dim")
+    if dim is not None:
+        dim = _parse_int(dim, "metric 'dim'", minimum=1)
     chart = None
     if "chart" in cfg:
         c = cfg["chart"]
-        if not isinstance(c, dict) or "bounds" not in c:
-            raise ConfigError("chart object needs 'bounds'")
+        if not isinstance(c, dict) or not isinstance(c.get("bounds"), list):
+            raise ConfigError("chart object needs 'bounds', a list of [lo, hi] pairs")
         chart = ChartSpec(
-            bounds=tuple(tuple(b) for b in c["bounds"]),
-            periodic=tuple(c.get("periodic", [True] * len(c["bounds"]))),
-            excluded_margin=tuple(c["excluded_margin"]) if "excluded_margin" in c else None,
+            bounds=c["bounds"],
+            periodic=c.get("periodic", [True] * len(c["bounds"])),
+            excluded_margin=c.get("excluded_margin"),
         )
     if family == "euclidean":
-        return FinslerStructure.euclidean(int(dim or 2), chart)
+        return FinslerStructure.euclidean(dim or 2, chart)
     if family == "riemannian":
         if "a" not in cfg:
             raise ConfigError("riemannian metric needs coefficient matrix 'a'")
@@ -86,7 +88,7 @@ def metric_from_config(cfg) -> FinslerStructure:
         name = cfg.get("expression")
         if name != "quartic":
             raise ConfigError("custom metrics are limited to named built-in expressions")
-        return FinslerStructure.custom(bi._quartic_f2, dim=int(dim or 2), chart=chart)
+        return FinslerStructure.custom(bi._quartic_f2, dim=dim or 2, chart=chart)
     raise ConfigError(f"unknown metric family {family!r}")
 
 
@@ -110,6 +112,17 @@ def grid_from_config(s, cfg) -> QuadratureGrid:
         )
     except GridError as exc:
         raise ConfigError(f"grid: {exc}") from None
+
+
+def _parse_int(value, what, minimum=None):
+    """An integer as int() reads it; anything else is a ConfigError."""
+    try:
+        value = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{what} must be an integer") from None
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{what} must be at least {minimum}, got {value}")
+    return value
 
 
 def _parse_tolerance(value, what):
@@ -144,6 +157,7 @@ def validate_scenario(doc):
     """
     if not isinstance(doc, dict):
         raise ConfigError("scenario must be a JSON object")
+    _parse_int(doc.get("seed", 0), "'seed'", minimum=0)
     s = metric_from_config(doc.get("metric", "euclidean"))
     grid = grid_from_config(s, doc.get("grid"))
     tasks = doc.get("tasks", [])
@@ -166,14 +180,8 @@ def validate_task(s, t, where):
     if not isinstance(params, dict):
         raise ConfigError(f"{where}: 'params' must be an object")
     for key in INT_PARAMS:
-        if key not in params:
-            continue
-        try:
-            value = int(params[key])
-        except (TypeError, ValueError):
-            raise ConfigError(f"{where}: {key!r} must be an integer") from None
-        if key in COUNT_PARAMS and value < 1:
-            raise ConfigError(f"{where}: {key!r} must be at least 1, got {value}")
+        if key in params:
+            _parse_int(params[key], f"{where}: {key!r}", 1 if key in COUNT_PARAMS else None)
     if t.get("tolerance") is not None:
         _parse_tolerance(t["tolerance"], f"{where}: 'tolerance'")
     if kind == "tensor":
@@ -210,6 +218,13 @@ def validate_task(s, t, where):
                 fid not in bi.FIELD_IDS and fid not in ("trig-random", "constant")
             ):
                 raise ConfigError(f"{where}: unknown vector field {fid!r}")
+            comps = params.get("components")
+            if fid == "constant" and comps is not None and not (
+                isinstance(comps, list)
+                and len(comps) == s.dim
+                and all(type(v) in (int, float) and math.isfinite(v) for v in comps)
+            ):
+                raise ConfigError(f"{where}: 'components' must be a list of {s.dim} finite numbers")
 
 
 def scenario_hash(doc) -> str:

@@ -129,6 +129,32 @@ class TestScenarioRunner:
                 {"tasks": [{"kind": "check", "params": {"which": "ricci-identity", "points": -2}}]},
                 "'points' must be at least 1",
             ),
+            ({"seed": "abc"}, "'seed' must be an integer"),
+            ({"metric": {"family": "euclidean", "dim": "x"}}, "metric 'dim' must be an integer"),
+            (
+                {"metric": {"family": "riemannian", "a": "abc"}},
+                "coefficient matrix must hold numbers",
+            ),
+            (
+                {"metric": {"family": "randers", "a": [[1, 0], [0, 1]], "b": ["z", 0]}},
+                "drift vector must hold numbers",
+            ),
+            (
+                {"metric": {"family": "euclidean", "chart": {"bounds": [[0, 1], [0, "q"]]}}},
+                "chart bounds must be",
+            ),
+            (
+                {"metric": {"family": "euclidean", "chart": {"bounds": [0, 1]}}},
+                "chart bounds must be",
+            ),
+            *(
+                (
+                    {"tasks": [{"kind": "check", "params": {
+                        "which": "bochner", "field": "constant", "components": comps}}]},
+                    "'components' must be a list of 2 finite numbers",
+                )
+                for comps in (["a", 1], [1], 5)
+            ),
         ],
         ids=["unknown-kind", "task-not-object", "params-not-object", "point-without-y",
              "chart-without-bounds", "degree-not-integer", "grid-counts-not-integers",
@@ -136,7 +162,9 @@ class TestScenarioRunner:
              "laplacian-tol-not-number", "grid-tolerance-not-number", "grid-too-few-nodes",
              "grid-fiber-counts-short", "adjointness-psi-above-top-degree",
              "adjointness-negative-degree", "no-pairs", "no-forms", "no-fields",
-             "negative-points"],
+             "negative-points", "seed-not-integer", "dim-not-integer", "matrix-not-numbers",
+             "drift-not-numbers", "chart-bound-not-number", "chart-bounds-not-pairs",
+             "components-not-numbers", "components-too-short", "components-not-list"],
     )
     def test_unknown_task_kind_rejected(self, doc, message):
         with pytest.raises(ConfigError, match=message):

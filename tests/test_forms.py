@@ -6,7 +6,16 @@ import pytest
 
 from finslerforms import builtins as bi
 from finslerforms import forms
-from finslerforms.connection import LocalTower, TensorField, cov_h, nested_build, pack, tget
+from finslerforms import jets
+from finslerforms.connection import (
+    LocalTower,
+    TensorField,
+    cov_h,
+    nested_build,
+    pack,
+    sum_terms,
+    tget,
+)
 from finslerforms.curvature import ricci_trace
 from finslerforms.errors import DegreeMismatch, DegreeOverflow, DegreeUnderflow
 from finslerforms.forms import (
@@ -25,7 +34,7 @@ from finslerforms.forms import (
     pointwise_inner,
     weitzenbock_residual,
 )
-from finslerforms.jets import gcos, gsin
+from finslerforms.jets import gcos, gsin, grad_x, grad_y
 from finslerforms.quadrature import QuadratureGrid
 
 from conftest import sample_points
@@ -269,6 +278,13 @@ class TestEnergyIdentities:
             r1, r2 = energy_identity_residuals(randers, X, (z.x, z.y))
             assert abs(r1) < 1e-5 and abs(r2) < 1e-5
 
+    def test_base_dependent_randers_trig(self, randers_base, rng):
+        """Gamma, N and the Cartan trace terms are all nonzero here."""
+        X = bi.random_trig_vector(rng, randers_base)
+        for z in sample_points(randers_base, 3):
+            r1, r2 = energy_identity_residuals(randers_base, X, (z.x, z.y))
+            assert abs(r1) < 1e-12 and abs(r2) < 1e-12
+
 
 class TestHarmonicVerdict:
     def test_flat_basis_form_harmonic(self, euclidean):
@@ -432,3 +448,126 @@ class TestIndependentComponents:
             calls.clear()
             kernel(tower, form_list[p])
             assert 0 < len(calls) <= math.comb(n, p) * n, (kernel.__name__, p, len(calls))
+
+
+# -- the parent's transport pair and vertical part, kept as references ------------
+
+
+def reference_transport_forms(s, X):
+    """Y = X^k nabla_k X_i dx^i and Z = X_i nabla_j X^j dx^i, each differentiating
+    the lowered field g.X through its own towers."""
+    n = s.dim
+    low = forms.lowered_field(s, X)
+
+    def Y_coeffs(a, b):
+        tw = LocalTower(s, a, b)
+        Xv = X.components(a, b)
+        lval, ldx, ldy = TensorField(low, "l").partials(a, b)
+        nabL = cov_h(tw, lval, ldx, ldy, "l")
+        return [sum_terms(Xv[k] * nabL[k][i] for k in range(n)) for i in range(n)]
+
+    def Z_coeffs(a, b):
+        tw = LocalTower(s, a, b)
+        uval, udx, udy = X.partials(a, b)
+        nabU = cov_h(tw, uval, udx, udy, "u")
+        div = sum_terms(nabU[j][j] for j in range(n))
+        lval = low(a, b)
+        return [lval[i] * div for i in range(n)]
+
+    return HorizontalForm(1, Y_coeffs), HorizontalForm(1, Z_coeffs)
+
+
+def reference_vertical(s, X, xs, ys):
+    """(nabla_0 X_i - y_i nabla_0 w / F^2) / F with nabla_0 X_i taken on the
+    lowered field and w = g_ij y^i X^j differentiated as a scalar."""
+    n = s.dim
+    low = forms.lowered_field(s, X)
+    tw = LocalTower(s, xs, ys)
+    val, dx, dy = TensorField(low, "l").partials(xs, ys)
+    nab = cov_h(tw, val, dx, dy, "l")
+    nab0X = [sum_terms(tw.ys[h] * nab[h][i] for h in range(n)) for i in range(n)]
+
+    def w_scalar(a, b):
+        t2 = LocalTower(s, a, b)
+        Xv = X.components(a, b)
+        return sum_terms(t2.g[i][j] * b[i] * Xv[j] for i in range(n) for j in range(n))
+
+    dw = tw.delta(grad_x(w_scalar, xs, ys), grad_y(w_scalar, xs, ys), 0)
+    nab0w = sum_terms(tw.ys[h] * dw[h] for h in range(n))
+    invF = jets._reciprocal(tw.F)
+    return [(nab0X[i] - tw.y_lower[i] * nab0w * invF * invF) * invF for i in range(n)]
+
+
+GAMMA_METRICS = ["randers-base", "riemannian-sphere"]
+
+
+def metric_by_id(name, randers_base):
+    return randers_base if name == "randers-base" else bi.get_metric(name)
+
+
+class TestTransportForm:
+    """The one transport form against the parent's Y/Z pair."""
+
+    REL_TOL = 1e-13  # times the largest |value| of the reference
+
+    @pytest.mark.parametrize("name", ["randers-base", "randers-torus-3d", "riemannian-sphere"])
+    def test_codifferential_matches_pair(self, name, randers_base):
+        s = metric_by_id(name, randers_base)
+        if s.dim == 2:
+            grid = QuadratureGrid.for_structure(s, (8, 8), (16,))
+        else:
+            grid = QuadratureGrid.for_structure(s, (8, 8, 8), (8, 8))
+        tower = grid.tower(s)
+        X = bi.random_trig_vector(np.random.default_rng(41), s)
+        Yf, Zf = reference_transport_forms(s, X)
+        want = np.asarray(deltaH_coeffs(tower, Zf), float)
+        want = want - np.asarray(deltaH_coeffs(tower, Yf), float)
+        got = np.asarray(deltaH_coeffs(tower, forms.transport_form(s, X)), float)
+        scale = np.max(np.abs(want))
+        assert scale > 0.0
+        assert np.max(np.abs(got - want)) <= self.REL_TOL * scale
+
+    @pytest.mark.parametrize("name", ["randers-base", "randers-torus-3d", "riemannian-sphere"])
+    def test_vertical_part_matches_reference(self, name, randers_base):
+        s = metric_by_id(name, randers_base)
+        X = bi.random_trig_vector(np.random.default_rng(42), s)
+        vertical = associate_one_form(s, X).vertical
+        for z in sample_points(s, 3):
+            got = np.asarray(vertical(list(z.x), list(z.y)), float)
+            want = np.asarray(reference_vertical(s, X, list(z.x), list(z.y)), float)
+            scale = np.max(np.abs(want))
+            assert scale > 0.0
+            assert np.max(np.abs(got - want)) <= self.REL_TOL * scale
+
+
+class TestConnectionIdentities:
+    """Identities the vector-field code relies on, where Gamma does not vanish."""
+
+    TOL = 1e-12
+
+    @pytest.mark.parametrize("name", GAMMA_METRICS)
+    def test_h_metricity(self, name, randers_base):
+        """nabla_k (g_ij X^j) = g_ij nabla_k X^j."""
+        s = metric_by_id(name, randers_base)
+        X = bi.random_trig_vector(np.random.default_rng(43), s)
+        for z in sample_points(s, 3):
+            tower = LocalTower(s, list(z.x), list(z.y))
+            assert np.max(np.abs(np.asarray(tower.Gamma, float))) > 1e-3
+            val, dx, dy = TensorField(forms.lowered_field(s, X), "l").partials(tower.xs, tower.ys)
+            of_lowered = np.asarray(cov_h(tower, val, dx, dy, "l"), float)
+            val, dx, dy = X.partials(tower.xs, tower.ys)
+            nabU = np.asarray(cov_h(tower, val, dx, dy, "u"), float)
+            g = np.asarray(tower.g, float)
+            lowered = np.einsum("ij,kj->ki", g, nabU)
+            assert np.max(np.abs(of_lowered - lowered)) <= self.TOL * np.max(np.abs(lowered))
+
+    @pytest.mark.parametrize("name", GAMMA_METRICS)
+    def test_nonlinear_connection_is_gamma_y(self, name, randers_base):
+        """N^i_k = Gamma^i_jk y^j, which makes nabla y = 0."""
+        s = metric_by_id(name, randers_base)
+        for z in sample_points(s, 3):
+            tower = LocalTower(s, list(z.x), list(z.y))
+            N = np.asarray(tower.N, float)
+            gamma_y = np.einsum("ijk,j->ik", np.asarray(tower.Gamma, float), np.asarray(z.y, float))
+            assert np.max(np.abs(N)) > 1e-3
+            assert np.max(np.abs(N - gamma_y)) <= self.TOL * np.max(np.abs(N))
