@@ -7,6 +7,7 @@ seeds, so identical scenarios reproduce identical reports.
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import combinations, product
 
@@ -15,7 +16,7 @@ import numpy as np
 from .connection import TensorField
 from .errors import ConfigError
 from .forms import HorizontalForm, form_build
-from .jets import gcos, gsin
+from .jets import gcos, gsin, gsincos
 from .metric import ChartSpec, FinslerStructure
 from .quadrature import DEFAULT_BASE_COUNTS, DEFAULT_FIBER_COUNTS, QuadratureGrid
 
@@ -189,6 +190,7 @@ def get_field(name, s) -> TensorField:
 # -- seeded trigonometric generators ----------------------------------------------
 
 
+@functools.cache
 def _frequencies(dim, degree):
     out = []
     for k in product(range(-degree, degree + 1), repeat=dim):
@@ -198,7 +200,7 @@ def _frequencies(dim, degree):
         if first < 0:
             continue  # one representative per +-k pair
         out.append(k)
-    return out
+    return tuple(out)
 
 
 def random_trig_scalar(rng, dim, degree=2, amplitude=1.0):
@@ -217,7 +219,8 @@ def random_trig_scalar(rng, dim, degree=2, amplitude=1.0):
                     continue
                 term = float(ki) * xi
                 phase = term if phase is None else phase + term
-            acc = acc + ca * gcos(phase) + cb * gsin(phase)
+            sin, cos = gsincos(phase)
+            acc = acc + ca * cos + cb * sin
         return acc
 
     return f

@@ -77,6 +77,14 @@ class LocalTower:
     a layer's plain partials into delta_c = d/dx^c - N^m_c d/dy^m; the
     ``deltaX`` layers and the covariant derivatives of the Cartan trace are
     built on it.
+
+    A layer's own partials (``dgx``, ``dN_x``, ...) are taken by rebuilding
+    the tower at jet-valued coordinates, which evaluates F^2 under nested
+    jets.  Forms are differentiated without that: :meth:`seeded` returns a
+    child tower at the same point with one coordinate seeded, whose N,
+    Gamma, g and nabla0T are first-order jets of this tower's values and
+    cached partials, so a form kernel run on the child yields the form's
+    partial along that coordinate (``forms.form_partials``).
     """
 
     def __init__(self, s: FinslerStructure, xs, ys):
@@ -84,6 +92,18 @@ class LocalTower:
         self.xs = list(xs)
         self.ys = list(ys)
         self.n = s.dim
+
+    def seeded(self, which, m):
+        """Child tower at this point with coordinate m of x (``which`` = 0) or
+        of y (``which`` = 1) seeded by a fresh jet tag, ``child.tag``.
+
+        The child reads N, Gamma, g and nabla0T lazily, as jets of this
+        tower's values and its partials ``dN``, ``dGamma``, ``dgx`` or 2C,
+        and ``d_nabla0T``; every other layer is derived from these or
+        computed at the child's jet coordinates.  Hold a child only for the
+        call that needs it: a kept child keeps its layers alive.
+        """
+        return _SeededTower(self, which, m)
 
     def delta(self, dx, dy, rank):
         """Horizontal derivative ``out[c][components]`` of a rank-``rank``
@@ -277,6 +297,54 @@ class LocalTower:
             [dT[i][r] - sum_terms(Gamma[p][r][i] * nT[p] for p in range(n)) for r in range(n)]
             for i in range(n)
         ]
+
+
+class _SeededTower(LocalTower):
+    """Transient child of :meth:`LocalTower.seeded`."""
+
+    def __init__(self, parent, which, m):
+        self.parent, self.which, self.m = parent, which, m
+        self.tag = jets._new_tag()
+        coords = [list(parent.xs), list(parent.ys)]
+        coords[which][m] = jets.Jet([coords[which][m], 1.0], self.tag)
+        super().__init__(parent.s, *coords)
+
+    def _jets(self, value, partial, rank):
+        """Each component as the jet value + partial t.  A partial that is
+        the float ``0.0`` marks a component independent of the seeded
+        coordinate (``jets._taylor_coeff``), which stays the plain value."""
+
+        def component(idx):
+            d = tget(partial, idx)
+            if type(d) is float and d == 0.0:
+                return tget(value, idx)
+            return jets.Jet([tget(value, idx), d], self.tag)
+
+        return nested_build(self.n, rank, component)
+
+    def _partial(self, x_layer, y_layer):
+        return getattr(self.parent, y_layer if self.which else x_layer)[self.m]
+
+    @cached_property
+    def N(self):
+        return self._jets(self.parent.N, self._partial("dN_x", "dN_y"), 2)
+
+    @cached_property
+    def Gamma(self):
+        return self._jets(self.parent.Gamma, self._partial("dGamma_x", "dGamma_y"), 3)
+
+    @cached_property
+    def g(self):
+        if self.which:  # the y partial of g_ij is 2 C_mij
+            C = self.parent.C[self.m]
+            partial = nested_build(self.n, 2, lambda idx: 2.0 * tget(C, idx))
+        else:
+            partial = self.parent.dgx[self.m]
+        return self._jets(self.parent.g, partial, 2)
+
+    @cached_property
+    def nabla0T(self):
+        return self._jets(self.parent.nabla0T, self._partial("d_nabla0T_x", "d_nabla0T_y"), 1)
 
 
 def sum_terms(it):

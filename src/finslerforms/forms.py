@@ -10,6 +10,13 @@ quadrature grid with its cached tower, computes each connection layer once
 for all the forms it evaluates there.  Grids enter only through the
 quadrature module.
 
+Differentiation.  An operator takes the partials of the form it acts on
+from :func:`form_partials`: the form is evaluated on child towers of the
+tower at hand, each seeded along one coordinate (:meth:`LocalTower.seeded`).
+A child's N, Gamma, g and nabla0T are jets of the parent's cached values
+and partials, so on a tower that already holds those partials, as a warm
+grid tower does, differentiating a form evaluates no F^2 at all.
+
 Conventions.  A degree-p form is handed around as nested lists over all
 n^p index tuples, but its C(n, p) entries at increasing indices
 i1 < ... < ip are the only independent ones.  The operator kernels compute
@@ -116,11 +123,32 @@ def form_build(n, p, fn):
     return nested_build(n, p, entry)
 
 
+def form_partials(tower: LocalTower, form: HorizontalForm):
+    """(value, dx, dy) of a form's coefficients at the tower's point.
+
+    The partial along a coordinate is the form evaluated on the child tower
+    seeded along it (:meth:`LocalTower.seeded`), so an operator form reads
+    its connection layers as jets of ``tower``'s cached values and partials
+    instead of recomputing them from F^2 at jet coordinates.  A leaf form
+    sees only the seeded coordinates.  Each child is dropped after its pass.
+    """
+
+    def partial(which, m):
+        child = tower.seeded(which, m)
+        return jets.tree_map(lambda v: jets._taylor_coeff(v, child.tag, 1), form.on(child))
+
+    n = tower.n
+    return (
+        form.on(tower),
+        [partial(0, m) for m in range(n)],
+        [partial(1, m) for m in range(n)],
+    )
+
+
 def _lazy_cov_h(tower, form):
     """Memoized (h, idx) -> (nabla_h form)_idx, with the form's coefficients."""
-    p = form.degree
-    val, dx, dy = TensorField(form.coeffs, "l" * p).partials(tower.xs, tower.ys)
-    return functools.cache(cov_h_entry(tower, val, dx, dy, "l" * p)), val
+    val, dx, dy = form_partials(tower, form)
+    return functools.cache(cov_h_entry(tower, val, dx, dy, "l" * form.degree)), val
 
 
 def dH_coeffs(tower: LocalTower, phi: HorizontalForm):
@@ -309,17 +337,20 @@ class AssociatedForm:
     source: TensorField
 
 
+def lowered_form(s, X: TensorField, label="") -> HorizontalForm:
+    """The 1-form X_i = g_ij X^j, read off the metric of the tower at hand."""
+    n = s.dim
+
+    def kernel(tw):
+        Xv = X.components(tw.xs, tw.ys)
+        return [sum_terms(tw.g[i][j] * Xv[j] for j in range(n)) for i in range(n)]
+
+    return _operator_form(s, 1, kernel, label)
+
+
 def lowered_field(s, X: TensorField):
     """g-lowered components of a vector field as a generic evaluator."""
-
-    def comps(xs, ys):
-        tw = LocalTower(s, xs, ys)
-        Xv = X.components(xs, ys)
-        return [
-            sum_terms(tw.g[i][j] * Xv[j] for j in range(s.dim)) for i in range(s.dim)
-        ]
-
-    return comps
+    return lowered_form(s, X).coeffs
 
 
 def associate_one_form(s, X: TensorField) -> AssociatedForm:
@@ -328,7 +359,7 @@ def associate_one_form(s, X: TensorField) -> AssociatedForm:
     connection is h-metrical and nabla y = 0."""
     if X.variance != "u":
         raise DomainError("associated form needs a vector field (variance 'u')")
-    horizontal = HorizontalForm(1, lowered_field(s, X), label=f"assoc({X.label})")
+    horizontal = lowered_form(s, X, label=f"assoc({X.label})")
 
     def vertical(xs, ys):
         tw = LocalTower(s, xs, ys)
@@ -477,7 +508,7 @@ def energy_identity_residuals(s, X: TensorField, z, y=None):
     tower, _ = _point_tower(s, z, y)
     n = tower.n
     dW = jets.primal(deltaH_coeffs(tower, transport_form(s, X)))
-    dX = jets.primal(deltaH_coeffs(tower, HorizontalForm(1, lowered_field(s, X), label="X")))
+    dX = jets.primal(deltaH_coeffs(tower, lowered_form(s, X, label="X")))
 
     p2u = X.partials2(tower.xs, tower.ys)
     uval = p2u[0]

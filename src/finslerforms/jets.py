@@ -130,7 +130,7 @@ class Jet:
 
     def sincos(self):
         u0, u1 = self.coeffs
-        s0, c0 = gsin(u0), gcos(u0)
+        s0, c0 = gsincos(u0)
         return Jet([s0, 0.0 + u1 * c0], self.tag), Jet([c0, 0.0 - u1 * s0], self.tag)
 
     def __repr__(self):
@@ -151,6 +151,16 @@ def gsqrt(x):
             raise DomainError("sqrt of a non-positive scalar")
         return math.sqrt(x)
     return np.sqrt(x)
+
+
+def gsincos(x):
+    """(sin x, cos x) together: a jet level computes both from one call on
+    its primal, so k nested levels cost one sine and one cosine, not 2^k."""
+    if isinstance(x, Jet):
+        return x.sincos()
+    if isinstance(x, (float, int)):
+        return math.sin(x), math.cos(x)
+    return np.sin(x), np.cos(x)
 
 
 def gsin(x):

@@ -115,11 +115,12 @@ def grid_from_config(s, cfg) -> QuadratureGrid:
 
 
 def _parse_int(value, what, minimum=None):
-    """An integer as int() reads it; anything else is a ConfigError."""
-    try:
+    """An integer, or a float with an integral value; anything else (a
+    fraction, a bool, a string) is a ConfigError rather than truncated."""
+    if isinstance(value, float) and value.is_integer():
         value = int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{what} must be an integer") from None
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{what} must be at least {minimum}, got {value}")
     return value

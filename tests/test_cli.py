@@ -155,6 +155,31 @@ class TestScenarioRunner:
                 )
                 for comps in (["a", 1], [1], 5)
             ),
+            ({"seed": 1.5}, "'seed' must be an integer, got 1.5"),
+            ({"seed": True}, "'seed' must be an integer, got True"),
+            ({"seed": "3"}, "'seed' must be an integer"),
+            ({"metric": {"family": "euclidean", "dim": 2.7}}, "metric 'dim' must be an integer"),
+            (
+                {"tasks": [{"kind": "check", "params": {"which": "adjointness", "pairs": 1.5}}]},
+                "'pairs' must be an integer, got 1.5",
+            ),
+            (
+                {"tasks": [{"kind": "check", "params": {"which": "adjointness", "p": 0.9}}]},
+                "'p' must be an integer, got 0.9",
+            ),
+            (
+                {"tasks": [{"kind": "check", "params": {"which": "divergence", "forms": False}}]},
+                "'forms' must be an integer",
+            ),
+            (
+                {"tasks": [{"kind": "check", "params": {"which": "ricci-identity", "degree": 2.5}}]},
+                "'degree' must be an integer",
+            ),
+            (
+                {"tasks": [{"kind": "check", "params": {
+                    "which": "ricci-identity", "fields": float("inf")}}]},
+                "'fields' must be an integer",
+            ),
         ],
         ids=["unknown-kind", "task-not-object", "params-not-object", "point-without-y",
              "chart-without-bounds", "degree-not-integer", "grid-counts-not-integers",
@@ -164,11 +189,23 @@ class TestScenarioRunner:
              "adjointness-negative-degree", "no-pairs", "no-forms", "no-fields",
              "negative-points", "seed-not-integer", "dim-not-integer", "matrix-not-numbers",
              "drift-not-numbers", "chart-bound-not-number", "chart-bounds-not-pairs",
-             "components-not-numbers", "components-too-short", "components-not-list"],
+             "components-not-numbers", "components-too-short", "components-not-list",
+             "seed-fractional", "seed-bool", "seed-string", "dim-fractional",
+             "pairs-fractional", "p-fractional", "forms-bool", "degree-fractional",
+             "fields-infinite"],
     )
     def test_unknown_task_kind_rejected(self, doc, message):
         with pytest.raises(ConfigError, match=message):
             validate_scenario(doc)
+
+    def test_integral_floats_accepted(self):
+        doc = {
+            "seed": 2.0,
+            "metric": {"family": "euclidean", "dim": 2.0},
+            "tasks": [{"kind": "check", "params": {"which": "adjointness", "p": 1.0, "pairs": 2.0}}],
+        }
+        s, _ = validate_scenario(doc)
+        assert s.dim == 2
 
     def test_determinism_excluding_wall_times(self):
         """Identical scenario and seed produce identical reports."""

@@ -35,7 +35,7 @@ from finslerforms.forms import (
     weitzenbock_residual,
 )
 from finslerforms.jets import gcos, gsin, grad_x, grad_y
-from finslerforms.quadrature import QuadratureGrid
+from finslerforms.quadrature import QuadratureGrid, bochner_integral
 
 from conftest import sample_points
 
@@ -571,3 +571,103 @@ class TestConnectionIdentities:
             gamma_y = np.einsum("ijk,j->ik", np.asarray(tower.Gamma, float), np.asarray(z.y, float))
             assert np.max(np.abs(N)) > 1e-3
             assert np.max(np.abs(N - gamma_y)) <= self.TOL * np.max(np.abs(N))
+
+
+class TestSeededPartials:
+    """Forms differentiated on seeded child towers (forms.form_partials)."""
+
+    REL_TOL = 1e-14  # at a point, times the largest |partial| of the reference
+
+    @staticmethod
+    def grid_for(s):
+        if s.dim == 2:
+            return QuadratureGrid.for_structure(s, (8, 8), (16,))
+        return QuadratureGrid.for_structure(s, (8, 8, 8), (8, 8))
+
+    @staticmethod
+    def operator_forms(s, seed, composed=True):
+        """Operator forms of each kind; ``composed`` adds one whose children
+        differentiate a form in turn (seconds on 3D arrays, so optional)."""
+        rng = np.random.default_rng(seed)
+        X = bi.random_trig_vector(rng, s)
+        phi1, psi = bi.random_trig_form(rng, s, 1), bi.random_trig_form(rng, s, 2)
+        out = [
+            forms.transport_form(s, X),
+            forms.lowered_form(s, X),
+            horizontal_differential(s, phi1),
+            horizontal_codifferential(s, psi),
+        ]
+        if composed:
+            out.append(horizontal_codifferential(s, horizontal_differential(s, phi1)))
+        return out
+
+    @staticmethod
+    def packed(partials, degree):
+        val, dx, dy = partials
+        return [pack(val, degree)] + [pack(d, degree) for d in dx + dy]
+
+    @pytest.mark.parametrize("name", ["randers-base", "randers-torus-3d"])
+    def test_match_rebuilt_towers_on_arrays(self, name, randers_base):
+        s = metric_by_id(name, randers_base)
+        pts = sample_points(s, 12)
+        tower = LocalTower(
+            s, list(np.array([z.x for z in pts]).T), list(np.array([z.y for z in pts]).T)
+        )
+        for form in self.operator_forms(s, 51, composed=s.dim == 2):
+            got = self.packed(forms.form_partials(tower, form), form.degree)
+            ref = TensorField(form.coeffs, "l" * form.degree).partials(tower.xs, tower.ys)
+            want = self.packed(ref, form.degree)
+            assert max(np.max(np.abs(w)) for w in want[1:]) > 0.0, form.label
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b), form.label
+
+    @pytest.mark.parametrize("name", ["randers-base", "randers-torus-3d"])
+    def test_match_rebuilt_towers_at_a_point(self, name, randers_base):
+        s = metric_by_id(name, randers_base)
+        z = trig_point(s)
+        tower = LocalTower(s, list(z.x), list(z.y))
+        for form in self.operator_forms(s, 52):
+            got = self.packed(forms.form_partials(tower, form), form.degree)
+            ref = TensorField(form.coeffs, "l" * form.degree).partials(tower.xs, tower.ys)
+            want = self.packed(ref, form.degree)
+            scale = max(np.max(np.abs(w)) for w in want)
+            for a, b in zip(got, want):
+                assert np.max(np.abs(a - b)) <= self.REL_TOL * scale, form.label
+
+    @pytest.mark.parametrize("name", ["randers-base", "randers-torus-3d"])
+    def test_warm_grid_evaluates_no_f2(self, name, randers_base, monkeypatch):
+        """Once the grid tower holds its layers and their partials, a Bochner
+        integral and d_H, delta_H of operator forms read them alone."""
+        s = metric_by_id(name, randers_base)
+        grid = self.grid_for(s)
+        tower = grid.tower(s)
+        calls = []
+        f2 = s._f2
+
+        def counted(xs, ys):
+            calls.append(1)
+            return f2(xs, ys)
+
+        monkeypatch.setattr(s, "_f2", counted)
+        for seed, expect_cold in ((61, True), (62, False)):
+            calls.clear()
+            rng = np.random.default_rng(seed)
+            bochner_integral(s, bi.random_trig_vector(rng, s), grid)
+            phi1, psi = bi.random_trig_form(rng, s, 1), bi.random_trig_form(rng, s, 2)
+            deltaH_coeffs(tower, horizontal_differential(s, phi1))
+            dH_coeffs(tower, horizontal_codifferential(s, psi))
+            assert bool(calls) == expect_cold, (seed, len(calls))
+
+    def test_independent_coordinate_keeps_parent_value(self):
+        """On a metric that does not depend on x, an x-seeded child reads the
+        parent's N, Gamma, g and nabla0T unchanged rather than as jets."""
+        s = bi.get_metric("randers-torus-3d")
+        z = trig_point(s)
+        tower = LocalTower(s, list(z.x), list(z.y))
+        child = tower.seeded(0, 1)
+        for layer, rank in (("N", 2), ("Gamma", 3), ("g", 2), ("nabla0T", 1)):
+            got, want = getattr(child, layer), getattr(tower, layer)
+            for idx in itertools.product(range(s.dim), repeat=rank):
+                assert tget(got, idx) is tget(want, idx), (layer, idx)
+        y_child = tower.seeded(1, 0)
+        assert isinstance(y_child.N[0][0], jets.Jet)
