@@ -21,6 +21,7 @@ from . import forms as forms_mod
 from . import jets
 from . import quadrature as quad
 from . import scenario as scenario_mod
+from .connection import pack
 from .errors import ConfigError, DomainError, FinslerError, GridError
 
 
@@ -70,6 +71,11 @@ def _emit(doc, out, fmt):
         raise DomainError(f"report holds a non-finite value: {exc}") from None
     if fmt == "csv":
         text = _to_csv(doc)
+    _write(text, out)
+
+
+def _write(text, out):
+    """The one place a report is written: to the file ``out``, or stdout."""
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -129,31 +135,23 @@ def cmd_curvature(args):
 
 
 def cmd_laplacian(args):
+    if args.points and args.format != "csv":
+        raise ConfigError("--points emits per-node CSV rows; it needs --format csv")
     s = scenario_mod.metric_from_config(_metric_arg(args))
     grid = _parse_grid(s, args.grid, args.tol_grid)
     phi = bi.get_form(args.form, s)
+    if args.points:
+        _write(_laplacian_pointwise_csv(s, phi, grid), args.out)
+        return 0
     report = forms_mod.is_h_harmonic(s, phi, grid, tol=args.tol)
     doc = {"metric": s.label, "form": phi.label, "grid": grid.meta(), **report}
-    if args.format == "csv" and args.points:
-        doc = _laplacian_pointwise_csv(s, phi, grid)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(doc)
-        else:
-            sys.stdout.write(doc)
-        return 0
     _emit(doc, args.out, args.format)
     return 0
 
 
 def _laplacian_pointwise_csv(s, phi, grid):
     """Per-node rows: base coords, fiber angles, Laplacian components."""
-    xs, ys = grid.coords_for(s)
-    tower = grid.tower(s)
-    vals = forms_mod.laplacian_expansion_coeffs(tower, phi)
-    from .connection import pack
-
-    arr = pack(vals, phi.degree)
+    arr = pack(forms_mod.laplacian_expansion_coeffs(grid.tower(s), phi), phi.degree)
     if not np.all(np.isfinite(arr)):
         raise DomainError("Laplacian is not finite at some node")
     arr = np.broadcast_to(arr, arr.shape[: phi.degree] + grid.shape)
@@ -184,7 +182,8 @@ def cmd_integrate(args):
 def cmd_check(args):
     s = scenario_mod.metric_from_config(_metric_arg(args))
     grid = _parse_grid(s, args.grid, args.tol_grid)
-    rng = np.random.default_rng(args.seed)
+    seed = scenario_mod._parse_int(args.seed, "--seed", minimum=0)
+    rng = np.random.default_rng(seed)
     params = {"which": args.which}
     if args.which == "adjointness":
         params["p"] = args.p
@@ -199,7 +198,7 @@ def cmd_check(args):
     scenario_mod.validate_task(s, {"kind": "check", "params": params}, "check")
     result, ok = scenario_mod.run_task(s, grid, "check", params, args.tol, rng)
     _emit(
-        {"metric": s.label, "grid": grid.meta(), "seed": args.seed, "pass": bool(ok), **result},
+        {"metric": s.label, "grid": grid.meta(), "seed": seed, "pass": bool(ok), **result},
         args.out,
         args.format,
     )
@@ -286,7 +285,9 @@ def build_parser():
     sp = sub.add_parser("laplacian", help="grid norms and verdict for a named form")
     sp.add_argument("--form", default="dx1")
     sp.add_argument("--tol", default=1e-8)
-    sp.add_argument("--points", action="store_true", help="emit per-node CSV components")
+    sp.add_argument(
+        "--points", action="store_true", help="emit per-node CSV components (needs --format csv)"
+    )
     common(sp, grid=True)
     sp.set_defaults(fn=cmd_laplacian)
 

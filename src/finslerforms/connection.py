@@ -3,8 +3,16 @@
 The central object is :class:`LocalTower`, a lazily evaluated cache of the
 whole connection tower at one evaluation point.  The point coordinates may
 be floats (pointwise use), batched numpy arrays (whole quadrature grids at
-once) or jets (which is how the curvature layer differentiates the tower:
-it simply rebuilds it at jet-valued coordinates).
+once) or jets.
+
+A tower is differentiated in two ways.  A layer's own partials (``dN_x``,
+``dGamma_y``, ... through :func:`_rebuilt_partial`, and ``dgx``, ``dT_x``)
+rebuild the tower at jet-valued coordinates, which evaluates F^2 under
+nested jets; the curvature blocks are built on these.  Whatever is computed
+from the tower's layers is differentiated on seeded children instead
+(:meth:`LocalTower.partials`): the partials of forms, and of nabla T inside
+nabla nabla T (:func:`cov_hh`), are read off the kernel run on a child whose
+layers are jets of the parent's cached values and partials.
 """
 
 from __future__ import annotations
@@ -80,11 +88,12 @@ class LocalTower:
 
     A layer's own partials (``dgx``, ``dN_x``, ...) are taken by rebuilding
     the tower at jet-valued coordinates, which evaluates F^2 under nested
-    jets.  Forms are differentiated without that: :meth:`seeded` returns a
-    child tower at the same point with one coordinate seeded, whose N,
-    Gamma, g and nabla0T are first-order jets of this tower's values and
-    cached partials, so a form kernel run on the child yields the form's
-    partial along that coordinate (``forms.form_partials``).
+    jets.  Kernels computed from the layers, such as forms and nabla T, are
+    differentiated without that: :meth:`seeded` returns a child tower at the
+    same point with one coordinate seeded, whose N, Gamma, g and nabla0T are
+    first-order jets of this tower's values and cached partials, so a kernel
+    run on the child yields its partial along that coordinate
+    (:meth:`partials`).
     """
 
     def __init__(self, s: FinslerStructure, xs, ys):
@@ -104,6 +113,24 @@ class LocalTower:
         call that needs it: a kept child keeps its layers alive.
         """
         return _SeededTower(self, which, m)
+
+    def partials(self, kernel):
+        """(value, dx, dy) of ``kernel(tower)`` (nested components) at this point.
+
+        The partial along a coordinate is the kernel run on the child seeded
+        along it (:meth:`seeded`), so a kernel reads its connection layers as
+        jets of this tower's cached values and partials instead of
+        recomputing them from F^2 at jet coordinates.  A kernel that reads
+        only the coordinates, such as a leaf form, sees the seeded
+        coordinate alone.  Each child is dropped after its pass.
+        """
+
+        def partial(which, m):
+            child = self.seeded(which, m)
+            return jets.tree_map(lambda v: jets._taylor_coeff(v, child.tag, 1), kernel(child))
+
+        n = self.n
+        return kernel(self), [partial(0, m) for m in range(n)], [partial(1, m) for m in range(n)]
 
     def delta(self, dx, dy, rank):
         """Horizontal derivative ``out[c][components]`` of a rank-``rank``
@@ -372,25 +399,17 @@ def cov_h_entry(tower, val, dx, dy, variance):
     """The horizontal covariant derivative one entry at a time.
 
     Returns ``entry(h, idx)`` = (nabla_h T)_idx for the field of :func:`cov_h`,
-    so a caller that needs a few entries computes only those.  Sign rule:
-    minus Gamma terms on lower slots, plus on upper slots.
+    so a caller that needs a few entries computes only those.
     """
     n = tower.n
-    N, Gamma = tower.N, tower.Gamma
+    N = tower.N
+    slots = _slot_terms(n, val, variance, tower.Gamma)
 
     def entry(h, idx):
         acc = tget(dx[h], idx)
         for m in range(n):
             acc = acc - N[m][h] * tget(dy[m], idx)
-        for t, var in enumerate(variance):
-            it = idx[t]
-            for p in range(n):
-                jdx = idx[:t] + (p,) + idx[t + 1 :]
-                if var == "l":
-                    acc = acc - tget(val, jdx) * Gamma[p][it][h]
-                else:
-                    acc = acc + tget(val, jdx) * Gamma[it][p][h]
-        return acc
+        return slots(acc, h, idx)
 
     return entry
 
@@ -398,71 +417,51 @@ def cov_h_entry(tower, val, dx, dy, variance):
 def cov_v(tower, val, dy, variance):
     """Vertical covariant derivative; returns nested [h][components]."""
     n = tower.n
-    rank = len(variance)
-    Cmix = tower.Cmix
+    slots = _slot_terms(n, val, variance, tower.Cmix)
+    return [
+        nested_build(n, len(variance), lambda idx, h=h: slots(tget(dy[h], idx), h, idx))
+        for h in range(n)
+    ]
 
-    def entry(h, idx):
-        acc = tget(dy[h], idx)
+
+def _slot_terms(n, val, variance, coeffs):
+    """``add(acc, h, idx)``: acc plus the connection terms of each slot of the
+    field ``val``, with ``coeffs`` Gamma (horizontal) or Cmix (vertical).
+    Sign rule: minus on lower slots, plus on upper slots."""
+
+    def add(acc, h, idx):
         for t, var in enumerate(variance):
             it = idx[t]
             for p in range(n):
                 jdx = idx[:t] + (p,) + idx[t + 1 :]
                 if var == "l":
-                    acc = acc - tget(val, jdx) * Cmix[p][it][h]
+                    acc = acc - tget(val, jdx) * coeffs[p][it][h]
                 else:
-                    acc = acc + tget(val, jdx) * Cmix[it][p][h]
+                    acc = acc + tget(val, jdx) * coeffs[it][p][h]
         return acc
 
-    return [nested_build(n, rank, lambda idx, h=h: entry(h, idx)) for h in range(n)]
+    return add
 
 
-def cov_hh(tower, p2, variance):
-    """Second horizontal covariant derivative from second-order partials.
+def cov_hh(tower, first, variance):
+    """Second horizontal covariant derivative, the covariant derivative of nabla T.
 
-    ``p2`` is the 6-tuple (val, dx, dy, dxx, dxy, dyy) of a tensor field,
-    with ``dxy[c][m]`` the x_c partial of the y_m partial.  Returns nested
-    ``out[a][b][components]`` holding nabla_a nabla_b T.
+    ``first(tw)`` returns the field's (val, dx, dy) at a tower ``tw``:
+    ``lambda tw: X.partials(tw.xs, tw.ys)`` for a :class:`TensorField`,
+    ``lambda tw: tw.partials(form.on)`` for a form.  nabla T is the kernel
+    tw -> cov_h(tw, *first(tw), variance), and its partials are read off
+    the seeded children of ``tower`` (:meth:`LocalTower.partials`).  Returns
+    ``(first(tower), W, D)``, each computed once: ``W[b][components]`` holds
+    nabla_b T and ``D[a][b][components]`` nabla_a nabla_b T.
     """
-    n = tower.n
-    rank = len(variance)
-    val, dx, dy, dxx, dxy, dyy = p2
-    N, Gamma = tower.N, tower.Gamma
-    dN_x, dN_y = tower.dN_x, tower.dN_y
-    dG_x, dG_y = tower.dGamma_x, tower.dGamma_y
 
-    W = cov_h(tower, val, dx, dy, variance)
+    def kernel(tw):
+        p1 = first(tw)
+        return [p1, cov_h(tw, *p1, variance)]
 
-    def dW_entry(kind, c, b, idx):
-        # plain partial (x if kind == 0 else y, axis c) of (nabla_b T)_idx
-        if kind == 0:
-            acc = tget(dxx[c][b], idx)
-            dN, dG, dT1 = dN_x, dG_x, dx
-            for m in range(n):
-                acc = acc - dN[c][m][b] * tget(dy[m], idx) - N[m][b] * tget(dxy[c][m], idx)
-        else:
-            acc = tget(dxy[b][c], idx)
-            dN, dG, dT1 = dN_y, dG_y, dy
-            for m in range(n):
-                acc = acc - dN[c][m][b] * tget(dy[m], idx) - N[m][b] * tget(dyy[c][m], idx)
-        for t, var in enumerate(variance):
-            it = idx[t]
-            for p in range(n):
-                jdx = idx[:t] + (p,) + idx[t + 1 :]
-                if var == "l":
-                    acc = acc - tget(val, jdx) * dG[c][p][it][b] - tget(dT1[c], jdx) * Gamma[p][it][b]
-                else:
-                    acc = acc + tget(val, jdx) * dG[c][it][p][b] + tget(dT1[c], jdx) * Gamma[it][p][b]
-        return acc
-
-    dWx = [
-        [nested_build(n, rank, lambda idx, c=c, b=b: dW_entry(0, c, b, idx)) for b in range(n)]
-        for c in range(n)
-    ]
-    dWy = [
-        [nested_build(n, rank, lambda idx, c=c, b=b: dW_entry(1, c, b, idx)) for b in range(n)]
-        for c in range(n)
-    ]
-    return cov_h(tower, W, dWx, dWy, "l" + variance)
+    (p1, W), dx, dy = tower.partials(kernel)
+    D = cov_h(tower, W, [d[1] for d in dx], [d[1] for d in dy], "l" + variance)
+    return p1, W, D
 
 
 # -- tensor fields ---------------------------------------------------------------

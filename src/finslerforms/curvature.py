@@ -164,10 +164,9 @@ def ricci_identity_residual(s, X: TensorField, z, y=None):
         raise DomainError("ricci identity residual expects a vector field (variance 'u')")
     tower, pt = _point_tower(s, z, y)
     n = tower.n
-    p2 = X.partials2(tower.xs, tower.ys)
-    D = cov_hh(tower, p2, "u")  # D[a][b][i] = nabla_a nabla_b X^i
-    val = p2[0]
-    vt = cov_v(tower, val, p2[2], "u")  # vt[r][i] = vertical derivative
+    # D[a][b][i] = nabla_a nabla_b X^i
+    (val, _, dy), _, D = cov_hh(tower, lambda tw: X.partials(tw.xs, tw.ys), "u")
+    vt = cov_v(tower, val, dy, "u")  # vt[r][i] = vertical derivative
     hh = hh_components(tower)
     flag = tower.flag
 

@@ -11,11 +11,14 @@ for all the forms it evaluates there.  Grids enter only through the
 quadrature module.
 
 Differentiation.  An operator takes the partials of the form it acts on
-from :func:`form_partials`: the form is evaluated on child towers of the
-tower at hand, each seeded along one coordinate (:meth:`LocalTower.seeded`).
-A child's N, Gamma, g and nabla0T are jets of the parent's cached values
-and partials, so on a tower that already holds those partials, as a warm
-grid tower does, differentiating a form evaluates no F^2 at all.
+from ``tower.partials(form.on)`` (:meth:`LocalTower.partials`): the form is
+evaluated on child towers of the tower at hand, each seeded along one
+coordinate.  A child's N, Gamma, g and nabla0T are jets of the parent's
+cached values and partials, so on a tower that already holds those
+partials, as a warm grid tower does, differentiating a form evaluates no
+F^2 at all.  Second covariant derivatives (:func:`cov_hh`) differentiate
+nabla phi on the same children, so they too read only cached layers when
+phi is a leaf form.
 
 Conventions.  A degree-p form is handed around as nested lists over all
 n^p index tuples, but its C(n, p) entries at increasing indices
@@ -123,31 +126,9 @@ def form_build(n, p, fn):
     return nested_build(n, p, entry)
 
 
-def form_partials(tower: LocalTower, form: HorizontalForm):
-    """(value, dx, dy) of a form's coefficients at the tower's point.
-
-    The partial along a coordinate is the form evaluated on the child tower
-    seeded along it (:meth:`LocalTower.seeded`), so an operator form reads
-    its connection layers as jets of ``tower``'s cached values and partials
-    instead of recomputing them from F^2 at jet coordinates.  A leaf form
-    sees only the seeded coordinates.  Each child is dropped after its pass.
-    """
-
-    def partial(which, m):
-        child = tower.seeded(which, m)
-        return jets.tree_map(lambda v: jets._taylor_coeff(v, child.tag, 1), form.on(child))
-
-    n = tower.n
-    return (
-        form.on(tower),
-        [partial(0, m) for m in range(n)],
-        [partial(1, m) for m in range(n)],
-    )
-
-
 def _lazy_cov_h(tower, form):
     """Memoized (h, idx) -> (nabla_h form)_idx, with the form's coefficients."""
-    val, dx, dy = form_partials(tower, form)
+    val, dx, dy = tower.partials(form.on)
     return functools.cache(cov_h_entry(tower, val, dx, dy, "l" * form.degree)), val
 
 
@@ -200,10 +181,8 @@ def laplacian_expansion_coeffs(tower: LocalTower, phi: HorizontalForm):
     corrections from the Cartan trace, and its covariant derivative."""
     n = tower.n
     p = phi.degree
-    p2 = TensorField(phi.coeffs, "l" * p).partials2(tower.xs, tower.ys)
-    val = p2[0]
-    nab = cov_h(tower, val, p2[1], p2[2], "l" * p)
-    D = cov_hh(tower, p2, "l" * p)  # D[a][b][I] = nabla_a nabla_b phi_I
+    # D[a][b][I] = nabla_a nabla_b phi_I
+    (val, _, _), nab, D = cov_hh(tower, lambda tw: tw.partials(phi.on), "l" * p)
     gi = tower.gi
     nT = tower.nabla0T
     nnT = tower.nabla_nabla0T  # nnT[i][r] = nabla_i (nabla_0 T)_r
@@ -348,11 +327,6 @@ def lowered_form(s, X: TensorField, label="") -> HorizontalForm:
     return _operator_form(s, 1, kernel, label)
 
 
-def lowered_field(s, X: TensorField):
-    """g-lowered components of a vector field as a generic evaluator."""
-    return lowered_form(s, X).coeffs
-
-
 def associate_one_form(s, X: TensorField) -> AssociatedForm:
     """Horizontal part g_ij X^j; vertical part (g_ij nabla_0 X^j - y_i (y_j nabla_0 X^j)
     / F^2) / F, which is (nabla_0 X_i - y_i nabla_0 (y_j X^j) / F^2) / F since the
@@ -390,10 +364,8 @@ def weitzenbock_residual(s, X: TensorField, z, y=None):
 
     tower, pt = _point_tower(s, z, y)
     n = tower.n
-    p2 = TensorField(lowered_field(s, X), "l").partials2(tower.xs, tower.ys)
-    val = p2[0]
-    nab = cov_h(tower, val, p2[1], p2[2], "l")
-    D = cov_hh(tower, p2, "l")
+    low = lowered_form(s, X)
+    (val, _, _), nab, D = cov_hh(tower, lambda tw: tw.partials(low.on), "l")
     gi = tower.gi
     nT = tower.nabla0T
     nnT = tower.nabla_nabla0T
@@ -510,10 +482,8 @@ def energy_identity_residuals(s, X: TensorField, z, y=None):
     dW = jets.primal(deltaH_coeffs(tower, transport_form(s, X)))
     dX = jets.primal(deltaH_coeffs(tower, lowered_form(s, X, label="X")))
 
-    p2u = X.partials2(tower.xs, tower.ys)
-    uval = p2u[0]
-    nabU = cov_h(tower, uval, p2u[1], p2u[2], "u")
-    D2U = cov_hh(tower, p2u, "u")  # D2U[a][b][j] = nabla_a nabla_b X^j
+    # D2U[a][b][j] = nabla_a nabla_b X^j
+    (uval, _, _), nabU, D2U = cov_hh(tower, lambda tw: X.partials(tw.xs, tw.ys), "u")
     divX = sum_terms(nabU[j][j] for j in range(n))
     comm = sum_terms(
         uval[k] * (D2U[j][k][j] - D2U[k][j][j]) for k in range(n) for j in range(n)

@@ -148,6 +148,10 @@ def _parse_point(s, params):
         raise ConfigError("'at' point has wrong dimension")
     if not all(math.isfinite(v) for v in x + y):
         raise ConfigError("'at' point has a non-finite coordinate")
+    if not any(y):
+        raise ConfigError("'at' tangent vector y is zero")
+    if not s.chart.contains(x):
+        raise ConfigError(f"'at' point x={x} is outside the chart domain")
     return x, y
 
 

@@ -180,6 +180,15 @@ class TestScenarioRunner:
                     "which": "ricci-identity", "fields": float("inf")}}]},
                 "'fields' must be an integer",
             ),
+            (
+                {"tasks": [{"kind": "tensor", "params": {"at": {"x": [0.1, 0.2], "y": [0, 0]}}}]},
+                "'at' tangent vector y is zero",
+            ),
+            (
+                {"metric": "riemannian-sphere", "tasks": [{"kind": "curvature", "params": {
+                    "at": {"x": [0.01, 0.2], "y": [1, 0]}}}]},
+                r"'at' point x=\[0.01, 0.2\] is outside the chart domain",
+            ),
         ],
         ids=["unknown-kind", "task-not-object", "params-not-object", "point-without-y",
              "chart-without-bounds", "degree-not-integer", "grid-counts-not-integers",
@@ -192,7 +201,7 @@ class TestScenarioRunner:
              "components-not-numbers", "components-too-short", "components-not-list",
              "seed-fractional", "seed-bool", "seed-string", "dim-fractional",
              "pairs-fractional", "p-fractional", "forms-bool", "degree-fractional",
-             "fields-infinite"],
+             "fields-infinite", "point-zero-y", "point-outside-chart"],
     )
     def test_unknown_task_kind_rejected(self, doc, message):
         with pytest.raises(ConfigError, match=message):
@@ -363,6 +372,26 @@ class TestCommandLine:
         assert lines[0].startswith("x1,x2,theta1")
         assert len(lines) == 1 + 8 * 8 * 8
 
+    def test_laplacian_points_computes_only_the_expansion(self, capsys, tmp_path, monkeypatch):
+        """--points writes per-node rows through the output helper and runs
+        no grid norms; without --format csv it is a configuration error."""
+        from finslerforms import forms
+
+        def no_norms(*args, **kwargs):
+            raise AssertionError("--points ran is_h_harmonic")
+
+        monkeypatch.setattr(forms, "is_h_harmonic", no_norms)
+        path = tmp_path / "lap.csv"
+        argv = ("laplacian", "--metric", "euclidean", "--form", "sin-x1-dx1", "--grid", "8,8x8")
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv", "--points", "--out", str(path))
+        assert code == 0 and out == ""
+        lines = path.read_text().strip().splitlines()
+        assert lines[0].startswith("x1,x2,theta1") and len(lines) == 1 + 8 * 8 * 8
+        code, out, err = run_cli(capsys, *argv, "--points")
+        assert code == 2
+        assert out == ""
+        assert "configuration error" in err and "--points" in err
+
     def test_csv_floats_carry_full_precision(self, capsys):
         code, out, _ = run_cli(
             capsys, "integrate", "--metric", "euclidean", "--grid", "16,16x16", "--format", "csv"
@@ -432,9 +461,10 @@ class TestCommandLine:
             (("check", "divergence", "--tol", "x"), "--tol must be a number"),
             (("integrate", "--tol-grid", "-5"), "--tol-grid must be a finite number >= 0"),
             (("laplacian", "--tol-grid", "inf"), "--tol-grid must be a finite number >= 0"),
+            (("check", "divergence", "--seed", "-1"), "--seed must be at least 0, got -1"),
         ],
         ids=["check-tol-negative", "laplacian-tol-nan", "check-tol-not-number",
-             "integrate-tol-grid-negative", "laplacian-tol-grid-inf"],
+             "integrate-tol-grid-negative", "laplacian-tol-grid-inf", "check-seed-negative"],
     )
     def test_bad_tolerance_flag_is_a_config_error(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv, "--metric", "euclidean", "--grid", "8,8x8")

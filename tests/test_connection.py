@@ -10,15 +10,19 @@ from finslerforms.connection import (
     TensorField,
     _point_tower,
     cartan_coefficients,
+    cov_h,
+    cov_hh,
     delta_derivative,
     h_covariant_derivative,
     nabla_0,
+    nested_build,
     nonlinear_connection,
     pack,
     spray,
+    tget,
     v_covariant_derivative,
 )
-from finslerforms.jets import JetRequest, fd_partial, gsqrt
+from finslerforms.jets import JetRequest, fd_partial, gsin, gsqrt
 from finslerforms.metric import metric_components
 
 from conftest import sample_points
@@ -250,6 +254,105 @@ class TestBaseDependentRanders:
             for c in range(2):
                 expected = dx[c] - sum(N[m, c] * dy[m] for m in range(2))
                 assert abs(dC[c, h, k, j] - expected) < 1e-6
+
+
+# -- the parent's second covariant derivative, kept as a reference ------------------
+
+
+def reference_cov_hh(tower, p2, variance):
+    """nabla nabla T by the product rule on the 6-tuple (val, dx, dy, dxx, dxy,
+    dyy) of ``TensorField.partials2``, reading dN and dGamma directly."""
+    n = tower.n
+    rank = len(variance)
+    val, dx, dy, dxx, dxy, dyy = p2
+    N, Gamma = tower.N, tower.Gamma
+    dN_x, dN_y = tower.dN_x, tower.dN_y
+    dG_x, dG_y = tower.dGamma_x, tower.dGamma_y
+    W = cov_h(tower, val, dx, dy, variance)
+
+    def dW_entry(kind, c, b, idx):
+        # plain partial (x if kind == 0 else y, axis c) of (nabla_b T)_idx
+        if kind == 0:
+            acc = tget(dxx[c][b], idx)
+            dN, dG, dT1 = dN_x, dG_x, dx
+            for m in range(n):
+                acc = acc - dN[c][m][b] * tget(dy[m], idx) - N[m][b] * tget(dxy[c][m], idx)
+        else:
+            acc = tget(dxy[b][c], idx)
+            dN, dG, dT1 = dN_y, dG_y, dy
+            for m in range(n):
+                acc = acc - dN[c][m][b] * tget(dy[m], idx) - N[m][b] * tget(dyy[c][m], idx)
+        for t, var in enumerate(variance):
+            it = idx[t]
+            for p in range(n):
+                jdx = idx[:t] + (p,) + idx[t + 1 :]
+                if var == "l":
+                    acc = acc - tget(val, jdx) * dG[c][p][it][b] - tget(dT1[c], jdx) * Gamma[p][it][b]
+                else:
+                    acc = acc + tget(val, jdx) * dG[c][it][p][b] + tget(dT1[c], jdx) * Gamma[it][p][b]
+        return acc
+
+    dWx = [
+        [nested_build(n, rank, lambda idx, c=c, b=b: dW_entry(0, c, b, idx)) for b in range(n)]
+        for c in range(n)
+    ]
+    dWy = [
+        [nested_build(n, rank, lambda idx, c=c, b=b: dW_entry(1, c, b, idx)) for b in range(n)]
+        for c in range(n)
+    ]
+    return cov_h(tower, W, dWx, dWy, "l" + variance)
+
+
+def trig_tensor_field(s, variance, seed):
+    """Rank-len(variance) field with trigonometric x-dependence and a
+    y-dependent part, so that every term of nabla nabla T is exercised."""
+    n, rank = s.dim, len(variance)
+    rng = np.random.default_rng(seed)
+    fns = {idx: bi.random_trig_scalar(rng, n) for idx in itertools.product(range(n), repeat=rank)}
+
+    def fn(xs, ys):
+        weight = 1.0 + 0.3 * ys[0] * ys[-1]
+        return nested_build(
+            n, rank, lambda idx: fns[idx](xs) * weight + gsin(xs[0]) * ys[idx[-1]]
+        )
+
+    return TensorField(fn, variance)
+
+
+class TestSecondCovariantDerivative:
+    """cov_hh, the covariant derivative of nabla T read off seeded children,
+    against the parent's product rule on second partials."""
+
+    REL_TOL = 1e-14  # times the largest |entry| of the reference
+
+    @pytest.mark.parametrize("name", ["randers-base", "randers-torus-3d"])
+    @pytest.mark.parametrize("variance", ["u", "l", "ll"])
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_matches_product_rule(self, name, variance, batch, randers_base):
+        s = randers_base if name == "randers-base" else bi.get_metric(name)
+        T = trig_tensor_field(s, variance, seed=71)
+        if batch:
+            pts = sample_points(s, 6)
+            towers = [
+                LocalTower(
+                    s, list(np.array([z.x for z in pts]).T), list(np.array([z.y for z in pts]).T)
+                )
+            ]
+        else:
+            towers = [LocalTower(s, list(z.x), list(z.y)) for z in sample_points(s, 3)]
+        rank = len(variance)
+        for tower in towers:
+            p1, W, D = cov_hh(tower, lambda tw: T.partials(tw.xs, tw.ys), variance)
+            want = reference_cov_hh(tower, T.partials2(tower.xs, tower.ys), variance)
+            want, got = pack(want, rank + 2), pack(D, rank + 2)
+            scale = np.max(np.abs(want))
+            assert scale > 1e-3
+            assert np.max(np.abs(got - want)) <= self.REL_TOL * scale
+            # the field and nabla T come back as computed at the tower, bit for bit
+            val, dx, dy = T.partials(tower.xs, tower.ys)
+            assert np.array_equal(pack(p1[0], rank), pack(val, rank))
+            nab = cov_h(tower, val, dx, dy, variance)
+            assert np.array_equal(pack(W, rank + 1), pack(nab, rank + 1))
 
 
 class TestPack:

@@ -31,6 +31,7 @@ from finslerforms.forms import (
     inner_coeffs,
     is_h_harmonic,
     laplacian_expansion,
+    laplacian_expansion_coeffs,
     pointwise_inner,
     weitzenbock_residual,
 )
@@ -457,7 +458,7 @@ def reference_transport_forms(s, X):
     """Y = X^k nabla_k X_i dx^i and Z = X_i nabla_j X^j dx^i, each differentiating
     the lowered field g.X through its own towers."""
     n = s.dim
-    low = forms.lowered_field(s, X)
+    low = forms.lowered_form(s, X).coeffs
 
     def Y_coeffs(a, b):
         tw = LocalTower(s, a, b)
@@ -481,7 +482,7 @@ def reference_vertical(s, X, xs, ys):
     """(nabla_0 X_i - y_i nabla_0 w / F^2) / F with nabla_0 X_i taken on the
     lowered field and w = g_ij y^i X^j differentiated as a scalar."""
     n = s.dim
-    low = forms.lowered_field(s, X)
+    low = forms.lowered_form(s, X).coeffs
     tw = LocalTower(s, xs, ys)
     val, dx, dy = TensorField(low, "l").partials(xs, ys)
     nab = cov_h(tw, val, dx, dy, "l")
@@ -553,7 +554,8 @@ class TestConnectionIdentities:
         for z in sample_points(s, 3):
             tower = LocalTower(s, list(z.x), list(z.y))
             assert np.max(np.abs(np.asarray(tower.Gamma, float))) > 1e-3
-            val, dx, dy = TensorField(forms.lowered_field(s, X), "l").partials(tower.xs, tower.ys)
+            flat = TensorField(forms.lowered_form(s, X).coeffs, "l")
+            val, dx, dy = flat.partials(tower.xs, tower.ys)
             of_lowered = np.asarray(cov_h(tower, val, dx, dy, "l"), float)
             val, dx, dy = X.partials(tower.xs, tower.ys)
             nabU = np.asarray(cov_h(tower, val, dx, dy, "u"), float)
@@ -574,7 +576,7 @@ class TestConnectionIdentities:
 
 
 class TestSeededPartials:
-    """Forms differentiated on seeded child towers (forms.form_partials)."""
+    """Forms differentiated on seeded child towers (LocalTower.partials)."""
 
     REL_TOL = 1e-14  # at a point, times the largest |partial| of the reference
 
@@ -614,7 +616,7 @@ class TestSeededPartials:
             s, list(np.array([z.x for z in pts]).T), list(np.array([z.y for z in pts]).T)
         )
         for form in self.operator_forms(s, 51, composed=s.dim == 2):
-            got = self.packed(forms.form_partials(tower, form), form.degree)
+            got = self.packed(tower.partials(form.on), form.degree)
             ref = TensorField(form.coeffs, "l" * form.degree).partials(tower.xs, tower.ys)
             want = self.packed(ref, form.degree)
             assert max(np.max(np.abs(w)) for w in want[1:]) > 0.0, form.label
@@ -627,7 +629,7 @@ class TestSeededPartials:
         z = trig_point(s)
         tower = LocalTower(s, list(z.x), list(z.y))
         for form in self.operator_forms(s, 52):
-            got = self.packed(forms.form_partials(tower, form), form.degree)
+            got = self.packed(tower.partials(form.on), form.degree)
             ref = TensorField(form.coeffs, "l" * form.degree).partials(tower.xs, tower.ys)
             want = self.packed(ref, form.degree)
             scale = max(np.max(np.abs(w)) for w in want)
@@ -637,7 +639,8 @@ class TestSeededPartials:
     @pytest.mark.parametrize("name", ["randers-base", "randers-torus-3d"])
     def test_warm_grid_evaluates_no_f2(self, name, randers_base, monkeypatch):
         """Once the grid tower holds its layers and their partials, a Bochner
-        integral and d_H, delta_H of operator forms read them alone."""
+        integral, d_H and delta_H of operator forms and the expanded Laplacian
+        (second covariant derivatives) of a leaf form read them alone."""
         s = metric_by_id(name, randers_base)
         grid = self.grid_for(s)
         tower = grid.tower(s)
@@ -656,6 +659,7 @@ class TestSeededPartials:
             phi1, psi = bi.random_trig_form(rng, s, 1), bi.random_trig_form(rng, s, 2)
             deltaH_coeffs(tower, horizontal_differential(s, phi1))
             dH_coeffs(tower, horizontal_codifferential(s, psi))
+            laplacian_expansion_coeffs(tower, phi1)
             assert bool(calls) == expect_cold, (seed, len(calls))
 
     def test_independent_coordinate_keeps_parent_value(self):
