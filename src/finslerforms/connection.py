@@ -6,13 +6,16 @@ be floats (pointwise use), batched numpy arrays (whole quadrature grids at
 once) or jets.
 
 A tower is differentiated in two ways.  A layer's own partials (``dN_x``,
-``dGamma_y``, ... through :func:`_rebuilt_partial`, and ``dgx``, ``dT_x``)
-rebuild the tower at jet-valued coordinates, which evaluates F^2 under
-nested jets; the curvature blocks are built on these.  Whatever is computed
-from the tower's layers is differentiated on seeded children instead
-(:meth:`LocalTower.partials`): the partials of forms, and of nabla T inside
-nabla nabla T (:func:`cov_hh`), are read off the kernel run on a child whose
-layers are jets of the parent's cached values and partials.
+``dGamma_y``, ``dgx``, ... through :func:`_rebuilt_partial`) rebuild the
+tower at jet-valued coordinates, which evaluates F^2 under nested jets; the
+curvature blocks are built on these.  Whatever is computed from the tower's
+layers is differentiated on a lifted tower instead
+(:meth:`LocalTower.partials`): :func:`jets.grad_wrt` seeds the coordinates
+as it does for any field, and the lifted tower at those jet coordinates
+reads N, Gamma, g and nabla0T as jets of the parent's cached values and
+partials.  So fields, forms and nabla T inside nabla nabla T
+(:func:`cov_hh`) are all differentiated by the one seeding driver,
+``grad_wrt``.
 """
 
 from __future__ import annotations
@@ -88,12 +91,11 @@ class LocalTower:
 
     A layer's own partials (``dgx``, ``dN_x``, ...) are taken by rebuilding
     the tower at jet-valued coordinates, which evaluates F^2 under nested
-    jets.  Kernels computed from the layers, such as forms and nabla T, are
-    differentiated without that: :meth:`seeded` returns a child tower at the
-    same point with one coordinate seeded, whose N, Gamma, g and nabla0T are
-    first-order jets of this tower's values and cached partials, so a kernel
-    run on the child yields its partial along that coordinate
-    (:meth:`partials`).
+    jets.  Kernels computed from the layers, such as fields, forms and
+    nabla T, are differentiated without that: :meth:`partials` runs the
+    kernel under :func:`jets.grad_wrt` on a :class:`_LiftedTower` at the
+    seeded coordinates, whose N, Gamma, g and nabla0T are first-order jets
+    of this tower's values and cached partials.
     """
 
     def __init__(self, s: FinslerStructure, xs, ys):
@@ -102,35 +104,22 @@ class LocalTower:
         self.ys = list(ys)
         self.n = s.dim
 
-    def seeded(self, which, m):
-        """Child tower at this point with coordinate m of x (``which`` = 0) or
-        of y (``which`` = 1) seeded by a fresh jet tag, ``child.tag``.
-
-        The child reads N, Gamma, g and nabla0T lazily, as jets of this
-        tower's values and its partials ``dN``, ``dGamma``, ``dgx`` or 2C,
-        and ``d_nabla0T``; every other layer is derived from these or
-        computed at the child's jet coordinates.  Hold a child only for the
-        call that needs it: a kept child keeps its layers alive.
-        """
-        return _SeededTower(self, which, m)
-
     def partials(self, kernel):
         """(value, dx, dy) of ``kernel(tower)`` (nested components) at this point.
 
-        The partial along a coordinate is the kernel run on the child seeded
-        along it (:meth:`seeded`), so a kernel reads its connection layers as
-        jets of this tower's cached values and partials instead of
-        recomputing them from F^2 at jet coordinates.  A kernel that reads
-        only the coordinates, such as a leaf form, sees the seeded
-        coordinate alone.  Each child is dropped after its pass.
+        The partials are those of ``kernel(_LiftedTower(self, a, b))`` under
+        :func:`jets.grad_x` and :func:`jets.grad_y`, so the seeding is theirs:
+        one vector pass per list at a point, one coordinate per pass on
+        arrays.  The lifted tower reads its connection layers as jets of this
+        tower's cached values and partials instead of recomputing them from
+        F^2 at jet coordinates; a kernel that reads only the coordinates, such
+        as a leaf form, sees the seeded coordinates alone.
         """
 
-        def partial(which, m):
-            child = self.seeded(which, m)
-            return jets.tree_map(lambda v: jets._taylor_coeff(v, child.tag, 1), kernel(child))
+        def lifted(a, b):
+            return kernel(_LiftedTower(self, a, b))
 
-        n = self.n
-        return kernel(self), [partial(0, m) for m in range(n)], [partial(1, m) for m in range(n)]
+        return kernel(self), grad_x(lifted, self.xs, self.ys), grad_y(lifted, self.xs, self.ys)
 
     def delta(self, dx, dy, rank):
         """Horizontal derivative ``out[c][components]`` of a rank-``rank``
@@ -193,9 +182,7 @@ class LocalTower:
 
     # -- spray and nonlinear connection ---------------------------------------
 
-    @cached_property
-    def dxf2(self):
-        return grad_x(self.s.f2, self.xs, self.ys)
+    dxf2 = _rebuilt_partial("f2", grad_x)
 
     @cached_property
     def G(self):
@@ -219,14 +206,17 @@ class LocalTower:
 
     # -- Cartan horizontal coefficients ----------------------------------------
 
-    @cached_property
-    def dgx(self):
-        return grad_x(lambda a, b: metric_components(self.s, a, b), self.xs, self.ys)
+    dgx = _rebuilt_partial("g", grad_x)
+
+    @property
+    def dgy(self):
+        """dgy[m][i][j] = 2 C_mij, the y partial of g_ij (uncached, to spare grid memory)."""
+        return nested_build(self.n, 3, lambda idx: 2.0 * tget(self.C, idx))
 
     @cached_property
     def deltag(self):
         """deltag[c][i][j]: horizontal basis derivative of g_ij along axis c."""
-        return self.delta(self.dgx, nested_build(self.n, 3, lambda idx: 2.0 * tget(self.C, idx)), 2)
+        return self.delta(self.dgx, self.dgy, 2)
 
     @cached_property
     def Gamma(self):
@@ -247,13 +237,8 @@ class LocalTower:
 
     # -- Cartan trace derivatives ------------------------------------------------
 
-    @cached_property
-    def dT_x(self):
-        return grad_x(lambda a, b: cartan_trace_components(self.s, a, b), self.xs, self.ys)
-
-    @cached_property
-    def dT_y(self):
-        return grad_y(lambda a, b: cartan_trace_components(self.s, a, b), self.xs, self.ys)
+    dT_x = _rebuilt_partial("Tt", grad_x)
+    dT_y = _rebuilt_partial("Tt", grad_y)
 
     @cached_property
     def nabla_h_T(self):
@@ -326,52 +311,62 @@ class LocalTower:
         ]
 
 
-class _SeededTower(LocalTower):
-    """Transient child of :meth:`LocalTower.seeded`."""
+def _lifted(layer, x_partial, y_partial, rank):
+    """Cached ``layer`` of a :class:`_LiftedTower`, lifted from its parent."""
+    return cached_property(lambda self: self._lift(layer, x_partial, y_partial, rank))
 
-    def __init__(self, parent, which, m):
-        self.parent, self.which, self.m = parent, which, m
-        self.tag = jets._new_tag()
-        coords = [list(parent.xs), list(parent.ys)]
-        coords[which][m] = jets.Jet([coords[which][m], 1.0], self.tag)
-        super().__init__(parent.s, *coords)
 
-    def _jets(self, value, partial, rank):
-        """Each component as the jet value + partial t.  A partial that is
-        the float ``0.0`` marks a component independent of the seeded
-        coordinate (``jets._taylor_coeff``), which stays the plain value."""
+class _LiftedTower(LocalTower):
+    """The tower of :meth:`LocalTower.partials` at jet coordinates ``xs``,
+    ``ys`` over the point of ``parent``.
+
+    The seeded level is read off the coordinates: its tag is the newest
+    outer jet tag, and the seeded list is the one holding it, each of whose
+    coordinates carries the tag with its tangent (the scalar 1.0 on arrays,
+    ``eye(n)[m]`` at a point).  N, Gamma, g and nabla0T are jets of the
+    parent's values and partials ``dN``, ``dGamma``, ``dgx`` or ``dgy``, and
+    ``d_nabla0T``, read lazily; every other layer is computed at the jet
+    coordinates.
+    """
+
+    def __init__(self, parent, xs, ys):
+        # a view sharing the parent's structure; keeps the lists grad_wrt hands each pass
+        self.s, self.n, self.parent, self.xs, self.ys = parent.s, parent.n, parent, xs, ys
+        tag = self.tag = max(c.tag for c in xs + ys if isinstance(c, jets.Jet))
+        self.which = int(not any(isinstance(c, jets.Jet) and c.tag == tag for c in xs))
+        self.tangents = [
+            (m, c.coeffs[1])
+            for m, c in enumerate(ys if self.which else xs)
+            if isinstance(c, jets.Jet) and c.tag == tag
+        ]
+
+    def _lift(self, layer, x_partial, y_partial, rank):
+        """The parent's ``layer`` with each component as the jet value +
+        sum_m partial_m tangent_m, partial_m read off the parent's
+        ``x_partial`` or ``y_partial``.  A partial that is the float ``0.0``
+        adds no term, and a component with no term stays the plain value; a
+        tangent 1.0 is used as is."""
+        partials = getattr(self.parent, y_partial if self.which else x_partial)
+        ds = [(partials[m], t) for m, t in self.tangents]
+        value = getattr(self.parent, layer)
 
         def component(idx):
-            d = tget(partial, idx)
-            if type(d) is float and d == 0.0:
+            terms = []
+            for d, t in ds:
+                d = tget(d, idx)
+                if type(d) is float and d == 0.0:
+                    continue
+                terms.append(d if type(t) is float and t == 1.0 else d * t)
+            if not terms:
                 return tget(value, idx)
-            return jets.Jet([tget(value, idx), d], self.tag)
+            return jets.Jet([tget(value, idx), sum_terms(terms)], self.tag)
 
         return nested_build(self.n, rank, component)
 
-    def _partial(self, x_layer, y_layer):
-        return getattr(self.parent, y_layer if self.which else x_layer)[self.m]
-
-    @cached_property
-    def N(self):
-        return self._jets(self.parent.N, self._partial("dN_x", "dN_y"), 2)
-
-    @cached_property
-    def Gamma(self):
-        return self._jets(self.parent.Gamma, self._partial("dGamma_x", "dGamma_y"), 3)
-
-    @cached_property
-    def g(self):
-        if self.which:  # the y partial of g_ij is 2 C_mij
-            C = self.parent.C[self.m]
-            partial = nested_build(self.n, 2, lambda idx: 2.0 * tget(C, idx))
-        else:
-            partial = self.parent.dgx[self.m]
-        return self._jets(self.parent.g, partial, 2)
-
-    @cached_property
-    def nabla0T(self):
-        return self._jets(self.parent.nabla0T, self._partial("d_nabla0T_x", "d_nabla0T_y"), 1)
+    N = _lifted("N", "dN_x", "dN_y", 2)
+    Gamma = _lifted("Gamma", "dGamma_x", "dGamma_y", 3)
+    g = _lifted("g", "dgx", "dgy", 2)
+    nabla0T = _lifted("nabla0T", "d_nabla0T_x", "d_nabla0T_y", 1)
 
 
 def sum_terms(it):
@@ -443,23 +438,23 @@ def _slot_terms(n, val, variance, coeffs):
     return add
 
 
-def cov_hh(tower, first, variance):
+def cov_hh(tower, kernel, variance):
     """Second horizontal covariant derivative, the covariant derivative of nabla T.
 
-    ``first(tw)`` returns the field's (val, dx, dy) at a tower ``tw``:
-    ``lambda tw: X.partials(tw.xs, tw.ys)`` for a :class:`TensorField`,
-    ``lambda tw: tw.partials(form.on)`` for a form.  nabla T is the kernel
-    tw -> cov_h(tw, *first(tw), variance), and its partials are read off
-    the seeded children of ``tower`` (:meth:`LocalTower.partials`).  Returns
-    ``(first(tower), W, D)``, each computed once: ``W[b][components]`` holds
-    nabla_b T and ``D[a][b][components]`` nabla_a nabla_b T.
+    ``kernel(tw)`` gives the field's components at a tower ``tw``:
+    ``lambda tw: X.components(tw.xs, tw.ys)`` for a :class:`TensorField`,
+    ``form.on`` for a form.  nabla T is the kernel
+    tw -> cov_h(tw, *tw.partials(kernel), variance), and its partials are
+    taken by ``tower.partials`` in turn.  Returns ``(tower.partials(kernel),
+    W, D)``, each computed once: ``W[b][components]`` holds nabla_b T and
+    ``D[a][b][components]`` nabla_a nabla_b T.
     """
 
-    def kernel(tw):
-        p1 = first(tw)
+    def nabla(tw):
+        p1 = tw.partials(kernel)
         return [p1, cov_h(tw, *p1, variance)]
 
-    (p1, W), dx, dy = tower.partials(kernel)
+    (p1, W), dx, dy = tower.partials(nabla)
     D = cov_h(tower, W, [d[1] for d in dx], [d[1] for d in dy], "l" + variance)
     return p1, W, D
 

@@ -165,7 +165,7 @@ def ricci_identity_residual(s, X: TensorField, z, y=None):
     tower, pt = _point_tower(s, z, y)
     n = tower.n
     # D[a][b][i] = nabla_a nabla_b X^i
-    (val, _, dy), _, D = cov_hh(tower, lambda tw: X.partials(tw.xs, tw.ys), "u")
+    (val, _, dy), _, D = cov_hh(tower, lambda tw: X.components(tw.xs, tw.ys), "u")
     vt = cov_v(tower, val, dy, "u")  # vt[r][i] = vertical derivative
     hh = hh_components(tower)
     flag = tower.flag

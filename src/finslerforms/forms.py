@@ -12,13 +12,14 @@ quadrature module.
 
 Differentiation.  An operator takes the partials of the form it acts on
 from ``tower.partials(form.on)`` (:meth:`LocalTower.partials`): the form is
-evaluated on child towers of the tower at hand, each seeded along one
-coordinate.  A child's N, Gamma, g and nabla0T are jets of the parent's
-cached values and partials, so on a tower that already holds those
-partials, as a warm grid tower does, differentiating a form evaluates no
-F^2 at all.  Second covariant derivatives (:func:`cov_hh`) differentiate
-nabla phi on the same children, so they too read only cached layers when
-phi is a leaf form.
+evaluated under :func:`jets.grad_wrt` on a lifted tower at the seeded
+coordinates (one vector pass per coordinate list at a point, one pass per
+coordinate on arrays).  The lifted tower's N, Gamma, g and nabla0T are jets
+of the parent's cached values and partials, so on a tower that already
+holds those partials, as a warm grid tower does, differentiating a form
+evaluates no F^2 at all.  Second covariant derivatives (:func:`cov_hh`)
+take the form's kernel ``form.on`` and differentiate nabla phi the same
+way, so they too read only cached layers when phi is a leaf form.
 
 Conventions.  A degree-p form is handed around as nested lists over all
 n^p index tuples, but its C(n, p) entries at increasing indices
@@ -182,7 +183,7 @@ def laplacian_expansion_coeffs(tower: LocalTower, phi: HorizontalForm):
     n = tower.n
     p = phi.degree
     # D[a][b][I] = nabla_a nabla_b phi_I
-    (val, _, _), nab, D = cov_hh(tower, lambda tw: tw.partials(phi.on), "l" * p)
+    (val, _, _), nab, D = cov_hh(tower, phi.on, "l" * p)
     gi = tower.gi
     nT = tower.nabla0T
     nnT = tower.nabla_nabla0T  # nnT[i][r] = nabla_i (nabla_0 T)_r
@@ -365,7 +366,7 @@ def weitzenbock_residual(s, X: TensorField, z, y=None):
     tower, pt = _point_tower(s, z, y)
     n = tower.n
     low = lowered_form(s, X)
-    (val, _, _), nab, D = cov_hh(tower, lambda tw: tw.partials(low.on), "l")
+    (val, _, _), nab, D = cov_hh(tower, low.on, "l")
     gi = tower.gi
     nT = tower.nabla0T
     nnT = tower.nabla_nabla0T
@@ -483,7 +484,7 @@ def energy_identity_residuals(s, X: TensorField, z, y=None):
     dX = jets.primal(deltaH_coeffs(tower, lowered_form(s, X, label="X")))
 
     # D2U[a][b][j] = nabla_a nabla_b X^j
-    (uval, _, _), nabU, D2U = cov_hh(tower, lambda tw: X.partials(tw.xs, tw.ys), "u")
+    (uval, _, _), nabU, D2U = cov_hh(tower, lambda tw: X.components(tw.xs, tw.ys), "u")
     divX = sum_terms(nabU[j][j] for j in range(n))
     comm = sum_terms(
         uval[k] * (D2U[j][k][j] - D2U[k][j][j]) for k in range(n) for j in range(n)

@@ -17,6 +17,9 @@ evaluation of the innermost field instead of n^k.  On arrays (quadrature
 grids) it seeds one coordinate per pass with the scalar tangent 1.0: vector
 mode there would grow each nested scalar from 2^k to (1+n)^k node arrays,
 which raised peak memory by 25% (3D) to 92% (2D) on the benchmark grids.
+Kernels that read a connection tower are differentiated by the same driver:
+``LocalTower.partials`` hands ``grad_wrt`` a kernel that builds a lifted
+tower at the seeded coordinates, so they get the same choice of seeding.
 
 Fields are callables ``f(xs, ys) -> scalar`` where ``xs`` and ``ys`` are
 plain lists of scalars.  The finite-difference routines exist only as an
@@ -228,8 +231,7 @@ def grad_wrt(fn, lists, which):
         seeded = [list(l) for l in lists]
         v = seeded[which][m]
         seeded[which][m] = Jet([v, 1.0], tag)
-        res = fn(*seeded)
-        out.append(tree_map(lambda s: _taylor_coeff(s, tag, 1), res))
+        out.append(tree_map(lambda s: _taylor_coeff(s, tag, 1), fn(*seeded)))
     return out
 
 

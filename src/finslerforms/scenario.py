@@ -47,10 +47,10 @@ CURVATURE_BLOCKS = {
     "Ricci": "ricci_trace",
 }
 CURVATURE_WHICH = tuple(CURVATURE_BLOCKS)
-# integer task parameters; run_task reads each with int()
-INT_PARAMS = ("p", "pairs", "forms", "fields", "points", "degree")
-# the sample counts among them: a check over no samples would pass vacuously
-COUNT_PARAMS = ("pairs", "forms", "fields", "points")
+# integer task parameters and their minimums; run_task reads each with int().
+# A check over no samples, or over trig fields of degree < 1 (which have no
+# trigonometric term), would pass vacuously.
+INT_PARAMS = {"p": None, "pairs": 1, "forms": 1, "fields": 1, "points": 1, "degree": 1}
 
 
 def metric_from_config(cfg) -> FinslerStructure:
@@ -184,9 +184,9 @@ def validate_task(s, t, where):
     params = t.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError(f"{where}: 'params' must be an object")
-    for key in INT_PARAMS:
+    for key, minimum in INT_PARAMS.items():
         if key in params:
-            _parse_int(params[key], f"{where}: {key!r}", 1 if key in COUNT_PARAMS else None)
+            _parse_int(params[key], f"{where}: {key!r}", minimum)
     if t.get("tolerance") is not None:
         _parse_tolerance(t["tolerance"], f"{where}: 'tolerance'")
     if kind == "tensor":

@@ -175,6 +175,17 @@ class TestScenarioRunner:
                 {"tasks": [{"kind": "check", "params": {"which": "ricci-identity", "degree": 2.5}}]},
                 "'degree' must be an integer",
             ),
+            *(
+                (
+                    {"tasks": [{"kind": "check", "params": dict(params, degree=degree)}]},
+                    f"'degree' must be at least 1, got {degree}",
+                )
+                for params in (
+                    {"which": "ricci-identity"},
+                    {"which": "bochner", "field": "trig-random"},
+                )
+                for degree in (0, -3)
+            ),
             (
                 {"tasks": [{"kind": "check", "params": {
                     "which": "ricci-identity", "fields": float("inf")}}]},
@@ -201,7 +212,8 @@ class TestScenarioRunner:
              "components-not-numbers", "components-too-short", "components-not-list",
              "seed-fractional", "seed-bool", "seed-string", "dim-fractional",
              "pairs-fractional", "p-fractional", "forms-bool", "degree-fractional",
-             "fields-infinite", "point-zero-y", "point-outside-chart"],
+             "ricci-degree-zero", "ricci-degree-negative", "bochner-degree-zero",
+             "bochner-degree-negative", "fields-infinite", "point-zero-y", "point-outside-chart"],
     )
     def test_unknown_task_kind_rejected(self, doc, message):
         with pytest.raises(ConfigError, match=message):

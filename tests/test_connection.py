@@ -342,7 +342,7 @@ class TestSecondCovariantDerivative:
             towers = [LocalTower(s, list(z.x), list(z.y)) for z in sample_points(s, 3)]
         rank = len(variance)
         for tower in towers:
-            p1, W, D = cov_hh(tower, lambda tw: T.partials(tw.xs, tw.ys), variance)
+            p1, W, D = cov_hh(tower, lambda tw: T.components(tw.xs, tw.ys), variance)
             want = reference_cov_hh(tower, T.partials2(tower.xs, tower.ys), variance)
             want, got = pack(want, rank + 2), pack(D, rank + 2)
             scale = np.max(np.abs(want))

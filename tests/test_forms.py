@@ -10,6 +10,7 @@ from finslerforms import jets
 from finslerforms.connection import (
     LocalTower,
     TensorField,
+    _LiftedTower,
     cov_h,
     nested_build,
     pack,
@@ -229,6 +230,23 @@ class TestWeitzenbock:
                 res = weitzenbock_residual(s, X, (z.x, z.y)).data
                 lap = horizontal_laplacian(s, af.horizontal).at(s, (z.x, z.y)).data
                 assert np.max(np.abs(res + lap)) < 1e-5, name
+
+    @pytest.mark.parametrize("name", ["randers-torus", "randers-torus-3d"])
+    def test_f2_evaluations_at_a_point(self, name, monkeypatch):
+        """At a point the residual takes 52 evaluations of F^2 in 2D and in 3D:
+        the lifted towers under nabla nabla seed a whole coordinate list at once."""
+        s = bi.get_metric(name)
+        X = bi.random_trig_vector(np.random.default_rng(0), s)
+        z = trig_point(s)
+        calls, f2 = [], s._f2
+
+        def counted(xs, ys):
+            calls.append(1)
+            return f2(xs, ys)
+
+        monkeypatch.setattr(s, "_f2", counted)
+        weitzenbock_residual(s, X, (z.x, z.y))
+        assert len(calls) == 52
 
     def test_riemannian_trace_terms_drop(self, sphere, rng):
         """On Riemannian inputs the Cartan-trace terms vanish identically."""
@@ -662,16 +680,54 @@ class TestSeededPartials:
             laplacian_expansion_coeffs(tower, phi1)
             assert bool(calls) == expect_cold, (seed, len(calls))
 
+    @staticmethod
+    def lifted(tower, which, tangents):
+        """The lifted tower with coordinate m of x (``which`` = 0) or y
+        seeded by a fresh tag with tangent ``tangents[m]``."""
+        tag = jets._new_tag()
+        coords = [list(tower.xs), list(tower.ys)]
+        for m, t in tangents.items():
+            coords[which][m] = jets.Jet([coords[which][m], t], tag)
+        return _LiftedTower(tower, *coords)
+
     def test_independent_coordinate_keeps_parent_value(self):
-        """On a metric that does not depend on x, an x-seeded child reads the
-        parent's N, Gamma, g and nabla0T unchanged rather than as jets."""
+        """On a metric that does not depend on x, an x-seeded lifted tower
+        reads the parent's N, Gamma, g and nabla0T unchanged rather than as
+        jets: one coordinate with the tangent 1.0, and all n at once with the
+        vector-mode tangents eye(n)[m]."""
         s = bi.get_metric("randers-torus-3d")
         z = trig_point(s)
         tower = LocalTower(s, list(z.x), list(z.y))
-        child = tower.seeded(0, 1)
-        for layer, rank in (("N", 2), ("Gamma", 3), ("g", 2), ("nabla0T", 1)):
-            got, want = getattr(child, layer), getattr(tower, layer)
-            for idx in itertools.product(range(s.dim), repeat=rank):
-                assert tget(got, idx) is tget(want, idx), (layer, idx)
-        y_child = tower.seeded(1, 0)
+        eye = np.eye(s.dim)
+        for child in (
+            self.lifted(tower, 0, {1: 1.0}),
+            self.lifted(tower, 0, {m: eye[m] for m in range(s.dim)}),
+        ):
+            for layer, rank in (("N", 2), ("Gamma", 3), ("g", 2), ("nabla0T", 1)):
+                got, want = getattr(child, layer), getattr(tower, layer)
+                for idx in itertools.product(range(s.dim), repeat=rank):
+                    assert tget(got, idx) is tget(want, idx), (layer, idx)
+        y_child = self.lifted(tower, 1, {0: 1.0})
         assert isinstance(y_child.N[0][0], jets.Jet)
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_kernel_runs(self, batch, randers_base):
+        """``partials`` runs its kernel once at the tower and then as grad_wrt
+        seeds: one vector pass per list at a point, one pass per coordinate on
+        arrays."""
+        s = randers_base
+        if batch:
+            pts = sample_points(s, 4)
+            xs, ys = (list(np.array([getattr(z, c) for z in pts]).T) for c in "xy")
+        else:
+            z = trig_point(s)
+            xs, ys = list(z.x), list(z.y)
+        runs = []
+
+        def kernel(tw):
+            runs.append(1)
+            return tw.N
+
+        tower = LocalTower(s, xs, ys)
+        tower.partials(kernel)
+        assert len(runs) == (2 * s.dim + 1 if batch else 3)
