@@ -16,6 +16,14 @@ reads N, Gamma, g and nabla0T as jets of the parent's cached values and
 partials.  So fields, forms and nabla T inside nabla nabla T
 (:func:`cov_hh`) are all differentiated by the one seeding driver,
 ``grad_wrt``.
+
+Structural zeros.  The float ``0.0`` stands for a component that vanishes
+identically (:func:`is_structural_zero`).  A tower stores each ndarray
+component of N, Gamma, nabla0T and nabla_nabla0T that is 0 at every node as
+that float, and the kernels that multiply by these layers skip its terms, so
+on an x-independent metric a grid kernel does not broadcast arrays of zeros
+over every node.  Values stay exact; only the sign of an exact zero may
+differ.
 """
 
 from __future__ import annotations
@@ -64,6 +72,22 @@ def pack(nested, rank):
     return np.stack([np.broadcast_to(leaf, shape) for leaf in leaves]).reshape((*dims, *shape))
 
 
+def is_structural_zero(v):
+    """True for the float ``0.0`` that stands for an identically vanishing
+    component; a kernel adds no term for it."""
+    return type(v) is float and v == 0.0
+
+
+def _collapse_zeros(nested):
+    """``nested`` with every ndarray leaf that is 0 at every node replaced by
+    the structural zero ``0.0``.  Other leaves, jets among them, are kept."""
+    if isinstance(nested, list):
+        return [_collapse_zeros(c) for c in nested]
+    if isinstance(nested, np.ndarray) and not nested.any():
+        return 0.0
+    return nested
+
+
 def _rebuilt_partial(layer, grad):
     """Cached plain partial (``grad`` is grad_x or grad_y) of one tower layer,
     taken by rebuilding the tower at jet-valued coordinates."""
@@ -88,6 +112,10 @@ class LocalTower:
     a layer's plain partials into delta_c = d/dx^c - N^m_c d/dy^m; the
     ``deltaX`` layers and the covariant derivatives of the Cartan trace are
     built on it.
+
+    ``N``, ``Gamma``, ``nabla0T`` and ``nabla_nabla0T`` store a component
+    that is an ndarray equal to 0 at every node as the structural zero
+    ``0.0``, whose terms the kernels skip; jets are kept as they are.
 
     A layer's own partials (``dgx``, ``dN_x``, ...) are taken by rebuilding
     the tower at jet-valued coordinates, which evaluates F^2 under nested
@@ -125,15 +153,15 @@ class LocalTower:
         """Horizontal derivative ``out[c][components]`` of a rank-``rank``
         layer from its plain partials ``dx[c]`` and ``dy[m]``."""
         n, N = self.n, self.N
-        return [
-            nested_build(
-                n,
-                rank,
-                lambda idx, c=c: tget(dx[c], idx)
-                - sum_terms(N[m][c] * tget(dy[m], idx) for m in range(n)),
-            )
-            for c in range(n)
-        ]
+
+        def entry(c, idx):
+            acc = tget(dx[c], idx)
+            terms = [
+                N[m][c] * tget(dy[m], idx) for m in range(n) if not is_structural_zero(N[m][c])
+            ]
+            return acc - sum_terms(terms) if terms else acc
+
+        return [nested_build(n, rank, lambda idx, c=c: entry(c, idx)) for c in range(n)]
 
     # -- zeroth layer --------------------------------------------------------
 
@@ -202,7 +230,7 @@ class LocalTower:
     def N(self):
         n = self.n
         dG = grad_y(lambda a, b: LocalTower(self.s, a, b).G, self.xs, self.ys)
-        return [[dG[j][i] for j in range(n)] for i in range(n)]
+        return _collapse_zeros([[dG[j][i] for j in range(n)] for i in range(n)])
 
     # -- Cartan horizontal coefficients ----------------------------------------
 
@@ -233,7 +261,7 @@ class LocalTower:
                     val = 0.5 * acc
                     out[i][j][k] = val
                     out[i][k][j] = val
-        return out
+        return _collapse_zeros(out)
 
     # -- Cartan trace derivatives ------------------------------------------------
 
@@ -254,10 +282,10 @@ class LocalTower:
     @cached_property
     def nabla0T(self):
         n = self.n
-        return [
+        return _collapse_zeros([
             sum_terms(self.ys[h] * self.nabla_h_T[h][j] for h in range(n))
             for j in range(n)
-        ]
+        ])
 
     # -- first derivatives of the tower (feed curvature and second covariants) ----
 
@@ -305,10 +333,10 @@ class LocalTower:
         n = self.n
         dT = self.delta(self.d_nabla0T_x, self.d_nabla0T_y, 1)
         Gamma, nT = self.Gamma, self.nabla0T
-        return [
+        return _collapse_zeros([
             [dT[i][r] - sum_terms(Gamma[p][r][i] * nT[p] for p in range(n)) for r in range(n)]
             for i in range(n)
-        ]
+        ])
 
 
 def _lifted(layer, x_partial, y_partial, rank):
@@ -343,9 +371,10 @@ class _LiftedTower(LocalTower):
     def _lift(self, layer, x_partial, y_partial, rank):
         """The parent's ``layer`` with each component as the jet value +
         sum_m partial_m tangent_m, partial_m read off the parent's
-        ``x_partial`` or ``y_partial``.  A partial that is the float ``0.0``
-        adds no term, and a component with no term stays the plain value; a
-        tangent 1.0 is used as is."""
+        ``x_partial`` or ``y_partial``.  A partial that is the structural
+        zero adds no term, and a component with no term stays the plain
+        value, so a structural zero of the parent stays one; a tangent 1.0 is
+        used as is."""
         partials = getattr(self.parent, y_partial if self.which else x_partial)
         ds = [(partials[m], t) for m, t in self.tangents]
         value = getattr(self.parent, layer)
@@ -354,7 +383,7 @@ class _LiftedTower(LocalTower):
             terms = []
             for d, t in ds:
                 d = tget(d, idx)
-                if type(d) is float and d == 0.0:
+                if is_structural_zero(d):
                     continue
                 terms.append(d if type(t) is float and t == 1.0 else d * t)
             if not terms:
@@ -403,7 +432,8 @@ def cov_h_entry(tower, val, dx, dy, variance):
     def entry(h, idx):
         acc = tget(dx[h], idx)
         for m in range(n):
-            acc = acc - N[m][h] * tget(dy[m], idx)
+            if not is_structural_zero(N[m][h]):
+                acc = acc - N[m][h] * tget(dy[m], idx)
         return slots(acc, h, idx)
 
     return entry
@@ -422,17 +452,21 @@ def cov_v(tower, val, dy, variance):
 def _slot_terms(n, val, variance, coeffs):
     """``add(acc, h, idx)``: acc plus the connection terms of each slot of the
     field ``val``, with ``coeffs`` Gamma (horizontal) or Cmix (vertical).
-    Sign rule: minus on lower slots, plus on upper slots."""
+    Sign rule: minus on lower slots, plus on upper slots.  A coefficient that
+    is the structural zero adds no term."""
 
     def add(acc, h, idx):
         for t, var in enumerate(variance):
             it = idx[t]
             for p in range(n):
+                c = coeffs[p][it][h] if var == "l" else coeffs[it][p][h]
+                if is_structural_zero(c):
+                    continue
                 jdx = idx[:t] + (p,) + idx[t + 1 :]
                 if var == "l":
-                    acc = acc - tget(val, jdx) * coeffs[p][it][h]
+                    acc = acc - tget(val, jdx) * c
                 else:
-                    acc = acc + tget(val, jdx) * coeffs[it][p][h]
+                    acc = acc + tget(val, jdx) * c
         return acc
 
     return add

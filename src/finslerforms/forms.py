@@ -19,7 +19,11 @@ of the parent's cached values and partials, so on a tower that already
 holds those partials, as a warm grid tower does, differentiating a form
 evaluates no F^2 at all.  Second covariant derivatives (:func:`cov_hh`)
 take the form's kernel ``form.on`` and differentiate nabla phi the same
-way, so they too read only cached layers when phi is a leaf form.
+way, so they too read only cached layers when phi is a leaf form.  A layer
+component that vanishes identically is the structural zero ``0.0`` on the
+tower (see :mod:`.connection`), and the kernels here skip the nabla0T and
+nabla nabla0T terms it multiplies, as ``cov_h_entry`` skips those of N and
+Gamma.
 
 Conventions.  A degree-p form is handed around as nested lists over all
 n^p index tuples, but its C(n, p) entries at increasing indices
@@ -53,6 +57,7 @@ from .connection import (
     cov_h_entry,
     cov_hh,
     cov_v,
+    is_structural_zero,
     nested_build,
     pack,
     sum_terms,
@@ -168,7 +173,10 @@ def deltaH_coeffs(tower: LocalTower, psi: HorizontalForm):
                 if j in idx:
                     continue
                 J = tuple(sorted((j,) + idx))
-                term = gi[i][j] * (nab(i, J) - tget(val, J) * nT[i])
+                d = nab(i, J)
+                if not is_structural_zero(nT[i]):
+                    d = d - tget(val, J) * nT[i]
+                term = gi[i][j] * d
                 if J.index(j) % 2:
                     term = -term
                 acc = term if acc is None else acc + term
@@ -192,7 +200,10 @@ def laplacian_expansion_coeffs(tower: LocalTower, phi: HorizontalForm):
         acc = None
         for r in range(n):
             for s_ in range(n):
-                t = gi[r][s_] * (tget(D[r][s_], idx) - tget(nab[s_], idx) * nT[r])
+                d = tget(D[r][s_], idx)
+                if not is_structural_zero(nT[r]):
+                    d = d - tget(nab[s_], idx) * nT[r]
+                t = gi[r][s_] * d
                 acc = t if acc is None else acc + t
         out = -acc if acc is not None else 0.0
         for k in range(p):
@@ -201,7 +212,8 @@ def laplacian_expansion_coeffs(tower: LocalTower, phi: HorizontalForm):
                 for s_ in range(n):
                     sub = idx[:k] + (s_,) + idx[k + 1 :]
                     out = out + gi[r][s_] * (tget(D[r][ik], sub) - tget(D[ik][r], sub))
-                    out = out + gi[r][s_] * tget(val, sub) * nnT[ik][r]
+                    if not is_structural_zero(nnT[ik][r]):
+                        out = out + gi[r][s_] * tget(val, sub) * nnT[ik][r]
         return out
 
     return form_build(n, p, entry)
@@ -414,10 +426,13 @@ def bochner_scalar_at(tower: LocalTower, X: TensorField):
         for r in range(n)
         for j in range(n)
     )
-    acc = acc - sum_terms(
-        val[k] * nabU[k][j] * nT[j] for k in range(n) for j in range(n)
-    )
-    return acc
+    trace = [
+        val[k] * nabU[k][j] * nT[j]
+        for k in range(n)
+        for j in range(n)
+        if not is_structural_zero(nT[j])
+    ]
+    return acc - sum_terms(trace) if trace else acc
 
 
 def _lowered_gradient(tower, nabU):

@@ -109,6 +109,7 @@ class QuadratureGrid:
         self.tolerance = float(tolerance)
         self._nw = [ax.nodes_weights() for ax in self.base_axes + self.fiber_axes]
         self._cache = {}
+        self._weights = None
 
     @classmethod
     def for_structure(cls, s, base_counts=None, fiber_counts=None, tolerance=DEFAULT_TOLERANCE):
@@ -155,13 +156,18 @@ class QuadratureGrid:
         return out
 
     def weights_full(self):
-        k = len(self._nw)
-        w = np.ones((1,) * k)
-        for i, (_, wi) in enumerate(self._nw):
-            shape = [1] * k
-            shape[i] = len(wi)
-            w = w * wi.reshape(shape)
-        return w
+        """Product weights over the full tensor product, computed once per
+        grid and shared read-only by every integral on it."""
+        if self._weights is None:
+            k = len(self._nw)
+            w = np.ones((1,) * k)
+            for i, (_, wi) in enumerate(self._nw):
+                shape = [1] * k
+                shape[i] = len(wi)
+                w = w * wi.reshape(shape)
+            w.flags.writeable = False
+            self._weights = w
+        return self._weights
 
     # -- per-structure caches -------------------------------------------------
     # Keyed by id(s) and holding s, so the id stays valid while cached.  Forms

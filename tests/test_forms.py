@@ -10,8 +10,10 @@ from finslerforms import jets
 from finslerforms.connection import (
     LocalTower,
     TensorField,
+    _collapse_zeros,
     _LiftedTower,
     cov_h,
+    h_covariant_derivative,
     nested_build,
     pack,
     sum_terms,
@@ -37,7 +39,8 @@ from finslerforms.forms import (
     weitzenbock_residual,
 )
 from finslerforms.jets import gcos, gsin, grad_x, grad_y
-from finslerforms.quadrature import QuadratureGrid, bochner_integral
+from finslerforms.metric import hilbert_components
+from finslerforms.quadrature import QuadratureGrid, bochner_integral, form_grid_norm
 
 from conftest import sample_points
 
@@ -731,3 +734,106 @@ class TestSeededPartials:
         tower = LocalTower(s, xs, ys)
         tower.partials(kernel)
         assert len(runs) == (2 * s.dim + 1 if batch else 3)
+
+
+ZERO_LAYERS = (("N", 2), ("Gamma", 3), ("nabla0T", 1))
+
+
+def layer_leaves(tower, layer, rank):
+    value = getattr(tower, layer)
+    return [tget(value, idx) for idx in itertools.product(range(tower.n), repeat=rank)]
+
+
+def small_grid(s):
+    """8 nodes per base axis, 16 on the first fiber angle (8,8,8x16,8 in 3D)."""
+    if s.dim == 2:
+        return QuadratureGrid.for_structure(s, (8, 8), (16,))
+    return QuadratureGrid.for_structure(s, (8, 8, 8), (16, 8))
+
+
+class TestStructuralZeros:
+    """Identically vanishing layers are stored as the float 0.0, and the
+    kernels give the same values as with explicit arrays of zeros."""
+
+    def test_vanishing_layers_are_floats_on_the_grid(self, randers_base):
+        s = bi.get_metric("randers-torus-3d")
+        tower = small_grid(s).tower(s)
+        for layer, rank in ZERO_LAYERS:
+            for v in layer_leaves(tower, layer, rank):
+                assert type(v) is float and v == 0.0, layer
+        tower = small_grid(randers_base).tower(randers_base)
+        for layer, rank in ZERO_LAYERS:
+            assert all(isinstance(v, np.ndarray) for v in layer_leaves(tower, layer, rank)), layer
+
+    def test_partly_zero_layer_is_kept(self):
+        partly = np.array([[0.0, 0.0], [0.0, 1e-300]])
+        jet = jets.Jet([np.zeros(2), np.zeros(2)], jets._new_tag())
+        got = _collapse_zeros([[partly, np.zeros((2, 2))], [jet, np.array([np.nan, 0.0])]])
+        assert got[0][0] is partly and got[0][1] == 0.0 and type(got[0][1]) is float
+        assert got[1][0] is jet and isinstance(got[1][1], np.ndarray)
+
+    @pytest.mark.parametrize("name", ["randers-torus", "randers-torus-3d"])
+    def test_kernels_match_explicit_zero_arrays(self, name):
+        """A fresh tower whose vanishing layers are arrays of zeros gives the
+        same d_H, delta_H, inner products and Bochner integrands."""
+        s = bi.get_metric(name)
+        grid = small_grid(s)
+        xs, ys = grid.coords_for(s)
+        collapsed = grid.tower(s)
+        explicit = LocalTower(s, xs, ys)
+        zeros = np.zeros(np.broadcast_shapes(*(np.shape(y) for y in ys)))
+        layers = ZERO_LAYERS + ((("nabla_nabla0T", 2),) if s.dim == 2 else ())
+        for layer, rank in layers:
+            explicit.__dict__[layer] = nested_build(s.dim, rank, lambda idx: zeros)
+        rng = np.random.default_rng(71)
+        X = bi.random_trig_vector(rng, s)
+
+        def same(a, b, degree, label):
+            for idx in itertools.product(range(s.dim), repeat=degree):
+                u, v = (np.broadcast_to(np.asarray(tget(c, idx), float), grid.shape) for c in (a, b))
+                assert np.array_equal(u, v), (label, idx)
+
+        for p in range(s.dim + 1):
+            phi = bi.random_trig_form(rng, s, p)
+            kernels = [("inner", 0, lambda tw: inner_coeffs(tw, phi.on(tw), phi.on(tw), p))]
+            if p < s.dim:
+                kernels.append(("dH", p + 1, lambda tw: dH_coeffs(tw, phi)))
+            if p >= 1:
+                kernels.append(("deltaH", p - 1, lambda tw: deltaH_coeffs(tw, phi)))
+            if s.dim == 2:
+                kernels.append(("laplacian_exp", p, lambda tw: laplacian_expansion_coeffs(tw, phi)))
+            for label, degree, kernel in kernels:
+                same(kernel(collapsed), kernel(explicit), degree, (label, p))
+        for integrand in (forms.bochner_scalar_at, forms.gradient_norm_squared_at):
+            same(integrand(collapsed, X), integrand(explicit, X), 0, integrand.__name__)
+
+
+def hilbert_form(s):
+    return HorizontalForm(1, lambda xs, ys: hilbert_components(s, xs, ys), label="hilbert")
+
+
+class TestHilbertForm:
+    """The Hilbert form ell_i = dF/dy^i is horizontally parallel (the Cartan
+    connection is h-metrical and nabla y = 0), hence closed, co-closed and
+    harmonic on every Finsler metric."""
+
+    TOL = 1e-12
+
+    @pytest.mark.parametrize("name", ["randers-base", "randers-torus-3d"])
+    def test_parallel_and_harmonic_at_points(self, name, randers_base):
+        s = metric_by_id(name, randers_base)
+        ell = hilbert_form(s)
+        lap = horizontal_laplacian(s, ell)
+        for z in sample_points(s, 3):
+            nab = h_covariant_derivative(s, TensorField(ell.coeffs, "l"), (z.x, z.y)).data
+            assert np.max(np.abs(nab)) <= self.TOL
+            assert np.max(np.abs(lap.at(s, (z.x, z.y)).data)) <= self.TOL
+
+    @pytest.mark.parametrize("name", ["randers-base", "randers-torus-3d"])
+    def test_closed_and_coclosed_on_the_grid(self, name, randers_base):
+        s = metric_by_id(name, randers_base)
+        grid = small_grid(s)
+        ell = hilbert_form(s)
+        assert form_grid_norm(s, ell, grid) > 1.0
+        for op in (horizontal_differential, horizontal_codifferential):
+            assert form_grid_norm(s, op(s, ell), grid) <= self.TOL, op.__name__
