@@ -49,7 +49,9 @@ def _make_metric(name):
     if name == "euclidean":
         return FinslerStructure.euclidean(2)
     if name == "euclidean-3d":
-        return FinslerStructure.euclidean(3)
+        s = FinslerStructure.euclidean(3)
+        s.label = name  # the constructor labels by family, as inline metrics are
+        return s
     if name == "randers-torus":
         return FinslerStructure.randers(
             a=[[1.0, 0.0], [0.0, 1.0]], b=[0.5, 0.0], label="randers-torus"

@@ -1,11 +1,15 @@
 """Volume element on the sphere bundle and integration of the identities.
 
 The sphere bundle is parameterized by chart coordinates times standard
-fiber angles, with each fiber direction radially projected onto the unit
-sphere of F.  The canonical volume density is computed by pulling back the
-Hilbert form and wedging it with powers of its differential; all angle and
-base derivatives go through the jet engine, so the density is exact to
-roundoff.  Periodic axes use the rectangle rule (spectrally accurate for
+fiber angles: y = u(theta) / F(x, u), with u(theta) on the Euclidean unit
+sphere.  The canonical volume omega wedge (d omega)^(n-1) of the Hilbert
+form omega pulls back to det g(x, y) * det[y, d_theta y] in these
+coordinates.  Since d_theta y = d_theta u / F - u d_theta F / F^2 and the
+second term is a multiple of the first column, reducing columns gives
+det[y, d_theta y] = det[u, d_theta u] / F^n.  The density is therefore
+det g(x, y) * det[u, d_theta u] / F(x, u)^n: g comes from the grid's tower,
+the angle partials of u from the jet engine, and F from one evaluation
+of F^2.  Periodic axes use the rectangle rule (spectrally accurate for
 smooth periodic integrands), non-periodic axes composite Gauss-Legendre
 panels.
 """
@@ -19,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forms as _forms
-from . import jets
 from .connection import LocalTower, TensorField
 from .errors import (
     DegreeMismatch,
@@ -28,7 +31,7 @@ from .errors import (
     PoleSingularity,
 )
 from .jets import gcos, gsin, gsqrt, grad_wrt
-from .metric import hilbert_components
+from .metric import metric_components
 
 FIBER_POLAR_MARGIN = 1e-3
 DEFAULT_TOLERANCE = 1e-4
@@ -196,10 +199,17 @@ class QuadratureGrid:
         return self._cache[key][1]
 
     def density(self, s):
+        """|det g(x, y) * det[u, d_theta u] / F(x, u)^n| at every node.
+
+        g is the grid tower's, so the density evaluates F^2 once beyond it.
+        Each determinant is taken on the broadcast shape of its own entries
+        (fiber nodes only, where a factor does not depend on x), and the
+        product is broadcast to the grid shape.
+        """
         key = ("density", id(s))
         if key not in self._cache:
             arrays = self.axis_arrays()
-            raw = _raw_density(s, arrays[: self.n_base], arrays[self.n_base :])
+            raw = _raw_density(s, arrays[: self.n_base], arrays[self.n_base :], self.tower(s).g)
             raw = np.broadcast_to(np.asarray(raw, float), self.shape)
             if float(np.min(np.abs(raw))) <= 0.0:
                 raise GridError("volume density vanishes at a node; degenerate structure or grid")
@@ -218,62 +228,39 @@ class QuadratureGrid:
 # -- the volume density --------------------------------------------------------
 
 
-def _volume_prefactor(n):
-    return ((-1.0) ** ((n * (n - 1)) // 2)) / math.factorial(n - 1)
+def _det(rows):
+    """Determinant of a square nested list of scalars, taken on the broadcast
+    shape of its own entries (fiber-shaped where they do not depend on x)."""
+    n = len(rows)
+    leaves = np.broadcast_arrays(*[np.asarray(v, float) for row in rows for v in row])
+    return np.linalg.det(np.stack(leaves, axis=-1).reshape(leaves[0].shape + (n, n)))
 
 
-def _raw_density(s, xs, thetas, fiber_sign=1.0):
-    """Top coefficient of the pulled-back canonical volume form.
+def _raw_density(s, xs, thetas, g):
+    """Signed density det g(x, y) * det[u, d_theta u] / F(x, u)^n of the
+    canonical volume, with y = u(theta) / F(x, u) and ``g`` the fundamental
+    tensor at (x, y).
 
-    The Hilbert form is pulled back through (x, theta) -> (x, y(x, theta)),
-    its differential is taken in all base and angle variables, and the
-    single top-degree component of form wedge (d form)^(n-1) is assembled
-    by shuffle expansion.
+    The angle partials of u are jets of the fiber parameterization alone, so
+    the only F^2 evaluation is the one of F(x, u).
     """
     n = s.dim
-    if n not in (2, 3):
-        raise DimensionUnsupported("volume density supports n in {2, 3}")
-    d = 2 * n - 1
-
-    def w_fn(xi):
-        bxs = xi[:n]
-        th = [fiber_sign * t for t in xi[n:]]
-        u = fiber_direction(th, n)
-        F = gsqrt(s.f2(bxs, u))
-        invF = jets._reciprocal(F)
-        ys = [uk * invF for uk in u]
-        ell = hilbert_components(s, bxs, ys)
-        return ell + [0.0] * (d - n)
-
-    xi = list(xs) + [t * fiber_sign for t in thetas]
-    w = w_fn(xi)
-    dw = grad_wrt(w_fn, (xi,), 0)  # dw[a][b] = d_a w_b
-    A = [[dw[a][b] - dw[b][a] for b in range(d)] for a in range(d)]
-
-    if n == 2:
-        top = w[0] * A[1][2] - w[1] * A[0][2] + w[2] * A[0][1]
-    else:
-        idx = list(range(5))
-        top = None
-        for k in range(5):
-            rest = idx[:k] + idx[k + 1 :]
-            b, c, dd, e = rest
-            B = 2.0 * (A[b][c] * A[dd][e] - A[b][dd] * A[c][e] + A[b][e] * A[c][dd])
-            term = w[k] * B
-            if k % 2:
-                term = -term
-            top = term if top is None else top + term
-    return _volume_prefactor(n) * top
+    u = fiber_direction(thetas, n)
+    du = grad_wrt(lambda th: fiber_direction(th, n), (thetas,), 0)
+    F = gsqrt(s.f2(xs, u))
+    return _det(g) * _det([u] + du) / F**n
 
 
-def volume_density(s, x, theta, fiber_sign=1.0) -> VolumeDensity:
+def volume_density(s, x, theta) -> VolumeDensity:
     """Density of the canonical volume at one (base, angle) node."""
     x = [float(v) for v in np.atleast_1d(np.asarray(x, float))]
     theta = [float(v) for v in np.atleast_1d(np.asarray(theta, float))]
     s._check_chart(np.asarray(x))
     if s.dim == 3 and abs(math.sin(theta[0])) < FIBER_POLAR_MARGIN / 2:
         raise PoleSingularity("polar fiber angle too close to the axis")
-    raw = float(jets.primal(_raw_density(s, x, theta, fiber_sign=fiber_sign)))
+    # g is 0-homogeneous in y, so it is taken at u itself
+    g = metric_components(s, x, fiber_direction(theta, s.dim))
+    raw = float(_raw_density(s, x, theta, g))
     return VolumeDensity(value=abs(raw), raw=raw)
 
 
@@ -346,9 +333,15 @@ def adjointness_defect(s, phi, psi, grid: QuadratureGrid) -> float:
 def bochner_integral(s, X: TensorField, grid: QuadratureGrid) -> dict:
     """Curvature and gradient integrals for the harmonic field classification.
 
-    The sum of the two integrals is the quantity that vanishes for harmonic
-    fields; the divergence defect of the transport form is reported for any
-    field since it is a co-differential.
+    The sum of the two integrals satisfies the integrated Bochner identity
+
+        int K + int |nabla X|^2 = ||d_H X_flat||^2 + ||delta_H X_flat||^2
+                                  - int (X^j (nabla_0 T)_j) delta_H X_flat,
+
+    with X_flat = g_ij X^j dx^i.  The last term vanishes where nabla_0 T = 0
+    and for harmonic X_flat, so the sum vanishes for harmonic fields.  The
+    divergence defect of the transport form is reported for any field since
+    it is a co-differential.
     """
     tower = grid.tower(s)
     K = _forms.bochner_scalar_at(tower, X)

@@ -316,6 +316,15 @@ class TestCommandLine:
         doc = json.loads(out)
         assert doc["integral"] == pytest.approx((2 * np.pi) ** 3, rel=1e-8)
 
+    def test_integrate_3d_reports_its_metric_id(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "integrate", "--metric", "euclidean-3d", "--grid", "8,8,8x16,16"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["metric"] == "euclidean-3d"
+        assert doc["integral"] == pytest.approx(4 * np.pi * (2 * np.pi) ** 3, rel=1e-6)
+
     def test_check_subcommand_exit_codes(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -13,6 +13,11 @@ from conftest import sample_points
 FAMILIES = ["euclidean", "randers-torus", "riemannian-torus", "riemannian-sphere", "quartic-torus"]
 
 
+@pytest.mark.parametrize("name", bi.METRIC_IDS)
+def test_builtin_label_is_its_id(name):
+    assert bi.get_metric(name).label == name
+
+
 class TestNormEvaluation:
     def test_euclidean_norm(self, euclidean):
         assert euclidean.F([0.1, 0.2], [3.0, 4.0]) == pytest.approx(5.0, abs=1e-14)

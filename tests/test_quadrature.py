@@ -9,21 +9,24 @@ from finslerforms.connection import LocalTower
 from finslerforms.errors import DegreeMismatch, GridError, PoleSingularity
 from finslerforms.forms import (
     HorizontalForm,
+    deltaH_coeffs,
     horizontal_codifferential,
     horizontal_differential,
     horizontal_laplacian,
     inner_coeffs,
     is_h_harmonic,
     laplacian_expansion,
+    lowered_form,
 )
-from finslerforms.jets import Jet, gcos, gsin
-from finslerforms.metric import FinslerStructure
+from finslerforms.jets import Jet, _reciprocal, gcos, grad_wrt, gsin, gsqrt
+from finslerforms.metric import hilbert_components
 from finslerforms.quadrature import (
     AxisSpec,
     QuadratureGrid,
     adjointness_defect,
     bochner_integral,
     divergence_integral_check,
+    fiber_direction,
     form_grid_norm,
     global_inner_product,
     integrate_scalar,
@@ -55,17 +58,68 @@ class TestGridConstruction:
         assert g2.tolerance == grid.tolerance / 4.0
 
 
+def shuffle_density(s, xs, thetas):
+    """Reference density: the top coefficient of omega wedge (d omega)^(n-1).
+
+    The Hilbert form omega is pulled back through (x, theta) -> (x, y) with
+    y = u(theta) / F(x, u), differentiated in all 2n - 1 variables, and
+    wedged by the shuffle expansion written out for n = 2 and n = 3.
+    """
+    n = s.dim
+    d = 2 * n - 1
+
+    def w_fn(xi):
+        u = fiber_direction(xi[n:], n)
+        invF = _reciprocal(gsqrt(s.f2(xi[:n], u)))
+        return hilbert_components(s, xi[:n], [uk * invF for uk in u]) + [0.0] * (d - n)
+
+    xi = list(xs) + list(thetas)
+    w = w_fn(xi)
+    dw = grad_wrt(w_fn, (xi,), 0)  # dw[a][b] = d_a w_b
+    A = [[dw[a][b] - dw[b][a] for b in range(d)] for a in range(d)]
+    if n == 2:
+        top = w[0] * A[1][2] - w[1] * A[0][2] + w[2] * A[0][1]
+    else:
+        top = 0.0
+        for k in range(5):
+            b, c, dd, e = [i for i in range(5) if i != k]
+            B = 2.0 * (A[b][c] * A[dd][e] - A[b][dd] * A[c][e] + A[b][e] * A[c][dd])
+            top = top + (-1.0) ** k * w[k] * B
+    return ((-1.0) ** ((n * (n - 1)) // 2)) / math.factorial(n - 1) * top
+
+
 class TestVolumeDensity:
     def test_euclidean_density_constant_one(self, euclidean):
         for th in (0.3, 1.2, 4.0):
             vd = volume_density(euclidean, [0.5, 0.1], [th])
             assert vd.value == pytest.approx(1.0, abs=1e-12)
 
-    def test_orientation_flip_changes_raw_sign(self, randers):
-        a = volume_density(randers, [0.5, 0.1], [0.7])
-        b = volume_density(randers, [0.5, 0.1], [-0.7], fiber_sign=-1.0)
-        assert a.raw == pytest.approx(-b.raw, rel=1e-12)
-        assert a.value > 0.0 and b.value > 0.0
+    def test_euclidean_3d_density_is_sin_theta1(self):
+        e3 = bi.get_metric("euclidean-3d")
+        for th in ([0.3, 0.2], [1.2, 4.0], [2.9, 5.5]):
+            vd = volume_density(e3, [0.1, 0.2, 0.3], th)
+            assert vd.raw == pytest.approx(math.sin(th[0]), rel=1e-14)
+        grid = small_grid(e3, base=8, fiber=8)
+        th1 = grid.axis_arrays()[3]
+        assert np.allclose(grid.density(e3), np.sin(th1), rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("name", bi.METRIC_IDS + ("randers-base",))
+    def test_matches_shuffle_expansion(self, name, randers_base):
+        s = randers_base if name == "randers-base" else bi.get_metric(name)
+        grid = small_grid(s, base=8, fiber=8)
+        arrays = grid.axis_arrays()
+        ref = np.broadcast_to(shuffle_density(s, arrays[: s.dim], arrays[s.dim :]), grid.shape)
+        assert np.max(np.abs(grid.density(s) / ref - 1.0)) < 1e-14
+        rng = np.random.default_rng(3)
+        for z in bi.random_chart_points(rng, s, 4):
+            theta = rng.uniform(0.2, 2.9, s.dim - 1)
+            want = shuffle_density(s, z.x.tolist(), theta.tolist())
+            assert volume_density(s, z.x, theta).raw == pytest.approx(want, rel=1e-14)
+
+    def test_raw_density_positive_in_the_standard_orientation(self, randers):
+        for th in (0.7, 2.5, 5.0):
+            vd = volume_density(randers, [0.5, 0.1], [th])
+            assert vd.raw > 0.0 and vd.value == vd.raw
 
     def test_positive_at_all_nodes(self, randers, quartic):
         for s in (randers, quartic):
@@ -220,29 +274,39 @@ class TestBochnerIntegral:
         res = bochner_integral(randers, X, grid)
         assert res["divergence_defect"] < 1e-5
 
+    def test_integrated_identity_on_a_base_dependent_metric(self, randers_base, rng):
+        """sum = ||d_H X_flat||^2 + ||delta_H X_flat||^2 - int (X^j (nabla_0 T)_j) delta_H X_flat.
 
+        On this metric nabla_0 T does not vanish, and the last term is a few
+        percent of the sum, so it is asserted to matter.
+        """
+        s = randers_base
+        grid = QuadratureGrid.for_structure(s, (16, 16), (24,))
+        X = bi.random_trig_vector(rng, s)
+        res = bochner_integral(s, X, grid)
+        flat = lowered_form(s, X)
+        d_flat = horizontal_differential(s, flat)
+        delta_flat = horizontal_codifferential(s, flat)
+        tower = grid.tower(s)
+        Xv = X.components(*grid.coords_for(s))
+        XT = sum(Xv[j] * tower.nabla0T[j] for j in range(s.dim))
+        cross = integrate_scalar(s, XT * deltaH_coeffs(tower, flat), grid)
+        rhs = (
+            global_inner_product(s, d_flat, d_flat, grid)
+            + global_inner_product(s, delta_flat, delta_flat, grid)
+            - cross
+        )
+        assert res["sum"] == pytest.approx(rhs, rel=1e-9)
+        assert abs(cross) > 1e-2 * abs(rhs)
 
-def base_dependent_randers():
-    """Genuinely Finsler Randers metric whose a and b depend on the base point."""
-
-    def a(xs):
-        return [
-            [1.2 + 0.2 * gcos(xs[0]), 0.1 * gsin(xs[1])],
-            [0.1 * gsin(xs[1]), 1.0 + 0.1 * gsin(xs[0] + xs[1])],
-        ]
-
-    def b(xs):
-        return [0.3 * gcos(xs[1]), 0.2 * gsin(xs[0])]
-
-    return FinslerStructure.randers(a, b, dim=2)
 
 
 class TestFormsOnGridTower:
     """Operator-built forms evaluate on the grid's cached tower."""
 
     @pytest.fixture(scope="class")
-    def setting(self):
-        s = base_dependent_randers()
+    def setting(self, randers_base):
+        s = randers_base
         grid = small_grid(s, base=8, fiber=16)
         phi = bi.random_trig_form(np.random.default_rng(5), s, 1)
         return s, grid, phi
