@@ -16,7 +16,7 @@ import numpy as np
 from .connection import TensorField
 from .errors import ConfigError
 from .forms import HorizontalForm, form_build
-from .jets import gcos, gsin, gsincos
+from .jets import gcos, gsin, trig_sum
 from .metric import ChartSpec, FinslerStructure
 from .quadrature import DEFAULT_BASE_COUNTS, DEFAULT_FIBER_COUNTS, QuadratureGrid
 
@@ -194,7 +194,10 @@ def get_field(name, s) -> TensorField:
 
 @functools.cache
 def _frequencies(dim, degree):
-    out = []
+    """Frequency matrix of the trigonometric generators: the zero frequency,
+    which carries the constant term, then one representative per +-k pair
+    with 0 < |k|_1 <= degree, in lexicographic order."""
+    out = [(0,) * dim]
     for k in product(range(-degree, degree + 1), repeat=dim):
         if not any(k) or sum(abs(v) for v in k) > degree:
             continue
@@ -202,50 +205,58 @@ def _frequencies(dim, degree):
         if first < 0:
             continue  # one representative per +-k pair
         out.append(k)
-    return tuple(out)
+    K = np.array(out, float)
+    K.flags.writeable = False
+    return K
 
 
-def random_trig_scalar(rng, dim, degree=2, amplitude=1.0):
-    """Seeded random trigonometric polynomial on the base manifold."""
-    freqs = _frequencies(dim, degree)
-    scale = amplitude / math.sqrt(2 * len(freqs) + 1)
-    a0 = float(rng.normal()) * scale
-    coeffs = [(k, float(rng.normal()) * scale, float(rng.normal()) * scale) for k in freqs]
+def _trig_coefficients(rng, dim, degree, rows):
+    """(K, A, B) of ``rows`` seeded trigonometric polynomials for
+    :func:`jets.trig_sum`.  Each row draws its constant term and then (cos,
+    sin) coefficients per nonzero frequency, rows one after another, all
+    scaled by 1 / sqrt(number of draws per row)."""
+    K = _frequencies(dim, degree)
+    draws = rng.normal(size=(rows, 2 * len(K) - 1)) * (1.0 / math.sqrt(2 * len(K) - 1))
+    # the constant term is the zero frequency's cosine coefficient
+    A = np.concatenate([draws[:, :1], draws[:, 1::2]], axis=1)
+    B = np.concatenate([np.zeros((rows, 1)), draws[:, 2::2]], axis=1)
+    return K, A, B
 
-    def f(xs):
-        acc = a0
-        for k, ca, cb in coeffs:
-            phase = None
-            for ki, xi in zip(k, xs):
-                if ki == 0:
-                    continue
-                term = float(ki) * xi
-                phase = term if phase is None else phase + term
-            sin, cos = gsincos(phase)
-            acc = acc + ca * cos + cb * sin
-        return acc
 
-    return f
+def random_trig_scalar(rng, dim, degree=2):
+    """Seeded random trigonometric polynomial on the base manifold.
+
+    It is evaluated by :func:`jets.trig_sum`, which differentiates in closed
+    form: the x_i partial of a cos(k.x) + b sin(k.x) is k_i b cos(k.x) - k_i
+    a sin(k.x)."""
+    K, A, B = _trig_coefficients(rng, dim, degree, 1)
+    return lambda xs: trig_sum(K, A, B, xs)[0]
 
 
 def random_trig_form(rng, s, degree_p, trig_degree=2) -> HorizontalForm:
-    """Seeded degree-p form with trigonometric coefficient functions."""
+    """Seeded degree-p form with trigonometric coefficient functions.
+
+    The C(n, p) coefficients of increasing multi-indices are the rows of one
+    :func:`jets.trig_sum`, drawn in lexicographic order of the multi-index,
+    so they share one phase evaluation and differentiate in closed form."""
     n = s.dim
-    if degree_p == 0:
-        f = random_trig_scalar(rng, n, trig_degree)
-        return HorizontalForm(0, lambda xs, ys: f(xs), label="trig-random")
-    fns = {c: random_trig_scalar(rng, n, trig_degree) for c in combinations(range(n), degree_p)}
+    idxs = list(combinations(range(n), degree_p))
+    K, A, B = _trig_coefficients(rng, n, trig_degree, len(idxs))
 
     def coeffs(xs, ys):
-        return form_build(n, degree_p, lambda idx: fns[idx](xs))
+        return form_build(n, degree_p, dict(zip(idxs, trig_sum(K, A, B, xs))).__getitem__)
 
     return HorizontalForm(degree_p, coeffs, label="trig-random")
 
 
 def random_trig_vector(rng, s, trig_degree=2) -> TensorField:
-    """Seeded vector field with trigonometric component functions."""
-    fns = [random_trig_scalar(rng, s.dim, trig_degree) for _ in range(s.dim)]
-    return TensorField.from_vector(lambda xs: [f(xs) for f in fns], label="trig-random")
+    """Seeded vector field with trigonometric component functions.
+
+    The n components are the rows of one :func:`jets.trig_sum`, drawn in
+    component order, so they share one phase evaluation and differentiate in
+    closed form."""
+    K, A, B = _trig_coefficients(rng, s.dim, trig_degree, s.dim)
+    return TensorField.from_vector(lambda xs: trig_sum(K, A, B, xs), label="trig-random")
 
 
 def random_chart_points(rng, s, count):

@@ -19,11 +19,12 @@ partials.  So fields, forms and nabla T inside nabla nabla T
 
 Structural zeros.  The float ``0.0`` stands for a component that vanishes
 identically (:func:`is_structural_zero`).  A tower stores each ndarray
-component of N, Gamma, nabla0T and nabla_nabla0T that is 0 at every node as
-that float, and the kernels that multiply by these layers skip its terms, so
-on an x-independent metric a grid kernel does not broadcast arrays of zeros
-over every node.  Values stay exact; only the sign of an exact zero may
-differ.
+component of N, Gamma, nabla0T and nabla_nabla0T, and of every rebuilt
+partial, that is 0 at every node as that float, and the kernels that multiply
+by these layers skip its terms, so on an x-independent metric a grid kernel
+does not broadcast arrays of zeros over every node, and a lifted tower reads
+a layer whose partials vanish as its parent's plain value.  Values stay
+exact; only the sign of an exact zero may differ.
 """
 
 from __future__ import annotations
@@ -90,10 +91,13 @@ def _collapse_zeros(nested):
 
 def _rebuilt_partial(layer, grad):
     """Cached plain partial (``grad`` is grad_x or grad_y) of one tower layer,
-    taken by rebuilding the tower at jet-valued coordinates."""
+    taken by rebuilding the tower at jet-valued coordinates.  A component
+    that is 0 at every node is stored as the structural zero."""
 
     def partials(self):
-        return grad(lambda a, b: getattr(LocalTower(self.s, a, b), layer), self.xs, self.ys)
+        return _collapse_zeros(
+            grad(lambda a, b: getattr(LocalTower(self.s, a, b), layer), self.xs, self.ys)
+        )
 
     return cached_property(partials)
 
@@ -113,9 +117,10 @@ class LocalTower:
     ``deltaX`` layers and the covariant derivatives of the Cartan trace are
     built on it.
 
-    ``N``, ``Gamma``, ``nabla0T`` and ``nabla_nabla0T`` store a component
-    that is an ndarray equal to 0 at every node as the structural zero
-    ``0.0``, whose terms the kernels skip; jets are kept as they are.
+    ``N``, ``Gamma``, ``nabla0T``, ``nabla_nabla0T`` and the rebuilt
+    partials store a component that is an ndarray equal to 0 at every node
+    as the structural zero ``0.0``, whose terms the kernels skip; jets are
+    kept as they are.
 
     A layer's own partials (``dgx``, ``dN_x``, ...) are taken by rebuilding
     the tower at jet-valued coordinates, which evaluates F^2 under nested

@@ -182,6 +182,64 @@ def gcos(x):
     return np.cos(x)
 
 
+def trig_sum(K, A, B, xs):
+    """Rows of trigonometric sums over one set of frequencies.
+
+    ``out[r]`` = sum_k A[r, k] cos(K[k] . x) + B[r, k] sin(K[k] . x), for the
+    frequency matrix ``K`` (F x n) and the coefficient rows ``A``, ``B``
+    (R x F), at coordinates ``xs`` that are floats, arrays or nested jets.
+
+    The newest jet level is split off in closed form: the x_i partial of the
+    row (A, B) is the row (K[:, i] B, -K[:, i] A).  So the level appends one
+    block of derivative rows per seeded coordinate and recurses on the
+    coordinates' primal parts, and the tangent of row r is the sum of its
+    derivative rows times the coordinates' tangents.  The innermost level
+    computes one phase array K x, one sine, one cosine and two matrix
+    products for all rows at once.  At 0-d coordinates the rows are Python
+    floats, on arrays ndarrays of the coordinates' broadcast shape.
+    """
+    tags = [x.tag for x in xs if isinstance(x, Jet)]
+    if not tags:
+        return _trig_rows(K, A, B, xs)
+    tag = max(tags)
+    seeded = [(i, x.coeffs[1]) for i, x in enumerate(xs) if isinstance(x, Jet) and x.tag == tag]
+    inner = [x.coeffs[0] if isinstance(x, Jet) and x.tag == tag else x for x in xs]
+    vals = trig_sum(
+        K,
+        np.concatenate([A] + [B * K[:, i] for i, _ in seeded]),
+        np.concatenate([B] + [A * -K[:, i] for i, _ in seeded]),
+        inner,
+    )
+    rows = len(A)
+    out = []
+    for r in range(rows):
+        tangent = None
+        for block, (_, t) in enumerate(seeded, 1):
+            d = vals[block * rows + r]
+            term = d if type(t) is float and t == 1.0 else t * d
+            tangent = term if tangent is None else tangent + term
+        out.append(Jet([vals[r], tangent], tag))
+    return out
+
+
+def _trig_rows(K, A, B, xs):
+    """:func:`trig_sum` at jet-free coordinates."""
+    if all(type(x) is float for x in xs):
+        shape = ()  # a point; broadcast_shapes would take a third of its cost
+    else:
+        shape = np.broadcast_shapes(*(np.shape(x) for x in xs))
+    cols = K.T.reshape(K.shape[::-1] + (1,) * len(shape))
+    # k_1 x_1 + ... + k_n x_n in this order, where a BLAS product may reorder
+    phase = cols[0] * xs[0]
+    for i in range(1, len(xs)):
+        phase = phase + cols[i] * xs[i]
+    phase = phase.reshape(len(K), -1)
+    out = A.dot(np.cos(phase)) + B.dot(np.sin(phase))
+    if shape:
+        return list(out.reshape((len(A),) + shape))
+    return out[:, 0].tolist()
+
+
 def primal(x):
     """Strip all jet levels, returning the underlying numeric value."""
     while isinstance(x, Jet):
