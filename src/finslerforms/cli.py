@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Subcommands mirror the engine surface: ``run`` executes a scenario file,
+Subcommands mirror the engine surface: ``run`` executes a scenario file;
 ``tensor``/``curvature`` print pointwise components, ``laplacian`` and
-``integrate`` work over a grid, ``check`` runs the verification suites and
-``diagnostics`` compares the jet engine against finite differences.  All
-reports are JSON (or CSV rows with 17 significant digits) and embed the
-inputs that produced them.
+``integrate`` work over a grid and ``check`` runs the verification suites,
+each as one scenario task through :func:`scenario.run_task` (an option not
+given leaves the task's default); ``diagnostics`` compares the jet engine
+against finite differences.  All reports are JSON (or CSV rows with 17
+significant digits) and embed the inputs that produced them.
 """
 
 from __future__ import annotations
@@ -19,20 +20,19 @@ import numpy as np
 from . import builtins as bi
 from . import forms as forms_mod
 from . import jets
-from . import quadrature as quad
 from . import scenario as scenario_mod
 from .connection import pack
-from .errors import ConfigError, DomainError, FinslerError, GridError
+from .errors import ConfigError, DomainError, FinslerError
 
 
-def _parse_at(s, text):
+def _parse_at(text):
+    """The ``--at`` text as a task's 'at' point of floats."""
     try:
         xpart, ypart = text.split(";")
-        x = [float(v) for v in xpart.split(",")]
-        y = [float(v) for v in ypart.split(",")]
+        return {"x": [float(v) for v in xpart.split(",")],
+                "y": [float(v) for v in ypart.split(",")]}
     except ValueError as exc:
         raise ConfigError("--at expects 'x1,...,xn;y1,...,yn'") from exc
-    return scenario_mod._parse_point(s, {"at": {"x": x, "y": y}})
 
 
 def _parse_tolerances(args):
@@ -49,19 +49,22 @@ def _parse_tolerances(args):
         setattr(args, attr, scenario_mod._parse_tolerance(value, flag))
 
 
-def _parse_grid(s, text, tolerance):
-    if text is None:
-        return bi.default_grid(s, tolerance=tolerance)
-    try:
-        base_txt, fiber_txt = text.split("x")
-        base = tuple(int(v) for v in base_txt.split(","))
-        fiber = tuple(int(v) for v in fiber_txt.split(","))
-    except ValueError as exc:
-        raise ConfigError("--grid expects 'b1,b2[,b3]xf1[,f2]'") from exc
-    try:
-        return quad.QuadratureGrid.for_structure(s, base, fiber, tolerance=tolerance)
-    except GridError as exc:
-        raise ConfigError(f"--grid: {exc}") from None
+def _parse_grid(s, args):
+    """The grid of ``--grid`` and ``--tol-grid``, built as a scenario's 'grid'."""
+    cfg = _given(tolerance=args.tol_grid)
+    if args.grid is not None:
+        try:
+            base_txt, fiber_txt = args.grid.split("x")
+            cfg["base"] = [int(v) for v in base_txt.split(",")]
+            cfg["fiber"] = [int(v) for v in fiber_txt.split(",")]
+        except ValueError as exc:
+            raise ConfigError("--grid expects 'b1,b2[,b3]xf1[,f2]'") from exc
+    return scenario_mod.grid_from_config(s, cfg)
+
+
+def _given(**options):
+    """The options given on the command line; a task defaults the others."""
+    return {k: v for k, v in options.items() if v is not None}
 
 
 def _emit(doc, out, fmt):
@@ -116,20 +119,11 @@ def cmd_run(args):
     return 0 if report["pass"] else 1
 
 
-def cmd_tensor(args):
+def cmd_point(args):
+    """``tensor`` and ``curvature``: one pointwise task."""
     s = scenario_mod.metric_from_config(_metric_arg(args))
-    x, y = _parse_at(s, args.at)
-    params = {"which": args.which, "at": {"x": x, "y": y}}
-    result, _ = scenario_mod.run_task(s, None, "tensor", params, None, None)
-    _emit({"metric": s.label, **result}, args.out, args.format)
-    return 0
-
-
-def cmd_curvature(args):
-    s = scenario_mod.metric_from_config(_metric_arg(args))
-    x, y = _parse_at(s, args.at)
-    params = {"which": args.which, "at": {"x": x, "y": y}}
-    result, _ = scenario_mod.run_task(s, None, "curvature", params, None, None)
+    params = _given(which=args.which, at=_parse_at(args.at))
+    result, _ = scenario_mod.run_task(s, None, args.command, params, None, None)
     _emit({"metric": s.label, **result}, args.out, args.format)
     return 0
 
@@ -138,14 +132,13 @@ def cmd_laplacian(args):
     if args.points and args.format != "csv":
         raise ConfigError("--points emits per-node CSV rows; it needs --format csv")
     s = scenario_mod.metric_from_config(_metric_arg(args))
-    grid = _parse_grid(s, args.grid, args.tol_grid)
-    phi = bi.get_form(args.form, s)
+    grid = _parse_grid(s, args)
+    params = _given(form=args.form, tol=args.tol)
     if args.points:
-        _write(_laplacian_pointwise_csv(s, phi, grid), args.out)
+        _write(_laplacian_pointwise_csv(s, scenario_mod.task_form(s, params), grid), args.out)
         return 0
-    report = forms_mod.is_h_harmonic(s, phi, grid, tol=args.tol)
-    doc = {"metric": s.label, "form": phi.label, "grid": grid.meta(), **report}
-    _emit(doc, args.out, args.format)
+    result, _ = scenario_mod.run_task(s, grid, "laplacian", params, None, None)
+    _emit({"metric": s.label, "grid": grid.meta(), **result}, args.out, args.format)
     return 0
 
 
@@ -173,35 +166,26 @@ def _laplacian_pointwise_csv(s, phi, grid):
 
 def cmd_integrate(args):
     s = scenario_mod.metric_from_config(_metric_arg(args))
-    grid = _parse_grid(s, args.grid, args.tol_grid)
-    result, _ = scenario_mod.run_task(s, grid, "integrate", {"field": args.field}, None, None)
+    grid = _parse_grid(s, args)
+    result, _ = scenario_mod.run_task(s, grid, "integrate", _given(field=args.field), None, None)
     _emit({"metric": s.label, "grid": grid.meta(), **result}, args.out, args.format)
     return 0
 
 
 def cmd_check(args):
     s = scenario_mod.metric_from_config(_metric_arg(args))
-    grid = _parse_grid(s, args.grid, args.tol_grid)
+    grid = _parse_grid(s, args)
     seed = scenario_mod._parse_int(args.seed, "--seed", minimum=0)
+    params = _given(which=args.which, **{
+        "adjointness": {"p": args.p, "pairs": args.count},
+        "divergence": {"forms": args.count},
+        "ricci-identity": {"fields": args.count},
+        "bochner": {"field": args.field, "expect_harmonic": args.expect_harmonic},
+    }[args.which])
     rng = np.random.default_rng(seed)
-    params = {"which": args.which}
-    if args.which == "adjointness":
-        params["p"] = args.p
-        params["pairs"] = args.count
-    elif args.which == "divergence":
-        params["forms"] = args.count
-    elif args.which == "ricci-identity":
-        params["fields"] = args.count
-    elif args.which == "bochner":
-        params["field"] = args.field
-        params["expect_harmonic"] = args.expect_harmonic
-    scenario_mod.validate_task(s, {"kind": "check", "params": params}, "check")
     result, ok = scenario_mod.run_task(s, grid, "check", params, args.tol, rng)
-    _emit(
-        {"metric": s.label, "grid": grid.meta(), "seed": seed, "pass": bool(ok), **result},
-        args.out,
-        args.format,
-    )
+    report = {"metric": s.label, "grid": grid.meta(), "seed": seed, "pass": bool(ok), **result}
+    _emit(report, args.out, args.format)
     return 0 if ok else 1
 
 
@@ -212,7 +196,7 @@ def cmd_list_builtins(args):
 
 def cmd_diagnostics(args):
     s = scenario_mod.metric_from_config(_metric_arg(args))
-    x, y = _parse_at(s, args.at)
+    x, y = scenario_mod._parse_point(s, _parse_at(args.at), "--at")
     comparisons = []
     worst = 0.0
     for xo, yo in (((1, 0), (0, 0)), ((0, 0), (1, 0)), ((0, 0), (1, 1)), ((1, 0), (0, 1))):
@@ -262,7 +246,7 @@ def build_parser():
             sp.add_argument("--at", required=True, help="point as 'x1,..;y1,..'")
         if grid:
             sp.add_argument("--grid", default=None, help="counts as 'b1,b2xf1'")
-            sp.add_argument("--tol-grid", default=quad.DEFAULT_TOLERANCE)
+            sp.add_argument("--tol-grid", default=None)
         sp.add_argument("--out", default=None, help="write the report to a file")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -272,19 +256,15 @@ def build_parser():
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.set_defaults(fn=cmd_run)
 
-    sp = sub.add_parser("tensor", help="print a metric-layer tensor at a point")
-    sp.add_argument("--which", choices=scenario_mod.TENSOR_WHICH, default="g")
-    common(sp, at=True)
-    sp.set_defaults(fn=cmd_tensor)
-
-    sp = sub.add_parser("curvature", help="print a curvature block at a point")
-    sp.add_argument("--which", choices=scenario_mod.CURVATURE_WHICH, default="Rhh")
-    common(sp, at=True)
-    sp.set_defaults(fn=cmd_curvature)
+    for kind, what in (("tensor", "a metric-layer tensor"), ("curvature", "a curvature block")):
+        sp = sub.add_parser(kind, help=f"print {what} at a point")
+        sp.add_argument("--which", choices=scenario_mod.POINT_READERS[kind])
+        common(sp, at=True)
+        sp.set_defaults(fn=cmd_point)
 
     sp = sub.add_parser("laplacian", help="grid norms and verdict for a named form")
-    sp.add_argument("--form", default="dx1")
-    sp.add_argument("--tol", default=1e-8)
+    sp.add_argument("--form")
+    sp.add_argument("--tol")
     sp.add_argument(
         "--points", action="store_true", help="emit per-node CSV components (needs --format csv)"
     )
@@ -292,17 +272,17 @@ def build_parser():
     sp.set_defaults(fn=cmd_laplacian)
 
     sp = sub.add_parser("integrate", help="integrate a field over the sphere bundle")
-    sp.add_argument("--field", default="one")
+    sp.add_argument("--field")
     common(sp, grid=True)
     sp.set_defaults(fn=cmd_integrate)
 
     sp = sub.add_parser("check", help="run a verification suite")
     sp.add_argument("which", choices=scenario_mod.CHECK_KINDS)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--count", type=int, default=10)
-    sp.add_argument("--p", type=int, default=1)
-    sp.add_argument("--tol", default=None)
-    sp.add_argument("--field", default="d1")
+    sp.add_argument("--count", type=int)
+    sp.add_argument("--p", type=int)
+    sp.add_argument("--tol")
+    sp.add_argument("--field")
     sp.add_argument("--expect-harmonic", action="store_true")
     common(sp, grid=True)
     sp.set_defaults(fn=cmd_check)

@@ -112,10 +112,11 @@ class LocalTower:
     the hh-curvature.  Derivative prefixes: ``dX_x[c]`` is the plain x
     partial along axis c, ``dX_y[m]`` the fiber partial.
 
-    Every horizontal derivative goes through :meth:`delta`, which combines
-    a layer's plain partials into delta_c = d/dx^c - N^m_c d/dy^m; the
-    ``deltaX`` layers and the covariant derivatives of the Cartan trace are
-    built on it.
+    The horizontal derivative of a layer goes through :meth:`delta`, which
+    combines its plain partials into delta_c = d/dx^c - N^m_c d/dy^m; the
+    ``deltaX`` layers are built on it.  The covariant derivatives of the
+    Cartan trace, ``nabla_h_T`` and ``nabla_nabla0T``, are :func:`cov_h` of
+    the 1-forms T and nabla0T, as for any tensor field.
 
     ``N``, ``Gamma``, ``nabla0T``, ``nabla_nabla0T`` and the rebuilt
     partials store a component that is an ndarray equal to 0 at every node
@@ -276,13 +277,10 @@ class LocalTower:
     @cached_property
     def nabla_h_T(self):
         """nabla_h_T[h][j]: horizontal covariant derivative of the Cartan trace."""
-        n = self.n
-        dT = self.delta(self.dT_x, self.dT_y, 1)
-        Gamma, Tt = self.Gamma, self.Tt
-        return [
-            [dT[h][j] - sum_terms(Gamma[p][j][h] * Tt[p] for p in range(n)) for j in range(n)]
-            for h in range(n)
-        ]
+        # the partials first: they rebuild the tower under nested jets, and the
+        # layers Tt caches here would otherwise be held through that peak
+        dx, dy = self.dT_x, self.dT_y
+        return cov_h(self, self.Tt, dx, dy, "l")
 
     @cached_property
     def nabla0T(self):
@@ -335,13 +333,7 @@ class LocalTower:
     @cached_property
     def nabla_nabla0T(self):
         """nabla_nabla0T[i][r]: horizontal covariant derivative of the 1-form nabla0T."""
-        n = self.n
-        dT = self.delta(self.d_nabla0T_x, self.d_nabla0T_y, 1)
-        Gamma, nT = self.Gamma, self.nabla0T
-        return _collapse_zeros([
-            [dT[i][r] - sum_terms(Gamma[p][r][i] * nT[p] for p in range(n)) for r in range(n)]
-            for i in range(n)
-        ])
+        return _collapse_zeros(cov_h(self, self.nabla0T, self.d_nabla0T_x, self.d_nabla0T_y, "l"))
 
 
 def _lifted(layer, x_partial, y_partial, rank):

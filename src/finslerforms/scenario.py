@@ -1,10 +1,13 @@
-"""Scenario documents: validation, execution and machine-readable reports.
+"""Scenario documents: parsing, execution and machine-readable reports.
 
 A scenario is a JSON object naming a metric (built-in id or inline family
-spec), an optional grid, a seed and a list of tasks.  Validation happens in
-full before any numerics run; reports embed the scenario hash and the
-engine tolerances so that identical scenarios yield byte-identical reports
-up to wall-clock fields.
+spec), an optional grid, a seed and a list of tasks.  Each task is parsed
+once: the parser of its kind reads, defaults and checks every parameter and
+returns the closure ``run(grid, rng)`` that runs the task on those values.
+Parsers draw nothing and compute nothing, so :func:`run_scenario` parses
+every task before any math runs, and :func:`run_task` is parse-then-run.
+Reports embed the scenario hash and the engine tolerances so that identical
+scenarios yield byte-identical reports up to wall-clock fields.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from . import builtins as bi
 from . import curvature as curvature_mod
 from . import forms as forms_mod
 from . import quadrature as quad
-from .connection import _point_tower, pack
-from .errors import ConfigError, FinslerError, GridError, TaskError
+from .connection import TensorField, _point_tower, pack
+from .errors import ConfigError, DimensionUnsupported, FinslerError, GridError, TaskError
 from .metric import ChartSpec, FinslerStructure
 from .quadrature import QuadratureGrid
 
@@ -32,25 +35,36 @@ ENGINE_TOLERANCES = {
     "grid_default": 1e-4,
 }
 
-TASK_KINDS = ("tensor", "curvature", "laplacian", "integrate", "check")
-CHECK_KINDS = ("ricci-identity", "adjointness", "divergence", "bochner")
-# the connection tensors a tensor task reads off a point tower: attribute, rank
-TOWER_TENSORS = {"G": ("G", 1), "N": ("N", 2), "Gamma": ("Gamma", 3), "Cv": ("Cmix", 3)}
-TENSOR_WHICH = ("g", "ginv", "C", "T", "ell", *TOWER_TENSORS)
-# the curvature function that computes each block alone; looked up by name
-# at call time, so wrappers installed on the module (bench/tracing.py) apply
-CURVATURE_BLOCKS = {
-    "Rhh": "hh_curvature",
-    "P": "hv_curvature",
-    "Q": "vv_curvature",
-    "Rflag": "flag_curvature_tensor",
-    "Ricci": "ricci_trace",
+# What a tensor or curvature task reads at a point z = (x, y), by its
+# 'which'; the first is the default.  Each reader looks its function up at
+# call time, so wrappers installed on a module (bench/tracing.py) apply.
+POINT_READERS = {
+    "tensor": {
+        "g": lambda s, z: s.fundamental_tensor(z).data,
+        "ginv": lambda s, z: s.inverse_metric(z).data,
+        "C": lambda s, z: s.cartan_tensor(z).data,
+        "T": lambda s, z: s.cartan_trace(z).data,
+        "ell": lambda s, z: s.hilbert_form(z).data,
+        "G": lambda s, z: pack(_point_tower(s, z)[0].G, 1),
+        "N": lambda s, z: pack(_point_tower(s, z)[0].N, 2),
+        "Gamma": lambda s, z: pack(_point_tower(s, z)[0].Gamma, 3),
+        "Cv": lambda s, z: pack(_point_tower(s, z)[0].Cmix, 3),
+    },
+    "curvature": {
+        "Rhh": lambda s, z: curvature_mod.hh_curvature(s, z).data,
+        "P": lambda s, z: curvature_mod.hv_curvature(s, z).data,
+        "Q": lambda s, z: curvature_mod.vv_curvature(s, z).data,
+        "Rflag": lambda s, z: curvature_mod.flag_curvature_tensor(s, z).data,
+        "Ricci": lambda s, z: curvature_mod.ricci_trace(s, z).data,
+    },
 }
-CURVATURE_WHICH = tuple(CURVATURE_BLOCKS)
-# integer task parameters and their minimums; run_task reads each with int().
-# A check over no samples, or over trig fields of degree < 1 (which have no
-# trigonometric term), would pass vacuously.
-INT_PARAMS = {"p": None, "pairs": 1, "forms": 1, "fields": 1, "points": 1, "degree": 1}
+# The integer task parameters: default and minimum.  A check over no
+# samples, or over trig fields of degree < 1 (which have no trigonometric
+# term), would pass vacuously.
+INT_PARAMS = {
+    "p": (1, None), "pairs": (10, 1), "forms": (10, 1), "fields": (10, 1), "points": (3, 1),
+    "degree": (2, 1),
+}
 
 
 def metric_from_config(cfg) -> FinslerStructure:
@@ -93,8 +107,9 @@ def metric_from_config(cfg) -> FinslerStructure:
 
 
 def grid_from_config(s, cfg) -> QuadratureGrid:
-    if cfg is None:
-        return bi.default_grid(s)
+    """The quadrature grid of a scenario's 'grid' object, or the default
+    grid for None; the CLI builds its --grid and --tol-grid grids here too."""
+    cfg = {} if cfg is None else cfg
     if not isinstance(cfg, dict):
         raise ConfigError("grid must be an object")
     base = cfg.get("base")
@@ -110,7 +125,7 @@ def grid_from_config(s, cfg) -> QuadratureGrid:
             fiber_counts=tuple(fiber) if fiber else None,
             tolerance=tol,
         )
-    except GridError as exc:
+    except (GridError, DimensionUnsupported) as exc:
         raise ConfigError(f"grid: {exc}") from None
 
 
@@ -126,110 +141,217 @@ def _parse_int(value, what, minimum=None):
     return value
 
 
+def _is_number(value):
+    """True for a JSON number: an int or a float, not a bool or a string."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _parse_tolerance(value, what):
     """A tolerance as a float; anything but a finite number >= 0 is a ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise ConfigError(f"{what} must be a number, got {value!r}")
     if not (math.isfinite(value) and value >= 0):
         raise ConfigError(f"{what} must be a finite number >= 0, got {value!r}")
     return float(value)
 
 
-def _parse_point(s, params):
-    at = params.get("at")
+def _parse_point(s, at, where):
+    """The sphere-bundle point ``at`` = {x: [...], y: [...]} as float lists."""
     if not isinstance(at, dict) or "x" not in at or "y" not in at:
-        raise ConfigError("task needs an 'at' point {x: [...], y: [...]}")
-    try:
-        x = [float(v) for v in at["x"]]
-        y = [float(v) for v in at["y"]]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("'at' coordinates must be lists of numbers") from exc
+        raise ConfigError(f"{where}: needs an 'at' point {{x: [...], y: [...]}}")
+    x, y = at["x"], at["y"]
+    if not all(isinstance(c, (list, tuple)) and all(map(_is_number, c)) for c in (x, y)):
+        raise ConfigError(f"{where}: 'at' coordinates must be lists of numbers, got {at!r}")
+    x, y = [float(v) for v in x], [float(v) for v in y]
     if len(x) != s.dim or len(y) != s.dim:
-        raise ConfigError("'at' point has wrong dimension")
+        raise ConfigError(f"{where}: 'at' point has wrong dimension")
     if not all(math.isfinite(v) for v in x + y):
-        raise ConfigError("'at' point has a non-finite coordinate")
+        raise ConfigError(f"{where}: 'at' point has a non-finite coordinate")
     if not any(y):
-        raise ConfigError("'at' tangent vector y is zero")
+        raise ConfigError(f"{where}: 'at' tangent vector y is zero")
     if not s.chart.contains(x):
-        raise ConfigError(f"'at' point x={x} is outside the chart domain")
+        raise ConfigError(f"{where}: 'at' point x={x} is outside the chart domain")
     return x, y
 
 
-def validate_scenario(doc):
-    """Raise ConfigError on any malformed element before running math.
+def _choice(params, key, default, choices, what, where):
+    value = params.get(key, default)
+    if not (isinstance(value, str) and value in choices):
+        raise ConfigError(f"{where}: unknown {what} {value!r}")
+    return value
 
-    Returns the scenario's metric and grid.
+
+def parse_task(s, kind, params, tolerance, where):
+    """Read, default and check every parameter of one task on metric ``s``.
+
+    Returns the closure ``run(grid, rng) -> (result, ok)`` that executes the
+    task.  Malformed input is a ConfigError prefixed by ``where``; nothing is
+    drawn or computed.
     """
+    if not (isinstance(kind, str) and kind in TASK_PARSERS):
+        raise ConfigError(f"{where}: unknown kind {kind!r}")
+    if not isinstance(params, dict):
+        raise ConfigError(f"{where}: 'params' must be an object")
+    ints = {
+        key: _parse_int(params.get(key, default), f"{where}: {key!r}", minimum)
+        for key, (default, minimum) in INT_PARAMS.items()
+    }
+    if tolerance is not None:
+        tolerance = _parse_tolerance(tolerance, f"{where}: 'tolerance'")
+    return TASK_PARSERS[kind](s, kind, params, ints, tolerance, where)
+
+
+def _parse_point_task(s, kind, params, ints, tolerance, where):
+    readers = POINT_READERS[kind]
+    which = _choice(params, "which", next(iter(readers)), readers, kind, where)
+    read, z = readers[which], _parse_point(s, params.get("at"), where)
+    return lambda grid, rng: ({"which": which, "components": np.asarray(read(s, z)).tolist()}, True)
+
+
+def task_form(s, params):
+    """The form of a laplacian task: 'form', dx1 by default."""
+    return bi.get_form(params.get("form", "dx1"), s)
+
+
+def _parse_laplacian(s, kind, params, ints, tolerance, where):
+    phi = task_form(s, params)
+    # without 'tol', the verdict takes is_h_harmonic's default
+    opts = {"tol": _parse_tolerance(params["tol"], f"{where}: 'tol'")} if "tol" in params else {}
+
+    def run(grid, rng):
+        report = forms_mod.is_h_harmonic(s, phi, grid, **opts)
+        return {"form": phi.label, **report}, bool(report["equivalence_consistent"])
+
+    return run
+
+
+def _parse_integrate(s, kind, params, ints, tolerance, where):
+    fid = params.get("field", "one")
+    phi = None if fid == "one" else bi.get_form(fid, s)  # "one": the volume itself
+
+    def run(grid, rng):
+        if phi is None:
+            value = quad.integrate_scalar(s, lambda xs, ys: 1.0, grid)
+            return {"field": fid, "integral": value}, True
+        return {"field": fid, "l2_norm": quad.form_grid_norm(s, phi, grid)}, True
+
+    return run
+
+
+def _parse_check(s, kind, params, ints, tolerance, where):
+    which = _choice(params, "which", None, CHECK_KINDS, "check", where)
+    check = CHECK_PARSERS[which](s, params, ints, where)
+    if tolerance is None and which == "ricci-identity":
+        tolerance = ENGINE_TOLERANCES["fourth_order_identities"]
+
+    def run(grid, rng):
+        tol = grid.tolerance if tolerance is None else tolerance
+        result, ok = check(grid, rng, tol)
+        return {"which": which, **result, "tolerance": tol}, ok
+
+    return run
+
+
+def _worst_of(key, count, defect, **extra):
+    """check(grid, rng, tol): the largest of ``count`` draws of
+    ``defect(grid, rng)``, reported under ``key`` and held to tol."""
+
+    def check(grid, rng, tol):
+        worst = 0.0
+        for _ in range(count):
+            worst = max(worst, defect(grid, rng))
+        return {**extra, key: worst}, worst <= tol
+
+    return check
+
+
+def _parse_ricci(s, params, ints, where):
+    def defect(grid, rng):  # one field at its own points
+        X = bi.random_trig_vector(rng, s, trig_degree=ints["degree"])
+        zs = bi.random_chart_points(rng, s, ints["points"])
+        res = (curvature_mod.ricci_identity_residual(s, X, z).data for z in zs)
+        return max(0.0, *(float(np.max(np.abs(r))) for r in res))
+
+    return _worst_of("max_residual", ints["fields"], defect)
+
+
+def _parse_adjointness(s, params, ints, where):
+    p = ints["p"]
+    if not 0 <= p < s.dim:  # psi has degree p + 1, which must not exceed the dimension
+        raise ConfigError(f"{where}: adjointness degree must be between 0 and {s.dim - 1}, got {p}")
+
+    def defect(grid, rng):
+        phi = bi.random_trig_form(rng, s, p)
+        return quad.adjointness_defect(s, phi, bi.random_trig_form(rng, s, p + 1), grid)
+
+    return _worst_of("max_defect", ints["pairs"], defect, p=p)
+
+
+def _parse_divergence(s, params, ints, where):
+    def defect(grid, rng):
+        return quad.divergence_integral_check(s, bi.random_trig_form(rng, s, 1), grid)
+
+    return _worst_of("max_defect", ints["forms"], defect)
+
+
+def _parse_bochner(s, params, ints, where):
+    fields = (*bi.FIELD_IDS, "trig-random", "constant")
+    fid = _choice(params, "field", "d1", fields, "vector field", where)
+    expect = params.get("expect_harmonic", False)
+    if not isinstance(expect, bool):
+        raise ConfigError(f"{where}: 'expect_harmonic' must be true or false, got {expect!r}")
+    degree, X = ints["degree"], None
+    if fid == "constant":
+        comps = params.get("components", [1.0] * s.dim)
+        finite = isinstance(comps, list) and all(_is_number(v) and math.isfinite(v) for v in comps)
+        if not (finite and len(comps) == s.dim):
+            raise ConfigError(f"{where}: 'components' must be a list of {s.dim} finite numbers")
+        X = TensorField.from_vector(lambda xs: [float(v) for v in comps], label="constant")
+    elif fid != "trig-random":
+        X = bi.get_field(fid, s)
+
+    def check(grid, rng, tol):
+        field = bi.random_trig_vector(rng, s, trig_degree=degree) if X is None else X
+        res = quad.bochner_integral(s, field, grid)
+        ok = res["divergence_defect"] <= tol
+        if expect:
+            ok = ok and abs(res["sum"]) <= tol
+        return {"field": field.label, **res}, ok
+
+    return check
+
+
+TASK_PARSERS = {"tensor": _parse_point_task, "curvature": _parse_point_task,
+                "laplacian": _parse_laplacian, "integrate": _parse_integrate, "check": _parse_check}
+CHECK_PARSERS = {"ricci-identity": _parse_ricci, "adjointness": _parse_adjointness,
+                 "divergence": _parse_divergence, "bochner": _parse_bochner}
+CHECK_KINDS = tuple(CHECK_PARSERS)
+
+
+def _parse_scenario(doc):
+    """The metric, grid and seed of a scenario, and its tasks as
+    (kind, params, run); any malformed element is a ConfigError."""
     if not isinstance(doc, dict):
         raise ConfigError("scenario must be a JSON object")
-    _parse_int(doc.get("seed", 0), "'seed'", minimum=0)
+    seed = _parse_int(doc.get("seed", 0), "'seed'", minimum=0)
     s = metric_from_config(doc.get("metric", "euclidean"))
     grid = grid_from_config(s, doc.get("grid"))
     tasks = doc.get("tasks", [])
     if not isinstance(tasks, list):
         raise ConfigError("'tasks' must be a list")
+    parsed = []
     for i, t in enumerate(tasks):
-        validate_task(s, t, f"task {i}")
-    return s, grid
+        if not isinstance(t, dict):
+            raise ConfigError(f"task {i}: must be an object")
+        kind, params = t.get("kind"), t.get("params", {})
+        parsed.append((kind, params, parse_task(s, kind, params, t.get("tolerance"), f"task {i}")))
+    return s, grid, seed, parsed
 
 
-def validate_task(s, t, where):
-    """Raise ConfigError, prefixed by ``where``, if task ``t`` is malformed
-    for metric ``s``."""
-    if not isinstance(t, dict):
-        raise ConfigError(f"{where}: must be an object")
-    kind = t.get("kind")
-    if kind not in TASK_KINDS:
-        raise ConfigError(f"{where}: unknown kind {kind!r}")
-    params = t.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError(f"{where}: 'params' must be an object")
-    for key, minimum in INT_PARAMS.items():
-        if key in params:
-            _parse_int(params[key], f"{where}: {key!r}", minimum)
-    if t.get("tolerance") is not None:
-        _parse_tolerance(t["tolerance"], f"{where}: 'tolerance'")
-    if kind == "tensor":
-        which = params.get("which", "g")
-        if which not in TENSOR_WHICH:
-            raise ConfigError(f"{where}: unknown tensor {which!r}")
-        _parse_point(s, params)
-    elif kind == "curvature":
-        which = params.get("which", "Rhh")
-        if which not in CURVATURE_WHICH:
-            raise ConfigError(f"{where}: unknown curvature block {which!r}")
-        _parse_point(s, params)
-    elif kind == "laplacian":
-        bi.get_form(params.get("form", "dx1"), s)
-        if "tol" in params:
-            _parse_tolerance(params["tol"], f"{where}: 'tol'")
-    elif kind == "integrate":
-        f = params.get("field", "one")
-        if f != "one":
-            bi.get_form(f, s)
-    elif kind == "check":
-        which = params.get("which")
-        if which not in CHECK_KINDS:
-            raise ConfigError(f"{where}: unknown check {which!r}")
-        if which == "adjointness" and not 0 <= int(params.get("p", 1)) < s.dim:
-            # psi has degree p + 1, which must not exceed the dimension
-            raise ConfigError(
-                f"{where}: adjointness degree must be between 0 and {s.dim - 1}, "
-                f"got {params.get('p', 1)!r}"
-            )
-        if which == "bochner":
-            fid = params.get("field", "d1")
-            if not isinstance(fid, str) or (
-                fid not in bi.FIELD_IDS and fid not in ("trig-random", "constant")
-            ):
-                raise ConfigError(f"{where}: unknown vector field {fid!r}")
-            comps = params.get("components")
-            if fid == "constant" and comps is not None and not (
-                isinstance(comps, list)
-                and len(comps) == s.dim
-                and all(type(v) in (int, float) and math.isfinite(v) for v in comps)
-            ):
-                raise ConfigError(f"{where}: 'components' must be a list of {s.dim} finite numbers")
+def validate_scenario(doc):
+    """Raise ConfigError on any malformed element before running math;
+    returns the scenario's metric and grid."""
+    return _parse_scenario(doc)[:2]
 
 
 def scenario_hash(doc) -> str:
@@ -237,125 +359,29 @@ def scenario_hash(doc) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _field_for_check(s, params, rng):
-    fid = params.get("field", "d1")
-    if fid == "trig-random":
-        return bi.random_trig_vector(rng, s, trig_degree=int(params.get("degree", 2)))
-    if fid == "constant":
-        comps = [float(v) for v in params.get("components", [1.0] * s.dim)]
-        return _constant_field(s, comps)
-    return bi.get_field(fid, s)
-
-
-def _constant_field(s, comps):
-    from .connection import TensorField
-
-    return TensorField.from_vector(lambda xs: list(comps), label="constant")
-
-
 def run_task(s, grid, kind, params, tolerance, rng):
-    if kind == "tensor":
-        which = params.get("which", "g")
-        x, y = _parse_point(s, params)
-        z = (x, y)
-        if which in TOWER_TENSORS:
-            attr, rank = TOWER_TENSORS[which]
-            data = pack(getattr(_point_tower(s, z)[0], attr), rank)
-        else:
-            data = {
-                "g": lambda: s.fundamental_tensor(z).data,
-                "ginv": lambda: s.inverse_metric(z).data,
-                "C": lambda: s.cartan_tensor(z).data,
-                "T": lambda: s.cartan_trace(z).data,
-                "ell": lambda: s.hilbert_form(z).data,
-            }[which]()
-        return {"which": which, "components": np.asarray(data).tolist()}, True
-
-    if kind == "curvature":
-        which = params.get("which", "Rhh")
-        x, y = _parse_point(s, params)
-        data = getattr(curvature_mod, CURVATURE_BLOCKS[which])(s, (x, y)).data
-        return {"which": which, "components": np.asarray(data).tolist()}, True
-
-    if kind == "laplacian":
-        phi = bi.get_form(params.get("form", "dx1"), s)
-        report = forms_mod.is_h_harmonic(s, phi, grid, tol=float(params.get("tol", 1e-8)))
-        return {"form": phi.label, **report}, bool(report["equivalence_consistent"])
-
-    if kind == "integrate":
-        fid = params.get("field", "one")
-        if fid == "one":
-            value = quad.integrate_scalar(s, lambda xs, ys: 1.0, grid)
-            return {"field": "one", "integral": value}, True
-        phi = bi.get_form(fid, s)
-        value = quad.form_grid_norm(s, phi, grid)
-        return {"field": fid, "l2_norm": value}, True
-
-    if kind == "check":
-        which = params["which"]
-        tol = float(tolerance if tolerance is not None else _default_check_tol(which, grid))
-        if which == "ricci-identity":
-            count = int(params.get("fields", 10))
-            pts = int(params.get("points", 3))
-            worst = 0.0
-            for _ in range(count):
-                X = bi.random_trig_vector(rng, s, trig_degree=int(params.get("degree", 2)))
-                for z in bi.random_chart_points(rng, s, pts):
-                    res = curvature_mod.ricci_identity_residual(s, X, z)
-                    worst = max(worst, float(np.max(np.abs(res.data))))
-            return {"which": which, "max_residual": worst, "tolerance": tol}, worst <= tol
-        if which == "adjointness":
-            p = int(params.get("p", 1))
-            pairs = int(params.get("pairs", 10))
-            worst = 0.0
-            for _ in range(pairs):
-                phi = bi.random_trig_form(rng, s, p)
-                psi = bi.random_trig_form(rng, s, p + 1)
-                worst = max(worst, quad.adjointness_defect(s, phi, psi, grid))
-            return {"which": which, "p": p, "max_defect": worst, "tolerance": tol}, worst <= tol
-        if which == "divergence":
-            count = int(params.get("forms", 10))
-            worst = 0.0
-            for _ in range(count):
-                pi = bi.random_trig_form(rng, s, 1)
-                worst = max(worst, quad.divergence_integral_check(s, pi, grid))
-            return {"which": which, "max_defect": worst, "tolerance": tol}, worst <= tol
-        if which == "bochner":
-            X = _field_for_check(s, params, rng)
-            res = quad.bochner_integral(s, X, grid)
-            ok = res["divergence_defect"] <= tol
-            if params.get("expect_harmonic", False):
-                ok = ok and abs(res["sum"]) <= tol
-            return {"which": which, "field": X.label, **res, "tolerance": tol}, ok
-
-    raise ConfigError(f"unknown task kind {kind!r}")
-
-
-def _default_check_tol(which, grid):
-    if which == "ricci-identity":
-        return ENGINE_TOLERANCES["fourth_order_identities"]
-    return grid.tolerance
+    """Parse one task, then run it: ``(result, ok)``."""
+    return parse_task(s, kind, params, tolerance, f"{kind} task")(grid, rng)
 
 
 def run_scenario(doc) -> dict:
-    """Validate and execute a scenario and assemble the report."""
-    s, grid = validate_scenario(doc)
-    seed = int(doc.get("seed", 0))
+    """Parse every task of a scenario, then run them and assemble the report."""
+    s, grid, seed, tasks = _parse_scenario(doc)
     t_start = time.time()
     tasks_out = []
     all_pass = True
-    for i, t in enumerate(doc.get("tasks", [])):
+    for i, (kind, params, run) in enumerate(tasks):
         rng = np.random.default_rng(seed + i)
         t0 = time.time()
         try:
-            result, ok = run_task(s, grid, t["kind"], t.get("params", {}), t.get("tolerance"), rng)
+            result, ok = run(grid, rng)
         except FinslerError as exc:
             raise TaskError(i, str(exc)) from exc
         tasks_out.append(
             {
                 "index": i,
-                "kind": t["kind"],
-                "params": t.get("params", {}),
+                "kind": kind,
+                "params": params,
                 "result": result,
                 "pass": bool(ok),
                 "wall_time_s": time.time() - t0,

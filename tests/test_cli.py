@@ -6,9 +6,18 @@ import numpy as np
 import pytest
 
 from finslerforms import builtins as bi
+from finslerforms import forms, quadrature
 from finslerforms.cli import main
 from finslerforms.errors import ConfigError, TaskError
-from finslerforms.scenario import run_scenario, scenario_hash, validate_scenario
+from finslerforms.scenario import (
+    grid_from_config,
+    metric_from_config,
+    parse_task,
+    run_scenario,
+    run_task,
+    scenario_hash,
+    validate_scenario,
+)
 
 
 def run_cli(capsys, *argv):
@@ -27,6 +36,222 @@ SCENARIO = {
         {"kind": "check", "params": {"which": "divergence", "forms": 2}, "tolerance": 1e-5},
     ],
 }
+
+
+# malformed scenario documents and the ConfigError message each one raises
+MALFORMED = [
+    ({"metric": "euclidean", "tasks": [{"kind": "frobnicate"}]}, "unknown kind"),
+    ({"tasks": [1]}, "must be an object"),
+    ({"tasks": [{"kind": "tensor", "params": []}]}, "'params' must be an object"),
+    (
+        {"tasks": [{"kind": "tensor", "params": {"at": {"x": [0.1, 0.2]}}}]},
+        "needs an 'at' point",
+    ),
+    (
+        {"metric": {"family": "euclidean", "dim": 2, "chart": {"periodic": [True, True]}}},
+        "needs 'bounds'",
+    ),
+    (
+        {"tasks": [{"kind": "check", "params": {"which": "adjointness", "p": "x"}}]},
+        "'p' must be an integer",
+    ),
+    ({"grid": {"base": "ab"}}, "lists of integer node counts"),
+    (
+        {"tasks": [{"kind": "check", "params": {"which": "divergence"}, "tolerance": "x"}]},
+        "'tolerance' must be a number",
+    ),
+    (
+        {"tasks": [{"kind": "check", "params": {"which": "divergence"},
+                    "tolerance": float("nan")}]},
+        "'tolerance' must be a finite number >= 0",
+    ),
+    (
+        {"tasks": [{"kind": "check", "params": {"which": "divergence"}, "tolerance": -1e-4}]},
+        "'tolerance' must be a finite number >= 0",
+    ),
+    (
+        {"tasks": [{"kind": "laplacian", "params": {"form": "dx1", "tol": "x"}}]},
+        "'tol' must be a number",
+    ),
+    ({"grid": {"tolerance": "x"}}, "grid 'tolerance' must be a number"),
+    ({"grid": {"base": [4, 4]}}, "at least 8 nodes per axis"),
+    (
+        {"metric": "randers-torus-3d", "grid": {"base": [8, 8, 8], "fiber": [16]}},
+        "one fiber node count per fiber angle",
+    ),
+    (
+        {"metric": "randers-torus",
+         "tasks": [{"kind": "check", "params": {"which": "adjointness", "p": 2}}]},
+        "adjointness degree must be between 0 and 1",
+    ),
+    (
+        {"tasks": [{"kind": "check", "params": {"which": "adjointness", "p": -1}}]},
+        "adjointness degree must be between 0 and 1",
+    ),
+    (
+        {"tasks": [{"kind": "check", "params": {"which": "adjointness", "pairs": 0}}]},
+        "'pairs' must be at least 1",
+    ),
+    (
+        {"tasks": [{"kind": "check", "params": {"which": "divergence", "forms": 0}}]},
+        "'forms' must be at least 1",
+    ),
+    (
+        {"tasks": [{"kind": "check", "params": {"which": "ricci-identity", "fields": 0}}]},
+        "'fields' must be at least 1",
+    ),
+    (
+        {"tasks": [{"kind": "check", "params": {"which": "ricci-identity", "points": -2}}]},
+        "'points' must be at least 1",
+    ),
+    ({"seed": "abc"}, "'seed' must be an integer"),
+    ({"metric": {"family": "euclidean", "dim": "x"}}, "metric 'dim' must be an integer"),
+    (
+        {"metric": {"family": "riemannian", "a": "abc"}},
+        "coefficient matrix must hold numbers",
+    ),
+    (
+        {"metric": {"family": "randers", "a": [[1, 0], [0, 1]], "b": ["z", 0]}},
+        "drift vector must hold numbers",
+    ),
+    (
+        {"metric": {"family": "euclidean", "chart": {"bounds": [[0, 1], [0, "q"]]}}},
+        "chart bounds must be",
+    ),
+    (
+        {"metric": {"family": "euclidean", "chart": {"bounds": [0, 1]}}},
+        "chart bounds must be",
+    ),
+    *(
+        (
+            {"tasks": [{"kind": "check", "params": {
+                "which": "bochner", "field": "constant", "components": comps}}]},
+            "'components' must be a list of 2 finite numbers",
+        )
+        for comps in (["a", 1], [1], 5)
+    ),
+    ({"seed": 1.5}, "'seed' must be an integer, got 1.5"),
+    ({"seed": True}, "'seed' must be an integer, got True"),
+    ({"seed": "3"}, "'seed' must be an integer"),
+    ({"metric": {"family": "euclidean", "dim": 2.7}}, "metric 'dim' must be an integer"),
+    (
+        {"tasks": [{"kind": "check", "params": {"which": "adjointness", "pairs": 1.5}}]},
+        "'pairs' must be an integer, got 1.5",
+    ),
+    (
+        {"tasks": [{"kind": "check", "params": {"which": "adjointness", "p": 0.9}}]},
+        "'p' must be an integer, got 0.9",
+    ),
+    (
+        {"tasks": [{"kind": "check", "params": {"which": "divergence", "forms": False}}]},
+        "'forms' must be an integer",
+    ),
+    (
+        {"tasks": [{"kind": "check", "params": {"which": "ricci-identity", "degree": 2.5}}]},
+        "'degree' must be an integer",
+    ),
+    *(
+        (
+            {"tasks": [{"kind": "check", "params": dict(params, degree=degree)}]},
+            f"'degree' must be at least 1, got {degree}",
+        )
+        for params in (
+            {"which": "ricci-identity"},
+            {"which": "bochner", "field": "trig-random"},
+        )
+        for degree in (0, -3)
+    ),
+    (
+        {"tasks": [{"kind": "check", "params": {
+            "which": "ricci-identity", "fields": float("inf")}}]},
+        "'fields' must be an integer",
+    ),
+    (
+        {"tasks": [{"kind": "tensor", "params": {"at": {"x": [0.1, 0.2], "y": [0, 0]}}}]},
+        "'at' tangent vector y is zero",
+    ),
+    (
+        {"metric": "riemannian-sphere", "tasks": [{"kind": "curvature", "params": {
+            "at": {"x": [0.01, 0.2], "y": [1, 0]}}}]},
+        r"'at' point x=\[0.01, 0.2\] is outside the chart domain",
+    ),
+    *(
+        (
+            {"metric": "randers-torus", "tasks": [{"kind": "check", "params": {
+                "which": "bochner", "field": "sin-x1-d1", "expect_harmonic": value}}]},
+            f"'expect_harmonic' must be true or false, got {value!r}",
+        )
+        for value in ("no", 1)
+    ),
+    *(
+        (
+            {"tasks": [{"kind": "tensor", "params": {"at": at}}]},
+            "'at' coordinates must be lists of numbers",
+        )
+        for at in (
+            {"x": ["0.1", True], "y": [1.0, 0.5]},
+            {"x": [0.1, 0.2], "y": [1.0, False]},
+            {"x": "0.1,0.2", "y": [1.0, 0.5]},
+        )
+    ),
+    (
+        {"metric": {"family": "euclidean", "dim": 4}, "tasks": [{"kind": "tensor", "params": {
+            "at": {"x": [0.1, 0.2, 0.3, 0.4], "y": [1, 0, 0, 0]}}}]},
+        r"grid: default grids exist for n in \{2, 3\} only",
+    ),
+    ({"tasks": [{"kind": "check", "params": {"which": "bogus"}}]}, "unknown check 'bogus'"),
+    *(
+        (
+            {"tasks": [{"kind": kind, "params": {
+                "which": "bogus", "at": {"x": [0.1, 0.2], "y": [1, 0]}}}]},
+            f"unknown {kind} 'bogus'",
+        )
+        for kind in ("tensor", "curvature")
+    ),
+    (
+        {"tasks": [{"kind": "check", "params": {"which": "bochner", "field": ["d1"]}}]},
+        r"unknown vector field \['d1'\]",
+    ),
+]
+MALFORMED_IDS = [
+    "unknown-kind", "task-not-object", "params-not-object", "point-without-y",
+    "chart-without-bounds", "degree-not-integer", "grid-counts-not-integers",
+    "tolerance-not-number", "tolerance-nan", "tolerance-negative",
+    "laplacian-tol-not-number", "grid-tolerance-not-number", "grid-too-few-nodes",
+    "grid-fiber-counts-short", "adjointness-psi-above-top-degree",
+    "adjointness-negative-degree", "no-pairs", "no-forms", "no-fields",
+    "negative-points", "seed-not-integer", "dim-not-integer", "matrix-not-numbers",
+    "drift-not-numbers", "chart-bound-not-number", "chart-bounds-not-pairs",
+    "components-not-numbers", "components-too-short", "components-not-list",
+    "seed-fractional", "seed-bool", "seed-string", "dim-fractional",
+    "pairs-fractional", "p-fractional", "forms-bool", "degree-fractional",
+    "ricci-degree-zero", "ricci-degree-negative", "bochner-degree-zero",
+    "bochner-degree-negative", "fields-infinite", "point-zero-y", "point-outside-chart",
+    "expect-harmonic-string", "expect-harmonic-number", "at-string-coordinate",
+    "at-bool-coordinate", "at-not-list", "dim-without-default-grid", "unknown-check",
+    "unknown-tensor", "unknown-curvature-block", "unknown-bochner-field",
+]
+
+# the malformed documents that the command line can hand over: all but those
+# with a bad seed (the CLI parses --seed itself) or a task that is no object
+RUN_TASK_MALFORMED = [
+    pytest.param(doc, message, id=name)
+    for (doc, message), name in zip(MALFORMED, MALFORMED_IDS)
+    if "seed" not in doc and all(isinstance(t, dict) for t in doc.get("tasks", []))
+]
+
+# one cheap task of every kind and check, on randers-torus
+EVERY_TASK = [
+    ("tensor", {"which": "Gamma", "at": {"x": [0.3, 0.4], "y": [1.0, 0.5]}}, None),
+    ("curvature", {"which": "P", "at": {"x": [0.3, 0.4], "y": [1.0, 0.5]}}, None),
+    ("laplacian", {"form": "sin-x1-dx1", "tol": 1e-6}, None),
+    ("integrate", {"field": "dx2"}, None),
+    ("check", {"which": "ricci-identity", "fields": 1, "points": 2, "degree": 1}, None),
+    ("check", {"which": "adjointness", "p": 0, "pairs": 2}, 1e-3),
+    ("check", {"which": "divergence", "forms": 2}, None),
+    ("check", {"which": "bochner", "field": "trig-random", "degree": 1}, 1e-2),
+    ("check", {"which": "bochner", "field": "constant", "components": [1, 0.5]}, None),
+]
 
 
 class TestScenarioRunner:
@@ -62,162 +287,42 @@ class TestScenarioRunner:
         with pytest.raises(ConfigError, match="a-norm of b"):
             validate_scenario(doc)
 
-    @pytest.mark.parametrize(
-        "doc, message",
-        [
-            ({"metric": "euclidean", "tasks": [{"kind": "frobnicate"}]}, "unknown kind"),
-            ({"tasks": [1]}, "must be an object"),
-            ({"tasks": [{"kind": "tensor", "params": []}]}, "'params' must be an object"),
-            (
-                {"tasks": [{"kind": "tensor", "params": {"at": {"x": [0.1, 0.2]}}}]},
-                "needs an 'at' point",
-            ),
-            (
-                {"metric": {"family": "euclidean", "dim": 2, "chart": {"periodic": [True, True]}}},
-                "needs 'bounds'",
-            ),
-            (
-                {"tasks": [{"kind": "check", "params": {"which": "adjointness", "p": "x"}}]},
-                "'p' must be an integer",
-            ),
-            ({"grid": {"base": "ab"}}, "lists of integer node counts"),
-            (
-                {"tasks": [{"kind": "check", "params": {"which": "divergence"}, "tolerance": "x"}]},
-                "'tolerance' must be a number",
-            ),
-            (
-                {"tasks": [{"kind": "check", "params": {"which": "divergence"},
-                            "tolerance": float("nan")}]},
-                "'tolerance' must be a finite number >= 0",
-            ),
-            (
-                {"tasks": [{"kind": "check", "params": {"which": "divergence"}, "tolerance": -1e-4}]},
-                "'tolerance' must be a finite number >= 0",
-            ),
-            (
-                {"tasks": [{"kind": "laplacian", "params": {"form": "dx1", "tol": "x"}}]},
-                "'tol' must be a number",
-            ),
-            ({"grid": {"tolerance": "x"}}, "grid 'tolerance' must be a number"),
-            ({"grid": {"base": [4, 4]}}, "at least 8 nodes per axis"),
-            (
-                {"metric": "randers-torus-3d", "grid": {"base": [8, 8, 8], "fiber": [16]}},
-                "one fiber node count per fiber angle",
-            ),
-            (
-                {"metric": "randers-torus",
-                 "tasks": [{"kind": "check", "params": {"which": "adjointness", "p": 2}}]},
-                "adjointness degree must be between 0 and 1",
-            ),
-            (
-                {"tasks": [{"kind": "check", "params": {"which": "adjointness", "p": -1}}]},
-                "adjointness degree must be between 0 and 1",
-            ),
-            (
-                {"tasks": [{"kind": "check", "params": {"which": "adjointness", "pairs": 0}}]},
-                "'pairs' must be at least 1",
-            ),
-            (
-                {"tasks": [{"kind": "check", "params": {"which": "divergence", "forms": 0}}]},
-                "'forms' must be at least 1",
-            ),
-            (
-                {"tasks": [{"kind": "check", "params": {"which": "ricci-identity", "fields": 0}}]},
-                "'fields' must be at least 1",
-            ),
-            (
-                {"tasks": [{"kind": "check", "params": {"which": "ricci-identity", "points": -2}}]},
-                "'points' must be at least 1",
-            ),
-            ({"seed": "abc"}, "'seed' must be an integer"),
-            ({"metric": {"family": "euclidean", "dim": "x"}}, "metric 'dim' must be an integer"),
-            (
-                {"metric": {"family": "riemannian", "a": "abc"}},
-                "coefficient matrix must hold numbers",
-            ),
-            (
-                {"metric": {"family": "randers", "a": [[1, 0], [0, 1]], "b": ["z", 0]}},
-                "drift vector must hold numbers",
-            ),
-            (
-                {"metric": {"family": "euclidean", "chart": {"bounds": [[0, 1], [0, "q"]]}}},
-                "chart bounds must be",
-            ),
-            (
-                {"metric": {"family": "euclidean", "chart": {"bounds": [0, 1]}}},
-                "chart bounds must be",
-            ),
-            *(
-                (
-                    {"tasks": [{"kind": "check", "params": {
-                        "which": "bochner", "field": "constant", "components": comps}}]},
-                    "'components' must be a list of 2 finite numbers",
-                )
-                for comps in (["a", 1], [1], 5)
-            ),
-            ({"seed": 1.5}, "'seed' must be an integer, got 1.5"),
-            ({"seed": True}, "'seed' must be an integer, got True"),
-            ({"seed": "3"}, "'seed' must be an integer"),
-            ({"metric": {"family": "euclidean", "dim": 2.7}}, "metric 'dim' must be an integer"),
-            (
-                {"tasks": [{"kind": "check", "params": {"which": "adjointness", "pairs": 1.5}}]},
-                "'pairs' must be an integer, got 1.5",
-            ),
-            (
-                {"tasks": [{"kind": "check", "params": {"which": "adjointness", "p": 0.9}}]},
-                "'p' must be an integer, got 0.9",
-            ),
-            (
-                {"tasks": [{"kind": "check", "params": {"which": "divergence", "forms": False}}]},
-                "'forms' must be an integer",
-            ),
-            (
-                {"tasks": [{"kind": "check", "params": {"which": "ricci-identity", "degree": 2.5}}]},
-                "'degree' must be an integer",
-            ),
-            *(
-                (
-                    {"tasks": [{"kind": "check", "params": dict(params, degree=degree)}]},
-                    f"'degree' must be at least 1, got {degree}",
-                )
-                for params in (
-                    {"which": "ricci-identity"},
-                    {"which": "bochner", "field": "trig-random"},
-                )
-                for degree in (0, -3)
-            ),
-            (
-                {"tasks": [{"kind": "check", "params": {
-                    "which": "ricci-identity", "fields": float("inf")}}]},
-                "'fields' must be an integer",
-            ),
-            (
-                {"tasks": [{"kind": "tensor", "params": {"at": {"x": [0.1, 0.2], "y": [0, 0]}}}]},
-                "'at' tangent vector y is zero",
-            ),
-            (
-                {"metric": "riemannian-sphere", "tasks": [{"kind": "curvature", "params": {
-                    "at": {"x": [0.01, 0.2], "y": [1, 0]}}}]},
-                r"'at' point x=\[0.01, 0.2\] is outside the chart domain",
-            ),
-        ],
-        ids=["unknown-kind", "task-not-object", "params-not-object", "point-without-y",
-             "chart-without-bounds", "degree-not-integer", "grid-counts-not-integers",
-             "tolerance-not-number", "tolerance-nan", "tolerance-negative",
-             "laplacian-tol-not-number", "grid-tolerance-not-number", "grid-too-few-nodes",
-             "grid-fiber-counts-short", "adjointness-psi-above-top-degree",
-             "adjointness-negative-degree", "no-pairs", "no-forms", "no-fields",
-             "negative-points", "seed-not-integer", "dim-not-integer", "matrix-not-numbers",
-             "drift-not-numbers", "chart-bound-not-number", "chart-bounds-not-pairs",
-             "components-not-numbers", "components-too-short", "components-not-list",
-             "seed-fractional", "seed-bool", "seed-string", "dim-fractional",
-             "pairs-fractional", "p-fractional", "forms-bool", "degree-fractional",
-             "ricci-degree-zero", "ricci-degree-negative", "bochner-degree-zero",
-             "bochner-degree-negative", "fields-infinite", "point-zero-y", "point-outside-chart"],
-    )
+    @pytest.mark.parametrize("doc, message", MALFORMED, ids=MALFORMED_IDS)
     def test_unknown_task_kind_rejected(self, doc, message):
         with pytest.raises(ConfigError, match=message):
             validate_scenario(doc)
+
+    @pytest.mark.parametrize("doc, message", RUN_TASK_MALFORMED)
+    def test_malformed_document_rejected_by_run_task(self, doc, message):
+        """The path of the command line: metric and grid from their builders,
+        then each task through run_task, which parses it before anything runs."""
+        with pytest.raises(ConfigError, match=message):
+            s = metric_from_config(doc.get("metric", "euclidean"))
+            grid = grid_from_config(s, doc.get("grid"))
+            for t in doc.get("tasks", []):
+                rng = np.random.default_rng(0)
+                run_task(s, grid, t.get("kind"), t.get("params", {}), t.get("tolerance"), rng)
+
+    @pytest.mark.parametrize(
+        "kind, params, tolerance",
+        EVERY_TASK,
+        ids=["tensor", "curvature", "laplacian", "integrate", "ricci-identity", "adjointness",
+             "divergence", "bochner-trig-random", "bochner-constant"],
+    )
+    def test_parsing_draws_nothing(self, kind, params, tolerance, monkeypatch):
+        """A parser calls no seeded generator and leaves numpy's global one
+        alone, so run_task draws exactly what the task's run draws."""
+        s = bi.get_metric("randers-torus")
+        grid = grid_from_config(s, {"base": [8, 8], "fiber": [8]})
+        global_state = np.random.get_state()[1].copy()
+        with monkeypatch.context() as m:
+            for name in ("random_trig_form", "random_trig_vector", "random_chart_points"):
+                m.setattr(bi, name, lambda *a, name=name, **kw: pytest.fail(f"parse drew {name}"))
+            run = parse_task(s, kind, params, tolerance, "task")
+        assert np.array_equal(np.random.get_state()[1], global_state)
+        rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
+        assert run(grid, rng_a) == run_task(s, grid, kind, params, tolerance, rng_b)
+        assert rng_a.random() == rng_b.random()
 
     def test_integral_floats_accepted(self):
         doc = {
@@ -265,8 +370,22 @@ class TestCommandLine:
 
     @pytest.mark.parametrize(
         "contents, message",
-        [(None, "cannot read scenario file"), ("{not json", "scenario file is not JSON")],
-        ids=["missing-file", "not-json"],
+        [
+            (None, "cannot read scenario file"),
+            ("{not json", "scenario file is not JSON"),
+            (
+                json.dumps({"metric": "randers-torus", "tasks": [{"kind": "check", "params": {
+                    "which": "bochner", "field": "sin-x1-d1", "expect_harmonic": "no"}}]}),
+                "'expect_harmonic' must be true or false, got 'no'",
+            ),
+            (
+                json.dumps({"metric": {"family": "euclidean", "dim": 4}, "tasks": [{
+                    "kind": "tensor",
+                    "params": {"at": {"x": [0.1, 0.2, 0.3, 0.4], "y": [1, 0, 0, 0]}}}]}),
+                "default grids exist for n in {2, 3} only",
+            ),
+        ],
+        ids=["missing-file", "not-json", "expect-harmonic-string", "dim-without-default-grid"],
     )
     def test_unreadable_scenario_file_is_a_config_error(self, tmp_path, capsys, contents, message):
         path = tmp_path / "scenario.json"
@@ -373,6 +492,42 @@ class TestCommandLine:
         assert code == 0
         doc = json.loads(out)
         assert doc["verdict"] == "harmonic"
+
+    def test_laplacian_and_check_reports_are_assembled_as_before(self, capsys):
+        """The reports equal, key for key, the ones the laplacian and check
+        subcommands used to assemble from the engine calls themselves."""
+        s = bi.get_metric("randers-torus")
+        grid = quadrature.QuadratureGrid.for_structure(s, (8, 8), (8,))
+        head = {"metric": s.label, "grid": grid.meta()}
+        phi = bi.get_form("sin-x1-dx1", s)
+        lap = {**head, "form": phi.label, **forms.is_h_harmonic(s, phi, grid, tol=1e-8)}
+        res = quadrature.bochner_integral(s, bi.get_field("sin-x1-d1", s), grid)
+        ok = res["divergence_defect"] <= grid.tolerance and abs(res["sum"]) <= grid.tolerance
+        bochner = {**head, "seed": 0, "pass": ok, "which": "bochner", "field": "sin-x1-d1", **res,
+                   "tolerance": grid.tolerance}
+        rng = np.random.default_rng(3)
+        worst = 0.0
+        for _ in range(2):
+            a, b = bi.random_trig_form(rng, s, 1), bi.random_trig_form(rng, s, 2)
+            worst = max(worst, quadrature.adjointness_defect(s, a, b, grid))
+        adjointness = {**head, "seed": 3, "pass": worst <= grid.tolerance, "which": "adjointness",
+                       "p": 1, "max_defect": worst, "tolerance": grid.tolerance}
+        argv = ("--metric", "randers-torus", "--grid", "8,8x8")
+        for want, command in (
+            (lap, ("laplacian", "--form", "sin-x1-dx1")),
+            (bochner, ("check", "bochner", "--field", "sin-x1-d1", "--expect-harmonic")),
+            (adjointness, ("check", "adjointness", "--count", "2", "--seed", "3")),
+        ):
+            code, out, _ = run_cli(capsys, *command, *argv)
+            assert code == (0 if want.get("pass", True) else 1)
+            assert json.loads(out) == json.loads(json.dumps(want, default=float))
+
+    def test_grid_on_unsupported_dimension_is_a_config_error(self, capsys):
+        metric = '{"family": "euclidean", "dim": 4}'
+        code, out, err = run_cli(capsys, "integrate", "--metric", metric)
+        assert code == 2
+        assert out == ""
+        assert "configuration error" in err and "default grids exist" in err
 
     def test_laplacian_pointwise_csv(self, capsys):
         code, out, _ = run_cli(
