@@ -14,8 +14,6 @@ from .connection import (
     v_covariant_derivative,
 )
 from .curvature import (
-    CurvatureAtPoint,
-    curvature_at_point,
     flag_curvature_tensor,
     hh_curvature,
     hv_curvature,

@@ -207,7 +207,7 @@ class LocalTower:
 
     @cached_property
     def Tt(self):
-        return cartan_trace_components(self.s, self.xs, self.ys, g_inv=self.gi, C=self.C)
+        return cartan_trace_components(self.gi, self.C)
 
     @cached_property
     def y_lower(self):
@@ -554,61 +554,61 @@ class ConnectionAtPoint:
     n_gamma_defect: float  # |N - Gamma.y|, reported rather than enforced
 
 
-def _point_tower(s, z, y=None):
-    x, yv = s._coords(z, y)
+def _point_tower(s, z):
+    """(tower at float coordinates, validated (x, y)) for one point z = (x, y)."""
+    x, yv = s._coords(z)
     return LocalTower(s, [float(v) for v in x], [float(v) for v in yv]), (x, yv)
 
 
-def spray(s, z, y=None):
-    tower, pt = _point_tower(s, z, y)
+def spray(s, z):
+    tower, pt = _point_tower(s, z)
     return TensorValue(pack(tower.G, 1), "u", pt)
 
 
-def nonlinear_connection(s, z, y=None):
-    tower, pt = _point_tower(s, z, y)
+def nonlinear_connection(s, z):
+    tower, pt = _point_tower(s, z)
     return TensorValue(pack(tower.N, 2), "ul", pt)
 
 
-def delta_derivative(s, f, z, axis, y=None):
+def delta_derivative(s, f, z, axis):
     """Horizontal basis derivative of a generic scalar field along one axis."""
-    tower, _ = _point_tower(s, z, y)
+    tower, _ = _point_tower(s, z)
     dxf = grad_x(f, tower.xs, tower.ys)
     dyf = grad_y(f, tower.xs, tower.ys)
     return float(jets.primal(tower.delta(dxf, dyf, 0)[axis]))
 
 
-def cartan_coefficients(s, z, y=None):
-    tower, pt = _point_tower(s, z, y)
+def cartan_coefficients(s, z):
+    tower, pt = _point_tower(s, z)
     G = pack(tower.G, 1)
     N = pack(tower.N, 2)
     Gamma = pack(tower.Gamma, 3)
     Cv = pack(tower.Cmix, 3)
-    yv = np.asarray(pt[1], float)
-    defect = float(np.max(np.abs(N - np.einsum("ijk,k->ij", Gamma, yv))))
+    defect = float(np.max(np.abs(N - np.einsum("ijk,k->ij", Gamma, pt[1]))))
     return ConnectionAtPoint(G=G, N=N, Gamma=Gamma, Cv=Cv, point=pt, n_gamma_defect=defect)
 
 
-def h_covariant_derivative(s, T: TensorField, z, y=None):
+def h_covariant_derivative(s, T: TensorField, z):
     """Horizontal covariant derivative; the new lower slot is the last axis."""
-    tower, pt = _point_tower(s, z, y)
+    tower, pt = _point_tower(s, z)
     val, dx, dy = T.partials(tower.xs, tower.ys)
     nab = cov_h(tower, val, dx, dy, T.variance)
     data = np.moveaxis(pack(nab, T.rank + 1), 0, -1)
     return TensorValue(data, T.variance + "l", pt)
 
 
-def v_covariant_derivative(s, T: TensorField, z, y=None):
+def v_covariant_derivative(s, T: TensorField, z):
     """Vertical covariant derivative; the new lower slot is the last axis."""
-    tower, pt = _point_tower(s, z, y)
+    tower, pt = _point_tower(s, z)
     val, _, dy = T.partials(tower.xs, tower.ys)
     nab = cov_v(tower, val, dy, T.variance)
     data = np.moveaxis(pack(nab, T.rank + 1), 0, -1)
     return TensorValue(data, T.variance + "l", pt)
 
 
-def nabla_0(s, T: TensorField, z, y=None):
+def nabla_0(s, T: TensorField, z):
     """Covariant derivative along the tautological direction y."""
-    tower, pt = _point_tower(s, z, y)
+    tower, pt = _point_tower(s, z)
     val, dx, dy = T.partials(tower.xs, tower.ys)
     nab = cov_h(tower, val, dx, dy, T.variance)
     n = tower.n

@@ -7,11 +7,13 @@ the hh-curvature, which is also the sign under which the Ricci identity
 holds.  The hv-block is the P curvature of the Cartan connection
 (Bao-Chern-Shen, *An Introduction to Riemann-Finsler Geometry*, 2000); it
 vanishes on Riemannian inputs.
+
+One pointwise path: a point is validated by ``FinslerStructure._coords``,
+and each public function reads one block off ``connection._point_tower``.
+Several blocks at one point are their kernels run on one tower.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,41 +84,28 @@ def vv_components(tower: LocalTower):
     return nested_build(n, 4, entry)
 
 
-def ricci_components(tower: LocalTower, hh=None):
+def ricci_components(tower: LocalTower):
     n = tower.n
-    hh = hh if hh is not None else hh_components(tower)
+    hh = hh_components(tower)
     return [[sum_terms(hh[l][i][l][j] for l in range(n)) for j in range(n)] for i in range(n)]
 
 
-@dataclass(frozen=True, eq=False)
-class CurvatureAtPoint:
-    """All curvature blocks at one point of the sphere bundle."""
-
-    R_hh: np.ndarray
-    P_hv: np.ndarray
-    Q_vv: np.ndarray
-    R_flag: np.ndarray
-    Ricci: np.ndarray
-    point: object
-
-
-def hh_curvature(s, z, y=None):
-    tower, pt = _point_tower(s, z, y)
+def hh_curvature(s, z):
+    tower, pt = _point_tower(s, z)
     return TensorValue(pack(hh_components(tower), 4), "ulll", pt)
 
 
-def flag_curvature_tensor(s, z, y=None, cross_check=True):
+def flag_curvature_tensor(s, z, cross_check=True):
     """Curvature of the nonlinear connection R^i_jk.
 
     With ``cross_check`` the y-contraction of the hh-curvature is compared
     against the direct form; disagreement signals an engine defect.
     """
-    tower, pt = _point_tower(s, z, y)
+    tower, pt = _point_tower(s, z)
     flag = pack(tower.flag, 3)
     if cross_check:
         hh = pack(hh_components(tower), 4)
-        yv = np.asarray(pt[1], float)
-        alt = np.einsum("m,imjk->ijk", yv, hh)
+        alt = np.einsum("m,imjk->ijk", pt[1], hh)
         defect = float(np.max(np.abs(flag - alt)))
         scale = 1.0 + float(np.max(np.abs(flag)))
         if defect / scale > FLAG_CROSS_CHECK_TOL:
@@ -126,35 +115,22 @@ def flag_curvature_tensor(s, z, y=None, cross_check=True):
     return TensorValue(flag, "ull", pt)
 
 
-def hv_curvature(s, z, y=None):
-    tower, pt = _point_tower(s, z, y)
+def hv_curvature(s, z):
+    tower, pt = _point_tower(s, z)
     return TensorValue(pack(hv_components(tower), 4), "ulll", pt)
 
 
-def vv_curvature(s, z, y=None):
-    tower, pt = _point_tower(s, z, y)
+def vv_curvature(s, z):
+    tower, pt = _point_tower(s, z)
     return TensorValue(pack(vv_components(tower), 4), "ulll", pt)
 
 
-def ricci_trace(s, z, y=None):
-    tower, pt = _point_tower(s, z, y)
+def ricci_trace(s, z):
+    tower, pt = _point_tower(s, z)
     return TensorValue(pack(ricci_components(tower), 2), "ll", pt)
 
 
-def curvature_at_point(s, z, y=None):
-    tower, pt = _point_tower(s, z, y)
-    hh = hh_components(tower)
-    return CurvatureAtPoint(
-        R_hh=pack(hh, 4),
-        P_hv=pack(hv_components(tower), 4),
-        Q_vv=pack(vv_components(tower), 4),
-        R_flag=pack(tower.flag, 3),
-        Ricci=pack(ricci_components(tower, hh=hh), 2),
-        point=pt,
-    )
-
-
-def ricci_identity_residual(s, X: TensorField, z, y=None):
+def ricci_identity_residual(s, X: TensorField, z):
     """Commutator of horizontal covariant derivatives minus its curvature value.
 
     The residual res[i][k][h] should vanish for any smooth vector field; it
@@ -162,7 +138,7 @@ def ricci_identity_residual(s, X: TensorField, z, y=None):
     """
     if X.variance != "u":
         raise DomainError("ricci identity residual expects a vector field (variance 'u')")
-    tower, pt = _point_tower(s, z, y)
+    tower, pt = _point_tower(s, z)
     n = tower.n
     # D[a][b][i] = nabla_a nabla_b X^i
     (val, _, dy), _, D = cov_hh(tower, lambda tw: X.components(tw.xs, tw.ys), "u")

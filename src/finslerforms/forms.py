@@ -97,9 +97,9 @@ class HorizontalForm:
             return self.coeffs(tower.xs, tower.ys)
         return self.kernel(tower)
 
-    def at(self, s, z, y=None):
+    def at(self, s, z):
         """Packed coefficient array at a single validated point."""
-        tower, pt = _point_tower(s, z, y)
+        tower, pt = _point_tower(s, z)
         return TensorValue(pack(self.on(tower), self.degree), "l" * self.degree, pt)
 
 
@@ -308,10 +308,10 @@ def laplacian_expansion(s, phi: HorizontalForm) -> HorizontalForm:
     )
 
 
-def pointwise_inner(s, phi: HorizontalForm, psi: HorizontalForm, z, y=None):
+def pointwise_inner(s, phi: HorizontalForm, psi: HorizontalForm, z):
     if phi.degree != psi.degree:
         raise DegreeMismatch(f"degrees {phi.degree} and {psi.degree} differ")
-    tower, _ = _point_tower(s, z, y)
+    tower, _ = _point_tower(s, z)
     a = phi.on(tower)
     b = psi.on(tower)
     return float(jets.primal(inner_coeffs(tower, a, b, phi.degree)))
@@ -366,7 +366,7 @@ def associate_one_form(s, X: TensorField) -> AssociatedForm:
     return AssociatedForm(horizontal=horizontal, vertical=vertical, source=X)
 
 
-def weitzenbock_residual(s, X: TensorField, z, y=None):
+def weitzenbock_residual(s, X: TensorField, z):
     """Second-order identity satisfied by the associated horizontal form.
 
     Returns the lower-index residual whose components equal minus the
@@ -375,7 +375,7 @@ def weitzenbock_residual(s, X: TensorField, z, y=None):
     """
     from .curvature import ricci_components
 
-    tower, pt = _point_tower(s, z, y)
+    tower, pt = _point_tower(s, z)
     n = tower.n
     low = lowered_form(s, X)
     (val, _, _), nab, D = cov_hh(tower, low.on, "l")
@@ -403,9 +403,9 @@ def weitzenbock_residual(s, X: TensorField, z, y=None):
     return TensorValue(pack(out, 1), "l", pt)
 
 
-def bochner_scalar(s, X: TensorField, z, y=None):
+def bochner_scalar(s, X: TensorField, z):
     """Curvature quadratic form classifying harmonic vector fields."""
-    tower, _ = _point_tower(s, z, y)
+    tower, _ = _point_tower(s, z)
     return float(jets.primal(bochner_scalar_at(tower, X)))
 
 
@@ -484,7 +484,7 @@ def transport_form(s, X: TensorField) -> HorizontalForm:
     return _operator_form(s, 1, kernel, f"transport({X.label})")
 
 
-def energy_identity_residuals(s, X: TensorField, z, y=None):
+def energy_identity_residuals(s, X: TensorField, z):
     """Residuals of the two pointwise identities behind the Bochner argument.
 
     The first compares the co-differential of the transport form with its
@@ -493,7 +493,7 @@ def energy_identity_residuals(s, X: TensorField, z, y=None):
     the returned values measure end-to-end numerical consistency of the
     covariant derivative stack.
     """
-    tower, _ = _point_tower(s, z, y)
+    tower, _ = _point_tower(s, z)
     n = tower.n
     dW = jets.primal(deltaH_coeffs(tower, transport_form(s, X)))
     dX = jets.primal(deltaH_coeffs(tower, lowered_form(s, X, label="X")))

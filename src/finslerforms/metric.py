@@ -5,6 +5,11 @@ the fundamental tensor, Cartan tensor, Cartan trace and Hilbert form at any
 point of the slit tangent bundle.  All component helpers are generic: they
 accept floats, batched numpy arrays or jets, so higher layers can
 differentiate straight through them.
+
+One pointwise path: a point z = (x, y) is validated by
+:meth:`FinslerStructure._coords`, and g, g^-1, C and T at a point are read
+off ``connection._point_tower``, one tensor per method.  The tower has no
+Hilbert-form layer, so ``hilbert_form`` uses its component helper.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ class ChartSpec:
             periodic = tuple(bool(p) for p in self.periodic)
             margin = self.excluded_margin
             margin = (0.0,) * len(bounds) if margin is None else tuple(float(m) for m in margin)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError(
                 "chart bounds must be [lo, hi] pairs of numbers, periodic flags and margins lists"
             ) from None
@@ -191,12 +196,9 @@ def cartan_components(s, xs, ys):
     return C
 
 
-def cartan_trace_components(s, xs, ys, g_inv=None, C=None):
-    n = s.dim
-    if g_inv is None:
-        g_inv = inverse_components(metric_components(s, xs, ys), n)
-    if C is None:
-        C = cartan_components(s, xs, ys)
+def cartan_trace_components(g_inv, C):
+    """Cartan trace T_j = g^ik C_ikj."""
+    n = len(C)
     out = []
     for j in range(n):
         acc = 0.0
@@ -350,91 +352,68 @@ class FinslerStructure:
                     f"at x={x.tolist()}; positivity of F fails"
                 )
 
-    # -- chart and point plumbing ----------------------------------------------
+    # -- points and pointwise tensors -------------------------------------------
 
-    def _check_chart(self, x):
-        if not self.chart.contains(x):
-            raise OutOfChart(f"x={np.asarray(x).tolist()} outside chart domain")
-
-    def _check_nonzero(self, y):
-        y = np.asarray(y, float)
-        if float(np.max(np.abs(y))) == 0.0:
+    def _coords(self, z):
+        """z = (x, y) as float arrays, once finite, y nonzero and x in the chart."""
+        x, y = (np.asarray(v, float) for v in z)
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise DomainError(f"non-finite coordinate in x={x.tolist()}, y={y.tolist()}")
+        if not np.any(y):
             raise ZeroVector("tangent vector is zero")
+        if not self.chart.contains(x):
+            raise OutOfChart(f"x={x.tolist()} outside chart domain")
+        return x, y
 
     def F(self, x, y):
         """Evaluate the Finsler norm at a chart point and nonzero tangent."""
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        self._check_nonzero(y)
-        self._check_chart(x)
+        x, y = self._coords((x, y))
         return float(gsqrt(self.f2(list(x), list(y))))
 
     def sphere_point(self, x, y):
         """Construct a validated point of SM, renormalizing tiny drift."""
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        self._check_nonzero(y)
-        self._check_chart(x)
         f = self.F(x, y)
         if abs(f - 1.0) > RENORMALIZE_TOL:
             raise DomainError(
                 f"F(x,y)={f:.3e} is not within {RENORMALIZE_TOL:.0e} of 1; "
                 "normalize with normalize_to_indicatrix first"
             )
-        return SpherePoint(x=x, y=y / f)
+        return SpherePoint(x=np.asarray(x, float), y=np.asarray(y, float) / f)
 
     def normalize_to_indicatrix(self, x, u):
         """Radial projection of a nonzero tangent onto the unit sphere of F."""
-        x = np.asarray(x, float)
-        u = np.asarray(u, float)
-        self._check_nonzero(u)
-        self._check_chart(x)
-        f = float(gsqrt(self.f2(list(x), list(u))))
-        return SpherePoint(x=x, y=u / f)
+        f = self.F(x, u)
+        return SpherePoint(x=np.asarray(x, float), y=np.asarray(u, float) / f)
 
-    # -- pointwise tensor operations --------------------------------------------
+    def _tower_tensor(self, z, layer, variance):
+        """The tensor ``layer`` of the tower at z, read as a float array."""
+        from .connection import _point_tower
 
-    def _coords(self, z, y=None):
-        if y is not None:
-            x, yv = z, y
-        else:
-            x, yv = z
-        x = np.asarray(x, float)
-        yv = np.asarray(yv, float)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(yv))):
-            raise DomainError(f"non-finite coordinate in x={x.tolist()}, y={yv.tolist()}")
-        self._check_nonzero(yv)
-        self._check_chart(x)
-        return x, yv
+        tower, pt = _point_tower(self, z)
+        return TensorValue(np.array(getattr(tower, layer), float), variance, pt)
 
-    def fundamental_tensor(self, z, y=None):
-        x, yv = self._coords(z, y)
-        g = np.array(metric_components(self, list(x), list(yv)), float)
-        _cholesky_check(g, where=f"x={x.tolist()}, y={yv.tolist()}", label=self.label)
-        return TensorValue(g, "ll", (x, yv))
+    def fundamental_tensor(self, z):
+        g = self._tower_tensor(z, "g", "ll")
+        x, y = g.point
+        _cholesky_check(g.data, where=f"x={x.tolist()}, y={y.tolist()}", label=self.label)
+        return g
 
-    def inverse_metric(self, z, y=None):
-        x, yv = self._coords(z, y)
-        g = metric_components(self, list(x), list(yv))
-        gi = np.array(inverse_components(g, self.dim), float)
-        if not np.all(np.isfinite(gi)):
+    def inverse_metric(self, z):
+        gi = self._tower_tensor(z, "gi", "uu")
+        if not np.all(np.isfinite(gi.data)):
             raise SingularMetric("inverse metric is not finite")
-        return TensorValue(gi, "uu", (x, yv))
+        return gi
 
-    def cartan_tensor(self, z, y=None):
-        x, yv = self._coords(z, y)
-        C = np.array(cartan_components(self, list(x), list(yv)), float)
-        return TensorValue(C, "lll", (x, yv))
+    def cartan_tensor(self, z):
+        return self._tower_tensor(z, "C", "lll")
 
-    def cartan_trace(self, z, y=None):
-        x, yv = self._coords(z, y)
-        T = np.array(cartan_trace_components(self, list(x), list(yv)), float)
-        return TensorValue(T, "l", (x, yv))
+    def cartan_trace(self, z):
+        return self._tower_tensor(z, "Tt", "l")
 
-    def hilbert_form(self, z, y=None):
-        x, yv = self._coords(z, y)
-        ell = np.array(hilbert_components(self, list(x), list(yv)), float)
-        return TensorValue(ell, "l", (x, yv))
+    def hilbert_form(self, z):
+        x, y = self._coords(z)
+        ell = np.array(hilbert_components(self, list(x), list(y)), float)
+        return TensorValue(ell, "l", (x, y))
 
 
 def _cholesky_check(g, where, label):
@@ -459,7 +438,7 @@ def _matrix_field(a, dim):
         return a, int(dim)
     try:
         arr = np.asarray(a, float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError("coefficient matrix must hold numbers") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ConfigError("coefficient matrix must be square")
@@ -477,7 +456,7 @@ def _vector_field(b, dim):
         return b
     try:
         vec = [float(v) for v in np.asarray(b, float)]
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError("drift vector must hold numbers") from None
     if len(vec) != dim:
         raise ConfigError("drift vector length does not match dim")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forms as _forms
-from .connection import LocalTower, TensorField
+from .connection import LocalTower, TensorField, _point_tower
 from .errors import (
     DegreeMismatch,
     DimensionUnsupported,
@@ -31,7 +31,6 @@ from .errors import (
     PoleSingularity,
 )
 from .jets import gcos, gsin, gsqrt, grad_wrt
-from .metric import metric_components
 
 FIBER_POLAR_MARGIN = 1e-3
 DEFAULT_TOLERANCE = 1e-4
@@ -253,14 +252,12 @@ def _raw_density(s, xs, thetas, g):
 
 def volume_density(s, x, theta) -> VolumeDensity:
     """Density of the canonical volume at one (base, angle) node."""
-    x = [float(v) for v in np.atleast_1d(np.asarray(x, float))]
     theta = [float(v) for v in np.atleast_1d(np.asarray(theta, float))]
-    s._check_chart(np.asarray(x))
+    # g is 0-homogeneous in y, so it is taken at u itself
+    tower, _ = _point_tower(s, (np.atleast_1d(x), fiber_direction(theta, s.dim)))
     if s.dim == 3 and abs(math.sin(theta[0])) < FIBER_POLAR_MARGIN / 2:
         raise PoleSingularity("polar fiber angle too close to the axis")
-    # g is 0-homogeneous in y, so it is taken at u itself
-    g = metric_components(s, x, fiber_direction(theta, s.dim))
-    raw = float(_raw_density(s, x, theta, g))
+    raw = float(_raw_density(s, tower.xs, theta, tower.g))
     return VolumeDensity(value=abs(raw), raw=raw)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 import time
 
 import numpy as np
@@ -24,7 +25,9 @@ from . import curvature as curvature_mod
 from . import forms as forms_mod
 from . import quadrature as quad
 from .connection import TensorField, _point_tower, pack
-from .errors import ConfigError, DimensionUnsupported, FinslerError, GridError, TaskError
+from .errors import (
+    ConfigError, DimensionUnsupported, FinslerError, GridError, NotPositiveDefinite, TaskError
+)
 from .metric import ChartSpec, FinslerStructure
 from .quadrature import QuadratureGrid
 
@@ -88,21 +91,24 @@ def metric_from_config(cfg) -> FinslerStructure:
             periodic=c.get("periodic", [True] * len(c["bounds"])),
             excluded_margin=c.get("excluded_margin"),
         )
-    if family == "euclidean":
-        return FinslerStructure.euclidean(dim or 2, chart)
-    if family == "riemannian":
-        if "a" not in cfg:
-            raise ConfigError("riemannian metric needs coefficient matrix 'a'")
-        return FinslerStructure.riemannian(cfg["a"], dim=dim, chart=chart)
-    if family == "randers":
-        if "a" not in cfg or "b" not in cfg:
-            raise ConfigError("randers metric needs 'a' and 'b'")
-        return FinslerStructure.randers(cfg["a"], cfg["b"], dim=dim, chart=chart)
-    if family == "custom":
-        name = cfg.get("expression")
-        if name != "quartic":
-            raise ConfigError("custom metrics are limited to named built-in expressions")
-        return FinslerStructure.custom(bi._quartic_f2, dim=dim or 2, chart=chart)
+    try:
+        if family == "euclidean":
+            return FinslerStructure.euclidean(dim or 2, chart)
+        if family == "riemannian":
+            if "a" not in cfg:
+                raise ConfigError("riemannian metric needs coefficient matrix 'a'")
+            return FinslerStructure.riemannian(cfg["a"], dim=dim, chart=chart)
+        if family == "randers":
+            if "a" not in cfg or "b" not in cfg:
+                raise ConfigError("randers metric needs 'a' and 'b'")
+            return FinslerStructure.randers(cfg["a"], cfg["b"], dim=dim, chart=chart)
+        if family == "custom":
+            name = cfg.get("expression")
+            if name != "quartic":
+                raise ConfigError("custom metrics are limited to named built-in expressions")
+            return FinslerStructure.custom(bi._quartic_f2, dim=dim or 2, chart=chart)
+    except NotPositiveDefinite as exc:  # the document's metric fails its positivity check
+        raise ConfigError(f"metric: {exc}") from None
     raise ConfigError(f"unknown metric family {family!r}")
 
 
@@ -142,14 +148,17 @@ def _parse_int(value, what, minimum=None):
 
 
 def _is_number(value):
-    """True for a JSON number: an int or a float, not a bool or a string."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """True for a JSON number a float can hold: an int or a float, not a bool,
+    a string or an integer beyond the float range (float() would overflow)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, float) or abs(value) <= sys.float_info.max
 
 
 def _parse_tolerance(value, what):
     """A tolerance as a float; anything but a finite number >= 0 is a ConfigError."""
     if not _is_number(value):
-        raise ConfigError(f"{what} must be a number, got {value!r}")
+        raise ConfigError(f"{what} must be a number a float can hold, got {value!r}")
     if not (math.isfinite(value) and value >= 0):
         raise ConfigError(f"{what} must be a finite number >= 0, got {value!r}")
     return float(value)
@@ -162,16 +171,13 @@ def _parse_point(s, at, where):
     x, y = at["x"], at["y"]
     if not all(isinstance(c, (list, tuple)) and all(map(_is_number, c)) for c in (x, y)):
         raise ConfigError(f"{where}: 'at' coordinates must be lists of numbers, got {at!r}")
-    x, y = [float(v) for v in x], [float(v) for v in y]
     if len(x) != s.dim or len(y) != s.dim:
         raise ConfigError(f"{where}: 'at' point has wrong dimension")
-    if not all(math.isfinite(v) for v in x + y):
-        raise ConfigError(f"{where}: 'at' point has a non-finite coordinate")
-    if not any(y):
-        raise ConfigError(f"{where}: 'at' tangent vector y is zero")
-    if not s.chart.contains(x):
-        raise ConfigError(f"{where}: 'at' point x={x} is outside the chart domain")
-    return x, y
+    try:
+        x, y = s._coords((x, y))
+    except FinslerError as exc:
+        raise ConfigError(f"{where}: 'at' point: {exc}") from None
+    return x.tolist(), y.tolist()
 
 
 def _choice(params, key, default, choices, what, where):
@@ -254,12 +260,11 @@ def _parse_check(s, kind, params, ints, tolerance, where):
 
 def _worst_of(key, count, defect, **extra):
     """check(grid, rng, tol): the largest of ``count`` draws of
-    ``defect(grid, rng)``, reported under ``key`` and held to tol."""
+    ``defect(grid, rng)``, reported under ``key`` and held to tol.  The
+    largest of the draws is NaN if one of them is, so a NaN fails the check."""
 
     def check(grid, rng, tol):
-        worst = 0.0
-        for _ in range(count):
-            worst = max(worst, defect(grid, rng))
+        worst = float(np.max([defect(grid, rng) for _ in range(count)]))
         return {**extra, key: worst}, worst <= tol
 
     return check
@@ -269,8 +274,8 @@ def _parse_ricci(s, params, ints, where):
     def defect(grid, rng):  # one field at its own points
         X = bi.random_trig_vector(rng, s, trig_degree=ints["degree"])
         zs = bi.random_chart_points(rng, s, ints["points"])
-        res = (curvature_mod.ricci_identity_residual(s, X, z).data for z in zs)
-        return max(0.0, *(float(np.max(np.abs(r))) for r in res))
+        res = [curvature_mod.ricci_identity_residual(s, X, z).data for z in zs]
+        return float(np.max(np.abs(res)))
 
     return _worst_of("max_residual", ints["fields"], defect)
 

@@ -12,7 +12,13 @@ import pytest
 
 from finslerforms import builtins as bi
 from finslerforms.connection import TensorField, cartan_coefficients
-from finslerforms.curvature import curvature_at_point, ricci_identity_residual
+from finslerforms.curvature import (
+    hh_curvature,
+    hv_curvature,
+    ricci_identity_residual,
+    ricci_trace,
+    vv_curvature,
+)
 from finslerforms.forms import (
     bochner_scalar,
     energy_identity_residuals,
@@ -91,13 +97,14 @@ def test_criterion_02_riemannian_reduction():
     worst_vanish = 0.0
     for z in bi.random_chart_points(rng, s, 15):
         th = z.x[0]
-        conn = cartan_coefficients(s, (z.x, z.y))
-        cur = curvature_at_point(s, (z.x, z.y))
+        pt = (z.x, z.y)
+        conn = cartan_coefficients(s, pt)
         worst_closed = max(worst_closed, np.max(np.abs(conn.Gamma - sphere_christoffel(th))))
-        worst_closed = max(worst_closed, np.max(np.abs(cur.R_hh - sphere_riemann(th))))
+        R = hh_curvature(s, pt).data
+        worst_closed = max(worst_closed, np.max(np.abs(R - sphere_riemann(th))))
         ricci_expect = np.diag([1.0, math.sin(th) ** 2])
-        worst_closed = max(worst_closed, np.max(np.abs(cur.Ricci - ricci_expect)))
-        for block in (conn.Cv, cur.P_hv, cur.Q_vv):
+        worst_closed = max(worst_closed, np.max(np.abs(ricci_trace(s, pt).data - ricci_expect)))
+        for block in (conn.Cv, hv_curvature(s, pt).data, vv_curvature(s, pt).data):
             worst_vanish = max(worst_vanish, np.max(np.abs(block)))
         worst_vanish = max(worst_vanish, np.max(np.abs(s.cartan_trace((z.x, z.y)).data)))
     ok1 = report("criterion 2 sphere closed forms", worst_closed, 1e-6)

@@ -1,12 +1,14 @@
 import json
+import math
 import re
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from finslerforms import builtins as bi
-from finslerforms import forms, quadrature
+from finslerforms import curvature, forms, quadrature
 from finslerforms.cli import main
 from finslerforms.errors import ConfigError, TaskError
 from finslerforms.scenario import (
@@ -37,6 +39,9 @@ SCENARIO = {
     ],
 }
 
+
+# an integer that JSON can hold and a float cannot
+HUGE = 10**400
 
 # malformed scenario documents and the ConfigError message each one raises
 MALFORMED = [
@@ -168,12 +173,12 @@ MALFORMED = [
     ),
     (
         {"tasks": [{"kind": "tensor", "params": {"at": {"x": [0.1, 0.2], "y": [0, 0]}}}]},
-        "'at' tangent vector y is zero",
+        "'at' point: tangent vector is zero",
     ),
     (
         {"metric": "riemannian-sphere", "tasks": [{"kind": "curvature", "params": {
             "at": {"x": [0.01, 0.2], "y": [1, 0]}}}]},
-        r"'at' point x=\[0.01, 0.2\] is outside the chart domain",
+        r"'at' point: x=\[0.01, 0.2\] outside chart domain",
     ),
     *(
         (
@@ -212,6 +217,34 @@ MALFORMED = [
         {"tasks": [{"kind": "check", "params": {"which": "bochner", "field": ["d1"]}}]},
         r"unknown vector field \['d1'\]",
     ),
+    # integers too large for a float, wherever a document gives a number
+    (
+        {"tasks": [{"kind": "check", "params": {"which": "divergence"}, "tolerance": HUGE}]},
+        "'tolerance' must be a number",
+    ),
+    ({"grid": {"tolerance": HUGE}}, "grid 'tolerance' must be a number"),
+    (
+        {"tasks": [{"kind": "tensor", "params": {"at": {"x": [HUGE, 0.2], "y": [1, 0]}}}]},
+        "'at' coordinates must be lists of numbers",
+    ),
+    (
+        {"tasks": [{"kind": "check", "params": {
+            "which": "bochner", "field": "constant", "components": [1, HUGE]}}]},
+        "'components' must be a list of 2 finite numbers",
+    ),
+    ({"metric": {"family": "riemannian", "a": [[HUGE, 0], [0, 1]]}}, "matrix must hold numbers"),
+    (
+        {"metric": {"family": "randers", "a": [[1, 0], [0, 1]], "b": [HUGE, 0]}},
+        "drift vector must hold numbers",
+    ),
+    (
+        {"metric": {"family": "euclidean", "chart": {"bounds": [[0, HUGE], [0, 1]]}}},
+        "chart bounds must be",
+    ),
+    # inline metrics that fail the positivity check
+    ({"metric": {"family": "riemannian", "a": [[1, 0], [0, -1]]}}, "not positive"),
+    ({"metric": {"family": "riemannian", "a": [[float("inf"), 0], [0, 1]]}}, "not positive"),
+    ({"metric": {"family": "randers", "a": [[-1, 0], [0, 1]], "b": [0, 0]}}, "not positive"),
 ]
 MALFORMED_IDS = [
     "unknown-kind", "task-not-object", "params-not-object", "point-without-y",
@@ -230,6 +263,9 @@ MALFORMED_IDS = [
     "expect-harmonic-string", "expect-harmonic-number", "at-string-coordinate",
     "at-bool-coordinate", "at-not-list", "dim-without-default-grid", "unknown-check",
     "unknown-tensor", "unknown-curvature-block", "unknown-bochner-field",
+    "tolerance-huge-integer", "grid-tolerance-huge-integer", "at-huge-integer",
+    "components-huge-integer", "matrix-huge-integer", "drift-huge-integer",
+    "chart-bound-huge-integer", "matrix-indefinite", "matrix-infinite", "randers-indefinite",
 ]
 
 # the malformed documents that the command line can hand over: all but those
@@ -251,6 +287,26 @@ EVERY_TASK = [
     ("check", {"which": "divergence", "forms": 2}, None),
     ("check", {"which": "bochner", "field": "trig-random", "degree": 1}, 1e-2),
     ("check", {"which": "bochner", "field": "constant", "components": [1, 0.5]}, None),
+]
+
+
+def _residual(value):
+    return SimpleNamespace(data=np.array([[0.0, value]]))
+
+
+# a check whose second defect is NaN, patched in where the defect is computed:
+# (check params, module, function, wrapper of the value it returns)
+NAN_DEFECTS = [
+    ({"which": "divergence", "forms": 3}, quadrature, "divergence_integral_check", float),
+    ({"which": "adjointness", "pairs": 3}, quadrature, "adjointness_defect", float),
+    (
+        {"which": "ricci-identity", "fields": 1, "points": 3},
+        curvature, "ricci_identity_residual", _residual,
+    ),
+    (
+        {"which": "ricci-identity", "fields": 3, "points": 1},
+        curvature, "ricci_identity_residual", _residual,
+    ),
 ]
 
 
@@ -324,6 +380,21 @@ class TestScenarioRunner:
         assert run(grid, rng_a) == run_task(s, grid, kind, params, tolerance, rng_b)
         assert rng_a.random() == rng_b.random()
 
+    @pytest.mark.parametrize(
+        "params, module, name, wrap", NAN_DEFECTS,
+        ids=["divergence", "adjointness", "ricci-identity-points", "ricci-identity-fields"],
+    )
+    def test_nan_defect_fails_its_check(self, params, module, name, wrap, monkeypatch):
+        """A NaN defect after a finite one is the reported worst, and fails the check."""
+        values = iter([1e-12, math.nan, 1e-12])
+        monkeypatch.setattr(module, name, lambda *args, **kwargs: wrap(next(values)))
+        s = bi.get_metric("euclidean")
+        grid = grid_from_config(s, {"base": [8, 8], "fiber": [8]})
+        result, ok = run_task(s, grid, "check", params, None, np.random.default_rng(0))
+        key = "max_residual" if params["which"] == "ricci-identity" else "max_defect"
+        assert math.isnan(result[key])
+        assert ok is False
+
     def test_integral_floats_accepted(self):
         doc = {
             "seed": 2.0,
@@ -384,8 +455,18 @@ class TestCommandLine:
                     "params": {"at": {"x": [0.1, 0.2, 0.3, 0.4], "y": [1, 0, 0, 0]}}}]}),
                 "default grids exist for n in {2, 3} only",
             ),
+            (
+                json.dumps({"tasks": [{"kind": "check", "params": {"which": "divergence"},
+                                       "tolerance": HUGE}]}),
+                "'tolerance' must be a number",
+            ),
+            (
+                json.dumps({"metric": {"family": "riemannian", "a": [[1, 0], [0, -1]]}}),
+                "not positive",
+            ),
         ],
-        ids=["missing-file", "not-json", "expect-harmonic-string", "dim-without-default-grid"],
+        ids=["missing-file", "not-json", "expect-harmonic-string", "dim-without-default-grid",
+             "tolerance-huge-integer", "indefinite-inline-metric"],
     )
     def test_unreadable_scenario_file_is_a_config_error(self, tmp_path, capsys, contents, message):
         path = tmp_path / "scenario.json"

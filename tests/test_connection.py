@@ -206,9 +206,7 @@ class TestCovariantDerivatives:
 
 class TestNablaZero:
     def test_cartan_trace_parallel_on_constant_randers(self, randers):
-        from finslerforms.metric import cartan_trace_components
-
-        T = TensorField(lambda xs, ys: cartan_trace_components(randers, xs, ys), "l")
+        T = TensorField(lambda xs, ys: LocalTower(randers, xs, ys).Tt, "l")
         for z in sample_points(randers, 3):
             n0 = nabla_0(randers, T, (z.x, z.y)).data
             assert np.max(np.abs(n0)) < 1e-12

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from finslerforms import builtins as bi
-from finslerforms.curvature import curvature_at_point
+from finslerforms.connection import _point_tower
+from finslerforms.curvature import hh_components, hv_components, vv_components
 from finslerforms.errors import OrderTooHigh
 from finslerforms.jets import (
     Jet,
@@ -312,6 +313,8 @@ class TestVectorMode:
                 return f2(xs, ys)
 
             s.f2 = counted
-            curvature_at_point(s, (z.x, z.y))
+            tower, _ = _point_tower(s, (z.x, z.y))
+            for kernel in (hh_components, hv_components, vv_components):
+                kernel(tower)
             counts.append(len(calls))
         assert counts == [28, 28]

@@ -36,6 +36,14 @@ class TestNormEvaluation:
         with pytest.raises(OutOfChart):
             sphere.F([-0.5, 0.0], [1.0, 0.0])
 
+    @pytest.mark.parametrize("method", ["F", "normalize_to_indicatrix", "sphere_point"])
+    @pytest.mark.parametrize(
+        "x, y", [([math.nan, 0.2], [1.0, 0.0]), ([0.1, 0.2], [1.0, math.inf])], ids=["x", "y"]
+    )
+    def test_non_finite_coordinate_rejected(self, euclidean, method, x, y):
+        with pytest.raises(DomainError, match="non-finite coordinate"):
+            getattr(euclidean, method)(x, y)
+
     def test_randers_positivity_guard(self):
         with pytest.raises(ConfigError, match="a-norm of b"):
             FinslerStructure.randers(a=[[1, 0], [0, 1]], b=[1.1, 0.0])
