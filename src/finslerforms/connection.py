@@ -5,17 +5,24 @@ whole connection tower at one evaluation point.  The point coordinates may
 be floats (pointwise use), batched numpy arrays (whole quadrature grids at
 once) or jets.
 
-A tower is differentiated in two ways.  A layer's own partials (``dN_x``,
-``dGamma_y``, ``dgx``, ... through :func:`_rebuilt_partial`) rebuild the
+A tower is differentiated in two ways.  A layer's own partials rebuild the
 tower at jet-valued coordinates, which evaluates F^2 under nested jets; the
-curvature blocks are built on these.  Whatever is computed from the tower's
+curvature blocks are built on these.  Each of Tt, N, Gamma, Cmix and
+nabla0T has a joint pair of partials (``dN`` = (dx, dy), through
+:func:`_rebuilt_pair`) for the readers of both lists, such as the
+horizontal derivative :meth:`LocalTower.delta`, and one partial per list
+(``dN_x``, ``dN_y``, through :func:`_rebuilt_partial`) for a reader of one
+list alone; ``dxf2`` and ``dgx`` are x-partials only.  At a point the pair
+seeds x and y in one pass (:func:`jets.grad_xy`), and a lone list seeds
+that list alone, because a joint pass also turns what depends on the other
+list only into jets.  A lone partial reads its half of a cached pair, and a
+pair reuses a cached lone partial.  Whatever is computed from the tower's
 layers is differentiated on a lifted tower instead
-(:meth:`LocalTower.partials`): :func:`jets.grad_wrt` seeds the coordinates
+(:meth:`LocalTower.partials`): :func:`jets.grad_xy` seeds the coordinates
 as it does for any field, and the lifted tower at those jet coordinates
 reads N, Gamma, g and nabla0T as jets of the parent's cached values and
 partials.  So fields, forms and nabla T inside nabla nabla T
-(:func:`cov_hh`) are all differentiated by the one seeding driver,
-``grad_wrt``.
+(:func:`cov_hh`) are all differentiated by the same seeding drivers.
 
 Structural zeros.  The float ``0.0`` stands for a component that vanishes
 identically (:func:`is_structural_zero`).  A tower stores each ndarray
@@ -35,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from . import jets
-from .jets import grad_x, grad_y
+from .jets import grad_wrt, grad_x, grad_xy, grad_y
 from .metric import (
     FinslerStructure,
     TensorValue,
@@ -89,15 +96,36 @@ def _collapse_zeros(nested):
     return nested
 
 
-def _rebuilt_partial(layer, grad):
-    """Cached plain partial (``grad`` is grad_x or grad_y) of one tower layer,
-    taken by rebuilding the tower at jet-valued coordinates.  A component
-    that is 0 at every node is stored as the structural zero."""
+def _rebuilt_partial(layer, which, pair=None):
+    """Cached plain partial along list ``which`` (0: x, 1: y) of one tower
+    layer, taken by rebuilding the tower at jet-valued coordinates; half
+    ``which`` of the layer's cached joint ``pair`` if the tower holds it.  A
+    component that is 0 at every node is stored as the structural zero."""
 
     def partials(self):
-        return _collapse_zeros(
-            grad(lambda a, b: getattr(LocalTower(self.s, a, b), layer), self.xs, self.ys)
-        )
+        if pair in vars(self):
+            return vars(self)[pair][which]
+        rebuilt = lambda a, b: getattr(LocalTower(self.s, a, b), layer)
+        return _collapse_zeros(grad_wrt(rebuilt, (self.xs, self.ys), which))
+
+    return cached_property(partials)
+
+
+def _rebuilt_pair(layer, x_partial, y_partial):
+    """Cached joint partials (dx, dy) of one tower layer, for the readers of
+    both lists.  At a point they come from one :func:`jets.grad_xy` pass at
+    rebuilt towers.  On arrays, where ``grad_xy`` makes the lone passes
+    anyway, and wherever the tower holds either lone partial, they are the
+    lone partials ``x_partial`` and ``y_partial``."""
+
+    def partials(self):
+        cached = vars(self)
+        on_arrays = jets._point_depth((self.xs, self.ys)) is None
+        if on_arrays or x_partial in cached or y_partial in cached:
+            return getattr(self, x_partial), getattr(self, y_partial)
+        rebuilt = lambda a, b: getattr(LocalTower(self.s, a, b), layer)
+        dx, dy = grad_xy(rebuilt, self.xs, self.ys)
+        return _collapse_zeros(dx), _collapse_zeros(dy)
 
     return cached_property(partials)
 
@@ -110,7 +138,8 @@ class LocalTower:
     upper index i, ``N[i][j]`` the nonlinear connection, ``flag[i][j][k]``
     the curvature of the nonlinear connection, equal to the y-contraction of
     the hh-curvature.  Derivative prefixes: ``dX_x[c]`` is the plain x
-    partial along axis c, ``dX_y[m]`` the fiber partial.
+    partial along axis c, ``dX_y[m]`` the fiber partial, and ``dX`` the
+    joint pair ``(dX_x, dX_y)``, taken in one pass at a point.
 
     The horizontal derivative of a layer goes through :meth:`delta`, which
     combines its plain partials into delta_c = d/dx^c - N^m_c d/dy^m; the
@@ -123,13 +152,14 @@ class LocalTower:
     as the structural zero ``0.0``, whose terms the kernels skip; jets are
     kept as they are.
 
-    A layer's own partials (``dgx``, ``dN_x``, ...) are taken by rebuilding
-    the tower at jet-valued coordinates, which evaluates F^2 under nested
-    jets.  Kernels computed from the layers, such as fields, forms and
-    nabla T, are differentiated without that: :meth:`partials` runs the
-    kernel under :func:`jets.grad_wrt` on a :class:`_LiftedTower` at the
-    seeded coordinates, whose N, Gamma, g and nabla0T are first-order jets
-    of this tower's values and cached partials.
+    A layer's own partials (``dgx``, ``dN``, ``dN_y``, ...) are taken by
+    rebuilding the tower at jet-valued coordinates, which evaluates F^2 under
+    nested jets: a reader of both lists takes the joint pair, a reader of one
+    list the lone partial.  Kernels computed from the layers, such as fields,
+    forms and nabla T, are differentiated without that: :meth:`partials`
+    runs the kernel under :func:`jets.grad_xy` on a :class:`_LiftedTower` at
+    the seeded coordinates, whose N, Gamma, g and nabla0T are first-order
+    jets of this tower's values and cached partials.
     """
 
     def __init__(self, s: FinslerStructure, xs, ys):
@@ -142,18 +172,19 @@ class LocalTower:
         """(value, dx, dy) of ``kernel(tower)`` (nested components) at this point.
 
         The partials are those of ``kernel(_LiftedTower(self, a, b))`` under
-        :func:`jets.grad_x` and :func:`jets.grad_y`, so the seeding is theirs:
-        one vector pass per list at a point, one coordinate per pass on
-        arrays.  The lifted tower reads its connection layers as jets of this
-        tower's cached values and partials instead of recomputing them from
-        F^2 at jet coordinates; a kernel that reads only the coordinates, such
-        as a leaf form, sees the seeded coordinates alone.
+        :func:`jets.grad_xy`, so the seeding is its: one vector pass over x
+        and y together at a point, one coordinate per pass on arrays.  The
+        lifted tower reads its connection layers as jets of this tower's
+        cached values and partials, the joint pairs at a point and the lone
+        partials on arrays, instead of recomputing them from F^2 at jet
+        coordinates; a kernel that reads only the coordinates, such as a leaf
+        form, sees the seeded coordinates alone.
         """
 
         def lifted(a, b):
             return kernel(_LiftedTower(self, a, b))
 
-        return kernel(self), grad_x(lifted, self.xs, self.ys), grad_y(lifted, self.xs, self.ys)
+        return (kernel(self), *grad_xy(lifted, self.xs, self.ys))
 
     def delta(self, dx, dy, rank):
         """Horizontal derivative ``out[c][components]`` of a rank-``rank``
@@ -216,7 +247,7 @@ class LocalTower:
 
     # -- spray and nonlinear connection ---------------------------------------
 
-    dxf2 = _rebuilt_partial("f2", grad_x)
+    dxf2 = _rebuilt_partial("f2", 0)
 
     @cached_property
     def G(self):
@@ -240,12 +271,17 @@ class LocalTower:
 
     # -- Cartan horizontal coefficients ----------------------------------------
 
-    dgx = _rebuilt_partial("g", grad_x)
+    dgx = _rebuilt_partial("g", 0)
 
     @property
     def dgy(self):
         """dgy[m][i][j] = 2 C_mij, the y partial of g_ij (uncached, to spare grid memory)."""
         return nested_build(self.n, 3, lambda idx: 2.0 * tget(self.C, idx))
+
+    @property
+    def dg(self):
+        """The pair (dgx, dgy); dgx is an x-only rebuilt partial."""
+        return self.dgx, self.dgy
 
     @cached_property
     def deltag(self):
@@ -271,15 +307,16 @@ class LocalTower:
 
     # -- Cartan trace derivatives ------------------------------------------------
 
-    dT_x = _rebuilt_partial("Tt", grad_x)
-    dT_y = _rebuilt_partial("Tt", grad_y)
+    dT = _rebuilt_pair("Tt", "dT_x", "dT_y")
+    dT_x = _rebuilt_partial("Tt", 0, "dT")
+    dT_y = _rebuilt_partial("Tt", 1, "dT")
 
     @cached_property
     def nabla_h_T(self):
         """nabla_h_T[h][j]: horizontal covariant derivative of the Cartan trace."""
         # the partials first: they rebuild the tower under nested jets, and the
         # layers Tt caches here would otherwise be held through that peak
-        dx, dy = self.dT_x, self.dT_y
+        dx, dy = self.dT
         return cov_h(self, self.Tt, dx, dy, "l")
 
     @cached_property
@@ -292,20 +329,22 @@ class LocalTower:
 
     # -- first derivatives of the tower (feed curvature and second covariants) ----
 
-    dN_x = _rebuilt_partial("N", grad_x)
-    dN_y = _rebuilt_partial("N", grad_y)
-    dGamma_x = _rebuilt_partial("Gamma", grad_x)
-    dGamma_y = _rebuilt_partial("Gamma", grad_y)
+    dN = _rebuilt_pair("N", "dN_x", "dN_y")
+    dN_x = _rebuilt_partial("N", 0, "dN")
+    dN_y = _rebuilt_partial("N", 1, "dN")
+    dGamma = _rebuilt_pair("Gamma", "dGamma_x", "dGamma_y")
+    dGamma_x = _rebuilt_partial("Gamma", 0, "dGamma")
+    dGamma_y = _rebuilt_partial("Gamma", 1, "dGamma")
 
     @cached_property
     def deltaGamma(self):
         """deltaGamma[c][h][j][k]: horizontal derivative of Gamma along axis c."""
-        return self.delta(self.dGamma_x, self.dGamma_y, 3)
+        return self.delta(*self.dGamma, 3)
 
     @cached_property
     def deltaN(self):
         """deltaN[c][i][k]: horizontal derivative of N^i_k along axis c."""
-        return self.delta(self.dN_x, self.dN_y, 2)
+        return self.delta(*self.dN, 2)
 
     @cached_property
     def flag(self):
@@ -319,26 +358,28 @@ class LocalTower:
             for i in range(n)
         ]
 
-    dCmix_x = _rebuilt_partial("Cmix", grad_x)
-    dCmix_y = _rebuilt_partial("Cmix", grad_y)
+    dCmix = _rebuilt_pair("Cmix", "dCmix_x", "dCmix_y")
+    dCmix_x = _rebuilt_partial("Cmix", 0, "dCmix")
+    dCmix_y = _rebuilt_partial("Cmix", 1, "dCmix")
 
     @cached_property
     def deltaCmix(self):
         """deltaCmix[c][h][k][j]: horizontal derivative of Cmix along axis c."""
-        return self.delta(self.dCmix_x, self.dCmix_y, 3)
+        return self.delta(*self.dCmix, 3)
 
-    d_nabla0T_x = _rebuilt_partial("nabla0T", grad_x)
-    d_nabla0T_y = _rebuilt_partial("nabla0T", grad_y)
+    d_nabla0T = _rebuilt_pair("nabla0T", "d_nabla0T_x", "d_nabla0T_y")
+    d_nabla0T_x = _rebuilt_partial("nabla0T", 0, "d_nabla0T")
+    d_nabla0T_y = _rebuilt_partial("nabla0T", 1, "d_nabla0T")
 
     @cached_property
     def nabla_nabla0T(self):
         """nabla_nabla0T[i][r]: horizontal covariant derivative of the 1-form nabla0T."""
-        return _collapse_zeros(cov_h(self, self.nabla0T, self.d_nabla0T_x, self.d_nabla0T_y, "l"))
+        return _collapse_zeros(cov_h(self, self.nabla0T, *self.d_nabla0T, "l"))
 
 
-def _lifted(layer, x_partial, y_partial, rank):
+def _lifted(layer, pair, x_partial, y_partial, rank):
     """Cached ``layer`` of a :class:`_LiftedTower`, lifted from its parent."""
-    return cached_property(lambda self: self._lift(layer, x_partial, y_partial, rank))
+    return cached_property(lambda self: self._lift(layer, pair, x_partial, y_partial, rank))
 
 
 class _LiftedTower(LocalTower):
@@ -346,34 +387,40 @@ class _LiftedTower(LocalTower):
     ``ys`` over the point of ``parent``.
 
     The seeded level is read off the coordinates: its tag is the newest
-    outer jet tag, and the seeded list is the one holding it, each of whose
-    coordinates carries the tag with its tangent (the scalar 1.0 on arrays,
-    ``eye(n)[m]`` at a point).  N, Gamma, g and nabla0T are jets of the
-    parent's values and partials ``dN``, ``dGamma``, ``dgx`` or ``dgy``, and
-    ``d_nabla0T``, read lazily; every other layer is computed at the jet
-    coordinates.
+    outer jet tag, and each coordinate that carries it holds its tangent
+    (the scalar 1.0 on arrays, where one coordinate of one list is seeded;
+    ``eye(2n)[m]`` at a point, where :func:`jets.grad_xy` seeds both lists,
+    or ``eye(n)[m]`` where one list alone is seeded).  N, Gamma, g and
+    nabla0T are jets of the parent's values and partials, read lazily: the
+    joint pair (``dN``, ``dGamma``, ``d_nabla0T``; ``dgx`` with ``dgy`` for g)
+    when both lists are seeded, the lone partial of the seeded list
+    otherwise.  Every other layer is computed at the jet coordinates.
     """
 
     def __init__(self, parent, xs, ys):
         # a view sharing the parent's structure; keeps the lists grad_wrt hands each pass
         self.s, self.n, self.parent, self.xs, self.ys = parent.s, parent.n, parent, xs, ys
         tag = self.tag = max(c.tag for c in xs + ys if isinstance(c, jets.Jet))
-        self.which = int(not any(isinstance(c, jets.Jet) and c.tag == tag for c in xs))
         self.tangents = [
-            (m, c.coeffs[1])
-            for m, c in enumerate(ys if self.which else xs)
-            if isinstance(c, jets.Jet) and c.tag == tag
+            [(m, c.coeffs[1]) for m, c in enumerate(cs) if isinstance(c, jets.Jet) and c.tag == tag]
+            for cs in (xs, ys)
         ]
 
-    def _lift(self, layer, x_partial, y_partial, rank):
+    def _lift(self, layer, pair, x_partial, y_partial, rank):
         """The parent's ``layer`` with each component as the jet value +
-        sum_m partial_m tangent_m, partial_m read off the parent's
-        ``x_partial`` or ``y_partial``.  A partial that is the structural
-        zero adds no term, and a component with no term stays the plain
-        value, so a structural zero of the parent stays one; a tangent 1.0 is
-        used as is."""
-        partials = getattr(self.parent, y_partial if self.which else x_partial)
-        ds = [(partials[m], t) for m, t in self.tangents]
+        sum_m dx_m tx_m + sum_m dy_m ty_m over the seeded coordinates, dx and
+        dy read off the parent's joint ``pair`` when both lists are seeded,
+        else off the seeded list's ``x_partial`` or ``y_partial``.  A partial
+        that is the structural zero adds no term, and a component with no
+        term stays the plain value, so a structural zero of the parent stays
+        one; a tangent 1.0 is used as is."""
+        tx, ty = self.tangents
+        if tx and ty:
+            dx, dy = getattr(self.parent, pair)
+        else:
+            dx = getattr(self.parent, x_partial) if tx else None
+            dy = getattr(self.parent, y_partial) if ty else None
+        ds = [(dx[m], t) for m, t in tx] + [(dy[m], t) for m, t in ty]
         value = getattr(self.parent, layer)
 
         def component(idx):
@@ -389,10 +436,10 @@ class _LiftedTower(LocalTower):
 
         return nested_build(self.n, rank, component)
 
-    N = _lifted("N", "dN_x", "dN_y", 2)
-    Gamma = _lifted("Gamma", "dGamma_x", "dGamma_y", 3)
-    g = _lifted("g", "dgx", "dgy", 2)
-    nabla0T = _lifted("nabla0T", "d_nabla0T_x", "d_nabla0T_y", 1)
+    N = _lifted("N", "dN", "dN_x", "dN_y", 2)
+    Gamma = _lifted("Gamma", "dGamma", "dGamma_x", "dGamma_y", 3)
+    g = _lifted("g", "dg", "dgx", "dgy", 2)
+    nabla0T = _lifted("nabla0T", "d_nabla0T", "d_nabla0T_x", "d_nabla0T_y", 1)
 
 
 def sum_terms(it):
@@ -519,12 +566,9 @@ class TensorField:
         return self.fn(xs, ys)
 
     def partials(self, xs, ys):
-        """(value, dx, dy) with dx[c] and dy[m] pytrees of plain partials."""
-        return (
-            self.fn(xs, ys),
-            grad_x(self.fn, xs, ys),
-            grad_y(self.fn, xs, ys),
-        )
+        """(value, dx, dy) with dx[c] and dy[m] pytrees of plain partials,
+        taken together by :func:`jets.grad_xy`."""
+        return (self.fn(xs, ys), *grad_xy(self.fn, xs, ys))
 
     def partials2(self, xs, ys):
         """(val, dx, dy, dxx, dxy, dyy); second partials of every component."""
@@ -573,9 +617,7 @@ def nonlinear_connection(s, z):
 def delta_derivative(s, f, z, axis):
     """Horizontal basis derivative of a generic scalar field along one axis."""
     tower, _ = _point_tower(s, z)
-    dxf = grad_x(f, tower.xs, tower.ys)
-    dyf = grad_y(f, tower.xs, tower.ys)
-    return float(jets.primal(tower.delta(dxf, dyf, 0)[axis]))
+    return float(jets.primal(tower.delta(*grad_xy(f, tower.xs, tower.ys), 0)[axis]))
 
 
 def cartan_coefficients(s, z):

@@ -12,8 +12,8 @@ quadrature module.
 
 Differentiation.  An operator takes the partials of the form it acts on
 from ``tower.partials(form.on)`` (:meth:`LocalTower.partials`): the form is
-evaluated under :func:`jets.grad_wrt` on a lifted tower at the seeded
-coordinates (one vector pass per coordinate list at a point, one pass per
+evaluated under :func:`jets.grad_xy` on a lifted tower at the seeded
+coordinates (one vector pass over x and y together at a point, one pass per
 coordinate on arrays).  The lifted tower's N, Gamma, g and nabla0T are jets
 of the parent's cached values and partials, so on a tower that already
 holds those partials, as a warm grid tower does, differentiating a form

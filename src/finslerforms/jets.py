@@ -17,9 +17,13 @@ evaluation of the innermost field instead of n^k.  On arrays (quadrature
 grids) it seeds one coordinate per pass with the scalar tangent 1.0: vector
 mode there would grow each nested scalar from 2^k to (1+n)^k node arrays,
 which raised peak memory by 25% (3D) to 92% (2D) on the benchmark grids.
-Kernels that read a connection tower are differentiated by the same driver:
-``LocalTower.partials`` hands ``grad_wrt`` a kernel that builds a lifted
-tower at the seeded coordinates, so they get the same choice of seeding.
+:func:`grad_xy` gives the x- and y-partials together, for the horizontal
+derivative delta_c = d/dx^c - N^m_c d/dy^m that reads both: at a point one
+pass seeds all 2n coordinates, on arrays it makes the per-coordinate passes
+of ``grad_wrt`` over x, then y.  Kernels that read a connection tower are
+differentiated by the same drivers: ``LocalTower.partials`` hands
+``grad_xy`` a kernel that builds a lifted tower at the seeded coordinates,
+so they get the same choice of seeding.
 
 Fields are callables ``f(xs, ys) -> scalar`` where ``xs`` and ``ys`` are
 plain lists of scalars.  The finite-difference routines exist only as an
@@ -195,7 +199,9 @@ def trig_sum(K, A, B, xs):
     coordinates' primal parts, and the tangent of row r is the sum of its
     derivative rows times the coordinates' tangents.  The innermost level
     computes one phase array K x, one sine, one cosine and two matrix
-    products for all rows at once.  At 0-d coordinates the rows are Python
+    products for all rows at once; at 0-d coordinates the products are
+    row-wise sums, so a row's value does not depend on how many derivative
+    rows the seeding appended.  At 0-d coordinates the rows are Python
     floats, on arrays ndarrays of the coordinates' broadcast shape.
     """
     tags = [x.tag for x in xs if isinstance(x, Jet)]
@@ -233,11 +239,13 @@ def _trig_rows(K, A, B, xs):
     phase = cols[0] * xs[0]
     for i in range(1, len(xs)):
         phase = phase + cols[i] * xs[i]
+    if not shape:
+        # one row at a time: a BLAS product rounds a row otherwise by the
+        # number of rows it is computed with, which the seeding decides
+        return ((A * np.cos(phase)).sum(axis=1) + (B * np.sin(phase)).sum(axis=1)).tolist()
     phase = phase.reshape(len(K), -1)
     out = A.dot(np.cos(phase)) + B.dot(np.sin(phase))
-    if shape:
-        return list(out.reshape((len(A),) + shape))
-    return out[:, 0].tolist()
+    return list(out.reshape((len(A),) + shape))
 
 
 def primal(x):
@@ -278,7 +286,9 @@ def grad_wrt(fn, lists, which):
     tangent 1.0, because vector mode multiplies every node array by the n
     directions of each level: on the benchmark grids peak memory rose from
     50.5 to 97.0 MB (2D) and from 95.3 to 119.0 MB (3D).  ``fn`` must take
-    every jet it depends on through its arguments.
+    every jet it depends on through its arguments.  A caller that reads the
+    partials along both lists of ``fn(xs, ys)`` takes them from
+    :func:`grad_xy`, which at a point seeds both in one pass.
     """
     depth = _point_depth(lists)
     if depth is not None:
@@ -365,6 +375,28 @@ def _vector_grad(fn, lists, which, depth):
         return s
 
     return [tree_map(lambda s: component(s, m), d) for m in range(n)]
+
+
+def grad_xy(fn, xs, ys):
+    """``(dx, dy)``: the first derivatives of ``fn(xs, ys)`` along every
+    coordinate of ``xs`` and of ``ys``, as :func:`grad_x` and :func:`grad_y`
+    give them.
+
+    At a point one vector pass seeds all 2n coordinates, the tangent of
+    coordinate m being ``eye(2n)[m]``, so the field is evaluated once under
+    this level instead of once per list.  Each partial equals the one of its
+    own list's pass, because a direction's tangent only gains exact zeros
+    from the other list's, with two exceptions: an exact zero may carry the
+    other sign, and a quotient by a scalar that depends on the other list
+    alone is a jet quotient here, which rounds otherwise by a few ulp.  On
+    arrays it makes the per-coordinate passes of :func:`grad_wrt`, x first.
+    """
+    depth = _point_depth((xs, ys))
+    if depth is None:
+        return grad_wrt(fn, (xs, ys), 0), grad_wrt(fn, (xs, ys), 1)
+    n = len(xs)
+    d = _vector_grad(lambda zs: fn(zs[:n], zs[n:]), (list(xs) + list(ys),), 0, depth)
+    return d[:n], d[n:]
 
 
 def grad_x(fn, xs, ys):

@@ -68,6 +68,12 @@ INT_PARAMS = {
     "p": (1, None), "pairs": (10, 1), "forms": (10, 1), "fields": (10, 1), "points": (3, 1),
     "degree": (2, 1),
 }
+# Upper bounds on the sizes a document may ask for, checked before anything
+# is allocated.  Building a metric validates it at 3^dim * 6 samples (82 MB
+# peak for dim 8).  The default grids hold at most 2^21 nodes (3D:
+# 16,16,16 x 32,16), and one float array over 2^24 nodes takes 134 MB.
+MAX_METRIC_DIM = 8
+MAX_GRID_NODES = 2**24
 
 
 def metric_from_config(cfg) -> FinslerStructure:
@@ -80,7 +86,9 @@ def metric_from_config(cfg) -> FinslerStructure:
         raise ConfigError("metric object needs a 'family' key")
     dim = cfg.get("dim")
     if dim is not None:
-        dim = _parse_int(dim, "metric 'dim'", minimum=1)
+        dim = _parse_int(dim, "metric 'dim'", minimum=1, maximum=MAX_METRIC_DIM)
+    elif isinstance(cfg.get("a"), list) and len(cfg["a"]) > MAX_METRIC_DIM:
+        raise ConfigError(f"metric 'a' must have at most {MAX_METRIC_DIM} rows")
     chart = None
     if "chart" in cfg:
         c = cfg["chart"]
@@ -123,6 +131,12 @@ def grid_from_config(s, cfg) -> QuadratureGrid:
     for v in (base, fiber):
         if v and not (isinstance(v, list) and all(isinstance(c, int) for c in v)):
             raise ConfigError("grid 'base' and 'fiber' must be lists of integer node counts")
+    counts = [
+        *(base or quad.DEFAULT_BASE_COUNTS.get(s.dim, ())),
+        *(fiber or quad.DEFAULT_FIBER_COUNTS.get(s.dim, ())),
+    ]
+    if math.prod(max(c, 1) for c in counts) > MAX_GRID_NODES:  # a count below 8 is refused below
+        raise ConfigError(f"grid must have at most {MAX_GRID_NODES} nodes")
     tol = _parse_tolerance(cfg.get("tolerance", quad.DEFAULT_TOLERANCE), "grid 'tolerance'")
     try:
         return QuadratureGrid.for_structure(
@@ -135,7 +149,7 @@ def grid_from_config(s, cfg) -> QuadratureGrid:
         raise ConfigError(f"grid: {exc}") from None
 
 
-def _parse_int(value, what, minimum=None):
+def _parse_int(value, what, minimum=None, maximum=None):
     """An integer, or a float with an integral value; anything else (a
     fraction, a bool, a string) is a ConfigError rather than truncated."""
     if isinstance(value, float) and value.is_integer():
@@ -144,6 +158,8 @@ def _parse_int(value, what, minimum=None):
         raise ConfigError(f"{what} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{what} must be at least {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{what} must be at most {maximum}")
     return value
 
 

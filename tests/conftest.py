@@ -51,6 +51,25 @@ def randers_base():
     return FinslerStructure.randers(a, b, dim=2, label="randers-base-dependent")
 
 
+@pytest.fixture(scope="session")
+def randers_base_3d():
+    """Genuinely Finsler 3D Randers metric whose a and b depend on x:
+    a_ij = (1.2 + 0.2 cos x_i) delta_ij + 0.05 sin(x_i + x_j) for i != j,
+    b_i = 0.2 cos x_(i+1), indices mod 3."""
+    n = 3
+
+    def a(xs):
+        return [
+            [1.2 + 0.2 * gcos(xs[i]) if i == j else 0.05 * gsin(xs[i] + xs[j]) for j in range(n)]
+            for i in range(n)
+        ]
+
+    def b(xs):
+        return [0.2 * gcos(xs[(i + 1) % n]) for i in range(n)]
+
+    return FinslerStructure.randers(a, b, dim=n, label="randers-base-dependent-3d")
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240722)

@@ -215,6 +215,19 @@ class TestTrigSum:
             ref(ref_rng)
             assert rng.normal() == ref_rng.normal()
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_rows_at_a_point_do_not_depend_on_the_row_count(self, dim):
+        """At a point each row is evaluated alone, bit for bit, however many
+        rows a call carries (a BLAS product rounds by the row count)."""
+        K = bi._frequencies(dim, 2)
+        rng = np.random.default_rng(10)
+        A, B = rng.normal(size=(48, len(K))), rng.normal(size=(48, len(K)))
+        xs = list(POINTS[dim][0])
+        for rows in (1, 2, 3, 5, 27, 48):
+            got = trig_sum(K, A[:rows], B[:rows], xs)
+            alone = [trig_sum(K, A[r : r + 1], B[r : r + 1], xs)[0] for r in range(rows)]
+            assert [v.hex() for v in got] == [v.hex() for v in alone]
+
     def test_rows_are_independent_sums(self):
         """Rows evaluated together equal each row evaluated alone."""
         K = bi._frequencies(2, 2)

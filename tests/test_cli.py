@@ -245,6 +245,15 @@ MALFORMED = [
     ({"metric": {"family": "riemannian", "a": [[1, 0], [0, -1]]}}, "not positive"),
     ({"metric": {"family": "riemannian", "a": [[float("inf"), 0], [0, 1]]}}, "not positive"),
     ({"metric": {"family": "randers", "a": [[-1, 0], [0, 1]], "b": [0, 0]}}, "not positive"),
+    # sizes beyond what a chart or a grid can hold, refused before any allocation
+    ({"metric": {"family": "euclidean", "dim": HUGE}}, "metric 'dim' must be at most 8"),
+    ({"metric": {"family": "euclidean", "dim": 9}}, "metric 'dim' must be at most 8"),
+    (
+        {"metric": {"family": "riemannian", "a": np.eye(9).tolist()}},
+        "metric 'a' must have at most 8 rows",
+    ),
+    ({"grid": {"base": [HUGE, 16], "fiber": [16]}}, "grid must have at most 16777216 nodes"),
+    ({"grid": {"base": [4096, 4096]}}, "grid must have at most 16777216 nodes"),
 ]
 MALFORMED_IDS = [
     "unknown-kind", "task-not-object", "params-not-object", "point-without-y",
@@ -266,6 +275,8 @@ MALFORMED_IDS = [
     "tolerance-huge-integer", "grid-tolerance-huge-integer", "at-huge-integer",
     "components-huge-integer", "matrix-huge-integer", "drift-huge-integer",
     "chart-bound-huge-integer", "matrix-indefinite", "matrix-infinite", "randers-indefinite",
+    "dim-huge-integer", "dim-above-bound", "matrix-above-dim-bound", "grid-count-huge-integer",
+    "grid-above-node-bound",
 ]
 
 # the malformed documents that the command line can hand over: all but those
@@ -690,6 +701,14 @@ class TestCommandLine:
         assert code == 2
         assert out == ""
         assert "configuration error" in err and "at least 8 nodes" in err
+
+    def test_too_many_grid_nodes_is_a_config_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "integrate", "--metric", "euclidean", "--grid", "100000,100000x64"
+        )
+        assert code == 2
+        assert out == ""
+        assert "configuration error" in err and "at most 16777216 nodes" in err
 
     def test_non_finite_at_argument(self, capsys):
         code, out, err = run_cli(capsys, "tensor", "--metric", "euclidean", "--at", "0.1,0.2;nan,1")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from finslerforms import builtins as bi
+from finslerforms import connection
 from finslerforms.connection import (
     LocalTower,
     TensorField,
@@ -22,7 +23,19 @@ from finslerforms.connection import (
     tget,
     v_covariant_derivative,
 )
-from finslerforms.jets import JetRequest, fd_partial, gsin, gsqrt
+from finslerforms.curvature import (
+    hh_components,
+    hv_components,
+    ricci_identity_residual,
+    vv_components,
+)
+from finslerforms.forms import (
+    energy_identity_residuals,
+    horizontal_laplacian,
+    laplacian_expansion,
+    laplacian_expansion_coeffs,
+)
+from finslerforms.jets import JetRequest, fd_partial, grad_wrt, gsin, gsqrt
 from finslerforms.metric import metric_components
 
 from conftest import sample_points
@@ -367,3 +380,78 @@ class TestPack:
         coeffs = [[[0.0] * n for _ in range(n)] for _ in range(n)]
         coeffs[0][1][2] = np.ones((2, 5))
         assert pack(coeffs, 3).shape == (3, 3, 3, 2, 5)
+
+
+def per_list(fn, xs, ys):
+    """``grad_xy`` as one seeded pass per coordinate list."""
+    return grad_wrt(fn, (xs, ys), 0), grad_wrt(fn, (xs, ys), 1)
+
+
+def hexes(tree):
+    return [float(v).hex() for v in np.ravel(np.asarray(tree, float))]
+
+
+class TestJointSeeding:
+    """Seeding x and y in one pass (``jets.grad_xy``) gives every tower
+    layer, curvature block and operator output bit for bit as one pass per
+    coordinate list does, at points and on an array batch."""
+
+    LAYERS = (("g", 2), ("C", 3), ("N", 2), ("Gamma", 3), ("flag", 3), ("nabla_nabla0T", 2))
+
+    @classmethod
+    def tower_outputs(cls, tower, s, seed):
+        out = {layer: pack(getattr(tower, layer), rank) for layer, rank in cls.LAYERS}
+        for kernel in (hh_components, hv_components, vv_components):
+            out[kernel.__name__] = pack(kernel(tower), 4)
+        rng = np.random.default_rng(seed)
+        X = bi.random_trig_vector(rng, s)
+        out["nabla-nabla-X"] = pack(cov_hh(tower, lambda tw: X.components(tw.xs, tw.ys), "u")[2], 3)
+        for p in range(s.dim + 1):
+            phi = bi.random_trig_form(rng, s, p)
+            out[f"composed-{p}"] = pack(horizontal_laplacian(s, phi).on(tower), p)
+            out[f"expanded-{p}"] = pack(laplacian_expansion_coeffs(tower, phi), p)
+        return out
+
+    @classmethod
+    def point_outputs(cls, s, z, seed):
+        pt = (z.x, z.y)
+        out = cls.tower_outputs(_point_tower(s, pt)[0], s, seed)
+        rng = np.random.default_rng(seed + 1)
+        X = bi.random_trig_vector(rng, s)
+        out["ricci"] = ricci_identity_residual(s, X, pt).data
+        out["energy"] = energy_identity_residuals(s, X, pt)
+        for p in range(s.dim + 1):
+            phi = bi.random_trig_form(rng, s, p)
+            out[f"composed-{p}-at"] = horizontal_laplacian(s, phi).at(s, pt).data
+            out[f"expanded-{p}-at"] = laplacian_expansion(s, phi).at(s, pt).data
+        return out
+
+    @staticmethod
+    def assert_bit_identical(compute, monkeypatch):
+        joint = compute()
+        monkeypatch.setattr(connection, "grad_xy", per_list)
+        lists = compute()
+        assert joint.keys() == lists.keys()
+        for key in joint:
+            assert hexes(joint[key]) == hexes(lists[key]), key
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_at_points(self, dim, randers_base, randers_base_3d, monkeypatch):
+        s = randers_base if dim == 2 else randers_base_3d
+        points = sample_points(s, 3, seed=23)
+        self.assert_bit_identical(
+            lambda: {
+                f"{k}:{key}": v
+                for k, z in enumerate(points)
+                for key, v in self.point_outputs(s, z, 30 + k).items()
+            },
+            monkeypatch,
+        )
+
+    def test_on_an_array_batch(self, randers_base, monkeypatch):
+        s = randers_base
+        pts = sample_points(s, 3, seed=24)
+        xs, ys = (list(np.array([getattr(z, c) for z in pts]).T) for c in "xy")
+        self.assert_bit_identical(
+            lambda: self.tower_outputs(LocalTower(s, xs, ys), s, 40), monkeypatch
+        )

@@ -140,6 +140,24 @@ class TestLaplacian:
                     b = laplacian_expansion(s, phi).at(s, (z.x, z.y)).data
                     assert np.max(np.abs(a - b)) < 1e-5, (name, p)
 
+    @pytest.mark.parametrize("laplacian", [horizontal_laplacian, laplacian_expansion])
+    def test_f2_evaluations_at_a_point(self, laplacian, randers_base, monkeypatch):
+        """The composed and the expanded Laplacian of a 1-form at a point each
+        take 25 evaluations of F^2: every pair of layer partials and every
+        form or nabla phi is differentiated along x and y in one pass."""
+        s = randers_base
+        phi = bi.random_trig_form(np.random.default_rng(0), s, 1)
+        z = trig_point(s)
+        calls, f2 = [], s._f2
+
+        def counted(xs, ys):
+            calls.append(1)
+            return f2(xs, ys)
+
+        monkeypatch.setattr(s, "_f2", counted)
+        laplacian(s, phi).at(s, (z.x, z.y))
+        assert len(calls) == 25
+
     @pytest.mark.parametrize("p", [0, 1, 2])
     def test_composition_matches_expansion_base_dependent(self, randers_base, rng, p):
         s = randers_base
@@ -237,8 +255,9 @@ class TestWeitzenbock:
 
     @pytest.mark.parametrize("name", ["randers-torus", "randers-torus-3d"])
     def test_f2_evaluations_at_a_point(self, name, monkeypatch):
-        """At a point the residual takes 52 evaluations of F^2 in 2D and in 3D:
-        the lifted towers under nabla nabla seed a whole coordinate list at once."""
+        """At a point the residual takes 27 evaluations of F^2 in 2D and in 3D:
+        the lifted towers under nabla nabla seed x and y in one pass, and so
+        do the rebuilt towers of each pair of layer partials."""
         s = bi.get_metric(name)
         X = bi.random_trig_vector(np.random.default_rng(0), s)
         z = trig_point(s)
@@ -250,7 +269,7 @@ class TestWeitzenbock:
 
         monkeypatch.setattr(s, "_f2", counted)
         weitzenbock_residual(s, X, (z.x, z.y))
-        assert len(calls) == 52
+        assert len(calls) == 27
 
     def test_riemannian_trace_terms_drop(self, sphere, rng):
         """On Riemannian inputs the Cartan-trace terms vanish identically."""
@@ -721,9 +740,9 @@ class TestSeededPartials:
 
     @pytest.mark.parametrize("batch", [False, True])
     def test_kernel_runs(self, batch, randers_base):
-        """``partials`` runs its kernel once at the tower and then as grad_wrt
-        seeds: one vector pass per list at a point, one pass per coordinate on
-        arrays."""
+        """``partials`` runs its kernel once at the tower and then as grad_xy
+        seeds: one vector pass over x and y together at a point, one pass per
+        coordinate on arrays."""
         s = randers_base
         if batch:
             pts = sample_points(s, 4)
@@ -739,7 +758,7 @@ class TestSeededPartials:
 
         tower = LocalTower(s, xs, ys)
         tower.partials(kernel)
-        assert len(runs) == (2 * s.dim + 1 if batch else 3)
+        assert len(runs) == (2 * s.dim + 1 if batch else 2)
 
 
 ZERO_LAYERS = (("N", 2), ("Gamma", 3), ("nabla0T", 1))

@@ -15,6 +15,7 @@ from finslerforms.jets import (
     fd_partial,
     gcos,
     grad_wrt,
+    grad_xy,
     gsin,
     gsqrt,
     hessian_wrt,
@@ -205,6 +206,19 @@ def nested(grad, fn, order):
     return lambda *ls: grad(inner, ls, order[0])
 
 
+def per_list(fn, xs, ys):
+    """``grad_xy`` as one seeded pass per coordinate list."""
+    return grad_wrt(fn, (xs, ys), 0), grad_wrt(fn, (xs, ys), 1)
+
+
+def nested_xy(xy, fn, depth):
+    """``xy`` (grad_xy or a per-list equivalent) nested ``depth`` times."""
+    if not depth:
+        return fn
+    inner = nested_xy(xy, fn, depth - 1)
+    return lambda xs, ys: xy(inner, xs, ys)
+
+
 def field3(xs, ys):
     r = gsqrt(ys[0] * ys[0] + ys[1] * ys[1] + ys[2] * ys[2])
     return gsin(xs[0] * ys[0]) + r * gcos(xs[1]) + (xs[2] * ys[1]) * ys[2]
@@ -272,6 +286,44 @@ class TestVectorMode:
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_point_grad_xy_equals_per_list(self, n, depth):
+        """At a point, seeding x and y in one pass per level gives the
+        partials of one pass per list at every level, as floats."""
+        for fn in SCALARS[n]:
+            got = flat(nested_xy(grad_xy, fn, depth)(*POINTS[n]))
+            want = flat(nested_xy(per_list, fn, depth)(*POINTS[n]))
+            assert got.shape == want.shape == ((2 * n) ** depth,)
+            # equal as floats: an exact zero may carry the other sign
+            assert np.array_equal(got, want)
+
+    def test_point_grad_xy_quotient_agrees_to_rounding(self):
+        """A divisor that depends on y alone is a jet of the x directions too."""
+        for depth in (1, 2, 3):
+            got = flat(nested_xy(grad_xy, quotient3, depth)(*POINTS[3]))
+            want = flat(nested_xy(per_list, quotient3, depth)(*POINTS[3]))
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_point_grad_xy_is_one_pass(self, n):
+        calls = []
+
+        def fn(xs, ys):
+            calls.append(None)
+            return SCALARS[n][0](xs, ys)
+
+        grad_xy(lambda a, b: grad_xy(fn, a, b), *POINTS[n])
+        assert len(calls) == 1
+
+    def test_array_grad_xy_takes_the_loop(self):
+        xs = [np.array([0.7, 0.1, 0.4]), np.array([0.3, 0.2, 0.9])]
+        ys = [np.array([1.2, 0.9, -0.3]), np.array([-0.5, 0.4, 1.0])]
+        for fn in SCALARS[2]:
+            got = flat(grad_xy(fn, xs, ys))
+            want = flat([loop_grad(fn, (xs, ys), 0), loop_grad(fn, (xs, ys), 1)])
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize("n", [2, 3])
     def test_point_grad_is_one_pass(self, n):
         calls = []
 
@@ -317,4 +369,4 @@ class TestVectorMode:
             for kernel in (hh_components, hv_components, vv_components):
                 kernel(tower)
             counts.append(len(calls))
-        assert counts == [28, 28]
+        assert counts == [17, 17]
