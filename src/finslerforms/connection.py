@@ -13,16 +13,20 @@ nabla0T has a joint pair of partials (``dN`` = (dx, dy), through
 horizontal derivative :meth:`LocalTower.delta`, and one partial per list
 (``dN_x``, ``dN_y``, through :func:`_rebuilt_partial`) for a reader of one
 list alone; ``dxf2`` and ``dgx`` are x-partials only.  At a point the pair
-seeds x and y in one pass (:func:`jets.grad_xy`), and a lone list seeds
-that list alone, because a joint pass also turns what depends on the other
-list only into jets.  A lone partial reads its half of a cached pair, and a
-pair reuses a cached lone partial.  Whatever is computed from the tower's
-layers is differentiated on a lifted tower instead
-(:meth:`LocalTower.partials`): :func:`jets.grad_xy` seeds the coordinates
-as it does for any field, and the lifted tower at those jet coordinates
-reads N, Gamma, g and nabla0T as jets of the parent's cached values and
-partials.  So fields, forms and nabla T inside nabla nabla T
-(:func:`cov_hh`) are all differentiated by the same seeding drivers.
+seeds x and y in one vector pass (:func:`jets.grad_xy`), and a lone list
+seeds that list alone, because a joint pass also turns what depends on the
+other list only into jets.  On arrays the rebuilt partials are the
+per-coordinate passes of :func:`jets.grad_wrt`, which keep F^2 under nested
+jets from holding n tangents per node array.  A lone partial reads its half
+of a cached pair, and a pair reuses a cached lone partial.  Whatever is
+computed from the tower's layers is differentiated on a lifted tower instead
+(:meth:`LocalTower.partials`): :func:`jets.grad_xy` seeds the coordinates in
+vector passes, one over x and y together at a point and one per list on
+arrays, and the lifted tower at those jet coordinates reads N, Gamma, g and
+nabla0T as jets of the parent's cached values and partials.  So fields,
+forms and nabla T inside nabla nabla T (:func:`cov_hh`) are all
+differentiated by the same seeding drivers, and a horizontal derivative
+skips the y pass where N vanishes (:meth:`LocalTower.horizontal_partials`).
 
 Structural zeros.  The float ``0.0`` stands for a component that vanishes
 identically (:func:`is_structural_zero`).  A tower stores each ndarray
@@ -113,10 +117,12 @@ def _rebuilt_partial(layer, which, pair=None):
 
 def _rebuilt_pair(layer, x_partial, y_partial):
     """Cached joint partials (dx, dy) of one tower layer, for the readers of
-    both lists.  At a point they come from one :func:`jets.grad_xy` pass at
-    rebuilt towers.  On arrays, where ``grad_xy`` makes the lone passes
-    anyway, and wherever the tower holds either lone partial, they are the
-    lone partials ``x_partial`` and ``y_partial``."""
+    both lists.  At a point they come from one :func:`jets.grad_xy` vector
+    pass at rebuilt towers.  On arrays, and wherever the tower holds either
+    lone partial, they are the lone partials ``x_partial`` and
+    ``y_partial``: on arrays those seed one coordinate per pass
+    (:func:`jets.grad_wrt`), because a vector pass would carry n tangents
+    per node array through F^2 under nested jets."""
 
     def partials(self):
         cached = vars(self)
@@ -173,18 +179,36 @@ class LocalTower:
 
         The partials are those of ``kernel(_LiftedTower(self, a, b))`` under
         :func:`jets.grad_xy`, so the seeding is its: one vector pass over x
-        and y together at a point, one coordinate per pass on arrays.  The
+        and y together at a point, one vector pass per list on arrays.  The
         lifted tower reads its connection layers as jets of this tower's
         cached values and partials, the joint pairs at a point and the lone
         partials on arrays, instead of recomputing them from F^2 at jet
         coordinates; a kernel that reads only the coordinates, such as a leaf
         form, sees the seeded coordinates alone.
         """
+        return (kernel(self), *grad_xy(self._lifted_kernel(kernel), self.xs, self.ys))
 
-        def lifted(a, b):
-            return kernel(_LiftedTower(self, a, b))
+    def horizontal_partials(self, kernel):
+        """(value, dx, dy) of ``kernel(tower)`` as a horizontal derivative
+        (:func:`cov_h_entry`, :meth:`delta`) reads them.
 
-        return (kernel(self), *grad_xy(lifted, self.xs, self.ys))
+        Those read dy only as N^m_c dy[m], and skip an N^m_c that is the
+        structural zero.  So on arrays, if every N^m_c is that zero, dy is
+        None and only the x pass of :meth:`partials` runs; its values are
+        that pass's, bit for bit.  A lifted tower keeps N as the structural
+        zero only where the parent's value and partials are, so the rule
+        holds at every nesting level.  At a point, where x and y share one
+        pass, and wherever N does not vanish, this is :meth:`partials`.
+        """
+        reads_dy = not all(is_structural_zero(v) for row in self.N for v in row)
+        if reads_dy or jets._point_depth((self.xs, self.ys)) is not None:
+            return self.partials(kernel)
+        dx = jets.list_grad(self._lifted_kernel(kernel), (self.xs, self.ys), 0)
+        return kernel(self), dx, None
+
+    def _lifted_kernel(self, kernel):
+        """``kernel`` at the lifted tower over this point at coordinates (a, b)."""
+        return lambda a, b: kernel(_LiftedTower(self, a, b))
 
     def delta(self, dx, dy, rank):
         """Horizontal derivative ``out[c][components]`` of a rank-``rank``
@@ -387,18 +411,19 @@ class _LiftedTower(LocalTower):
     ``ys`` over the point of ``parent``.
 
     The seeded level is read off the coordinates: its tag is the newest
-    outer jet tag, and each coordinate that carries it holds its tangent
-    (the scalar 1.0 on arrays, where one coordinate of one list is seeded;
-    ``eye(2n)[m]`` at a point, where :func:`jets.grad_xy` seeds both lists,
-    or ``eye(n)[m]`` where one list alone is seeded).  N, Gamma, g and
-    nabla0T are jets of the parent's values and partials, read lazily: the
-    joint pair (``dN``, ``dGamma``, ``d_nabla0T``; ``dgx`` with ``dgy`` for g)
-    when both lists are seeded, the lone partial of the seeded list
-    otherwise.  Every other layer is computed at the jet coordinates.
+    outer jet tag, and each coordinate that carries it holds its vector-pass
+    tangent: ``eye(2n)[m]`` at a point, where :func:`jets.grad_xy` seeds both
+    lists in one pass, and ``eye(n)[m]`` on arrays and in
+    :meth:`LocalTower.horizontal_partials`, where one list is seeded per
+    pass.  N, Gamma, g and nabla0T are jets of the parent's values and
+    partials, read lazily: the joint pair (``dN``, ``dGamma``,
+    ``d_nabla0T``; ``dgx`` with ``dgy`` for g) when both lists are seeded,
+    the lone partial of the seeded list otherwise.  Every other layer is
+    computed at the jet coordinates.
     """
 
     def __init__(self, parent, xs, ys):
-        # a view sharing the parent's structure; keeps the lists grad_wrt hands each pass
+        # a view sharing the parent's structure; keeps the lists a pass hands it
         self.s, self.n, self.parent, self.xs, self.ys = parent.s, parent.n, parent, xs, ys
         tag = self.tag = max(c.tag for c in xs + ys if isinstance(c, jets.Jet))
         self.tangents = [
@@ -413,7 +438,7 @@ class _LiftedTower(LocalTower):
         else off the seeded list's ``x_partial`` or ``y_partial``.  A partial
         that is the structural zero adds no term, and a component with no
         term stays the plain value, so a structural zero of the parent stays
-        one; a tangent 1.0 is used as is."""
+        one."""
         tx, ty = self.tangents
         if tx and ty:
             dx, dy = getattr(self.parent, pair)
@@ -429,7 +454,7 @@ class _LiftedTower(LocalTower):
                 d = tget(d, idx)
                 if is_structural_zero(d):
                     continue
-                terms.append(d if type(t) is float and t == 1.0 else d * t)
+                terms.append(d * t)
             if not terms:
                 return tget(value, idx)
             return jets.Jet([tget(value, idx), sum_terms(terms)], self.tag)

@@ -13,8 +13,9 @@ quadrature module.
 Differentiation.  An operator takes the partials of the form it acts on
 from ``tower.partials(form.on)`` (:meth:`LocalTower.partials`): the form is
 evaluated under :func:`jets.grad_xy` on a lifted tower at the seeded
-coordinates (one vector pass over x and y together at a point, one pass per
-coordinate on arrays).  The lifted tower's N, Gamma, g and nabla0T are jets
+coordinates (one vector pass over x and y together at a point, one vector
+pass per list on arrays, and on arrays no y pass for d_H and delta_H where
+N vanishes).  The lifted tower's N, Gamma, g and nabla0T are jets
 of the parent's cached values and partials, so on a tower that already
 holds those partials, as a warm grid tower does, differentiating a form
 evaluates no F^2 at all.  Second covariant derivatives (:func:`cov_hh`)
@@ -133,8 +134,10 @@ def form_build(n, p, fn):
 
 
 def _lazy_cov_h(tower, form):
-    """Memoized (h, idx) -> (nabla_h form)_idx, with the form's coefficients."""
-    val, dx, dy = tower.partials(form.on)
+    """Memoized (h, idx) -> (nabla_h form)_idx, with the form's coefficients.
+    The partials skip the y pass where N vanishes
+    (:meth:`LocalTower.horizontal_partials`)."""
+    val, dx, dy = tower.horizontal_partials(form.on)
     return functools.cache(cov_h_entry(tower, val, dx, dy, "l" * form.degree)), val
 
 

@@ -14,16 +14,21 @@ primal 0-d) it runs in vector mode: one pass seeds all n coordinates, the
 tangent of coordinate m being ``eye(n)[m]``, and each nesting level keeps its
 directions on its own array axis, so a k-fold nested derivative costs one
 evaluation of the innermost field instead of n^k.  On arrays (quadrature
-grids) it seeds one coordinate per pass with the scalar tangent 1.0: vector
-mode there would grow each nested scalar from 2^k to (1+n)^k node arrays,
-which raised peak memory by 25% (3D) to 92% (2D) on the benchmark grids.
+grids) it seeds one coordinate per pass with the scalar tangent 1.0.  Its
+array callers are the rebuilt towers, which run F^2 under nested jets over
+every node, and vector mode there would grow each nested scalar from 2^k to
+(1+n)^k node arrays, which raised peak memory by 25% (3D) to 92% (2D) on the
+benchmark grids.
+
 :func:`grad_xy` gives the x- and y-partials together, for the horizontal
-derivative delta_c = d/dx^c - N^m_c d/dy^m that reads both: at a point one
-pass seeds all 2n coordinates, on arrays it makes the per-coordinate passes
-of ``grad_wrt`` over x, then y.  Kernels that read a connection tower are
-differentiated by the same drivers: ``LocalTower.partials`` hands
-``grad_xy`` a kernel that builds a lifted tower at the seeded coordinates,
-so they get the same choice of seeding.
+derivative delta_c = d/dx^c - N^m_c d/dy^m that reads both, and makes vector
+passes only: at a point one pass seeds all 2n coordinates, on arrays one
+:func:`list_grad` pass seeds the n coordinates of x and a second those of y.
+Kernels that read a connection tower are differentiated by it:
+``LocalTower.partials`` hands ``grad_xy`` a kernel that builds a lifted
+tower at the seeded coordinates, which reads its layers off the parent's
+cached values and partials, so a pass costs a few array operations per
+node rather than F^2 under jets.
 
 Fields are callables ``f(xs, ys) -> scalar`` where ``xs`` and ``ys`` are
 plain lists of scalars.  The finite-difference routines exist only as an
@@ -280,15 +285,17 @@ def grad_wrt(fn, lists, which):
     ``lists`` is a tuple of scalar lists; ``which`` selects the differentiated
     list.  Returns ``out[m]`` = pytree of d(fn)/d(lists[which][m]).
 
-    At a point (every primal 0-d) one pass seeds all n coordinates, each
-    nesting level on its own direction axis (see :func:`_vector_grad`).  With
-    array-valued coordinates each coordinate gets its own pass and a scalar
-    tangent 1.0, because vector mode multiplies every node array by the n
-    directions of each level: on the benchmark grids peak memory rose from
-    50.5 to 97.0 MB (2D) and from 95.3 to 119.0 MB (3D).  ``fn`` must take
-    every jet it depends on through its arguments.  A caller that reads the
-    partials along both lists of ``fn(xs, ys)`` takes them from
-    :func:`grad_xy`, which at a point seeds both in one pass.
+    At a point (every primal 0-d) one vector pass seeds all n coordinates,
+    each nesting level on its own direction axis (see :func:`_vector_grad`).
+    With array-valued coordinates each coordinate gets its own pass and a
+    scalar tangent 1.0.  This stays per coordinate because its array callers
+    rebuild the tower at the seeded coordinates, where F^2 runs under nested
+    jets, and vector mode multiplies every node array of every level by its n
+    directions: on the benchmark grids peak memory rose from 50.5 to 97.0 MB
+    (2D) and from 95.3 to 119.0 MB (3D).  ``fn`` must take every jet it
+    depends on through its arguments.  A caller that reads the partials along
+    both lists of ``fn(xs, ys)`` takes them from :func:`grad_xy`, whose
+    passes are all vector passes.
     """
     depth = _point_depth(lists)
     if depth is not None:
@@ -328,12 +335,11 @@ def hessian_wrt(fn, lists, which):
     return rows
 
 
-def _point_depth(lists):
-    """Largest leaf ndim over ``lists`` if every primal is 0-d, else None."""
+def _leaf_depth(lists):
+    """Largest ndim of any leaf of the jet trees in ``lists``: the axis left
+    of it is free for a new level's directions."""
     depth = 0
     for v in itertools.chain(*lists):
-        if getattr(primal(v), "ndim", 0):
-            return None
         stack = [v]
         while stack:
             c = stack.pop()
@@ -344,14 +350,23 @@ def _point_depth(lists):
     return depth
 
 
+def _point_depth(lists):
+    """:func:`_leaf_depth` of ``lists`` if every primal is 0-d, else None."""
+    if any(getattr(primal(v), "ndim", 0) for v in itertools.chain(*lists)):
+        return None
+    return _leaf_depth(lists)
+
+
 def _vector_grad(fn, lists, which, depth):
-    """One pass seeding all n coordinates of ``lists[which]`` at a point.
+    """One vector pass seeding all n coordinates of ``lists[which]``.
 
     Coordinate m gets the tangent ``eye(n)[m]`` with its direction axis at
     position ``-(depth + 1)``; ``depth`` is the largest leaf ndim of the
-    inputs, so each nesting level owns one axis and levels cannot mix.  The
-    result's tangent is then split into its n components.  ``fn`` must take
-    every jet it depends on through its arguments: a jet it closes over is
+    inputs (:func:`_leaf_depth`), so the axis sits left of the node axes of
+    arrays and of the direction axes of outer levels, each nesting level owns
+    one axis and levels cannot mix.  The result's tangent is then split into
+    its n components.  ``fn`` must take every jet it depends on through its
+    arguments, or close over jets no deeper than those: a deeper jet would be
     invisible to ``depth`` and could share an axis with this level.
     """
     n = len(lists[which])
@@ -370,7 +385,7 @@ def _vector_grad(fn, lists, which, depth):
         if getattr(s, "ndim", 0) <= depth:
             return s  # constant along this level's axis
         s = s[(Ellipsis, m if s.shape[-depth - 1] > 1 else 0) + (slice(None),) * depth]
-        while s.ndim and s.shape[0] == 1:  # drop broadcast placeholders of outer levels
+        while s.ndim and s.shape[0] == 1:  # leading length-1 axes: broadcasting restores them
             s = s[0]
         return s
 
@@ -380,23 +395,39 @@ def _vector_grad(fn, lists, which, depth):
 def grad_xy(fn, xs, ys):
     """``(dx, dy)``: the first derivatives of ``fn(xs, ys)`` along every
     coordinate of ``xs`` and of ``ys``, as :func:`grad_x` and :func:`grad_y`
-    give them.
+    give them.  Every pass is a vector pass.
 
-    At a point one vector pass seeds all 2n coordinates, the tangent of
-    coordinate m being ``eye(2n)[m]``, so the field is evaluated once under
-    this level instead of once per list.  Each partial equals the one of its
-    own list's pass, because a direction's tangent only gains exact zeros
-    from the other list's, with two exceptions: an exact zero may carry the
-    other sign, and a quotient by a scalar that depends on the other list
-    alone is a jet quotient here, which rounds otherwise by a few ulp.  On
-    arrays it makes the per-coordinate passes of :func:`grad_wrt`, x first.
+    At a point one pass seeds all 2n coordinates, the tangent of coordinate
+    m being ``eye(2n)[m]``, so the field is evaluated once under this level
+    instead of once per list.  Each partial equals the one of its own list's
+    pass, because a direction's tangent only gains exact zeros from the other
+    list's, with two exceptions: an exact zero may carry the other sign, and
+    a quotient by a scalar that depends on the other list alone is a jet
+    quotient here, which rounds otherwise by a few ulp.  On arrays it makes
+    one :func:`list_grad` pass per list, x first, so each list's partials are
+    those of its own pass exactly.  Seeding all 2n directions at once there
+    would hold 2n tangents per node array instead of n, and raised the peak
+    memory of the 3D benchmark grid by 16%.
     """
-    depth = _point_depth((xs, ys))
+    lists = (xs, ys)
+    depth = _point_depth(lists)
     if depth is None:
-        return grad_wrt(fn, (xs, ys), 0), grad_wrt(fn, (xs, ys), 1)
+        return list_grad(fn, lists, 0), list_grad(fn, lists, 1)
     n = len(xs)
     d = _vector_grad(lambda zs: fn(zs[:n], zs[n:]), (list(xs) + list(ys),), 0, depth)
     return d[:n], d[n:]
+
+
+def list_grad(fn, lists, which):
+    """First derivatives along every coordinate of ``lists[which]`` in one
+    vector pass (:func:`_vector_grad`), at a point as on arrays.
+
+    On arrays each tangent is a node array times ``eye(n)[m]``, n times the
+    memory of the node array, so this suits fields whose cost is light per
+    node, such as forms on a lifted tower; F^2 under nested jets takes the
+    per-coordinate passes of :func:`grad_wrt` there.
+    """
+    return _vector_grad(fn, lists, which, _leaf_depth(lists))
 
 
 def grad_x(fn, xs, ys):

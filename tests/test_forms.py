@@ -706,6 +706,29 @@ class TestSeededPartials:
             laplacian_expansion_coeffs(tower, phi1)
             assert bool(calls) == expect_cold, (seed, len(calls))
 
+    @pytest.mark.parametrize("name", ["randers-base", "randers-torus-3d"])
+    def test_array_vector_passes_match_per_coordinate(self, name, randers_base):
+        """On a grid tower, the vector pass per list of ``grad_xy`` gives the
+        partials of one ``grad_wrt`` pass per coordinate (tangent 1.0), for a
+        leaf trig form, operator forms on lifted towers and a trig vector
+        field."""
+        s = metric_by_id(name, randers_base)
+        tower = self.grid_for(s).tower(s)
+        lists = (tower.xs, tower.ys)
+        rng = np.random.default_rng(53)
+        X = bi.random_trig_vector(rng, s)
+        cases = [(X.fn, 1, X.partials(*lists))]
+        for form in [bi.random_trig_form(rng, s, 1)] + self.operator_forms(s, 54, composed=False):
+            lifted = lambda a, b, form=form: form.on(_LiftedTower(tower, a, b))
+            cases.append((lifted, form.degree, tower.partials(form.on)))
+        for fn, degree, got in cases:
+            want = (got[0], jets.grad_wrt(fn, lists, 0), jets.grad_wrt(fn, lists, 1))
+            got, want = self.packed(got, degree)[1:], self.packed(want, degree)[1:]
+            scale = max(np.max(np.abs(w)) for w in want)
+            assert scale > 0.0
+            for a, b in zip(got, want):
+                assert np.max(np.abs(a - b)) <= self.REL_TOL * scale
+
     @staticmethod
     def lifted(tower, which, tangents):
         """The lifted tower with coordinate m of x (``which`` = 0) or y
@@ -741,8 +764,8 @@ class TestSeededPartials:
     @pytest.mark.parametrize("batch", [False, True])
     def test_kernel_runs(self, batch, randers_base):
         """``partials`` runs its kernel once at the tower and then as grad_xy
-        seeds: one vector pass over x and y together at a point, one pass per
-        coordinate on arrays."""
+        seeds: one vector pass over x and y together at a point, one vector
+        pass per list on arrays."""
         s = randers_base
         if batch:
             pts = sample_points(s, 4)
@@ -758,7 +781,82 @@ class TestSeededPartials:
 
         tower = LocalTower(s, xs, ys)
         tower.partials(kernel)
-        assert len(runs) == (2 * s.dim + 1 if batch else 2)
+        assert len(runs) == (3 if batch else 2)
+
+
+class TestHorizontalPartials:
+    """d_H and delta_H read a form's partials through
+    ``LocalTower.horizontal_partials``: on a grid where N vanishes they take
+    the value and the x pass only, with the values of the full partials."""
+
+    @staticmethod
+    def counted(form, evals):
+        """``form`` with each evaluation of its coefficients recorded."""
+
+        def coeffs(xs, ys):
+            evals.append(None)
+            return form.coeffs(xs, ys)
+
+        return HorizontalForm(form.degree, coeffs, label=form.label)
+
+    @staticmethod
+    def record_seeded_lists(monkeypatch):
+        """Per lifted tower built, whether its pass seeds x and whether y."""
+        seeded = []
+        init = _LiftedTower.__init__
+
+        def recording(self, parent, xs, ys):
+            init(self, parent, xs, ys)
+            seeded.append(tuple(bool(t) for t in self.tangents))
+
+        monkeypatch.setattr(_LiftedTower, "__init__", recording)
+        return seeded
+
+    def passes(self, s, monkeypatch):
+        """(coefficient evaluations, seeded lists) of d_H of a trig 1-form
+        and of delta_H of a trig 2-form on the grid tower, one op at a time."""
+        tower = TestSeededPartials.grid_for(s).tower(s)
+        rng = np.random.default_rng(71)
+        phi1, psi = bi.random_trig_form(rng, s, 1), bi.random_trig_form(rng, s, 2)
+        seeded = self.record_seeded_lists(monkeypatch)
+        out = []
+        for op, form in ((dH_coeffs, phi1), (deltaH_coeffs, psi)):
+            evals = []
+            seeded.clear()
+            op(tower, self.counted(form, evals))
+            out.append((len(evals), list(seeded)))
+        return out
+
+    def test_no_y_pass_where_n_vanishes(self, monkeypatch):
+        s = bi.get_metric("randers-torus-3d")
+        for evals, seeded in self.passes(s, monkeypatch):
+            assert evals == 2  # the value and one x pass
+            assert seeded == [(True, False)]
+
+    def test_y_pass_where_n_does_not_vanish(self, randers_base, monkeypatch):
+        for evals, seeded in self.passes(randers_base, monkeypatch):
+            assert evals == 3  # the value, one x pass and one y pass
+            assert seeded == [(True, False), (False, True)]
+
+    def test_values_equal_those_of_the_full_partials(self, monkeypatch):
+        """d_H and delta_H of leaf and operator forms, nested lifted towers
+        included, bit for bit as cov_h of the full (x, y) partials gives them."""
+        s = bi.get_metric("randers-torus-3d")
+        tower = TestSeededPartials.grid_for(s).tower(s)
+        rng = np.random.default_rng(72)
+        phi1, psi = bi.random_trig_form(rng, s, 1), bi.random_trig_form(rng, s, 2)
+        ops = [
+            (dH_coeffs, phi1, 2),
+            (deltaH_coeffs, psi, 1),
+            (deltaH_coeffs, horizontal_differential(s, phi1), 1),
+            (dH_coeffs, horizontal_codifferential(s, psi), 2),
+        ]
+        got = [pack(op(tower, form), degree) for op, form, degree in ops]
+        monkeypatch.setattr(LocalTower, "horizontal_partials", LocalTower.partials)
+        for (op, form, degree), a in zip(ops, got):
+            b = pack(op(tower, form), degree)
+            assert np.max(np.abs(b)) > 0.0, form.label
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), form.label
 
 
 ZERO_LAYERS = (("N", 2), ("Gamma", 3), ("nabla0T", 1))

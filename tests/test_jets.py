@@ -250,6 +250,17 @@ SCALARS = {
     2: [field, bi.get_metric("quartic-torus").f2, _base_dependent_randers(2).f2],
     3: [field3, bi.get_metric("randers-torus-3d").f2, _base_dependent_randers(3).f2],
 }
+# node arrays of one shape, and broadcast ones as a grid holds them
+ARRAY_POINTS = [
+    (
+        [np.array([0.7, 0.1, 0.4]), np.array([0.3, 0.2, 0.9])],
+        [np.array([1.2, 0.9, -0.3]), np.array([-0.5, 0.4, 1.0])],
+    ),
+    (
+        [np.array([[0.7], [0.1]]), np.array([[0.3, 0.2, 0.9]])],
+        [np.array([[1.2, 0.9, -0.3]]), np.array([[-0.5], [0.4]])],
+    ),
+]
 ORDERS = [(0,), (1,), (0, 1), (1, 0), (1, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1), (0, 0, 0)]
 
 
@@ -258,6 +269,15 @@ def flat(tree):
     if isinstance(tree, (list, tuple)):
         return np.concatenate([flat(c) for c in tree])
     return np.atleast_1d(np.asarray(tree, float))
+
+
+def flat_nodes(tree, coords):
+    """Every float of a pytree over the nodes of ``coords``, each leaf
+    broadcast to their common shape."""
+    if isinstance(tree, (list, tuple)):
+        return np.concatenate([flat_nodes(c, coords) for c in tree])
+    shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
+    return np.broadcast_to(np.asarray(tree, float), shape).ravel()
 
 
 class TestVectorMode:
@@ -315,13 +335,36 @@ class TestVectorMode:
         grad_xy(lambda a, b: grad_xy(fn, a, b), *POINTS[n])
         assert len(calls) == 1
 
-    def test_array_grad_xy_takes_the_loop(self):
-        xs = [np.array([0.7, 0.1, 0.4]), np.array([0.3, 0.2, 0.9])]
-        ys = [np.array([1.2, 0.9, -0.3]), np.array([-0.5, 0.4, 1.0])]
-        for fn in SCALARS[2]:
-            got = flat(grad_xy(fn, xs, ys))
-            want = flat([loop_grad(fn, (xs, ys), 0), loop_grad(fn, (xs, ys), 1)])
-            assert [v.hex() for v in got] == [v.hex() for v in want]
+    def test_array_grad_xy_equals_the_loop(self):
+        """On arrays, the vector pass per list gives the loop's partials bit
+        for bit, on node arrays of equal and of broadcast shapes."""
+        for xs, ys in ARRAY_POINTS:
+            for fn in SCALARS[2]:
+                got = flat_nodes(grad_xy(fn, xs, ys), xs + ys)
+                want = flat_nodes([loop_grad(fn, (xs, ys), 0), loop_grad(fn, (xs, ys), 1)], xs + ys)
+                assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_nested_array_grad_xy_equals_per_list(self, depth):
+        """Nested vector levels on arrays keep their direction axes apart."""
+        for xs, ys in ARRAY_POINTS:
+            for fn in SCALARS[2]:
+                got = flat_nodes(nested_xy(grad_xy, fn, depth)(xs, ys), xs + ys)
+                want = flat_nodes(nested_xy(per_list, fn, depth)(xs, ys), xs + ys)
+                assert got.shape == want.shape == (4**depth * np.broadcast(*xs, *ys).size,)
+                # equal as floats: an exact zero may carry the other sign
+                assert np.array_equal(got, want)
+
+    def test_array_grad_xy_is_one_pass_per_list(self):
+        calls = []
+
+        def fn(xs, ys):
+            calls.append(None)
+            return SCALARS[2][0](xs, ys)
+
+        xs, ys = ARRAY_POINTS[0]
+        grad_xy(lambda a, b: grad_xy(fn, a, b), xs, ys)
+        assert len(calls) == 4
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_point_grad_is_one_pass(self, n):
