@@ -275,8 +275,8 @@ def random_chart_points(rng, s, count):
     return pts
 
 
-def default_grid(s, tolerance=1e-4) -> QuadratureGrid:
-    return QuadratureGrid.for_structure(s, tolerance=tolerance)
+def default_grid(s) -> QuadratureGrid:
+    return QuadratureGrid.for_structure(s)
 
 
 def list_builtins() -> dict:

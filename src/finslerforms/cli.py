@@ -135,6 +135,7 @@ def cmd_laplacian(args):
     grid = _parse_grid(s, args)
     params = _given(form=args.form, tol=args.tol)
     if args.points:
+        scenario_mod._require_grid(grid, "laplacian", params, "laplacian task")
         _write(_laplacian_pointwise_csv(s, scenario_mod.task_form(s, params), grid), args.out)
         return 0
     result, _ = scenario_mod.run_task(s, grid, "laplacian", params, None, None)
@@ -184,7 +185,8 @@ def cmd_check(args):
     }[args.which])
     rng = np.random.default_rng(seed)
     result, ok = scenario_mod.run_task(s, grid, "check", params, args.tol, rng)
-    report = {"metric": s.label, "grid": grid.meta(), "seed": seed, "pass": bool(ok), **result}
+    meta = None if grid is None else grid.meta()
+    report = {"metric": s.label, "grid": meta, "seed": seed, "pass": bool(ok), **result}
     _emit(report, args.out, args.format)
     return 0 if ok else 1
 

@@ -8,23 +8,20 @@ once) or jets.
 A tower is differentiated in two ways.  A layer's own partials rebuild the
 tower at jet-valued coordinates, which evaluates F^2 under nested jets; the
 curvature blocks are built on these.  Each of Tt, N, Gamma, Cmix and
-nabla0T has a joint pair of partials (``dN`` = (dx, dy), through
-:func:`_rebuilt_pair`) for the readers of both lists, such as the
-horizontal derivative :meth:`LocalTower.delta`, and one partial per list
-(``dN_x``, ``dN_y``, through :func:`_rebuilt_partial`) for a reader of one
-list alone; ``dxf2`` and ``dgx`` are x-partials only.  At a point the pair
-seeds x and y in one vector pass (:func:`jets.grad_xy`), and a lone list
-seeds that list alone, because a joint pass also turns what depends on the
-other list only into jets.  On arrays the rebuilt partials are the
-per-coordinate passes of :func:`jets.grad_wrt`, which keep F^2 under nested
-jets from holding n tangents per node array.  A lone partial reads its half
-of a cached pair, and a pair reuses a cached lone partial.  Whatever is
-computed from the tower's layers is differentiated on a lifted tower instead
-(:meth:`LocalTower.partials`): :func:`jets.grad_xy` seeds the coordinates in
-vector passes, one over x and y together at a point and one per list on
-arrays, and the lifted tower at those jet coordinates reads N, Gamma, g and
-nabla0T as jets of the parent's cached values and partials.  So fields,
-forms and nabla T inside nabla nabla T (:func:`cov_hh`) are all
+nabla0T has exactly one cached partial per coordinate list (``dN_x``,
+``dN_y``, through :func:`_rebuilt_partial`).  At a point the first read of
+either one seeds x and y in one vector pass (:func:`jets.grad_xy`) and
+caches both, so the work does not depend on which list is read first.  On
+arrays each list is its own per-coordinate pass (:func:`jets.grad_wrt`),
+made when its partial is first read, which keeps F^2 under nested jets from
+holding n tangents per node array.  The x partials of F^2 and of g are
+taken over x alone (:func:`jets.grad_x`) and rebuild no tower.  Whatever
+is computed from the tower's layers is differentiated on a lifted tower
+instead (:meth:`LocalTower.partials`): :func:`jets.grad_xy` seeds the
+coordinates in vector passes, one over x and y together at a point and one
+per list on arrays, and the lifted tower at those jet coordinates reads N,
+Gamma, g and nabla0T as jets of the parent's cached values and partials.
+So fields, forms and nabla T inside nabla nabla T (:func:`cov_hh`) are all
 differentiated by the same seeding drivers, and a horizontal derivative
 skips the y pass where N vanishes (:meth:`LocalTower.horizontal_partials`).
 
@@ -100,38 +97,25 @@ def _collapse_zeros(nested):
     return nested
 
 
-def _rebuilt_partial(layer, which, pair=None):
+def _rebuilt_partial(layer, which, other):
     """Cached plain partial along list ``which`` (0: x, 1: y) of one tower
-    layer, taken by rebuilding the tower at jet-valued coordinates; half
-    ``which`` of the layer's cached joint ``pair`` if the tower holds it.  A
-    component that is 0 at every node is stored as the structural zero."""
+    layer, taken by rebuilding the tower at jet-valued coordinates; ``other``
+    names the layer's cached partial along the other list.
+
+    At a point the first read of either partial makes one :func:`jets.grad_xy`
+    vector pass over x and y together and caches both.  On arrays each list
+    is its own per-coordinate pass (:func:`jets.grad_wrt`), made when its
+    partial is first read, because a vector pass would carry n tangents per
+    node array through F^2 under nested jets.  A component that is 0 at
+    every node is stored as the structural zero."""
 
     def partials(self):
-        if pair in vars(self):
-            return vars(self)[pair][which]
         rebuilt = lambda a, b: getattr(LocalTower(self.s, a, b), layer)
-        return _collapse_zeros(grad_wrt(rebuilt, (self.xs, self.ys), which))
-
-    return cached_property(partials)
-
-
-def _rebuilt_pair(layer, x_partial, y_partial):
-    """Cached joint partials (dx, dy) of one tower layer, for the readers of
-    both lists.  At a point they come from one :func:`jets.grad_xy` vector
-    pass at rebuilt towers.  On arrays, and wherever the tower holds either
-    lone partial, they are the lone partials ``x_partial`` and
-    ``y_partial``: on arrays those seed one coordinate per pass
-    (:func:`jets.grad_wrt`), because a vector pass would carry n tangents
-    per node array through F^2 under nested jets."""
-
-    def partials(self):
-        cached = vars(self)
-        on_arrays = jets._point_depth((self.xs, self.ys)) is None
-        if on_arrays or x_partial in cached or y_partial in cached:
-            return getattr(self, x_partial), getattr(self, y_partial)
-        rebuilt = lambda a, b: getattr(LocalTower(self.s, a, b), layer)
-        dx, dy = grad_xy(rebuilt, self.xs, self.ys)
-        return _collapse_zeros(dx), _collapse_zeros(dy)
+        if jets._point_depth((self.xs, self.ys)) is None:
+            return _collapse_zeros(grad_wrt(rebuilt, (self.xs, self.ys), which))
+        both = [_collapse_zeros(d) for d in grad_xy(rebuilt, self.xs, self.ys)]
+        vars(self)[other] = both[1 - which]
+        return both[which]
 
     return cached_property(partials)
 
@@ -144,8 +128,7 @@ class LocalTower:
     upper index i, ``N[i][j]`` the nonlinear connection, ``flag[i][j][k]``
     the curvature of the nonlinear connection, equal to the y-contraction of
     the hh-curvature.  Derivative prefixes: ``dX_x[c]`` is the plain x
-    partial along axis c, ``dX_y[m]`` the fiber partial, and ``dX`` the
-    joint pair ``(dX_x, dX_y)``, taken in one pass at a point.
+    partial along axis c and ``dX_y[m]`` the fiber partial.
 
     The horizontal derivative of a layer goes through :meth:`delta`, which
     combines its plain partials into delta_c = d/dx^c - N^m_c d/dy^m; the
@@ -158,14 +141,17 @@ class LocalTower:
     as the structural zero ``0.0``, whose terms the kernels skip; jets are
     kept as they are.
 
-    A layer's own partials (``dgx``, ``dN``, ``dN_y``, ...) are taken by
-    rebuilding the tower at jet-valued coordinates, which evaluates F^2 under
-    nested jets: a reader of both lists takes the joint pair, a reader of one
-    list the lone partial.  Kernels computed from the layers, such as fields,
-    forms and nabla T, are differentiated without that: :meth:`partials`
-    runs the kernel under :func:`jets.grad_xy` on a :class:`_LiftedTower` at
-    the seeded coordinates, whose N, Gamma, g and nabla0T are first-order
-    jets of this tower's values and cached partials.
+    A layer's own partials (``dN_x``, ``dN_y``, ...) are taken by rebuilding
+    the tower at jet-valued coordinates, which evaluates F^2 under nested
+    jets.  Each is cached once per coordinate list: at a point the first
+    read of either list's partial makes one joint pass that caches both, on
+    arrays each list's partial is its own pass, made when it is first read.
+    ``dgx`` is g's x partial alone; its y partial ``dgy`` is 2 C.  Kernels
+    computed from the layers, such as fields, forms and nabla T, are
+    differentiated without that: :meth:`partials` runs the kernel under
+    :func:`jets.grad_xy` on a :class:`_LiftedTower` at the seeded
+    coordinates, whose N, Gamma, g and nabla0T are first-order jets of this
+    tower's values and cached partials.
     """
 
     def __init__(self, s: FinslerStructure, xs, ys):
@@ -181,10 +167,9 @@ class LocalTower:
         :func:`jets.grad_xy`, so the seeding is its: one vector pass over x
         and y together at a point, one vector pass per list on arrays.  The
         lifted tower reads its connection layers as jets of this tower's
-        cached values and partials, the joint pairs at a point and the lone
-        partials on arrays, instead of recomputing them from F^2 at jet
-        coordinates; a kernel that reads only the coordinates, such as a leaf
-        form, sees the seeded coordinates alone.
+        cached values and partials instead of recomputing them from F^2 at
+        jet coordinates; a kernel that reads only the coordinates, such as a
+        leaf form, sees the seeded coordinates alone.
         """
         return (kernel(self), *grad_xy(self._lifted_kernel(kernel), self.xs, self.ys))
 
@@ -271,15 +256,14 @@ class LocalTower:
 
     # -- spray and nonlinear connection ---------------------------------------
 
-    dxf2 = _rebuilt_partial("f2", 0)
-
     @cached_property
     def G(self):
         n = self.n
+        dxf2 = grad_x(self.s.f2, self.xs, self.ys)
         dxdy = grad_x(lambda a, b: grad_y(self.s.f2, a, b), self.xs, self.ys)
         # dxdy[c][h] is the x_c partial of the y_h partial of F^2
         rhs = [
-            sum_terms(dxdy[j][h] * self.ys[j] for j in range(n)) - self.dxf2[h]
+            sum_terms(dxdy[j][h] * self.ys[j] for j in range(n)) - dxf2[h]
             for h in range(n)
         ]
         return [
@@ -295,17 +279,16 @@ class LocalTower:
 
     # -- Cartan horizontal coefficients ----------------------------------------
 
-    dgx = _rebuilt_partial("g", 0)
+    @cached_property
+    def dgx(self):
+        """dgx[c][i][j]: the x partial of g_ij, taken over x alone."""
+        g_at = lambda a, b: metric_components(self.s, a, b)
+        return _collapse_zeros(grad_x(g_at, self.xs, self.ys))
 
     @property
     def dgy(self):
         """dgy[m][i][j] = 2 C_mij, the y partial of g_ij (uncached, to spare grid memory)."""
         return nested_build(self.n, 3, lambda idx: 2.0 * tget(self.C, idx))
-
-    @property
-    def dg(self):
-        """The pair (dgx, dgy); dgx is an x-only rebuilt partial."""
-        return self.dgx, self.dgy
 
     @cached_property
     def deltag(self):
@@ -331,16 +314,15 @@ class LocalTower:
 
     # -- Cartan trace derivatives ------------------------------------------------
 
-    dT = _rebuilt_pair("Tt", "dT_x", "dT_y")
-    dT_x = _rebuilt_partial("Tt", 0, "dT")
-    dT_y = _rebuilt_partial("Tt", 1, "dT")
+    dT_x = _rebuilt_partial("Tt", 0, "dT_y")
+    dT_y = _rebuilt_partial("Tt", 1, "dT_x")
 
     @cached_property
     def nabla_h_T(self):
         """nabla_h_T[h][j]: horizontal covariant derivative of the Cartan trace."""
         # the partials first: they rebuild the tower under nested jets, and the
         # layers Tt caches here would otherwise be held through that peak
-        dx, dy = self.dT
+        dx, dy = self.dT_x, self.dT_y
         return cov_h(self, self.Tt, dx, dy, "l")
 
     @cached_property
@@ -353,22 +335,20 @@ class LocalTower:
 
     # -- first derivatives of the tower (feed curvature and second covariants) ----
 
-    dN = _rebuilt_pair("N", "dN_x", "dN_y")
-    dN_x = _rebuilt_partial("N", 0, "dN")
-    dN_y = _rebuilt_partial("N", 1, "dN")
-    dGamma = _rebuilt_pair("Gamma", "dGamma_x", "dGamma_y")
-    dGamma_x = _rebuilt_partial("Gamma", 0, "dGamma")
-    dGamma_y = _rebuilt_partial("Gamma", 1, "dGamma")
+    dN_x = _rebuilt_partial("N", 0, "dN_y")
+    dN_y = _rebuilt_partial("N", 1, "dN_x")
+    dGamma_x = _rebuilt_partial("Gamma", 0, "dGamma_y")
+    dGamma_y = _rebuilt_partial("Gamma", 1, "dGamma_x")
 
     @cached_property
     def deltaGamma(self):
         """deltaGamma[c][h][j][k]: horizontal derivative of Gamma along axis c."""
-        return self.delta(*self.dGamma, 3)
+        return self.delta(self.dGamma_x, self.dGamma_y, 3)
 
     @cached_property
     def deltaN(self):
         """deltaN[c][i][k]: horizontal derivative of N^i_k along axis c."""
-        return self.delta(*self.dN, 2)
+        return self.delta(self.dN_x, self.dN_y, 2)
 
     @cached_property
     def flag(self):
@@ -382,28 +362,26 @@ class LocalTower:
             for i in range(n)
         ]
 
-    dCmix = _rebuilt_pair("Cmix", "dCmix_x", "dCmix_y")
-    dCmix_x = _rebuilt_partial("Cmix", 0, "dCmix")
-    dCmix_y = _rebuilt_partial("Cmix", 1, "dCmix")
+    dCmix_x = _rebuilt_partial("Cmix", 0, "dCmix_y")
+    dCmix_y = _rebuilt_partial("Cmix", 1, "dCmix_x")
 
     @cached_property
     def deltaCmix(self):
         """deltaCmix[c][h][k][j]: horizontal derivative of Cmix along axis c."""
-        return self.delta(*self.dCmix, 3)
+        return self.delta(self.dCmix_x, self.dCmix_y, 3)
 
-    d_nabla0T = _rebuilt_pair("nabla0T", "d_nabla0T_x", "d_nabla0T_y")
-    d_nabla0T_x = _rebuilt_partial("nabla0T", 0, "d_nabla0T")
-    d_nabla0T_y = _rebuilt_partial("nabla0T", 1, "d_nabla0T")
+    d_nabla0T_x = _rebuilt_partial("nabla0T", 0, "d_nabla0T_y")
+    d_nabla0T_y = _rebuilt_partial("nabla0T", 1, "d_nabla0T_x")
 
     @cached_property
     def nabla_nabla0T(self):
         """nabla_nabla0T[i][r]: horizontal covariant derivative of the 1-form nabla0T."""
-        return _collapse_zeros(cov_h(self, self.nabla0T, *self.d_nabla0T, "l"))
+        return _collapse_zeros(cov_h(self, self.nabla0T, self.d_nabla0T_x, self.d_nabla0T_y, "l"))
 
 
-def _lifted(layer, pair, x_partial, y_partial, rank):
+def _lifted(layer, x_partial, y_partial, rank):
     """Cached ``layer`` of a :class:`_LiftedTower`, lifted from its parent."""
-    return cached_property(lambda self: self._lift(layer, pair, x_partial, y_partial, rank))
+    return cached_property(lambda self: self._lift(layer, x_partial, y_partial, rank))
 
 
 class _LiftedTower(LocalTower):
@@ -415,11 +393,10 @@ class _LiftedTower(LocalTower):
     tangent: ``eye(2n)[m]`` at a point, where :func:`jets.grad_xy` seeds both
     lists in one pass, and ``eye(n)[m]`` on arrays and in
     :meth:`LocalTower.horizontal_partials`, where one list is seeded per
-    pass.  N, Gamma, g and nabla0T are jets of the parent's values and
-    partials, read lazily: the joint pair (``dN``, ``dGamma``,
-    ``d_nabla0T``; ``dgx`` with ``dgy`` for g) when both lists are seeded,
-    the lone partial of the seeded list otherwise.  Every other layer is
-    computed at the jet coordinates.
+    pass.  N, Gamma, g and nabla0T are jets of the parent's values and of
+    its cached partials along each seeded list (``dN_x``, ``dN_y``, ...;
+    ``dgx`` and ``dgy`` for g), read lazily.  Every other layer is computed
+    at the jet coordinates.
     """
 
     def __init__(self, parent, xs, ys):
@@ -431,20 +408,17 @@ class _LiftedTower(LocalTower):
             for cs in (xs, ys)
         ]
 
-    def _lift(self, layer, pair, x_partial, y_partial, rank):
+    def _lift(self, layer, x_partial, y_partial, rank):
         """The parent's ``layer`` with each component as the jet value +
         sum_m dx_m tx_m + sum_m dy_m ty_m over the seeded coordinates, dx and
-        dy read off the parent's joint ``pair`` when both lists are seeded,
-        else off the seeded list's ``x_partial`` or ``y_partial``.  A partial
+        dy read off the parent's ``x_partial`` and ``y_partial`` for each
+        list that is seeded.  A partial
         that is the structural zero adds no term, and a component with no
         term stays the plain value, so a structural zero of the parent stays
         one."""
         tx, ty = self.tangents
-        if tx and ty:
-            dx, dy = getattr(self.parent, pair)
-        else:
-            dx = getattr(self.parent, x_partial) if tx else None
-            dy = getattr(self.parent, y_partial) if ty else None
+        dx = getattr(self.parent, x_partial) if tx else None
+        dy = getattr(self.parent, y_partial) if ty else None
         ds = [(dx[m], t) for m, t in tx] + [(dy[m], t) for m, t in ty]
         value = getattr(self.parent, layer)
 
@@ -461,10 +435,10 @@ class _LiftedTower(LocalTower):
 
         return nested_build(self.n, rank, component)
 
-    N = _lifted("N", "dN", "dN_x", "dN_y", 2)
-    Gamma = _lifted("Gamma", "dGamma", "dGamma_x", "dGamma_y", 3)
-    g = _lifted("g", "dg", "dgx", "dgy", 2)
-    nabla0T = _lifted("nabla0T", "d_nabla0T", "d_nabla0T_x", "d_nabla0T_y", 1)
+    N = _lifted("N", "dN_x", "dN_y", 2)
+    Gamma = _lifted("Gamma", "dGamma_x", "dGamma_y", 3)
+    g = _lifted("g", "dgx", "dgy", 2)
+    nabla0T = _lifted("nabla0T", "d_nabla0T_x", "d_nabla0T_y", 1)
 
 
 def sum_terms(it):

@@ -304,16 +304,17 @@ class FinslerStructure:
 
     # -- validation ------------------------------------------------------------
 
-    def _sample_points(self, nx=3, ndir=6, rng=None):
+    def _sample_points(self):
+        """The validation samples: 3 base values per chart axis and 6 fixed
+        unit directions."""
         axes = []
         for a in range(self.dim):
             lo, hi = self.chart.interior(a)
             pad = 0.15 * (hi - lo)
-            axes.append(np.linspace(lo + pad, hi - pad, nx))
+            axes.append(np.linspace(lo + pad, hi - pad, 3))
         mesh = np.meshgrid(*axes, indexing="ij")
         xs = np.stack([m.ravel() for m in mesh], axis=-1)
-        rng = rng or np.random.default_rng(20240601)
-        dirs = rng.normal(size=(ndir, self.dim))
+        dirs = np.random.default_rng(20240601).normal(size=(6, self.dim))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         return xs, dirs
 

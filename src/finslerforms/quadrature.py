@@ -27,6 +27,7 @@ from .connection import LocalTower, TensorField, _point_tower
 from .errors import (
     DegreeMismatch,
     DimensionUnsupported,
+    DomainError,
     GridError,
     PoleSingularity,
 )
@@ -253,6 +254,8 @@ def _raw_density(s, xs, thetas, g):
 def volume_density(s, x, theta) -> VolumeDensity:
     """Density of the canonical volume at one (base, angle) node."""
     theta = [float(v) for v in np.atleast_1d(np.asarray(theta, float))]
+    if len(theta) != s.dim - 1:
+        raise DomainError(f"theta needs {s.dim - 1} fiber angles, got {len(theta)}")
     # g is 0-homogeneous in y, so it is taken at u itself
     tower, _ = _point_tower(s, (np.atleast_1d(x), fiber_direction(theta, s.dim)))
     if s.dim == 3 and abs(math.sin(theta[0])) < FIBER_POLAR_MARGIN / 2:

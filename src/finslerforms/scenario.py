@@ -120,12 +120,16 @@ def metric_from_config(cfg) -> FinslerStructure:
     raise ConfigError(f"unknown metric family {family!r}")
 
 
-def grid_from_config(s, cfg) -> QuadratureGrid:
+def grid_from_config(s, cfg) -> QuadratureGrid | None:
     """The quadrature grid of a scenario's 'grid' object, or the default
-    grid for None; the CLI builds its --grid and --tol-grid grids here too."""
+    grid for None; the CLI builds its --grid and --tol-grid grids here too.
+    With no grid given on a dimension that has no default grid, None: the
+    pointwise tasks run without one (:func:`_require_grid`)."""
     cfg = {} if cfg is None else cfg
     if not isinstance(cfg, dict):
         raise ConfigError("grid must be an object")
+    if not cfg and s.dim not in quad.DEFAULT_BASE_COUNTS:
+        return None
     base = cfg.get("base")
     fiber = cfg.get("fiber")
     for v in (base, fiber):
@@ -221,6 +225,14 @@ def parse_task(s, kind, params, tolerance, where):
     if tolerance is not None:
         tolerance = _parse_tolerance(tolerance, f"{where}: 'tolerance'")
     return TASK_PARSERS[kind](s, kind, params, ints, tolerance, where)
+
+
+def _require_grid(grid, kind, params, where):
+    """ConfigError unless ``grid`` is built or the task reads points alone:
+    a tensor, a curvature block or the Ricci-identity check."""
+    ricci = kind == "check" and params.get("which") == "ricci-identity"
+    if grid is None and not (kind in POINT_READERS or ricci):
+        raise ConfigError(f"{where}: needs a grid, and default grids exist for n in {{2, 3}} only")
 
 
 def _parse_point_task(s, kind, params, ints, tolerance, where):
@@ -365,13 +377,15 @@ def _parse_scenario(doc):
         if not isinstance(t, dict):
             raise ConfigError(f"task {i}: must be an object")
         kind, params = t.get("kind"), t.get("params", {})
-        parsed.append((kind, params, parse_task(s, kind, params, t.get("tolerance"), f"task {i}")))
+        run = parse_task(s, kind, params, t.get("tolerance"), f"task {i}")
+        _require_grid(grid, kind, params, f"task {i}")
+        parsed.append((kind, params, run))
     return s, grid, seed, parsed
 
 
 def validate_scenario(doc):
     """Raise ConfigError on any malformed element before running math;
-    returns the scenario's metric and grid."""
+    returns the scenario's metric and grid (None if no grid is built)."""
     return _parse_scenario(doc)[:2]
 
 
@@ -381,8 +395,11 @@ def scenario_hash(doc) -> str:
 
 
 def run_task(s, grid, kind, params, tolerance, rng):
-    """Parse one task, then run it: ``(result, ok)``."""
-    return parse_task(s, kind, params, tolerance, f"{kind} task")(grid, rng)
+    """Parse one task, then run it: ``(result, ok)``.  ``grid`` may be None
+    for a pointwise task."""
+    run = parse_task(s, kind, params, tolerance, f"{kind} task")
+    _require_grid(grid, kind, params, f"{kind} task")
+    return run(grid, rng)
 
 
 def run_scenario(doc) -> dict:
@@ -413,7 +430,7 @@ def run_scenario(doc) -> dict:
         "scenario_hash": scenario_hash(doc),
         "metric": s.label,
         "seed": seed,
-        "grid": grid.meta(),
+        "grid": None if grid is None else grid.meta(),
         "engine_tolerances": ENGINE_TOLERANCES,
         "tasks": tasks_out,
         "pass": bool(all_pass),

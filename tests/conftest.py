@@ -51,12 +51,10 @@ def randers_base():
     return FinslerStructure.randers(a, b, dim=2, label="randers-base-dependent")
 
 
-@pytest.fixture(scope="session")
-def randers_base_3d():
-    """Genuinely Finsler 3D Randers metric whose a and b depend on x:
+def base_dependent_randers(n):
+    """Genuinely Finsler Randers metric on n axes whose a and b depend on x:
     a_ij = (1.2 + 0.2 cos x_i) delta_ij + 0.05 sin(x_i + x_j) for i != j,
-    b_i = 0.2 cos x_(i+1), indices mod 3."""
-    n = 3
+    b_i = 0.2 cos x_(i+1), indices mod n."""
 
     def a(xs):
         return [
@@ -67,7 +65,17 @@ def randers_base_3d():
     def b(xs):
         return [0.2 * gcos(xs[(i + 1) % n]) for i in range(n)]
 
-    return FinslerStructure.randers(a, b, dim=n, label="randers-base-dependent-3d")
+    return FinslerStructure.randers(a, b, dim=n, label=f"randers-base-dependent-{n}d")
+
+
+@pytest.fixture(scope="session")
+def randers_base_3d():
+    return base_dependent_randers(3)
+
+
+@pytest.fixture(scope="session")
+def randers_base_4d():
+    return base_dependent_randers(4)
 
 
 @pytest.fixture()

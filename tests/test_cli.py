@@ -40,6 +40,10 @@ SCENARIO = {
 }
 
 
+# a constant 4D Randers metric, a dimension with no default grid
+RANDERS_4D = {"family": "randers", "a": np.eye(4).tolist(), "b": [0.3, 0.0, 0.0, 0.0]}
+AT_4D = {"x": [0.1, 0.2, 0.3, 0.4], "y": [1.0, 0.5, 0.0, 0.0]}
+
 # an integer that JSON can hold and a float cannot
 HUGE = 10**400
 
@@ -200,9 +204,8 @@ MALFORMED = [
         )
     ),
     (
-        {"metric": {"family": "euclidean", "dim": 4}, "tasks": [{"kind": "tensor", "params": {
-            "at": {"x": [0.1, 0.2, 0.3, 0.4], "y": [1, 0, 0, 0]}}}]},
-        r"grid: default grids exist for n in \{2, 3\} only",
+        {"metric": {"family": "euclidean", "dim": 4}, "tasks": [{"kind": "integrate"}]},
+        r"needs a grid, and default grids exist for n in \{2, 3\} only",
     ),
     ({"tasks": [{"kind": "check", "params": {"which": "bogus"}}]}, "unknown check 'bogus'"),
     *(
@@ -461,10 +464,11 @@ class TestCommandLine:
                 "'expect_harmonic' must be true or false, got 'no'",
             ),
             (
-                json.dumps({"metric": {"family": "euclidean", "dim": 4}, "tasks": [{
-                    "kind": "tensor",
-                    "params": {"at": {"x": [0.1, 0.2, 0.3, 0.4], "y": [1, 0, 0, 0]}}}]}),
-                "default grids exist for n in {2, 3} only",
+                json.dumps({"metric": {"family": "euclidean", "dim": 4}, "tasks": [
+                    {"kind": "tensor", "params": {"at": {"x": [0.1, 0.2, 0.3, 0.4],
+                                                         "y": [1, 0, 0, 0]}}},
+                    {"kind": "check", "params": {"which": "divergence"}}]}),
+                "task 1: needs a grid, and default grids exist for n in {2, 3} only",
             ),
             (
                 json.dumps({"tasks": [{"kind": "check", "params": {"which": "divergence"},
@@ -614,12 +618,38 @@ class TestCommandLine:
             assert code == (0 if want.get("pass", True) else 1)
             assert json.loads(out) == json.loads(json.dumps(want, default=float))
 
+    def test_pointwise_tasks_need_no_grid(self, tmp_path, capsys):
+        """On a dimension with no default grid and no grid given, the
+        pointwise tasks run and report no grid."""
+        doc = {"metric": RANDERS_4D, "tasks": [
+            {"kind": "tensor", "params": {"which": "Gamma", "at": AT_4D}},
+            {"kind": "curvature", "params": {"which": "Q", "at": AT_4D}},
+            {"kind": "check", "params": {"which": "ricci-identity", "fields": 1, "points": 1}},
+        ]}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "run", str(path))
+        report = json.loads(out)
+        assert code == 0 and report["pass"] is True and report["grid"] is None
+        assert np.max(np.abs(report["tasks"][1]["result"]["components"])) > 1e-3
+        metric = json.dumps(RANDERS_4D)
+        code, out, _ = run_cli(capsys, "check", "ricci-identity", "--metric", metric, "--count", "1")
+        report = json.loads(out)
+        assert code == 0 and report["pass"] is True and report["grid"] is None
+
     def test_grid_on_unsupported_dimension_is_a_config_error(self, capsys):
         metric = '{"family": "euclidean", "dim": 4}'
         code, out, err = run_cli(capsys, "integrate", "--metric", metric)
         assert code == 2
         assert out == ""
         assert "configuration error" in err and "default grids exist" in err
+
+    def test_pointwise_laplacian_rows_need_a_grid(self, capsys):
+        metric = '{"family": "euclidean", "dim": 4}'
+        code, out, err = run_cli(capsys, "laplacian", "--metric", metric, "--points", "--format", "csv")
+        assert code == 2
+        assert out == ""
+        assert "configuration error" in err and "needs a grid" in err
 
     def test_laplacian_pointwise_csv(self, capsys):
         code, out, _ = run_cli(

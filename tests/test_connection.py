@@ -382,6 +382,50 @@ class TestPack:
         assert pack(coeffs, 3).shape == (3, 3, 3, 2, 5)
 
 
+class TestOnePartialPerList:
+    """A rebuilt layer caches one partial per coordinate list.  At a point
+    the first read of either list makes one joint pass and caches both, so
+    the work does not depend on read order; on arrays each list is its own
+    pass, made when it is first read."""
+
+    PARTIALS = (("dT_x", "dT_y"), ("dN_x", "dN_y"), ("dGamma_x", "dGamma_y"),
+                ("dCmix_x", "dCmix_y"), ("d_nabla0T_x", "d_nabla0T_y"))
+
+    @pytest.mark.parametrize("order", ["hh-hv-vv", "hv-hh-vv"])
+    def test_f2_evaluations_do_not_depend_on_block_order(self, order, randers_base, monkeypatch):
+        s = randers_base
+        blocks = {"hh": hh_components, "hv": hv_components, "vv": vv_components}
+        z = sample_points(s, 1)[0]
+        calls, f2 = [], s._f2
+
+        def counted(xs, ys):
+            calls.append(1)
+            return f2(xs, ys)
+
+        monkeypatch.setattr(s, "_f2", counted)
+        tower, _ = _point_tower(s, (z.x, z.y))
+        for name in order.split("-"):
+            blocks[name](tower)
+        assert len(calls) == 17
+
+    def test_one_read_caches_both_lists_at_a_point(self, randers_base):
+        z = sample_points(randers_base, 1)[0]
+        for x_name, y_name in self.PARTIALS:
+            for first, other in ((x_name, y_name), (y_name, x_name)):
+                tower, _ = _point_tower(randers_base, (z.x, z.y))
+                getattr(tower, first)
+                assert other in vars(tower), first
+
+    def test_each_list_is_its_own_pass_on_arrays(self, randers_base):
+        pts = sample_points(randers_base, 3, seed=24)
+        xs, ys = (list(np.array([getattr(z, c) for z in pts]).T) for c in "xy")
+        for x_name, y_name in self.PARTIALS:
+            for first, other in ((x_name, y_name), (y_name, x_name)):
+                tower = LocalTower(randers_base, xs, ys)
+                getattr(tower, first)
+                assert other not in vars(tower), first
+
+
 def per_list(fn, xs, ys):
     """``grad_xy`` as one seeded pass per coordinate list."""
     return grad_wrt(fn, (xs, ys), 0), grad_wrt(fn, (xs, ys), 1)
@@ -394,13 +438,15 @@ def hexes(tree):
 class TestJointSeeding:
     """Seeding x and y in one pass (``jets.grad_xy``) gives every tower
     layer, curvature block and operator output bit for bit as one pass per
-    coordinate list does, at points and on an array batch."""
+    coordinate list does, at points and on an array batch, also when the hv
+    block, a reader of y partials alone, is the first read of a fresh tower."""
 
     LAYERS = (("g", 2), ("C", 3), ("N", 2), ("Gamma", 3), ("flag", 3), ("nabla_nabla0T", 2))
 
     @classmethod
-    def tower_outputs(cls, tower, s, seed):
-        out = {layer: pack(getattr(tower, layer), rank) for layer, rank in cls.LAYERS}
+    def tower_outputs(cls, tower, s, seed, hv_first=False):
+        out = {"hv-first": pack(hv_components(tower), 4)} if hv_first else {}
+        out.update((layer, pack(getattr(tower, layer), rank)) for layer, rank in cls.LAYERS)
         for kernel in (hh_components, hv_components, vv_components):
             out[kernel.__name__] = pack(kernel(tower), 4)
         rng = np.random.default_rng(seed)
@@ -448,10 +494,30 @@ class TestJointSeeding:
             monkeypatch,
         )
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_hv_first_at_points(self, dim, randers_base, randers_base_3d, monkeypatch):
+        s = randers_base if dim == 2 else randers_base_3d
+        points = sample_points(s, 3, seed=23)
+        self.assert_bit_identical(
+            lambda: {
+                f"{k}:{key}": v
+                for k, z in enumerate(points)
+                for key, v in self.tower_outputs(
+                    _point_tower(s, (z.x, z.y))[0], s, 30 + k, hv_first=True
+                ).items()
+            },
+            monkeypatch,
+        )
+
     def test_on_an_array_batch(self, randers_base, monkeypatch):
-        s = randers_base
+        self.assert_batch_bit_identical(randers_base, monkeypatch, hv_first=False)
+
+    def test_hv_first_on_an_array_batch(self, randers_base, monkeypatch):
+        self.assert_batch_bit_identical(randers_base, monkeypatch, hv_first=True)
+
+    def assert_batch_bit_identical(self, s, monkeypatch, hv_first):
         pts = sample_points(s, 3, seed=24)
         xs, ys = (list(np.array([getattr(z, c) for z in pts]).T) for c in "xy")
         self.assert_bit_identical(
-            lambda: self.tower_outputs(LocalTower(s, xs, ys), s, 40), monkeypatch
+            lambda: self.tower_outputs(LocalTower(s, xs, ys), s, 40, hv_first), monkeypatch
         )

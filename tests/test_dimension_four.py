@@ -1,0 +1,59 @@
+"""The pointwise identities at n = 4, where no grid exists, on a base-dependent
+Randers metric at one seeded point.  Each holds to the tolerance of its 2D/3D
+test.  This is the first dimension where ``metric.inverse_components`` takes
+its elimination branch and a joint pass at a point seeds 8 directions."""
+
+import numpy as np
+import pytest
+
+from finslerforms import builtins as bi
+from finslerforms.curvature import ricci_identity_residual, vv_curvature
+from finslerforms.forms import (
+    associate_one_form,
+    energy_identity_residuals,
+    horizontal_laplacian,
+    laplacian_expansion,
+    weitzenbock_residual,
+)
+
+from conftest import sample_points
+
+
+@pytest.fixture(scope="module")
+def point(randers_base_4d):
+    z = sample_points(randers_base_4d, 1, seed=41)[0]
+    return z.x, z.y
+
+
+def test_metric_is_not_riemannian(randers_base_4d, point):
+    assert np.max(np.abs(vv_curvature(randers_base_4d, point).data)) > 1e-3
+
+
+@pytest.mark.parametrize("p", range(5))
+def test_composition_matches_expansion(randers_base_4d, point, p):
+    s = randers_base_4d
+    phi = bi.random_trig_form(np.random.default_rng(50 + p), s, p)
+    a = horizontal_laplacian(s, phi).at(s, point).data
+    b = laplacian_expansion(s, phi).at(s, point).data
+    assert np.max(np.abs(a)) > 1e-3
+    assert np.max(np.abs(a - b)) < 1e-5
+
+
+def test_ricci_identity(randers_base_4d, point):
+    X = bi.random_trig_vector(np.random.default_rng(60), randers_base_4d, trig_degree=2)
+    assert np.max(np.abs(ricci_identity_residual(randers_base_4d, X, point).data)) < 1e-5
+
+
+def test_energy_identities(randers_base_4d, point):
+    X = bi.random_trig_vector(np.random.default_rng(61), randers_base_4d)
+    r1, r2 = energy_identity_residuals(randers_base_4d, X, point)
+    assert abs(r1) < 1e-12 and abs(r2) < 1e-12
+
+
+def test_weitzenbock_residual_is_minus_the_laplacian(randers_base_4d, point):
+    s = randers_base_4d
+    X = bi.random_trig_vector(np.random.default_rng(62), s)
+    res = weitzenbock_residual(s, X, point).data
+    lap = horizontal_laplacian(s, associate_one_form(s, X).horizontal).at(s, point).data
+    assert np.max(np.abs(lap)) > 1e-3
+    assert np.max(np.abs(res + lap)) < 1e-5

@@ -6,7 +6,7 @@ import pytest
 
 from finslerforms import builtins as bi
 from finslerforms.connection import LocalTower
-from finslerforms.errors import DegreeMismatch, GridError, PoleSingularity
+from finslerforms.errors import DegreeMismatch, DomainError, GridError, PoleSingularity
 from finslerforms.forms import (
     HorizontalForm,
     deltaH_coeffs,
@@ -130,6 +130,14 @@ class TestVolumeDensity:
         e3 = bi.get_metric("euclidean-3d")
         with pytest.raises(PoleSingularity):
             volume_density(e3, [0.1, 0.2, 0.3], [1e-9, 0.4])
+
+    @pytest.mark.parametrize("name, x, theta", [
+        ("euclidean", [0.5, 0.1], [0.3, 5.0]),
+        ("euclidean-3d", [0.1, 0.2, 0.3], [0.3]),
+    ])
+    def test_wrong_number_of_angles(self, name, x, theta):
+        with pytest.raises(DomainError, match="fiber angles"):
+            volume_density(bi.get_metric(name), x, theta)
 
 
 class TestMasses:
