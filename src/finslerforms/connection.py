@@ -5,19 +5,20 @@ whole connection tower at one evaluation point.  The point coordinates may
 be floats (pointwise use), batched numpy arrays (whole quadrature grids at
 once) or jets.
 
-A tower is differentiated in two ways.  A layer's own partials rebuild the
-tower at jet-valued coordinates, which evaluates F^2 under nested jets; the
+A tower is differentiated in two ways.  A layer's own partials are taken
+at jet-valued coordinates, which evaluates F^2 under nested jets; the
 curvature blocks are built on these.  Each of Tt, N, Gamma, Cmix and
 nabla0T has exactly one cached partial per coordinate list (``dN_x``,
-``dN_y``, through :func:`_rebuilt_partial`).  At a point the first read of
-either one seeds x and y in one vector pass (:func:`jets.grad_xy`) and
-caches both, so the work does not depend on which list is read first.  On
-arrays each list is its own per-coordinate pass (:func:`jets.grad_wrt`),
-made when its partial is first read, which keeps F^2 under nested jets from
-holding n tangents per node array.  The x partials of F^2 and of g are
-taken over x alone (:func:`jets.grad_x`) and rebuild no tower.  Whatever
-is computed from the tower's layers is differentiated on a lifted tower
-instead (:meth:`LocalTower.partials`): :func:`jets.grad_xy` seeds the
+``dN_y``, through :func:`_rebuilt_partial`).  At a point a tower caches one
+child, itself at x and y seeded together, and splits every first partial
+it needs off the matching layer of that child: both lists of those layers,
+N off G and ``dgx`` off g.  The child computes only the layers read and
+takes its own partials from its own child.  On arrays no child is cached,
+since a grid tower outlives the call: each list is its own per-coordinate
+pass (:func:`jets.grad_wrt`) at fresh rebuilt towers, which keeps F^2 under
+nested jets from holding n tangents per node array.  Whatever is computed
+from the tower's layers is differentiated on a lifted tower instead
+(:meth:`LocalTower.partials`): :func:`jets.grad_xy` seeds the
 coordinates in vector passes, one over x and y together at a point and one
 per list on arrays, and the lifted tower at those jet coordinates reads N,
 Gamma, g and nabla0T as jets of the parent's cached values and partials.
@@ -97,27 +98,10 @@ def _collapse_zeros(nested):
     return nested
 
 
-def _rebuilt_partial(layer, which, other):
-    """Cached plain partial along list ``which`` (0: x, 1: y) of one tower
-    layer, taken by rebuilding the tower at jet-valued coordinates; ``other``
-    names the layer's cached partial along the other list.
-
-    At a point the first read of either partial makes one :func:`jets.grad_xy`
-    vector pass over x and y together and caches both.  On arrays each list
-    is its own per-coordinate pass (:func:`jets.grad_wrt`), made when its
-    partial is first read, because a vector pass would carry n tangents per
-    node array through F^2 under nested jets.  A component that is 0 at
-    every node is stored as the structural zero."""
-
-    def partials(self):
-        rebuilt = lambda a, b: getattr(LocalTower(self.s, a, b), layer)
-        if jets._point_depth((self.xs, self.ys)) is None:
-            return _collapse_zeros(grad_wrt(rebuilt, (self.xs, self.ys), which))
-        both = [_collapse_zeros(d) for d in grad_xy(rebuilt, self.xs, self.ys)]
-        vars(self)[other] = both[1 - which]
-        return both[which]
-
-    return cached_property(partials)
+def _rebuilt_partial(layer, which, other=None):
+    """Cached :meth:`LocalTower._layer_partial`; ``other`` names the
+    layer's cached partial along the other list."""
+    return cached_property(lambda self: self._layer_partial(layer, which, other))
 
 
 class LocalTower:
@@ -141,12 +125,12 @@ class LocalTower:
     as the structural zero ``0.0``, whose terms the kernels skip; jets are
     kept as they are.
 
-    A layer's own partials (``dN_x``, ``dN_y``, ...) are taken by rebuilding
-    the tower at jet-valued coordinates, which evaluates F^2 under nested
-    jets.  Each is cached once per coordinate list: at a point the first
-    read of either list's partial makes one joint pass that caches both, on
-    arrays each list's partial is its own pass, made when it is first read.
-    ``dgx`` is g's x partial alone; its y partial ``dgy`` is 2 C.  Kernels
+    A layer's own partials (``dN_x``, ``dN_y``, ...) are taken at jet-valued
+    coordinates, which evaluates F^2 under nested jets, and cached once per
+    coordinate list.  At a point N, ``dgx`` and both lists of every such
+    partial are split off the layers of one cached child (:attr:`_child`);
+    on arrays each is its own pass at fresh rebuilt towers.  ``dgx`` is g's
+    x partial; its y partial ``dgy`` is 2 C.  Kernels
     computed from the layers, such as fields, forms and nabla T, are
     differentiated without that: :meth:`partials` runs the kernel under
     :func:`jets.grad_xy` on a :class:`_LiftedTower` at the seeded
@@ -186,10 +170,40 @@ class LocalTower:
         pass, and wherever N does not vanish, this is :meth:`partials`.
         """
         reads_dy = not all(is_structural_zero(v) for row in self.N for v in row)
-        if reads_dy or jets._point_depth((self.xs, self.ys)) is not None:
+        if reads_dy or self._depth is not None:
             return self.partials(kernel)
         dx = jets.list_grad(self._lifted_kernel(kernel), (self.xs, self.ys), 0)
         return kernel(self), dx, None
+
+    @cached_property
+    def _depth(self):
+        """:func:`jets._point_depth` of the coordinates: None on arrays."""
+        return jets._point_depth((self.xs, self.ys))
+
+    @cached_property
+    def _child(self):
+        """(child, tag) at a point: a :class:`LocalTower` at x and y seeded
+        together under one tag, as :func:`jets.grad_xy` seeds them."""
+        (zs,), tag = jets._seed((self.xs + self.ys,), 0, self._depth)
+        return LocalTower(self.s, zs[: self.n], zs[self.n :]), tag
+
+    def _layer_partial(self, layer, which, other=None):
+        """Plain partial along list ``which`` (0: x, 1: y) of ``layer``, with
+        structural zeros.  At a point the partials along both lists are split
+        off the child's ``layer``, the other one cached under ``other`` if
+        named.  On arrays it is one per-coordinate pass (:func:`jets.grad_wrt`)
+        at fresh rebuilt towers: a vector pass would carry n tangents per node
+        array through F^2 under nested jets, and a child would live as long as
+        the grid."""
+        if self._depth is None:
+            rebuilt = lambda a, b: getattr(LocalTower(self.s, a, b), layer)
+            return _collapse_zeros(grad_wrt(rebuilt, (self.xs, self.ys), which))
+        child, tag = self._child
+        d = jets._split(jets._evaluate(getattr, child, layer), tag, 2 * self.n, self._depth)
+        both = [_collapse_zeros(d[: self.n]), _collapse_zeros(d[self.n :])]
+        if other:
+            vars(self)[other] = both[1 - which]
+        return both[which]
 
     def _lifted_kernel(self, kernel):
         """``kernel`` at the lifted tower over this point at coordinates (a, b)."""
@@ -273,17 +287,12 @@ class LocalTower:
 
     @cached_property
     def N(self):
-        n = self.n
-        dG = grad_y(lambda a, b: LocalTower(self.s, a, b).G, self.xs, self.ys)
-        return _collapse_zeros([[dG[j][i] for j in range(n)] for i in range(n)])
+        dG = self._layer_partial("G", 1)
+        return [[dG[j][i] for j in range(self.n)] for i in range(self.n)]
 
     # -- Cartan horizontal coefficients ----------------------------------------
 
-    @cached_property
-    def dgx(self):
-        """dgx[c][i][j]: the x partial of g_ij, taken over x alone."""
-        g_at = lambda a, b: metric_components(self.s, a, b)
-        return _collapse_zeros(grad_x(g_at, self.xs, self.ys))
+    dgx = _rebuilt_partial("g", 0)  # dgx[c][i][j]: the x partial of g_ij
 
     @property
     def dgy(self):
@@ -396,7 +405,8 @@ class _LiftedTower(LocalTower):
     pass.  N, Gamma, g and nabla0T are jets of the parent's values and of
     its cached partials along each seeded list (``dN_x``, ``dN_y``, ...;
     ``dgx`` and ``dgy`` for g), read lazily.  Every other layer is computed
-    at the jet coordinates.
+    at the jet coordinates; the partials of its own layers follow the
+    one-child rule of :class:`LocalTower`, its child being a plain tower.
     """
 
     def __init__(self, parent, xs, ys):

@@ -15,10 +15,12 @@ tangent of coordinate m being ``eye(n)[m]``, and each nesting level keeps its
 directions on its own array axis, so a k-fold nested derivative costs one
 evaluation of the innermost field instead of n^k.  On arrays (quadrature
 grids) it seeds one coordinate per pass with the scalar tangent 1.0.  Its
-array callers are the rebuilt towers, which run F^2 under nested jets over
-every node, and vector mode there would grow each nested scalar from 2^k to
-(1+n)^k node arrays, which raised peak memory by 25% (3D) to 92% (2D) on the
-benchmark grids.
+array callers are the rebuilt towers of a grid, which run F^2 under nested
+jets over every node, and vector mode there would grow each nested scalar
+from 2^k to (1+n)^k node arrays, which raised peak memory by 25% (3D) to 92%
+(2D) on the benchmark grids.  At a point a tower caches one child at the
+coordinates :func:`_seed` seeds and splits each layer it reads off that
+child with :func:`_split`, as :func:`_vector_grad` does with its result.
 
 :func:`grad_xy` gives the x- and y-partials together, for the horizontal
 derivative delta_c = d/dx^c - N^m_c d/dy^m that reads both, and makes vector
@@ -358,25 +360,38 @@ def _point_depth(lists):
 
 
 def _vector_grad(fn, lists, which, depth):
-    """One vector pass seeding all n coordinates of ``lists[which]``.
-
-    Coordinate m gets the tangent ``eye(n)[m]`` with its direction axis at
-    position ``-(depth + 1)``; ``depth`` is the largest leaf ndim of the
-    inputs (:func:`_leaf_depth`), so the axis sits left of the node axes of
-    arrays and of the direction axes of outer levels, each nesting level owns
-    one axis and levels cannot mix.  The result's tangent is then split into
-    its n components.  ``fn`` must take every jet it depends on through its
-    arguments, or close over jets no deeper than those: a deeper jet would be
-    invisible to ``depth`` and could share an axis with this level.
+    """One vector pass seeding all n coordinates of ``lists[which]``
+    (:func:`_seed`), then split into the n partials (:func:`_split`).
+    ``fn`` must take every jet it depends on through its arguments, or close
+    over jets no deeper than those: a deeper jet would be invisible to
+    ``depth`` and could share an axis with this level.
     """
+    seeded, tag = _seed(lists, which, depth)
+    return _split(_evaluate(fn, *seeded), tag, len(lists[which]), depth)
+
+
+def _seed(lists, which, depth):
+    """(seeded lists, tag): coordinate m of ``lists[which]`` gets the tangent
+    ``eye(n)[m]`` under a fresh tag, its direction axis at ``-(depth + 1)``
+    left of the node axes and outer levels' axes (``depth`` is the inputs'
+    :func:`_leaf_depth`), so each nesting level owns one axis."""
     n = len(lists[which])
     tag = _new_tag()
     eye = np.eye(n).reshape((n, n) + (1,) * depth)
     seeded = [list(l) for l in lists]
     seeded[which] = [Jet([v, eye[m]], tag) for m, v in enumerate(seeded[which])]
+    return seeded, tag
+
+
+def _evaluate(fn, *args):
     # non-finite tangents stay silent, as Python floats are on the loop path
     with np.errstate(over="ignore", invalid="ignore"):
-        res = fn(*seeded)
+        return fn(*args)
+
+
+def _split(res, tag, n, depth):
+    """The n partials of ``res``: its tangent at the :func:`_seed` level
+    ``tag``, split along that level's direction axis."""
     d = tree_map(lambda s: _taylor_coeff(s, tag, 1), res)
 
     def component(s, m):

@@ -9,6 +9,7 @@ from finslerforms import connection
 from finslerforms.connection import (
     LocalTower,
     TensorField,
+    _collapse_zeros,
     _point_tower,
     cartan_coefficients,
     cov_h,
@@ -35,8 +36,9 @@ from finslerforms.forms import (
     laplacian_expansion,
     laplacian_expansion_coeffs,
 )
-from finslerforms.jets import JetRequest, fd_partial, grad_wrt, gsin, gsqrt
+from finslerforms.jets import JetRequest, fd_partial, grad_wrt, grad_x, grad_xy, grad_y, gsin, gsqrt
 from finslerforms.metric import metric_components
+from finslerforms.quadrature import QuadratureGrid
 
 from conftest import sample_points
 
@@ -384,9 +386,9 @@ class TestPack:
 
 class TestOnePartialPerList:
     """A rebuilt layer caches one partial per coordinate list.  At a point
-    the first read of either list makes one joint pass and caches both, so
-    the work does not depend on read order; on arrays each list is its own
-    pass, made when it is first read."""
+    the first read of either list splits both off the tower's one child and
+    caches both, so the work does not depend on read order; on arrays each
+    list is its own pass, made when it is first read."""
 
     PARTIALS = (("dT_x", "dT_y"), ("dN_x", "dN_y"), ("dGamma_x", "dGamma_y"),
                 ("dCmix_x", "dCmix_y"), ("d_nabla0T_x", "d_nabla0T_y"))
@@ -406,7 +408,7 @@ class TestOnePartialPerList:
         tower, _ = _point_tower(s, (z.x, z.y))
         for name in order.split("-"):
             blocks[name](tower)
-        assert len(calls) == 17
+        assert len(calls) == 9
 
     def test_one_read_caches_both_lists_at_a_point(self, randers_base):
         z = sample_points(randers_base, 1)[0]
@@ -424,6 +426,82 @@ class TestOnePartialPerList:
                 tower = LocalTower(randers_base, xs, ys)
                 getattr(tower, first)
                 assert other not in vars(tower), first
+
+
+
+def built_towers(monkeypatch):
+    """The towers built by ``LocalTower.__init__`` from now on, in order."""
+    built, init = [], LocalTower.__init__
+
+    def recorded(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(LocalTower, "__init__", recorded)
+    return built
+
+
+class TestOneChildPerTower:
+    """At a point a tower caches one child tower, at x and y seeded together,
+    and splits N, dgx and every rebuilt partial off the matching layer of
+    that child; its child does the same in turn.  An array tower keeps its
+    per-coordinate rebuilt passes and caches no child."""
+
+    PARTIALS = TestOnePartialPerList.PARTIALS
+    LAYERS = {"dT": ("Tt", 1), "dN": ("N", 2), "dGamma": ("Gamma", 3), "dCmix": ("Cmix", 3),
+              "d_nabla0T": ("nabla0T", 1)}
+
+    def test_one_child_per_tower_level(self, randers_base, monkeypatch):
+        z = sample_points(randers_base, 1)[0]
+        built = built_towers(monkeypatch)
+        tower, _ = _point_tower(randers_base, (z.x, z.y))
+        for kernel in (hh_components, hv_components, vv_components):
+            kernel(tower)
+        tower.nabla_nabla0T
+        chain = [tower]
+        while "_child" in vars(chain[-1]):
+            chain.append(vars(chain[-1])["_child"][0])
+        assert len(built) == len(chain) == 3
+        assert all(a is b for a, b in zip(built, chain))
+
+    @pytest.mark.parametrize("name", ["randers-base", "randers-base-3d", "randers-torus-3d",
+                                      "randers-base-4d"])
+    @pytest.mark.parametrize("first", [hh_components, hv_components], ids=["hh-first", "hv-first"])
+    def test_partials_equal_the_rebuilt_routes(self, name, first, request):
+        """N, dgx and both halves of every rebuilt partial equal, hex for
+        hex, the y pass of a rebuilt G, the x pass of g and the joint pass
+        of :func:`jets.grad_xy` over a fresh rebuilt tower."""
+        s = (bi.get_metric(name) if name == "randers-torus-3d"
+             else request.getfixturevalue(name.replace("-", "_")))
+        n = s.dim
+        for z in sample_points(s, 2, seed=5):
+            tower, _ = _point_tower(s, (z.x, z.y))
+            first(tower)
+            xs, ys = tower.xs, tower.ys
+            dG = grad_y(lambda a, b: LocalTower(s, a, b).G, xs, ys)
+            want = {
+                "N": (_collapse_zeros([[dG[j][i] for j in range(n)] for i in range(n)]), 2),
+                "dgx": (_collapse_zeros(grad_x(lambda a, b: metric_components(s, a, b), xs, ys)), 3),
+            }
+            for x_name, y_name in self.PARTIALS:
+                layer, rank = self.LAYERS[x_name[:-2]]
+                rebuilt = lambda a, b, layer=layer: getattr(LocalTower(s, a, b), layer)
+                dx, dy = grad_xy(rebuilt, xs, ys)
+                want[x_name] = (_collapse_zeros(dx), rank + 1)
+                want[y_name] = (_collapse_zeros(dy), rank + 1)
+            for key, (value, rank) in want.items():
+                assert hexes(pack(getattr(tower, key), rank)) == hexes(pack(value, rank)), key
+
+    def test_no_child_on_arrays(self, randers_base, monkeypatch):
+        """Guards peak memory: a child cached on a grid tower would keep its
+        whole derivative tree alive as long as the grid."""
+        tower = QuadratureGrid.for_structure(randers_base, (8, 8), (16,)).tower(randers_base)
+        built = built_towers(monkeypatch)
+        tower.N, tower.dgx
+        for pair in self.PARTIALS:
+            for name in pair:
+                getattr(tower, name)
+        assert built and all("_child" not in vars(tw) for tw in [tower, *built])
 
 
 def per_list(fn, xs, ys):
