@@ -198,6 +198,8 @@ def cmd_list_builtins(args):
 
 def cmd_diagnostics(args):
     s = scenario_mod.metric_from_config(_metric_arg(args))
+    if s.dim < 2:
+        raise ConfigError(f"diagnostics compares mixed partials: it needs dim >= 2, got {s.dim}")
     x, y = scenario_mod._parse_point(s, _parse_at(args.at), "--at")
     comparisons = []
     worst = 0.0

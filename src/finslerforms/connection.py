@@ -12,11 +12,12 @@ nabla0T has exactly one cached partial per coordinate list (``dN_x``,
 ``dN_y``, through :func:`_rebuilt_partial`).  At a point a tower caches one
 child, itself at x and y seeded together, and splits every first partial
 it needs off the matching layer of that child: both lists of those layers,
-N off G and ``dgx`` off g.  The child computes only the layers read and
-takes its own partials from its own child.  On arrays no child is cached,
-since a grid tower outlives the call: each list is its own per-coordinate
-pass (:func:`jets.grad_wrt`) at fresh rebuilt towers, which keeps F^2 under
-nested jets from holding n tangents per node array.  Whatever is computed
+N off G, and ``dgx`` and the Cartan tensor C, half of g's y partial, off g.
+The child computes only the layers read and takes its own partials from its
+own child.  On arrays no child is cached, since a grid tower outlives the
+call: each list is its own per-coordinate pass (:func:`jets.grad_wrt`) at
+fresh rebuilt towers, which keeps F^2 under nested jets from holding n
+tangents per node array.  Whatever is computed
 from the tower's layers is differentiated on a lifted tower instead
 (:meth:`LocalTower.partials`): :func:`jets.grad_xy` seeds the
 coordinates in vector passes, one over x and y together at a point and one
@@ -48,7 +49,6 @@ from .jets import grad_wrt, grad_x, grad_xy, grad_y
 from .metric import (
     FinslerStructure,
     TensorValue,
-    cartan_components,
     cartan_trace_components,
     inverse_components,
     metric_components,
@@ -127,10 +127,10 @@ class LocalTower:
 
     A layer's own partials (``dN_x``, ``dN_y``, ...) are taken at jet-valued
     coordinates, which evaluates F^2 under nested jets, and cached once per
-    coordinate list.  At a point N, ``dgx`` and both lists of every such
+    coordinate list.  At a point N, C, ``dgx`` and both lists of every such
     partial are split off the layers of one cached child (:attr:`_child`);
     on arrays each is its own pass at fresh rebuilt towers.  ``dgx`` is g's
-    x partial; its y partial ``dgy`` is 2 C.  Kernels
+    x partial and C half its y partial ``dgy``, both by this rule.  Kernels
     computed from the layers, such as fields, forms and nabla T, are
     differentiated without that: :meth:`partials` runs the kernel under
     :func:`jets.grad_xy` on a :class:`_LiftedTower` at the seeded
@@ -243,7 +243,9 @@ class LocalTower:
 
     @cached_property
     def C(self):
-        return cartan_components(self.s, self.xs, self.ys)
+        """C[k][i][j] = C_kij, half of g_ij's y partial (:meth:`_layer_partial`)."""
+        dgy = self._layer_partial("g", 1, "dgx")
+        return nested_build(self.n, 3, lambda idx: 0.5 * tget(dgy, idx))
 
     @cached_property
     def Cmix(self):
@@ -296,7 +298,8 @@ class LocalTower:
 
     @property
     def dgy(self):
-        """dgy[m][i][j] = 2 C_mij, the y partial of g_ij (uncached, to spare grid memory)."""
+        """dgy[m][i][j] = 2 C_mij, the y partial of g_ij, of which C is half
+        (uncached, so that no grid tower holds both)."""
         return nested_build(self.n, 3, lambda idx: 2.0 * tget(self.C, idx))
 
     @cached_property

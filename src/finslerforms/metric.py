@@ -2,9 +2,11 @@
 
 A :class:`FinslerStructure` evaluates F(x, y) and, through the jet engine,
 the fundamental tensor, Cartan tensor, Cartan trace and Hilbert form at any
-point of the slit tangent bundle.  All component helpers are generic: they
-accept floats, batched numpy arrays or jets, so higher layers can
-differentiate straight through them.
+point of the slit tangent bundle.  The component helpers of g, g^-1, T and
+the Hilbert form are generic: they accept floats, batched numpy arrays or
+jets, so higher layers can differentiate straight through them.  The Cartan
+tensor has no helper here: ``connection.LocalTower.C`` takes it as half of
+g's y partial, by the rule that gives every partial of a tower layer.
 
 One pointwise path: a point z = (x, y) is validated by
 :meth:`FinslerStructure._coords`, and g, g^-1, C and T at a point are read
@@ -48,13 +50,15 @@ class ChartSpec:
     def __post_init__(self):
         try:
             bounds = tuple((float(a), float(b)) for a, b in self.bounds)
-            periodic = tuple(bool(p) for p in self.periodic)
+            periodic = tuple(self.periodic)
             margin = self.excluded_margin
             margin = (0.0,) * len(bounds) if margin is None else tuple(float(m) for m in margin)
         except (TypeError, ValueError, OverflowError):
             raise ConfigError(
                 "chart bounds must be [lo, hi] pairs of numbers, periodic flags and margins lists"
             ) from None
+        if not all(isinstance(p, bool) for p in periodic):
+            raise ConfigError(f"chart periodic flags must be true or false, got {self.periodic!r}")
         if not (len(bounds) == len(periodic) == len(margin)):
             raise ConfigError("chart axis lists have inconsistent lengths")
         for (lo, hi), m in zip(bounds, margin):
@@ -182,18 +186,6 @@ def inverse_components(g, n):
             a[r] = [v - f * w for v, w in zip(a[r], a[col])]
             inv[r] = [v - f * w for v, w in zip(inv[r], inv[col])]
     return inv
-
-
-def cartan_components(s, xs, ys):
-    """Totally symmetric Cartan tensor C_kij = half of the y-derivative of g."""
-    n = s.dim
-    dg = grad_y(lambda xs, ys: metric_components(s, xs, ys), xs, ys)
-    C = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                C[k][i][j] = 0.5 * dg[k][i][j]
-    return C
 
 
 def cartan_trace_components(g_inv, C):

@@ -257,6 +257,15 @@ MALFORMED = [
     ),
     ({"grid": {"base": [HUGE, 16], "fiber": [16]}}, "grid must have at most 16777216 nodes"),
     ({"grid": {"base": [4096, 4096]}}, "grid must have at most 16777216 nodes"),
+    # periodic flags that are not booleans, which bool() would read as a torus
+    *(
+        (
+            {"metric": {"family": "euclidean", "chart": {
+                "bounds": [[0, 1], [0, 1]], "periodic": periodic}}},
+            "chart periodic flags must be true or false",
+        )
+        for periodic in (["false", "false"], "ab")
+    ),
 ]
 MALFORMED_IDS = [
     "unknown-kind", "task-not-object", "params-not-object", "point-without-y",
@@ -279,7 +288,7 @@ MALFORMED_IDS = [
     "components-huge-integer", "matrix-huge-integer", "drift-huge-integer",
     "chart-bound-huge-integer", "matrix-indefinite", "matrix-infinite", "randers-indefinite",
     "dim-huge-integer", "dim-above-bound", "matrix-above-dim-bound", "grid-count-huge-integer",
-    "grid-above-node-bound",
+    "grid-above-node-bound", "chart-periodic-strings", "chart-periodic-string",
 ]
 
 # the malformed documents that the command line can hand over: all but those
@@ -720,6 +729,14 @@ class TestCommandLine:
         assert code == 0
         doc = json.loads(out)
         assert doc["max_rel_diff"] < 1e-6
+
+    def test_diagnostics_on_one_axis_is_a_config_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "diagnostics", "--metric", '{"family": "euclidean", "dim": 1}', "--at", "0.1;1"
+        )
+        assert code == 2
+        assert out == ""
+        assert "configuration error" in err and "needs dim >= 2, got 1" in err
 
     def test_bad_at_argument(self, capsys):
         code, _, err = run_cli(capsys, "tensor", "--metric", "euclidean", "--at", "nonsense")

@@ -408,7 +408,7 @@ class TestOnePartialPerList:
         tower, _ = _point_tower(s, (z.x, z.y))
         for name in order.split("-"):
             blocks[name](tower)
-        assert len(calls) == 9
+        assert len(calls) == 7
 
     def test_one_read_caches_both_lists_at_a_point(self, randers_base):
         z = sample_points(randers_base, 1)[0]
@@ -443,7 +443,7 @@ def built_towers(monkeypatch):
 
 class TestOneChildPerTower:
     """At a point a tower caches one child tower, at x and y seeded together,
-    and splits N, dgx and every rebuilt partial off the matching layer of
+    and splits N, C, dgx and every rebuilt partial off the matching layer of
     that child; its child does the same in turn.  An array tower keeps its
     per-coordinate rebuilt passes and caches no child."""
 
@@ -452,6 +452,8 @@ class TestOneChildPerTower:
               "d_nabla0T": ("nabla0T", 1)}
 
     def test_one_child_per_tower_level(self, randers_base, monkeypatch):
+        """Four levels: the third reads C for its Tt, and splits it off a
+        child of its own."""
         z = sample_points(randers_base, 1)[0]
         built = built_towers(monkeypatch)
         tower, _ = _point_tower(randers_base, (z.x, z.y))
@@ -461,16 +463,17 @@ class TestOneChildPerTower:
         chain = [tower]
         while "_child" in vars(chain[-1]):
             chain.append(vars(chain[-1])["_child"][0])
-        assert len(built) == len(chain) == 3
+        assert len(built) == len(chain) == 4
         assert all(a is b for a, b in zip(built, chain))
 
     @pytest.mark.parametrize("name", ["randers-base", "randers-base-3d", "randers-torus-3d",
                                       "randers-base-4d"])
     @pytest.mark.parametrize("first", [hh_components, hv_components], ids=["hh-first", "hv-first"])
     def test_partials_equal_the_rebuilt_routes(self, name, first, request):
-        """N, dgx and both halves of every rebuilt partial equal, hex for
-        hex, the y pass of a rebuilt G, the x pass of g and the joint pass
-        of :func:`jets.grad_xy` over a fresh rebuilt tower."""
+        """N, C, dgx and both halves of every rebuilt partial equal, hex for
+        hex, the y pass of a rebuilt G, half the y pass of g, the x pass of g
+        and the joint pass of :func:`jets.grad_xy` over a fresh rebuilt
+        tower."""
         s = (bi.get_metric(name) if name == "randers-torus-3d"
              else request.getfixturevalue(name.replace("-", "_")))
         n = s.dim
@@ -481,6 +484,7 @@ class TestOneChildPerTower:
             dG = grad_y(lambda a, b: LocalTower(s, a, b).G, xs, ys)
             want = {
                 "N": (_collapse_zeros([[dG[j][i] for j in range(n)] for i in range(n)]), 2),
+                "C": (half_y_partial_of_g(s, xs, ys), 3),
                 "dgx": (_collapse_zeros(grad_x(lambda a, b: metric_components(s, a, b), xs, ys)), 3),
             }
             for x_name, y_name in self.PARTIALS:
@@ -492,16 +496,27 @@ class TestOneChildPerTower:
             for key, (value, rank) in want.items():
                 assert hexes(pack(getattr(tower, key), rank)) == hexes(pack(value, rank)), key
 
+    def test_C_on_arrays_is_half_the_y_pass_of_g(self, randers_base):
+        tower = QuadratureGrid.for_structure(randers_base, (8, 8), (16,)).tower(randers_base)
+        want = half_y_partial_of_g(randers_base, tower.xs, tower.ys)
+        assert hexes(pack(tower.C, 3)) == hexes(pack(want, 3))
+
     def test_no_child_on_arrays(self, randers_base, monkeypatch):
         """Guards peak memory: a child cached on a grid tower would keep its
         whole derivative tree alive as long as the grid."""
         tower = QuadratureGrid.for_structure(randers_base, (8, 8), (16,)).tower(randers_base)
         built = built_towers(monkeypatch)
-        tower.N, tower.dgx
+        tower.N, tower.C, tower.dgx
         for pair in self.PARTIALS:
             for name in pair:
                 getattr(tower, name)
         assert built and all("_child" not in vars(tw) for tw in [tower, *built])
+
+
+def half_y_partial_of_g(s, xs, ys):
+    """C_kij as half of the y pass of :func:`metric.metric_components`."""
+    dg = grad_y(lambda a, b: metric_components(s, a, b), xs, ys)
+    return nested_build(s.dim, 3, lambda idx: 0.5 * tget(dg, idx))
 
 
 def per_list(fn, xs, ys):

@@ -143,9 +143,10 @@ class TestLaplacian:
     @pytest.mark.parametrize("laplacian", [horizontal_laplacian, laplacian_expansion])
     def test_f2_evaluations_at_a_point(self, laplacian, randers_base, monkeypatch):
         """The composed and the expanded Laplacian of a 1-form at a point each
-        take 10 evaluations of F^2: every form or nabla phi is differentiated
-        along x and y in one pass, and every layer partial of a tower is split
-        off its one child tower, seeded along x and y in one pass."""
+        take 8 evaluations of F^2: every form or nabla phi is differentiated
+        along x and y in one pass, and every layer partial of a tower, C among
+        them, is split off its one child tower, seeded along x and y in one
+        pass."""
         s = randers_base
         phi = bi.random_trig_form(np.random.default_rng(0), s, 1)
         z = trig_point(s)
@@ -157,7 +158,7 @@ class TestLaplacian:
 
         monkeypatch.setattr(s, "_f2", counted)
         laplacian(s, phi).at(s, (z.x, z.y))
-        assert len(calls) == 10
+        assert len(calls) == 8
 
     @pytest.mark.parametrize("p", [0, 1, 2])
     def test_composition_matches_expansion_base_dependent(self, randers_base, rng, p):
@@ -256,9 +257,10 @@ class TestWeitzenbock:
 
     @pytest.mark.parametrize("name", ["randers-torus", "randers-torus-3d"])
     def test_f2_evaluations_at_a_point(self, name, monkeypatch):
-        """At a point the residual takes 12 evaluations of F^2 in 2D and in 3D:
+        """At a point the residual takes 9 evaluations of F^2 in 2D and in 3D:
         the lifted towers under nabla nabla seed x and y in one pass, and
-        each tower splits every layer partial off its one child tower."""
+        each tower splits every layer partial, C among them, off its one
+        child tower."""
         s = bi.get_metric(name)
         X = bi.random_trig_vector(np.random.default_rng(0), s)
         z = trig_point(s)
@@ -270,7 +272,7 @@ class TestWeitzenbock:
 
         monkeypatch.setattr(s, "_f2", counted)
         weitzenbock_residual(s, X, (z.x, z.y))
-        assert len(calls) == 12
+        assert len(calls) == 9
 
     def test_riemannian_trace_terms_drop(self, sphere, rng):
         """On Riemannian inputs the Cartan-trace terms vanish identically."""
