@@ -287,6 +287,6 @@ def list_builtins() -> dict:
         "vector_fields": list(FIELD_IDS),
         "default_grids": {
             f"dim{n}": {"base": list(DEFAULT_BASE_COUNTS[n]), "fiber": list(DEFAULT_FIBER_COUNTS[n])}
-            for n in (2, 3)
+            for n in DEFAULT_BASE_COUNTS
         },
     }

@@ -58,7 +58,7 @@ def _parse_grid(s, args):
             cfg["base"] = [int(v) for v in base_txt.split(",")]
             cfg["fiber"] = [int(v) for v in fiber_txt.split(",")]
         except ValueError as exc:
-            raise ConfigError("--grid expects 'b1,b2[,b3]xf1[,f2]'") from exc
+            raise ConfigError("--grid expects 'b1,...,bnxf1,...,f(n-1)'") from exc
     return scenario_mod.grid_from_config(s, cfg)
 
 
@@ -249,7 +249,7 @@ def build_parser():
         if at:
             sp.add_argument("--at", required=True, help="point as 'x1,..;y1,..'")
         if grid:
-            sp.add_argument("--grid", default=None, help="counts as 'b1,b2xf1'")
+            sp.add_argument("--grid", default=None, help="counts as 'b1,...,bnxf1,...,f(n-1)'")
             sp.add_argument("--tol-grid", default=None)
         sp.add_argument("--out", default=None, help="write the report to a file")
         sp.add_argument("--format", choices=("json", "csv"), default="json")

@@ -275,11 +275,12 @@ class LocalTower:
     @cached_property
     def G(self):
         n = self.n
-        dxf2 = grad_x(self.s.f2, self.xs, self.ys)
         dxdy = grad_x(lambda a, b: grad_y(self.s.f2, a, b), self.xs, self.ys)
-        # dxdy[c][h] is the x_c partial of the y_h partial of F^2
+        # dxdy[c][h] is the x_c partial of the y_h partial of F^2.  F^2 is
+        # 2-homogeneous in y, so y^j d_yj F^2 = 2 F^2 and the x_h partial of
+        # F^2 is 1/2 y^j dxdy[h][j]: no pass of its own
         rhs = [
-            sum_terms(dxdy[j][h] * self.ys[j] for j in range(n)) - dxf2[h]
+            sum_terms((dxdy[j][h] - 0.5 * dxdy[h][j]) * self.ys[j] for j in range(n))
             for h in range(n)
         ]
         return [

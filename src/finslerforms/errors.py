@@ -45,10 +45,6 @@ class GridError(FinslerError):
     """Malformed quadrature grid or non-evaluable integrand."""
 
 
-class DimensionUnsupported(FinslerError):
-    """Operation is only implemented for base dimension 2 or 3."""
-
-
 class PoleSingularity(FinslerError):
     """Fiber parameterization is degenerate at the requested angles."""
 

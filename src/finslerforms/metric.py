@@ -34,7 +34,6 @@ from .jets import grad_y, gsqrt
 
 TWO_PI = 2.0 * math.pi
 
-INDICATRIX_TOL = 1e-10
 RENORMALIZE_TOL = 1e-6
 CHOLESKY_PIVOT = 1e-12
 
@@ -146,13 +145,11 @@ def metric_components(s, xs, ys):
 
 
 def inverse_components(g, n):
-    """Matrix inverse by adjugate (n <= 3) or unpivoted elimination.
+    """Matrix inverse by adjugate (n = 2, 3) or unpivoted elimination.
 
     The adjugate form stays valid for jet-valued entries; elimination
     without pivoting is safe because g is positive-definite.
     """
-    if n == 1:
-        return [[jets._reciprocal(g[0][0])]]
     if n == 2:
         det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
         inv = jets._reciprocal(det)

@@ -12,6 +12,14 @@ the angle partials of u from the jet engine, and F from one evaluation
 of F^2.  Periodic axes use the rectangle rule (spectrally accurate for
 smooth periodic integrands), non-periodic axes composite Gauss-Legendre
 panels.
+
+One angle rule covers every fiber S^(n-1), n >= 2: the first n - 2 angles
+are polar, on [margin, pi - margin], each measured from the last remaining
+axis, u = (sin theta_1 * u'(theta_2, ...), cos theta_1), and the last is the
+periodic angle of S^1, u = (cos t, sin t).  In this order det[u, d_theta u]
+has the sign (-1)^((n-2)(n-3)/2): positive for n = 2, 3, negative for
+n = 4, 5.  ``VolumeDensity.raw`` keeps that sign; the density integrated is
+its absolute value.
 """
 
 from __future__ import annotations
@@ -26,7 +34,6 @@ from . import forms as _forms
 from .connection import LocalTower, TensorField, _point_tower
 from .errors import (
     DegreeMismatch,
-    DimensionUnsupported,
     DomainError,
     GridError,
     PoleSingularity,
@@ -70,29 +77,24 @@ class AxisSpec:
         return np.concatenate(nodes), np.concatenate(weights)
 
 
-def fiber_direction(thetas, n):
-    """Point on the Euclidean unit sphere for standard angles (generic)."""
-    if n == 2:
-        t = thetas[0]
-        return [gcos(t), gsin(t)]
-    if n == 3:
-        t1, t2 = thetas
-        s1 = gsin(t1)
-        return [s1 * gcos(t2), s1 * gsin(t2), gcos(t1)]
-    raise DimensionUnsupported(f"fiber parameterization supports n in {{2, 3}}, got {n}")
+def fiber_direction(thetas):
+    """Point on the Euclidean unit sphere S^(n-1) for its n - 1 angles, polar
+    angles first (the module's angle rule)."""
+    *polar, t = thetas
+    u = [gcos(t), gsin(t)]
+    for th in reversed(polar):
+        s = gsin(th)
+        u = [s * c for c in u] + [gcos(th)]
+    return u
 
 
-def fiber_axes_for(n, counts=None):
-    if n == 2:
-        counts = counts or DEFAULT_FIBER_COUNTS[2]
-        return (AxisSpec(0.0, 2.0 * math.pi, True, counts[0]),)
-    if n == 3:
-        counts = counts or DEFAULT_FIBER_COUNTS[3]
-        return (
-            AxisSpec(FIBER_POLAR_MARGIN, math.pi - FIBER_POLAR_MARGIN, False, counts[0]),
-            AxisSpec(0.0, 2.0 * math.pi, True, counts[1]),
-        )
-    raise DimensionUnsupported(f"grids support n in {{2, 3}}, got {n}")
+def fiber_axes_for(counts):
+    """Polar Gauss-Legendre axes on [margin, pi - margin], then one periodic
+    axis, for the node counts of the fiber angles in :func:`fiber_direction`
+    order."""
+    lo, hi = FIBER_POLAR_MARGIN, math.pi - FIBER_POLAR_MARGIN
+    polar = [AxisSpec(lo, hi, False, c) for c in counts[:-1]]
+    return (*polar, AxisSpec(0.0, 2.0 * math.pi, True, counts[-1]))
 
 
 @dataclass(frozen=True)
@@ -117,19 +119,21 @@ class QuadratureGrid:
     @classmethod
     def for_structure(cls, s, base_counts=None, fiber_counts=None, tolerance=DEFAULT_TOLERANCE):
         n = s.dim
-        if n not in (2, 3):
-            raise DimensionUnsupported("default grids exist for n in {2, 3} only")
-        if base_counts is None:
-            base_counts = DEFAULT_BASE_COUNTS[n]
+        if n < 2:
+            raise GridError("the fiber S^(n-1) of a grid needs n >= 2")
+        base_counts = DEFAULT_BASE_COUNTS.get(n) if base_counts is None else base_counts
+        fiber_counts = DEFAULT_FIBER_COUNTS.get(n) if fiber_counts is None else fiber_counts
+        if base_counts is None or fiber_counts is None:
+            raise GridError(f"default grids exist for n in {{2, 3}} only; give counts for n = {n}")
         if len(base_counts) != n:
             raise GridError("one base node count per chart axis is required")
-        if fiber_counts is not None and len(fiber_counts) != n - 1:
+        if len(fiber_counts) != n - 1:
             raise GridError("one fiber node count per fiber angle is required")
         base = []
         for a in range(n):
             lo, hi = s.chart.interior(a)
             base.append(AxisSpec(lo, hi, s.chart.periodic[a], int(base_counts[a])))
-        return cls(base, fiber_axes_for(n, fiber_counts), tolerance)
+        return cls(base, fiber_axes_for(fiber_counts), tolerance)
 
     def doubled(self):
         base = [AxisSpec(a.lo, a.hi, a.periodic, 2 * a.count) for a in self.base_axes]
@@ -184,7 +188,7 @@ class QuadratureGrid:
             arrays = self.axis_arrays()
             xs = arrays[: self.n_base]
             th = arrays[self.n_base :]
-            u = fiber_direction(th, s.dim)
+            u = fiber_direction(th)
             F = gsqrt(s.f2(xs, u))
             ys = [uk / F for uk in u]
             self._cache[key] = (s, xs, ys)
@@ -245,8 +249,8 @@ def _raw_density(s, xs, thetas, g):
     the only F^2 evaluation is the one of F(x, u).
     """
     n = s.dim
-    u = fiber_direction(thetas, n)
-    du = grad_wrt(lambda th: fiber_direction(th, n), (thetas,), 0)
+    u = fiber_direction(thetas)
+    du = grad_wrt(fiber_direction, (thetas,), 0)
     F = gsqrt(s.f2(xs, u))
     return _det(g) * _det([u] + du) / F**n
 
@@ -254,12 +258,12 @@ def _raw_density(s, xs, thetas, g):
 def volume_density(s, x, theta) -> VolumeDensity:
     """Density of the canonical volume at one (base, angle) node."""
     theta = [float(v) for v in np.atleast_1d(np.asarray(theta, float))]
-    if len(theta) != s.dim - 1:
-        raise DomainError(f"theta needs {s.dim - 1} fiber angles, got {len(theta)}")
-    # g is 0-homogeneous in y, so it is taken at u itself
-    tower, _ = _point_tower(s, (np.atleast_1d(x), fiber_direction(theta, s.dim)))
-    if s.dim == 3 and abs(math.sin(theta[0])) < FIBER_POLAR_MARGIN / 2:
+    if s.dim < 2 or len(theta) != s.dim - 1:
+        raise DomainError(f"theta needs n - 1 >= 1 fiber angles, n = {s.dim}, got {len(theta)}")
+    if any(abs(math.sin(th)) < FIBER_POLAR_MARGIN / 2 for th in theta[:-1]):
         raise PoleSingularity("polar fiber angle too close to the axis")
+    # g is 0-homogeneous in y, so it is taken at u itself
+    tower, _ = _point_tower(s, (np.atleast_1d(x), fiber_direction(theta)))
     raw = float(_raw_density(s, tower.xs, theta, tower.g))
     return VolumeDensity(value=abs(raw), raw=raw)
 

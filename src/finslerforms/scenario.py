@@ -26,7 +26,7 @@ from . import forms as forms_mod
 from . import quadrature as quad
 from .connection import TensorField, _point_tower, pack
 from .errors import (
-    ConfigError, DimensionUnsupported, FinslerError, GridError, NotPositiveDefinite, TaskError
+    ConfigError, FinslerError, GridError, NotPositiveDefinite, TaskError
 )
 from .metric import ChartSpec, FinslerStructure
 from .quadrature import QuadratureGrid
@@ -149,7 +149,7 @@ def grid_from_config(s, cfg) -> QuadratureGrid | None:
             fiber_counts=tuple(fiber) if fiber else None,
             tolerance=tol,
         )
-    except (GridError, DimensionUnsupported) as exc:
+    except GridError as exc:
         raise ConfigError(f"grid: {exc}") from None
 
 

@@ -653,6 +653,26 @@ class TestCommandLine:
         assert out == ""
         assert "configuration error" in err and "default grids exist" in err
 
+    def test_explicit_grid_on_four_axes(self, tmp_path, capsys):
+        """Given its node counts, a 4D metric has a grid, from --grid and from
+        a scenario's 'grid' alike; a 1-D metric has none (S^0 has no angle)."""
+        metric = json.dumps(RANDERS_4D)
+        volume = 2.0 * math.pi**2 * (2.0 * math.pi) ** 4
+        code, out, _ = run_cli(capsys, "integrate", "--metric", metric, "--grid", "8,8,8,8x8,8,8")
+        report = json.loads(out)
+        assert code == 0 and report["grid"]["num_nodes"] == 8**7
+        assert report["integral"] == pytest.approx(volume, rel=1e-6)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"metric": RANDERS_4D, "grid": {"base": [8] * 4, "fiber": [8] * 3},
+                                    "tasks": [{"kind": "integrate"}]}))
+        code, out, _ = run_cli(capsys, "run", str(path))
+        assert code == 0 and json.loads(out)["tasks"][0]["result"]["integral"] == report["integral"]
+        code, out, err = run_cli(capsys, "integrate", "--metric", '{"family": "euclidean", "dim": 1}',
+                                 "--grid", "8x8")
+        assert code == 2
+        assert out == ""
+        assert "configuration error" in err and "n >= 2" in err
+
     def test_pointwise_laplacian_rows_need_a_grid(self, capsys):
         metric = '{"family": "euclidean", "dim": 4}'
         code, out, err = run_cli(capsys, "laplacian", "--metric", metric, "--points", "--format", "csv")

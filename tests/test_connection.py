@@ -408,7 +408,7 @@ class TestOnePartialPerList:
         tower, _ = _point_tower(s, (z.x, z.y))
         for name in order.split("-"):
             blocks[name](tower)
-        assert len(calls) == 7
+        assert len(calls) == 5
 
     def test_one_read_caches_both_lists_at_a_point(self, randers_base):
         z = sample_points(randers_base, 1)[0]

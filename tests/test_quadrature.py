@@ -19,7 +19,7 @@ from finslerforms.forms import (
     lowered_form,
 )
 from finslerforms.jets import Jet, _reciprocal, gcos, grad_wrt, gsin, gsqrt
-from finslerforms.metric import hilbert_components
+from finslerforms.metric import FinslerStructure, hilbert_components
 from finslerforms.quadrature import (
     AxisSpec,
     QuadratureGrid,
@@ -51,6 +51,13 @@ class TestGridConstruction:
         grid = small_grid(euclidean)
         assert np.all(grid.weights_full() > 0.0)
 
+    def test_one_axis_is_refused(self):
+        """S^0 has no angle: a 1-D metric is a GridError, never an IndexError."""
+        s = FinslerStructure.euclidean(1)
+        for fiber in ((), (8,), None):
+            with pytest.raises(GridError, match="n >= 2"):
+                QuadratureGrid.for_structure(s, (8,), fiber)
+
     def test_doubling(self, euclidean):
         grid = small_grid(euclidean)
         g2 = grid.doubled()
@@ -69,7 +76,7 @@ def shuffle_density(s, xs, thetas):
     d = 2 * n - 1
 
     def w_fn(xi):
-        u = fiber_direction(xi[n:], n)
+        u = fiber_direction(xi[n:])
         invF = _reciprocal(gsqrt(s.f2(xi[:n], u)))
         return hilbert_components(s, xi[:n], [uk * invF for uk in u]) + [0.0] * (d - n)
 
@@ -95,10 +102,21 @@ class TestVolumeDensity:
             assert vd.value == pytest.approx(1.0, abs=1e-12)
 
     def test_euclidean_3d_density_is_sin_theta1(self):
+        """The flat density is the round sphere's, prod_k sin^(n-2-k) theta_(k+1)
+        over the polar angles; in n = 4 and 5 ``raw`` is its negative (the
+        orientation of the angle order), so ``value`` is compared there."""
         e3 = bi.get_metric("euclidean-3d")
         for th in ([0.3, 0.2], [1.2, 4.0], [2.9, 5.5]):
             vd = volume_density(e3, [0.1, 0.2, 0.3], th)
             assert vd.raw == pytest.approx(math.sin(th[0]), rel=1e-14)
+        rng = np.random.default_rng(4)
+        for n in (3, 4, 5):
+            s = FinslerStructure.euclidean(n)
+            for _ in range(3):
+                th = [*rng.uniform(0.2, 2.9, n - 2), rng.uniform(0.0, TWO_PI)]
+                want = math.prod(math.sin(th[k]) ** (n - 2 - k) for k in range(n - 2))
+                vd = volume_density(s, [0.1] * n, th)
+                assert vd.value == pytest.approx(want, rel=1e-14)
         grid = small_grid(e3, base=8, fiber=8)
         th1 = grid.axis_arrays()[3]
         assert np.allclose(grid.density(e3), np.sin(th1), rtol=1e-14, atol=0.0)
@@ -130,6 +148,8 @@ class TestVolumeDensity:
         e3 = bi.get_metric("euclidean-3d")
         with pytest.raises(PoleSingularity):
             volume_density(e3, [0.1, 0.2, 0.3], [1e-9, 0.4])
+        with pytest.raises(PoleSingularity):  # every polar angle, not only the first
+            volume_density(FinslerStructure.euclidean(4), [0.1] * 4, [1.0, math.pi - 1e-9, 0.4])
 
     @pytest.mark.parametrize("name, x, theta", [
         ("euclidean", [0.5, 0.1], [0.3, 5.0]),
