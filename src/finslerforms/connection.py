@@ -3,7 +3,9 @@
 The central object is :class:`LocalTower`, a lazily evaluated cache of the
 whole connection tower at one evaluation point.  The point coordinates may
 be floats (pointwise use), batched numpy arrays (whole quadrature grids at
-once) or jets.
+once) or jets.  G, N and Gamma are algebra over g's first partials by one
+Christoffel rule (:func:`_christoffel`); N contracts C_ljk G^k before
+raising its index, so no grid tower holds Cmix for it.
 
 A tower is differentiated in two ways.  A layer's own partials are taken
 at jet-valued coordinates, which evaluates F^2 under nested jets; the
@@ -12,8 +14,8 @@ nabla0T has exactly one cached partial per coordinate list (``dN_x``,
 ``dN_y``, through :func:`_rebuilt_partial`).  At a point a tower caches one
 child, itself at x and y seeded together, and splits every first partial
 it needs off the matching layer of that child: both lists of those layers,
-N off G, and ``dgx`` and the Cartan tensor C, half of g's y partial, off g.
-The child computes only the layers read and takes its own partials from its
+and ``dgx`` and the Cartan tensor C, half of g's y partial, off g.  The
+child computes only the layers read and takes its own partials from its
 own child.  On arrays no child is cached, since a grid tower outlives the
 call: each list is its own per-coordinate pass (:func:`jets.grad_wrt`) at
 fresh rebuilt towers, which keeps F^2 under nested jets from holding n
@@ -125,17 +127,18 @@ class LocalTower:
     as the structural zero ``0.0``, whose terms the kernels skip; jets are
     kept as they are.
 
-    A layer's own partials (``dN_x``, ``dN_y``, ...) are taken at jet-valued
-    coordinates, which evaluates F^2 under nested jets, and cached once per
-    coordinate list.  At a point N, C, ``dgx`` and both lists of every such
-    partial are split off the layers of one cached child (:attr:`_child`);
-    on arrays each is its own pass at fresh rebuilt towers.  ``dgx`` is g's
-    x partial and C half its y partial ``dgy``, both by this rule.  Kernels
-    computed from the layers, such as fields, forms and nabla T, are
-    differentiated without that: :meth:`partials` runs the kernel under
-    :func:`jets.grad_xy` on a :class:`_LiftedTower` at the seeded
-    coordinates, whose N, Gamma, g and nabla0T are first-order jets of this
-    tower's values and cached partials.
+    G and N are algebra over :func:`_christoffel` of ``dgx``, Gamma over that
+    of ``deltag``; N contracts C_ljk G^k, not Cmix.  A layer's own partials
+    (``dN_x``, ``dN_y``, ...) are taken at jet-valued coordinates, which
+    evaluates F^2 under nested jets, and cached once per coordinate list.  At
+    a point C, ``dgx`` and both lists of every such partial are split off the
+    layers of one cached child (:attr:`_child`); on arrays each is its own
+    pass at fresh rebuilt towers.  ``dgx`` is g's x partial and C half its y
+    partial ``dgy``, both by this rule.  Kernels computed from the layers,
+    such as fields, forms and nabla T, are differentiated without that:
+    :meth:`partials` runs the kernel under :func:`jets.grad_xy` on a
+    :class:`_LiftedTower` at the seeded coordinates, whose N, Gamma, g and
+    nabla0T are first-order jets of this tower's values and cached partials.
     """
 
     def __init__(self, s: FinslerStructure, xs, ys):
@@ -188,10 +191,10 @@ class LocalTower:
         return LocalTower(self.s, zs[: self.n], zs[self.n :]), tag
 
     def _layer_partial(self, layer, which, other=None):
-        """Plain partial along list ``which`` (0: x, 1: y) of ``layer``, with
-        structural zeros.  At a point the partials along both lists are split
-        off the child's ``layer``, the other one cached under ``other`` if
-        named.  On arrays it is one per-coordinate pass (:func:`jets.grad_wrt`)
+        """Plain partial along list ``which`` (0: x, 1: y) of ``layer`` (g or a
+        rebuilt layer), with structural zeros.  At a point both lists' partials
+        are split off the child's ``layer``, the other one cached under
+        ``other`` if named.  On arrays it is one per-coordinate pass (:func:`jets.grad_wrt`)
         at fresh rebuilt towers: a vector pass would carry n tangents per node
         array through F^2 under nested jets, and a child would live as long as
         the grid."""
@@ -274,24 +277,23 @@ class LocalTower:
 
     @cached_property
     def G(self):
-        n = self.n
-        dxdy = grad_x(lambda a, b: grad_y(self.s.f2, a, b), self.xs, self.ys)
-        # dxdy[c][h] is the x_c partial of the y_h partial of F^2.  F^2 is
-        # 2-homogeneous in y, so y^j d_yj F^2 = 2 F^2 and the x_h partial of
-        # F^2 is 1/2 y^j dxdy[h][j]: no pass of its own
-        rhs = [
-            sum_terms((dxdy[j][h] - 0.5 * dxdy[h][j]) * self.ys[j] for j in range(n))
-            for h in range(n)
-        ]
-        return [
-            0.25 * sum_terms(self.gi[i][h] * rhs[h] for h in range(n))
-            for i in range(n)
-        ]
+        """G^i = 1/2 gamma^i_jk y^j y^k (:meth:`_gamma_y`)."""
+        return [0.5 * _dot(row, self.ys) for row in self._gamma_y()]
 
     @cached_property
     def N(self):
-        dG = self._layer_partial("G", 1)
-        return [[dG[j][i] for j in range(self.n)] for i in range(self.n)]
+        """N^i_j = gamma^i_jk y^k - 2 g^il C_ljk G^k, with C_ljk G^k contracted
+        before the index is raised, so that no grid tower holds Cmix."""
+        n, gy = self.n, self._gamma_y()
+        CG = [[_dot(self.C[l][j], self.G) for l in range(n)] for j in range(n)]
+        return _collapse_zeros(
+            [[gy[i][j] - 2.0 * _dot(self.gi[i], CG[j]) for j in range(n)] for i in range(n)]
+        )
+
+    def _gamma_y(self):
+        """gamma^i_jk y^k, gamma the Christoffel symbols of ``dgx``; uncached."""
+        gamma = _christoffel(self.gi, self.dgx, self.n)
+        return [[_dot(row, self.ys) for row in rows] for rows in gamma]
 
     # -- Cartan horizontal coefficients ----------------------------------------
 
@@ -310,20 +312,7 @@ class LocalTower:
 
     @cached_property
     def Gamma(self):
-        n = self.n
-        dg = self.deltag
-        out = [[[None] * n for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                for k in range(j, n):
-                    acc = sum_terms(
-                        self.gi[i][l] * (dg[j][l][k] + dg[k][j][l] - dg[l][j][k])
-                        for l in range(n)
-                    )
-                    val = 0.5 * acc
-                    out[i][j][k] = val
-                    out[i][k][j] = val
-        return _collapse_zeros(out)
+        return _christoffel(self.gi, self.deltag, self.n)
 
     # -- Cartan trace derivatives ------------------------------------------------
 
@@ -460,6 +449,26 @@ def sum_terms(it):
     for t in it:
         acc = t if acc is None else acc + t
     return 0.0 if acc is None else acc
+
+
+def _dot(a, b):
+    """sum_m a[m] b[m], leaving out every term with a structural-zero
+    factor; the structural zero if none is left."""
+    zero = is_structural_zero
+    return sum_terms(u * v for u, v in zip(a, b) if not (zero(u) or zero(v)))
+
+
+def _christoffel(gi, dg, n):
+    """out[i][j][k] = 1/2 g^il (dg[j][l][k] + dg[k][j][l] - dg[l][j][k]) for
+    dg[c][i][j] a derivative of g_ij along axis c (Gamma from deltag, gamma
+    from dgx), symmetric in j and k and with structural zeros."""
+    out = [[[None] * n for _ in range(n)] for _ in range(n)]
+    for j in range(n):
+        for k in range(j, n):
+            low = [dg[j][l][k] + dg[k][j][l] - dg[l][j][k] for l in range(n)]
+            for i in range(n):
+                out[i][j][k] = out[i][k][j] = 0.5 * _dot(gi[i], low)
+    return _collapse_zeros(out)
 
 
 # -- covariant derivatives of tensor fields ------------------------------------

@@ -207,14 +207,14 @@ class QuadratureGrid:
 
         g is the grid tower's, so the density evaluates F^2 once beyond it.
         Each determinant is taken on the broadcast shape of its own entries
-        (fiber nodes only, where a factor does not depend on x), and the
-        product is broadcast to the grid shape.
+        (fiber nodes only, where a factor does not depend on x), and so is the
+        product stored: it broadcasts to the grid shape.
         """
         key = ("density", id(s))
         if key not in self._cache:
             arrays = self.axis_arrays()
             raw = _raw_density(s, arrays[: self.n_base], arrays[self.n_base :], self.tower(s).g)
-            raw = np.broadcast_to(np.asarray(raw, float), self.shape)
+            raw = np.asarray(raw, float)
             if float(np.min(np.abs(raw))) <= 0.0:
                 raise GridError("volume density vanishes at a node; degenerate structure or grid")
             self._cache[key] = (s, np.abs(raw))

@@ -31,6 +31,22 @@ def quartic():
     return bi.get_metric("quartic-torus")
 
 
+def randers_base_fields(cos=gcos, sin=gsin):
+    """a(xs) and b(xs) of the :func:`randers_base` metric, written with the
+    given ``cos`` and ``sin`` (symbolic ones for an oracle)."""
+
+    def a(xs):
+        return [
+            [1.2 + 0.2 * cos(xs[0]), 0.1 * sin(xs[1])],
+            [0.1 * sin(xs[1]), 1.0 + 0.1 * sin(xs[0] + xs[1])],
+        ]
+
+    def b(xs):
+        return [0.3 * cos(xs[1]), 0.2 * sin(xs[0])]
+
+    return a, b
+
+
 @pytest.fixture(scope="session")
 def randers_base():
     """Genuinely Finsler 2D Randers metric whose a and b depend on x.
@@ -38,16 +54,7 @@ def randers_base():
     On every built-in family the horizontal derivatives of the Cartan layers
     (nabla_h_T, nabla_nabla0T, deltaCmix) vanish identically; here they do not.
     """
-
-    def a(xs):
-        return [
-            [1.2 + 0.2 * gcos(xs[0]), 0.1 * gsin(xs[1])],
-            [0.1 * gsin(xs[1]), 1.0 + 0.1 * gsin(xs[0] + xs[1])],
-        ]
-
-    def b(xs):
-        return [0.3 * gcos(xs[1]), 0.2 * gsin(xs[0])]
-
+    a, b = randers_base_fields()
     return FinslerStructure.randers(a, b, dim=2, label="randers-base-dependent")
 
 

@@ -787,8 +787,8 @@ class TestCommandLine:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run_cli(
-                capsys, "tensor", "--metric", "randers-torus", "--which", "Gamma",
-                "--at", "0.1,0.2;1e-150,1e-150",
+                capsys, "tensor", "--metric", "randers-torus", "--which", "g",
+                "--at", "0.1,0.2;1e200,1e200",
             )
         assert code == 1
         assert out == ""

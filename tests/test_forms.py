@@ -143,11 +143,10 @@ class TestLaplacian:
     @pytest.mark.parametrize("laplacian", [horizontal_laplacian, laplacian_expansion])
     def test_f2_evaluations_at_a_point(self, laplacian, randers_base, monkeypatch):
         """The composed and the expanded Laplacian of a 1-form at a point each
-        take 6 evaluations of F^2: every form or nabla phi is differentiated
-        along x and y in one pass, every layer partial of a tower, C among
-        them, is split off its one child tower, seeded along x and y in one
-        pass, and the spray G takes the x partial of F^2 from its mixed
-        partials by homogeneity."""
+        take 4 evaluations of F^2: every form or nabla phi is differentiated
+        along x and y in one pass, every layer partial of a tower, C and dgx
+        among them, is split off its one child tower, seeded along x and y in
+        one pass, and the spray G and N are algebra over dgx and C."""
         s = randers_base
         phi = bi.random_trig_form(np.random.default_rng(0), s, 1)
         z = trig_point(s)
@@ -159,7 +158,7 @@ class TestLaplacian:
 
         monkeypatch.setattr(s, "_f2", counted)
         laplacian(s, phi).at(s, (z.x, z.y))
-        assert len(calls) == 6
+        assert len(calls) == 4
 
     @pytest.mark.parametrize("p", [0, 1, 2])
     def test_composition_matches_expansion_base_dependent(self, randers_base, rng, p):
@@ -258,10 +257,10 @@ class TestWeitzenbock:
 
     @pytest.mark.parametrize("name", ["randers-torus", "randers-torus-3d"])
     def test_f2_evaluations_at_a_point(self, name, monkeypatch):
-        """At a point the residual takes 7 evaluations of F^2 in 2D and in 3D:
+        """At a point the residual takes 5 evaluations of F^2 in 2D and in 3D:
         the lifted towers under nabla nabla seed x and y in one pass, each
-        tower splits every layer partial, C among them, off its one child
-        tower, and G makes one nested pass over F^2."""
+        tower splits every layer partial, C and dgx among them, off its one
+        child tower, and G and N make no pass of their own."""
         s = bi.get_metric(name)
         X = bi.random_trig_vector(np.random.default_rng(0), s)
         z = trig_point(s)
@@ -273,7 +272,7 @@ class TestWeitzenbock:
 
         monkeypatch.setattr(s, "_f2", counted)
         weitzenbock_residual(s, X, (z.x, z.y))
-        assert len(calls) == 7
+        assert len(calls) == 5
 
     def test_riemannian_trace_terms_drop(self, sphere, rng):
         """On Riemannian inputs the Cartan-trace terms vanish identically."""

@@ -412,4 +412,4 @@ class TestVectorMode:
             for kernel in (hh_components, hv_components, vv_components):
                 kernel(tower)
             counts.append(len(calls))
-        assert counts == [5, 5]
+        assert counts == [3, 3]

@@ -144,6 +144,21 @@ class TestVolumeDensity:
             grid = small_grid(s)
             assert np.all(grid.density(s) > 0.0)
 
+    def test_density_is_stored_at_its_own_shape(self, monkeypatch):
+        """On an x-independent metric the density is fiber-shaped, and the SM
+        volume and a p = 1 adjointness defect equal, bit for bit, those taken
+        with the density broadcast to the full grid shape."""
+        s = bi.get_metric("randers-torus-3d")
+        grid = QuadratureGrid.for_structure(s, (8, 8, 8), (16, 8))
+        rng = np.random.default_rng(6)
+        phi, psi = (bi.random_trig_form(rng, s, p) for p in (1, 2))
+        density = grid.density(s)
+        assert density.shape == (1, 1, 1, 16, 8)
+        got = [integrate_scalar(s, 1.0, grid), adjointness_defect(s, phi, psi, grid)]
+        monkeypatch.setattr(grid, "density", lambda _: np.broadcast_to(density, grid.shape))
+        want = [integrate_scalar(s, 1.0, grid), adjointness_defect(s, phi, psi, grid)]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
     def test_pole_singularity(self):
         e3 = bi.get_metric("euclidean-3d")
         with pytest.raises(PoleSingularity):
