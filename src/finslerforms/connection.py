@@ -26,8 +26,8 @@ coordinates in vector passes, one over x and y together at a point and one
 per list on arrays, and the lifted tower at those jet coordinates reads N,
 Gamma, g and nabla0T as jets of the parent's cached values and partials.
 So fields, forms and nabla T inside nabla nabla T (:func:`cov_hh`) are all
-differentiated by the same seeding drivers, and a horizontal derivative
-skips the y pass where N vanishes (:meth:`LocalTower.horizontal_partials`).
+differentiated by the same seeding drivers, and on arrays where N vanishes
+:meth:`LocalTower.partials` skips the y pass, which no delta_c reads there.
 
 Structural zeros.  The float ``0.0`` stands for a component that vanishes
 identically (:func:`is_structural_zero`).  A tower stores each ndarray
@@ -157,26 +157,18 @@ class LocalTower:
         cached values and partials instead of recomputing them from F^2 at
         jet coordinates; a kernel that reads only the coordinates, such as a
         leaf form, sees the seeded coordinates alone.
-        """
-        return (kernel(self), *grad_xy(self._lifted_kernel(kernel), self.xs, self.ys))
 
-    def horizontal_partials(self, kernel):
-        """(value, dx, dy) of ``kernel(tower)`` as a horizontal derivative
-        (:func:`cov_h_entry`, :meth:`delta`) reads them.
-
-        Those read dy only as N^m_c dy[m], and skip an N^m_c that is the
-        structural zero.  So on arrays, if every N^m_c is that zero, dy is
-        None and only the x pass of :meth:`partials` runs; its values are
-        that pass's, bit for bit.  A lifted tower keeps N as the structural
-        zero only where the parent's value and partials are, so the rule
-        holds at every nesting level.  At a point, where x and y share one
-        pass, and wherever N does not vanish, this is :meth:`partials`.
+        On arrays where every N^m_c is the structural zero, dy is None and
+        only the x pass runs, before the value: delta_c (:func:`_delta_entry`)
+        skips those N^m_c, so it never reads dy there.  A lifted tower keeps N
+        as that zero only where the parent's value and partials are, so the
+        rule holds at every nesting level.
         """
-        reads_dy = not all(is_structural_zero(v) for row in self.N for v in row)
-        if reads_dy or self._depth is not None:
-            return self.partials(kernel)
-        dx = jets.list_grad(self._lifted_kernel(kernel), (self.xs, self.ys), 0)
-        return kernel(self), dx, None
+        lifted = lambda a, b: kernel(_LiftedTower(self, a, b))
+        if self._depth is None and all(is_structural_zero(v) for row in self.N for v in row):
+            dx = jets.list_grad(lifted, (self.xs, self.ys), 0)
+            return kernel(self), dx, None
+        return (kernel(self), *grad_xy(lifted, self.xs, self.ys))
 
     @cached_property
     def _depth(self):
@@ -208,23 +200,11 @@ class LocalTower:
             vars(self)[other] = both[1 - which]
         return both[which]
 
-    def _lifted_kernel(self, kernel):
-        """``kernel`` at the lifted tower over this point at coordinates (a, b)."""
-        return lambda a, b: kernel(_LiftedTower(self, a, b))
-
     def delta(self, dx, dy, rank):
         """Horizontal derivative ``out[c][components]`` of a rank-``rank``
-        layer from its plain partials ``dx[c]`` and ``dy[m]``."""
-        n, N = self.n, self.N
-
-        def entry(c, idx):
-            acc = tget(dx[c], idx)
-            terms = [
-                N[m][c] * tget(dy[m], idx) for m in range(n) if not is_structural_zero(N[m][c])
-            ]
-            return acc - sum_terms(terms) if terms else acc
-
-        return [nested_build(n, rank, lambda idx, c=c: entry(c, idx)) for c in range(n)]
+        layer from its plain partials ``dx[c]`` and ``dy[m]`` (:func:`_delta_entry`)."""
+        entry = _delta_entry(self, dx, dy)
+        return [nested_build(self.n, rank, lambda idx, c=c: entry(c, idx)) for c in range(self.n)]
 
     # -- zeroth layer --------------------------------------------------------
 
@@ -329,11 +309,7 @@ class LocalTower:
 
     @cached_property
     def nabla0T(self):
-        n = self.n
-        return _collapse_zeros([
-            sum_terms(self.ys[h] * self.nabla_h_T[h][j] for h in range(n))
-            for j in range(n)
-        ])
+        return _collapse_zeros(along_y(self, self.nabla_h_T, 1))
 
     # -- first derivatives of the tower (feed curvature and second covariants) ----
 
@@ -393,9 +369,8 @@ class _LiftedTower(LocalTower):
     The seeded level is read off the coordinates: its tag is the newest
     outer jet tag, and each coordinate that carries it holds its vector-pass
     tangent: ``eye(2n)[m]`` at a point, where :func:`jets.grad_xy` seeds both
-    lists in one pass, and ``eye(n)[m]`` on arrays and in
-    :meth:`LocalTower.horizontal_partials`, where one list is seeded per
-    pass.  N, Gamma, g and nabla0T are jets of the parent's values and of
+    lists in one pass, and ``eye(n)[m]`` on arrays, where one list is seeded
+    per pass.  N, Gamma, g and nabla0T are jets of the parent's values and of
     its cached partials along each seeded list (``dN_x``, ``dN_y``, ...;
     ``dgx`` and ``dgy`` for g), read lazily.  Every other layer is computed
     at the jet coordinates; the partials of its own layers follow the
@@ -491,18 +466,32 @@ def cov_h_entry(tower, val, dx, dy, variance):
     Returns ``entry(h, idx)`` = (nabla_h T)_idx for the field of :func:`cov_h`,
     so a caller that needs a few entries computes only those.
     """
-    n = tower.n
-    N = tower.N
-    slots = _slot_terms(n, val, variance, tower.Gamma)
+    delta = _delta_entry(tower, dx, dy)
+    slots = _slot_terms(tower.n, val, variance, tower.Gamma)
+    return lambda h, idx: slots(delta(h, idx), h, idx)
 
-    def entry(h, idx):
-        acc = tget(dx[h], idx)
+
+def _delta_entry(tower, dx, dy):
+    """``entry(c, idx)`` = (dx[c] - N^m_c dy[m])_idx, the horizontal basis
+    derivative delta_c from plain partials, one term subtracted at a time.  A
+    structural-zero N^m_c adds no term, so where N vanishes dy may be None."""
+    n, N = tower.n, tower.N
+
+    def entry(c, idx):
+        acc = tget(dx[c], idx)
         for m in range(n):
-            if not is_structural_zero(N[m][h]):
-                acc = acc - N[m][h] * tget(dy[m], idx)
-        return slots(acc, h, idx)
+            if not is_structural_zero(N[m][c]):
+                acc = acc - N[m][c] * tget(dy[m], idx)
+        return acc
 
     return entry
+
+
+def along_y(tower, nab, rank):
+    """nabla_0 T = y^h nabla_h T from ``nab[h][components]``, the horizontal
+    covariant derivative of a rank-``rank`` field."""
+    ys, n = tower.ys, tower.n
+    return nested_build(n, rank, lambda idx: sum_terms(ys[h] * tget(nab[h], idx) for h in range(n)))
 
 
 def cov_v(tower, val, dy, variance):
@@ -555,7 +544,7 @@ def cov_hh(tower, kernel, variance):
         return [p1, cov_h(tw, *p1, variance)]
 
     (p1, W), dx, dy = tower.partials(nabla)
-    D = cov_h(tower, W, [d[1] for d in dx], [d[1] for d in dy], "l" + variance)
+    D = cov_h(tower, W, [d[1] for d in dx], dy and [d[1] for d in dy], "l" + variance)
     return p1, W, D
 
 
@@ -675,10 +664,4 @@ def nabla_0(s, T: TensorField, z):
     tower, pt = _point_tower(s, z)
     val, dx, dy = T.partials(tower.xs, tower.ys)
     nab = cov_h(tower, val, dx, dy, T.variance)
-    n = tower.n
-    acc = nested_build(
-        n,
-        T.rank,
-        lambda idx: sum_terms(tower.ys[h] * tget(nab[h], idx) for h in range(n)),
-    )
-    return TensorValue(pack(acc, T.rank), T.variance, pt)
+    return TensorValue(pack(along_y(tower, nab, T.rank), T.rank), T.variance, pt)

@@ -14,17 +14,16 @@ Differentiation.  An operator takes the partials of the form it acts on
 from ``tower.partials(form.on)`` (:meth:`LocalTower.partials`): the form is
 evaluated under :func:`jets.grad_xy` on a lifted tower at the seeded
 coordinates (one vector pass over x and y together at a point, one vector
-pass per list on arrays, and on arrays no y pass for d_H and delta_H where
-N vanishes).  The lifted tower's N, Gamma, g and nabla0T are jets
-of the parent's cached values and partials, so on a tower that already
-holds those partials, as a warm grid tower does, differentiating a form
-evaluates no F^2 at all.  Second covariant derivatives (:func:`cov_hh`)
-take the form's kernel ``form.on`` and differentiate nabla phi the same
-way, so they too read only cached layers when phi is a leaf form.  A layer
-component that vanishes identically is the structural zero ``0.0`` on the
-tower (see :mod:`.connection`), and the kernels here skip the nabla0T and
-nabla nabla0T terms it multiplies, as ``cov_h_entry`` skips those of N and
-Gamma.
+pass per list on arrays, and on arrays no y pass where N vanishes).  The
+lifted tower's N, Gamma, g and nabla0T are jets of the parent's cached
+values and partials, so on a tower that already holds those partials, as a
+warm grid tower does, differentiating a form evaluates no F^2 at all.
+Second covariant derivatives (:func:`cov_hh`) take the form's kernel
+``form.on`` and differentiate nabla phi the same way, so they too read only
+cached layers when phi is a leaf form.  A layer component that vanishes
+identically is the structural zero ``0.0`` on the tower (see
+:mod:`.connection`), and the kernels here skip the nabla0T and nabla
+nabla0T terms it multiplies, as ``cov_h_entry`` skips those of N and Gamma.
 
 Conventions.  A degree-p form is handed around as nested lists over all
 n^p index tuples, but its C(n, p) entries at increasing indices
@@ -54,6 +53,7 @@ from .connection import (
     LocalTower,
     TensorField,
     _point_tower,
+    along_y,
     cov_h,
     cov_h_entry,
     cov_hh,
@@ -134,10 +134,8 @@ def form_build(n, p, fn):
 
 
 def _lazy_cov_h(tower, form):
-    """Memoized (h, idx) -> (nabla_h form)_idx, with the form's coefficients.
-    The partials skip the y pass where N vanishes
-    (:meth:`LocalTower.horizontal_partials`)."""
-    val, dx, dy = tower.horizontal_partials(form.on)
+    """Memoized (h, idx) -> (nabla_h form)_idx, with the form's coefficients."""
+    val, dx, dy = tower.partials(form.on)
     return functools.cache(cov_h_entry(tower, val, dx, dy, "l" * form.degree)), val
 
 
@@ -356,7 +354,7 @@ def associate_one_form(s, X: TensorField) -> AssociatedForm:
         n = s.dim
         val, dx, dy = X.partials(xs, ys)
         nabU = cov_h(tw, val, dx, dy, "u")
-        nab0X = [sum_terms(tw.ys[h] * nabU[h][j] for h in range(n)) for j in range(n)]
+        nab0X = along_y(tw, nabU, 1)
         nab0w = sum_terms(tw.y_lower[j] * nab0X[j] for j in range(n))
         invF = jets._reciprocal(tw.F)
         invF2 = invF * invF

@@ -211,8 +211,9 @@ def parse_task(s, kind, params, tolerance, where):
     """Read, default and check every parameter of one task on metric ``s``.
 
     Returns the closure ``run(grid, rng) -> (result, ok)`` that executes the
-    task.  Malformed input is a ConfigError prefixed by ``where``; nothing is
-    drawn or computed.
+    task; ``ok`` is False whenever a float anywhere in the result is not
+    finite.  Malformed input is a ConfigError prefixed by ``where``; nothing
+    is drawn or computed.
     """
     if not (isinstance(kind, str) and kind in TASK_PARSERS):
         raise ConfigError(f"{where}: unknown kind {kind!r}")
@@ -224,7 +225,22 @@ def parse_task(s, kind, params, tolerance, where):
     }
     if tolerance is not None:
         tolerance = _parse_tolerance(tolerance, f"{where}: 'tolerance'")
-    return TASK_PARSERS[kind](s, kind, params, ints, tolerance, where)
+    run = TASK_PARSERS[kind](s, kind, params, ints, tolerance, where)
+
+    def checked(grid, rng):
+        result, ok = run(grid, rng)
+        return result, bool(ok) and _all_finite(result)
+
+    return checked
+
+
+def _all_finite(node):
+    """False if a float anywhere in the nested report ``node`` is NaN or infinite."""
+    if isinstance(node, dict):
+        return all(_all_finite(v) for v in node.values())
+    if isinstance(node, (list, tuple)):
+        return all(_all_finite(v) for v in node)
+    return not isinstance(node, float) or math.isfinite(node)
 
 
 def _require_grid(grid, kind, params, where):

@@ -358,6 +358,25 @@ class TestScenarioRunner:
         assert report["pass"] is True
         assert report["tasks"][0]["result"]["max_residual"] < 1e-8
 
+    @pytest.mark.parametrize(
+        "kind, which, y", [("tensor", "g", 1e200), ("curvature", "P", 1e-150)], ids=["g", "P"]
+    )
+    def test_non_finite_result_fails(self, kind, which, y):
+        """A task whose result holds a NaN reads pass: false, and so does the
+        report, whatever the task kind."""
+        at = {"x": [0.1, 0.2], "y": [y, y]}
+        task = {"kind": kind, "params": {"which": which, "at": at}}
+        report = run_scenario({"metric": "randers-torus", "tasks": [task]})
+        task = report["tasks"][0]
+        assert not np.all(np.isfinite(np.asarray(task["result"]["components"], float)))
+        assert task["pass"] is False and report["pass"] is False
+
+    def test_finite_tensor_passes(self):
+        at = {"x": [0.1, 0.2], "y": [1.0, 0.5]}
+        task = {"kind": "tensor", "params": {"which": "g", "at": at}}
+        report = run_scenario({"metric": "randers-torus", "tasks": [task]})
+        assert report["tasks"][0]["pass"] is True and report["pass"] is True
+
     def test_invalid_randers_rejected_before_math(self):
         doc = {
             "metric": {"family": "randers", "dim": 2, "a": [[1, 0], [0, 1]], "b": [1.2, 0.0]},

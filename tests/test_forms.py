@@ -43,7 +43,7 @@ from finslerforms.jets import gcos, gsin, grad_x, grad_y
 from finslerforms.metric import hilbert_components
 from finslerforms.quadrature import QuadratureGrid, bochner_integral, form_grid_norm
 
-from conftest import sample_points
+from conftest import base_dependent_randers, sample_points
 
 
 def trig_point(s, seed=11):
@@ -547,6 +547,8 @@ GAMMA_METRICS = ["randers-base", "riemannian-sphere"]
 
 
 def metric_by_id(name, randers_base):
+    if name == "randers-base-3d":
+        return base_dependent_randers(3)
     return randers_base if name == "randers-base" else bi.get_metric(name)
 
 
@@ -649,21 +651,33 @@ class TestSeededPartials:
 
     @staticmethod
     def packed(partials, degree):
+        """The value, then every x and y partial, packed; a dy of None (no
+        y pass) adds no entries."""
         val, dx, dy = partials
-        return [pack(val, degree)] + [pack(d, degree) for d in dx + dy]
+        return [pack(val, degree)] + [pack(d, degree) for d in dx + (dy or [])]
 
-    @pytest.mark.parametrize("name", ["randers-base", "randers-torus-3d"])
-    def test_match_rebuilt_towers_on_arrays(self, name, randers_base):
-        s = metric_by_id(name, randers_base)
-        pts = sample_points(s, 12)
-        tower = LocalTower(
+    @staticmethod
+    def batch_tower(s, count=12):
+        pts = sample_points(s, count)
+        return LocalTower(
             s, list(np.array([z.x for z in pts]).T), list(np.array([z.y for z in pts]).T)
         )
+
+    @pytest.mark.parametrize("name", ["randers-base", "randers-torus-3d", "randers-base-3d"])
+    def test_match_rebuilt_towers_on_arrays(self, name, randers_base):
+        """On randers-torus-3d N vanishes, so ``partials`` makes no y pass and
+        dy is None; the value and dx stay those of the full partials."""
+        s = metric_by_id(name, randers_base)
+        tower = self.batch_tower(s)
         for form in self.operator_forms(s, 51, composed=s.dim == 2):
-            got = self.packed(tower.partials(form.on), form.degree)
+            partials = tower.partials(form.on)
+            assert (partials[2] is None) == (name == "randers-torus-3d"), form.label
             ref = TensorField(form.coeffs, "l" * form.degree).partials(tower.xs, tower.ys)
-            want = self.packed(ref, form.degree)
+            if partials[2] is None:
+                ref = (*ref[:2], None)
+            got, want = self.packed(partials, form.degree), self.packed(ref, form.degree)
             assert max(np.max(np.abs(w)) for w in want[1:]) > 0.0, form.label
+            assert len(got) == len(want), form.label
             for a, b in zip(got, want):
                 # a partial whose components are all structural zeros packs
                 # without node axes; broadcast to the nodes, it stays exact
@@ -709,24 +723,29 @@ class TestSeededPartials:
             laplacian_expansion_coeffs(tower, phi1)
             assert bool(calls) == expect_cold, (seed, len(calls))
 
-    @pytest.mark.parametrize("name", ["randers-base", "randers-torus-3d"])
+    @pytest.mark.parametrize("name", ["randers-base", "randers-torus-3d", "randers-base-3d"])
     def test_array_vector_passes_match_per_coordinate(self, name, randers_base):
-        """On a grid tower, the vector pass per list of ``grad_xy`` gives the
-        partials of one ``grad_wrt`` pass per coordinate (tangent 1.0), for a
-        leaf trig form, operator forms on lifted towers and a trig vector
-        field."""
+        """On a grid tower, or a 12-point batch for the base-dependent 3D
+        metric, the vector pass per list gives the partials of one
+        ``grad_wrt`` pass per coordinate (tangent 1.0), for a leaf trig form,
+        operator forms on lifted towers and a trig vector field.  Where N
+        vanishes the forms get no y pass (dy None)."""
         s = metric_by_id(name, randers_base)
-        tower = self.grid_for(s).tower(s)
+        tower = self.batch_tower(s) if name == "randers-base-3d" else self.grid_for(s).tower(s)
         lists = (tower.xs, tower.ys)
         rng = np.random.default_rng(53)
         X = bi.random_trig_vector(rng, s)
         cases = [(X.fn, 1, X.partials(*lists))]
         for form in [bi.random_trig_form(rng, s, 1)] + self.operator_forms(s, 54, composed=False):
             lifted = lambda a, b, form=form: form.on(_LiftedTower(tower, a, b))
-            cases.append((lifted, form.degree, tower.partials(form.on)))
+            partials = tower.partials(form.on)
+            assert (partials[2] is None) == (name == "randers-torus-3d"), form.label
+            cases.append((lifted, form.degree, partials))
         for fn, degree, got in cases:
-            want = (got[0], jets.grad_wrt(fn, lists, 0), jets.grad_wrt(fn, lists, 1))
+            dy = None if got[2] is None else jets.grad_wrt(fn, lists, 1)
+            want = (got[0], jets.grad_wrt(fn, lists, 0), dy)
             got, want = self.packed(got, degree)[1:], self.packed(want, degree)[1:]
+            assert len(got) == len(want)
             scale = max(np.max(np.abs(w)) for w in want)
             assert scale > 0.0
             for a, b in zip(got, want):
@@ -788,9 +807,9 @@ class TestSeededPartials:
 
 
 class TestHorizontalPartials:
-    """d_H and delta_H read a form's partials through
-    ``LocalTower.horizontal_partials``: on a grid where N vanishes they take
-    the value and the x pass only, with the values of the full partials."""
+    """d_H, delta_H and the expanded Laplacian read a form's partials through
+    ``LocalTower.partials``: on a grid where N vanishes they take the value
+    and the x pass only, with the values of the full partials."""
 
     @staticmethod
     def counted(form, evals):
@@ -836,6 +855,19 @@ class TestHorizontalPartials:
             assert evals == 2  # the value and one x pass
             assert seeded == [(True, False)]
 
+    def test_expanded_laplacian_makes_no_y_pass_where_n_vanishes(self, monkeypatch):
+        """A warm expanded Laplacian of a leaf 1-form evaluates it 4 times:
+        nabla phi's value and x pass, each with phi's value and x pass.
+        Every lifted tower it builds, at both levels of cov_hh, seeds x only."""
+        s = bi.get_metric("randers-torus-3d")
+        tower = small_grid(s).tower(s)
+        rng = np.random.default_rng(73)
+        laplacian_expansion_coeffs(tower, bi.random_trig_form(rng, s, 1))
+        seeded, evals = self.record_seeded_lists(monkeypatch), []
+        laplacian_expansion_coeffs(tower, self.counted(bi.random_trig_form(rng, s, 1), evals))
+        assert len(evals) == 4
+        assert seeded == [(True, False)] * 3
+
     def test_y_pass_where_n_does_not_vanish(self, randers_base, monkeypatch):
         for evals, seeded in self.passes(randers_base, monkeypatch):
             assert evals == 3  # the value, one x pass and one y pass
@@ -855,7 +887,12 @@ class TestHorizontalPartials:
             (dH_coeffs, horizontal_codifferential(s, psi), 2),
         ]
         got = [pack(op(tower, form), degree) for op, form, degree in ops]
-        monkeypatch.setattr(LocalTower, "horizontal_partials", LocalTower.partials)
+
+        def full(self, kernel):  # the x and the y pass wherever N vanishes or not
+            lifted = lambda a, b: kernel(_LiftedTower(self, a, b))
+            return (kernel(self), *jets.grad_xy(lifted, self.xs, self.ys))
+
+        monkeypatch.setattr(LocalTower, "partials", full)
         for (op, form, degree), a in zip(ops, got):
             b = pack(op(tower, form), degree)
             assert np.max(np.abs(b)) > 0.0, form.label
