@@ -1,8 +1,15 @@
 """Built-in metric families, forms, vector fields and seeded generators.
 
-Everything the CLI and the verification suites refer to by id lives here.
-The catalog is deterministic: ids are sorted and generators take explicit
-seeds, so identical scenarios reproduce identical reports.
+Everything the CLI and the verification suites refer to by id lives here,
+one table per kind: :data:`METRICS` maps an id to its constructor,
+:data:`FORMS` to its degree, least dimension and coefficient builder,
+:data:`FIELDS` to its least dimension and component builder, and
+:data:`F2_EXPRESSIONS` names the F^2 expressions an inline ``custom`` metric
+may use.  A built-in is added as one entry of its table; a form or field
+gives the least dimension it needs, and :func:`get_form` and
+:func:`get_field` refuse a smaller one.  The catalog is deterministic: ids
+are sorted and generators take explicit seeds, so identical scenarios
+reproduce identical reports.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from .errors import ConfigError
 from .forms import HorizontalForm, form_build
 from .jets import gcos, gsin, trig_sum
 from .metric import ChartSpec, FinslerStructure
-from .quadrature import DEFAULT_BASE_COUNTS, DEFAULT_FIBER_COUNTS, QuadratureGrid
+from .quadrature import DEFAULT_BASE_COUNTS, DEFAULT_FIBER_COUNTS
 
 SPHERE_BAND_MARGIN = 0.15  # keeps the near-pole fiber ellipses resolvable
 
@@ -45,67 +52,40 @@ def _quartic_f2(xs, ys):
     return q + 0.05 * (r / q)
 
 
-def _make_metric(name):
-    if name == "euclidean":
-        return FinslerStructure.euclidean(2)
-    if name == "euclidean-3d":
-        s = FinslerStructure.euclidean(3)
-        s.label = name  # the constructor labels by family, as inline metrics are
-        return s
-    if name == "randers-torus":
-        return FinslerStructure.randers(
-            a=[[1.0, 0.0], [0.0, 1.0]], b=[0.5, 0.0], label="randers-torus"
-        )
-    if name == "randers-torus-3d":
-        return FinslerStructure.randers(
-            a=np.eye(3).tolist(), b=[0.3, 0.0, 0.0], label="randers-torus-3d"
-        )
-    if name == "riemannian-torus":
-        return FinslerStructure.riemannian(
-            _riemannian_torus_metric, dim=2, label="riemannian-torus"
-        )
-    if name == "riemannian-sphere":
-        chart = ChartSpec(
+F2_EXPRESSIONS = {"quartic": _quartic_f2}
+
+METRICS = {
+    "euclidean": lambda: FinslerStructure.euclidean(2),
+    "euclidean-3d": lambda: FinslerStructure.euclidean(3),
+    "quartic-torus": lambda: FinslerStructure.custom(_quartic_f2, dim=2),
+    "randers-torus": lambda: FinslerStructure.randers(a=[[1.0, 0.0], [0.0, 1.0]], b=[0.5, 0.0]),
+    "randers-torus-3d": lambda: FinslerStructure.randers(a=np.eye(3).tolist(), b=[0.3, 0.0, 0.0]),
+    "riemannian-sphere": lambda: FinslerStructure.riemannian(
+        _sphere_metric,
+        dim=2,
+        chart=ChartSpec(
             bounds=((0.0, math.pi), (0.0, 2.0 * math.pi)),
             periodic=(False, True),
             excluded_margin=(SPHERE_BAND_MARGIN, 0.0),
-        )
-        return FinslerStructure.riemannian(
-            _sphere_metric, dim=2, chart=chart, label="riemannian-sphere"
-        )
-    if name == "quartic-torus":
-        return FinslerStructure.custom(_quartic_f2, dim=2, label="quartic-torus")
-    raise ConfigError(f"unknown metric id {name!r}")
+        ),
+    ),
+    "riemannian-torus": lambda: FinslerStructure.riemannian(_riemannian_torus_metric, dim=2),
+}
 
 
-METRIC_IDS = (
-    "euclidean",
-    "euclidean-3d",
-    "quartic-torus",
-    "randers-torus",
-    "randers-torus-3d",
-    "riemannian-sphere",
-    "riemannian-torus",
-)
-
-_metric_cache = {}
+# -- named forms and vector fields: builders (n, xs) -> coefficients ----------------
 
 
-def get_metric(name) -> FinslerStructure:
-    if name not in _metric_cache:
-        _metric_cache[name] = _make_metric(name)
-    return _metric_cache[name]
+def _on_axis(axis, f):
+    """f(x) on chart axis ``axis`` and 0.0 on the others: the coefficients of
+    f dx^(axis+1), or the components of f d/dx^(axis+1)."""
+    return lambda n, xs: [f(xs) if i == axis else 0.0 for i in range(n)]
 
 
-# -- named forms -----------------------------------------------------------------
+def _area(f):
+    """The coefficients of f dx^1 ^ dx^2."""
 
-
-def _basis_one_form(n, axis):
-    return lambda xs, ys: [1.0 if i == axis else 0.0 for i in range(n)]
-
-
-def _area_form(n, f):
-    def coeffs(xs, ys):
+    def coeffs(n, xs):
         v = f(xs)
         out = [[0.0] * n for _ in range(n)]
         out[0][1] = v
@@ -115,78 +95,68 @@ def _area_form(n, f):
     return coeffs
 
 
-FORM_IDS = (
-    "area",
-    "cos-x1-dx1",
-    "dx1",
-    "dx2",
-    "one",
-    "sin-x1",
-    "sin-x1-area",
-    "sin-x1-dx1",
-    "sin-x1-dx2",
-)
+FORMS = {
+    "area": (2, 2, _area(lambda xs: 1.0)),
+    "cos-x1-dx1": (1, 1, _on_axis(0, lambda xs: gcos(xs[0]))),
+    "dx1": (1, 1, _on_axis(0, lambda xs: 1.0)),
+    "dx2": (1, 2, _on_axis(1, lambda xs: 1.0)),
+    "one": (0, 1, lambda n, xs: 1.0),
+    "sin-x1": (0, 1, lambda n, xs: gsin(xs[0])),
+    "sin-x1-area": (2, 2, _area(lambda xs: gsin(xs[0]))),
+    "sin-x1-dx1": (1, 1, _on_axis(0, lambda xs: gsin(xs[0]))),
+    "sin-x1-dx2": (1, 2, _on_axis(1, lambda xs: gsin(xs[0]))),
+}
+
+FIELDS = {
+    "d-phi": (2, _on_axis(1, lambda xs: 1.0)),
+    "d1": (1, _on_axis(0, lambda xs: 1.0)),
+    "d2": (2, _on_axis(1, lambda xs: 1.0)),
+    "sin-x1-d1": (1, _on_axis(0, lambda xs: gsin(xs[0]))),
+    "sin-x1-d2": (2, _on_axis(1, lambda xs: gsin(xs[0]))),
+}
+
+METRIC_IDS = tuple(sorted(METRICS))
+FORM_IDS = tuple(sorted(FORMS))
+FIELD_IDS = tuple(sorted(FIELDS))
+
+
+def _entry(table, what, name):
+    """``table[name]``; an id that is not a key, a non-string from a
+    document among them, is a ConfigError."""
+    if not (isinstance(name, str) and name in table):
+        raise ConfigError(f"unknown {what} id {name!r}")
+    return table[name]
+
+
+def _require_dim(name, least, s):
+    if s.dim < least:
+        raise ConfigError(f"{name} needs dim >= {least}, got {s.dim}")
+
+
+_metric_cache = {}
+
+
+def get_metric(name) -> FinslerStructure:
+    """The built-in metric ``name``, built once and labelled by its id."""
+    if name not in _metric_cache:
+        s = _entry(METRICS, "metric", name)()
+        s.label = name
+        _metric_cache[name] = s
+    return _metric_cache[name]
 
 
 def get_form(name, s) -> HorizontalForm:
+    degree, least, build = _entry(FORMS, "form", name)
+    _require_dim(name, least, s)
     n = s.dim
-    if name == "one":
-        return HorizontalForm(0, lambda xs, ys: 1.0, label=name)
-    if name == "sin-x1":
-        return HorizontalForm(0, lambda xs, ys: gsin(xs[0]), label=name)
-    if name == "dx1":
-        return HorizontalForm(1, _basis_one_form(n, 0), label=name)
-    if name == "dx2":
-        if n < 2:
-            raise ConfigError("dx2 needs dim >= 2")
-        return HorizontalForm(1, _basis_one_form(n, 1), label=name)
-    if name == "sin-x1-dx1":
-        return HorizontalForm(
-            1, lambda xs, ys: [gsin(xs[0]) if i == 0 else 0.0 for i in range(n)], label=name
-        )
-    if name == "sin-x1-dx2":
-        if n < 2:
-            raise ConfigError("sin-x1-dx2 needs dim >= 2")
-        return HorizontalForm(
-            1, lambda xs, ys: [gsin(xs[0]) if i == 1 else 0.0 for i in range(n)], label=name
-        )
-    if name == "cos-x1-dx1":
-        return HorizontalForm(
-            1, lambda xs, ys: [gcos(xs[0]) if i == 0 else 0.0 for i in range(n)], label=name
-        )
-    if name == "area":
-        if n < 2:
-            raise ConfigError("area form needs dim >= 2")
-        return HorizontalForm(2, _area_form(n, lambda xs: 1.0), label=name)
-    if name == "sin-x1-area":
-        if n < 2:
-            raise ConfigError("area form needs dim >= 2")
-        return HorizontalForm(2, _area_form(n, lambda xs: gsin(xs[0])), label=name)
-    raise ConfigError(f"unknown form id {name!r}")
-
-
-FIELD_IDS = ("d-phi", "d1", "d2", "sin-x1-d1", "sin-x1-d2")
+    return HorizontalForm(degree, lambda xs, ys: build(n, xs), label=name)
 
 
 def get_field(name, s) -> TensorField:
+    least, build = _entry(FIELDS, "vector field", name)
+    _require_dim(name, least, s)
     n = s.dim
-    if name == "d1":
-        return TensorField.from_vector(lambda xs: [1.0 if i == 0 else 0.0 for i in range(n)], label=name)
-    if name in ("d2", "d-phi"):
-        if n < 2:
-            raise ConfigError(f"{name} needs dim >= 2")
-        return TensorField.from_vector(lambda xs: [1.0 if i == 1 else 0.0 for i in range(n)], label=name)
-    if name == "sin-x1-d1":
-        return TensorField.from_vector(
-            lambda xs: [gsin(xs[0]) if i == 0 else 0.0 for i in range(n)], label=name
-        )
-    if name == "sin-x1-d2":
-        if n < 2:
-            raise ConfigError("sin-x1-d2 needs dim >= 2")
-        return TensorField.from_vector(
-            lambda xs: [gsin(xs[0]) if i == 1 else 0.0 for i in range(n)], label=name
-        )
-    raise ConfigError(f"unknown vector field id {name!r}")
+    return TensorField.from_vector(lambda xs: build(n, xs), label=name)
 
 
 # -- seeded trigonometric generators ----------------------------------------------
@@ -273,10 +243,6 @@ def random_chart_points(rng, s, count):
         z = s.normalize_to_indicatrix(x, u)
         pts.append(z)
     return pts
-
-
-def default_grid(s) -> QuadratureGrid:
-    return QuadratureGrid.for_structure(s)
 
 
 def list_builtins() -> dict:

@@ -6,13 +6,15 @@ Subcommands mirror the engine surface: ``run`` executes a scenario file;
 each as one scenario task through :func:`scenario.run_task` (an option not
 given leaves the task's default); ``diagnostics`` compares the jet engine
 against finite differences.  All reports are JSON (or CSV rows with 17
-significant digits) and embed the inputs that produced them.
+significant digits) and embed the inputs that produced them; ``run`` writes
+a non-finite value as null (a non-finite result fails its task).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -115,8 +117,20 @@ def cmd_run(args):
     except ValueError as exc:
         raise ConfigError(f"scenario file is not JSON: {exc}") from None
     report = scenario_mod.run_scenario(doc)
-    _emit(report, args.out, args.format)
+    # a non-finite result already fails its task; the rest of the report stands
+    _emit(_finite_or_null(report), args.out, args.format)
     return 0 if report["pass"] else 1
+
+
+def _finite_or_null(node):
+    """The nested report ``node`` with every NaN or infinite float as None."""
+    if isinstance(node, dict):
+        return {k: _finite_or_null(v) for k, v in node.items()}
+    if isinstance(node, (list, tuple)):
+        return [_finite_or_null(v) for v in node]
+    if isinstance(node, float) and not math.isfinite(node):
+        return None
+    return node
 
 
 def cmd_point(args):

@@ -46,6 +46,8 @@ DEFAULT_TOLERANCE = 1e-4
 # default node counts per base dimension: chart axes, then fiber angles
 DEFAULT_BASE_COUNTS = {2: (32, 32), 3: (16, 16, 16)}
 DEFAULT_FIBER_COUNTS = {2: (64,), 3: (32, 16)}
+# the dimensions that have a default grid, as error messages name them
+DEFAULT_GRID_NOTE = f"default grids exist for n in {set(DEFAULT_BASE_COUNTS)} only"
 
 
 @dataclass(frozen=True)
@@ -124,7 +126,7 @@ class QuadratureGrid:
         base_counts = DEFAULT_BASE_COUNTS.get(n) if base_counts is None else base_counts
         fiber_counts = DEFAULT_FIBER_COUNTS.get(n) if fiber_counts is None else fiber_counts
         if base_counts is None or fiber_counts is None:
-            raise GridError(f"default grids exist for n in {{2, 3}} only; give counts for n = {n}")
+            raise GridError(f"{DEFAULT_GRID_NOTE}; give counts for n = {n}")
         if len(base_counts) != n:
             raise GridError("one base node count per chart axis is required")
         if len(fiber_counts) != n - 1:

@@ -32,10 +32,8 @@ from .metric import ChartSpec, FinslerStructure
 from .quadrature import QuadratureGrid
 
 ENGINE_TOLERANCES = {
-    "first_order_identities": 1e-10,
-    "second_order_identities": 1e-8,
     "fourth_order_identities": 1e-5,
-    "grid_default": 1e-4,
+    "grid_default": quad.DEFAULT_TOLERANCE,
 }
 
 # What a tensor or curvature task reads at a point z = (x, y), by its
@@ -112,9 +110,9 @@ def metric_from_config(cfg) -> FinslerStructure:
             return FinslerStructure.randers(cfg["a"], cfg["b"], dim=dim, chart=chart)
         if family == "custom":
             name = cfg.get("expression")
-            if name != "quartic":
+            if not (isinstance(name, str) and name in bi.F2_EXPRESSIONS):
                 raise ConfigError("custom metrics are limited to named built-in expressions")
-            return FinslerStructure.custom(bi._quartic_f2, dim=dim or 2, chart=chart)
+            return FinslerStructure.custom(bi.F2_EXPRESSIONS[name], dim=dim or 2, chart=chart)
     except NotPositiveDefinite as exc:  # the document's metric fails its positivity check
         raise ConfigError(f"metric: {exc}") from None
     raise ConfigError(f"unknown metric family {family!r}")
@@ -248,7 +246,7 @@ def _require_grid(grid, kind, params, where):
     a tensor, a curvature block or the Ricci-identity check."""
     ricci = kind == "check" and params.get("which") == "ricci-identity"
     if grid is None and not (kind in POINT_READERS or ricci):
-        raise ConfigError(f"{where}: needs a grid, and default grids exist for n in {{2, 3}} only")
+        raise ConfigError(f"{where}: needs a grid, and {quad.DEFAULT_GRID_NOTE}")
 
 
 def _parse_point_task(s, kind, params, ints, tolerance, where):

@@ -27,6 +27,7 @@ from finslerforms.forms import (
     laplacian_expansion,
 )
 from finslerforms.quadrature import (
+    QuadratureGrid,
     adjointness_defect,
     bochner_integral,
     divergence_integral_check,
@@ -133,7 +134,7 @@ def test_criterion_04_adjointness():
     worst_doubled = 0.0
     for name in TORI:
         s = bi.get_metric(name)
-        grid = bi.default_grid(s)
+        grid = QuadratureGrid.for_structure(s)
         grid2 = grid.doubled()
         for p in (0, 1):
             rng = np.random.default_rng(104 + p)
@@ -152,7 +153,7 @@ def test_criterion_05_harmonicity_equivalence():
     ok = True
     for name in TORI:
         s = bi.get_metric(name)
-        grid = bi.default_grid(s)
+        grid = QuadratureGrid.for_structure(s)
         rep = is_h_harmonic(s, bi.get_form("dx1", s), grid, tol=1e-8)
         worst = max(rep["laplacian_norm"], rep["dH_norm"], rep["deltaH_norm"])
         ok &= report(f"criterion 5 dx1 harmonic on {name}", worst, 1e-8)
@@ -174,7 +175,7 @@ def test_criterion_06_divergence_integral():
     worst = 0.0
     for name in TORI:
         s = bi.get_metric(name)
-        grid = bi.default_grid(s)
+        grid = QuadratureGrid.for_structure(s)
         rng = np.random.default_rng(106)
         for _ in range(10):
             pi_form = bi.random_trig_form(rng, s, 1)
@@ -210,7 +211,7 @@ def test_criterion_08_flat_torus_hodge_oracle():
         expected = np.array([math.sin(z.x[0]), 0.0])
         worst_point = max(worst_point, float(np.max(np.abs(lap - expected))))
     ok1 = report("criterion 8 pointwise Hodge oracle", worst_point, 1e-6)
-    grid = bi.default_grid(s)
+    grid = QuadratureGrid.for_structure(s)
     worst_norm = 0.0
     for fid in ("dx1", "dx2"):
         rep = is_h_harmonic(s, bi.get_form(fid, s), grid, tol=1e-10)
@@ -235,7 +236,7 @@ def test_criterion_09_energy_identities():
     worst_int = 0.0
     for name in TORI:
         s = bi.get_metric(name)
-        grid = bi.default_grid(s)
+        grid = QuadratureGrid.for_structure(s)
         rng = np.random.default_rng(209)
         for _ in range(2):
             X = bi.random_trig_vector(rng, s, trig_degree=2)
@@ -251,7 +252,7 @@ def test_criterion_10_harmonic_field_classification():
     worst_flat = 0.0
     for name in TORI:
         s = bi.get_metric(name)
-        grid = bi.default_grid(s)
+        grid = QuadratureGrid.for_structure(s)
         X = TensorField.from_vector(lambda xs: [0.8, -0.5], label="constant")
         rng = np.random.default_rng(110)
         for z in bi.random_chart_points(rng, s, 10):
@@ -264,7 +265,7 @@ def test_criterion_10_harmonic_field_classification():
     K = bochner_scalar(sph, bi.get_field("d-phi", sph), ([math.pi / 2, 0.4], [1.0, 0.0]))
     ok &= report("criterion 10 equator spot value", abs(K - 1.0), 1e-6, extra=f"(K={K:.8f})")
 
-    grid = bi.default_grid(sph)
+    grid = QuadratureGrid.for_structure(sph)
     rng = np.random.default_rng(210)
     most_negative = 0.0
     for _ in range(3):

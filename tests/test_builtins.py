@@ -1,6 +1,8 @@
-"""The seeded trigonometric generators against their per-frequency loop."""
+"""The seeded trigonometric generators against their per-frequency loop,
+and the catalogue's lookups at its edges."""
 
 import math
+import re
 from itertools import combinations, product
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 
 from finslerforms import builtins as bi
 from finslerforms.connection import TensorField
+from finslerforms.errors import ConfigError
 from finslerforms.forms import HorizontalForm, form_build
 from finslerforms.jets import (
     Jet,
@@ -20,6 +23,7 @@ from finslerforms.jets import (
     trig_sum,
 )
 from finslerforms.quadrature import QuadratureGrid
+from finslerforms.scenario import metric_from_config
 
 
 # -- the reference: one closure per coefficient, one jet sine and cosine per frequency --
@@ -238,3 +242,36 @@ class TestTrigSum:
         for r in range(3):
             alone = trig_sum(K, A[r : r + 1], B[r : r + 1], xs)[0]
             assert np.max(np.abs(rows[r] - alone)) <= 1e-14
+
+
+# -- the catalogue at its edges -----------------------------------------------------
+
+# the forms and fields that need two chart axes
+NEED_TWO_AXES = {"area", "dx2", "sin-x1-area", "sin-x1-dx2", "d-phi", "d2", "sin-x1-d2"}
+LOOKUPS = [(bi.get_form, fid) for fid in bi.FORM_IDS] + [(bi.get_field, vid) for vid in bi.FIELD_IDS]
+
+
+class TestCatalogue:
+    @pytest.mark.parametrize("get, name", LOOKUPS, ids=[name for _, name in LOOKUPS])
+    def test_least_dimension_on_one_axis(self, get, name):
+        s = metric_from_config({"family": "euclidean", "dim": 1})
+        if name in NEED_TWO_AXES:
+            with pytest.raises(ConfigError, match=f"^{re.escape(name)} needs dim >= 2, got 1$"):
+                get(name, s)
+        else:
+            assert get(name, s).label == name
+
+    @pytest.mark.parametrize("get", [bi.get_form, bi.get_field])
+    @pytest.mark.parametrize("name", [["dx1"], {"a": 1}, None, "no-such-id"], ids=repr)
+    def test_unknown_or_non_string_id_is_a_config_error(self, get, name):
+        s = bi.get_metric("euclidean")
+        with pytest.raises(ConfigError, match="unknown .* id"):
+            get(name, s)
+
+    @pytest.mark.parametrize("expression", [["quartic"], {"quartic": 1}, None, 4, "cubic"], ids=repr)
+    def test_custom_metric_needs_a_named_expression(self, expression):
+        with pytest.raises(ConfigError, match="limited to named built-in expressions"):
+            metric_from_config({"family": "custom", "expression": expression})
+
+    def test_every_metric_is_labelled_by_its_id(self):
+        assert [bi.get_metric(name).label for name in bi.METRIC_IDS] == list(bi.METRIC_IDS)

@@ -815,6 +815,26 @@ class TestCommandLine:
         assert err.count("\n") == 1
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    def test_run_keeps_the_report_when_one_task_is_non_finite(self, tmp_path, capsys):
+        """``run`` writes a non-finite value as null and exits 1; the report
+        stays strict JSON and the finite task's result stands."""
+        at = {"x": [0.1, 0.2], "y": [1.0, 0.5]}
+        finite = {"kind": "tensor", "params": {"which": "g", "at": at}}
+        huge = {"kind": "tensor", "params": {"which": "g", "at": {**at, "y": [1e200, 1e200]}}}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"metric": "randers-torus", "tasks": [finite, huge]}))
+        code, out, _ = run_cli(capsys, "run", str(path))
+        assert code == 1
+
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        first, second = json.loads(out, parse_constant=reject)["tasks"]
+        alone = run_scenario({"metric": "randers-torus", "tasks": [finite]})["tasks"][0]
+        assert first["pass"] is True and first["result"] == alone["result"]
+        assert second["pass"] is False
+        assert second["result"]["components"] == [[None, None], [None, None]]
+
     @pytest.mark.parametrize(
         "argv, message",
         [

@@ -333,14 +333,14 @@ class TestEnergyIdentities:
 
 class TestHarmonicVerdict:
     def test_flat_basis_form_harmonic(self, euclidean):
-        grid = bi.default_grid(euclidean)
+        grid = QuadratureGrid.for_structure(euclidean)
         rep = is_h_harmonic(euclidean, bi.get_form("dx1", euclidean), grid, tol=1e-8)
         assert rep["verdict"] == "harmonic"
         assert rep["laplacian_norm"] < 1e-10
         assert rep["equivalence_consistent"]
 
     def test_flat_sine_form_not_harmonic(self, euclidean):
-        grid = bi.default_grid(euclidean)
+        grid = QuadratureGrid.for_structure(euclidean)
         rep = is_h_harmonic(euclidean, bi.get_form("sin-x1-dx1", euclidean), grid, tol=1e-8)
         assert rep["verdict"] == "not harmonic"
         assert rep["laplacian_norm"] > 0.1
@@ -348,7 +348,7 @@ class TestHarmonicVerdict:
         assert rep["equivalence_consistent"]
 
     def test_constant_randers_basis_form_harmonic(self, randers):
-        grid = bi.default_grid(randers)
+        grid = QuadratureGrid.for_structure(randers)
         rep = is_h_harmonic(randers, bi.get_form("dx1", randers), grid, tol=1e-8)
         assert rep["verdict"] == "harmonic"
         assert rep["equivalence_consistent"]
