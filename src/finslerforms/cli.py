@@ -7,7 +7,10 @@ each as one scenario task through :func:`scenario.run_task` (an option not
 given leaves the task's default); ``diagnostics`` compares the jet engine
 against finite differences.  All reports are JSON (or CSV rows with 17
 significant digits) and embed the inputs that produced them; ``run`` writes
-a non-finite value as null (a non-finite result fails its task).
+a non-finite value as null (a non-finite result fails its task).  Exit
+status: 0 pass; 1 a failed task (its report says ``pass: false``) or an
+engine error; 2 malformed input.  A ``--grid`` count on a Gauss-Legendre axis
+(bounded chart axis, polar fiber angle) is a multiple of 8, one panel per 8.
 """
 
 from __future__ import annotations
@@ -152,9 +155,7 @@ def cmd_laplacian(args):
         scenario_mod._require_grid(grid, "laplacian", params, "laplacian task")
         _write(_laplacian_pointwise_csv(s, scenario_mod.task_form(s, params), grid), args.out)
         return 0
-    result, _ = scenario_mod.run_task(s, grid, "laplacian", params, None, None)
-    _emit({"metric": s.label, "grid": grid.meta(), **result}, args.out, args.format)
-    return 0
+    return _emit_task(args, s, grid, "laplacian", params)
 
 
 def _laplacian_pointwise_csv(s, phi, grid):
@@ -181,10 +182,7 @@ def _laplacian_pointwise_csv(s, phi, grid):
 
 def cmd_integrate(args):
     s = scenario_mod.metric_from_config(_metric_arg(args))
-    grid = _parse_grid(s, args)
-    result, _ = scenario_mod.run_task(s, grid, "integrate", _given(field=args.field), None, None)
-    _emit({"metric": s.label, "grid": grid.meta(), **result}, args.out, args.format)
-    return 0
+    return _emit_task(args, s, _parse_grid(s, args), "integrate", _given(field=args.field))
 
 
 def cmd_check(args):
@@ -198,9 +196,15 @@ def cmd_check(args):
         "bochner": {"field": args.field, "expect_harmonic": args.expect_harmonic},
     }[args.which])
     rng = np.random.default_rng(seed)
-    result, ok = scenario_mod.run_task(s, grid, "check", params, args.tol, rng)
+    return _emit_task(args, s, grid, "check", params, args.tol, rng, seed=seed)
+
+
+def _emit_task(args, s, grid, kind, params, tolerance=None, rng=None, **head):
+    """Run one task, write its report with its ``pass``, and return the
+    exit status: 0 if it passed, 1 if not."""
+    result, ok = scenario_mod.run_task(s, grid, kind, params, tolerance, rng)
     meta = None if grid is None else grid.meta()
-    report = {"metric": s.label, "grid": meta, "seed": seed, "pass": bool(ok), **result}
+    report = {"metric": s.label, "grid": meta, **head, "pass": bool(ok), **result}
     _emit(report, args.out, args.format)
     return 0 if ok else 1
 
@@ -263,7 +267,8 @@ def build_parser():
         if at:
             sp.add_argument("--at", required=True, help="point as 'x1,..;y1,..'")
         if grid:
-            sp.add_argument("--grid", default=None, help="counts as 'b1,...,bnxf1,...,f(n-1)'")
+            sp.add_argument("--grid", default=None, help="counts as 'b1,...,bnxf1,...,f(n-1)'; "
+                            "a Gauss-Legendre axis takes a multiple of 8")
             sp.add_argument("--tol-grid", default=None)
         sp.add_argument("--out", default=None, help="write the report to a file")
         sp.add_argument("--format", choices=("json", "csv"), default="json")

@@ -248,10 +248,15 @@ class LocalTower:
     def Tt(self):
         return cartan_trace_components(self.gi, self.C)
 
+    def lower(self, v):
+        """v_i = g_ij v^j of the components ``v[j]``, summed in order of j:
+        the one lowering of an index on the tower."""
+        n, g = self.n, self.g
+        return [sum_terms(g[i][j] * v[j] for j in range(n)) for i in range(n)]
+
     @cached_property
     def y_lower(self):
-        n = self.n
-        return [sum_terms(self.g[i][j] * self.ys[j] for j in range(n)) for i in range(n)]
+        return self.lower(self.ys)
 
     # -- spray and nonlinear connection ---------------------------------------
 

@@ -70,7 +70,6 @@ from .errors import (
     DegreeUnderflow,
     DomainError,
 )
-from .jets import grad_y
 from .metric import TensorValue
 
 
@@ -332,13 +331,7 @@ class AssociatedForm:
 
 def lowered_form(s, X: TensorField, label="") -> HorizontalForm:
     """The 1-form X_i = g_ij X^j, read off the metric of the tower at hand."""
-    n = s.dim
-
-    def kernel(tw):
-        Xv = X.components(tw.xs, tw.ys)
-        return [sum_terms(tw.g[i][j] * Xv[j] for j in range(n)) for i in range(n)]
-
-    return _operator_form(s, 1, kernel, label)
+    return _operator_form(s, 1, lambda tw: tw.lower(X.components(tw.xs, tw.ys)), label)
 
 
 def associate_one_form(s, X: TensorField) -> AssociatedForm:
@@ -358,11 +351,8 @@ def associate_one_form(s, X: TensorField) -> AssociatedForm:
         nab0w = sum_terms(tw.y_lower[j] * nab0X[j] for j in range(n))
         invF = jets._reciprocal(tw.F)
         invF2 = invF * invF
-        return [
-            (sum_terms(tw.g[i][j] * nab0X[j] for j in range(n)) - tw.y_lower[i] * nab0w * invF2)
-            * invF
-            for i in range(n)
-        ]
+        low = tw.lower(nab0X)
+        return [(low[i] - tw.y_lower[i] * nab0w * invF2) * invF for i in range(n)]
 
     return AssociatedForm(horizontal=horizontal, vertical=vertical, source=X)
 
@@ -386,9 +376,9 @@ def weitzenbock_residual(s, X: TensorField, z):
     ricci = ricci_components(tower)
     flag = tower.flag
 
-    Xv = X.components(tower.xs, tower.ys)
+    Xv, _, dy = X.partials(tower.xs, tower.ys)
     # vt[t][r] = vertical derivative of X^r
-    vt = cov_v(tower, Xv, grad_y(X.fn, tower.xs, tower.ys), "u")
+    vt = cov_v(tower, Xv, dy, "u")
 
     out = []
     for i in range(n):
@@ -436,15 +426,6 @@ def bochner_scalar_at(tower: LocalTower, X: TensorField):
     return acc - sum_terms(trace) if trace else acc
 
 
-def _lowered_gradient(tower, nabU):
-    """nabla_i X_j = g_jk nabla_i X^k, from nabU[i][k] = nabla_i X^k (h-metricity)."""
-    n = tower.n
-    return [
-        [sum_terms(tower.g[j][k] * nabU[i][k] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
-
-
 def _g_norm2(tower, A):
     """A_ij A^ij of a covariant 2-tensor, both slots raised by g^-1."""
     n = tower.n
@@ -464,7 +445,8 @@ def _g_norm2(tower, A):
 def gradient_norm_squared_at(tower: LocalTower, X: TensorField):
     """Squared norm of the horizontal covariant derivative of the lowered field."""
     val, dx, dy = X.partials(tower.xs, tower.ys)
-    return _g_norm2(tower, _lowered_gradient(tower, cov_h(tower, val, dx, dy, "u")))
+    # nabla_i X_j = g_jk nabla_i X^k by h-metricity
+    return _g_norm2(tower, [tower.lower(row) for row in cov_h(tower, val, dx, dy, "u")])
 
 
 def transport_form(s, X: TensorField) -> HorizontalForm:
@@ -480,7 +462,7 @@ def transport_form(s, X: TensorField) -> HorizontalForm:
         nabU = cov_h(tw, val, dx, dy, "u")
         div = sum_terms(nabU[j][j] for j in range(n))
         V = [val[j] * div - sum_terms(val[k] * nabU[k][j] for k in range(n)) for j in range(n)]
-        return [sum_terms(tw.g[i][j] * V[j] for j in range(n)) for i in range(n)]
+        return tw.lower(V)
 
     return _operator_form(s, 1, kernel, f"transport({X.label})")
 
@@ -512,7 +494,7 @@ def energy_identity_residuals(s, X: TensorField, z):
     r1 = dW - jets.primal(divX * dX + comm + cross - tterm)
 
     # quarter-norm identity for the alternated derivative
-    nabL = _lowered_gradient(tower, nabU)
+    nabL = [tower.lower(row) for row in nabU]
     anti = [[nabL[i][j] - nabL[j][i] for j in range(n)] for i in range(n)]
     dH_norm2 = 0.25 * _g_norm2(tower, anti)
     r2 = jets.primal(cross - _g_norm2(tower, nabL) + 2.0 * dH_norm2)

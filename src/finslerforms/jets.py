@@ -16,9 +16,10 @@ directions on its own array axis, so a k-fold nested derivative costs one
 evaluation of the innermost field instead of n^k.  On arrays (quadrature
 grids) it seeds one coordinate per pass with the scalar tangent 1.0.  Its
 array callers are the rebuilt towers of a grid, which run F^2 under nested
-jets over every node, and vector mode there would grow each nested scalar
-from 2^k to (1+n)^k node arrays, which raised peak memory by 25% (3D) to 92%
-(2D) on the benchmark grids.  At a point a tower caches one child at the
+jets over every node, and the angle partials of the grid's volume density,
+which differentiate the fiber parameterization alone.  Vector mode on the
+towers would grow each nested scalar from 2^k to (1+n)^k node arrays, which
+raised peak memory by 25% (3D) to 92% (2D) on the benchmark grids.  At a point a tower caches one child at the
 coordinates :func:`_seed` seeds and splits each layer it reads off that
 child with :func:`_split`, as :func:`_vector_grad` does with its result.
 

@@ -8,10 +8,10 @@ coordinates.  Since d_theta y = d_theta u / F - u d_theta F / F^2 and the
 second term is a multiple of the first column, reducing columns gives
 det[y, d_theta y] = det[u, d_theta u] / F^n.  The density is therefore
 det g(x, y) * det[u, d_theta u] / F(x, u)^n: g comes from the grid's tower,
-the angle partials of u from the jet engine, and F from one evaluation
-of F^2.  Periodic axes use the rectangle rule (spectrally accurate for
-smooth periodic integrands), non-periodic axes composite Gauss-Legendre
-panels.
+the angle partials of u from the jet engine, and u and F are the samples
+y = u / F was made of.  Periodic axes use the rectangle rule (spectrally
+accurate for smooth periodic integrands), non-periodic axes composite
+Gauss-Legendre panels of 8 nodes, so they take a multiple of 8 nodes.
 
 One angle rule covers every fiber S^(n-1), n >= 2: the first n - 2 angles
 are polar, on [margin, pi - margin], each measured from the last remaining
@@ -60,6 +60,8 @@ class AxisSpec:
     def __post_init__(self):
         if self.count < 8:
             raise GridError("at least 8 nodes per axis are required")
+        if not self.periodic and self.count % 8:
+            raise GridError(f"a Gauss-Legendre axis takes a multiple of 8 nodes, got {self.count}")
         if not self.hi > self.lo:
             raise GridError("empty axis interval")
 
@@ -68,7 +70,7 @@ class AxisSpec:
             h = (self.hi - self.lo) / self.count
             nodes = self.lo + h * np.arange(self.count)
             return nodes, np.full(self.count, h)
-        panels = max(1, round(self.count / 8))
+        panels = self.count // 8
         gn, gw = np.polynomial.legendre.leggauss(8)
         edges = np.linspace(self.lo, self.hi, panels + 1)
         nodes, weights = [], []
@@ -185,6 +187,11 @@ class QuadratureGrid:
 
     def coords_for(self, s):
         """(xs, ys) coordinate scalar lists at all nodes, broadcast shaped."""
+        return self._samples(s)[:2]
+
+    def _samples(self, s):
+        """(xs, ys, thetas, u, F): the nodes and the fiber samples y = u / F is
+        made of, computed once per grid and metric."""
         key = ("coords", id(s))
         if key not in self._cache:
             arrays = self.axis_arrays()
@@ -193,9 +200,8 @@ class QuadratureGrid:
             u = fiber_direction(th)
             F = gsqrt(s.f2(xs, u))
             ys = [uk / F for uk in u]
-            self._cache[key] = (s, xs, ys)
-        _, xs, ys = self._cache[key]
-        return xs, ys
+            self._cache[key] = (s, xs, ys, th, u, F)
+        return self._cache[key][1:]
 
     def tower(self, s) -> LocalTower:
         key = ("tower", id(s))
@@ -207,16 +213,17 @@ class QuadratureGrid:
     def density(self, s):
         """|det g(x, y) * det[u, d_theta u] / F(x, u)^n| at every node.
 
-        g is the grid tower's, so the density evaluates F^2 once beyond it.
+        g is the grid tower's, and u(theta) and F(x, u) are the samples the
+        coordinates were made of, so the density evaluates no F^2 of its own.
         Each determinant is taken on the broadcast shape of its own entries
         (fiber nodes only, where a factor does not depend on x), and so is the
         product stored: it broadcasts to the grid shape.
         """
         key = ("density", id(s))
         if key not in self._cache:
-            arrays = self.axis_arrays()
-            raw = _raw_density(s, arrays[: self.n_base], arrays[self.n_base :], self.tower(s).g)
-            raw = np.asarray(raw, float)
+            g = self.tower(s).g
+            _, _, th, u, F = self._samples(s)
+            raw = np.asarray(_raw_density(g, u, th, F), float)
             if float(np.min(np.abs(raw))) <= 0.0:
                 raise GridError("volume density vanishes at a node; degenerate structure or grid")
             self._cache[key] = (s, np.abs(raw))
@@ -242,19 +249,16 @@ def _det(rows):
     return np.linalg.det(np.stack(leaves, axis=-1).reshape(leaves[0].shape + (n, n)))
 
 
-def _raw_density(s, xs, thetas, g):
+def _raw_density(g, u, thetas, F):
     """Signed density det g(x, y) * det[u, d_theta u] / F(x, u)^n of the
-    canonical volume, with y = u(theta) / F(x, u) and ``g`` the fundamental
+    canonical volume, with u = u(theta), y = u / F and ``g`` the fundamental
     tensor at (x, y).
 
     The angle partials of u are jets of the fiber parameterization alone, so
-    the only F^2 evaluation is the one of F(x, u).
+    the density evaluates no F^2: g, u and F come from the caller.
     """
-    n = s.dim
-    u = fiber_direction(thetas)
     du = grad_wrt(fiber_direction, (thetas,), 0)
-    F = gsqrt(s.f2(xs, u))
-    return _det(g) * _det([u] + du) / F**n
+    return _det(g) * _det([u] + du) / F ** len(u)
 
 
 def volume_density(s, x, theta) -> VolumeDensity:
@@ -264,9 +268,9 @@ def volume_density(s, x, theta) -> VolumeDensity:
         raise DomainError(f"theta needs n - 1 >= 1 fiber angles, n = {s.dim}, got {len(theta)}")
     if any(abs(math.sin(th)) < FIBER_POLAR_MARGIN / 2 for th in theta[:-1]):
         raise PoleSingularity("polar fiber angle too close to the axis")
-    # g is 0-homogeneous in y, so it is taken at u itself
+    # g is 0-homogeneous in y, so it is taken at u itself, where F is F(x, u)
     tower, _ = _point_tower(s, (np.atleast_1d(x), fiber_direction(theta)))
-    raw = float(_raw_density(s, tower.xs, theta, tower.g))
+    raw = float(_raw_density(tower.g, tower.ys, theta, tower.F))
     return VolumeDensity(value=abs(raw), raw=raw)
 
 
@@ -288,17 +292,14 @@ def integrate_scalar(s, f, grid: QuadratureGrid) -> float:
     return float(np.sum(total))
 
 
-def _form_values_inner(s, phi, psi, grid):
+def global_inner_product(s, phi, psi, grid: QuadratureGrid) -> float:
+    """(phi, psi) = int_SM <phi, psi> dV, every integral of forms on a grid."""
+    if phi.degree != psi.degree:
+        raise DegreeMismatch(f"degrees {phi.degree} and {psi.degree} differ")
     tower = grid.tower(s)
     a = phi.on(tower)
     b = psi.on(tower) if psi is not phi else a
-    return _forms.inner_coeffs(tower, a, b, phi.degree)
-
-
-def global_inner_product(s, phi, psi, grid: QuadratureGrid) -> float:
-    if phi.degree != psi.degree:
-        raise DegreeMismatch(f"degrees {phi.degree} and {psi.degree} differ")
-    return integrate_scalar(s, _form_values_inner(s, phi, psi, grid), grid)
+    return integrate_scalar(s, _forms.inner_coeffs(tower, a, b, phi.degree), grid)
 
 
 def form_grid_norm(s, phi, grid: QuadratureGrid) -> float:
@@ -315,9 +316,7 @@ def divergence_integral_check(s, pi, grid: QuadratureGrid) -> float:
             "chart has non-periodic axes: the divergence integral holds only up to boundary flux",
             stacklevel=2,
         )
-    tower = grid.tower(s)
-    dvals = _forms.deltaH_coeffs(tower, pi)
-    integral = integrate_scalar(s, np.asarray(dvals, float), grid)
+    integral = integrate_scalar(s, _forms.deltaH_coeffs(grid.tower(s), pi), grid)
     norm = form_grid_norm(s, pi, grid)
     return abs(integral) / (1.0 + norm)
 
@@ -326,13 +325,8 @@ def adjointness_defect(s, phi, psi, grid: QuadratureGrid) -> float:
     """Relative defect of (d_H phi, psi) = (phi, delta_H psi) on the grid."""
     if psi.degree != phi.degree + 1:
         raise DegreeMismatch("psi must have degree one higher than phi")
-    tower = grid.tower(s)
-    dphi = _forms.dH_coeffs(tower, phi)
-    psivals = psi.on(tower)
-    lhs = integrate_scalar(s, _forms.inner_coeffs(tower, dphi, psivals, psi.degree), grid)
-    dpsi = _forms.deltaH_coeffs(tower, psi)
-    phivals = phi.on(tower)
-    rhs = integrate_scalar(s, _forms.inner_coeffs(tower, phivals, dpsi, phi.degree), grid)
+    lhs = global_inner_product(s, _forms.horizontal_differential(s, phi), psi, grid)
+    rhs = global_inner_product(s, phi, _forms.horizontal_codifferential(s, psi), grid)
     return abs(lhs - rhs) / (1.0 + abs(lhs))
 
 
@@ -350,12 +344,10 @@ def bochner_integral(s, X: TensorField, grid: QuadratureGrid) -> dict:
     it is a co-differential.
     """
     tower = grid.tower(s)
-    K = _forms.bochner_scalar_at(tower, X)
-    grad2 = _forms.gradient_norm_squared_at(tower, X)
-    K_integral = integrate_scalar(s, np.broadcast_to(np.asarray(K, float), grid.shape), grid)
-    grad_integral = integrate_scalar(s, np.broadcast_to(np.asarray(grad2, float), grid.shape), grid)
+    K_integral = integrate_scalar(s, _forms.bochner_scalar_at(tower, X), grid)
+    grad_integral = integrate_scalar(s, _forms.gradient_norm_squared_at(tower, X), grid)
     dW = _forms.deltaH_coeffs(tower, _forms.transport_form(s, X))
-    div = integrate_scalar(s, np.asarray(dW, float), grid)
+    div = integrate_scalar(s, dW, grid)
     return {
         "K_integral": K_integral,
         "grad_norm_integral": grad_integral,

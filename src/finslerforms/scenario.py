@@ -137,7 +137,9 @@ def grid_from_config(s, cfg) -> QuadratureGrid | None:
         *(base or quad.DEFAULT_BASE_COUNTS.get(s.dim, ())),
         *(fiber or quad.DEFAULT_FIBER_COUNTS.get(s.dim, ())),
     ]
-    if math.prod(max(c, 1) for c in counts) > MAX_GRID_NODES:  # a count below 8 is refused below
+    # counts are the axes' node counts: one below 8, or off a multiple of 8 on
+    # a Gauss-Legendre axis, is refused below
+    if math.prod(max(c, 1) for c in counts) > MAX_GRID_NODES:
         raise ConfigError(f"grid must have at most {MAX_GRID_NODES} nodes")
     tol = _parse_tolerance(cfg.get("tolerance", quad.DEFAULT_TOLERANCE), "grid 'tolerance'")
     try:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from finslerforms import builtins as bi
-from finslerforms.connection import TensorField
+from finslerforms.connection import TensorField, pack
 from finslerforms.errors import ConfigError
 from finslerforms.forms import HorizontalForm, form_build
 from finslerforms.jets import (
@@ -23,7 +23,7 @@ from finslerforms.jets import (
     trig_sum,
 )
 from finslerforms.quadrature import QuadratureGrid
-from finslerforms.scenario import metric_from_config
+from finslerforms.scenario import metric_from_config, run_scenario
 
 
 # -- the reference: one closure per coefficient, one jet sine and cosine per frequency --
@@ -272,6 +272,38 @@ class TestCatalogue:
     def test_custom_metric_needs_a_named_expression(self, expression):
         with pytest.raises(ConfigError, match="limited to named built-in expressions"):
             metric_from_config({"family": "custom", "expression": expression})
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("name", bi.FORM_IDS)
+    def test_every_form_evaluates(self, name, dim):
+        """Each entry's builder runs: a degree-p form has n^p antisymmetric
+        coefficients, finite at a point."""
+        s = metric_from_config({"family": "euclidean", "dim": dim})
+        phi = bi.get_form(name, s)
+        p = phi.degree
+        arr = np.asarray(pack(phi.coeffs([0.4, 1.1, 2.3][:dim], [1.0] + [0.0] * (dim - 1)), p))
+        assert arr.shape == (dim,) * p and np.all(np.isfinite(arr)) and np.any(arr)
+        for k in range(p - 1):  # a transposition of neighbouring slots flips the sign
+            assert np.array_equal(np.swapaxes(arr, k, k + 1), -arr)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("name", bi.FIELD_IDS)
+    def test_every_field_evaluates(self, name, dim):
+        s = metric_from_config({"family": "euclidean", "dim": dim})
+        X = bi.get_field(name, s)
+        arr = np.asarray(pack(X.components([0.4, 1.1, 2.3][:dim], [1.0] + [0.0] * (dim - 1)), 1))
+        assert arr.shape == (dim,) and np.all(np.isfinite(arr)) and np.any(arr)
+
+    def test_inline_custom_metric_is_the_built_in_one(self):
+        """An inline custom metric of a named expression is the built-in
+        metric of that expression: the same g, bit for bit."""
+        at = {"x": [0.3, 0.4], "y": [1.0, 0.5]}
+        tasks = [{"kind": "tensor", "params": {"which": "g", "at": at}}]
+        got = run_scenario({"metric": {"family": "custom", "expression": "quartic"}, "tasks": tasks})
+        want = run_scenario({"metric": "quartic-torus", "tasks": tasks})
+        g = [r["tasks"][0]["result"]["components"] for r in (got, want)]
+        assert got["pass"] is True
+        assert [[v.hex() for v in row] for row in g[0]] == [[v.hex() for v in row] for row in g[1]]
 
     def test_every_metric_is_labelled_by_its_id(self):
         assert [bi.get_metric(name).label for name in bi.METRIC_IDS] == list(bi.METRIC_IDS)

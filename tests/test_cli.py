@@ -617,6 +617,21 @@ class TestCommandLine:
         doc = json.loads(out)
         assert doc["verdict"] == "harmonic"
 
+    def test_laplacian_exits_one_when_its_task_fails(self, capsys):
+        """A verdict whose closed/co-closed cross-check disagrees fails the
+        task, as it does under ``run``: the report says so and the exit is 1."""
+        argv = ("--metric", "riemannian-torus", "--grid", "16,16x24", "--form", "dx1")
+        code, out, _ = run_cli(capsys, "laplacian", *argv, "--tol", "1e-30", "--tol-grid", "1")
+        doc = json.loads(out)
+        assert code == 1
+        assert doc["pass"] is False and doc["equivalence_consistent"] is False
+        code, out, _ = run_cli(capsys, "laplacian", *argv)
+        assert code == 0 and json.loads(out)["pass"] is True
+
+    def test_integrate_reports_its_pass(self, capsys):
+        code, out, _ = run_cli(capsys, "integrate", "--metric", "euclidean", "--grid", "8,8x8")
+        assert code == 0 and json.loads(out)["pass"] is True
+
     def test_laplacian_and_check_reports_are_assembled_as_before(self, capsys):
         """The reports equal, key for key, the ones the laplacian and check
         subcommands used to assemble from the engine calls themselves."""
@@ -624,7 +639,8 @@ class TestCommandLine:
         grid = quadrature.QuadratureGrid.for_structure(s, (8, 8), (8,))
         head = {"metric": s.label, "grid": grid.meta()}
         phi = bi.get_form("sin-x1-dx1", s)
-        lap = {**head, "form": phi.label, **forms.is_h_harmonic(s, phi, grid, tol=1e-8)}
+        verdict = forms.is_h_harmonic(s, phi, grid, tol=1e-8)
+        lap = {**head, "pass": verdict["equivalence_consistent"], "form": phi.label, **verdict}
         res = quadrature.bochner_integral(s, bi.get_field("sin-x1-d1", s), grid)
         ok = res["divergence_defect"] <= grid.tolerance and abs(res["sum"]) <= grid.tolerance
         bochner = {**head, "seed": 0, "pass": ok, "which": "bochner", "field": "sin-x1-d1", **res,
@@ -787,6 +803,14 @@ class TestCommandLine:
         assert code == 2
         assert out == ""
         assert "configuration error" in err and "at least 8 nodes" in err
+
+    def test_gauss_legendre_count_off_a_multiple_of_eight_is_a_config_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "integrate", "--metric", "euclidean-3d", "--grid", "8,8,8x12,8"
+        )
+        assert code == 2
+        assert out == ""
+        assert "configuration error" in err and "multiple of 8" in err
 
     def test_too_many_grid_nodes_is_a_config_error(self, capsys):
         code, out, err = run_cli(

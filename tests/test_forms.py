@@ -42,6 +42,7 @@ from finslerforms.forms import (
 from finslerforms.jets import gcos, gsin, grad_x, grad_y
 from finslerforms.metric import hilbert_components
 from finslerforms.quadrature import QuadratureGrid, bochner_integral, form_grid_norm
+from finslerforms.scenario import run_task
 
 from conftest import base_dependent_randers, sample_points
 
@@ -352,6 +353,33 @@ class TestHarmonicVerdict:
         rep = is_h_harmonic(randers, bi.get_form("dx1", randers), grid, tol=1e-8)
         assert rep["verdict"] == "harmonic"
         assert rep["equivalence_consistent"]
+
+    # On the flat torus, SM = T^2 x S^1 has volume (2 pi)^3 and the density is
+    # 1.  A constant f or f dx1^dx2 is harmonic with every derivative 0.  For
+    # f = sin x1: d_H f = cos x1 dx1 and Delta f = sin x1, and for
+    # psi = sin x1 dx1^dx2: delta_H psi = -cos x1 dx2 and Delta psi = psi; each
+    # of these has squared norm (2 pi)^3 / 2 = 4 pi^3, exact on 8 nodes.
+    # A degree-0 form has no delta_H and a top-degree form no d_H: those
+    # norms are 0.0 by definition.
+    @pytest.mark.parametrize(
+        "name, verdict, lap2, dH2, deltaH2",
+        [
+            ("one", "harmonic", 0.0, 0.0, 0.0),
+            ("sin-x1", "not harmonic", 4.0, 4.0, 0.0),
+            ("area", "harmonic", 0.0, 0.0, 0.0),
+            ("sin-x1-area", "not harmonic", 4.0, 0.0, 4.0),
+        ],
+    )
+    def test_degree_zero_and_top_degree_verdicts(self, euclidean, name, verdict, lap2, dH2, deltaH2):
+        grid = QuadratureGrid.for_structure(euclidean, (8, 8), (8,))
+        rep, ok = run_task(euclidean, grid, "laplacian", {"form": name}, None, None)
+        assert ok and rep["verdict"] == verdict and rep["equivalence_consistent"] is True
+        norm2 = 8.0 if name in ("one", "area") else 4.0
+        want = {"laplacian_norm": lap2, "dH_norm": dH2, "deltaH_norm": deltaH2, "form_norm": norm2}
+        for key, c in want.items():
+            assert rep[key] == pytest.approx(math.sqrt(c * math.pi**3), rel=1e-12, abs=1e-12)
+        p = bi.get_form(name, euclidean).degree
+        assert (rep["deltaH_norm"] == 0.0) if p == 0 else (rep["dH_norm"] == 0.0)
 
 
 # -- full-index reference kernels: every entry of every index tuple ----------------

@@ -64,6 +64,22 @@ class TestGridConstruction:
         assert g2.num_nodes == 8 * grid.num_nodes
         assert g2.tolerance == grid.tolerance / 4.0
 
+    @pytest.mark.parametrize("count", [9, 12, 20])
+    def test_gauss_legendre_count_off_a_multiple_of_eight_is_refused(self, count):
+        """An axis has exactly the nodes it is asked for: 8-node Gauss-Legendre
+        panels cannot make this count, so it is refused rather than rounded
+        (12 once gave 16 nodes); a periodic axis takes it."""
+        with pytest.raises(GridError, match="multiple of 8"):
+            AxisSpec(0.0, 1.0, False, count)
+        assert len(AxisSpec(0.0, 1.0, True, count).nodes_weights()[0]) == count
+
+    def test_grid_shape_is_its_counts(self):
+        s = bi.get_metric("euclidean-3d")
+        grid = QuadratureGrid.for_structure(s, (8, 8, 8), (24, 8))
+        assert grid.shape == (8, 8, 8, 24, 8)
+        with pytest.raises(GridError, match="multiple of 8"):
+            QuadratureGrid.for_structure(s, (8, 8, 8), (12, 8))
+
 
 def shuffle_density(s, xs, thetas):
     """Reference density: the top coefficient of omega wedge (d omega)^(n-1).
@@ -158,6 +174,17 @@ class TestVolumeDensity:
         monkeypatch.setattr(grid, "density", lambda _: np.broadcast_to(density, grid.shape))
         want = [integrate_scalar(s, 1.0, grid), adjointness_defect(s, phi, psi, grid)]
         assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    def test_density_evaluates_no_f2_of_its_own(self, randers_base, monkeypatch):
+        """The density reads the fiber samples u(theta) and F(x, u) that the
+        grid's coordinates were made of."""
+        grid = small_grid(randers_base)
+        grid.tower(randers_base).g
+        f2 = randers_base.f2
+        calls = []
+        monkeypatch.setattr(randers_base, "f2", lambda xs, ys: calls.append(1) or f2(xs, ys))
+        assert np.all(grid.density(randers_base) > 0.0)
+        assert calls == []
 
     def test_pole_singularity(self):
         e3 = bi.get_metric("euclidean-3d")
