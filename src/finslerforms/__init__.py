@@ -2,30 +2,19 @@
 the sphere bundle of a Finsler manifold."""
 
 from .connection import (
-    ConnectionAtPoint,
     LocalTower,
     TensorField,
-    cartan_coefficients,
     delta_derivative,
     h_covariant_derivative,
     nabla_0,
-    nonlinear_connection,
-    spray,
+    tower_at,
     v_covariant_derivative,
 )
-from .curvature import (
-    flag_curvature_tensor,
-    hh_curvature,
-    hv_curvature,
-    ricci_identity_residual,
-    ricci_trace,
-    vv_curvature,
-)
+from .curvature import flag_curvature_tensor, ricci_identity_residual
 from .forms import (
     AssociatedForm,
     HorizontalForm,
     associate_one_form,
-    bochner_scalar,
     energy_identity_residuals,
     horizontal_codifferential,
     horizontal_differential,

@@ -3,7 +3,9 @@
 The central object is :class:`LocalTower`, a lazily evaluated cache of the
 whole connection tower at one evaluation point.  The point coordinates may
 be floats (pointwise use), batched numpy arrays (whole quadrature grids at
-once) or jets.  G, N and Gamma are algebra over g's first partials by one
+once) or jets.  :func:`tower_at` is the one pointwise entry: it validates a
+point z = (x, y) and returns its tower, and every block at the point is read
+off that tower.  G, N and Gamma are algebra over g's first partials by one
 Christoffel rule (:func:`_christoffel`); N contracts C_ljk G^k before
 raising its index, so no grid tower holds Cmix for it.
 
@@ -41,7 +43,6 @@ exact; only the sign of an exact zero may differ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -599,74 +600,40 @@ class TensorField:
         )
 
 
-# -- public pointwise operations --------------------------------------------------
+# -- the pointwise entry ----------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class ConnectionAtPoint:
-    """Spray, nonlinear connection and Cartan coefficients at one point."""
-
-    G: np.ndarray
-    N: np.ndarray
-    Gamma: np.ndarray
-    Cv: np.ndarray
-    point: object
-    n_gamma_defect: float  # |N - Gamma.y|, reported rather than enforced
+def tower_at(s, z):
+    """The tower at one point z = (x, y), validated by
+    :meth:`FinslerStructure._coords`: the one pointwise entry.  Every block at
+    the point is a layer of this tower or a kernel run on it
+    (``curvature.hh_components``, ``forms.bochner_scalar_at``, ...), so the
+    blocks read off one tower share its layers."""
+    x, y = s._coords(z)
+    return LocalTower(s, [float(v) for v in x], [float(v) for v in y])
 
 
-def _point_tower(s, z):
-    """(tower at float coordinates, validated (x, y)) for one point z = (x, y)."""
-    x, yv = s._coords(z)
-    return LocalTower(s, [float(v) for v in x], [float(v) for v in yv]), (x, yv)
-
-
-def spray(s, z):
-    tower, pt = _point_tower(s, z)
-    return TensorValue(pack(tower.G, 1), "u", pt)
-
-
-def nonlinear_connection(s, z):
-    tower, pt = _point_tower(s, z)
-    return TensorValue(pack(tower.N, 2), "ul", pt)
-
-
-def delta_derivative(s, f, z, axis):
+def delta_derivative(tower, f, axis):
     """Horizontal basis derivative of a generic scalar field along one axis."""
-    tower, _ = _point_tower(s, z)
     return float(jets.primal(tower.delta(*grad_xy(f, tower.xs, tower.ys), 0)[axis]))
 
 
-def cartan_coefficients(s, z):
-    tower, pt = _point_tower(s, z)
-    G = pack(tower.G, 1)
-    N = pack(tower.N, 2)
-    Gamma = pack(tower.Gamma, 3)
-    Cv = pack(tower.Cmix, 3)
-    defect = float(np.max(np.abs(N - np.einsum("ijk,k->ij", Gamma, pt[1]))))
-    return ConnectionAtPoint(G=G, N=N, Gamma=Gamma, Cv=Cv, point=pt, n_gamma_defect=defect)
-
-
-def h_covariant_derivative(s, T: TensorField, z):
+def h_covariant_derivative(tower, T: TensorField):
     """Horizontal covariant derivative; the new lower slot is the last axis."""
-    tower, pt = _point_tower(s, z)
     val, dx, dy = T.partials(tower.xs, tower.ys)
     nab = cov_h(tower, val, dx, dy, T.variance)
-    data = np.moveaxis(pack(nab, T.rank + 1), 0, -1)
-    return TensorValue(data, T.variance + "l", pt)
+    return TensorValue(np.moveaxis(pack(nab, T.rank + 1), 0, -1), T.variance + "l")
 
 
-def v_covariant_derivative(s, T: TensorField, z):
+def v_covariant_derivative(tower, T: TensorField):
     """Vertical covariant derivative; the new lower slot is the last axis."""
-    tower, pt = _point_tower(s, z)
     val, _, dy = T.partials(tower.xs, tower.ys)
     nab = cov_v(tower, val, dy, T.variance)
-    data = np.moveaxis(pack(nab, T.rank + 1), 0, -1)
-    return TensorValue(data, T.variance + "l", pt)
+    return TensorValue(np.moveaxis(pack(nab, T.rank + 1), 0, -1), T.variance + "l")
 
 
-def nabla_0(s, T: TensorField, z):
+def nabla_0(tower, T: TensorField):
     """Covariant derivative along the tautological direction y."""
-    tower, pt = _point_tower(s, z)
     val, dx, dy = T.partials(tower.xs, tower.ys)
     nab = cov_h(tower, val, dx, dy, T.variance)
-    return TensorValue(pack(along_y(tower, nab, T.rank), T.rank), T.variance, pt)
+    return TensorValue(pack(along_y(tower, nab, T.rank), T.rank), T.variance)

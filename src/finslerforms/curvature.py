@@ -8,9 +8,9 @@ holds.  The hv-block is the P curvature of the Cartan connection
 (Bao-Chern-Shen, *An Introduction to Riemann-Finsler Geometry*, 2000); it
 vanishes on Riemannian inputs.
 
-One pointwise path: a point is validated by ``FinslerStructure._coords``,
-and each public function reads one block off ``connection._point_tower``.
-Several blocks at one point are their kernels run on one tower.
+Each block is a kernel of a tower (:func:`hh_components`, ...), at a point,
+on a grid or at jet coordinates.  At one point every block is read off the
+tower of ``connection.tower_at``, so several blocks share its layers.
 """
 
 from __future__ import annotations
@@ -20,12 +20,12 @@ import numpy as np
 from .connection import (
     LocalTower,
     TensorField,
-    _point_tower,
     cov_hh,
     cov_v,
     nested_build,
     pack,
     sum_terms,
+    tower_at,
 )
 from .errors import DomainError
 from .metric import TensorValue
@@ -90,47 +90,27 @@ def ricci_components(tower: LocalTower):
     return [[sum_terms(hh[l][i][l][j] for l in range(n)) for j in range(n)] for i in range(n)]
 
 
-def hh_curvature(s, z):
-    tower, pt = _point_tower(s, z)
-    return TensorValue(pack(hh_components(tower), 4), "ulll", pt)
+def checked_flag(tower: LocalTower):
+    """The flag curvature R^i_jk at a pointwise tower as a float array, once
+    it agrees with the y-contraction of the hh-curvature; disagreement
+    signals an engine defect."""
+    flag = pack(tower.flag, 3)
+    alt = np.einsum("m,imjk->ijk", tower.ys, pack(hh_components(tower), 4))
+    defect = float(np.max(np.abs(flag - alt)))
+    scale = 1.0 + float(np.max(np.abs(flag)))
+    if defect / scale > FLAG_CROSS_CHECK_TOL:
+        raise DomainError(f"flag curvature cross-check failed: |direct - y.hh| = {defect:.3e}")
+    return flag
 
 
 def flag_curvature_tensor(s, z, cross_check=True):
-    """Curvature of the nonlinear connection R^i_jk.
-
-    With ``cross_check`` the y-contraction of the hh-curvature is compared
-    against the direct form; disagreement signals an engine defect.
-    """
-    tower, pt = _point_tower(s, z)
-    flag = pack(tower.flag, 3)
-    if cross_check:
-        hh = pack(hh_components(tower), 4)
-        alt = np.einsum("m,imjk->ijk", pt[1], hh)
-        defect = float(np.max(np.abs(flag - alt)))
-        scale = 1.0 + float(np.max(np.abs(flag)))
-        if defect / scale > FLAG_CROSS_CHECK_TOL:
-            raise DomainError(
-                f"flag curvature cross-check failed: |direct - y.hh| = {defect:.3e}"
-            )
-    return TensorValue(flag, "ull", pt)
+    """Curvature of the nonlinear connection R^i_jk at z, with the cross-check
+    of :func:`checked_flag` if ``cross_check``."""
+    tower = tower_at(s, z)
+    return TensorValue(checked_flag(tower) if cross_check else pack(tower.flag, 3), "ull")
 
 
-def hv_curvature(s, z):
-    tower, pt = _point_tower(s, z)
-    return TensorValue(pack(hv_components(tower), 4), "ulll", pt)
-
-
-def vv_curvature(s, z):
-    tower, pt = _point_tower(s, z)
-    return TensorValue(pack(vv_components(tower), 4), "ulll", pt)
-
-
-def ricci_trace(s, z):
-    tower, pt = _point_tower(s, z)
-    return TensorValue(pack(ricci_components(tower), 2), "ll", pt)
-
-
-def ricci_identity_residual(s, X: TensorField, z):
+def ricci_identity_residual(tower: LocalTower, X: TensorField):
     """Commutator of horizontal covariant derivatives minus its curvature value.
 
     The residual res[i][k][h] should vanish for any smooth vector field; it
@@ -138,7 +118,6 @@ def ricci_identity_residual(s, X: TensorField, z):
     """
     if X.variance != "u":
         raise DomainError("ricci identity residual expects a vector field (variance 'u')")
-    tower, pt = _point_tower(s, z)
     n = tower.n
     # D[a][b][i] = nabla_a nabla_b X^i
     (val, _, dy), _, D = cov_hh(tower, lambda tw: X.components(tw.xs, tw.ys), "u")
@@ -154,4 +133,4 @@ def ricci_identity_residual(s, X: TensorField, z):
             acc = acc + vt[r][i] * flag[r][k][h]
         return acc
 
-    return TensorValue(pack(nested_build(n, 3, entry), 3), "ull", pt)
+    return TensorValue(pack(nested_build(n, 3, entry), 3), "ull")

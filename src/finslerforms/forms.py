@@ -52,7 +52,6 @@ from . import jets
 from .connection import (
     LocalTower,
     TensorField,
-    _point_tower,
     along_y,
     cov_h,
     cov_h_entry,
@@ -63,6 +62,7 @@ from .connection import (
     pack,
     sum_terms,
     tget,
+    tower_at,
 )
 from .errors import (
     DegreeMismatch,
@@ -99,8 +99,7 @@ class HorizontalForm:
 
     def at(self, s, z):
         """Packed coefficient array at a single validated point."""
-        tower, pt = _point_tower(s, z)
-        return TensorValue(pack(self.on(tower), self.degree), "l" * self.degree, pt)
+        return TensorValue(pack(self.on(tower_at(s, z)), self.degree), "l" * self.degree)
 
 
 def _operator_form(s, degree, kernel, label):
@@ -308,10 +307,9 @@ def laplacian_expansion(s, phi: HorizontalForm) -> HorizontalForm:
     )
 
 
-def pointwise_inner(s, phi: HorizontalForm, psi: HorizontalForm, z):
+def pointwise_inner(tower: LocalTower, phi: HorizontalForm, psi: HorizontalForm):
     if phi.degree != psi.degree:
         raise DegreeMismatch(f"degrees {phi.degree} and {psi.degree} differ")
-    tower, _ = _point_tower(s, z)
     a = phi.on(tower)
     b = psi.on(tower)
     return float(jets.primal(inner_coeffs(tower, a, b, phi.degree)))
@@ -357,7 +355,7 @@ def associate_one_form(s, X: TensorField) -> AssociatedForm:
     return AssociatedForm(horizontal=horizontal, vertical=vertical, source=X)
 
 
-def weitzenbock_residual(s, X: TensorField, z):
+def weitzenbock_residual(tower: LocalTower, X: TensorField):
     """Second-order identity satisfied by the associated horizontal form.
 
     Returns the lower-index residual whose components equal minus the
@@ -366,9 +364,8 @@ def weitzenbock_residual(s, X: TensorField, z):
     """
     from .curvature import ricci_components
 
-    tower, pt = _point_tower(s, z)
     n = tower.n
-    low = lowered_form(s, X)
+    low = lowered_form(tower.s, X)
     (val, _, _), nab, D = cov_hh(tower, low.on, "l")
     gi = tower.gi
     nT = tower.nabla0T
@@ -391,16 +388,11 @@ def weitzenbock_residual(s, X: TensorField, z):
         acc = acc + sum_terms(vt[t][r] * flag[t][r][i] for t in range(n) for r in range(n))
         acc = acc - sum_terms(Xv[r] * nnT[i][r] for r in range(n))
         out.append(acc)
-    return TensorValue(pack(out, 1), "l", pt)
-
-
-def bochner_scalar(s, X: TensorField, z):
-    """Curvature quadratic form classifying harmonic vector fields."""
-    tower, _ = _point_tower(s, z)
-    return float(jets.primal(bochner_scalar_at(tower, X)))
+    return TensorValue(pack(out, 1), "l")
 
 
 def bochner_scalar_at(tower: LocalTower, X: TensorField):
+    """Curvature quadratic form classifying harmonic vector fields."""
     from .curvature import ricci_components
 
     n = tower.n
@@ -476,7 +468,7 @@ def energy_identity_residuals(s, X: TensorField, z):
     the returned values measure end-to-end numerical consistency of the
     covariant derivative stack.
     """
-    tower, _ = _point_tower(s, z)
+    tower = tower_at(s, z)
     n = tower.n
     dW = jets.primal(deltaH_coeffs(tower, transport_form(s, X)))
     dX = jets.primal(deltaH_coeffs(tower, lowered_form(s, X, label="X")))

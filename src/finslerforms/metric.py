@@ -1,17 +1,16 @@
 """Finsler structures and the zeroth layer of the tensor tower.
 
-A :class:`FinslerStructure` evaluates F(x, y) and, through the jet engine,
-the fundamental tensor, Cartan tensor, Cartan trace and Hilbert form at any
-point of the slit tangent bundle.  The component helpers of g, g^-1, T and
-the Hilbert form are generic: they accept floats, batched numpy arrays or
-jets, so higher layers can differentiate straight through them.  The Cartan
-tensor has no helper here: ``connection.LocalTower.C`` takes it as half of
-g's y partial, by the rule that gives every partial of a tower layer.
+A :class:`FinslerStructure` evaluates F(x, y) and validates a point of the
+slit tangent bundle (:meth:`FinslerStructure._coords`).  The component
+helpers of g, g^-1, T and the Hilbert form are generic: they accept floats,
+batched numpy arrays or jets, so higher layers can differentiate straight
+through them.  The Cartan tensor has no helper here:
+``connection.LocalTower.C`` takes it as half of g's y partial, by the rule
+that gives every partial of a tower layer.
 
-One pointwise path: a point z = (x, y) is validated by
-:meth:`FinslerStructure._coords`, and g, g^-1, C and T at a point are read
-off ``connection._point_tower``, one tensor per method.  The tower has no
-Hilbert-form layer, so ``hilbert_form`` uses its component helper.
+A tensor at a point is read off the tower of ``connection.tower_at``: the
+readers :func:`g_array`, :func:`ginv_array` and :func:`hilbert_array` add the
+checks and the Hilbert form that the tower's layers do not hold.
 """
 
 from __future__ import annotations
@@ -123,7 +122,6 @@ class TensorValue:
 
     data: np.ndarray
     variance: str
-    point: object
 
     @property
     def rank(self):
@@ -375,35 +373,51 @@ class FinslerStructure:
         f = self.F(x, u)
         return SpherePoint(x=np.asarray(x, float), y=np.asarray(u, float) / f)
 
-    def _tower_tensor(self, z, layer, variance):
-        """The tensor ``layer`` of the tower at z, read as a float array."""
-        from .connection import _point_tower
-
-        tower, pt = _point_tower(self, z)
-        return TensorValue(np.array(getattr(tower, layer), float), variance, pt)
-
+    # one tensor per call, each on a tower of its own; several tensors at one
+    # point are read off one tower_at instead
     def fundamental_tensor(self, z):
-        g = self._tower_tensor(z, "g", "ll")
-        x, y = g.point
-        _cholesky_check(g.data, where=f"x={x.tolist()}, y={y.tolist()}", label=self.label)
-        return g
+        return TensorValue(g_array(_tower_at(self, z)), "ll")
 
     def inverse_metric(self, z):
-        gi = self._tower_tensor(z, "gi", "uu")
-        if not np.all(np.isfinite(gi.data)):
-            raise SingularMetric("inverse metric is not finite")
-        return gi
+        return TensorValue(ginv_array(_tower_at(self, z)), "uu")
 
     def cartan_tensor(self, z):
-        return self._tower_tensor(z, "C", "lll")
+        return TensorValue(np.array(_tower_at(self, z).C, float), "lll")
 
     def cartan_trace(self, z):
-        return self._tower_tensor(z, "Tt", "l")
+        return TensorValue(np.array(_tower_at(self, z).Tt, float), "l")
 
     def hilbert_form(self, z):
-        x, y = self._coords(z)
-        ell = np.array(hilbert_components(self, list(x), list(y)), float)
-        return TensorValue(ell, "l", (x, y))
+        return TensorValue(hilbert_array(_tower_at(self, z)), "l")
+
+
+def _tower_at(s, z):
+    from .connection import tower_at  # connection imports this module
+
+    return tower_at(s, z)
+
+
+# -- readers of a pointwise tower ------------------------------------------------
+
+
+def g_array(tower):
+    """g_ij at the tower's point as a float array, once it passes the Cholesky check."""
+    g = np.array(tower.g, float)
+    _cholesky_check(g, where=f"x={tower.xs}, y={tower.ys}", label=tower.s.label)
+    return g
+
+
+def ginv_array(tower):
+    """g^ij at the tower's point as a float array, once every entry is finite."""
+    gi = np.array(tower.gi, float)
+    if not np.all(np.isfinite(gi)):
+        raise SingularMetric("inverse metric is not finite")
+    return gi
+
+
+def hilbert_array(tower):
+    """The Hilbert form ell_i at the tower's point as a float array."""
+    return np.array(hilbert_components(tower.s, tower.xs, tower.ys), float)
 
 
 def _cholesky_check(g, where, label):

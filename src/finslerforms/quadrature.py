@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forms as _forms
-from .connection import LocalTower, TensorField, _point_tower
+from .connection import LocalTower, TensorField, tower_at
 from .errors import (
     DegreeMismatch,
     DomainError,
@@ -269,7 +269,7 @@ def volume_density(s, x, theta) -> VolumeDensity:
     if any(abs(math.sin(th)) < FIBER_POLAR_MARGIN / 2 for th in theta[:-1]):
         raise PoleSingularity("polar fiber angle too close to the axis")
     # g is 0-homogeneous in y, so it is taken at u itself, where F is F(x, u)
-    tower, _ = _point_tower(s, (np.atleast_1d(x), fiber_direction(theta)))
+    tower = tower_at(s, (np.atleast_1d(x), fiber_direction(theta)))
     raw = float(_raw_density(tower.g, tower.ys, theta, tower.F))
     return VolumeDensity(value=abs(raw), raw=raw)
 
@@ -307,15 +307,21 @@ def form_grid_norm(s, phi, grid: QuadratureGrid) -> float:
     return math.sqrt(max(val, 0.0))
 
 
+def _warn_on_bounded_chart(grid, identity):
+    """Warn that ``identity`` holds only up to boundary flux when the chart
+    has non-periodic axes."""
+    if any(not ax.periodic for ax in grid.base_axes):
+        warnings.warn(
+            f"chart has non-periodic axes: {identity} holds only up to boundary flux",
+            stacklevel=3,
+        )
+
+
 def divergence_integral_check(s, pi, grid: QuadratureGrid) -> float:
     """Normalized defect of the vanishing divergence integral for a 1-form."""
     if pi.degree != 1:
         raise GridError("divergence check expects a 1-form")
-    if any(not ax.periodic for ax in grid.base_axes):
-        warnings.warn(
-            "chart has non-periodic axes: the divergence integral holds only up to boundary flux",
-            stacklevel=2,
-        )
+    _warn_on_bounded_chart(grid, "the divergence integral")
     integral = integrate_scalar(s, _forms.deltaH_coeffs(grid.tower(s), pi), grid)
     norm = form_grid_norm(s, pi, grid)
     return abs(integral) / (1.0 + norm)
@@ -325,6 +331,7 @@ def adjointness_defect(s, phi, psi, grid: QuadratureGrid) -> float:
     """Relative defect of (d_H phi, psi) = (phi, delta_H psi) on the grid."""
     if psi.degree != phi.degree + 1:
         raise DegreeMismatch("psi must have degree one higher than phi")
+    _warn_on_bounded_chart(grid, "adjointness")
     lhs = global_inner_product(s, _forms.horizontal_differential(s, phi), psi, grid)
     rhs = global_inner_product(s, phi, _forms.horizontal_codifferential(s, psi), grid)
     return abs(lhs - rhs) / (1.0 + abs(lhs))

@@ -23,8 +23,9 @@ import numpy as np
 from . import builtins as bi
 from . import curvature as curvature_mod
 from . import forms as forms_mod
+from . import metric as metric_mod
 from . import quadrature as quad
-from .connection import TensorField, _point_tower, pack
+from .connection import TensorField, pack, tower_at
 from .errors import (
     ConfigError, FinslerError, GridError, NotPositiveDefinite, TaskError
 )
@@ -36,27 +37,27 @@ ENGINE_TOLERANCES = {
     "grid_default": quad.DEFAULT_TOLERANCE,
 }
 
-# What a tensor or curvature task reads at a point z = (x, y), by its
+# What a tensor or curvature task reads off the tower at its point, by its
 # 'which'; the first is the default.  Each reader looks its function up at
 # call time, so wrappers installed on a module (bench/tracing.py) apply.
 POINT_READERS = {
     "tensor": {
-        "g": lambda s, z: s.fundamental_tensor(z).data,
-        "ginv": lambda s, z: s.inverse_metric(z).data,
-        "C": lambda s, z: s.cartan_tensor(z).data,
-        "T": lambda s, z: s.cartan_trace(z).data,
-        "ell": lambda s, z: s.hilbert_form(z).data,
-        "G": lambda s, z: pack(_point_tower(s, z)[0].G, 1),
-        "N": lambda s, z: pack(_point_tower(s, z)[0].N, 2),
-        "Gamma": lambda s, z: pack(_point_tower(s, z)[0].Gamma, 3),
-        "Cv": lambda s, z: pack(_point_tower(s, z)[0].Cmix, 3),
+        "g": lambda tw: metric_mod.g_array(tw),
+        "ginv": lambda tw: metric_mod.ginv_array(tw),
+        "C": lambda tw: pack(tw.C, 3),
+        "T": lambda tw: pack(tw.Tt, 1),
+        "ell": lambda tw: metric_mod.hilbert_array(tw),
+        "G": lambda tw: pack(tw.G, 1),
+        "N": lambda tw: pack(tw.N, 2),
+        "Gamma": lambda tw: pack(tw.Gamma, 3),
+        "Cv": lambda tw: pack(tw.Cmix, 3),
     },
     "curvature": {
-        "Rhh": lambda s, z: curvature_mod.hh_curvature(s, z).data,
-        "P": lambda s, z: curvature_mod.hv_curvature(s, z).data,
-        "Q": lambda s, z: curvature_mod.vv_curvature(s, z).data,
-        "Rflag": lambda s, z: curvature_mod.flag_curvature_tensor(s, z).data,
-        "Ricci": lambda s, z: curvature_mod.ricci_trace(s, z).data,
+        "Rhh": lambda tw: pack(curvature_mod.hh_components(tw), 4),
+        "P": lambda tw: pack(curvature_mod.hv_components(tw), 4),
+        "Q": lambda tw: pack(curvature_mod.vv_components(tw), 4),
+        "Rflag": lambda tw: curvature_mod.checked_flag(tw),
+        "Ricci": lambda tw: pack(curvature_mod.ricci_components(tw), 2),
     },
 }
 # The integer task parameters: default and minimum.  A check over no
@@ -255,7 +256,7 @@ def _parse_point_task(s, kind, params, ints, tolerance, where):
     readers = POINT_READERS[kind]
     which = _choice(params, "which", next(iter(readers)), readers, kind, where)
     read, z = readers[which], _parse_point(s, params.get("at"), where)
-    return lambda grid, rng: ({"which": which, "components": np.asarray(read(s, z)).tolist()}, True)
+    return lambda grid, rng: ({"which": which, "components": read(tower_at(s, z)).tolist()}, True)
 
 
 def task_form(s, params):
@@ -318,7 +319,7 @@ def _parse_ricci(s, params, ints, where):
     def defect(grid, rng):  # one field at its own points
         X = bi.random_trig_vector(rng, s, trig_degree=ints["degree"])
         zs = bi.random_chart_points(rng, s, ints["points"])
-        res = [curvature_mod.ricci_identity_residual(s, X, z).data for z in zs]
+        res = [curvature_mod.ricci_identity_residual(tower_at(s, z), X).data for z in zs]
         return float(np.max(np.abs(res)))
 
     return _worst_of("max_residual", ints["fields"], defect)

@@ -11,16 +11,16 @@ import numpy as np
 import pytest
 
 from finslerforms import builtins as bi
-from finslerforms.connection import TensorField, cartan_coefficients
+from finslerforms.connection import TensorField, pack, tower_at
 from finslerforms.curvature import (
-    hh_curvature,
-    hv_curvature,
+    hh_components,
+    hv_components,
+    ricci_components,
     ricci_identity_residual,
-    ricci_trace,
-    vv_curvature,
+    vv_components,
 )
 from finslerforms.forms import (
-    bochner_scalar,
+    bochner_scalar_at,
     energy_identity_residuals,
     horizontal_laplacian,
     is_h_harmonic,
@@ -98,16 +98,18 @@ def test_criterion_02_riemannian_reduction():
     worst_vanish = 0.0
     for z in bi.random_chart_points(rng, s, 15):
         th = z.x[0]
-        pt = (z.x, z.y)
-        conn = cartan_coefficients(s, pt)
-        worst_closed = max(worst_closed, np.max(np.abs(conn.Gamma - sphere_christoffel(th))))
-        R = hh_curvature(s, pt).data
+        tower = tower_at(s, (z.x, z.y))
+        Gamma = pack(tower.Gamma, 3)
+        worst_closed = max(worst_closed, np.max(np.abs(Gamma - sphere_christoffel(th))))
+        R = pack(hh_components(tower), 4)
         worst_closed = max(worst_closed, np.max(np.abs(R - sphere_riemann(th))))
         ricci_expect = np.diag([1.0, math.sin(th) ** 2])
-        worst_closed = max(worst_closed, np.max(np.abs(ricci_trace(s, pt).data - ricci_expect)))
-        for block in (conn.Cv, hv_curvature(s, pt).data, vv_curvature(s, pt).data):
+        ricci = pack(ricci_components(tower), 2)
+        worst_closed = max(worst_closed, np.max(np.abs(ricci - ricci_expect)))
+        blocks = (pack(tower.Cmix, 3), pack(hv_components(tower), 4), pack(vv_components(tower), 4))
+        for block in blocks:
             worst_vanish = max(worst_vanish, np.max(np.abs(block)))
-        worst_vanish = max(worst_vanish, np.max(np.abs(s.cartan_trace((z.x, z.y)).data)))
+        worst_vanish = max(worst_vanish, np.max(np.abs(pack(tower.Tt, 1))))
     ok1 = report("criterion 2 sphere closed forms", worst_closed, 1e-6)
     ok2 = report("criterion 2 Cartan blocks vanish", worst_vanish, 1e-8)
     assert ok1 and ok2
@@ -123,7 +125,7 @@ def test_criterion_03_ricci_identity():
         for _ in range(50):
             X = bi.random_trig_vector(rng, s, trig_degree=2)
             for z in bi.random_chart_points(rng, s, 2):
-                res = ricci_identity_residual(s, X, (z.x, z.y))
+                res = ricci_identity_residual(tower_at(s, (z.x, z.y)), X)
                 worst = max(worst, float(np.max(np.abs(res.data))))
     assert report("criterion 3 ricci identity", worst, tol)
 
@@ -256,13 +258,14 @@ def test_criterion_10_harmonic_field_classification():
         X = TensorField.from_vector(lambda xs: [0.8, -0.5], label="constant")
         rng = np.random.default_rng(110)
         for z in bi.random_chart_points(rng, s, 10):
-            worst_flat = max(worst_flat, abs(bochner_scalar(s, X, (z.x, z.y))))
+            worst_flat = max(worst_flat, abs(bochner_scalar_at(tower_at(s, (z.x, z.y)), X)))
         res = bochner_integral(s, X, grid)
         worst_flat = max(worst_flat, res["grad_norm_integral"], abs(res["sum"]))
     ok &= report("criterion 10 parallel branch on tori", worst_flat, 1e-8)
 
     sph = bi.get_metric("riemannian-sphere")
-    K = bochner_scalar(sph, bi.get_field("d-phi", sph), ([math.pi / 2, 0.4], [1.0, 0.0]))
+    tower = tower_at(sph, ([math.pi / 2, 0.4], [1.0, 0.0]))
+    K = bochner_scalar_at(tower, bi.get_field("d-phi", sph))
     ok &= report("criterion 10 equator spot value", abs(K - 1.0), 1e-6, extra=f"(K={K:.8f})")
 
     grid = QuadratureGrid.for_structure(sph)

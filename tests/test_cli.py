@@ -10,8 +10,10 @@ import pytest
 from finslerforms import builtins as bi
 from finslerforms import curvature, forms, quadrature
 from finslerforms.cli import main
+from finslerforms.connection import tower_at
 from finslerforms.errors import ConfigError, TaskError
 from finslerforms.scenario import (
+    POINT_READERS,
     grid_from_config,
     metric_from_config,
     parse_task,
@@ -20,6 +22,8 @@ from finslerforms.scenario import (
     scenario_hash,
     validate_scenario,
 )
+
+from conftest import base_dependent_randers, sample_points
 
 
 def run_cli(capsys, *argv):
@@ -331,6 +335,41 @@ NAN_DEFECTS = [
         curvature, "ricci_identity_residual", _residual,
     ),
 ]
+
+
+# the rank of each block a tensor or curvature task reads
+READER_RANKS = {
+    "g": 2, "ginv": 2, "C": 3, "T": 1, "ell": 1, "G": 1, "N": 2, "Gamma": 3, "Cv": 3,
+    "Rhh": 4, "P": 4, "Q": 4, "Rflag": 3, "Ricci": 2,
+}
+
+
+class TestPointReaders:
+    """Every reader of a tensor or curvature task, through the scenario path,
+    on a genuinely Finsler metric that depends on the base point."""
+
+    @pytest.fixture(scope="class", params=[2, 3], ids=["2d", "3d"])
+    def metric(self, request):
+        return base_dependent_randers(request.param)
+
+    def test_ranks_cover_every_reader(self):
+        assert {which for readers in POINT_READERS.values() for which in readers} == set(READER_RANKS)
+
+    @pytest.mark.parametrize(
+        "kind, which", [(kind, which) for kind, readers in POINT_READERS.items() for which in readers]
+    )
+    def test_task_reads_the_tower(self, metric, kind, which):
+        z = sample_points(metric, 1)[0]
+        at = {"x": z.x.tolist(), "y": z.y.tolist()}
+        result, ok = run_task(
+            metric, None, kind, {"which": which, "at": at}, None, np.random.default_rng(0)
+        )
+        got = np.asarray(result["components"], float)
+        assert ok is True and result["which"] == which
+        assert got.shape == (metric.dim,) * READER_RANKS[which]
+        assert np.all(np.isfinite(got))
+        want = POINT_READERS[kind][which](tower_at(metric, (z.x, z.y)))
+        assert got.tobytes() == np.asarray(want, float).tobytes()
 
 
 class TestScenarioRunner:

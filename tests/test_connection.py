@@ -10,18 +10,15 @@ from finslerforms.connection import (
     LocalTower,
     TensorField,
     _collapse_zeros,
-    _point_tower,
-    cartan_coefficients,
     cov_h,
     cov_hh,
     delta_derivative,
     h_covariant_derivative,
     nabla_0,
     nested_build,
-    nonlinear_connection,
     pack,
-    spray,
     tget,
+    tower_at,
     v_covariant_derivative,
 )
 from finslerforms.curvature import (
@@ -36,11 +33,13 @@ from finslerforms.forms import (
     laplacian_expansion,
     laplacian_expansion_coeffs,
 )
-from finslerforms.jets import JetRequest, fd_partial, grad_wrt, grad_x, grad_xy, grad_y, gsin, gsqrt
+from finslerforms.jets import (
+    JetRequest, fd_partial, grad_wrt, grad_x, grad_xy, grad_y, gsin, gsqrt, partial,
+)
 from finslerforms.metric import metric_components
 from finslerforms.quadrature import QuadratureGrid
 
-from conftest import randers_base_fields, sample_points
+from conftest import base_dependent_randers, randers_base_fields, sample_points
 
 FAMILIES = ["euclidean", "randers-torus", "riemannian-torus", "riemannian-sphere", "quartic-torus"]
 
@@ -57,11 +56,11 @@ class TestSpray:
     def test_flat_families_have_zero_spray(self, euclidean, randers):
         for s in (euclidean, randers):
             for z in sample_points(s, 5):
-                assert np.max(np.abs(spray(s, (z.x, z.y)).data)) < 1e-12
+                assert np.max(np.abs(pack(tower_at(s, (z.x, z.y)).G, 1))) < 1e-12
 
     def test_sphere_spray_matches_christoffel(self, sphere):
         for z in sample_points(sphere, 5):
-            G = spray(sphere, (z.x, z.y)).data
+            G = pack(tower_at(sphere, (z.x, z.y)).G, 1)
             Gam = sphere_christoffel(z.x[0])
             expected = 0.5 * np.einsum("ijk,j,k->i", Gam, z.y, z.y)
             assert np.max(np.abs(G - expected)) < 1e-8
@@ -69,19 +68,19 @@ class TestSpray:
     def test_spray_two_homogeneous(self, sphere, quartic):
         for s in (sphere, quartic):
             for z in sample_points(s, 5):
-                G1 = spray(s, (z.x, z.y)).data
-                G2 = spray(s, (z.x, 2.0 * z.y)).data
+                G1 = pack(tower_at(s, (z.x, z.y)).G, 1)
+                G2 = pack(tower_at(s, (z.x, 2.0 * z.y)).G, 1)
                 assert np.max(np.abs(G2 - 4.0 * G1)) < 1e-10 * (1 + np.max(np.abs(G2)))
 
     def test_nonlinear_connection_euler(self, sphere):
         for z in sample_points(sphere, 5):
-            N = nonlinear_connection(sphere, (z.x, z.y)).data
-            G = spray(sphere, (z.x, z.y)).data
+            tower = tower_at(sphere, (z.x, z.y))
+            N, G = pack(tower.N, 2), pack(tower.G, 1)
             assert np.max(np.abs(N @ z.y - 2.0 * G)) < 1e-10
 
     def test_nonlinear_connection_fd_oracle(self, sphere):
         z = sample_points(sphere, 1)[0]
-        N = nonlinear_connection(sphere, (z.x, z.y)).data
+        N = pack(tower_at(sphere, (z.x, z.y)).N, 2)
 
         def G0(xs, ys):
             from finslerforms.connection import LocalTower
@@ -122,7 +121,7 @@ class TestSpray:
                     col = mpmath.lu_solve(gm, mpmath.matrix(drv[j]) / 4 - mpmath.matrix(dgv[j]) * G)
                     for i in range(2):
                         N[i, j] = col[i]
-                tower, _ = _point_tower(randers_base, (z.x, z.y))
+                tower = tower_at(randers_base, (z.x, z.y))
                 for got, want in ((pack(tower.G, 1), G), (pack(tower.N, 2), N)):
                     want = np.array(want.tolist(), dtype=float).reshape(got.shape)
                     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -131,7 +130,7 @@ class TestSpray:
 class TestDeltaDerivative:
     def test_flat_torus_reduces_to_partial(self, randers):
         z = sample_points(randers, 1)[0]
-        d = delta_derivative(randers, lambda xs, ys: __import__("finslerforms.jets", fromlist=["gsin"]).gsin(xs[0]), (z.x, z.y), 0)
+        d = delta_derivative(tower_at(randers, (z.x, z.y)), lambda xs, ys: gsin(xs[0]), 0)
         assert abs(d - math.cos(z.x[0])) < 1e-12
 
     def test_norm_is_horizontally_constant(self):
@@ -139,41 +138,45 @@ class TestDeltaDerivative:
             s = bi.get_metric(name)
             for z in sample_points(s, 3):
                 for axis in range(s.dim):
-                    d = delta_derivative(s, lambda xs, ys: gsqrt(s.f2(xs, ys)), (z.x, z.y), axis)
+                    tower = tower_at(s, (z.x, z.y))
+                    d = delta_derivative(tower, lambda xs, ys: gsqrt(s.f2(xs, ys)), axis)
                     assert abs(d) < 1e-9, name
 
 
 class TestCartanCoefficients:
     def test_sphere_christoffel_closed_form(self, sphere):
         th = math.pi / 3
-        conn = cartan_coefficients(sphere, ([th, 0.4], [0.3, 0.9]))
-        assert conn.Gamma[0, 1, 1] == pytest.approx(-math.sqrt(3.0) / 4.0, abs=1e-10)
-        assert np.max(np.abs(conn.Gamma - sphere_christoffel(th))) < 1e-8
-        assert np.max(np.abs(conn.Cv)) < 1e-10
+        tower = tower_at(sphere, ([th, 0.4], [0.3, 0.9]))
+        Gamma = pack(tower.Gamma, 3)
+        assert Gamma[0, 1, 1] == pytest.approx(-math.sqrt(3.0) / 4.0, abs=1e-10)
+        assert np.max(np.abs(Gamma - sphere_christoffel(th))) < 1e-8
+        assert np.max(np.abs(pack(tower.Cmix, 3))) < 1e-10
 
     def test_constant_randers_is_locally_minkowski(self, randers):
         for z in sample_points(randers, 5):
-            conn = cartan_coefficients(randers, (z.x, z.y))
-            assert np.max(np.abs(conn.Gamma)) < 1e-12
-            assert np.max(np.abs(conn.N)) < 1e-12
-            Cy = np.einsum("ijk,j->ik", conn.Cv, z.y)
+            tower = tower_at(randers, (z.x, z.y))
+            Cv = pack(tower.Cmix, 3)
+            assert np.max(np.abs(pack(tower.Gamma, 3))) < 1e-12
+            assert np.max(np.abs(pack(tower.N, 2))) < 1e-12
+            Cy = np.einsum("ijk,j->ik", Cv, z.y)
             assert np.max(np.abs(Cy)) < 1e-10
-            assert np.max(np.abs(conn.Cv)) > 1e-3
+            assert np.max(np.abs(Cv)) > 1e-3
 
     def test_gamma_symmetric_lower_pair(self):
         rng_pts = 20
         for name in FAMILIES:
             s = bi.get_metric(name)
             for z in sample_points(s, rng_pts):
-                conn = cartan_coefficients(s, (z.x, z.y))
-                assert np.max(np.abs(conn.Gamma - conn.Gamma.transpose(0, 2, 1))) < 1e-10
+                Gamma = pack(tower_at(s, (z.x, z.y)).Gamma, 3)
+                assert np.max(np.abs(Gamma - Gamma.transpose(0, 2, 1))) < 1e-10
 
     def test_n_equals_gamma_contraction(self):
         for name in FAMILIES:
             s = bi.get_metric(name)
             for z in sample_points(s, 10):
-                conn = cartan_coefficients(s, (z.x, z.y))
-                assert conn.n_gamma_defect < 1e-8, name
+                tower = tower_at(s, (z.x, z.y))
+                N, Gamma = pack(tower.N, 2), pack(tower.Gamma, 3)
+                assert np.max(np.abs(N - np.einsum("ijk,k->ij", Gamma, z.y))) < 1e-8, name
 
 
 class TestCovariantDerivatives:
@@ -182,15 +185,16 @@ class TestCovariantDerivatives:
             s = bi.get_metric(name)
             gfield = TensorField(lambda xs, ys, s=s: metric_components(s, xs, ys), "ll")
             for z in sample_points(s, 5):
-                nh = h_covariant_derivative(s, gfield, (z.x, z.y)).data
-                nv = v_covariant_derivative(s, gfield, (z.x, z.y)).data
+                tower = tower_at(s, (z.x, z.y))
+                nh = h_covariant_derivative(tower, gfield).data
+                nv = v_covariant_derivative(tower, gfield).data
                 assert np.max(np.abs(nh)) < 1e-8, name
                 assert np.max(np.abs(nv)) < 1e-8, name
 
     def test_kronecker_delta_is_parallel(self, sphere):
         delta = TensorField(lambda xs, ys: np.eye(2).tolist(), "ul")
         for z in sample_points(sphere, 3):
-            nh = h_covariant_derivative(sphere, delta, (z.x, z.y)).data
+            nh = h_covariant_derivative(tower_at(sphere, (z.x, z.y)), delta).data
             assert np.max(np.abs(nh)) < 1e-12
 
     def test_flat_scalar_derivative_is_plain_partial(self, randers):
@@ -198,7 +202,7 @@ class TestCovariantDerivatives:
 
         f = TensorField(lambda xs, ys: gsin(xs[0]), "")
         for z in sample_points(randers, 3):
-            nh = h_covariant_derivative(randers, f, (z.x, z.y)).data
+            nh = h_covariant_derivative(tower_at(randers, (z.x, z.y)), f).data
             assert abs(nh[0] - math.cos(z.x[0])) < 1e-12
             assert abs(nh[1]) < 1e-12
 
@@ -214,9 +218,8 @@ class TestCovariantDerivatives:
             lambda xs, ys: [[ai * bj for bj in b(xs)] for ai in a(xs)], "ul"
         )
         for z in sample_points(sphere, 3):
-            nS = h_covariant_derivative(sphere, S, (z.x, z.y)).data
-            nT = h_covariant_derivative(sphere, T, (z.x, z.y)).data
-            nST = h_covariant_derivative(sphere, ST, (z.x, z.y)).data
+            tower = tower_at(sphere, (z.x, z.y))
+            nS, nT, nST = (h_covariant_derivative(tower, F).data for F in (S, T, ST))
             Sv = np.array(a(list(z.x)), float)
             Tv = np.array(b(list(z.x)), float)
             expected = np.einsum("ih,j->ijh", nS, Tv) + np.einsum("i,jh->ijh", Sv, nT)
@@ -227,7 +230,7 @@ class TestCovariantDerivatives:
 
         T = TensorField(lambda xs, ys: [gsin(xs[0]), 0.0], "l")
         for z in sample_points(riemannian_torus, 3):
-            nv = v_covariant_derivative(riemannian_torus, T, (z.x, z.y)).data
+            nv = v_covariant_derivative(tower_at(riemannian_torus, (z.x, z.y)), T).data
             assert np.max(np.abs(nv)) < 1e-12
 
     def test_vertical_derivative_fd_oracle(self, randers):
@@ -236,8 +239,9 @@ class TestCovariantDerivatives:
 
         ellfield = TensorField(lambda xs, ys: hilbert_components(randers, xs, ys), "l")
         z = sample_points(randers, 1)[0]
-        nv = v_covariant_derivative(randers, ellfield, (z.x, z.y)).data
-        Cv = cartan_coefficients(randers, (z.x, z.y)).Cv
+        tower = tower_at(randers, (z.x, z.y))
+        nv = v_covariant_derivative(tower, ellfield).data
+        Cv = pack(tower.Cmix, 3)
         ell = randers.hilbert_form((z.x, z.y)).data
         for i in range(2):
             for h in range(2):
@@ -256,14 +260,38 @@ class TestNablaZero:
     def test_cartan_trace_parallel_on_constant_randers(self, randers):
         T = TensorField(lambda xs, ys: LocalTower(randers, xs, ys).Tt, "l")
         for z in sample_points(randers, 3):
-            n0 = nabla_0(randers, T, (z.x, z.y)).data
+            n0 = nabla_0(tower_at(randers, (z.x, z.y)), T).data
             assert np.max(np.abs(n0)) < 1e-12
 
     def test_metric_parallel_along_flow(self, sphere):
         gfield = TensorField(lambda xs, ys: metric_components(sphere, xs, ys), "ll")
         for z in sample_points(sphere, 3):
-            n0 = nabla_0(sphere, gfield, (z.x, z.y)).data
+            n0 = nabla_0(tower_at(sphere, (z.x, z.y)), gfield).data
             assert np.max(np.abs(n0)) < 1e-8
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_nabla0T_is_the_mean_landsberg_curvature(self, dim):
+        """T_k|0 = J_k = g^ij L_ijk, with L_ijk = -1/2 y_m d^3 G^m / dy^i dy^j dy^k
+        the Landsberg curvature of the spray (Bao-Chern-Shen 2000; Shen 2001).
+        This route reads only G, by jets.partial, and shares no code with
+        delta_c, nabla or T."""
+        s = base_dependent_randers(dim)
+        zero = (0,) * dim
+        for z in sample_points(s, 2):
+            tower = tower_at(s, (z.x, z.y))
+            point = (tower.xs, tower.ys)
+            d3G = np.empty((dim,) * 4)  # d3G[m, i, j, k]
+            for m in range(dim):
+                G_m = lambda xs, ys, m=m: LocalTower(s, xs, ys).G[m]
+                for idx in itertools.combinations_with_replacement(range(dim), 3):
+                    orders = tuple(idx.count(i) for i in range(dim))
+                    value = partial(JetRequest(G_m, point, (zero, orders)))
+                    for perm in itertools.permutations(idx):
+                        d3G[(m, *perm)] = value
+            L = -0.5 * np.einsum("m,mijk->ijk", pack(tower.y_lower, 1), d3G)
+            J = np.einsum("ij,ijk->k", pack(tower.gi, 2), L)
+            assert np.max(np.abs(J)) > 1e-2
+            assert np.max(np.abs(J - pack(tower.nabla0T, 1))) <= 1e-13 * np.max(np.abs(J))
 
 
 class TestBaseDependentRanders:
@@ -275,16 +303,16 @@ class TestBaseDependentRanders:
         s = randers_base
         one_form = TensorField(lambda xs, ys: getattr(LocalTower(s, xs, ys), source), "l")
         for z in sample_points(s, 2):
-            tower, _ = _point_tower(s, (z.x, z.y))
+            tower = tower_at(s, (z.x, z.y))
             got = pack(getattr(tower, layer), 2)  # [h][j]
-            want = h_covariant_derivative(s, one_form, (z.x, z.y)).data  # [j][h]
+            want = h_covariant_derivative(tower_at(s, (z.x, z.y)), one_form).data  # [j][h]
             assert np.max(np.abs(got)) > 1e-3
             assert np.max(np.abs(got - want.T)) < 1e-12
 
     def test_deltaCmix_fd_oracle(self, randers_base):
         s = randers_base
         z = sample_points(s, 1)[0]
-        tower, _ = _point_tower(s, (z.x, z.y))
+        tower = tower_at(s, (z.x, z.y))
         point = (list(tower.xs), list(tower.ys))
         dC = pack(tower.deltaCmix, 4)  # [c][h][k][j]
         N = pack(tower.N, 2)
@@ -438,7 +466,7 @@ class TestOnePartialPerList:
             return f2(xs, ys)
 
         monkeypatch.setattr(s, "_f2", counted)
-        tower, _ = _point_tower(s, (z.x, z.y))
+        tower = tower_at(s, (z.x, z.y))
         for name in order.split("-"):
             blocks[name](tower)
         assert len(calls) == 3
@@ -447,7 +475,7 @@ class TestOnePartialPerList:
         z = sample_points(randers_base, 1)[0]
         for x_name, y_name in self.PARTIALS:
             for first, other in ((x_name, y_name), (y_name, x_name)):
-                tower, _ = _point_tower(randers_base, (z.x, z.y))
+                tower = tower_at(randers_base, (z.x, z.y))
                 getattr(tower, first)
                 assert other in vars(tower), first
 
@@ -489,7 +517,7 @@ class TestOneChildPerTower:
         child of its own."""
         z = sample_points(randers_base, 1)[0]
         built = built_towers(monkeypatch)
-        tower, _ = _point_tower(randers_base, (z.x, z.y))
+        tower = tower_at(randers_base, (z.x, z.y))
         for kernel in (hh_components, hv_components, vv_components):
             kernel(tower)
         tower.nabla_nabla0T
@@ -511,7 +539,7 @@ class TestOneChildPerTower:
         s = (bi.get_metric(name) if name == "randers-torus-3d"
              else request.getfixturevalue(name.replace("-", "_")))
         for z in sample_points(s, 2, seed=5):
-            tower, _ = _point_tower(s, (z.x, z.y))
+            tower = tower_at(s, (z.x, z.y))
             first(tower)
             xs, ys = tower.xs, tower.ys
             dG = pack(grad_y(lambda a, b: LocalTower(s, a, b).G, xs, ys), 2).T
@@ -588,10 +616,10 @@ class TestJointSeeding:
     @classmethod
     def point_outputs(cls, s, z, seed):
         pt = (z.x, z.y)
-        out = cls.tower_outputs(_point_tower(s, pt)[0], s, seed)
+        out = cls.tower_outputs(tower_at(s, pt), s, seed)
         rng = np.random.default_rng(seed + 1)
         X = bi.random_trig_vector(rng, s)
-        out["ricci"] = ricci_identity_residual(s, X, pt).data
+        out["ricci"] = ricci_identity_residual(tower_at(s, pt), X).data
         out["energy"] = energy_identity_residuals(s, X, pt)
         for p in range(s.dim + 1):
             phi = bi.random_trig_form(rng, s, p)
@@ -630,7 +658,7 @@ class TestJointSeeding:
                 f"{k}:{key}": v
                 for k, z in enumerate(points)
                 for key, v in self.tower_outputs(
-                    _point_tower(s, (z.x, z.y))[0], s, 30 + k, hv_first=True
+                    tower_at(s, (z.x, z.y)), s, 30 + k, hv_first=True
                 ).items()
             },
             monkeypatch,

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from finslerforms import builtins as bi
-from finslerforms.connection import TensorField, cartan_coefficients
+from finslerforms.connection import TensorField, pack, tower_at
 from finslerforms.curvature import (
+    checked_flag,
     flag_curvature_tensor,
-    hh_curvature,
-    hv_curvature,
+    hh_components,
+    hv_components,
+    ricci_components,
     ricci_identity_residual,
-    ricci_trace,
-    vv_curvature,
+    vv_components,
 )
 from finslerforms.jets import gcos, gsin
 
@@ -36,35 +37,43 @@ class TestFlatFamilies:
         for name in FLAT:
             s = bi.get_metric(name)
             for z in sample_points(s, 5):
-                for block in (hh_curvature, hv_curvature, flag_curvature_tensor, ricci_trace):
-                    assert np.max(np.abs(block(s, (z.x, z.y)).data)) < 1e-10, name
+                tower = tower_at(s, (z.x, z.y))
+                blocks = (
+                    pack(hh_components(tower), 4),
+                    pack(hv_components(tower), 4),
+                    checked_flag(tower),
+                    pack(ricci_components(tower), 2),
+                )
+                for block in blocks:
+                    assert np.max(np.abs(block)) < 1e-10, name
         # the vv block vanishes for flat metrics with C = 0 only
         e = bi.get_metric("euclidean")
         z = sample_points(e, 1)[0]
-        assert np.max(np.abs(vv_curvature(e, (z.x, z.y)).data)) < 1e-14
+        assert np.max(np.abs(pack(vv_components(tower_at(e, (z.x, z.y))), 4))) < 1e-14
 
 
 class TestSphereClosedForms:
     def test_riemann_tensor(self, sphere):
         for z in sample_points(sphere, 5):
-            R = hh_curvature(sphere, (z.x, z.y)).data
+            R = pack(hh_components(tower_at(sphere, (z.x, z.y))), 4)
             assert np.max(np.abs(R - sphere_riemann(z.x[0]))) < 1e-6
 
     def test_ricci_is_einstein_with_constant_one(self, sphere):
         for z in sample_points(sphere, 5):
-            ric = ricci_trace(sphere, (z.x, z.y)).data
+            ric = pack(ricci_components(tower_at(sphere, (z.x, z.y))), 2)
             a = np.diag([1.0, math.sin(z.x[0]) ** 2])
             assert np.max(np.abs(ric - a)) < 1e-6
             assert np.max(np.abs(ric - ric.T)) < 1e-8
 
     def test_hv_and_vv_vanish(self, sphere):
         for z in sample_points(sphere, 3):
-            assert np.max(np.abs(hv_curvature(sphere, (z.x, z.y)).data)) < 1e-8
-            assert np.max(np.abs(vv_curvature(sphere, (z.x, z.y)).data)) < 1e-14
+            tower = tower_at(sphere, (z.x, z.y))
+            assert np.max(np.abs(pack(hv_components(tower), 4))) < 1e-8
+            assert np.max(np.abs(pack(vv_components(tower), 4))) < 1e-14
 
     def test_last_pair_antisymmetry(self, sphere):
         for z in sample_points(sphere, 5):
-            R = hh_curvature(sphere, (z.x, z.y)).data
+            R = pack(hh_components(tower_at(sphere, (z.x, z.y))), 4)
             assert np.max(np.abs(R + R.transpose(0, 1, 3, 2))) < 1e-8
 
 
@@ -87,13 +96,14 @@ class TestVvBlock:
     def test_exact_antisymmetry(self, randers, quartic):
         for s in (randers, quartic):
             for z in sample_points(s, 5):
-                Q = vv_curvature(s, (z.x, z.y)).data
+                Q = pack(vv_components(tower_at(s, (z.x, z.y))), 4)
                 assert np.max(np.abs(Q + Q.transpose(0, 1, 3, 2))) < 1e-14
 
     def test_brute_force_contraction(self, randers):
         for z in sample_points(randers, 3):
-            Q = vv_curvature(randers, (z.x, z.y)).data
-            Cv = cartan_coefficients(randers, (z.x, z.y)).Cv
+            tower = tower_at(randers, (z.x, z.y))
+            Q = pack(vv_components(tower), 4)
+            Cv = pack(tower.Cmix, 3)
             expected = np.einsum("hrj,rki->hkij", Cv, Cv) - np.einsum(
                 "hri,rkj->hkij", Cv, Cv
             )
@@ -104,19 +114,19 @@ class TestRicciIdentity:
     def test_flat_constant_field(self, randers):
         X = TensorField.from_vector(lambda xs: [0.7, -0.2])
         for z in sample_points(randers, 3):
-            res = ricci_identity_residual(randers, X, (z.x, z.y))
+            res = ricci_identity_residual(tower_at(randers, (z.x, z.y)), X)
             assert np.max(np.abs(res.data)) < 1e-12
 
     def test_flat_trig_field(self, euclidean):
         X = TensorField.from_vector(lambda xs: [0.0, gsin(xs[0])])
         for z in sample_points(euclidean, 3):
-            res = ricci_identity_residual(euclidean, X, (z.x, z.y))
+            res = ricci_identity_residual(tower_at(euclidean, (z.x, z.y)), X)
             assert np.max(np.abs(res.data)) < 1e-8
 
     def test_sphere_coordinate_field(self, sphere):
         X = TensorField.from_vector(lambda xs: [0.0, 1.0])
         for z in sample_points(sphere, 5):
-            res = ricci_identity_residual(sphere, X, (z.x, z.y))
+            res = ricci_identity_residual(tower_at(sphere, (z.x, z.y)), X)
             assert np.max(np.abs(res.data)) < 1e-5
 
     def test_random_trig_fields_all_families(self):
@@ -127,7 +137,7 @@ class TestRicciIdentity:
             for _ in range(10):
                 X = bi.random_trig_vector(rng, s, trig_degree=2)
                 for z in bi.random_chart_points(rng, s, 2):
-                    res = ricci_identity_residual(s, X, (z.x, z.y))
+                    res = ricci_identity_residual(tower_at(s, (z.x, z.y)), X)
                     worst = max(worst, float(np.max(np.abs(res.data))))
             assert worst < 1e-5, name
 
@@ -136,14 +146,14 @@ class TestRicciIdentity:
         for _ in range(2):
             X = bi.random_trig_vector(rng, randers_base, trig_degree=2)
             for z in bi.random_chart_points(rng, randers_base, 2):
-                res = ricci_identity_residual(randers_base, X, (z.x, z.y))
+                res = ricci_identity_residual(tower_at(randers_base, (z.x, z.y)), X)
                 assert np.max(np.abs(res.data)) < 1e-5
 
 
 class TestHvVariants:
     def test_both_variants_reported(self, randers):
         z = sample_points(randers, 1)[0]
-        P = hv_curvature(randers, (z.x, z.y)).data
+        P = pack(hv_components(tower_at(randers, (z.x, z.y))), 4)
         assert P.shape == (2, 2, 2, 2)
         # locally Minkowski: the hv block vanishes identically
         assert np.max(np.abs(P)) < 1e-12

@@ -19,13 +19,14 @@ from finslerforms.connection import (
     pack,
     sum_terms,
     tget,
+    tower_at,
 )
-from finslerforms.curvature import ricci_trace
+from finslerforms.curvature import ricci_components
 from finslerforms.errors import DegreeMismatch, DegreeOverflow, DegreeUnderflow
 from finslerforms.forms import (
     HorizontalForm,
     associate_one_form,
-    bochner_scalar,
+    bochner_scalar_at,
     dH_coeffs,
     deltaH_coeffs,
     energy_identity_residuals,
@@ -183,22 +184,23 @@ class TestInnerProduct:
         z = trig_point(euclidean)
         dx1 = HorizontalForm(1, lambda xs, ys: [1.0, 0.0])
         area = HorizontalForm(2, lambda xs, ys: [[0.0, 1.0], [-1.0, 0.0]])
-        assert pointwise_inner(euclidean, dx1, dx1, (z.x, z.y)) == pytest.approx(1.0, abs=1e-14)
-        assert pointwise_inner(euclidean, area, area, (z.x, z.y)) == pytest.approx(1.0, abs=1e-14)
+        tower = tower_at(euclidean, (z.x, z.y))
+        assert pointwise_inner(tower, dx1, dx1) == pytest.approx(1.0, abs=1e-14)
+        assert pointwise_inner(tower, area, area) == pytest.approx(1.0, abs=1e-14)
 
     def test_degree_mismatch(self, euclidean):
         z = trig_point(euclidean)
         a = HorizontalForm(1, lambda xs, ys: [1.0, 0.0])
         b = HorizontalForm(0, lambda xs, ys: 1.0)
         with pytest.raises(DegreeMismatch):
-            pointwise_inner(euclidean, a, b, (z.x, z.y))
+            pointwise_inner(tower_at(euclidean, (z.x, z.y)), a, b)
 
     def test_positive_definite_on_random_forms(self, randers, rng):
         for _ in range(20):
             p = int(rng.integers(1, 3))
             phi = bi.random_trig_form(rng, randers, p)
             z = trig_point(randers, seed=int(rng.integers(1, 10000)))
-            v = pointwise_inner(randers, phi, phi, (z.x, z.y))
+            v = pointwise_inner(tower_at(randers, (z.x, z.y)), phi, phi)
             arr = phi.at(randers, (z.x, z.y)).data
             if np.max(np.abs(arr)) > 1e-12:
                 assert v > 0.0
@@ -243,7 +245,7 @@ class TestWeitzenbock:
     def test_flat_constant_field(self, randers):
         X = TensorField.from_vector(lambda xs: [1.0, -2.0])
         z = trig_point(randers)
-        res = weitzenbock_residual(randers, X, (z.x, z.y))
+        res = weitzenbock_residual(tower_at(randers, (z.x, z.y)), X)
         assert np.max(np.abs(res.data)) < 1e-12
 
     def test_residual_equals_minus_laplacian(self, rng):
@@ -252,7 +254,7 @@ class TestWeitzenbock:
             X = bi.random_trig_vector(rng, s)
             af = associate_one_form(s, X)
             for z in sample_points(s, 2):
-                res = weitzenbock_residual(s, X, (z.x, z.y)).data
+                res = weitzenbock_residual(tower_at(s, (z.x, z.y)), X).data
                 lap = horizontal_laplacian(s, af.horizontal).at(s, (z.x, z.y)).data
                 assert np.max(np.abs(res + lap)) < 1e-5, name
 
@@ -272,7 +274,7 @@ class TestWeitzenbock:
             return f2(xs, ys)
 
         monkeypatch.setattr(s, "_f2", counted)
-        weitzenbock_residual(s, X, (z.x, z.y))
+        weitzenbock_residual(tower_at(s, (z.x, z.y)), X)
         assert len(calls) == 5
 
     def test_riemannian_trace_terms_drop(self, sphere, rng):
@@ -289,19 +291,20 @@ class TestBochnerScalar:
         for s in (euclidean, randers):
             X = bi.random_trig_vector(rng, s)
             for z in sample_points(s, 3):
-                assert abs(bochner_scalar(s, X, (z.x, z.y))) < 1e-10
+                assert abs(bochner_scalar_at(tower_at(s, (z.x, z.y)), X)) < 1e-10
 
     def test_sphere_equator_spot_value(self, sphere):
         X = TensorField.from_vector(lambda xs: [0.0, 1.0])
-        K = bochner_scalar(sphere, X, ([math.pi / 2, 0.3], [1.0, 0.0]))
+        K = bochner_scalar_at(tower_at(sphere, ([math.pi / 2, 0.3], [1.0, 0.0])), X)
         assert K == pytest.approx(1.0, abs=1e-6)
 
     def test_riemannian_reduction_to_ricci_quadratic(self, sphere, rng):
         X = bi.random_trig_vector(rng, sphere)
         for z in sample_points(sphere, 3):
-            K = bochner_scalar(sphere, X, (z.x, z.y))
+            tower = tower_at(sphere, (z.x, z.y))
+            K = bochner_scalar_at(tower, X)
             Xv = np.array(X.components(list(z.x), list(z.y)), float)
-            ric = ricci_trace(sphere, (z.x, z.y)).data
+            ric = pack(ricci_components(tower), 2)
             assert abs(K - Xv @ ric @ Xv) < 1e-8
 
 
@@ -1028,7 +1031,8 @@ class TestHilbertForm:
         ell = hilbert_form(s)
         lap = horizontal_laplacian(s, ell)
         for z in sample_points(s, 3):
-            nab = h_covariant_derivative(s, TensorField(ell.coeffs, "l"), (z.x, z.y)).data
+            tower = tower_at(s, (z.x, z.y))
+            nab = h_covariant_derivative(tower, TensorField(ell.coeffs, "l")).data
             assert np.max(np.abs(nab)) <= self.TOL
             assert np.max(np.abs(lap.at(s, (z.x, z.y)).data)) <= self.TOL
 

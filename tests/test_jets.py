@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from finslerforms import builtins as bi
-from finslerforms.connection import _point_tower
+from finslerforms.connection import tower_at
 from finslerforms.curvature import hh_components, hv_components, vv_components
 from finslerforms.errors import OrderTooHigh
 from finslerforms.jets import (
@@ -408,7 +408,7 @@ class TestVectorMode:
                 return f2(xs, ys)
 
             s.f2 = counted
-            tower, _ = _point_tower(s, (z.x, z.y))
+            tower = tower_at(s, (z.x, z.y))
             for kernel in (hh_components, hv_components, vv_components):
                 kernel(tower)
             counts.append(len(calls))

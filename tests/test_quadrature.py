@@ -319,6 +319,17 @@ class TestAdjointness:
                 psi = bi.random_trig_form(rng, randers, p + 1)
                 assert adjointness_defect(randers, phi, psi, grid) < 1e-4
 
+    def test_warns_on_bounded_chart(self, sphere, randers):
+        """Integration by parts holds only up to boundary flux on the sphere
+        chart, which has a non-periodic axis; the torus chart has none."""
+        phi, psi = bi.get_form("sin-x1", sphere), bi.get_form("dx1", sphere)
+        with pytest.warns(UserWarning, match="boundary flux"):
+            adjointness_defect(sphere, phi, psi, small_grid(sphere))
+        phi, psi = bi.get_form("sin-x1", randers), bi.get_form("dx1", randers)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            adjointness_defect(randers, phi, psi, small_grid(randers))
+
 
 class TestBochnerIntegral:
     def test_constant_field_on_tori(self, euclidean, randers):
