@@ -37,4 +37,8 @@ from .quadrature import (
     volume_density,
 )
 
+# the two layers nothing above imports, so every layer module is an
+# attribute of the package once it is imported
+from . import builtins, scenario
+
 __version__ = "0.1.0"

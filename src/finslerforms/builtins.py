@@ -208,7 +208,9 @@ def random_trig_form(rng, s, degree_p, trig_degree=2) -> HorizontalForm:
 
     The C(n, p) coefficients of increasing multi-indices are the rows of one
     :func:`jets.trig_sum`, drawn in lexicographic order of the multi-index,
-    so they share one phase evaluation and differentiate in closed form."""
+    so they share one phase evaluation and differentiate in closed form.
+    Draws of one ``trig_degree`` share the frequency matrix, so on a grid
+    they share one phase table per node set."""
     n = s.dim
     idxs = list(combinations(range(n), degree_p))
     K, A, B = _trig_coefficients(rng, n, trig_degree, len(idxs))
@@ -224,7 +226,8 @@ def random_trig_vector(rng, s, trig_degree=2) -> TensorField:
 
     The n components are the rows of one :func:`jets.trig_sum`, drawn in
     component order, so they share one phase evaluation and differentiate in
-    closed form."""
+    closed form.  Draws of one ``trig_degree`` share the frequency matrix, so
+    on a grid they share one phase table per node set."""
     K, A, B = _trig_coefficients(rng, s.dim, trig_degree, s.dim)
     return TensorField.from_vector(lambda xs: trig_sum(K, A, B, xs), label="trig-random")
 

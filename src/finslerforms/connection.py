@@ -37,8 +37,10 @@ component of N, Gamma, nabla0T and nabla_nabla0T, and of every rebuilt
 partial, that is 0 at every node as that float, and the kernels that multiply
 by these layers skip its terms, so on an x-independent metric a grid kernel
 does not broadcast arrays of zeros over every node, and a lifted tower reads
-a layer whose partials vanish as its parent's plain value.  Values stay
-exact; only the sign of an exact zero may differ.
+a layer whose partials vanish as its parent's plain value.  The y partial of
+a kernel that reads x alone, such as a leaf form on a lifted tower, is that
+zero in every entry, and delta_c (:func:`_delta_entry`) forms no N^m_c d_y
+term for it.  Values stay exact; only the sign of an exact zero may differ.
 """
 
 from __future__ import annotations
@@ -480,14 +482,17 @@ def cov_h_entry(tower, val, dx, dy, variance):
 def _delta_entry(tower, dx, dy):
     """``entry(c, idx)`` = (dx[c] - N^m_c dy[m])_idx, the horizontal basis
     derivative delta_c from plain partials, one term subtracted at a time.  A
-    structural-zero N^m_c adds no term, so where N vanishes dy may be None."""
+    term whose N^m_c or dy[m] entry is the structural zero is not formed, so
+    where N vanishes dy may be None."""
     n, N = tower.n, tower.N
 
     def entry(c, idx):
         acc = tget(dx[c], idx)
         for m in range(n):
             if not is_structural_zero(N[m][c]):
-                acc = acc - N[m][c] * tget(dy[m], idx)
+                d = tget(dy[m], idx)
+                if not is_structural_zero(d):
+                    acc = acc - N[m][c] * d
         return acc
 
     return entry

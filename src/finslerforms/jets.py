@@ -33,6 +33,13 @@ tower at the seeded coordinates, which reads its layers off the parent's
 cached values and partials, so a pass costs a few array operations per
 node rather than F^2 under jets.
 
+:func:`trig_sum` evaluates the seeded trigonometric generators in closed
+form.  On arrays it keeps the cosine and sine of the phase K x of the last
+node set, matched by the identity of K and of the node arrays, and only for
+read-only arrays: a grid's nodes are, and the primal parts of its lifted and
+seeded towers are those same arrays, so every draw, pass and nesting level
+on one grid reads one table.
+
 Fields are callables ``f(xs, ys) -> scalar`` where ``xs`` and ``ys`` are
 plain lists of scalars.  The finite-difference routines exist only as an
 independent oracle for tests.
@@ -211,6 +218,15 @@ def trig_sum(K, A, B, xs):
     row-wise sums, so a row's value does not depend on how many derivative
     rows the seeding appended.  At 0-d coordinates the rows are Python
     floats, on arrays ndarrays of the coordinates' broadcast shape.
+
+    On arrays the cosine and sine of the phase form a table that is kept
+    for the last node set, matched by the identity of ``K`` and of each
+    coordinate array, when all of them are read-only ndarrays down to the
+    arrays that own their memory; a new node set replaces it, and the kept
+    table is read-only too.  A frequency matrix of :mod:`builtins` and a
+    grid's node arrays qualify, so every draw on one grid computes the phase
+    once.  The table is the one a call would compute, so the rows are
+    bit-identical whether it is kept or not.
     """
     tags = [x.tag for x in xs if isinstance(x, Jet)]
     if not tags:
@@ -236,23 +252,48 @@ def trig_sum(K, A, B, xs):
     return out
 
 
+# the phase table of the last read-only node set, (K, xs, cos(K x), sin(K x)),
+# matched by identity (see trig_sum); it holds K and xs, so no new array
+# can take their identity
+_PHASE_TABLE = None
+
+
 def _trig_rows(K, A, B, xs):
     """:func:`trig_sum` at jet-free coordinates."""
+    global _PHASE_TABLE
     if all(type(x) is float for x in xs):
         shape = ()  # a point; broadcast_shapes would take a third of its cost
     else:
         shape = np.broadcast_shapes(*(np.shape(x) for x in xs))
-    cols = K.T.reshape(K.shape[::-1] + (1,) * len(shape))
-    # k_1 x_1 + ... + k_n x_n in this order, where a BLAS product may reorder
-    phase = cols[0] * xs[0]
-    for i in range(1, len(xs)):
-        phase = phase + cols[i] * xs[i]
-    if not shape:
-        # one row at a time: a BLAS product rounds a row otherwise by the
-        # number of rows it is computed with, which the seeding decides
-        return ((A * np.cos(phase)).sum(axis=1) + (B * np.sin(phase)).sum(axis=1)).tolist()
-    phase = phase.reshape(len(K), -1)
-    out = A.dot(np.cos(phase)) + B.dot(np.sin(phase))
+    table = _PHASE_TABLE
+    if (
+        shape
+        and table is not None
+        and table[0] is K
+        and all(a is b for a, b in zip(table[1], xs))
+    ):
+        _, _, cos, sin = table
+    else:
+        cols = K.T.reshape(K.shape[::-1] + (1,) * len(shape))
+        # k_1 x_1 + ... + k_n x_n in this order, where a BLAS product may reorder
+        phase = cols[0] * xs[0]
+        for i in range(1, len(xs)):
+            phase = phase + cols[i] * xs[i]
+        if not shape:
+            # one row at a time: a BLAS product rounds a row otherwise by the
+            # number of rows it is computed with, which the seeding decides
+            return ((A * np.cos(phase)).sum(axis=1) + (B * np.sin(phase)).sum(axis=1)).tolist()
+        phase = phase.reshape(len(K), -1)
+        cos, sin = np.cos(phase), np.sin(phase)
+        # kept only if K and every x are read-only ndarrays down to the
+        # arrays that own their memory, so no write can change a kept table
+        arrays = [K, *xs]
+        while arrays and all(type(a) is np.ndarray and not a.flags.writeable for a in arrays):
+            arrays = [a.base for a in arrays if a.base is not None]
+        if not arrays:
+            cos.flags.writeable = sin.flags.writeable = False
+            _PHASE_TABLE = (K, tuple(xs), cos, sin)
+    out = A.dot(cos) + B.dot(sin)
     return list(out.reshape((len(A),) + shape))
 
 

@@ -117,6 +117,8 @@ class QuadratureGrid:
         self.fiber_axes = tuple(fiber_axes)
         self.tolerance = float(tolerance)
         self._nw = [ax.nodes_weights() for ax in self.base_axes + self.fiber_axes]
+        for nodes, weights in self._nw:
+            nodes.flags.writeable = weights.flags.writeable = False
         self._cache = {}
         self._weights = None
 
@@ -191,7 +193,10 @@ class QuadratureGrid:
 
     def _samples(self, s):
         """(xs, ys, thetas, u, F): the nodes and the fiber samples y = u / F is
-        made of, computed once per grid and metric."""
+        made of, computed once per grid and metric and shared read-only.  The
+        node arrays are views of the grid's read-only axes, so each keeps its
+        identity and values for as long as the grid lives, which the phase
+        table of :func:`jets.trig_sum` relies on."""
         key = ("coords", id(s))
         if key not in self._cache:
             arrays = self.axis_arrays()
@@ -200,6 +205,8 @@ class QuadratureGrid:
             u = fiber_direction(th)
             F = gsqrt(s.f2(xs, u))
             ys = [uk / F for uk in u]
+            for a in (*ys, *u, F):
+                a.flags.writeable = False
             self._cache[key] = (s, xs, ys, th, u, F)
         return self._cache[key][1:]
 

@@ -5,11 +5,15 @@ tracer's tables without installing it."""
 
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from finslerforms.connection import LocalTower
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
 
 
 def load_tracing():
@@ -29,3 +33,12 @@ def test_class_methods_resolve():
 def test_tower_init_takes_the_traced_arguments():
     """The tracer's counting ``__init__`` forwards exactly (s, xs, ys)."""
     assert list(inspect.signature(LocalTower.__init__).parameters) == ["self", "s", "xs", "ys"]
+
+
+def test_every_layer_is_an_attribute_after_a_bare_import():
+    """The tracer reads each layer as ``getattr(package, layer)``: a fresh
+    interpreter that imports only the package must find every one."""
+    layers = load_tracing().LAYERS
+    code = "import sys, finslerforms; sys.exit([l for l in sys.argv[1:] if not hasattr(finslerforms, l)] != [])"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    assert subprocess.run([sys.executable, "-c", code, *layers], env=env).returncode == 0

@@ -1,11 +1,12 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from finslerforms import builtins as bi
-from finslerforms import forms
+from finslerforms import connection, forms
 from finslerforms import jets
 from finslerforms.connection import (
     LocalTower,
@@ -1012,6 +1013,73 @@ class TestStructuralZeros:
                 same(kernel(collapsed), kernel(explicit), degree, (label, p))
         for integrand in (forms.bochner_scalar_at, forms.gradient_norm_squared_at):
             same(integrand(collapsed, X), integrand(explicit, X), 0, integrand.__name__)
+
+    def test_delta_forms_no_product_with_a_zero_y_partial(self, monkeypatch):
+        """Where N does not vanish, a trig form's y partials are structural
+        zeros on the grid, and delta_c forms no N^m_c d_y term for them: d_H
+        and delta_H equal at every node those of the delta_c that multiplied
+        every term (which broadcast them over the fiber nodes).  The Hilbert
+        form depends on y, so its terms are formed."""
+        s = bi.get_metric("riemannian-torus")
+        base, fiber = (16, 16), (24,)
+        phi = bi.random_trig_form(np.random.default_rng(72), s, 1)
+        kernels = [
+            (lambda tower, k=k, f=f: k(tower, f), degree)
+            for f in (phi, hilbert_form(s))
+            for k, degree in ((dH_coeffs, 2), (deltaH_coeffs, 0))
+        ]
+
+        def every_term(tower, dx, dy):
+            n, N = tower.n, tower.N
+
+            def entry(c, idx):
+                acc = tget(dx[c], idx)
+                for m in range(n):
+                    if not is_structural_zero(N[m][c]):
+                        acc = acc - N[m][c] * tget(dy[m], idx)
+                return acc
+
+            return entry
+
+        with monkeypatch.context() as m:
+            m.setattr(connection, "_delta_entry", every_term)
+            grid = QuadratureGrid.for_structure(s, base, fiber)
+            want = [kernel(grid.tower(s)) for kernel, _ in kernels]
+
+        factors, zero_partials = [], []
+        skipping = connection._delta_entry
+        leaves = lambda tree: [v for c in tree for v in leaves(c)] if isinstance(tree, list) else [tree]
+
+        class Factor:
+            """An N^m_c entry that records what it is multiplied by."""
+
+            __array_ufunc__ = None
+
+            def __init__(self, v):
+                self.v = v
+
+            def __mul__(self, other):
+                factors.append(other)
+                return self.v * other
+
+        def spied(tower, dx, dy):
+            if dy is not None:
+                zero_partials.extend(v for v in leaves(dy) if is_structural_zero(v))
+            N = [[v if is_structural_zero(v) else Factor(v) for v in row] for row in tower.N]
+            return skipping(SimpleNamespace(n=tower.n, N=N), dx, dy)
+
+        grid = QuadratureGrid.for_structure(s, base, fiber)
+        tower = grid.tower(s)
+        assert not any(is_structural_zero(v) for row in tower.N for v in row)
+        with monkeypatch.context() as m:
+            m.setattr(connection, "_delta_entry", spied)
+            got = [kernel(tower) for kernel, _ in kernels]
+        assert factors and zero_partials
+        assert not any(is_structural_zero(v) for v in factors)
+        for (_, degree), a, b in zip(kernels, got, want):
+            for idx in itertools.product(range(s.dim), repeat=degree):
+                u, v = (np.broadcast_to(tget(c, idx), grid.shape) for c in (a, b))
+                assert np.array_equal(u, v), idx
 
 
 def hilbert_form(s):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from finslerforms import builtins as bi
+from finslerforms import jets
 from finslerforms.connection import tower_at
 from finslerforms.curvature import hh_components, hv_components, vv_components
 from finslerforms.errors import OrderTooHigh
@@ -19,10 +20,14 @@ from finslerforms.jets import (
     gsin,
     gsqrt,
     hessian_wrt,
+    list_grad,
     partial,
     tree_map,
+    trig_sum,
 )
 from finslerforms.metric import FinslerStructure
+from finslerforms.quadrature import QuadratureGrid
+from finslerforms.scenario import run_task
 
 
 def field(xs, ys):
@@ -413,3 +418,142 @@ class TestVectorMode:
                 kernel(tower)
             counts.append(len(calls))
         assert counts == [3, 3]
+
+
+# -- the phase table of trig_sum on grid arrays ---------------------------------------
+
+
+def per_call_trig_rows(K, A, B, xs):
+    """``jets._trig_rows`` on arrays without the table: the phase of every call."""
+    shape = np.broadcast_shapes(*(np.shape(x) for x in xs))
+    cols = K.T.reshape(K.shape[::-1] + (1,) * len(shape))
+    phase = cols[0] * xs[0]
+    for i in range(1, len(xs)):
+        phase = phase + cols[i] * xs[i]
+    phase = phase.reshape(len(K), -1)
+    out = A.dot(np.cos(phase)) + B.dot(np.sin(phase))
+    return list(out.reshape((len(A),) + shape))
+
+
+@pytest.fixture()
+def no_table(monkeypatch):
+    """No kept phase table at the start of the test, so no other test's counts."""
+    monkeypatch.setattr(jets, "_PHASE_TABLE", None)
+
+
+def frozen(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return list(arrays)
+
+
+def trig_fields(s, seed):
+    """A trig vector field and a trig form of every degree, as ``f(xs, ys)``."""
+    rng = np.random.default_rng(seed)
+    X = bi.random_trig_vector(rng, s)
+    out = [X.components]
+    for p in range(s.dim + 1):
+        out.append(bi.random_trig_form(rng, s, p).coeffs)
+    return out
+
+
+def leaf_hexes(tree):
+    """Shape and bits of every leaf, each at its own shape."""
+    if isinstance(tree, (list, tuple)):
+        return [h for c in tree for h in leaf_hexes(c)]
+    a = np.asarray(tree, float)
+    return [(a.shape, [v.hex() for v in a.ravel().tolist()])]
+
+
+class TestPhaseTable:
+    """``trig_sum`` keeps the cosine and sine of the phase of a read-only node
+    set and gives the same bits as the per-call phase."""
+
+    @pytest.mark.parametrize("name", ["randers-torus", "randers-torus-3d"])
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_cold_warm_and_per_call_are_bit_identical(self, name, level, no_table, monkeypatch):
+        s = bi.get_metric(name)
+        grid = QuadratureGrid.for_structure(s, (8,) * s.dim, (8,) * (s.dim - 1))
+        xs, ys = grid.coords_for(s)
+        for fn in trig_fields(s, 30 + level):
+            f = nested(list_grad, fn, (0,) * level)
+            with monkeypatch.context() as m:
+                m.setattr(jets, "_trig_rows", per_call_trig_rows)
+                want = leaf_hexes(f(xs, ys))
+            monkeypatch.setattr(jets, "_PHASE_TABLE", None)
+            cold = leaf_hexes(f(xs, ys))
+            built = jets._PHASE_TABLE
+            assert built is not None
+            warm = leaf_hexes(f(xs, ys))
+            assert cold == want and warm == want and jets._PHASE_TABLE is built
+
+    def test_a_new_node_set_replaces_the_table(self, no_table, monkeypatch):
+        """A grid, its doubling, and equal counts on another chart each
+        replace the kept table with one built on their own node arrays."""
+        torus, sphere = bi.get_metric("riemannian-torus"), bi.get_metric("riemannian-sphere")
+        grid = QuadratureGrid.for_structure(torus, (8, 8), (8,))
+        settings = [
+            (torus, grid),
+            (torus, grid.doubled()),
+            (sphere, QuadratureGrid.for_structure(sphere, (8, 8), (8,))),
+        ]
+        phi = bi.random_trig_form(np.random.default_rng(33), torus, 1)
+        before = None
+        for s, g in settings:
+            xs, ys = g.coords_for(s)
+            with monkeypatch.context() as m:
+                m.setattr(jets, "_trig_rows", per_call_trig_rows)
+                want = leaf_hexes(phi.coeffs(xs, ys))
+            assert leaf_hexes(phi.coeffs(xs, ys)) == want
+            table = jets._PHASE_TABLE
+            assert table is not before and all(a is b for a, b in zip(table[1], xs))
+            assert not table[2].flags.writeable and not table[3].flags.writeable
+            before = table
+
+    def test_writable_arrays_and_points_take_the_per_call_path(self, no_table):
+        K = bi._frequencies(2, 2)
+        rng = np.random.default_rng(34)
+        A, B = rng.normal(size=(2, len(K))), rng.normal(size=(2, len(K)))
+        xs = [np.linspace(0.0, 1.0, 5).reshape(5, 1), np.linspace(0.0, 2.0, 3).reshape(1, 3)]
+        views = [np.broadcast_to(x, (5, 3)) for x in xs]  # read-only views of writable arrays
+        assert not any(v.flags.writeable for v in views)
+        settings = [xs, views, [0.4, 1.3], [0.4, frozen(xs[1].copy())[0]]]
+        for coords in settings:
+            trig_sum(K, A, B, coords)
+        assert jets._PHASE_TABLE is None
+        trig_sum(K.copy(), A, B, frozen(xs[0].copy(), xs[1].copy()))  # a writable K
+        assert jets._PHASE_TABLE is None
+        before = trig_sum(K, A, B, views)
+        xs[0] += 0.5  # moves the views' nodes
+        got = trig_sum(K, A, B, views)
+        want = per_call_trig_rows(K, A, B, views)
+        assert jets._PHASE_TABLE is None
+        assert leaf_hexes(got) == leaf_hexes(want)
+        assert not np.array_equal(got[0], before[0])
+
+    def test_a_warm_grid_check_computes_no_phase_table(self, no_table, monkeypatch):
+        """Adjointness and divergence draws on a warm grid read only the table
+        the first op kept; N does not vanish, so both the x and the y pass run."""
+        s = bi.get_metric("riemannian-torus")
+        grid = QuadratureGrid.for_structure(s, (8, 8), (8,))
+        tasks = [{"which": "adjointness", "p": p, "count": 3} for p in (0, 1)]
+        tasks.append({"which": "divergence", "count": 3})
+
+        def op(seed):
+            for params in tasks:
+                run_task(s, grid, "check", params, None, np.random.default_rng(seed))
+
+        op(35)
+        kept = jets._PHASE_TABLE
+        assert kept is not None
+        calls = []
+        rows = jets._trig_rows
+
+        def spy(K, A, B, xs):
+            calls.append(K is kept[0] and all(a is b for a, b in zip(kept[1], xs)))
+            return rows(K, A, B, xs)
+
+        monkeypatch.setattr(jets, "_trig_rows", spy)
+        op(36)
+        assert calls and all(calls)
+        assert jets._PHASE_TABLE is kept

@@ -58,6 +58,23 @@ class TestGridConstruction:
             with pytest.raises(GridError, match="n >= 2"):
                 QuadratureGrid.for_structure(s, (8,), fiber)
 
+    @pytest.mark.parametrize("name", ["riemannian-sphere", "randers-torus-3d"])
+    def test_nodes_and_samples_are_read_only(self, name):
+        """The coordinates a grid hands out cannot be written in place, nor
+        can the axes they are views of, so a table kept per node set
+        (``jets.trig_sum``) stays valid for as long as the grid lives."""
+        s = bi.get_metric(name)
+        grid = QuadratureGrid.for_structure(s, (8,) * s.dim, (8,) * (s.dim - 1))
+        xs, ys, thetas, u, F = grid._samples(s)
+        for a in (*grid.coords_for(s)[0], *ys, *thetas, *u, F):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0.0
+            base = a
+            while base is not None:
+                assert not base.flags.writeable
+                base = base.base
+        assert all(a is b for a, b in zip(grid.coords_for(s)[0], xs))
+
     def test_doubling(self, euclidean):
         grid = small_grid(euclidean)
         g2 = grid.doubled()
