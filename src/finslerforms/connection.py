@@ -5,8 +5,11 @@ whole connection tower at one evaluation point.  The point coordinates may
 be floats (pointwise use), batched numpy arrays (whole quadrature grids at
 once) or jets.  :func:`tower_at` is the one pointwise entry: it validates a
 point z = (x, y) and returns its tower, and every block at the point is read
-off that tower.  G, N and Gamma are algebra over g's first partials by one
-Christoffel rule (:func:`_christoffel`); N contracts C_ljk G^k before
+off that tower.  It keeps the tower of the last point until the next point,
+so blocks read at one point in separate calls share its layers; towers built
+by :class:`LocalTower` directly (grid, array, rebuilt, lifted and child
+towers) are not kept.  G, N and Gamma are algebra over g's first partials by
+one Christoffel rule (:func:`_christoffel`); N contracts C_ljk G^k before
 raising its index, so no grid tower holds Cmix for it.
 
 A tower is differentiated in two ways.  A layer's own partials are taken
@@ -608,14 +611,31 @@ class TensorField:
 # -- the pointwise entry ----------------------------------------------------------
 
 
+# the tower tower_at built last, (s, bits of x and y, tower): a call with the
+# same metric object at the same point returns it
+_POINT_TOWER = None
+
+
 def tower_at(s, z):
     """The tower at one point z = (x, y), validated by
     :meth:`FinslerStructure._coords`: the one pointwise entry.  Every block at
     the point is a layer of this tower or a kernel run on it
     (``curvature.hh_components``, ``forms.bochner_scalar_at``, ...), so the
-    blocks read off one tower share its layers."""
+    blocks read off one tower share its layers.
+
+    The tower of the last point is kept until the next point: a call with the
+    same ``s`` (by identity) at the same x and y (bit for bit, so 0.0 and -0.0
+    differ) returns it, layers computed, and any other call replaces it.  z is
+    validated on every call, a repeated one too."""
+    global _POINT_TOWER
     x, y = s._coords(z)
-    return LocalTower(s, [float(v) for v in x], [float(v) for v in y])
+    key = x.tobytes() + y.tobytes()
+    kept = _POINT_TOWER
+    if kept is not None and kept[0] is s and kept[1] == key:
+        return kept[2]
+    tower = LocalTower(s, [float(v) for v in x], [float(v) for v in y])
+    _POINT_TOWER = (s, key, tower)
+    return tower
 
 
 def delta_derivative(tower, f, axis):

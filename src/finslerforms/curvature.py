@@ -10,7 +10,8 @@ vanishes on Riemannian inputs.
 
 Each block is a kernel of a tower (:func:`hh_components`, ...), at a point,
 on a grid or at jet coordinates.  At one point every block is read off the
-tower of ``connection.tower_at``, so several blocks share its layers.
+tower of ``connection.tower_at``, which keeps the last point's tower, so
+several blocks share its layers, also when each is read in a call of its own.
 """
 
 from __future__ import annotations

@@ -98,7 +98,9 @@ class HorizontalForm:
         return self.kernel(tower)
 
     def at(self, s, z):
-        """Packed coefficient array at a single validated point."""
+        """Packed coefficient array at a single validated point, on the tower
+        of ``tower_at``: two operators at one point, such as the composed and
+        the expanded Laplacian, share its layers."""
         return TensorValue(pack(self.on(tower_at(s, z)), self.degree), "l" * self.degree)
 
 

@@ -343,8 +343,11 @@ class FinslerStructure:
     # -- points and pointwise tensors -------------------------------------------
 
     def _coords(self, z):
-        """z = (x, y) as float arrays, once finite, y nonzero and x in the chart."""
+        """z = (x, y) as float arrays, once each is 1-D of length dim, finite, y
+        nonzero and x in the chart."""
         x, y = (np.asarray(v, float) for v in z)
+        if x.shape != (self.dim,) or y.shape != (self.dim,):
+            raise DomainError(f"x and y need shape ({self.dim},), got {x.shape} and {y.shape}")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise DomainError(f"non-finite coordinate in x={x.tolist()}, y={y.tolist()}")
         if not np.any(y):
@@ -373,8 +376,8 @@ class FinslerStructure:
         f = self.F(x, u)
         return SpherePoint(x=np.asarray(x, float), y=np.asarray(u, float) / f)
 
-    # one tensor per call, each on a tower of its own; several tensors at one
-    # point are read off one tower_at instead
+    # one tensor per call, read off the tower of tower_at, which calls at one
+    # point share
     def fundamental_tensor(self, z):
         return TensorValue(g_array(_tower_at(self, z)), "ll")
 

@@ -2,8 +2,16 @@ import numpy as np
 import pytest
 
 from finslerforms import builtins as bi
+from finslerforms import connection
 from finslerforms.jets import gcos, gsin
 from finslerforms.metric import FinslerStructure
+
+
+@pytest.fixture(autouse=True)
+def cold_point_tower():
+    """Drop the tower ``connection.tower_at`` keeps, so that a test that counts
+    the work at a point does not find a tower an earlier test built there."""
+    connection._POINT_TOWER = None
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ import pytest
 from finslerforms import builtins as bi
 from finslerforms import curvature, forms, quadrature
 from finslerforms.cli import main
-from finslerforms.connection import tower_at
+from finslerforms.connection import LocalTower
 from finslerforms.errors import ConfigError, TaskError
 from finslerforms.scenario import (
     POINT_READERS,
@@ -368,7 +368,7 @@ class TestPointReaders:
         assert ok is True and result["which"] == which
         assert got.shape == (metric.dim,) * READER_RANKS[which]
         assert np.all(np.isfinite(got))
-        want = POINT_READERS[kind][which](tower_at(metric, (z.x, z.y)))
+        want = POINT_READERS[kind][which](LocalTower(metric, list(z.x), list(z.y)))
         assert got.tobytes() == np.asarray(want, float).tobytes()
 
 
@@ -836,6 +836,13 @@ class TestCommandLine:
         code, _, err = run_cli(capsys, "tensor", "--metric", "euclidean", "--at", "nonsense")
         assert code == 2
         assert "configuration error" in err
+
+    @pytest.mark.parametrize("at", ["0.1,0.2;1,0.5,7", "0.1;1,0.5", "0.1,0.2,0.3;1,0.5,7"])
+    @pytest.mark.parametrize("command, where", [("tensor", "tensor task"), ("diagnostics", "--at")])
+    def test_at_argument_of_the_wrong_dimension(self, capsys, command, where, at):
+        code, out, err = run_cli(capsys, command, "--metric", "randers-torus", "--at", at)
+        assert code == 2 and out == ""
+        assert err == f"configuration error: {where}: 'at' point has wrong dimension\n"
 
     def test_too_few_grid_nodes_is_a_config_error(self, capsys):
         code, out, err = run_cli(capsys, "integrate", "--metric", "euclidean", "--grid", "4,4x4")

@@ -1,5 +1,6 @@
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -36,8 +37,10 @@ from finslerforms.forms import (
 from finslerforms.jets import (
     JetRequest, fd_partial, grad_wrt, grad_x, grad_xy, grad_y, gsin, gsqrt, partial,
 )
+from finslerforms.errors import DomainError, ZeroVector
 from finslerforms.metric import metric_components
 from finslerforms.quadrature import QuadratureGrid
+from finslerforms.scenario import POINT_READERS
 
 from conftest import base_dependent_randers, randers_base_fields, sample_points
 
@@ -305,7 +308,8 @@ class TestBaseDependentRanders:
         for z in sample_points(s, 2):
             tower = tower_at(s, (z.x, z.y))
             got = pack(getattr(tower, layer), 2)  # [h][j]
-            want = h_covariant_derivative(tower_at(s, (z.x, z.y)), one_form).data  # [j][h]
+            cold = LocalTower(s, list(z.x), list(z.y))
+            want = h_covariant_derivative(cold, one_form).data  # [j][h]
             assert np.max(np.abs(got)) > 1e-3
             assert np.max(np.abs(got - want.T)) < 1e-12
 
@@ -475,7 +479,7 @@ class TestOnePartialPerList:
         z = sample_points(randers_base, 1)[0]
         for x_name, y_name in self.PARTIALS:
             for first, other in ((x_name, y_name), (y_name, x_name)):
-                tower = tower_at(randers_base, (z.x, z.y))
+                tower = LocalTower(randers_base, list(z.x), list(z.y))
                 getattr(tower, first)
                 assert other in vars(tower), first
 
@@ -613,24 +617,32 @@ class TestJointSeeding:
             out[f"expanded-{p}"] = pack(laplacian_expansion_coeffs(tower, phi), p)
         return out
 
+    @staticmethod
+    def cold(pt):
+        """``pt``, with the kept point tower dropped, so that the next
+        ``tower_at`` builds a cold tower and reads it in its own order."""
+        connection._POINT_TOWER = None
+        return pt
+
     @classmethod
     def point_outputs(cls, s, z, seed):
         pt = (z.x, z.y)
-        out = cls.tower_outputs(tower_at(s, pt), s, seed)
+        out = cls.tower_outputs(tower_at(s, cls.cold(pt)), s, seed)
         rng = np.random.default_rng(seed + 1)
         X = bi.random_trig_vector(rng, s)
-        out["ricci"] = ricci_identity_residual(tower_at(s, pt), X).data
-        out["energy"] = energy_identity_residuals(s, X, pt)
+        out["ricci"] = ricci_identity_residual(tower_at(s, cls.cold(pt)), X).data
+        out["energy"] = energy_identity_residuals(s, X, cls.cold(pt))
         for p in range(s.dim + 1):
             phi = bi.random_trig_form(rng, s, p)
-            out[f"composed-{p}-at"] = horizontal_laplacian(s, phi).at(s, pt).data
-            out[f"expanded-{p}-at"] = laplacian_expansion(s, phi).at(s, pt).data
+            out[f"composed-{p}-at"] = horizontal_laplacian(s, phi).at(s, cls.cold(pt)).data
+            out[f"expanded-{p}-at"] = laplacian_expansion(s, phi).at(s, cls.cold(pt)).data
         return out
 
     @staticmethod
     def assert_bit_identical(compute, monkeypatch):
         joint = compute()
         monkeypatch.setattr(connection, "grad_xy", per_list)
+        connection._POINT_TOWER = None  # the per-list pass starts from cold towers
         lists = compute()
         assert joint.keys() == lists.keys()
         for key in joint:
@@ -676,3 +688,94 @@ class TestJointSeeding:
         self.assert_bit_identical(
             lambda: self.tower_outputs(LocalTower(s, xs, ys), s, 40, hv_first), monkeypatch
         )
+
+
+class TestKeptPointTower:
+    """``tower_at`` keeps the tower of the last point: a call with the same
+    metric object at the same x and y, bit for bit, returns it with its
+    layers computed, and any other call replaces it.  Every call validates
+    its point, and a warm tower gives every block bit for bit as a cold one."""
+
+    def test_same_point_returns_the_kept_tower(self, randers_base, monkeypatch):
+        s = randers_base
+        z = sample_points(s, 1)[0]
+        tower = tower_at(s, (z.x, z.y))
+        hh_components(tower)
+        calls, f2 = [], s._f2
+        monkeypatch.setattr(s, "_f2", lambda xs, ys: calls.append(1) or f2(xs, ys))
+        built = built_towers(monkeypatch)
+        again = tower_at(s, (list(z.x), tuple(z.y)))  # other containers, the same bits
+        assert again is tower
+        hh_components(again)
+        assert calls == [] and built == []
+
+    def test_new_point_metric_or_zero_sign_builds_a_new_tower(self):
+        s, twin = base_dependent_randers(2), base_dependent_randers(2)
+        x, y = [0.0, 0.2], [1.0, 0.0]
+        others = {
+            "point": (s, ([0.1, 0.2], y)),
+            "metric": (twin, (x, y)),
+            "x-zero-sign": (s, ([-0.0, 0.2], y)),
+            "y-zero-sign": (s, (x, [1.0, -0.0])),
+        }
+        for name, (s2, z) in others.items():
+            tower = tower_at(s, (x, y))
+            assert tower_at(s, (x, y)) is tower, name
+            new = tower_at(s2, z)
+            assert new is not tower and new.s is s2, name
+            assert tower_at(s2, z) is new, name
+            got = [math.copysign(1.0, v) for v in new.xs + new.ys]
+            assert got == [math.copysign(1.0, v) for v in z[0] + z[1]], name
+
+    def test_replaced_tower_is_released(self, randers_base):
+        z1, z2 = sample_points(randers_base, 2)
+        tower = tower_at(randers_base, (z1.x, z1.y))
+        hh_components(tower)
+        ref = weakref.ref(tower)
+        del tower
+        assert ref() is not None
+        tower_at(randers_base, (z2.x, z2.y))
+        assert ref() is None
+
+    def test_every_call_validates_its_point(self, randers_base, monkeypatch):
+        s = randers_base
+        z = sample_points(s, 1)[0]
+        tower = tower_at(s, (z.x, z.y))
+        with pytest.raises(ZeroVector):
+            tower_at(s, (z.x, [0.0, 0.0]))
+        with pytest.raises(DomainError, match="shape"):
+            tower_at(s, (z.x, [*z.y, 1.0]))
+        assert tower_at(s, (z.x, z.y)) is tower
+        checked, coords = [], s._coords
+        monkeypatch.setattr(s, "_coords", lambda pt: checked.append(1) or coords(pt))
+        assert tower_at(s, (z.x, z.y)) is tower
+        assert checked == [1]
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_readers_in_sequence_equal_cold_towers(self, dim):
+        s = base_dependent_randers(dim)
+        z = sample_points(s, 1, seed=41)[0]
+        readers = {f"{kind}:{which}": read for kind, table in POINT_READERS.items()
+                   for which, read in table.items()}
+        towers, warm = set(), {}
+        for key, read in readers.items():
+            tower = tower_at(s, (z.x, z.y))
+            towers.add(id(tower))
+            warm[key] = read(tower)
+        assert len(towers) == 1
+        for key, read in readers.items():
+            cold = read(LocalTower(s, [float(v) for v in z.x], [float(v) for v in z.y]))
+            assert hexes(warm[key]) == hexes(cold), key
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("order", [("composed", "expanded"), ("expanded", "composed")],
+                             ids=["composed-first", "expanded-first"])
+    def test_laplacians_at_one_point_equal_cold_towers(self, order, p, randers_base):
+        s = randers_base
+        z = sample_points(s, 1, seed=42)[0]
+        phi = bi.random_trig_form(np.random.default_rng(42 + p), s, p)
+        ops = {"composed": horizontal_laplacian(s, phi), "expanded": laplacian_expansion(s, phi)}
+        warm = {name: ops[name].at(s, (z.x, z.y)).data for name in order}
+        for name, op in ops.items():
+            cold = op.on(LocalTower(s, [float(v) for v in z.x], [float(v) for v in z.y]))
+            assert hexes(warm[name]) == hexes(pack(cold, p)), name

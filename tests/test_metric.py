@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from finslerforms import builtins as bi
+from finslerforms.connection import tower_at
 from finslerforms.errors import ConfigError, DomainError, NotPositiveDefinite, OutOfChart, ZeroVector
 from finslerforms.jets import JetRequest, fd_partial
 from finslerforms.metric import ChartSpec, FinslerStructure, _cholesky_check, metric_components
@@ -51,6 +53,33 @@ class TestNormEvaluation:
     def test_degenerate_riemannian_rejected(self):
         with pytest.raises(NotPositiveDefinite):
             FinslerStructure.riemannian([[1.0, 2.0], [2.0, 1.0]])
+
+
+class TestPointShape:
+    """x and y are each 1-D of length dim at every pointwise entry; any other
+    shape is a DomainError, not a y read in part, an IndexError or a TypeError."""
+
+    BAD = {
+        "y-too-long": lambda n: ([0.1] * n, [1.0, 0.5] + [7.0] * (n - 1)),
+        "x-too-short": lambda n: ([0.1] * (n - 1), [1.0] * n),
+        "x-2d": lambda n: ([[0.1] * n], [1.0] * n),
+        "y-scalar": lambda n: ([0.1] * n, 1.0),
+    }
+    ENTRIES = {
+        "tower_at": lambda s, x, y: tower_at(s, (x, y)),
+        "F": lambda s, x, y: s.F(x, y),
+        "form-at": lambda s, x, y: bi.get_form("dx1", s).at(s, (x, y)),
+        "fundamental_tensor": lambda s, x, y: s.fundamental_tensor((x, y)),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_wrong_shape_rejected(self, dim, bad, entry, randers_base, randers_base_3d):
+        s = randers_base if dim == 2 else randers_base_3d
+        x, y = self.BAD[bad](dim)
+        with pytest.raises(DomainError, match=re.escape(f"need shape ({dim},)")):
+            self.ENTRIES[entry](s, x, y)
 
 
 def loop_validate(s):
