@@ -30,9 +30,12 @@ from the tower's layers is differentiated on a lifted tower instead
 coordinates in vector passes, one over x and y together at a point and one
 per list on arrays, and the lifted tower at those jet coordinates reads N,
 Gamma, g and nabla0T as jets of the parent's cached values and partials.
-So fields, forms and nabla T inside nabla nabla T (:func:`cov_hh`) are all
-differentiated by the same seeding drivers, and on arrays where N vanishes
-:meth:`LocalTower.partials` skips the y pass, which no delta_c reads there.
+So a horizontal derivative of any field (a :class:`TensorField`, a form, or
+nabla T inside nabla nabla T, :func:`cov_hh`) takes the partials of its
+kernel, ``tower.partials(field.on)``; on arrays where N vanishes that skips
+the y pass, which no delta_c reads there, so a dy of None is for horizontal
+consumers only.  A vertical derivative (:func:`cov_v`) takes the y partials
+of :meth:`TensorField.partials`.
 
 Structural zeros.  The float ``0.0`` stands for a component that vanishes
 identically (:func:`is_structural_zero`).  A tower stores each ndarray
@@ -168,7 +171,8 @@ class LocalTower:
         only the x pass runs, before the value: delta_c (:func:`_delta_entry`)
         skips those N^m_c, so it never reads dy there.  A lifted tower keeps N
         as that zero only where the parent's value and partials are, so the
-        rule holds at every nesting level.
+        rule holds at every nesting level.  A dy of None is for horizontal
+        consumers only; a vertical one reads :meth:`TensorField.partials`.
         """
         lifted = lambda a, b: kernel(_LiftedTower(self, a, b))
         if self._depth is None and all(is_structural_zero(v) for row in self.N for v in row):
@@ -544,9 +548,8 @@ def _slot_terms(n, val, variance, coeffs):
 def cov_hh(tower, kernel, variance):
     """Second horizontal covariant derivative, the covariant derivative of nabla T.
 
-    ``kernel(tw)`` gives the field's components at a tower ``tw``:
-    ``lambda tw: X.components(tw.xs, tw.ys)`` for a :class:`TensorField`,
-    ``form.on`` for a form.  nabla T is the kernel
+    ``kernel(tw)`` gives the field's components at a tower ``tw``: ``X.on``
+    for a :class:`TensorField`, ``form.on`` for a form.  nabla T is the kernel
     tw -> cov_h(tw, *tw.partials(kernel), variance), and its partials are
     taken by ``tower.partials`` in turn.  Returns ``(tower.partials(kernel),
     W, D)``, each computed once: ``W[b][components]`` holds nabla_b T and
@@ -570,7 +573,9 @@ class TensorField:
 
     The evaluator ``fn(xs, ys)`` takes lists of generic scalars (floats,
     arrays or jets) and must accept arbitrary nonzero y near the indicatrix.
-    Its derivatives are exact, taken by feeding it jets.
+    Its derivatives are exact, taken by feeding it jets.  A horizontal
+    derivative reads ``tower.partials(X.on)``, whose dy may be None, as for a
+    form; a vertical one reads :meth:`partials`, whose dy is always computed.
     """
 
     def __init__(self, fn, variance, label=""):
@@ -586,6 +591,10 @@ class TensorField:
     def from_vector(cls, vfn, label=""):
         """Vector field on the base manifold, components independent of y."""
         return cls(lambda xs, ys: vfn(xs), "u", label=label)
+
+    def on(self, tower):
+        """Components at the tower's point."""
+        return self.fn(tower.xs, tower.ys)
 
     def components(self, xs, ys):
         return self.fn(xs, ys)
@@ -645,8 +654,7 @@ def delta_derivative(tower, f, axis):
 
 def h_covariant_derivative(tower, T: TensorField):
     """Horizontal covariant derivative; the new lower slot is the last axis."""
-    val, dx, dy = T.partials(tower.xs, tower.ys)
-    nab = cov_h(tower, val, dx, dy, T.variance)
+    nab = cov_h(tower, *tower.partials(T.on), T.variance)
     return TensorValue(np.moveaxis(pack(nab, T.rank + 1), 0, -1), T.variance + "l")
 
 
@@ -659,6 +667,5 @@ def v_covariant_derivative(tower, T: TensorField):
 
 def nabla_0(tower, T: TensorField):
     """Covariant derivative along the tautological direction y."""
-    val, dx, dy = T.partials(tower.xs, tower.ys)
-    nab = cov_h(tower, val, dx, dy, T.variance)
+    nab = cov_h(tower, *tower.partials(T.on), T.variance)
     return TensorValue(pack(along_y(tower, nab, T.rank), T.rank), T.variance)

@@ -120,8 +120,8 @@ def ricci_identity_residual(tower: LocalTower, X: TensorField):
     if X.variance != "u":
         raise DomainError("ricci identity residual expects a vector field (variance 'u')")
     n = tower.n
-    # D[a][b][i] = nabla_a nabla_b X^i
-    (val, _, dy), _, D = cov_hh(tower, lambda tw: X.components(tw.xs, tw.ys), "u")
+    _, _, D = cov_hh(tower, X.on, "u")  # D[a][b][i] = nabla_a nabla_b X^i
+    val, _, dy = X.partials(tower.xs, tower.ys)
     vt = cov_v(tower, val, dy, "u")  # vt[r][i] = vertical derivative
     hh = hh_components(tower)
     flag = tower.flag

@@ -10,11 +10,13 @@ quadrature grid with its cached tower, computes each connection layer once
 for all the forms it evaluates there.  Grids enter only through the
 quadrature module.
 
-Differentiation.  An operator takes the partials of the form it acts on
-from ``tower.partials(form.on)`` (:meth:`LocalTower.partials`): the form is
-evaluated under :func:`jets.grad_xy` on a lifted tower at the seeded
-coordinates (one vector pass over x and y together at a point, one vector
-pass per list on arrays, and on arrays no y pass where N vanishes).  The
+Differentiation.  An operator takes the partials of the form or vector
+field it acts on from ``tower.partials(field.on)`` (:meth:`LocalTower.partials`):
+the field is evaluated under :func:`jets.grad_xy` on a lifted tower at the
+seeded coordinates (one vector pass over x and y together at a point, one
+vector pass per list on arrays, and on arrays no y pass where N vanishes:
+a dy of None is for horizontal consumers only, and a vertical derivative
+reads the y partials of :meth:`TensorField.partials`).  The
 lifted tower's N, Gamma, g and nabla0T are jets of the parent's cached
 values and partials, so on a tower that already holds those partials, as a
 warm grid tower does, differentiating a form evaluates no F^2 at all.
@@ -64,6 +66,7 @@ from .connection import (
     tget,
     tower_at,
 )
+from .curvature import ricci_components
 from .errors import (
     DegreeMismatch,
     DegreeOverflow,
@@ -144,13 +147,8 @@ def dH_coeffs(tower: LocalTower, phi: HorizontalForm):
     nab, _ = _lazy_cov_h(tower, phi)
 
     def entry(idx):
-        acc = None
-        for k in range(phi.degree + 1):
-            term = nab(idx[k], idx[:k] + idx[k + 1 :])
-            if k % 2:
-                term = -term
-            acc = term if acc is None else acc + term
-        return acc
+        terms = (nab(idx[k], idx[:k] + idx[k + 1 :]) for k in range(phi.degree + 1))
+        return sum_terms(-t if k % 2 else t for k, t in enumerate(terms))
 
     return form_build(tower.n, phi.degree + 1, entry)
 
@@ -167,21 +165,16 @@ def deltaH_coeffs(tower: LocalTower, psi: HorizontalForm):
     gi = tower.gi
     nT = tower.nabla0T
 
+    def term(idx, i, j):
+        J = tuple(sorted((j,) + idx))
+        d = nab(i, J)
+        if not is_structural_zero(nT[i]):
+            d = d - tget(val, J) * nT[i]
+        t = gi[i][j] * d
+        return -t if J.index(j) % 2 else t
+
     def entry(idx):
-        acc = None
-        for i in range(n):
-            for j in range(n):
-                if j in idx:
-                    continue
-                J = tuple(sorted((j,) + idx))
-                d = nab(i, J)
-                if not is_structural_zero(nT[i]):
-                    d = d - tget(val, J) * nT[i]
-                term = gi[i][j] * d
-                if J.index(j) % 2:
-                    term = -term
-                acc = term if acc is None else acc + term
-        return -acc
+        return -sum_terms(term(idx, i, j) for i in range(n) for j in range(n) if j not in idx)
 
     return form_build(n, psi.degree - 1, entry)
 
@@ -197,16 +190,14 @@ def laplacian_expansion_coeffs(tower: LocalTower, phi: HorizontalForm):
     nT = tower.nabla0T
     nnT = tower.nabla_nabla0T  # nnT[i][r] = nabla_i (nabla_0 T)_r
 
+    def trace(idx, r, s_):
+        d = tget(D[r][s_], idx)
+        if not is_structural_zero(nT[r]):
+            d = d - tget(nab[s_], idx) * nT[r]
+        return gi[r][s_] * d
+
     def entry(idx):
-        acc = None
-        for r in range(n):
-            for s_ in range(n):
-                d = tget(D[r][s_], idx)
-                if not is_structural_zero(nT[r]):
-                    d = d - tget(nab[s_], idx) * nT[r]
-                t = gi[r][s_] * d
-                acc = t if acc is None else acc + t
-        out = -acc if acc is not None else 0.0
+        out = -sum_terms(trace(idx, r, s_) for r in range(n) for s_ in range(n))
         for k in range(p):
             ik = idx[k]
             for r in range(n):
@@ -236,24 +227,14 @@ def inner_coeffs(tower: LocalTower, a, b, degree):
 
     def det(rows, cols):
         # cofactor expansion along the first row
-        if len(rows) == 1:
-            return gi[rows[0]][cols[0]]
-        acc = None
-        for k, c in enumerate(cols):
-            t = gi[rows[0]][c] * det(rows[1:], cols[:k] + cols[k + 1 :])
-            if k % 2:
-                t = -t
-            acc = t if acc is None else acc + t
-        return acc
+        first, rest = rows[0], rows[1:]
+        if not rest:
+            return gi[first][cols[0]]
+        terms = (gi[first][c] * det(rest, cols[:k] + cols[k + 1 :]) for k, c in enumerate(cols))
+        return sum_terms(-t if k % 2 else t for k, t in enumerate(terms))
 
     combos = list(combinations(range(tower.n), degree))
-    acc = None
-    for I in combos:
-        aI = tget(a, I)
-        for J in combos:
-            t = (aI * tget(b, J)) * det(I, J)
-            acc = t if acc is None else acc + t
-    return acc
+    return sum_terms((tget(a, I) * tget(b, J)) * det(I, J) for I in combos for J in combos)
 
 
 # -- public operators ---------------------------------------------------------
@@ -325,13 +306,12 @@ class AssociatedForm:
     """Horizontal and vertical parts of the 1-form associated to a vector field."""
 
     horizontal: HorizontalForm
-    vertical: Callable  # (xs, ys) -> list of lowered vertical components
-    source: TensorField
+    vertical: Callable  # tower -> list of lowered vertical components
 
 
 def lowered_form(s, X: TensorField, label="") -> HorizontalForm:
     """The 1-form X_i = g_ij X^j, read off the metric of the tower at hand."""
-    return _operator_form(s, 1, lambda tw: tw.lower(X.components(tw.xs, tw.ys)), label)
+    return _operator_form(s, 1, lambda tw: tw.lower(X.on(tw)), label)
 
 
 def associate_one_form(s, X: TensorField) -> AssociatedForm:
@@ -342,19 +322,16 @@ def associate_one_form(s, X: TensorField) -> AssociatedForm:
         raise DomainError("associated form needs a vector field (variance 'u')")
     horizontal = lowered_form(s, X, label=f"assoc({X.label})")
 
-    def vertical(xs, ys):
-        tw = LocalTower(s, xs, ys)
-        n = s.dim
-        val, dx, dy = X.partials(xs, ys)
-        nabU = cov_h(tw, val, dx, dy, "u")
-        nab0X = along_y(tw, nabU, 1)
+    def vertical(tw):
+        n = tw.n
+        nab0X = along_y(tw, cov_h(tw, *tw.partials(X.on), "u"), 1)
         nab0w = sum_terms(tw.y_lower[j] * nab0X[j] for j in range(n))
         invF = jets._reciprocal(tw.F)
         invF2 = invF * invF
         low = tw.lower(nab0X)
         return [(low[i] - tw.y_lower[i] * nab0w * invF2) * invF for i in range(n)]
 
-    return AssociatedForm(horizontal=horizontal, vertical=vertical, source=X)
+    return AssociatedForm(horizontal=horizontal, vertical=vertical)
 
 
 def weitzenbock_residual(tower: LocalTower, X: TensorField):
@@ -364,8 +341,6 @@ def weitzenbock_residual(tower: LocalTower, X: TensorField):
     horizontal Laplacian of the associated form; agreement is enforced by
     the test suite rather than assumed here.
     """
-    from .curvature import ricci_components
-
     n = tower.n
     low = lowered_form(tower.s, X)
     (val, _, _), nab, D = cov_hh(tower, low.on, "l")
@@ -395,8 +370,6 @@ def weitzenbock_residual(tower: LocalTower, X: TensorField):
 
 def bochner_scalar_at(tower: LocalTower, X: TensorField):
     """Curvature quadratic form classifying harmonic vector fields."""
-    from .curvature import ricci_components
-
     n = tower.n
     val, dx, dy = X.partials(tower.xs, tower.ys)
     nabU = cov_h(tower, val, dx, dy, "u")  # nabU[k][j] = nabla_k X^j
@@ -422,25 +395,18 @@ def bochner_scalar_at(tower: LocalTower, X: TensorField):
 
 def _g_norm2(tower, A):
     """A_ij A^ij of a covariant 2-tensor, both slots raised by g^-1."""
-    n = tower.n
-    acc = None
-    for i in range(n):
-        for j in range(n):
-            up = sum_terms(
-                tower.gi[i][a] * tower.gi[j][b] * A[a][b]
-                for a in range(n)
-                for b in range(n)
-            )
-            t = A[i][j] * up
-            acc = t if acc is None else acc + t
-    return acc
+    n, gi = tower.n, tower.gi
+
+    def up(i, j):
+        return sum_terms(gi[i][a] * gi[j][b] * A[a][b] for a in range(n) for b in range(n))
+
+    return sum_terms(A[i][j] * up(i, j) for i in range(n) for j in range(n))
 
 
 def gradient_norm_squared_at(tower: LocalTower, X: TensorField):
     """Squared norm of the horizontal covariant derivative of the lowered field."""
-    val, dx, dy = X.partials(tower.xs, tower.ys)
     # nabla_i X_j = g_jk nabla_i X^k by h-metricity
-    return _g_norm2(tower, [tower.lower(row) for row in cov_h(tower, val, dx, dy, "u")])
+    return _g_norm2(tower, [tower.lower(row) for row in cov_h(tower, *tower.partials(X.on), "u")])
 
 
 def transport_form(s, X: TensorField) -> HorizontalForm:
@@ -452,7 +418,7 @@ def transport_form(s, X: TensorField) -> HorizontalForm:
     n = s.dim
 
     def kernel(tw):
-        val, dx, dy = X.partials(tw.xs, tw.ys)
+        val, dx, dy = tw.partials(X.on)
         nabU = cov_h(tw, val, dx, dy, "u")
         div = sum_terms(nabU[j][j] for j in range(n))
         V = [val[j] * div - sum_terms(val[k] * nabU[k][j] for k in range(n)) for j in range(n)]
@@ -476,7 +442,7 @@ def energy_identity_residuals(s, X: TensorField, z):
     dX = jets.primal(deltaH_coeffs(tower, lowered_form(s, X, label="X")))
 
     # D2U[a][b][j] = nabla_a nabla_b X^j
-    (uval, _, _), nabU, D2U = cov_hh(tower, lambda tw: X.components(tw.xs, tw.ys), "u")
+    (uval, _, _), nabU, D2U = cov_hh(tower, X.on, "u")
     divX = sum_terms(nabU[j][j] for j in range(n))
     comm = sum_terms(
         uval[k] * (D2U[j][k][j] - D2U[k][j][j]) for k in range(n) for j in range(n)

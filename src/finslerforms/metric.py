@@ -123,10 +123,6 @@ class TensorValue:
     data: np.ndarray
     variance: str
 
-    @property
-    def rank(self):
-        return len(self.variance)
-
 
 # -- generic component helpers -----------------------------------------------
 

@@ -48,6 +48,18 @@ SCENARIO = {
 RANDERS_4D = {"family": "randers", "a": np.eye(4).tolist(), "b": [0.3, 0.0, 0.0, 0.0]}
 AT_4D = {"x": [0.1, 0.2, 0.3, 0.4], "y": [1.0, 0.5, 0.0, 0.0]}
 
+# two valid tasks, the second of which fails while it runs: its constant field
+# is so large that the Bochner integrand overflows at every node
+FAILING_AT_RUN_TIME = {
+    "metric": "randers-torus",
+    "grid": {"base": [16, 16], "fiber": [16]},
+    "tasks": [
+        {"kind": "tensor", "params": {"which": "g", "at": {"x": [0.3, 0.4], "y": [1.0, 0.5]}}},
+        {"kind": "check", "params": {"which": "bochner", "field": "constant",
+                                     "components": [1e200, 1e200]}},
+    ],
+}
+
 # an integer that JSON can hold and a float cannot
 HUGE = 10**400
 
@@ -270,6 +282,8 @@ MALFORMED = [
         )
         for periodic in (["false", "false"], "ab")
     ),
+    ({"tasks": {"kind": "tensor"}}, "'tasks' must be a list"),
+    ({"metric": {"family": "riemannian"}}, "riemannian metric needs coefficient matrix 'a'"),
 ]
 MALFORMED_IDS = [
     "unknown-kind", "task-not-object", "params-not-object", "point-without-y",
@@ -293,6 +307,7 @@ MALFORMED_IDS = [
     "chart-bound-huge-integer", "matrix-indefinite", "matrix-infinite", "randers-indefinite",
     "dim-huge-integer", "dim-above-bound", "matrix-above-dim-bound", "grid-count-huge-integer",
     "grid-above-node-bound", "chart-periodic-strings", "chart-periodic-string",
+    "tasks-not-list", "riemannian-without-a",
 ]
 
 # the malformed documents that the command line can hand over: all but those
@@ -410,6 +425,13 @@ class TestScenarioRunner:
         assert not np.all(np.isfinite(np.asarray(task["result"]["components"], float)))
         assert task["pass"] is False and report["pass"] is False
 
+    def test_task_that_fails_at_run_time_is_a_task_error(self):
+        validate_scenario(FAILING_AT_RUN_TIME)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TaskError) as exc:
+            run_scenario(FAILING_AT_RUN_TIME)
+        assert exc.value.index == 1
+        assert str(exc.value) == "task 1: integrand is not finite at some node"
+
     def test_finite_tensor_passes(self):
         at = {"x": [0.1, 0.2], "y": [1.0, 0.5]}
         task = {"kind": "tensor", "params": {"which": "g", "at": at}}
@@ -508,6 +530,22 @@ class TestCommandLine:
         assert code == 0
         report = json.loads(out)
         assert report["pass"] is True
+
+    def test_run_exits_one_when_a_task_fails_at_run_time(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(FAILING_AT_RUN_TIME))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run_cli(capsys, "run", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: task 1:")
+
+    @pytest.mark.parametrize("grid", ["16x", "16,16", "8,ax8"])
+    def test_malformed_grid_flag_is_a_config_error(self, capsys, grid):
+        code, out, err = run_cli(capsys, "integrate", "--metric", "euclidean", "--grid", grid)
+        assert code == 2
+        assert out == ""
+        assert "configuration error: --grid expects" in err
 
     def test_run_bad_scenario_exits_nonzero(self, tmp_path, capsys):
         doc = {

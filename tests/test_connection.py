@@ -259,6 +259,24 @@ class TestCovariantDerivatives:
                 assert abs(nv[i, h] - expected) < 1e-6
 
 
+def landsberg_curvature(s, tower):
+    """L_ijk = -1/2 y_m d^3 G^m / dy^i dy^j dy^k, the Landsberg curvature of
+    the spray at the tower's point (Bao-Chern-Shen 2000; Shen 2001).  This
+    route reads only G, by jets.partial, and shares no code with delta_c,
+    nabla, C or T."""
+    n = s.dim
+    point = (tower.xs, tower.ys)
+    d3G = np.empty((n,) * 4)  # d3G[m, i, j, k]
+    for m in range(n):
+        G_m = lambda xs, ys, m=m: LocalTower(s, xs, ys).G[m]
+        for idx in itertools.combinations_with_replacement(range(n), 3):
+            orders = tuple(idx.count(i) for i in range(n))
+            value = partial(JetRequest(G_m, point, ((0,) * n, orders)))
+            for perm in itertools.permutations(idx):
+                d3G[(m, *perm)] = value
+    return -0.5 * np.einsum("m,mijk->ijk", pack(tower.y_lower, 1), d3G)
+
+
 class TestNablaZero:
     def test_cartan_trace_parallel_on_constant_randers(self, randers):
         T = TensorField(lambda xs, ys: LocalTower(randers, xs, ys).Tt, "l")
@@ -274,27 +292,26 @@ class TestNablaZero:
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_nabla0T_is_the_mean_landsberg_curvature(self, dim):
-        """T_k|0 = J_k = g^ij L_ijk, with L_ijk = -1/2 y_m d^3 G^m / dy^i dy^j dy^k
-        the Landsberg curvature of the spray (Bao-Chern-Shen 2000; Shen 2001).
-        This route reads only G, by jets.partial, and shares no code with
-        delta_c, nabla or T."""
+        """T_k|0 = J_k = g^ij L_ijk, with L the Landsberg curvature of the
+        spray (:func:`landsberg_curvature`)."""
         s = base_dependent_randers(dim)
-        zero = (0,) * dim
         for z in sample_points(s, 2):
             tower = tower_at(s, (z.x, z.y))
-            point = (tower.xs, tower.ys)
-            d3G = np.empty((dim,) * 4)  # d3G[m, i, j, k]
-            for m in range(dim):
-                G_m = lambda xs, ys, m=m: LocalTower(s, xs, ys).G[m]
-                for idx in itertools.combinations_with_replacement(range(dim), 3):
-                    orders = tuple(idx.count(i) for i in range(dim))
-                    value = partial(JetRequest(G_m, point, (zero, orders)))
-                    for perm in itertools.permutations(idx):
-                        d3G[(m, *perm)] = value
-            L = -0.5 * np.einsum("m,mijk->ijk", pack(tower.y_lower, 1), d3G)
-            J = np.einsum("ij,ijk->k", pack(tower.gi, 2), L)
+            J = np.einsum("ij,ijk->k", pack(tower.gi, 2), landsberg_curvature(s, tower))
             assert np.max(np.abs(J)) > 1e-2
             assert np.max(np.abs(J - pack(tower.nabla0T, 1))) <= 1e-13 * np.max(np.abs(J))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_nabla0C_is_the_landsberg_curvature(self, dim):
+        """C_ijk|0 = L_ijk: nabla_0 of the Cartan tensor, through delta_c and
+        Gamma, equals the Landsberg curvature read off the spray alone."""
+        s = base_dependent_randers(dim)
+        C = TensorField(lambda xs, ys: LocalTower(s, xs, ys).C, "lll")
+        for z in sample_points(s, 2):
+            tower = tower_at(s, (z.x, z.y))
+            L = landsberg_curvature(s, tower)
+            assert np.max(np.abs(L)) > 1e-2
+            assert np.max(np.abs(nabla_0(tower, C).data - L)) <= 1e-13 * np.max(np.abs(L))
 
 
 class TestBaseDependentRanders:

@@ -14,7 +14,9 @@ from finslerforms.curvature import (
     ricci_identity_residual,
     vv_components,
 )
+from finslerforms.errors import DomainError
 from finslerforms.jets import gcos, gsin
+from finslerforms.quadrature import QuadratureGrid
 
 from conftest import sample_points
 
@@ -148,6 +150,37 @@ class TestRicciIdentity:
             for z in bi.random_chart_points(rng, randers_base, 2):
                 res = ricci_identity_residual(tower_at(randers_base, (z.x, z.y)), X)
                 assert np.max(np.abs(res.data)) < 1e-5
+
+    @pytest.mark.parametrize("name", ["randers-torus", "randers-torus-3d", "riemannian-torus"])
+    def test_grid_tower_equals_point_tower(self, name):
+        """On a grid tower, where N vanishes on the two Randers tori so the
+        horizontal partials skip the y pass, the residual reads its vertical
+        term off the field's own y partials: at three nodes it equals the
+        residual of the point tower there, bit for bit."""
+        s = bi.get_metric(name)
+        n = s.dim
+        grid = QuadratureGrid.for_structure(s, (8,) * n, (8,) * (n - 1))
+        tower = grid.tower(s)
+        X = TensorField(
+            lambda xs, ys: [gsin(xs[i]) * ys[(i + 1) % n] + gcos(xs[(i + 1) % n]) for i in range(n)],
+            "u",
+        )
+        shape = np.broadcast_shapes(*(np.shape(v) for v in tower.xs + tower.ys))
+        res = ricci_identity_residual(tower, X).data
+        res = np.broadcast_to(res, res.shape[:3] + shape)
+        for node in [(0,) * len(shape), tuple(d // 2 for d in shape), tuple(d - 1 for d in shape)]:
+            x, y = ([float(np.broadcast_to(v, shape)[node]) for v in vs] for vs in (tower.xs, tower.ys))
+            want = ricci_identity_residual(tower_at(s, (x, y)), X).data
+            assert want.tobytes() == np.ascontiguousarray(res[(Ellipsis, *node)]).tobytes()
+
+    @pytest.mark.parametrize(
+        "variance, components", [("l", [1.0, 0.0]), ("ll", [[1.0, 0.0], [0.0, 1.0]])]
+    )
+    def test_field_that_is_not_a_vector_is_rejected(self, randers, variance, components):
+        X = TensorField(lambda xs, ys: components, variance)
+        z = sample_points(randers, 1)[0]
+        with pytest.raises(DomainError, match="expects a vector field"):
+            ricci_identity_residual(tower_at(randers, (z.x, z.y)), X)
 
 
 class TestHvVariants:

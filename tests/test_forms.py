@@ -23,7 +23,7 @@ from finslerforms.connection import (
     tower_at,
 )
 from finslerforms.curvature import ricci_components
-from finslerforms.errors import DegreeMismatch, DegreeOverflow, DegreeUnderflow
+from finslerforms.errors import DegreeMismatch, DegreeOverflow, DegreeUnderflow, DomainError
 from finslerforms.forms import (
     HorizontalForm,
     associate_one_form,
@@ -213,7 +213,7 @@ class TestAssociatedForm:
         af = associate_one_form(euclidean, X)
         z = trig_point(euclidean)
         assert np.allclose(af.horizontal.at(euclidean, (z.x, z.y)).data, [1.0, 0.0], atol=1e-14)
-        vert = af.vertical(list(z.x), list(z.y))
+        vert = af.vertical(tower_at(euclidean, (z.x, z.y)))
         assert np.max(np.abs(np.asarray(vert, float))) < 1e-12
 
     def test_riemannian_horizontal_part_y_independent(self, riemannian_torus):
@@ -230,8 +230,15 @@ class TestAssociatedForm:
             X = bi.random_trig_vector(rng, s)
             af = associate_one_form(s, X)
             for z in sample_points(s, 3):
-                vert = af.vertical(list(z.x), list(z.y))
+                vert = af.vertical(tower_at(s, (z.x, z.y)))
                 assert abs(sum(v * y for v, y in zip(vert, z.y))) < 1e-8
+
+    @pytest.mark.parametrize(
+        "variance, components", [("l", [1.0, 0.0]), ("ll", [[1.0, 0.0], [0.0, 1.0]])]
+    )
+    def test_field_that_is_not_a_vector_is_rejected(self, randers, variance, components):
+        with pytest.raises(DomainError, match="needs a vector field"):
+            associate_one_form(randers, TensorField(lambda xs, ys: components, variance))
 
     def test_randers_horizontal_is_lowered_field(self, randers):
         X = TensorField.from_vector(lambda xs: [1.0, 0.0])
@@ -612,7 +619,7 @@ class TestTransportForm:
         X = bi.random_trig_vector(np.random.default_rng(42), s)
         vertical = associate_one_form(s, X).vertical
         for z in sample_points(s, 3):
-            got = np.asarray(vertical(list(z.x), list(z.y)), float)
+            got = np.asarray(vertical(tower_at(s, (z.x, z.y))), float)
             want = np.asarray(reference_vertical(s, X, list(z.x), list(z.y)), float)
             scale = np.max(np.abs(want))
             assert scale > 0.0

@@ -272,3 +272,35 @@ class TestChartSpec:
     def test_empty_interval(self):
         with pytest.raises(ConfigError):
             ChartSpec(bounds=((1.0, 1.0),), periodic=(True,))
+
+
+# constructor inputs that are ConfigErrors, each with the words of its message
+MALFORMED_CONSTRUCTIONS = {
+    "chart-of-another-dimension": (
+        lambda: FinslerStructure.euclidean(2, chart=ChartSpec.torus(3)), "chart dimension"
+    ),
+    "callable-a-without-dim": (
+        lambda: FinslerStructure.riemannian(lambda xs: [[1.0, 0.0], [0.0, 1.0]]), "dim is required"
+    ),
+    "non-square-a": (
+        lambda: FinslerStructure.riemannian([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), "must be square"
+    ),
+    "non-symmetric-a": (
+        lambda: FinslerStructure.riemannian([[1.0, 0.5], [0.0, 1.0]]), "must be symmetric"
+    ),
+    "a-of-the-wrong-size": (
+        lambda: FinslerStructure.riemannian(np.eye(2), dim=3), "does not match coefficient matrix"
+    ),
+    "randers-b-of-the-wrong-length": (
+        lambda: FinslerStructure.randers(np.eye(2), [0.1, 0.0, 0.0]), "drift vector length"
+    ),
+    "chart-axis-lists-of-different-lengths": (
+        lambda: ChartSpec(bounds=((0.0, 1.0), (0.0, 1.0)), periodic=(True,)), "inconsistent lengths"
+    ),
+}
+
+
+@pytest.mark.parametrize("build, message", MALFORMED_CONSTRUCTIONS.values(), ids=MALFORMED_CONSTRUCTIONS)
+def test_malformed_construction_is_a_config_error(build, message):
+    with pytest.raises(ConfigError, match=message):
+        build()

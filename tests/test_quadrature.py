@@ -440,3 +440,38 @@ class TestFormsOnGridTower:
         again = is_h_harmonic(s, phi, grid)
         assert builds == 0
         assert again == first
+
+
+
+# grid inputs that are refused, as calls on the 2D euclidean metric and a grid
+# of it, each with its error and the words of its message
+REFUSED_GRID_INPUTS = {
+    "axis-hi-not-above-lo": (lambda s, grid: AxisSpec(1.0, 1.0, True, 8), GridError, "empty axis"),
+    "base-counts-of-the-wrong-length": (
+        lambda s, grid: QuadratureGrid.for_structure(s, (8, 8, 8), (8,)),
+        GridError,
+        "one base node count per chart axis",
+    ),
+    "dimension-without-default-grid": (
+        lambda s, grid: QuadratureGrid.for_structure(FinslerStructure.euclidean(4)),
+        GridError,
+        "default grids exist for n in",
+    ),
+    "divergence-of-a-2-form": (
+        lambda s, grid: divergence_integral_check(s, bi.get_form("area", s), grid),
+        GridError,
+        "expects a 1-form",
+    ),
+    "adjointness-degrees-not-one-apart": (
+        lambda s, grid: adjointness_defect(s, bi.get_form("dx1", s), bi.get_form("dx2", s), grid),
+        DegreeMismatch,
+        "degree one higher",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSED_GRID_INPUTS.values(), ids=REFUSED_GRID_INPUTS)
+def test_refused_grid_input(euclidean, call, error, message):
+    grid = QuadratureGrid.for_structure(euclidean, (8, 8), (8,))
+    with pytest.raises(error, match=message):
+        call(euclidean, grid)
