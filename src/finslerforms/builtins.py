@@ -149,7 +149,7 @@ def get_form(name, s) -> HorizontalForm:
     degree, least, build = _entry(FORMS, "form", name)
     _require_dim(name, least, s)
     n = s.dim
-    return HorizontalForm(degree, lambda xs, ys: build(n, xs), label=name)
+    return HorizontalForm.of_x(degree, lambda xs: build(n, xs), label=name)
 
 
 def get_field(name, s) -> TensorField:
@@ -215,10 +215,10 @@ def random_trig_form(rng, s, degree_p, trig_degree=2) -> HorizontalForm:
     idxs = list(combinations(range(n), degree_p))
     K, A, B = _trig_coefficients(rng, n, trig_degree, len(idxs))
 
-    def coeffs(xs, ys):
+    def coeffs(xs):
         return form_build(n, degree_p, dict(zip(idxs, trig_sum(K, A, B, xs))).__getitem__)
 
-    return HorizontalForm(degree_p, coeffs, label="trig-random")
+    return HorizontalForm.of_x(degree_p, coeffs, label="trig-random")
 
 
 def random_trig_vector(rng, s, trig_degree=2) -> TensorField:

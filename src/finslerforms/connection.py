@@ -35,7 +35,13 @@ nabla T inside nabla nabla T, :func:`cov_hh`) takes the partials of its
 kernel, ``tower.partials(field.on)``; on arrays where N vanishes that skips
 the y pass, which no delta_c reads there, so a dy of None is for horizontal
 consumers only.  A vertical derivative (:func:`cov_v`) takes the y partials
-of :meth:`TensorField.partials`.
+of :meth:`TensorField.partials`.  A field built from a coefficient function
+of x alone has a :class:`BaseKernel`, and on arrays both take its partials
+from one x pass, the value its primal part, with dy the structural zero.
+
+The co-differential reads three contractions of the tower, each cached
+once: gamma^p = g^ij Gamma^p_ij (``Gamma_trace``), R^pj_k = g^ij Gamma^p_ki
+(``Gamma_raised``) and T^j = g^ij (nabla_0 T)_i (``nabla0T_raised``).
 
 Structural zeros.  The float ``0.0`` stands for a component that vanishes
 identically (:func:`is_structural_zero`).  A tower stores each ndarray
@@ -44,9 +50,9 @@ partial, that is 0 at every node as that float, and the kernels that multiply
 by these layers skip its terms, so on an x-independent metric a grid kernel
 does not broadcast arrays of zeros over every node, and a lifted tower reads
 a layer whose partials vanish as its parent's plain value.  The y partial of
-a kernel that reads x alone, such as a leaf form on a lifted tower, is that
-zero in every entry, and delta_c (:func:`_delta_entry`) forms no N^m_c d_y
-term for it.  Values stay exact; only the sign of an exact zero may differ.
+a kernel that reads x alone is that zero in every entry, and delta_c
+(:func:`_delta_entry`) forms no N^m_c d_y term for it.  Values stay exact;
+only the sign of an exact zero may differ.
 """
 
 from __future__ import annotations
@@ -173,11 +179,21 @@ class LocalTower:
         as that zero only where the parent's value and partials are, so the
         rule holds at every nesting level.  A dy of None is for horizontal
         consumers only; a vertical one reads :meth:`TensorField.partials`.
+
+        On arrays a :class:`BaseKernel`, the kernel of a field of x alone,
+        makes the x pass alone wherever N vanishes or not: the value is its
+        primal part, and dy, where N does not vanish, is the structural zero
+        in every entry.  At a point it runs the joint pass like any kernel.
         """
         lifted = lambda a, b: kernel(_LiftedTower(self, a, b))
-        if self._depth is None and all(is_structural_zero(v) for row in self.N for v in row):
-            dx = jets.list_grad(lifted, (self.xs, self.ys), 0)
-            return kernel(self), dx, None
+        if self._depth is None:
+            vanishing = all(is_structural_zero(v) for row in self.N for v in row)
+            if isinstance(kernel, BaseKernel):
+                value, dx, dy = kernel.x_pass(self.xs, self.ys)
+                return value, dx, None if vanishing else dy
+            if vanishing:
+                dx = jets.list_grad(lifted, (self.xs, self.ys), 0)
+                return kernel(self), dx, None
         return (kernel(self), *grad_xy(lifted, self.xs, self.ys))
 
     @cached_property
@@ -371,6 +387,32 @@ class LocalTower:
         """nabla_nabla0T[i][r]: horizontal covariant derivative of the 1-form nabla0T."""
         return _collapse_zeros(cov_h(self, self.nabla0T, self.d_nabla0T_x, self.d_nabla0T_y, "l"))
 
+    # -- contractions the co-differential reads (forms.deltaH_coeffs) ---------------
+
+    @cached_property
+    def Gamma_trace(self):
+        """Gamma_trace[p] = gamma^p = g^ij Gamma^p_ij."""
+        n, gi = self.n, self.gi
+        gi_flat = [gi[i][j] for i in range(n) for j in range(n)]
+        return [_dot(gi_flat, [v for row in self.Gamma[p] for v in row]) for p in range(n)]
+
+    @cached_property
+    def Gamma_raised(self):
+        """Gamma_raised[p][j][k] = R^pj_k = g^ij Gamma^p_ki for p != j,
+        Gamma's lower index i raised (g^ij = g^ji).  ``Gamma_raised[p][p]``
+        is None: the co-differential reads R^pj_k against psi_{j..p..}, which
+        vanishes for j = p."""
+        n, gi, Gamma = self.n, self.gi, self.Gamma
+        return [
+            [None if j == p else [_dot(gi[j], Gamma[p][k]) for k in range(n)] for j in range(n)]
+            for p in range(n)
+        ]
+
+    @cached_property
+    def nabla0T_raised(self):
+        """nabla0T_raised[j] = T^j = g^ij (nabla_0 T)_i."""
+        return [_dot(row, self.nabla0T) for row in self.gi]
+
 
 def _lifted(layer, x_partial, y_partial, rank):
     """Cached ``layer`` of a :class:`_LiftedTower`, lifted from its parent."""
@@ -471,19 +513,12 @@ def cov_h(tower, val, dx, dy, variance):
     coordinate partials.
     """
     n = tower.n
-    entry = cov_h_entry(tower, val, dx, dy, variance)
-    return [nested_build(n, len(variance), lambda idx, h=h: entry(h, idx)) for h in range(n)]
-
-
-def cov_h_entry(tower, val, dx, dy, variance):
-    """The horizontal covariant derivative one entry at a time.
-
-    Returns ``entry(h, idx)`` = (nabla_h T)_idx for the field of :func:`cov_h`,
-    so a caller that needs a few entries computes only those.
-    """
     delta = _delta_entry(tower, dx, dy)
-    slots = _slot_terms(tower.n, val, variance, tower.Gamma)
-    return lambda h, idx: slots(delta(h, idx), h, idx)
+    slots = _slot_terms(n, val, variance, tower.Gamma)
+    return [
+        nested_build(n, len(variance), lambda idx, h=h: slots(delta(h, idx), h, idx))
+        for h in range(n)
+    ]
 
 
 def _delta_entry(tower, dx, dy):
@@ -568,6 +603,29 @@ def cov_hh(tower, kernel, variance):
 # -- tensor fields ---------------------------------------------------------------
 
 
+class BaseKernel:
+    """The kernel tower -> ``fn(tower.xs)`` of a field whose components read
+    the base point x alone.  The constructors that take a coefficient
+    function of xs alone build it (:meth:`TensorField.from_vector`,
+    ``HorizontalForm.of_x``), so on arrays its partials need no y pass."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __call__(self, tower):
+        return self.fn(tower.xs)
+
+    def x_pass(self, xs, ys):
+        """(value, dx, dy) at the coordinates from one vector pass over x
+        (:func:`jets.list_value_grad`): the value is the pass's primal part,
+        and every entry of each dy[m] is the structural zero."""
+        value, dx = jets.list_value_grad(lambda a, b: self.fn(a), (xs, ys), 0)
+        zeros = jets.tree_map(lambda _: 0.0, value)
+        return value, dx, [zeros] * len(ys)
+
+
 class TensorField:
     """A tensor field on the slit tangent bundle.
 
@@ -576,12 +634,16 @@ class TensorField:
     Its derivatives are exact, taken by feeding it jets.  A horizontal
     derivative reads ``tower.partials(X.on)``, whose dy may be None, as for a
     form; a vertical one reads :meth:`partials`, whose dy is always computed.
+    ``on`` is the kernel tower -> components at the tower's point, as a
+    form's: ``kernel`` where given (a :class:`BaseKernel` for a field of x
+    alone, as :meth:`from_vector` builds), else ``fn`` at the coordinates.
     """
 
-    def __init__(self, fn, variance, label=""):
+    def __init__(self, fn, variance, label="", kernel=None):
         self.fn = fn
         self.variance = variance
         self.label = label
+        self.on = kernel or (lambda tower: fn(tower.xs, tower.ys))
 
     @property
     def rank(self):
@@ -589,19 +651,19 @@ class TensorField:
 
     @classmethod
     def from_vector(cls, vfn, label=""):
-        """Vector field on the base manifold, components independent of y."""
-        return cls(lambda xs, ys: vfn(xs), "u", label=label)
-
-    def on(self, tower):
-        """Components at the tower's point."""
-        return self.fn(tower.xs, tower.ys)
+        """Vector field on the base manifold, components ``vfn(xs)``
+        independent of y; its kernel is a :class:`BaseKernel`."""
+        return cls(lambda xs, ys: vfn(xs), "u", label=label, kernel=BaseKernel(vfn))
 
     def components(self, xs, ys):
         return self.fn(xs, ys)
 
     def partials(self, xs, ys):
         """(value, dx, dy) with dx[c] and dy[m] pytrees of plain partials,
-        taken together by :func:`jets.grad_xy`."""
+        taken together by :func:`jets.grad_xy`; on arrays a field of x alone
+        takes them from its :meth:`BaseKernel.x_pass`."""
+        if isinstance(self.on, BaseKernel) and jets._point_depth((xs, ys)) is None:
+            return self.on.x_pass(xs, ys)
         return (self.fn(xs, ys), *grad_xy(self.fn, xs, ys))
 
     def partials2(self, xs, ys):

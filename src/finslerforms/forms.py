@@ -5,7 +5,7 @@ coefficient evaluator over the slit tangent bundle, and every operator
 returns a new form whose evaluator composes the machinery at whatever point
 (or batch of points, or jet) it is asked for.  A form built by an operator
 of this module evaluates on the :class:`LocalTower` it is handed
-(:meth:`HorizontalForm.on`), so a caller that holds a tower, such as a
+(:attr:`HorizontalForm.on`), so a caller that holds a tower, such as a
 quadrature grid with its cached tower, computes each connection layer once
 for all the forms it evaluates there.  Grids enter only through the
 quadrature module.
@@ -19,27 +19,33 @@ a dy of None is for horizontal consumers only, and a vertical derivative
 reads the y partials of :meth:`TensorField.partials`).  The
 lifted tower's N, Gamma, g and nabla0T are jets of the parent's cached
 values and partials, so on a tower that already holds those partials, as a
-warm grid tower does, differentiating a form evaluates no F^2 at all.
+warm grid tower does, differentiating a form evaluates no F^2 at all.  A
+form or field whose coefficients read x alone (:meth:`HorizontalForm.of_x`,
+``TensorField.from_vector``: every built-in and seeded one) has a
+:class:`BaseKernel`, and on arrays its partials are one x pass, the value
+its primal part, with no y pass where N does not vanish either.
 Second covariant derivatives (:func:`cov_hh`) take the form's kernel
 ``form.on`` and differentiate nabla phi the same way, so they too read only
 cached layers when phi is a leaf form.  A layer component that vanishes
 identically is the structural zero ``0.0`` on the tower (see
-:mod:`.connection`), and the kernels here skip the nabla0T and nabla
-nabla0T terms it multiplies, as ``cov_h_entry`` skips those of N and Gamma.
+:mod:`.connection`), and the kernels here skip the terms it multiplies.
 
 Conventions.  A degree-p form is handed around as nested lists over all
 n^p index tuples, but its C(n, p) entries at increasing indices
 i1 < ... < ip are the only independent ones.  The operator kernels compute
-those alone, and the horizontal covariant derivative under them only at the
-entries they read; :func:`form_build` fills the rest by the sign of the
-permutation, with ``0.0`` at repeated indices.  The horizontal differential
-is the plain (p+1)-term alternation of the covariant derivative with no
-factorial prefactor, and the pointwise inner product is the Gram
-determinant sum over increasing indices, which equals the full contraction
-with weight 1/p! (see :func:`inner_coeffs`).  Under these choices the
-differential and co-differential are numerically adjoint with respect to
-the sphere-bundle inner product, which is the invariant the test suite
-pins down.
+those alone, and the horizontal derivative delta_c under d_H and delta_H
+only at the increasing entries they read; :func:`form_build` fills the rest
+by the sign of the permutation, with ``0.0`` at repeated indices.  The
+horizontal differential is the plain (p+1)-term alternation of the
+covariant derivative with no factorial prefactor, which is that of delta_c,
+as the Gamma terms cancel in it (Gamma^i_jk = Gamma^i_kj).  The
+co-differential contracts delta_c and the form with the tower's cached
+Gamma_trace, Gamma_raised and nabla0T_raised.  The pointwise inner product
+is the Gram determinant sum over increasing indices, which equals the full
+contraction with weight 1/p! (see :func:`inner_coeffs`).  Under these
+choices the differential and co-differential are numerically adjoint with
+respect to the sphere-bundle inner product, which is the invariant the
+test suite pins down.
 """
 
 from __future__ import annotations
@@ -47,16 +53,16 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable
 
-from . import jets
+from . import connection, jets
 from .connection import (
+    BaseKernel,
     LocalTower,
     TensorField,
     along_y,
     cov_h,
-    cov_h_entry,
     cov_hh,
     cov_v,
     is_structural_zero,
@@ -86,7 +92,7 @@ class HorizontalForm:
     point.  A form built by an operator of this module holds a ``kernel``
     (tower -> coefficients) and evaluates on the tower it is handed, reusing
     the layers that tower has cached; its ``coeffs`` runs the kernel on a
-    fresh tower.
+    fresh tower.  A form built by :meth:`of_x` holds a :class:`BaseKernel`.
     """
 
     degree: int
@@ -94,11 +100,19 @@ class HorizontalForm:
     label: str = ""
     kernel: Callable | None = None
 
-    def on(self, tower: LocalTower):
-        """Coefficients at the tower's point."""
-        if self.kernel is None:
-            return self.coeffs(tower.xs, tower.ys)
-        return self.kernel(tower)
+    @classmethod
+    def of_x(cls, degree, fn, label=""):
+        """The form whose coefficients ``fn(xs)`` read the base point x alone;
+        its kernel is a :class:`BaseKernel`."""
+        return cls(degree, lambda xs, ys: fn(xs), label=label, kernel=BaseKernel(fn))
+
+    @property
+    def on(self):
+        """The kernel tower -> coefficients at the tower's point: ``kernel``,
+        or ``coeffs`` at the tower's coordinates."""
+        if self.kernel is not None:
+            return self.kernel
+        return lambda tower: self.coeffs(tower.xs, tower.ys)
 
     def at(self, s, z):
         """Packed coefficient array at a single validated point, on the tower
@@ -136,45 +150,78 @@ def form_build(n, p, fn):
     return nested_build(n, p, entry)
 
 
-def _lazy_cov_h(tower, form):
-    """Memoized (h, idx) -> (nabla_h form)_idx, with the form's coefficients."""
-    val, dx, dy = tower.partials(form.on)
-    return functools.cache(cov_h_entry(tower, val, dx, dy, "l" * form.degree)), val
-
-
 def dH_coeffs(tower: LocalTower, phi: HorizontalForm):
-    """Alternated horizontal covariant derivative, degree p -> p + 1."""
-    nab, _ = _lazy_cov_h(tower, phi)
+    """Horizontal differential, degree p -> p + 1: the alternation
+    (d_H phi)_{i0..ip} = sum_k (-1)^k (delta_{i_k} phi)_{..i_k omitted..} of
+    delta_c (``connection._delta_entry``).  The Gamma terms of the covariant
+    derivative cancel in it, since Gamma^i_jk = Gamma^i_kj."""
+    _, dx, dy = tower.partials(phi.on)
+    delta = connection._delta_entry(tower, dx, dy)
+    zero = is_structural_zero
+
+    def terms(idx, parity):
+        for k in range(parity, len(idx), 2):
+            t = delta(idx[k], idx[:k] + idx[k + 1 :])
+            if not zero(t):
+                yield t
 
     def entry(idx):
-        terms = (nab(idx[k], idx[:k] + idx[k + 1 :]) for k in range(phi.degree + 1))
-        return sum_terms(-t if k % 2 else t for k, t in enumerate(terms))
+        # the even terms minus the odd ones, so that no term is negated alone
+        plus, minus = sum_terms(terms(idx, 0)), sum_terms(terms(idx, 1))
+        return plus if zero(minus) else plus - minus
 
     return form_build(tower.n, phi.degree + 1, entry)
 
 
 def deltaH_coeffs(tower: LocalTower, psi: HorizontalForm):
-    """Horizontal co-differential, degree q -> q - 1.
+    """Horizontal co-differential, degree q -> q - 1, contracted through the
+    tower's layers gamma^p = g^ij Gamma^p_ij (``Gamma_trace``), R^pj_k =
+    g^ij Gamma^p_ki (``Gamma_raised``) and T^j = g^ij (nabla_0 T)_i
+    (``nabla0T_raised``):
 
-    Only j outside ``idx`` contribute to the trace over (j, idx); ``(j,) + idx``
-    is the increasing index J with j moved to its front from slot k, so its
-    entries are (-1)^k times those at J.
+        -(delta_H psi)_I = g^ij (delta_i psi)_jI - psi_pI gamma^p
+                           - sum_t psi_{j, I[t->p]} R^pj_{I_t} - psi_jI T^j.
+
+    Only j outside ``I`` contribute to the first term; ``(j,) + I`` is the
+    increasing index J with j moved to its front from slot k, so its delta_c
+    entries (memoized: J serves q of the I) are (-1)^k times those at J.
+    Every term is a product streamed into one of two sums, the terms added
+    to delta_H psi and those subtracted, and no product with a
+    structural-zero factor is formed.
     """
     n = tower.n
-    nab, val = _lazy_cov_h(tower, psi)
+    val, dx, dy = tower.partials(psi.on)
+    delta = functools.cache(connection._delta_entry(tower, dx, dy))
     gi = tower.gi
-    nT = tower.nabla0T
+    zero = is_structural_zero
 
-    def term(idx, i, j):
-        J = tuple(sorted((j,) + idx))
-        d = nab(i, J)
-        if not is_structural_zero(nT[i]):
-            d = d - tget(val, J) * nT[i]
-        t = gi[i][j] * d
-        return -t if J.index(j) % 2 else t
+    def products(pairs):
+        return (u * v for u, v in pairs if not (zero(u) or zero(v)))
 
-    def entry(idx):
-        return -sum_terms(term(idx, i, j) for i in range(n) for j in range(n) if j not in idx)
+    def traced(I, parity):
+        # g^ij (delta_i psi)_J over the j whose slot in J has this parity
+        for j in range(n):
+            if j not in I:
+                J = tuple(sorted((j,) + I))
+                if J.index(j) % 2 == parity:
+                    yield from products((gi[i][j], delta(i, J)) for i in range(n))
+
+    def corrections(I):
+        gamma, T = tower.Gamma_trace, tower.nabla0T_raised
+        for p in range(n):
+            v = tget(val, (p,) + I)
+            yield from products(((v, gamma[p]), (v, T[p])))
+        for t, k in enumerate(I):  # R only where q >= 2
+            R = tower.Gamma_raised
+            for p in range(n):
+                sub = I[:t] + (p,) + I[t + 1 :]
+                pairs = ((tget(val, (j,) + sub), R[p][j][k]) for j in range(n) if j != p)
+                yield from products(pairs)
+
+    def entry(I):
+        plus = sum_terms(chain(corrections(I), traced(I, 1)))
+        minus = sum_terms(traced(I, 0))
+        return plus if zero(minus) else plus - minus
 
     return form_build(n, psi.degree - 1, entry)
 

@@ -487,6 +487,17 @@ def list_grad(fn, lists, which):
     return _vector_grad(fn, lists, which, _leaf_depth(lists))
 
 
+def list_value_grad(fn, lists, which):
+    """``(value, partials)``: :func:`list_grad`'s partials together with the
+    value of ``fn(*lists)``, read off the same pass as its primal part, so
+    ``fn`` runs once."""
+    depth = _leaf_depth(lists)
+    seeded, tag = _seed(lists, which, depth)
+    res = _evaluate(fn, *seeded)
+    value = tree_map(lambda s: _taylor_coeff(s, tag, 0), res)
+    return value, _split(res, tag, len(lists[which]), depth)
+
+
 def grad_x(fn, xs, ys):
     return grad_wrt(fn, (xs, ys), 0)
 

@@ -120,7 +120,6 @@ class QuadratureGrid:
         for nodes, weights in self._nw:
             nodes.flags.writeable = weights.flags.writeable = False
         self._cache = {}
-        self._weights = None
 
     @classmethod
     def for_structure(cls, s, base_counts=None, fiber_counts=None, tolerance=DEFAULT_TOLERANCE):
@@ -169,18 +168,14 @@ class QuadratureGrid:
         return out
 
     def weights_full(self):
-        """Product weights over the full tensor product, computed once per
-        grid and shared read-only by every integral on it."""
-        if self._weights is None:
-            k = len(self._nw)
-            w = np.ones((1,) * k)
-            for i, (_, wi) in enumerate(self._nw):
-                shape = [1] * k
-                shape[i] = len(wi)
-                w = w * wi.reshape(shape)
-            w.flags.writeable = False
-            self._weights = w
-        return self._weights
+        """Product weights over the full tensor product."""
+        k = len(self._nw)
+        w = np.ones((1,) * k)
+        for i, (_, wi) in enumerate(self._nw):
+            shape = [1] * k
+            shape[i] = len(wi)
+            w = w * wi.reshape(shape)
+        return w
 
     # -- per-structure caches -------------------------------------------------
     # Keyed by id(s) and holding s, so the id stays valid while cached.  Forms
@@ -236,6 +231,18 @@ class QuadratureGrid:
             self._cache[key] = (s, np.abs(raw))
         return self._cache[key][1]
 
+    def weighted_density(self, s):
+        """w * rho, the product weights times :meth:`density`, over the full
+        tensor product: computed once per grid and metric and shared
+        read-only by every integral on it.  It is the one full-grid weight
+        array a grid keeps; :meth:`weights_full` computes w afresh."""
+        key = ("weighted_density", id(s))
+        if key not in self._cache:
+            wr = self.weights_full() * self.density(s)
+            wr.flags.writeable = False
+            self._cache[key] = (s, wr)
+        return self._cache[key][1]
+
     def meta(self):
         return {
             "base_counts": [a.count for a in self.base_axes],
@@ -289,14 +296,18 @@ def integrate_scalar(s, f, grid: QuadratureGrid) -> float:
 
     ``f`` is a generic callable (xs, ys) -> scalar, evaluated once on the
     grid's broadcast-shaped node coordinates, or a precomputed array
-    broadcastable to the grid shape.
+    broadcastable to the grid shape.  The integral is one product with the
+    grid's w * rho (:meth:`QuadratureGrid.weighted_density`) and one sum.
+    w * rho is finite and positive, so a non-finite node makes the sum
+    non-finite, and only then are the values scanned.
     """
     vals = f(*grid.coords_for(s)) if callable(f) else f
     vals = np.broadcast_to(np.asarray(vals, float), grid.shape)
-    if not np.all(np.isfinite(vals)):
+    with np.errstate(invalid="ignore"):  # inf - inf in the sum: raised below
+        total = float(np.sum(vals * grid.weighted_density(s)))
+    if not math.isfinite(total) and not np.all(np.isfinite(vals)):
         raise GridError("integrand is not finite at some node")
-    total = vals * grid.weights_full() * grid.density(s)
-    return float(np.sum(total))
+    return total
 
 
 def global_inner_product(s, phi, psi, grid: QuadratureGrid) -> float:

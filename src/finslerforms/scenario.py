@@ -213,8 +213,10 @@ def parse_task(s, kind, params, tolerance, where):
 
     Returns the closure ``run(grid, rng) -> (result, ok)`` that executes the
     task; ``ok`` is False whenever a float anywhere in the result is not
-    finite.  Malformed input is a ConfigError prefixed by ``where``; nothing
-    is drawn or computed.
+    finite.  The task runs with numpy's floating-point warnings off, since
+    a non-finite value fails it here or raises where it arises.  Malformed
+    input is a ConfigError prefixed by ``where``; nothing is drawn or
+    computed.
     """
     if not (isinstance(kind, str) and kind in TASK_PARSERS):
         raise ConfigError(f"{where}: unknown kind {kind!r}")
@@ -229,7 +231,8 @@ def parse_task(s, kind, params, tolerance, where):
     run = TASK_PARSERS[kind](s, kind, params, ints, tolerance, where)
 
     def checked(grid, rng):
-        result, ok = run(grid, rng)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            result, ok = run(grid, rng)
         return result, bool(ok) and _all_finite(result)
 
     return checked

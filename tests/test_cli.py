@@ -540,6 +540,19 @@ class TestCommandLine:
         assert out == ""
         assert err.startswith("error: task 1:")
 
+    def test_task_that_fails_at_run_time_prints_no_runtime_warning(self, tmp_path, capsys):
+        """The overflow that fails the task raises no numpy RuntimeWarning,
+        which would print to stderr before the error line."""
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(FAILING_AT_RUN_TIME))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "run", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "error: task 1: integrand is not finite at some node\n"
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
     @pytest.mark.parametrize("grid", ["16x", "16,16", "8,ax8"])
     def test_malformed_grid_flag_is_a_config_error(self, capsys, grid):
         code, out, err = run_cli(capsys, "integrate", "--metric", "euclidean", "--grid", grid)

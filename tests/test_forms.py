@@ -461,17 +461,23 @@ class TestIndependentComponents:
 
     REL_TOL = 1e-14  # times the largest |coefficient| of the reference
 
-    @pytest.fixture(scope="class", params=["randers-base", "randers-torus-3d"])
+    @pytest.fixture(scope="class", params=["randers-base", "randers-torus-3d", "randers-base-3d"])
     def setting(self, request, randers_base):
+        """A grid tower, or for the base-dependent 3D metric a 12-point batch:
+        the only case where q = 2 and 3 read every slot of R^pj_k while
+        Gamma, N and nabla_0 T do not vanish."""
         if request.param == "randers-base":
             s = randers_base
-            grid = QuadratureGrid.for_structure(s, (8, 8), (16,))
-        else:
+            tower = QuadratureGrid.for_structure(s, (8, 8), (16,)).tower(s)
+        elif request.param == "randers-torus-3d":
             s = bi.get_metric("randers-torus-3d")
-            grid = QuadratureGrid.for_structure(s, (8, 8, 8), (8, 8))
+            tower = QuadratureGrid.for_structure(s, (8, 8, 8), (8, 8)).tower(s)
+        else:
+            s = base_dependent_randers(3)
+            tower = TestSeededPartials.batch_tower(s)
         rng = np.random.default_rng(31)
         form_list = [bi.random_trig_form(rng, s, p) for p in range(s.dim + 1)]
-        return s, grid.tower(s), form_list
+        return s, tower, form_list
 
     def assert_close(self, got, want, degree):
         got, want = pack(got, degree), pack(want, degree)
@@ -511,27 +517,34 @@ class TestIndependentComponents:
             self.assert_close(inner_coeffs(tower, a, b, p), full_inner_coeffs(tower, a, b, p), 0)
 
     def test_covariant_entries_only_at_increasing_indices(self, setting, monkeypatch):
+        """d_H and delta_H read the form's delta_c entries
+        (``connection._delta_entry``, looked up at call time) at increasing
+        indices only, each at most once: at most C(n, p) n of them."""
         s, tower, form_list = setting
         n = s.dim
         calls = []
-        real = forms.cov_h_entry
+        real = connection._delta_entry
 
-        def counting_cov_h_entry(*args):
+        def counting_delta_entry(*args):
             entry = real(*args)
 
-            def counted(h, idx):
-                calls.append((h, idx))
-                return entry(h, idx)
+            def counted(c, idx):
+                calls.append((c, idx))
+                return entry(c, idx)
 
             return counted
 
-        monkeypatch.setattr(forms, "cov_h_entry", counting_cov_h_entry)
+        monkeypatch.setattr(connection, "_delta_entry", counting_delta_entry)
         for p, kernel in [(p, dH_coeffs) for p in range(n)] + [
             (p, deltaH_coeffs) for p in range(1, n + 1)
         ]:
             calls.clear()
             kernel(tower, form_list[p])
             assert 0 < len(calls) <= math.comb(n, p) * n, (kernel.__name__, p, len(calls))
+            assert len(set(calls)) == len(calls), (kernel.__name__, p)
+            for _, idx in calls:
+                increasing = all(a < b for a, b in zip(idx, idx[1:]))
+                assert len(idx) == p and increasing, (kernel.__name__, idx)
 
 
 # -- the parent's transport pair and vertical part, kept as references ------------
@@ -936,6 +949,81 @@ class TestHorizontalPartials:
             b = pack(op(tower, form), degree)
             assert np.max(np.abs(b)) > 0.0, form.label
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), form.label
+
+
+class TestFieldsOfXAlone:
+    """Fields built from a coefficient function of x alone (the built-in
+    forms, ``random_trig_form`` and ``TensorField.from_vector``) make no y
+    pass on arrays, also where N does not vanish, and give the values of
+    the same coefficients built as (x, y) fields."""
+
+    REL_TOL = 1e-15  # times the largest |value| of the (x, y) field's result
+
+    @pytest.fixture(scope="class")
+    def setting(self):
+        s = bi.get_metric("riemannian-torus")
+        grid = QuadratureGrid.for_structure(s, (16, 16), (24,))
+        tower = grid.tower(s)
+        assert not any(is_structural_zero(v) for row in tower.N for v in row)
+        return s, grid, tower
+
+    @staticmethod
+    def y_passes(monkeypatch):
+        """The vector passes that seed y (``jets._seed`` with ``which`` 1)."""
+        passes = []
+        seed = jets._seed
+
+        def recording(lists, which, depth):
+            if which == 1:
+                passes.append(depth)
+            return seed(lists, which, depth)
+
+        monkeypatch.setattr(jets, "_seed", recording)
+        return passes
+
+    def assert_close(self, got, want, degree):
+        """Within REL_TOL; exactly equal where the (x, y) field's result is 0
+        (d_H of sin-x1-dx1)."""
+        got, want = pack(got, degree), pack(want, degree)
+        assert np.max(np.abs(got - want)) <= self.REL_TOL * np.max(np.abs(want))
+
+    def test_forms_make_no_y_pass(self, setting, monkeypatch):
+        s, _, tower = setting
+        rng = np.random.default_rng(81)
+        ops = [(dH_coeffs, 1), (deltaH_coeffs, -1)]
+        cases = [bi.get_form("sin-x1-dx1", s), bi.random_trig_form(rng, s, 1)]
+        for form in cases:  # warm the tower's layers
+            for op, _ in ops:
+                op(tower, form)
+        passes = self.y_passes(monkeypatch)
+        got = [[op(tower, form) for op, _ in ops] for form in cases]
+        assert passes == []
+        for form, values in zip(cases, got):
+            xy = HorizontalForm(form.degree, form.coeffs, label=form.label)
+            assert xy.kernel is None
+            for (op, step), value in zip(ops, values):
+                self.assert_close(value, op(tower, xy), form.degree + step)
+        assert passes, "the (x, y) forms make their y pass"
+
+    def test_bochner_integral_makes_only_the_transport_forms_y_pass(self, setting, monkeypatch):
+        """The Bochner scalar and the gradient norm of X make no y pass; the
+        divergence of the transport form makes its own, since that form reads
+        g and so y, but none for X inside it."""
+        s, grid, tower = setting
+        X = bi.random_trig_vector(np.random.default_rng(82), s)
+        bochner_integral(s, X, grid)  # warm the tower's layers
+        passes = self.y_passes(monkeypatch)
+        bochner_integral(s, X, grid)
+        assert len(passes) == 1
+        xy = TensorField(X.fn, "u")
+        assert not isinstance(xy.on, connection.BaseKernel)
+        for integrand in (forms.bochner_scalar_at, forms.gradient_norm_squared_at):
+            self.assert_close(integrand(tower, X), integrand(tower, xy), 0)
+        self.assert_close(
+            deltaH_coeffs(tower, forms.transport_form(s, X)),
+            deltaH_coeffs(tower, forms.transport_form(s, xy)),
+            0,
+        )
 
 
 ZERO_LAYERS = (("N", 2), ("Gamma", 3), ("nabla0T", 1))
