@@ -24,20 +24,25 @@ child computes only the layers read and takes its own partials from its
 own child.  On arrays no child is cached, since a grid tower outlives the
 call: each list is its own per-coordinate pass (:func:`jets.grad_wrt`) at
 fresh rebuilt towers, which keeps F^2 under nested jets from holding n
-tangents per node array.  Whatever is computed
-from the tower's layers is differentiated on a lifted tower instead
-(:meth:`LocalTower.partials`): :func:`jets.grad_xy` seeds the
-coordinates in vector passes, one over x and y together at a point and one
-per list on arrays, and the lifted tower at those jet coordinates reads N,
-Gamma, g and nabla0T as jets of the parent's cached values and partials.
-So a horizontal derivative of any field (a :class:`TensorField`, a form, or
-nabla T inside nabla nabla T, :func:`cov_hh`) takes the partials of its
-kernel, ``tower.partials(field.on)``; on arrays where N vanishes that skips
-the y pass, which no delta_c reads there, so a dy of None is for horizontal
-consumers only.  A vertical derivative (:func:`cov_v`) takes the y partials
-of :meth:`TensorField.partials`.  A field built from a coefficient function
-of x alone has a :class:`BaseKernel`, and on arrays both take its partials
-from one x pass, the value its primal part, with dy the structural zero.
+tangents per node array.  This is the one rule that reads the shape of the
+coordinates.
+
+Whatever is computed from the tower's layers (a :class:`TensorField`, a
+form, nabla T inside nabla nabla T, :func:`cov_hh`) is a kernel tower ->
+components, and a horizontal derivative takes ``tower.partials(kernel)``
+(:meth:`LocalTower.partials`) by three rules on the kernel and the tower:
+
+1. A :class:`BaseKernel`, the kernel of a field of x alone, takes one x
+   pass: the value is the pass's primal part, dy the structural zero.
+2. Where every N^m_c is the structural zero no delta_c reads a y partial,
+   so dy is None, and any other kernel takes the x pass alone.
+3. Any other kernel takes the passes of :func:`jets.grad_xy`.
+
+Rules 2 and 3 run the kernel on a lifted tower at the seeded coordinates,
+which reads N, Gamma, g and nabla0T as jets of the parent's cached values
+and partials.  A dy of None is for horizontal consumers only: a vertical
+derivative (:func:`cov_v`) takes the y partials of
+:meth:`TensorField.partials`, which follow rule 1 for a field of x alone.
 
 The co-differential reads three contractions of the tower, each cached
 once: gamma^p = g^ij Gamma^p_ij (``Gamma_trace``), R^pj_k = g^ij Gamma^p_ki
@@ -150,10 +155,7 @@ class LocalTower:
     layers of one cached child (:attr:`_child`); on arrays each is its own
     pass at fresh rebuilt towers.  ``dgx`` is g's x partial and C half its y
     partial ``dgy``, both by this rule.  Kernels computed from the layers,
-    such as fields, forms and nabla T, are differentiated without that:
-    :meth:`partials` runs the kernel under :func:`jets.grad_xy` on a
-    :class:`_LiftedTower` at the seeded coordinates, whose N, Gamma, g and
-    nabla0T are first-order jets of this tower's values and cached partials.
+    such as fields, forms and nabla T, are differentiated by :meth:`partials`.
     """
 
     def __init__(self, s: FinslerStructure, xs, ys):
@@ -163,37 +165,24 @@ class LocalTower:
         self.n = s.dim
 
     def partials(self, kernel):
-        """(value, dx, dy) of ``kernel(tower)`` (nested components) at this point.
-
-        The partials are those of ``kernel(_LiftedTower(self, a, b))`` under
-        :func:`jets.grad_xy`, so the seeding is its: one vector pass over x
-        and y together at a point, one vector pass per list on arrays.  The
-        lifted tower reads its connection layers as jets of this tower's
-        cached values and partials instead of recomputing them from F^2 at
-        jet coordinates; a kernel that reads only the coordinates, such as a
-        leaf form, sees the seeded coordinates alone.
-
-        On arrays where every N^m_c is the structural zero, dy is None and
-        only the x pass runs, before the value: delta_c (:func:`_delta_entry`)
-        skips those N^m_c, so it never reads dy there.  A lifted tower keeps N
-        as that zero only where the parent's value and partials are, so the
-        rule holds at every nesting level.  A dy of None is for horizontal
-        consumers only; a vertical one reads :meth:`TensorField.partials`.
-
-        On arrays a :class:`BaseKernel`, the kernel of a field of x alone,
-        makes the x pass alone wherever N vanishes or not: the value is its
-        primal part, and dy, where N does not vanish, is the structural zero
-        in every entry.  At a point it runs the joint pass like any kernel.
+        """(value, dx, dy) of ``kernel(tower)`` (nested components) at this
+        point, by the three kernel rules of the module docstring.  Under
+        rules 2 and 3 the passes run ``kernel(_LiftedTower(self, a, b))``,
+        which reads the connection layers as jets of this tower's cached
+        values and partials instead of recomputing them from F^2 at jet
+        coordinates.  A lifted tower keeps N as the structural zero only
+        where the parent's value and partials are, so rule 2 holds at every
+        nesting level.
         """
+        vanishing = all(is_structural_zero(v) for row in self.N for v in row)
+        if isinstance(kernel, BaseKernel):
+            value, dx, dy = kernel.x_pass(self.xs, self.ys)
+            return value, dx, None if vanishing else dy
         lifted = lambda a, b: kernel(_LiftedTower(self, a, b))
-        if self._depth is None:
-            vanishing = all(is_structural_zero(v) for row in self.N for v in row)
-            if isinstance(kernel, BaseKernel):
-                value, dx, dy = kernel.x_pass(self.xs, self.ys)
-                return value, dx, None if vanishing else dy
-            if vanishing:
-                dx = jets.list_grad(lifted, (self.xs, self.ys), 0)
-                return kernel(self), dx, None
+        if vanishing:
+            # the x pass before the value, which it would otherwise hold at its peak
+            dx = jets.list_grad(lifted, (self.xs, self.ys), 0)
+            return kernel(self), dx, None
         return (kernel(self), *grad_xy(lifted, self.xs, self.ys))
 
     @cached_property
@@ -425,9 +414,9 @@ class _LiftedTower(LocalTower):
 
     The seeded level is read off the coordinates: its tag is the newest
     outer jet tag, and each coordinate that carries it holds its vector-pass
-    tangent: ``eye(2n)[m]`` at a point, where :func:`jets.grad_xy` seeds both
-    lists in one pass, and ``eye(n)[m]`` on arrays, where one list is seeded
-    per pass.  N, Gamma, g and nabla0T are jets of the parent's values and of
+    tangent: ``eye(2n)[m]`` where both lists are seeded in one pass, as
+    :func:`jets.grad_xy` seeds them at a point, and ``eye(n)[m]`` where one
+    list is.  N, Gamma, g and nabla0T are jets of the parent's values and of
     its cached partials along each seeded list (``dN_x``, ``dN_y``, ...;
     ``dgx`` and ``dgy`` for g), read lazily.  Every other layer is computed
     at the jet coordinates; the partials of its own layers follow the
@@ -607,7 +596,7 @@ class BaseKernel:
     """The kernel tower -> ``fn(tower.xs)`` of a field whose components read
     the base point x alone.  The constructors that take a coefficient
     function of xs alone build it (:meth:`TensorField.from_vector`,
-    ``HorizontalForm.of_x``), so on arrays its partials need no y pass."""
+    ``HorizontalForm.of_x``), so its partials need no y pass."""
 
     __slots__ = ("fn",)
 
@@ -660,9 +649,9 @@ class TensorField:
 
     def partials(self, xs, ys):
         """(value, dx, dy) with dx[c] and dy[m] pytrees of plain partials,
-        taken together by :func:`jets.grad_xy`; on arrays a field of x alone
-        takes them from its :meth:`BaseKernel.x_pass`."""
-        if isinstance(self.on, BaseKernel) and jets._point_depth((xs, ys)) is None:
+        taken together by :func:`jets.grad_xy`; a field of x alone takes them
+        from its :meth:`BaseKernel.x_pass`."""
+        if isinstance(self.on, BaseKernel):
             return self.on.x_pass(xs, ys)
         return (self.fn(xs, ys), *grad_xy(self.fn, xs, ys))
 

@@ -11,19 +11,14 @@ for all the forms it evaluates there.  Grids enter only through the
 quadrature module.
 
 Differentiation.  An operator takes the partials of the form or vector
-field it acts on from ``tower.partials(field.on)`` (:meth:`LocalTower.partials`):
-the field is evaluated under :func:`jets.grad_xy` on a lifted tower at the
-seeded coordinates (one vector pass over x and y together at a point, one
-vector pass per list on arrays, and on arrays no y pass where N vanishes:
-a dy of None is for horizontal consumers only, and a vertical derivative
-reads the y partials of :meth:`TensorField.partials`).  The
-lifted tower's N, Gamma, g and nabla0T are jets of the parent's cached
-values and partials, so on a tower that already holds those partials, as a
-warm grid tower does, differentiating a form evaluates no F^2 at all.  A
-form or field whose coefficients read x alone (:meth:`HorizontalForm.of_x`,
-``TensorField.from_vector``: every built-in and seeded one) has a
-:class:`BaseKernel`, and on arrays its partials are one x pass, the value
-its primal part, with no y pass where N does not vanish either.
+field it acts on from ``tower.partials(field.on)`` (:meth:`LocalTower.partials`),
+by the kernel rules of :mod:`.connection`: a field of x alone
+(:meth:`HorizontalForm.of_x`, ``TensorField.from_vector``: every built-in
+and seeded one) takes one x pass, any field where N vanishes the x pass
+alone, and the rest the passes of :func:`jets.grad_xy`, on a lifted tower
+whose N, Gamma, g and nabla0T are jets of the parent's cached values and
+partials.  So on a tower that already holds those partials, as a warm
+grid tower does, differentiating a form evaluates no F^2 at all.
 Second covariant derivatives (:func:`cov_hh`) take the form's kernel
 ``form.on`` and differentiate nabla phi the same way, so they too read only
 cached layers when phi is a leaf form.  A layer component that vanishes

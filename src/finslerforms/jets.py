@@ -27,11 +27,11 @@ child with :func:`_split`, as :func:`_vector_grad` does with its result.
 derivative delta_c = d/dx^c - N^m_c d/dy^m that reads both, and makes vector
 passes only: at a point one pass seeds all 2n coordinates, on arrays one
 :func:`list_grad` pass seeds the n coordinates of x and a second those of y.
-Kernels that read a connection tower are differentiated by it:
-``LocalTower.partials`` hands ``grad_xy`` a kernel that builds a lifted
-tower at the seeded coordinates, which reads its layers off the parent's
-cached values and partials, so a pass costs a few array operations per
-node rather than F^2 under jets.
+Kernels that read a connection tower are differentiated by it, or by the
+x pass of :func:`list_grad` alone where N vanishes: ``LocalTower.partials``
+hands it a kernel that builds a lifted tower at the seeded coordinates,
+which reads its layers off the parent's cached values and partials, so a
+pass costs a few array operations per node rather than F^2 under jets.
 
 :func:`trig_sum` evaluates the seeded trigonometric generators in closed
 form.  On arrays it keeps the cosine and sine of the phase K x of the last

@@ -129,11 +129,7 @@ def grid_from_config(s, cfg) -> QuadratureGrid | None:
         raise ConfigError("grid must be an object")
     if not cfg and s.dim not in quad.DEFAULT_BASE_COUNTS:
         return None
-    base = cfg.get("base")
-    fiber = cfg.get("fiber")
-    for v in (base, fiber):
-        if v and not (isinstance(v, list) and all(isinstance(c, int) for c in v)):
-            raise ConfigError("grid 'base' and 'fiber' must be lists of integer node counts")
+    base, fiber = (_node_counts(cfg.get(key), key) for key in ("base", "fiber"))
     counts = [
         *(base or quad.DEFAULT_BASE_COUNTS.get(s.dim, ())),
         *(fiber or quad.DEFAULT_FIBER_COUNTS.get(s.dim, ())),
@@ -144,14 +140,19 @@ def grid_from_config(s, cfg) -> QuadratureGrid | None:
         raise ConfigError(f"grid must have at most {MAX_GRID_NODES} nodes")
     tol = _parse_tolerance(cfg.get("tolerance", quad.DEFAULT_TOLERANCE), "grid 'tolerance'")
     try:
-        return QuadratureGrid.for_structure(
-            s,
-            base_counts=tuple(base) if base else None,
-            fiber_counts=tuple(fiber) if fiber else None,
-            tolerance=tol,
-        )
+        return QuadratureGrid.for_structure(s, base_counts=base, fiber_counts=fiber, tolerance=tol)
     except GridError as exc:
         raise ConfigError(f"grid: {exc}") from None
+
+
+def _node_counts(value, key):
+    """The counts of grid ``key`` ('base' or 'fiber') as a tuple, None if
+    absent; each passes :func:`_parse_int`, so 8.0 is 8 and a bool is refused."""
+    if value is None:
+        return None
+    if not (isinstance(value, list) and value):
+        raise ConfigError("grid 'base' and 'fiber' must be non-empty lists of integer node counts")
+    return tuple(_parse_int(c, f"grid '{key}' count") for c in value)
 
 
 def _parse_int(value, what, minimum=None, maximum=None):

@@ -10,7 +10,7 @@ import pytest
 from finslerforms import builtins as bi
 from finslerforms import curvature, forms, quadrature
 from finslerforms.cli import main
-from finslerforms.connection import LocalTower
+from finslerforms.connection import LocalTower, pack
 from finslerforms.errors import ConfigError, TaskError
 from finslerforms.scenario import (
     POINT_READERS,
@@ -284,6 +284,13 @@ MALFORMED = [
     ),
     ({"tasks": {"kind": "tensor"}}, "'tasks' must be a list"),
     ({"metric": {"family": "riemannian"}}, "riemannian metric needs coefficient matrix 'a'"),
+    # grid counts that are present but no list of counts, or a count that is no integer
+    *(
+        ({"grid": grid}, "grid 'base' and 'fiber' must be non-empty lists of integer node counts")
+        for grid in ({"base": 0}, {"base": []}, {"fiber": False})
+    ),
+    ({"grid": {"base": [True, 8]}}, "grid 'base' count must be an integer, got True"),
+    ({"grid": {"fiber": [64.5]}}, "grid 'fiber' count must be an integer, got 64.5"),
 ]
 MALFORMED_IDS = [
     "unknown-kind", "task-not-object", "params-not-object", "point-without-y",
@@ -307,7 +314,8 @@ MALFORMED_IDS = [
     "chart-bound-huge-integer", "matrix-indefinite", "matrix-infinite", "randers-indefinite",
     "dim-huge-integer", "dim-above-bound", "matrix-above-dim-bound", "grid-count-huge-integer",
     "grid-above-node-bound", "chart-periodic-strings", "chart-periodic-string",
-    "tasks-not-list", "riemannian-without-a",
+    "tasks-not-list", "riemannian-without-a", "grid-base-zero", "grid-base-empty",
+    "grid-fiber-false", "grid-count-bool", "grid-count-fractional",
 ]
 
 # the malformed documents that the command line can hand over: all but those
@@ -424,6 +432,12 @@ class TestScenarioRunner:
         task = report["tasks"][0]
         assert not np.all(np.isfinite(np.asarray(task["result"]["components"], float)))
         assert task["pass"] is False and report["pass"] is False
+
+    def test_grid_counts_may_be_integral_floats(self):
+        """A count of 8.0 is 8, as every other integer of a document may be."""
+        _, grid = validate_scenario({"grid": {"base": [8.0, 16.0], "fiber": [24.0]}})
+        assert [ax.count for ax in grid.base_axes + grid.fiber_axes] == [8, 16, 24]
+        assert all(type(ax.count) is int for ax in grid.base_axes + grid.fiber_axes)
 
     def test_task_that_fails_at_run_time_is_a_task_error(self):
         validate_scenario(FAILING_AT_RUN_TIME)
@@ -597,9 +611,15 @@ class TestCommandLine:
                 json.dumps({"metric": {"family": "riemannian", "a": [[1, 0], [0, -1]]}}),
                 "not positive",
             ),
+            *(
+                (json.dumps({"grid": grid}), "must be non-empty lists of integer node counts")
+                for grid in ({"base": 0}, {"base": []}, {"fiber": False})
+            ),
+            (json.dumps({"grid": {"base": [True, 8]}}), "grid 'base' count must be an integer"),
         ],
         ids=["missing-file", "not-json", "expect-harmonic-string", "dim-without-default-grid",
-             "tolerance-huge-integer", "indefinite-inline-metric"],
+             "tolerance-huge-integer", "indefinite-inline-metric", "grid-base-zero",
+             "grid-base-empty", "grid-fiber-false", "grid-count-bool"],
     )
     def test_unreadable_scenario_file_is_a_config_error(self, tmp_path, capsys, contents, message):
         path = tmp_path / "scenario.json"
@@ -843,6 +863,23 @@ class TestCommandLine:
         assert code == 2
         assert out == ""
         assert "configuration error" in err and "--points" in err
+
+    def test_laplacian_points_not_finite_exits_one(self, capsys, monkeypatch):
+        """A Laplacian with a NaN at one node writes no rows and exits 1."""
+        expansion = forms.laplacian_expansion_coeffs
+
+        def nan_at_one_node(tower, phi):
+            arr = pack(expansion(tower, phi), phi.degree)
+            arr = np.array(np.broadcast_to(arr, arr.shape[:1] + (8, 8, 8)))
+            arr[0, 1, 2, 3] = math.nan
+            return list(arr)
+
+        monkeypatch.setattr(forms, "laplacian_expansion_coeffs", nan_at_one_node)
+        argv = ("laplacian", "--metric", "euclidean", "--form", "sin-x1-dx1", "--grid", "8,8x8")
+        code, out, err = run_cli(capsys, *argv, "--format", "csv", "--points")
+        assert code == 1
+        assert out == ""
+        assert "Laplacian is not finite at some node" in err
 
     def test_csv_floats_carry_full_precision(self, capsys):
         code, out, _ = run_cli(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from finslerforms import builtins as bi
-from finslerforms.connection import TensorField, pack, tower_at
+from finslerforms.connection import LocalTower, TensorField, pack, tower_at
 from finslerforms.curvature import (
     checked_flag,
     flag_curvature_tensor,
@@ -87,6 +87,16 @@ class TestFlagTensor:
             for z in sample_points(s, 5):
                 flag = flag_curvature_tensor(s, (z.x, z.y), cross_check=True)
                 assert flag.variance == "ull"
+
+    def test_cross_check_refuses_a_disagreeing_flag(self, sphere):
+        """A direct flag curvature off y.hh by 1e-3 fails the cross-check."""
+        z = sample_points(sphere, 1)[0]
+        tower = LocalTower(sphere, list(z.x), list(z.y))
+        flag = pack(tower.flag, 3)
+        flag[0, 0, 1] += 1e-3
+        vars(tower)["flag"] = flag.tolist()
+        with pytest.raises(DomainError, match="flag curvature cross-check failed"):
+            checked_flag(tower)
 
     def test_antisymmetric_last_pair(self, sphere):
         for z in sample_points(sphere, 5):

@@ -21,6 +21,7 @@ from finslerforms.connection import (
     sum_terms,
     tget,
     tower_at,
+    v_covariant_derivative,
 )
 from finslerforms.curvature import ricci_components
 from finslerforms.errors import DegreeMismatch, DegreeOverflow, DegreeUnderflow, DomainError
@@ -858,10 +859,18 @@ class TestSeededPartials:
         assert len(runs) == (3 if batch else 2)
 
 
+def tower_where(s, where):
+    """The tower of ``s`` on TestSeededPartials' grid, or at a seeded point."""
+    if where == "grid":
+        return TestSeededPartials.grid_for(s).tower(s)
+    z = trig_point(s)
+    return tower_at(s, (z.x, z.y))
+
+
 class TestHorizontalPartials:
     """d_H, delta_H and the expanded Laplacian read a form's partials through
-    ``LocalTower.partials``: on a grid where N vanishes they take the value
-    and the x pass only, with the values of the full partials."""
+    ``LocalTower.partials``: where N vanishes, on a grid as at a point, they
+    take the value and the x pass only, with the values of the full partials."""
 
     @staticmethod
     def counted(form, evals):
@@ -886,10 +895,11 @@ class TestHorizontalPartials:
         monkeypatch.setattr(_LiftedTower, "__init__", recording)
         return seeded
 
-    def passes(self, s, monkeypatch):
+    def passes(self, s, monkeypatch, where="grid"):
         """(coefficient evaluations, seeded lists) of d_H of a trig 1-form
-        and of delta_H of a trig 2-form on the grid tower, one op at a time."""
-        tower = TestSeededPartials.grid_for(s).tower(s)
+        and of delta_H of a trig 2-form on the tower ``where``, one op at a
+        time.  The joint pass at a point seeds x and y: (True, True)."""
+        tower = tower_where(s, where)
         rng = np.random.default_rng(71)
         phi1, psi = bi.random_trig_form(rng, s, 1), bi.random_trig_form(rng, s, 2)
         seeded = self.record_seeded_lists(monkeypatch)
@@ -901,9 +911,10 @@ class TestHorizontalPartials:
             out.append((len(evals), list(seeded)))
         return out
 
-    def test_no_y_pass_where_n_vanishes(self, monkeypatch):
+    @pytest.mark.parametrize("where", ["grid", "point"])
+    def test_no_y_pass_where_n_vanishes(self, monkeypatch, where):
         s = bi.get_metric("randers-torus-3d")
-        for evals, seeded in self.passes(s, monkeypatch):
+        for evals, seeded in self.passes(s, monkeypatch, where):
             assert evals == 2  # the value and one x pass
             assert seeded == [(True, False)]
 
@@ -925,11 +936,12 @@ class TestHorizontalPartials:
             assert evals == 3  # the value, one x pass and one y pass
             assert seeded == [(True, False), (False, True)]
 
-    def test_values_equal_those_of_the_full_partials(self, monkeypatch):
+    @pytest.mark.parametrize("where", ["grid", "point"])
+    def test_values_equal_those_of_the_full_partials(self, monkeypatch, where):
         """d_H and delta_H of leaf and operator forms, nested lifted towers
         included, bit for bit as cov_h of the full (x, y) partials gives them."""
         s = bi.get_metric("randers-torus-3d")
-        tower = TestSeededPartials.grid_for(s).tower(s)
+        tower = tower_where(s, where)
         rng = np.random.default_rng(72)
         phi1, psi = bi.random_trig_form(rng, s, 1), bi.random_trig_form(rng, s, 2)
         ops = [
@@ -954,27 +966,33 @@ class TestHorizontalPartials:
 class TestFieldsOfXAlone:
     """Fields built from a coefficient function of x alone (the built-in
     forms, ``random_trig_form`` and ``TensorField.from_vector``) make no y
-    pass on arrays, also where N does not vanish, and give the values of
-    the same coefficients built as (x, y) fields."""
+    pass, on a grid as at a point, also where N does not vanish, and give
+    the values of the same coefficients built as (x, y) fields."""
 
     REL_TOL = 1e-15  # times the largest |value| of the (x, y) field's result
 
-    @pytest.fixture(scope="class")
-    def setting(self):
+    @pytest.fixture(scope="class", params=["grid", "point"])
+    def setting(self, request):
+        """(s, grid, tower); the grid is None for the tower at a point."""
         s = bi.get_metric("riemannian-torus")
-        grid = QuadratureGrid.for_structure(s, (16, 16), (24,))
-        tower = grid.tower(s)
+        if request.param == "grid":
+            grid = QuadratureGrid.for_structure(s, (16, 16), (24,))
+            tower = grid.tower(s)
+        else:
+            grid, z = None, bi.random_chart_points(np.random.default_rng(80), s, 1)[0]
+            tower = tower_at(s, (z.x, z.y))
         assert not any(is_structural_zero(v) for row in tower.N for v in row)
         return s, grid, tower
 
     @staticmethod
     def y_passes(monkeypatch):
-        """The vector passes that seed y (``jets._seed`` with ``which`` 1)."""
+        """The vector passes that seed y: ``jets._seed`` with ``which`` 1, or
+        with x and y as one list, as the joint pass at a point seeds them."""
         passes = []
         seed = jets._seed
 
         def recording(lists, which, depth):
-            if which == 1:
+            if which == 1 or len(lists) == 1:
                 passes.append(depth)
             return seed(lists, which, depth)
 
@@ -1011,9 +1029,17 @@ class TestFieldsOfXAlone:
         g and so y, but none for X inside it."""
         s, grid, tower = setting
         X = bi.random_trig_vector(np.random.default_rng(82), s)
-        bochner_integral(s, X, grid)  # warm the tower's layers
+
+        def bochner():  # at a point, the integrands bochner_integral sums
+            if grid is not None:
+                return bochner_integral(s, X, grid)
+            for integrand in (forms.bochner_scalar_at, forms.gradient_norm_squared_at):
+                integrand(tower, X)
+            return deltaH_coeffs(tower, forms.transport_form(s, X))
+
+        bochner()  # warm the tower's layers
         passes = self.y_passes(monkeypatch)
-        bochner_integral(s, X, grid)
+        bochner()
         assert len(passes) == 1
         xy = TensorField(X.fn, "u")
         assert not isinstance(xy.on, connection.BaseKernel)
@@ -1024,6 +1050,66 @@ class TestFieldsOfXAlone:
             deltaH_coeffs(tower, forms.transport_form(s, xy)),
             0,
         )
+
+
+class TestKernelRulesAtAPoint:
+    """A kernel's partials seed the same lists at a point as on a one-node
+    array tower at that point, with the same values to rounding: a field of
+    x alone, and any kernel where N vanishes, take the x pass alone."""
+
+    REL_TOL = 1e-15  # times the largest |value| at the point
+
+    @staticmethod
+    def seeded_lists(monkeypatch):
+        """The list each vector pass seeds: "x", "y", or "xy" for x and y
+        seeded as one list."""
+        seeded = []
+        seed = jets._seed
+
+        def recording(lists, which, depth):
+            seeded.append("xy" if len(lists) == 1 else "xy"[which])
+            return seed(lists, which, depth)
+
+        monkeypatch.setattr(jets, "_seed", recording)
+        return seeded
+
+    @pytest.mark.parametrize("name", ["base-dependent-randers", "randers-torus-3d"])
+    def test_point_seeds_as_a_one_node_array(self, name, monkeypatch):
+        """Fields of x alone on a metric where N does not vanish; the same
+        coefficients as (x, y) fields, horizontal ops only, where N vanishes."""
+        vanishing = name == "randers-torus-3d"
+        s = bi.get_metric(name) if vanishing else base_dependent_randers(2)
+        rng = np.random.default_rng(83)
+        z = bi.random_chart_points(rng, s, 1)[0]
+        towers = [
+            tower_at(s, (z.x, z.y)),
+            LocalTower(s, [np.array([v]) for v in z.x], [np.array([v]) for v in z.y]),
+        ]
+        phi, psi = bi.random_trig_form(rng, s, 1), bi.random_trig_form(rng, s, 2)
+        X = bi.random_trig_vector(rng, s)
+        if vanishing:
+            phi, psi = (HorizontalForm(f.degree, f.coeffs) for f in (phi, psi))
+            X = TensorField(X.fn, "u")
+        ops = [
+            lambda tw: pack(dH_coeffs(tw, phi), 2),
+            lambda tw: pack(deltaH_coeffs(tw, psi), 1),
+            lambda tw: h_covariant_derivative(tw, X).data,
+        ]
+        if not vanishing:  # a vertical derivative of an (x, y) field reads dy
+            ops.append(lambda tw: v_covariant_derivative(tw, X).data)
+        got = []
+        for tw in towers:
+            for op in ops:  # warm the tower's layers
+                op(tw)
+            seeded = self.seeded_lists(monkeypatch)
+            values = [np.asarray(op(tw)) for op in ops]
+            got.append((seeded, values))
+            monkeypatch.undo()
+        (point_lists, at_point), (array_lists, on_array) = got
+        assert point_lists == array_lists == ["x"] * len(point_lists)
+        assert point_lists
+        for a, b in zip(at_point, on_array):
+            assert np.max(np.abs(a - b.reshape(a.shape))) <= self.REL_TOL * np.max(np.abs(a))
 
 
 ZERO_LAYERS = (("N", 2), ("Gamma", 3), ("nabla0T", 1))

@@ -7,7 +7,7 @@ from finslerforms import builtins as bi
 from finslerforms import jets
 from finslerforms.connection import tower_at
 from finslerforms.curvature import hh_components, hv_components, vv_components
-from finslerforms.errors import OrderTooHigh
+from finslerforms.errors import DomainError, OrderTooHigh
 from finslerforms.jets import (
     Jet,
     JetRequest,
@@ -163,6 +163,11 @@ class TestJetAlgebra:
         s = x.sqrt()
         assert abs(s.coeffs[0] - 2.0) < 1e-15
         assert abs(s.coeffs[1] - 0.25) < 1e-15
+
+    @pytest.mark.parametrize("x", [0.0, -1.0, 0])
+    def test_sqrt_of_a_non_positive_scalar_is_a_domain_error(self, x):
+        with pytest.raises(DomainError, match="sqrt of a non-positive scalar"):
+            gsqrt(x)
 
     def test_nested_tags_do_not_mix(self):
         # d/dx (x * dy(x*y)) must see the inner derivative as a constant

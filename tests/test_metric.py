@@ -5,10 +5,23 @@ import numpy as np
 import pytest
 
 from finslerforms import builtins as bi
-from finslerforms.connection import tower_at
-from finslerforms.errors import ConfigError, DomainError, NotPositiveDefinite, OutOfChart, ZeroVector
+from finslerforms.connection import LocalTower, tower_at
+from finslerforms.errors import (
+    ConfigError,
+    DomainError,
+    NotPositiveDefinite,
+    OutOfChart,
+    SingularMetric,
+    ZeroVector,
+)
 from finslerforms.jets import JetRequest, fd_partial
-from finslerforms.metric import ChartSpec, FinslerStructure, _cholesky_check, metric_components
+from finslerforms.metric import (
+    ChartSpec,
+    FinslerStructure,
+    _cholesky_check,
+    ginv_array,
+    metric_components,
+)
 
 from conftest import sample_points
 
@@ -204,6 +217,14 @@ class TestTensorLayer:
                 g = s.fundamental_tensor((z.x, z.y)).data
                 gi = s.inverse_metric((z.x, z.y)).data
                 assert np.max(np.abs(g @ gi - np.eye(s.dim))) < 1e-12
+
+    def test_non_finite_inverse_metric_is_singular(self, randers):
+        """An inverse with a non-finite entry is refused, not reported."""
+        z = sample_points(randers, 1)[0]
+        tower = LocalTower(randers, list(z.x), list(z.y))
+        vars(tower)["gi"] = [[math.inf, 0.0], [0.0, 1.0]]
+        with pytest.raises(SingularMetric, match="inverse metric is not finite"):
+            ginv_array(tower)
 
     def test_randers_metric_matches_fd_hessian(self, randers):
         """Half the finite-difference y-Hessian of F^2 reproduces the metric."""

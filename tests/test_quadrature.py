@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from finslerforms import builtins as bi
+from finslerforms import quadrature
 from finslerforms.connection import LocalTower
 from finslerforms.errors import DegreeMismatch, DomainError, GridError, PoleSingularity
 from finslerforms.forms import (
@@ -202,6 +203,20 @@ class TestVolumeDensity:
         monkeypatch.setattr(randers_base, "f2", lambda xs, ys: calls.append(1) or f2(xs, ys))
         assert np.all(grid.density(randers_base) > 0.0)
         assert calls == []
+
+    def test_vanishing_density_is_a_grid_error(self, euclidean, monkeypatch):
+        """A raw density that is 0 at one node is refused."""
+        grid = QuadratureGrid.for_structure(euclidean, (8, 8), (8,))
+        raw_density = quadrature._raw_density
+
+        def zero_at_one_node(*args):
+            raw = np.array(np.broadcast_to(raw_density(*args), grid.shape))
+            raw[3, 4, 5] = 0.0
+            return raw
+
+        monkeypatch.setattr(quadrature, "_raw_density", zero_at_one_node)
+        with pytest.raises(GridError, match="volume density vanishes"):
+            grid.density(euclidean)
 
     def test_pole_singularity(self):
         e3 = bi.get_metric("euclidean-3d")
