@@ -33,16 +33,18 @@ components, and a horizontal derivative takes ``tower.partials(kernel)``
 (:meth:`LocalTower.partials`) by three rules on the kernel and the tower:
 
 1. A :class:`BaseKernel`, the kernel of a field of x alone, takes one x
-   pass: the value is the pass's primal part, dy the structural zero.
+   pass, and dy is the structural zero.
 2. Where every N^m_c is the structural zero no delta_c reads a y partial,
    so dy is None, and any other kernel takes the x pass alone.
 3. Any other kernel takes the passes of :func:`jets.grad_xy`.
 
-Rules 2 and 3 run the kernel on a lifted tower at the seeded coordinates,
-which reads N, Gamma, g and nabla0T as jets of the parent's cached values
-and partials.  A dy of None is for horizontal consumers only: a vertical
-derivative (:func:`cov_v`) takes the y partials of
-:meth:`TensorField.partials`, which follow rule 1 for a field of x alone.
+Under every rule the value is the primal part of the first pass, so no
+kernel runs outside its passes.  Rules 2 and 3 run the kernel on a lifted
+tower at the seeded coordinates, which reads N, Gamma, g and nabla0T as
+jets of the parent's cached values and partials.  A dy of None is for
+horizontal consumers only: a vertical derivative (:func:`cov_v`) takes the
+y partials of :meth:`TensorField.partials`, which follow rule 1 for a field
+of x alone.
 
 The co-differential reads three contractions of the tower, each cached
 once: gamma^p = g^ij Gamma^p_ij (``Gamma_trace``), R^pj_k = g^ij Gamma^p_ki
@@ -166,13 +168,11 @@ class LocalTower:
 
     def partials(self, kernel):
         """(value, dx, dy) of ``kernel(tower)`` (nested components) at this
-        point, by the three kernel rules of the module docstring.  Under
-        rules 2 and 3 the passes run ``kernel(_LiftedTower(self, a, b))``,
-        which reads the connection layers as jets of this tower's cached
-        values and partials instead of recomputing them from F^2 at jet
-        coordinates.  A lifted tower keeps N as the structural zero only
-        where the parent's value and partials are, so rule 2 holds at every
-        nesting level.
+        point, by the three kernel rules of the module docstring; under
+        rules 2 and 3 the passes run ``kernel(_LiftedTower(self, a, b))``.
+        A lifted tower keeps N as the structural zero only where the
+        parent's value and partials are, so rule 2 holds at every nesting
+        level.
         """
         vanishing = all(is_structural_zero(v) for row in self.N for v in row)
         if isinstance(kernel, BaseKernel):
@@ -180,10 +180,8 @@ class LocalTower:
             return value, dx, None if vanishing else dy
         lifted = lambda a, b: kernel(_LiftedTower(self, a, b))
         if vanishing:
-            # the x pass before the value, which it would otherwise hold at its peak
-            dx = jets.list_grad(lifted, (self.xs, self.ys), 0)
-            return kernel(self), dx, None
-        return (kernel(self), *grad_xy(lifted, self.xs, self.ys))
+            return (*jets.list_value_grad(lifted, (self.xs, self.ys), 0), None)
+        return grad_xy(lifted, self.xs, self.ys)
 
     @cached_property
     def _depth(self):
@@ -607,9 +605,8 @@ class BaseKernel:
         return self.fn(tower.xs)
 
     def x_pass(self, xs, ys):
-        """(value, dx, dy) at the coordinates from one vector pass over x
-        (:func:`jets.list_value_grad`): the value is the pass's primal part,
-        and every entry of each dy[m] is the structural zero."""
+        """(value, dx, dy) from one vector pass over x (:func:`jets.list_value_grad`);
+        every entry of each dy[m] is the structural zero."""
         value, dx = jets.list_value_grad(lambda a, b: self.fn(a), (xs, ys), 0)
         zeros = jets.tree_map(lambda _: 0.0, value)
         return value, dx, [zeros] * len(ys)
@@ -653,7 +650,7 @@ class TensorField:
         from its :meth:`BaseKernel.x_pass`."""
         if isinstance(self.on, BaseKernel):
             return self.on.x_pass(xs, ys)
-        return (self.fn(xs, ys), *grad_xy(self.fn, xs, ys))
+        return grad_xy(self.fn, xs, ys)
 
     def partials2(self, xs, ys):
         """(val, dx, dy, dxx, dxy, dyy); second partials of every component."""
@@ -700,7 +697,7 @@ def tower_at(s, z):
 
 def delta_derivative(tower, f, axis):
     """Horizontal basis derivative of a generic scalar field along one axis."""
-    return float(jets.primal(tower.delta(*grad_xy(f, tower.xs, tower.ys), 0)[axis]))
+    return float(jets.primal(tower.delta(*grad_xy(f, tower.xs, tower.ys)[1:], 0)[axis]))
 
 
 def h_covariant_derivative(tower, T: TensorField):

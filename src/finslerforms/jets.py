@@ -24,11 +24,11 @@ coordinates :func:`_seed` seeds and splits each layer it reads off that
 child with :func:`_split`, as :func:`_vector_grad` does with its result.
 
 :func:`grad_xy` gives the x- and y-partials together, for the horizontal
-derivative delta_c = d/dx^c - N^m_c d/dy^m that reads both, and makes vector
-passes only: at a point one pass seeds all 2n coordinates, on arrays one
-:func:`list_grad` pass seeds the n coordinates of x and a second those of y.
-Kernels that read a connection tower are differentiated by it, or by the
-x pass of :func:`list_grad` alone where N vanishes: ``LocalTower.partials``
+derivative delta_c = d/dx^c - N^m_c d/dy^m that reads both, and the value,
+the primal part of its first pass: at a point one pass seeds all 2n
+coordinates, on arrays one :func:`list_value_grad` pass seeds x and a second
+y.  Kernels that read a connection tower are differentiated by it, or by the
+x pass of :func:`list_value_grad` alone where N vanishes: ``LocalTower.partials``
 hands it a kernel that builds a lifted tower at the seeded coordinates,
 which reads its layers off the parent's cached values and partials, so a
 pass costs a few array operations per node rather than F^2 under jets.
@@ -343,7 +343,7 @@ def grad_wrt(fn, lists, which):
     """
     depth = _point_depth(lists)
     if depth is not None:
-        return _vector_grad(fn, lists, which, depth)
+        return _vector_grad(fn, lists, which, depth)[1]
     out = []
     for m in range(len(lists[which])):
         tag = _new_tag()
@@ -363,7 +363,8 @@ def hessian_wrt(fn, lists, which):
     """
     depth = _point_depth(lists)
     if depth is not None:
-        return _vector_grad(lambda *ls: _vector_grad(fn, ls, which, depth + 1), lists, which, depth)
+        inner = lambda *ls: _vector_grad(fn, ls, which, depth + 1)[1]
+        return _vector_grad(inner, lists, which, depth)[1]
     n = len(lists[which])
     rows = [[None] * n for _ in range(n)]
     for i in range(n):
@@ -402,14 +403,17 @@ def _point_depth(lists):
 
 
 def _vector_grad(fn, lists, which, depth):
-    """One vector pass seeding all n coordinates of ``lists[which]``
-    (:func:`_seed`), then split into the n partials (:func:`_split`).
-    ``fn`` must take every jet it depends on through its arguments, or close
-    over jets no deeper than those: a deeper jet would be invisible to
-    ``depth`` and could share an axis with this level.
+    """``(value, partials)`` of ``fn(*lists)``: the primal part and the
+    split tangent (:func:`_split`) of one vector pass seeding all n
+    coordinates of ``lists[which]`` (:func:`_seed`).  ``fn`` must take every
+    jet it depends on through its arguments, or close over jets no deeper
+    than those: a deeper jet would be invisible to ``depth`` and could share
+    an axis with this level.
     """
     seeded, tag = _seed(lists, which, depth)
-    return _split(_evaluate(fn, *seeded), tag, len(lists[which]), depth)
+    res = _evaluate(fn, *seeded)
+    value = tree_map(lambda s: _taylor_coeff(s, tag, 0), res)
+    return value, _split(res, tag, len(lists[which]), depth)
 
 
 def _seed(lists, which, depth):
@@ -444,15 +448,15 @@ def _split(res, tag, n, depth):
         s = s[(Ellipsis, m if s.shape[-depth - 1] > 1 else 0) + (slice(None),) * depth]
         while s.ndim and s.shape[0] == 1:  # leading length-1 axes: broadcasting restores them
             s = s[0]
-        return s
+        return s if s.ndim else float(s)  # a point's leaf is a float, as trig_sum's rows are
 
     return [tree_map(lambda s: component(s, m), d) for m in range(n)]
 
 
 def grad_xy(fn, xs, ys):
-    """``(dx, dy)``: the first derivatives of ``fn(xs, ys)`` along every
-    coordinate of ``xs`` and of ``ys``, as :func:`grad_x` and :func:`grad_y`
-    give them.  Every pass is a vector pass.
+    """``(value, dx, dy)``: ``fn(xs, ys)``, the primal part of the first
+    pass, and its first derivatives along every coordinate of ``xs`` and of
+    ``ys``, as :func:`grad_x` and :func:`grad_y` give them, by vector passes.
 
     At a point one pass seeds all 2n coordinates, the tangent of coordinate
     m being ``eye(2n)[m]``, so the field is evaluated once under this level
@@ -461,23 +465,23 @@ def grad_xy(fn, xs, ys):
     list's, with two exceptions: an exact zero may carry the other sign, and
     a quotient by a scalar that depends on the other list alone is a jet
     quotient here, which rounds otherwise by a few ulp.  On arrays it makes
-    one :func:`list_grad` pass per list, x first, so each list's partials are
-    those of its own pass exactly.  Seeding all 2n directions at once there
-    would hold 2n tangents per node array instead of n, and raised the peak
-    memory of the 3D benchmark grid by 16%.
+    one :func:`list_value_grad` pass per list, x first, so each list's
+    partials are those of its own pass exactly.  Seeding all 2n directions
+    at once there would hold 2n tangents per node array instead of n, and
+    raised the peak memory of the 3D benchmark grid by 16%.
     """
     lists = (xs, ys)
     depth = _point_depth(lists)
     if depth is None:
-        return list_grad(fn, lists, 0), list_grad(fn, lists, 1)
+        return (*list_value_grad(fn, lists, 0), list_value_grad(fn, lists, 1)[1])
     n = len(xs)
-    d = _vector_grad(lambda zs: fn(zs[:n], zs[n:]), (list(xs) + list(ys),), 0, depth)
-    return d[:n], d[n:]
+    value, d = _vector_grad(lambda zs: fn(zs[:n], zs[n:]), (list(xs) + list(ys),), 0, depth)
+    return value, d[:n], d[n:]
 
 
-def list_grad(fn, lists, which):
-    """First derivatives along every coordinate of ``lists[which]`` in one
-    vector pass (:func:`_vector_grad`), at a point as on arrays.
+def list_value_grad(fn, lists, which):
+    """``(value, partials)`` of ``fn(*lists)`` along ``lists[which]`` from
+    one vector pass (:func:`_vector_grad`), at a point as on arrays.
 
     On arrays each tangent is a node array times ``eye(n)[m]``, n times the
     memory of the node array, so this suits fields whose cost is light per
@@ -485,17 +489,6 @@ def list_grad(fn, lists, which):
     per-coordinate passes of :func:`grad_wrt` there.
     """
     return _vector_grad(fn, lists, which, _leaf_depth(lists))
-
-
-def list_value_grad(fn, lists, which):
-    """``(value, partials)``: :func:`list_grad`'s partials together with the
-    value of ``fn(*lists)``, read off the same pass as its primal part, so
-    ``fn`` runs once."""
-    depth = _leaf_depth(lists)
-    seeded, tag = _seed(lists, which, depth)
-    res = _evaluate(fn, *seeded)
-    value = tree_map(lambda s: _taylor_coeff(s, tag, 0), res)
-    return value, _split(res, tag, len(lists[which]), depth)
 
 
 def grad_x(fn, xs, ys):
@@ -515,17 +508,27 @@ class JetRequest:
     multi_index: tuple  # (x_orders, y_orders)
 
 
+def _checked(req: JetRequest):
+    """``(xs, ys, x_orders, y_orders, total)`` of ``req``; DomainError unless
+    it holds one non-negative integer order (not a bool) per coordinate."""
+    xs, ys = [list(map(float, v)) for v in req.point]
+    orders = [list(o) for o in req.multi_index]
+    flat = [o for os in orders for o in os]
+    integral = all(isinstance(o, (int, np.integer)) and type(o) is not bool and o >= 0 for o in flat)
+    if not integral or [len(os) for os in orders] != [len(xs), len(ys)]:
+        raise DomainError(f"multi-index {req.multi_index!r}: one integer order >= 0 per coordinate")
+    return xs, ys, *orders, int(sum(flat))
+
+
 def partial(req: JetRequest) -> float:
     """Exact mixed partial: one nested first-order jet level per order."""
-    x_orders, y_orders = req.multi_index
-    xs, ys = [list(map(float, v)) for v in req.point]
-    total = int(sum(x_orders) + sum(y_orders))
+    xs, ys, x_orders, y_orders, total = _checked(req)
     if total > MAX_PARTIAL_ORDER:
         raise OrderTooHigh(f"total order {total} exceeds {MAX_PARTIAL_ORDER}")
     tags = []
     for vec, orders in ((xs, x_orders), (ys, y_orders)):
         for axis, o in enumerate(orders):
-            for _ in range(int(o)):
+            for _ in range(o):
                 tag = _new_tag()
                 vec[axis] = Jet([vec[axis], 1.0], tag)
                 tags.append(tag)
@@ -547,9 +550,7 @@ def fd_partial(req: JetRequest, step: float | None = None) -> float:
     a 2nd-order recursion cannot clear the roundoff floor of third-order
     requests at any usable step size.
     """
-    x_orders, y_orders = req.multi_index
-    xs, ys = [list(map(float, v)) for v in req.point]
-    total = int(sum(x_orders) + sum(y_orders))
+    xs, ys, x_orders, y_orders, total = _checked(req)
     base_step = step if step is not None else _FD_DEFAULT_STEPS.get(total, 6e-3)
 
     def _eval(f, xs, ys, orders_x, orders_y):
@@ -576,4 +577,4 @@ def fd_partial(req: JetRequest, step: float | None = None) -> float:
                 ) / (12.0 * h)
         return f(xs, ys)
 
-    return float(_eval(req.target, xs, ys, list(x_orders), list(y_orders)))
+    return float(_eval(req.target, xs, ys, x_orders, y_orders))

@@ -35,14 +35,21 @@ from finslerforms.forms import (
     laplacian_expansion_coeffs,
 )
 from finslerforms.jets import (
-    JetRequest, fd_partial, grad_wrt, grad_x, grad_xy, grad_y, gsin, gsqrt, partial,
+    JetRequest, fd_partial, grad_wrt, grad_x, grad_xy, grad_y, gsin, gsqrt, list_value_grad,
+    partial,
 )
 from finslerforms.errors import DomainError, ZeroVector
 from finslerforms.metric import metric_components
 from finslerforms.quadrature import QuadratureGrid
 from finslerforms.scenario import POINT_READERS
 
-from conftest import base_dependent_randers, randers_base_fields, sample_points
+from conftest import (
+    base_dependent_randers,
+    base_dependent_randers_fields,
+    randers_base_fields,
+    randers_spray,
+    sample_points,
+)
 
 FAMILIES = ["euclidean", "randers-torus", "riemannian-torus", "riemannian-sphere", "quartic-torus"]
 
@@ -128,6 +135,60 @@ class TestSpray:
                 for got, want in ((pack(tower.G, 1), G), (pack(tower.N, 2), N)):
                     want = np.array(want.tolist(), dtype=float).reshape(got.shape)
                     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+class TestRandersClosedForm:
+    """G, N and the Riemann curvature R^i_k = flag[i][k][j] y^j of the
+    base-dependent Randers metrics against the closed-form spray of
+    F = alpha + beta (:func:`conftest.randers_spray`), which reads a, b and
+    their first x partials alone: no F^2, no g and no Christoffel rule on g."""
+
+    REL_TOL = 1e-13  # times the largest |entry| of the tower's tensor
+
+    @pytest.fixture(scope="class", params=[2, 3, 4])
+    def case(self, request):
+        """(metric, closed-form spray G(xs, ys), towers at 4 seeded points)."""
+        n = request.param
+        s = base_dependent_randers(n)
+        a, b = base_dependent_randers_fields(n)
+        spray = lambda xs, ys: randers_spray(a, b, xs, ys)
+        points = sample_points(s, 4, seed=41)
+        return s, spray, [LocalTower(s, list(z.x), list(z.y)) for z in points]
+
+    def assert_close(self, got, want):
+        got, want = np.asarray(got, float), np.asarray(want, float)
+        assert np.max(np.abs(got - want)) <= self.REL_TOL * np.max(np.abs(want))
+
+    def test_spray(self, case):
+        _, spray, towers = case
+        for tower in towers:
+            self.assert_close(spray(tower.xs, tower.ys), pack(tower.G, 1))
+
+    def test_nonlinear_connection_is_the_y_partial_of_the_spray(self, case):
+        _, spray, towers = case
+        for tower in towers:
+            dG = grad_y(spray, tower.xs, tower.ys)  # dG[k][i] = d_yk G^i
+            self.assert_close(np.asarray(dG, float).T, pack(tower.N, 2))
+
+    def test_riemann_curvature_by_the_berwald_formula(self, case):
+        """R^i_k = 2 d_k G^i - y^j d_j d_yk G^i + 2 G^j d_yj d_yk G^i
+        - d_yj G^i d_yk G^j (Shen, Lectures on Finsler Geometry (2001), ch. 6)."""
+        _, spray, towers = case
+        for tower in towers:
+            xs, ys = tower.xs, tower.ys
+            G = np.asarray(spray(xs, ys), float)
+            Gx = np.asarray(grad_x(spray, xs, ys), float)  # [k][i]
+            Gy = np.asarray(grad_y(spray, xs, ys), float)  # [k][i]
+            Gxy = np.asarray(grad_x(lambda a, b: grad_y(spray, a, b), xs, ys), float)  # [j][k][i]
+            Gyy = np.asarray(grad_y(lambda a, b: grad_y(spray, a, b), xs, ys), float)  # [j][k][i]
+            y = np.asarray(ys, float)
+            R = (
+                2.0 * Gx.T
+                - np.einsum("j,jki->ik", y, Gxy)
+                + 2.0 * np.einsum("j,jki->ik", G, Gyy)
+                - np.einsum("ji,kj->ik", Gy, Gy)
+            )
+            self.assert_close(R, np.einsum("ikj,j->ik", pack(tower.flag, 3), y))
 
 
 class TestDeltaDerivative:
@@ -573,7 +634,7 @@ class TestOneChildPerTower:
             for x_name, y_name in self.PARTIALS:
                 layer, rank = self.LAYERS[x_name[:-2]]
                 rebuilt = lambda a, b, layer=layer: getattr(LocalTower(s, a, b), layer)
-                dx, dy = grad_xy(rebuilt, xs, ys)
+                _, dx, dy = grad_xy(rebuilt, xs, ys)
                 want[x_name] = (_collapse_zeros(dx), rank + 1)
                 want[y_name] = (_collapse_zeros(dy), rank + 1)
             for key, (value, rank) in want.items():
@@ -596,6 +657,27 @@ class TestOneChildPerTower:
         assert built and all("_child" not in vars(tw) for tw in [tower, *built])
 
 
+class TestFloatsAtAPoint:
+    """At a point every layer, and every partial split off the child tower,
+    holds Python floats, not 0-d arrays or numpy scalars, so the arithmetic
+    on them is float arithmetic."""
+
+    LAYERS = ("g", "gi", "dgx", "C", "G", "N", "Gamma", "dN_x", "dN_y", "dGamma_x",
+              "dGamma_y", "dCmix_x", "nabla0T", "d_nabla0T_y", "flag")
+
+    @staticmethod
+    def leaves(tree):
+        if isinstance(tree, list):
+            return [v for c in tree for v in TestFloatsAtAPoint.leaves(c)]
+        return [tree]
+
+    def test_layers_hold_floats(self):
+        tower = tower_at(base_dependent_randers(2), ([0.3, 0.4], [1.0, 0.5]))
+        for layer in self.LAYERS:
+            types = {type(v) for v in self.leaves(getattr(tower, layer))}
+            assert types == {float}, layer
+
+
 def half_y_partial_of_g(s, xs, ys):
     """C_kij as half of the y pass of :func:`metric.metric_components`."""
     dg = grad_y(lambda a, b: metric_components(s, a, b), xs, ys)
@@ -603,8 +685,10 @@ def half_y_partial_of_g(s, xs, ys):
 
 
 def per_list(fn, xs, ys):
-    """``grad_xy`` as one seeded pass per coordinate list."""
-    return grad_wrt(fn, (xs, ys), 0), grad_wrt(fn, (xs, ys), 1)
+    """``grad_xy`` as one seeded pass per coordinate list, the value read
+    off a vector x pass of its own."""
+    value = list_value_grad(fn, (xs, ys), 0)[0]
+    return value, grad_wrt(fn, (xs, ys), 0), grad_wrt(fn, (xs, ys), 1)
 
 
 def hexes(tree):

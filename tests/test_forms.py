@@ -838,9 +838,9 @@ class TestSeededPartials:
 
     @pytest.mark.parametrize("batch", [False, True])
     def test_kernel_runs(self, batch, randers_base):
-        """``partials`` runs its kernel once at the tower and then as grad_xy
-        seeds: one vector pass over x and y together at a point, one vector
-        pass per list on arrays."""
+        """``partials`` runs its kernel only as grad_xy seeds, the value read
+        off the first pass: one vector pass over x and y together at a
+        point, one vector pass per list on arrays."""
         s = randers_base
         if batch:
             pts = sample_points(s, 4)
@@ -856,7 +856,7 @@ class TestSeededPartials:
 
         tower = LocalTower(s, xs, ys)
         tower.partials(kernel)
-        assert len(runs) == (3 if batch else 2)
+        assert len(runs) == (2 if batch else 1)
 
 
 def tower_where(s, where):
@@ -915,25 +915,26 @@ class TestHorizontalPartials:
     def test_no_y_pass_where_n_vanishes(self, monkeypatch, where):
         s = bi.get_metric("randers-torus-3d")
         for evals, seeded in self.passes(s, monkeypatch, where):
-            assert evals == 2  # the value and one x pass
+            assert evals == 1  # one x pass, which gives the value too
             assert seeded == [(True, False)]
 
     def test_expanded_laplacian_makes_no_y_pass_where_n_vanishes(self, monkeypatch):
-        """A warm expanded Laplacian of a leaf 1-form evaluates it 4 times:
-        nabla phi's value and x pass, each with phi's value and x pass.
-        Every lifted tower it builds, at both levels of cov_hh, seeds x only."""
+        """A warm expanded Laplacian of a leaf 1-form evaluates it once: in
+        phi's x pass inside nabla phi's x pass, each of which gives its value
+        too.  It builds one lifted tower per level of cov_hh, and each seeds
+        x only."""
         s = bi.get_metric("randers-torus-3d")
         tower = small_grid(s).tower(s)
         rng = np.random.default_rng(73)
         laplacian_expansion_coeffs(tower, bi.random_trig_form(rng, s, 1))
         seeded, evals = self.record_seeded_lists(monkeypatch), []
         laplacian_expansion_coeffs(tower, self.counted(bi.random_trig_form(rng, s, 1), evals))
-        assert len(evals) == 4
-        assert seeded == [(True, False)] * 3
+        assert len(evals) == 1
+        assert seeded == [(True, False)] * 2
 
     def test_y_pass_where_n_does_not_vanish(self, randers_base, monkeypatch):
         for evals, seeded in self.passes(randers_base, monkeypatch):
-            assert evals == 3  # the value, one x pass and one y pass
+            assert evals == 2  # one x pass, which gives the value too, and one y pass
             assert seeded == [(True, False), (False, True)]
 
     @pytest.mark.parametrize("where", ["grid", "point"])
@@ -954,7 +955,7 @@ class TestHorizontalPartials:
 
         def full(self, kernel):  # the x and the y pass wherever N vanishes or not
             lifted = lambda a, b: kernel(_LiftedTower(self, a, b))
-            return (kernel(self), *jets.grad_xy(lifted, self.xs, self.ys))
+            return jets.grad_xy(lifted, self.xs, self.ys)
 
         monkeypatch.setattr(LocalTower, "partials", full)
         for (op, form, degree), a in zip(ops, got):

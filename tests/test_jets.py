@@ -20,7 +20,7 @@ from finslerforms.jets import (
     gsin,
     gsqrt,
     hessian_wrt,
-    list_grad,
+    list_value_grad,
     partial,
     tree_map,
     trig_sum,
@@ -103,6 +103,38 @@ class TestPartial:
     def test_order_cap(self):
         with pytest.raises(OrderTooHigh):
             partial(JetRequest(field, POINT, ((3, 0), (2, 0))))
+
+    @pytest.mark.parametrize("differentiate", [partial, fd_partial], ids=["jets", "fd"])
+    @pytest.mark.parametrize(
+        "orders",
+        [
+            ((3, -1), (0, 0)),  # a total of 2, past the order cap
+            ((-1, 0), (0, 0)),
+            ((0, 0), (0, -2)),
+            ((1.5, 0), (0, 0)),
+            ((True, 0), (0, 0)),
+            ((1, 0, 0), (0, 0)),
+            ((1,), (0, 0)),
+            ((0, 0), (1, 0, 0)),
+        ],
+        ids=["negative-in-total", "negative", "negative-y", "fractional", "bool", "long",
+             "short", "long-y"],
+    )
+    def test_malformed_multi_index_is_refused_unevaluated(self, differentiate, orders):
+        calls = []
+
+        def target(xs, ys):
+            calls.append(None)
+            return field(xs, ys)
+
+        with pytest.raises(DomainError, match="multi-index"):
+            differentiate(JetRequest(target, POINT, orders))
+        assert calls == []
+
+    def test_numpy_integer_orders(self):
+        orders = ((np.int64(1), 0), (0, np.int64(1)))
+        want = partial(JetRequest(field, POINT, ((1, 0), (0, 1))))
+        assert partial(JetRequest(field, POINT, orders)) == want
 
     def test_batched_arrays(self):
         xs = [np.array([0.7, 0.1]), np.array([0.3, 0.2])]
@@ -217,16 +249,18 @@ def nested(grad, fn, order):
 
 
 def per_list(fn, xs, ys):
-    """``grad_xy`` as one seeded pass per coordinate list."""
-    return grad_wrt(fn, (xs, ys), 0), grad_wrt(fn, (xs, ys), 1)
+    """``grad_xy`` as one seeded pass per coordinate list, with the value
+    of ``fn`` at the coordinates."""
+    return fn(xs, ys), grad_wrt(fn, (xs, ys), 0), grad_wrt(fn, (xs, ys), 1)
 
 
 def nested_xy(xy, fn, depth):
-    """``xy`` (grad_xy or a per-list equivalent) nested ``depth`` times."""
+    """The partials of ``xy`` (grad_xy or a per-list equivalent) nested
+    ``depth`` times, each level's value dropped."""
     if not depth:
         return fn
     inner = nested_xy(xy, fn, depth - 1)
-    return lambda xs, ys: xy(inner, xs, ys)
+    return lambda xs, ys: xy(inner, xs, ys)[1:]
 
 
 def field3(xs, ys):
@@ -351,7 +385,20 @@ class TestVectorMode:
         for xs, ys in ARRAY_POINTS:
             for fn in SCALARS[2]:
                 got = flat_nodes(grad_xy(fn, xs, ys), xs + ys)
-                want = flat_nodes([loop_grad(fn, (xs, ys), 0), loop_grad(fn, (xs, ys), 1)], xs + ys)
+                want = [fn(xs, ys), loop_grad(fn, (xs, ys), 0), loop_grad(fn, (xs, ys), 1)]
+                want = flat_nodes(want, xs + ys)
+                assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    def test_grad_xy_value_is_the_field(self, depth):
+        """The value grad_xy reads off its pass is the field's own value bit
+        for bit, at points and on arrays, also where the field is nested
+        partials."""
+        for xs, ys in [POINTS[2], *ARRAY_POINTS]:
+            for fn in SCALARS[2]:
+                f = nested_xy(grad_xy, fn, depth)
+                got = flat_nodes(grad_xy(f, xs, ys)[0], xs + ys)
+                want = flat_nodes(f(xs, ys), xs + ys)
                 assert [v.hex() for v in got] == [v.hex() for v in want]
 
     @pytest.mark.parametrize("depth", [2, 3])
@@ -481,7 +528,7 @@ class TestPhaseTable:
         grid = QuadratureGrid.for_structure(s, (8,) * s.dim, (8,) * (s.dim - 1))
         xs, ys = grid.coords_for(s)
         for fn in trig_fields(s, 30 + level):
-            f = nested(list_grad, fn, (0,) * level)
+            f = nested(list_value_grad, fn, (0,) * level)
             with monkeypatch.context() as m:
                 m.setattr(jets, "_trig_rows", per_call_trig_rows)
                 want = leaf_hexes(f(xs, ys))
