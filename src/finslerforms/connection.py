@@ -12,6 +12,15 @@ towers) are not kept.  G, N and Gamma are algebra over g's first partials by
 one Christoffel rule (:func:`_christoffel`); N contracts C_ljk G^k before
 raising its index, so no grid tower holds Cmix for it.
 
+A tower caches a layer only when more than one computation reads it.  A
+layer with one reader is computed inside it: F^2 in F, delta_c g_ij in
+Gamma, delta_c N in ``flag`` and nabla_h T in ``nabla0T``; gamma^i_jk y^k
+(``_gamma_y``), read by G and N, is cached.  So are the rebuilt partials,
+read by the delta layers and the lifted towers, and the three contractions
+every delta_H call reads (below); so are ``deltaGamma`` and ``deltaCmix``,
+as their readers ``curvature.hh_components`` and ``hv_components`` run on
+every call.  ``dgy`` = 2 C is not, so that no tower holds C twice.
+
 A tower is differentiated in two ways.  A layer's own partials are taken
 at jet-valued coordinates, which evaluates F^2 under nested jets; the
 curvature blocks are built on these.  Each of Tt, N, Gamma, Cmix and
@@ -69,6 +78,7 @@ from functools import cached_property
 import numpy as np
 
 from . import jets
+from .errors import DomainError
 from .jets import grad_wrt, grad_x, grad_xy, grad_y
 from .metric import (
     FinslerStructure,
@@ -139,10 +149,10 @@ class LocalTower:
     partial along axis c and ``dX_y[m]`` the fiber partial.
 
     The horizontal derivative of a layer goes through :meth:`delta`, which
-    combines its plain partials into delta_c = d/dx^c - N^m_c d/dy^m; the
-    ``deltaX`` layers are built on it.  The covariant derivatives of the
-    Cartan trace, ``nabla_h_T`` and ``nabla_nabla0T``, are :func:`cov_h` of
-    the 1-forms T and nabla0T, as for any tensor field.
+    combines its plain partials into delta_c = d/dx^c - N^m_c d/dy^m; Gamma,
+    ``flag`` and the ``deltaX`` layers are built on it.  ``nabla0T`` and
+    ``nabla_nabla0T`` take :func:`cov_h` of the 1-forms T and nabla0T, as
+    for any tensor field.
 
     ``N``, ``Gamma``, ``nabla0T``, ``nabla_nabla0T`` and the rebuilt
     partials store a component that is an ndarray equal to 0 at every node
@@ -150,7 +160,7 @@ class LocalTower:
     kept as they are.
 
     G and N are algebra over :func:`_christoffel` of ``dgx``, Gamma over that
-    of ``deltag``; N contracts C_ljk G^k, not Cmix.  A layer's own partials
+    of delta_c g_ij; N contracts C_ljk G^k, not Cmix.  A layer's own partials
     (``dN_x``, ``dN_y``, ...) are taken at jet-valued coordinates, which
     evaluates F^2 under nested jets, and cached once per coordinate list.  At
     a point C, ``dgx`` and both lists of every such partial are split off the
@@ -222,12 +232,8 @@ class LocalTower:
     # -- zeroth layer --------------------------------------------------------
 
     @cached_property
-    def f2(self):
-        return self.s.f2(self.xs, self.ys)
-
-    @cached_property
     def F(self):
-        return jets.gsqrt(self.f2)
+        return jets.gsqrt(self.s.f2(self.xs, self.ys))
 
     @cached_property
     def g(self):
@@ -275,21 +281,22 @@ class LocalTower:
 
     @cached_property
     def G(self):
-        """G^i = 1/2 gamma^i_jk y^j y^k (:meth:`_gamma_y`)."""
-        return [0.5 * _dot(row, self.ys) for row in self._gamma_y()]
+        """G^i = 1/2 gamma^i_jk y^j y^k (:attr:`_gamma_y`)."""
+        return [0.5 * _dot(row, self.ys) for row in self._gamma_y]
 
     @cached_property
     def N(self):
         """N^i_j = gamma^i_jk y^k - 2 g^il C_ljk G^k, with C_ljk G^k contracted
         before the index is raised, so that no grid tower holds Cmix."""
-        n, gy = self.n, self._gamma_y()
+        n, gy = self.n, self._gamma_y
         CG = [[_dot(self.C[l][j], self.G) for l in range(n)] for j in range(n)]
         return _collapse_zeros(
             [[gy[i][j] - 2.0 * _dot(self.gi[i], CG[j]) for j in range(n)] for i in range(n)]
         )
 
+    @cached_property
     def _gamma_y(self):
-        """gamma^i_jk y^k, gamma the Christoffel symbols of ``dgx``; uncached."""
+        """gamma^i_jk y^k, gamma the Christoffel symbols of ``dgx``."""
         gamma = _christoffel(self.gi, self.dgx, self.n)
         return [[_dot(row, self.ys) for row in rows] for rows in gamma]
 
@@ -304,13 +311,9 @@ class LocalTower:
         return nested_build(self.n, 3, lambda idx: 2.0 * tget(self.C, idx))
 
     @cached_property
-    def deltag(self):
-        """deltag[c][i][j]: horizontal basis derivative of g_ij along axis c."""
-        return self.delta(self.dgx, self.dgy, 2)
-
-    @cached_property
     def Gamma(self):
-        return _christoffel(self.gi, self.deltag, self.n)
+        """The Christoffel symbols of delta_c g_ij (:meth:`delta`)."""
+        return _christoffel(self.gi, self.delta(self.dgx, self.dgy, 2), self.n)
 
     # -- Cartan trace derivatives ------------------------------------------------
 
@@ -318,16 +321,12 @@ class LocalTower:
     dT_y = _rebuilt_partial("Tt", 1, "dT_x")
 
     @cached_property
-    def nabla_h_T(self):
-        """nabla_h_T[h][j]: horizontal covariant derivative of the Cartan trace."""
+    def nabla0T(self):
+        """nabla0T[j] = y^h nabla_h T_j, T the Cartan trace."""
         # the partials first: they rebuild the tower under nested jets, and the
         # layers Tt caches here would otherwise be held through that peak
         dx, dy = self.dT_x, self.dT_y
-        return cov_h(self, self.Tt, dx, dy, "l")
-
-    @cached_property
-    def nabla0T(self):
-        return _collapse_zeros(along_y(self, self.nabla_h_T, 1))
+        return _collapse_zeros(along_y(self, cov_h(self, self.Tt, dx, dy, "l"), 1))
 
     # -- first derivatives of the tower (feed curvature and second covariants) ----
 
@@ -342,21 +341,11 @@ class LocalTower:
         return self.delta(self.dGamma_x, self.dGamma_y, 3)
 
     @cached_property
-    def deltaN(self):
-        """deltaN[c][i][k]: horizontal derivative of N^i_k along axis c."""
-        return self.delta(self.dN_x, self.dN_y, 2)
-
-    @cached_property
     def flag(self):
-        """Curvature of the nonlinear connection; equals y^m R^i_mjk."""
-        n = self.n
-        return [
-            [
-                [self.deltaN[j][i][k] - self.deltaN[k][i][j] for k in range(n)]
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
+        """Curvature of the nonlinear connection, delta_j N^i_k - delta_k N^i_j;
+        equals y^m R^i_mjk."""
+        n, dN = self.n, self.delta(self.dN_x, self.dN_y, 2)  # dN[c][i][k] = delta_c N^i_k
+        return [[[dN[j][i][k] - dN[k][i][j] for k in range(n)] for j in range(n)] for i in range(n)]
 
     dCmix_x = _rebuilt_partial("Cmix", 0, "dCmix_y")
     dCmix_y = _rebuilt_partial("Cmix", 1, "dCmix_x")
@@ -479,8 +468,8 @@ def _dot(a, b):
 
 def _christoffel(gi, dg, n):
     """out[i][j][k] = 1/2 g^il (dg[j][l][k] + dg[k][j][l] - dg[l][j][k]) for
-    dg[c][i][j] a derivative of g_ij along axis c (Gamma from deltag, gamma
-    from dgx), symmetric in j and k and with structural zeros."""
+    dg[c][i][j] a derivative of g_ij along axis c (Gamma from delta_c g_ij,
+    gamma from dgx), symmetric in j and k and with structural zeros."""
     out = [[[None] * n for _ in range(n)] for _ in range(n)]
     for j in range(n):
         for k in range(j, n):
@@ -663,6 +652,12 @@ class TensorField:
             grad_x(lambda a, b: grad_y(fn, a, b), xs, ys),
             grad_y(lambda a, b: grad_y(fn, a, b), xs, ys),
         )
+
+
+def require_vector_field(X: TensorField, reader):
+    """DomainError unless ``X`` is a vector field; ``reader`` opens the message."""
+    if X.variance != "u":
+        raise DomainError(f"{reader} a vector field (variance 'u'), got {X.variance!r}")
 
 
 # -- the pointwise entry ----------------------------------------------------------

@@ -25,6 +25,7 @@ from .connection import (
     cov_v,
     nested_build,
     pack,
+    require_vector_field,
     sum_terms,
     tower_at,
 )
@@ -117,8 +118,7 @@ def ricci_identity_residual(tower: LocalTower, X: TensorField):
     The residual res[i][k][h] should vanish for any smooth vector field; it
     is the whole-stack consistency check of connection plus curvature.
     """
-    if X.variance != "u":
-        raise DomainError("ricci identity residual expects a vector field (variance 'u')")
+    require_vector_field(X, "ricci identity residual expects")
     n = tower.n
     _, _, D = cov_hh(tower, X.on, "u")  # D[a][b][i] = nabla_a nabla_b X^i
     val, _, dy = X.partials(tower.xs, tower.ys)

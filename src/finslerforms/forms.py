@@ -63,6 +63,7 @@ from .connection import (
     is_structural_zero,
     nested_build,
     pack,
+    require_vector_field,
     sum_terms,
     tget,
     tower_at,
@@ -72,7 +73,6 @@ from .errors import (
     DegreeMismatch,
     DegreeOverflow,
     DegreeUnderflow,
-    DomainError,
 )
 from .metric import TensorValue
 
@@ -353,6 +353,7 @@ class AssociatedForm:
 
 def lowered_form(s, X: TensorField, label="") -> HorizontalForm:
     """The 1-form X_i = g_ij X^j, read off the metric of the tower at hand."""
+    require_vector_field(X, "lowered form needs")
     return _operator_form(s, 1, lambda tw: tw.lower(X.on(tw)), label)
 
 
@@ -360,8 +361,7 @@ def associate_one_form(s, X: TensorField) -> AssociatedForm:
     """Horizontal part g_ij X^j; vertical part (g_ij nabla_0 X^j - y_i (y_j nabla_0 X^j)
     / F^2) / F, which is (nabla_0 X_i - y_i nabla_0 (y_j X^j) / F^2) / F since the
     connection is h-metrical and nabla y = 0."""
-    if X.variance != "u":
-        raise DomainError("associated form needs a vector field (variance 'u')")
+    require_vector_field(X, "associated form needs")
     horizontal = lowered_form(s, X, label=f"assoc({X.label})")
 
     def vertical(tw):
@@ -412,6 +412,7 @@ def weitzenbock_residual(tower: LocalTower, X: TensorField):
 
 def bochner_scalar_at(tower: LocalTower, X: TensorField):
     """Curvature quadratic form classifying harmonic vector fields."""
+    require_vector_field(X, "bochner scalar needs")
     n = tower.n
     val, dx, dy = X.partials(tower.xs, tower.ys)
     nabU = cov_h(tower, val, dx, dy, "u")  # nabU[k][j] = nabla_k X^j
@@ -447,6 +448,7 @@ def _g_norm2(tower, A):
 
 def gradient_norm_squared_at(tower: LocalTower, X: TensorField):
     """Squared norm of the horizontal covariant derivative of the lowered field."""
+    require_vector_field(X, "gradient norm needs")
     # nabla_i X_j = g_jk nabla_i X^k by h-metricity
     return _g_norm2(tower, [tower.lower(row) for row in cov_h(tower, *tower.partials(X.on), "u")])
 
@@ -457,6 +459,7 @@ def transport_form(s, X: TensorField) -> HorizontalForm:
     By h-metricity nabla_k X_i = g_ij nabla_k X^j, so its coefficients are
     g_ij (X^j div X - X^k nabla_k X^j), read off nabla X on the tower at hand.
     """
+    require_vector_field(X, "transport form needs")
     n = s.dim
 
     def kernel(tw):

@@ -60,7 +60,7 @@ def randers_base():
     """Genuinely Finsler 2D Randers metric whose a and b depend on x.
 
     On every built-in family the horizontal derivatives of the Cartan layers
-    (nabla_h_T, nabla_nabla0T, deltaCmix) vanish identically; here they do not.
+    (nabla0T, nabla_nabla0T, deltaCmix) vanish identically; here they do not.
     """
     a, b = randers_base_fields()
     return FinslerStructure.randers(a, b, dim=2, label="randers-base-dependent")

@@ -190,6 +190,42 @@ class TestRandersClosedForm:
             )
             self.assert_close(R, np.einsum("ikj,j->ik", pack(tower.flag, 3), y))
 
+    @pytest.mark.parametrize("n, base, fiber", [(2, (16, 16), (24,)), (3, (8, 8, 8), (16, 8))])
+    def test_spray_and_nonlinear_connection_on_a_grid(self, n, base, fiber):
+        """G and N of a grid tower, whose gamma y is node arrays, against the
+        closed form on every node; N as the closed form's y partial."""
+        s = base_dependent_randers(n)
+        a, b = base_dependent_randers_fields(n)
+        spray = lambda xs, ys: randers_spray(a, b, xs, ys)
+        tower = QuadratureGrid.for_structure(s, base, fiber).tower(s)
+        self.assert_close(pack(spray(tower.xs, tower.ys), 1), pack(tower.G, 1))
+        dG = pack(grad_wrt(spray, (tower.xs, tower.ys), 1), 2)  # dG[k][i] = d_yk G^i
+        self.assert_close(np.swapaxes(dG, 0, 1), pack(tower.N, 2))
+
+
+class TestCachedLayers:
+    """A tower caches a layer only when more than one computation reads it."""
+
+    def test_gamma_y_is_computed_once_for_G_and_N(self, monkeypatch):
+        s = base_dependent_randers(2)
+        z = sample_points(s, 1)[0]
+        tower = LocalTower(s, list(z.x), list(z.y))
+        calls, christoffel = [], connection._christoffel
+
+        def counted(*args):
+            calls.append(1)
+            return christoffel(*args)
+
+        monkeypatch.setattr(connection, "_christoffel", counted)
+        tower.G, tower.N, tower.Gamma
+        assert len(calls) == 2
+
+    def test_layers_with_one_reader_are_not_kept(self, randers_base):
+        z = sample_points(randers_base, 1)[0]
+        tower = LocalTower(randers_base, list(z.x), list(z.y))
+        tower.F, tower.Gamma, tower.flag, tower.nabla0T
+        assert not {"f2", "deltag", "deltaN", "nabla_h_T"} & set(vars(tower))
+
 
 class TestDeltaDerivative:
     def test_flat_torus_reduces_to_partial(self, randers):
@@ -379,17 +415,29 @@ class TestBaseDependentRanders:
     """Horizontal derivatives of the Cartan layers, which vanish on every
     built-in family, checked on a metric where they do not."""
 
-    @pytest.mark.parametrize("layer, source", [("nabla_h_T", "Tt"), ("nabla_nabla0T", "nabla0T")])
-    def test_layer_is_covariant_derivative_of_its_one_form(self, randers_base, layer, source):
+    @pytest.mark.parametrize(
+        "layer, source, operator, rank",
+        [
+            pytest.param("nabla0T", "Tt", nabla_0, 1, id="nabla0T-Tt"),
+            pytest.param(
+                "nabla_nabla0T", "nabla0T", h_covariant_derivative, 2, id="nabla_nabla0T-nabla0T"
+            ),
+        ],
+    )
+    def test_layer_is_covariant_derivative_of_its_one_form(
+        self, randers_base, layer, source, operator, rank
+    ):
+        """nabla0T = nabla_0 T and nabla_nabla0T = nabla (nabla0T), each
+        against ``operator`` of the 1-form on a cold tower."""
         s = randers_base
         one_form = TensorField(lambda xs, ys: getattr(LocalTower(s, xs, ys), source), "l")
         for z in sample_points(s, 2):
             tower = tower_at(s, (z.x, z.y))
-            got = pack(getattr(tower, layer), 2)  # [h][j]
+            got = pack(getattr(tower, layer), rank).T  # derivative slot last, as in want
             cold = LocalTower(s, list(z.x), list(z.y))
-            want = h_covariant_derivative(cold, one_form).data  # [j][h]
+            want = operator(cold, one_form).data
             assert np.max(np.abs(got)) > 1e-3
-            assert np.max(np.abs(got - want.T)) < 1e-12
+            assert np.max(np.abs(got - want)) < 1e-12
 
     def test_deltaCmix_fd_oracle(self, randers_base):
         s = randers_base

@@ -344,6 +344,35 @@ class TestEnergyIdentities:
             assert abs(r1) < 1e-12 and abs(r2) < 1e-12
 
 
+# every public entry that reads a vector field, as (s, X, z) -> its result
+VECTOR_FIELD_ENTRIES = {
+    "lowered_form": lambda s, X, z: forms.lowered_form(s, X).at(s, z),
+    "transport_form": lambda s, X, z: forms.transport_form(s, X).at(s, z),
+    "bochner_scalar_at": lambda s, X, z: bochner_scalar_at(tower_at(s, z), X),
+    "gradient_norm_squared_at": lambda s, X, z: forms.gradient_norm_squared_at(tower_at(s, z), X),
+    "weitzenbock_residual": lambda s, X, z: weitzenbock_residual(tower_at(s, z), X),
+    "energy_identity_residuals": lambda s, X, z: energy_identity_residuals(s, X, z),
+    "bochner_integral": lambda s, X, z: bochner_integral(
+        s, X, QuadratureGrid.for_structure(s, (8, 8), (8,))
+    ),
+}
+
+
+class TestVectorFieldEntries:
+    """Every entry that reads a vector field refuses any other field with
+    DomainError, before it computes anything."""
+
+    @pytest.mark.parametrize("entry", sorted(VECTOR_FIELD_ENTRIES))
+    @pytest.mark.parametrize(
+        "variance, components", [("l", [1.0, 0.0]), ("ul", [[1.0, 0.0], [0.0, 1.0]])]
+    )
+    def test_field_that_is_not_a_vector_is_rejected(self, randers, entry, variance, components):
+        X = TensorField(lambda xs, ys: components, variance)
+        z = trig_point(randers)
+        with pytest.raises(DomainError, match="a vector field"):
+            VECTOR_FIELD_ENTRIES[entry](randers, X, (z.x, z.y))
+
+
 class TestHarmonicVerdict:
     def test_flat_basis_form_harmonic(self, euclidean):
         grid = QuadratureGrid.for_structure(euclidean)
