@@ -14,12 +14,13 @@ raising its index, so no grid tower holds Cmix for it.
 
 A tower caches a layer only when more than one computation reads it.  A
 layer with one reader is computed inside it: F^2 in F, delta_c g_ij in
-Gamma, delta_c N in ``flag`` and nabla_h T in ``nabla0T``; gamma^i_jk y^k
-(``_gamma_y``), read by G and N, is cached.  So are the rebuilt partials,
-read by the delta layers and the lifted towers, and the three contractions
-every delta_H call reads (below); so are ``deltaGamma`` and ``deltaCmix``,
-as their readers ``curvature.hh_components`` and ``hv_components`` run on
-every call.  ``dgy`` = 2 C is not, so that no tower holds C twice.
+Gamma, delta_c N in ``flag`` and nabla_h T in ``nabla0T``.  gamma^i_jk y^k
+(``_gamma_y``), read by G and N, is cached until N, which reads G as well,
+has read it.  The rebuilt partials are cached, read by the delta layers and
+the lifted towers, and so are the three contractions every delta_H call
+reads (below), and ``deltaGamma`` and ``deltaCmix``, as their readers
+``curvature.hh_components`` and ``hv_components`` run on every call.
+``dgy`` = 2 C is not, so that no tower holds C twice.
 
 A tower is differentiated in two ways.  A layer's own partials are taken
 at jet-valued coordinates, which evaluates F^2 under nested jets; the
@@ -290,6 +291,7 @@ class LocalTower:
         before the index is raised, so that no grid tower holds Cmix."""
         n, gy = self.n, self._gamma_y
         CG = [[_dot(self.C[l][j], self.G) for l in range(n)] for j in range(n)]
+        del self._gamma_y  # G, its other reader, is cached by now
         return _collapse_zeros(
             [[gy[i][j] - 2.0 * _dot(self.gi[i], CG[j]) for j in range(n)] for i in range(n)]
         )

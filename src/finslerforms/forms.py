@@ -37,7 +37,10 @@ as the Gamma terms cancel in it (Gamma^i_jk = Gamma^i_kj).  The
 co-differential contracts delta_c and the form with the tower's cached
 Gamma_trace, Gamma_raised and nabla0T_raised.  The pointwise inner product
 is the Gram determinant sum over increasing indices, which equals the full
-contraction with weight 1/p! (see :func:`inner_coeffs`).  Under these
+contraction with weight 1/p! (see :func:`inner_coeffs`); the global inner
+product of :mod:`.quadrature` takes the same terms, with the same minors
+(:func:`inverse_minor`), but integrates each at the shapes of its factors
+rather than summing them at every node first.  Under these
 choices the differential and co-differential are numerically adjoint with
 respect to the sphere-bundle inner product, which is the invariant the
 test suite pins down.
@@ -266,17 +269,24 @@ def inner_coeffs(tower: LocalTower, a, b, degree):
     if degree == 0:
         return a * b
     gi = tower.gi
-
-    def det(rows, cols):
-        # cofactor expansion along the first row
-        first, rest = rows[0], rows[1:]
-        if not rest:
-            return gi[first][cols[0]]
-        terms = (gi[first][c] * det(rest, cols[:k] + cols[k + 1 :]) for k, c in enumerate(cols))
-        return sum_terms(-t if k % 2 else t for k, t in enumerate(terms))
-
     combos = list(combinations(range(tower.n), degree))
-    return sum_terms((tget(a, I) * tget(b, J)) * det(I, J) for I in combos for J in combos)
+    return sum_terms(
+        (tget(a, I) * tget(b, J)) * inverse_minor(gi, I, J) for I in combos for J in combos
+    )
+
+
+def inverse_minor(gi, rows, cols):
+    """det(g^{IJ}), the minor of the inverse metric ``gi`` on ``rows`` and
+    ``cols``, by cofactor expansion along the first row; 1.0 for p = 0."""
+    if not rows:
+        return 1.0
+    first, rest = rows[0], rows[1:]
+    if not rest:
+        return gi[first][cols[0]]
+    terms = (
+        gi[first][c] * inverse_minor(gi, rest, cols[:k] + cols[k + 1 :]) for k, c in enumerate(cols)
+    )
+    return sum_terms(-t if k % 2 else t for k, t in enumerate(terms))
 
 
 # -- public operators ---------------------------------------------------------

@@ -20,6 +20,17 @@ periodic angle of S^1, u = (cos t, sin t).  In this order det[u, d_theta u]
 has the sign (-1)^((n-2)(n-3)/2): positive for n = 2, 3, negative for
 n = 4, 5.  ``VolumeDensity.raw`` keeps that sign; the density integrated is
 its absolute value.
+
+An integral of forms, (phi, psi) = sum over increasing I, J of the integral
+of a_I b_J det(g^IJ) w rho, meets the grid's one full-grid w * rho by the
+shapes of its factors, read off each term: a term whose two factors are
+constant along every fiber axis, as forms of x alone and their d_H are,
+is a base-sized product dotted with the fiber marginal M_IJ = sum over the
+fiber of det(g^IJ) w rho, which the grid caches once per metric and (I, J)
+(:meth:`QuadratureGrid.fiber_marginal`).  Where one factor alone varies
+along the fiber, it is multiplied by w * rho once per component, reduced
+over the fiber against det(g^IJ) and dotted with the other.  The remaining
+terms accumulate over all nodes and meet w * rho in one dot.
 """
 
 from __future__ import annotations
@@ -27,11 +38,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import combinations, product
 
 import numpy as np
 
 from . import forms as _forms
-from .connection import LocalTower, TensorField, tower_at
+from .connection import LocalTower, TensorField, is_structural_zero, tget, tower_at
 from .errors import (
     DegreeMismatch,
     DomainError,
@@ -243,6 +255,19 @@ class QuadratureGrid:
             self._cache[key] = (s, wr)
         return self._cache[key][1]
 
+    def fiber_marginal(self, s, rows, cols):
+        """M_IJ = sum over the fiber nodes of det(g^IJ) * w * rho, at base
+        shape, for I = ``rows`` and J = ``cols``: all that an inner product of
+        two factors constant along the fiber reads of the metric, computed
+        once per grid, metric and (I, J) and shared read-only."""
+        key = ("marginal", id(s), rows, cols)
+        if key not in self._cache:
+            minor = _forms.inverse_minor(self.tower(s).gi, rows, cols)
+            m = _fiber_sum(self.weighted_density(s), minor, self.n_base)
+            m.flags.writeable = False
+            self._cache[key] = (s, m)
+        return self._cache[key][1]
+
     def meta(self):
         return {
             "base_counts": [a.count for a in self.base_axes],
@@ -311,13 +336,82 @@ def integrate_scalar(s, f, grid: QuadratureGrid) -> float:
 
 
 def global_inner_product(s, phi, psi, grid: QuadratureGrid) -> float:
-    """(phi, psi) = int_SM <phi, psi> dV, every integral of forms on a grid."""
+    """(phi, psi) = int_SM <phi, psi> dV, every integral of forms on a grid.
+
+    Each term a_I b_J det(g^IJ) of :func:`forms.inner_coeffs` meets the
+    grid's w * rho at the shapes of its factors (the module docstring): two
+    factors constant along the fiber meet the cached fiber marginal M_IJ at
+    base size; where one alone varies along the fiber, it times w * rho is
+    formed once per component and reduced over the fiber against det(g^IJ);
+    the other terms are summed over all nodes and meet w * rho in one dot.
+    A structural-zero factor adds no term.
+    """
     if phi.degree != psi.degree:
         raise DegreeMismatch(f"degrees {phi.degree} and {psi.degree} differ")
     tower = grid.tower(s)
     a = phi.on(tower)
     b = psi.on(tower) if psi is not phi else a
-    return integrate_scalar(s, _forms.inner_coeffs(tower, a, b, phi.degree), grid)
+    ndim, k = len(grid.shape), grid.n_base
+    combos = list(combinations(range(s.dim), phi.degree))
+
+    def factors(tree):
+        # (component, whether it varies along some fiber axis), by index I
+        vals = ((I, tget(tree, I)) for I in combos)
+        padded = ((I, _padded(v, ndim)) for I, v in vals if not is_structural_zero(v))
+        return {I: (v, any(d != 1 for d in v.shape[k:])) for I, v in padded}
+
+    fa = factors(a)
+    fb = fa if b is a else factors(b)
+    at_base = (Ellipsis,) + (0,) * (ndim - k)  # a factor of x alone at base shape
+    on_base, on_grid = 0.0, 0.0
+    one_varies = {}  # id of a factor that varies along the fiber -> (it, its terms)
+    with np.errstate(invalid="ignore"):  # inf - inf in a sum: raised below
+        for (I, (u, u_varies)), (J, (v, v_varies)) in product(fa.items(), fb.items()):
+            if not (u_varies or v_varies):
+                on_base = on_base + u[at_base] * v[at_base] * grid.fiber_marginal(s, I, J)
+            elif u_varies and v_varies:
+                on_grid = on_grid + u * v * _forms.inverse_minor(tower.gi, I, J)
+            else:
+                other, base = (u, v) if u_varies else (v, u)
+                one_varies.setdefault(id(other), (other, []))[1].append((base[at_base], I, J))
+        wr = grid.weighted_density(s)
+        for other, terms in one_varies.values():
+            W = other * wr  # once per component, and one at a time
+            for base, I, J in terms:
+                minor = _forms.inverse_minor(tower.gi, I, J)
+                on_base = on_base + base * _fiber_sum(W, minor, k)
+            del W
+        total = float(np.sum(on_base))
+        if not is_structural_zero(on_grid):
+            total += float(np.vdot(np.broadcast_to(on_grid, grid.shape), wr))
+    finite = (np.all(np.isfinite(v)) for v, _ in (*fa.values(), *fb.values()))
+    if not math.isfinite(total) and not all(finite):
+        raise GridError("integrand is not finite at some node")
+    return total
+
+
+def _padded(v, ndim):
+    """``v`` as an array of ``ndim`` axes, with leading axes of length 1."""
+    v = np.asarray(v, float)
+    return v.reshape((1,) * (ndim - v.ndim) + v.shape)
+
+
+def _fiber_sum(W, m, k):
+    """sum over the fiber nodes of W * m, at base shape, for W over all nodes
+    of a grid with ``k`` base axes and m a minor det(g^IJ): row sums times m
+    where m is constant along the fiber, a matrix-vector product where it
+    varies over the fiber alone, a row-wise dot where it spans all nodes."""
+    base, fiber = W.shape[:k], W.shape[k:]
+    W2 = W.reshape(math.prod(base), math.prod(fiber))
+    m = _padded(m, W.ndim)
+    if all(d == 1 for d in m.shape[k:]):
+        return W2.sum(axis=1).reshape(base) * m[(Ellipsis,) + (0,) * len(fiber)]
+    if all(d == 1 for d in m.shape[:k]):
+        out = W2 @ np.broadcast_to(m, (1,) * k + fiber).reshape(-1)
+    else:
+        m = m if m.shape == W.shape else np.broadcast_to(m, W.shape)
+        out = np.einsum("xy,xy->x", W2, m.reshape(W2.shape))
+    return out.reshape(base)
 
 
 def form_grid_norm(s, phi, grid: QuadratureGrid) -> float:

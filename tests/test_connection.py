@@ -220,6 +220,17 @@ class TestCachedLayers:
         tower.G, tower.N, tower.Gamma
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("first", ["G", "N"])
+    def test_gamma_y_is_dropped_once_G_and_N_are_read(self, first):
+        """N reads G, so once N is cached neither reader needs gamma^i_jk y^k."""
+        s = base_dependent_randers(2)
+        z = sample_points(s, 1)[0]
+        tower = LocalTower(s, list(z.x), list(z.y))
+        getattr(tower, first)
+        tower.G, tower.N
+        assert {"G", "N"} <= set(vars(tower))
+        assert "_gamma_y" not in vars(tower)
+
     def test_layers_with_one_reader_are_not_kept(self, randers_base):
         z = sample_points(randers_base, 1)[0]
         tower = LocalTower(randers_base, list(z.x), list(z.y))

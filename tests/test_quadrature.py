@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,7 +20,7 @@ from finslerforms.forms import (
     laplacian_expansion,
     lowered_form,
 )
-from finslerforms.jets import Jet, _reciprocal, gcos, grad_wrt, gsin, gsqrt
+from finslerforms.jets import Jet, _reciprocal, gcos, grad_wrt, gsin, gsqrt, tree_map
 from finslerforms.metric import FinslerStructure, hilbert_components
 from finslerforms.quadrature import (
     AxisSpec,
@@ -33,6 +34,8 @@ from finslerforms.quadrature import (
     integrate_scalar,
     volume_density,
 )
+
+from conftest import base_dependent_randers
 
 TWO_PI = 2.0 * math.pi
 
@@ -307,6 +310,135 @@ class TestGlobalInnerProducts:
             )
 
 
+# metric, base and fiber counts of the settings the inner-product routes are
+# pinned on: minors that span all nodes, vary over the base alone, and vary
+# over the fiber alone
+ROUTE_SETTINGS = {
+    "base-dependent-randers": (lambda: base_dependent_randers(2), (16, 16), (24,)),
+    "riemannian-torus": (lambda: bi.get_metric("riemannian-torus"), (16, 16), (24,)),
+    "randers-torus-3d": (lambda: bi.get_metric("randers-torus-3d"), (8, 8, 8), (16, 8)),
+}
+
+
+def y_weighted(phi):
+    """phi times 2 + y^1: a form that varies along the fiber on every metric."""
+    return HorizontalForm(
+        phi.degree,
+        lambda xs, ys: tree_map(lambda v: v * (2.0 + ys[0]), phi.coeffs(xs, ys)),
+        label=f"y-weighted({phi.label})",
+    )
+
+
+class TestInnerProductRoutes:
+    """global_inner_product meets w * rho by the shapes of its factors; each
+    route agrees with the integral of the pointwise inner product."""
+
+    @pytest.fixture(scope="class", params=list(ROUTE_SETTINGS))
+    def setting(self, request):
+        make, base, fiber = ROUTE_SETTINGS[request.param]
+        s = make()
+        return s, QuadratureGrid.for_structure(s, base, fiber)
+
+    @staticmethod
+    def routes_taken(monkeypatch, s, grid):
+        """The routes a call takes: 1 where it reads a fiber marginal, 2 where
+        it reduces a factor times w * rho over the fiber."""
+        taken, wr = set(), grid.weighted_density(s)
+        marginal, fiber_sum = QuadratureGrid.fiber_marginal, quadrature._fiber_sum
+
+        def spy_marginal(self, *args):
+            taken.add(1)
+            return marginal(self, *args)
+
+        def spy_fiber_sum(W, *args):
+            if W is not wr:
+                taken.add(2)
+            return fiber_sum(W, *args)
+
+        monkeypatch.setattr(QuadratureGrid, "fiber_marginal", spy_marginal)
+        monkeypatch.setattr(quadrature, "_fiber_sum", spy_fiber_sum)
+        return taken
+
+    @staticmethod
+    def assert_matches_pointwise(s, grid, phi, psi):
+        tower = grid.tower(s)
+        inner = inner_coeffs(tower, phi.on(tower), psi.on(tower), phi.degree)
+        want = integrate_scalar(s, inner, grid)
+        got = global_inner_product(s, phi, psi, grid)
+        assert abs(got - want) <= 1e-14 * abs(want), (phi.label, psi.label, got, want)
+
+    def test_every_degree_and_route(self, setting, monkeypatch):
+        """Two forms of x alone take route 1, one of x alone against one that
+        varies along the fiber route 2, two that vary route 3 (neither)."""
+        s, grid = setting
+        rng = np.random.default_rng(8)
+        for p in range(s.dim + 1):
+            phi, chi, omega = (bi.random_trig_form(rng, s, p) for _ in range(3))
+            varying, other = y_weighted(omega), y_weighted(chi)
+            cases = {
+                (phi, chi): {1},
+                (phi, phi): {1},
+                (phi, varying): {2},
+                (varying, chi): {2},
+                (varying, other): set(),
+                (varying, varying): set(),
+            }
+            for (a, b), routes in cases.items():
+                taken = self.routes_taken(monkeypatch, s, grid)
+                self.assert_matches_pointwise(s, grid, a, b)
+                assert taken == routes, (p, a.label, b.label)
+                monkeypatch.undo()
+
+    def test_operators_that_depend_on_y(self, setting):
+        """delta_H and the expanded Laplacian of forms of x alone vary along
+        the fiber where g^ij does, against forms of x alone and each other."""
+        s, grid = setting
+        rng = np.random.default_rng(11)
+        for p in range(s.dim + 1):
+            phi = bi.random_trig_form(rng, s, p)
+            if p < s.dim:
+                ops = [horizontal_codifferential(s, bi.random_trig_form(rng, s, p + 1))
+                       for _ in range(2)]
+            else:
+                ops = [laplacian_expansion(s, phi), laplacian_expansion(s, y_weighted(phi))]
+            for a, b in ((phi, ops[0]), (ops[1], phi), (ops[0], ops[1]), (ops[0], ops[0])):
+                self.assert_matches_pointwise(s, grid, a, b)
+
+    def test_constant_one_axis_and_structural_zero_factors(self, setting):
+        """dx1 has the float leaves 1.0 and the structural zero 0.0;
+        sin-x1-dx1 reads one axis; a form whose every component is the
+        structural zero adds no term."""
+        s, grid = setting
+        rng = np.random.default_rng(9)
+        dx1, sin1 = bi.get_form("dx1", s), bi.get_form("sin-x1-dx1", s)
+        trig = bi.random_trig_form(rng, s, 1)
+        varying = y_weighted(bi.random_trig_form(rng, s, 1))
+        for a, b in ((dx1, dx1), (sin1, sin1), (dx1, trig), (sin1, trig),
+                     (dx1, varying), (varying, sin1)):
+            self.assert_matches_pointwise(s, grid, a, b)
+        zero = HorizontalForm(1, lambda xs, ys: [0.0] * s.dim)
+        assert global_inner_product(s, zero, varying, grid) == 0.0
+
+    def test_forms_of_x_alone_allocate_no_node_array(self):
+        """On a warm 3D grid the norm of a seeded trig 1-form or 2-form is
+        base-sized work against the cached fiber marginals: its allocations
+        peak below one array over the 65,536 nodes."""
+        s = bi.get_metric("randers-torus-3d")
+        grid = QuadratureGrid.for_structure(s, (8, 8, 8), (16, 8))
+        rng = np.random.default_rng(10)
+        forms = [bi.random_trig_form(rng, s, p) for p in (1, 2)]
+        for phi in forms:
+            form_grid_norm(s, phi, grid)
+        tracemalloc.start()
+        try:
+            for phi in forms:
+                form_grid_norm(s, phi, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < grid.num_nodes * 8
+
+
 class TestDivergenceIntegral:
     def test_flat_sine(self, euclidean):
         grid = small_grid(euclidean)
@@ -435,8 +567,7 @@ class TestFormsOnGridTower:
             form = op(s, phi)
             on_grid = form_grid_norm(s, form, grid)
             vals = form.coeffs(*grid.coords_for(s))  # a fresh LocalTower
-            inner = inner_coeffs(grid.tower(s), vals, vals, form.degree)
-            fresh = math.sqrt(max(integrate_scalar(s, inner, grid), 0.0))
+            fresh = form_grid_norm(s, HorizontalForm(form.degree, lambda xs, ys: vals), grid)
             assert on_grid.hex() == fresh.hex(), form.label
 
     def test_is_h_harmonic_builds_no_tower_once_warm(self, setting, monkeypatch):
