@@ -70,6 +70,18 @@ a layer whose partials vanish as its parent's plain value.  The y partial of
 a kernel that reads x alone is that zero in every entry, and delta_c
 (:func:`_delta_entry`) forms no N^m_c d_y term for it.  Values stay exact;
 only the sign of an exact zero may differ.
+
+Outer products.  On a grid the first n node axes are the base and the
+rest the fiber.  A sum of products u_t v_t in which each pair has one
+factor constant along every fiber axis and the other constant along every
+base axis, as g^ij and delta_c of a form of x alone are on an
+x-independent metric, is a sum of outer products: :func:`sum_products`
+stacks the base factors into B (base nodes x K) and the fiber factors into
+V (K x fiber nodes) and forms B @ V, one matrix product in place of a
+multiply and an add over every node per term.  It is broadcasting algebra,
+exact up to rounding for any arrays that pass the shape test; floats,
+jets and batch arrays never pass it, and their pairs are summed in order,
+as :func:`sum_terms` sums them.
 """
 
 from __future__ import annotations
@@ -459,6 +471,73 @@ def sum_terms(it):
     for t in it:
         acc = t if acc is None else acc + t
     return 0.0 if acc is None else acc
+
+
+def sum_products(plus, minus, n, ndim):
+    """sum u v over the pairs (u, v) of ``plus``, minus that over ``minus``,
+    leaving out every pair with a structural-zero factor; the structural
+    zero if none is left.  The factors are scalars at nodes of ``ndim`` axes,
+    the first ``n`` of them the base.  The pairs that are outer products
+    (:func:`_base_and_fiber`) are summed as one matrix product
+    (:func:`_outer_sum`), the sign of a subtracted pair folded into its
+    fiber factor, and added last; the others are summed in order, as
+    :func:`sum_terms` sums them, the added ones and then the subtracted ones.
+    """
+    zero = is_structural_zero
+    outer = []
+
+    def products(pairs, negate):
+        for u, v in pairs:
+            if zero(u) or zero(v):
+                continue
+            split = _base_and_fiber(u, v, n, ndim)
+            if split is None:
+                yield u * v
+            else:
+                base, fiber = split
+                outer.append((base, -fiber if negate else fiber))
+
+    acc = sum_terms(products(plus, False))
+    sub = sum_terms(products(minus, True))
+    if not zero(sub):
+        acc = acc - sub
+    if not outer:
+        return acc
+    out = _outer_sum(outer)
+    return out if zero(acc) else out + acc
+
+
+def _base_and_fiber(u, v, n, ndim):
+    """(base factor on the n base axes, fiber factor on the fiber axes) of
+    the pair (u, v) if both are ndarrays, one constant along every fiber
+    axis and the other along every base axis; else None.  An array with
+    fewer than ``ndim`` axes is aligned right, as broadcasting aligns it, so
+    a leaf whose leading length-1 axes :func:`jets._split` stripped is read
+    alike.  Floats, jets and arrays with no fiber axis, such as a batch
+    (B,), never pass."""
+    if ndim <= n or type(u) is not np.ndarray or type(v) is not np.ndarray:
+        return None
+    if u.ndim > ndim or v.ndim > ndim:
+        return None
+    ones = (1,) * ndim
+    su, sv = ones[u.ndim :] + u.shape, ones[v.ndim :] + v.shape
+    if su[n:] == ones[n:] and sv[:n] == ones[:n]:
+        return u.reshape(su[:n]), v.reshape(sv[n:])
+    if sv[n:] == ones[n:] and su[:n] == ones[:n]:
+        return v.reshape(sv[:n]), u.reshape(su[n:])
+    return None
+
+
+def _outer_sum(pairs):
+    """sum_t b_t f_t over pairs of a base factor b_t and a fiber factor f_t
+    (:func:`_base_and_fiber`) as one matrix product B @ V, the base factors
+    stacked as the columns of B (base nodes x K) and the fiber factors as
+    the rows of V (K x fiber nodes), shaped to the base then the fiber axes."""
+    base = np.broadcast_shapes(*(b.shape for b, _ in pairs))
+    fiber = np.broadcast_shapes(*(f.shape for _, f in pairs))
+    B = np.stack([np.broadcast_to(b, base) for b, _ in pairs]).reshape(len(pairs), -1)
+    V = np.stack([np.broadcast_to(f, fiber) for _, f in pairs]).reshape(len(pairs), -1)
+    return (B.T @ V).reshape(base + fiber)
 
 
 def _dot(a, b):

@@ -35,7 +35,10 @@ horizontal differential is the plain (p+1)-term alternation of the
 covariant derivative with no factorial prefactor, which is that of delta_c,
 as the Gamma terms cancel in it (Gamma^i_jk = Gamma^i_kj).  The
 co-differential contracts delta_c and the form with the tower's cached
-Gamma_trace, Gamma_raised and nabla0T_raised.  The pointwise inner product
+Gamma_trace, Gamma_raised and nabla0T_raised, summing each entry's
+products by :func:`connection.sum_products`, whose outer-product pairs
+(a factor constant along the fiber times one constant along the base)
+are one matrix product.  The pointwise inner product
 is the Gram determinant sum over increasing indices, which equals the full
 contraction with weight 1/p! (see :func:`inner_coeffs`); the global inner
 product of :mod:`.quadrature` takes the same terms, with the same minors
@@ -67,6 +70,7 @@ from .connection import (
     nested_build,
     pack,
     require_vector_field,
+    sum_products,
     sum_terms,
     tget,
     tower_at,
@@ -183,43 +187,40 @@ def deltaH_coeffs(tower: LocalTower, psi: HorizontalForm):
     Only j outside ``I`` contribute to the first term; ``(j,) + I`` is the
     increasing index J with j moved to its front from slot k, so its delta_c
     entries (memoized: J serves q of the I) are (-1)^k times those at J.
-    Every term is a product streamed into one of two sums, the terms added
-    to delta_H psi and those subtracted, and no product with a
-    structural-zero factor is formed.
+    Every term is a pair of factors, and the pairs of each entry are summed
+    by :func:`connection.sum_products` in two groups, those added to
+    delta_H psi and those subtracted: no pair with a structural-zero factor
+    is formed, and where one factor is constant along the fiber and the
+    other along the base, as g^ij and delta_c of a form of x alone are on an
+    x-independent metric, the pairs are one matrix product.
     """
     n = tower.n
     val, dx, dy = tower.partials(psi.on)
     delta = functools.cache(connection._delta_entry(tower, dx, dy))
     gi = tower.gi
-    zero = is_structural_zero
-
-    def products(pairs):
-        return (u * v for u, v in pairs if not (zero(u) or zero(v)))
+    ndim = getattr(jets.primal(tower.ys[0]), "ndim", 0)  # node axes: n base, then fiber
 
     def traced(I, parity):
-        # g^ij (delta_i psi)_J over the j whose slot in J has this parity
+        # (g^ij, (delta_i psi)_J) over the j whose slot in J has this parity
         for j in range(n):
             if j not in I:
                 J = tuple(sorted((j,) + I))
                 if J.index(j) % 2 == parity:
-                    yield from products((gi[i][j], delta(i, J)) for i in range(n))
+                    yield from ((gi[i][j], delta(i, J)) for i in range(n))
 
     def corrections(I):
         gamma, T = tower.Gamma_trace, tower.nabla0T_raised
         for p in range(n):
             v = tget(val, (p,) + I)
-            yield from products(((v, gamma[p]), (v, T[p])))
+            yield from ((v, gamma[p]), (v, T[p]))
         for t, k in enumerate(I):  # R only where q >= 2
             R = tower.Gamma_raised
             for p in range(n):
                 sub = I[:t] + (p,) + I[t + 1 :]
-                pairs = ((tget(val, (j,) + sub), R[p][j][k]) for j in range(n) if j != p)
-                yield from products(pairs)
+                yield from ((tget(val, (j,) + sub), R[p][j][k]) for j in range(n) if j != p)
 
     def entry(I):
-        plus = sum_terms(chain(corrections(I), traced(I, 1)))
-        minus = sum_terms(traced(I, 0))
-        return plus if zero(minus) else plus - minus
+        return sum_products(chain(corrections(I), traced(I, 1)), traced(I, 0), n, ndim)
 
     return form_build(n, psi.degree - 1, entry)
 

@@ -26,9 +26,10 @@ child with :func:`_split`, as :func:`_vector_grad` does with its result.
 :func:`grad_xy` gives the x- and y-partials together, for the horizontal
 derivative delta_c = d/dx^c - N^m_c d/dy^m that reads both, and the value,
 the primal part of its first pass: at a point one pass seeds all 2n
-coordinates, on arrays one :func:`list_value_grad` pass seeds x and a second
-y.  Kernels that read a connection tower are differentiated by it, or by the
-x pass of :func:`list_value_grad` alone where N vanishes: ``LocalTower.partials``
+coordinates, on arrays one :func:`list_value_grad` pass seeds x and a
+second vector pass, which builds no value, seeds y.  Kernels that read a
+connection tower are differentiated by it, or by the x pass of
+:func:`list_value_grad` alone where N vanishes: ``LocalTower.partials``
 hands it a kernel that builds a lifted tower at the seeded coordinates,
 which reads its layers off the parent's cached values and partials, so a
 pass costs a few array operations per node rather than F^2 under jets.
@@ -343,7 +344,7 @@ def grad_wrt(fn, lists, which):
     """
     depth = _point_depth(lists)
     if depth is not None:
-        return _vector_grad(fn, lists, which, depth)[1]
+        return _vector_grad(fn, lists, which, depth)[2]
     out = []
     for m in range(len(lists[which])):
         tag = _new_tag()
@@ -363,8 +364,8 @@ def hessian_wrt(fn, lists, which):
     """
     depth = _point_depth(lists)
     if depth is not None:
-        inner = lambda *ls: _vector_grad(fn, ls, which, depth + 1)[1]
-        return _vector_grad(inner, lists, which, depth)[1]
+        inner = lambda *ls: _vector_grad(fn, ls, which, depth + 1)[2]
+        return _vector_grad(inner, lists, which, depth)[2]
     n = len(lists[which])
     rows = [[None] * n for _ in range(n)]
     for i in range(n):
@@ -403,17 +404,23 @@ def _point_depth(lists):
 
 
 def _vector_grad(fn, lists, which, depth):
-    """``(value, partials)`` of ``fn(*lists)``: the primal part and the
-    split tangent (:func:`_split`) of one vector pass seeding all n
-    coordinates of ``lists[which]`` (:func:`_seed`).  ``fn`` must take every
-    jet it depends on through its arguments, or close over jets no deeper
-    than those: a deeper jet would be invisible to ``depth`` and could share
-    an axis with this level.
+    """``(res, tag, partials)`` of one vector pass seeding all n coordinates
+    of ``lists[which]`` (:func:`_seed`) under ``tag``: ``res`` is
+    ``fn(*lists)`` at the seeded coordinates and ``partials`` its split
+    tangent (:func:`_split`); a caller that reads the value takes it with
+    :func:`_value`, so no other pass builds it.  ``fn`` must take every jet
+    it depends on through its arguments, or close over jets no deeper than
+    those: a deeper jet would be invisible to ``depth`` and could share an
+    axis with this level.
     """
     seeded, tag = _seed(lists, which, depth)
     res = _evaluate(fn, *seeded)
-    value = tree_map(lambda s: _taylor_coeff(s, tag, 0), res)
-    return value, _split(res, tag, len(lists[which]), depth)
+    return res, tag, _split(res, tag, len(lists[which]), depth)
+
+
+def _value(res, tag):
+    """The primal part of a :func:`_vector_grad` result at its level ``tag``."""
+    return tree_map(lambda s: _taylor_coeff(s, tag, 0), res)
 
 
 def _seed(lists, which, depth):
@@ -465,18 +472,20 @@ def grad_xy(fn, xs, ys):
     list's, with two exceptions: an exact zero may carry the other sign, and
     a quotient by a scalar that depends on the other list alone is a jet
     quotient here, which rounds otherwise by a few ulp.  On arrays it makes
-    one :func:`list_value_grad` pass per list, x first, so each list's
-    partials are those of its own pass exactly.  Seeding all 2n directions
-    at once there would hold 2n tangents per node array instead of n, and
-    raised the peak memory of the 3D benchmark grid by 16%.
+    one vector pass per list, x first (:func:`list_value_grad`, which takes
+    the value), so each list's partials are those of its own pass exactly.
+    Seeding all 2n directions at once there would hold 2n tangents per node
+    array instead of n, and raised the peak memory of the 3D benchmark grid
+    by 16%.
     """
     lists = (xs, ys)
     depth = _point_depth(lists)
     if depth is None:
-        return (*list_value_grad(fn, lists, 0), list_value_grad(fn, lists, 1)[1])
+        value, dx = list_value_grad(fn, lists, 0)
+        return value, dx, _vector_grad(fn, lists, 1, _leaf_depth(lists))[2]
     n = len(xs)
-    value, d = _vector_grad(lambda zs: fn(zs[:n], zs[n:]), (list(xs) + list(ys),), 0, depth)
-    return value, d[:n], d[n:]
+    res, tag, d = _vector_grad(lambda zs: fn(zs[:n], zs[n:]), (list(xs) + list(ys),), 0, depth)
+    return _value(res, tag), d[:n], d[n:]
 
 
 def list_value_grad(fn, lists, which):
@@ -488,7 +497,8 @@ def list_value_grad(fn, lists, which):
     node, such as forms on a lifted tower; F^2 under nested jets takes the
     per-coordinate passes of :func:`grad_wrt` there.
     """
-    return _vector_grad(fn, lists, which, _leaf_depth(lists))
+    res, tag, partials = _vector_grad(fn, lists, which, _leaf_depth(lists))
+    return _value(res, tag), partials
 
 
 def grad_x(fn, xs, ys):

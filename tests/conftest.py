@@ -141,5 +141,19 @@ def rng():
     return np.random.default_rng(20240722)
 
 
+@pytest.fixture()
+def outer_sums(monkeypatch):
+    """The number of pairs of each matrix product ``connection.sum_products``
+    takes (``connection._outer_sum``), in call order."""
+    calls, outer_sum = [], connection._outer_sum
+
+    def spied(pairs):
+        calls.append(len(pairs))
+        return outer_sum(pairs)
+
+    monkeypatch.setattr(connection, "_outer_sum", spied)
+    return calls
+
+
 def sample_points(s, count, seed=11):
     return bi.random_chart_points(np.random.default_rng(seed), s, count)

@@ -15,9 +15,12 @@ from finslerforms.connection import (
     cov_hh,
     delta_derivative,
     h_covariant_derivative,
+    is_structural_zero,
     nabla_0,
     nested_build,
     pack,
+    sum_products,
+    sum_terms,
     tget,
     tower_at,
     v_covariant_derivative,
@@ -35,8 +38,8 @@ from finslerforms.forms import (
     laplacian_expansion_coeffs,
 )
 from finslerforms.jets import (
-    JetRequest, fd_partial, grad_wrt, grad_x, grad_xy, grad_y, gsin, gsqrt, list_value_grad,
-    partial,
+    Jet, JetRequest, _new_tag, fd_partial, grad_wrt, grad_x, grad_xy, grad_y, gsin, gsqrt,
+    list_value_grad, partial,
 )
 from finslerforms.errors import DomainError, ZeroVector
 from finslerforms.metric import metric_components
@@ -201,6 +204,104 @@ class TestRandersClosedForm:
         self.assert_close(pack(spray(tower.xs, tower.ys), 1), pack(tower.G, 1))
         dG = pack(grad_wrt(spray, (tower.xs, tower.ys), 1), 2)  # dG[k][i] = d_yk G^i
         self.assert_close(np.swapaxes(dG, 0, 1), pack(tower.N, 2))
+
+
+class TestSumProducts:
+    """``sum_products(plus, minus, n, ndim)`` against the streamed sum: the
+    products of ``plus`` summed, minus those of ``minus``, with the pairs
+    that hold a structural zero left out.  On node arrays of 3 base and 2
+    fiber axes, as on an 8,8,8x16,8 grid."""
+
+    N, NDIM = 3, 5
+    REL_TOL = 1e-14  # times the largest |entry| of the streamed sum
+
+    @staticmethod
+    def streamed(plus, minus):
+        zero = is_structural_zero
+        terms = lambda pairs: sum_terms(u * v for u, v in pairs if not (zero(u) or zero(v)))
+        acc, sub = terms(plus), terms(minus)
+        return acc if zero(sub) else acc - sub
+
+    @staticmethod
+    def arrays(rng, *shapes):
+        return [rng.standard_normal(shape) for shape in shapes]
+
+    def assert_close(self, got, want):
+        assert np.shape(got) == np.shape(want)
+        assert np.max(np.abs(got - want)) <= self.REL_TOL * np.max(np.abs(want))
+
+    def assert_same_bits(self, got, want):
+        assert type(got) is type(want)
+        if isinstance(want, Jet):
+            assert got.tag == want.tag
+            for a, b in zip(got.coeffs, want.coeffs):
+                self.assert_same_bits(a, b)
+        else:
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_base_factors_of_different_shapes(self, outer_sums):
+        rng = np.random.default_rng(90)
+        b1, b2, b3 = self.arrays(rng, (8, 1, 1, 1, 1), (8, 8, 8, 1, 1), (1, 8, 1, 1, 1))
+        f1, f2, f3 = self.arrays(rng, (1, 1, 1, 16, 8), (1, 1, 1, 1, 8), (1, 1, 1, 16, 1))
+        plus, minus = [(b1, f1), (f2, b2), (b3, f3)], [(f1, b2), (b1, f3)]
+        got = sum_products(plus, minus, self.N, self.NDIM)
+        assert outer_sums == [5]
+        assert got.shape == (8, 8, 8, 16, 8)
+        self.assert_close(got, self.streamed(plus, minus))
+
+    def test_leaves_without_their_leading_unit_axes(self, outer_sums):
+        """Leaves as jets._split leaves them: a fiber factor (16, 8) or (8,)
+        and a base factor of the second axis (8, 1, 1, 1) are aligned right."""
+        rng = np.random.default_rng(91)
+        fa, fb, b1, b2 = self.arrays(rng, (16, 8), (8,), (8, 1, 1, 1), (8, 8, 1, 1))
+        plus, minus = [(b1, fa), (fb, b2)], [(fa, b2)]
+        got = sum_products(plus, minus, self.N, self.NDIM)
+        assert outer_sums == [3]
+        assert got.shape == (1, 8, 8, 16, 8)  # on the grid's axes
+        self.assert_close(got[0], self.streamed(plus, minus))
+
+    def test_pairs_that_do_not_separate_are_streamed(self, outer_sums):
+        """A node-array factor, a float or a structural zero: no matrix
+        product, and the streamed sum bit for bit; beside separable pairs,
+        the same sum to rounding, with the separable pairs in one product."""
+        rng = np.random.default_rng(92)
+        full, b, f = self.arrays(rng, (8, 8, 8, 16, 8), (8, 8, 8, 1, 1), (1, 1, 1, 16, 8))
+        rest_plus = [(full, b), (0.5, f), (2.0, 3.0), (full, 0.0)]
+        rest_minus = [(f, full), (b, 0.25), (0.0, b)]
+        got = sum_products(rest_plus, rest_minus, self.N, self.NDIM)
+        assert outer_sums == []
+        self.assert_same_bits(got, self.streamed(rest_plus, rest_minus))
+        plus, minus = rest_plus + [(b, f), (f, b)], [(b, f)] + rest_minus
+        got = sum_products(plus, minus, self.N, self.NDIM)
+        assert outer_sums == [3]
+        self.assert_close(got, self.streamed(plus, minus))
+
+    def test_empty_group_is_the_structural_zero(self, outer_sums):
+        rng = np.random.default_rng(93)
+        b, f = self.arrays(rng, (8, 8, 8, 1, 1), (1, 1, 1, 16, 8))
+        for plus, minus in (([], []), ([(b, 0.0)], [(0.0, f)])):
+            got = sum_products(plus, minus, self.N, self.NDIM)
+            assert type(got) is float and got == 0.0
+        assert outer_sums == []
+        self.assert_close(sum_products([], [(b, f)], self.N, self.NDIM), -(b * f))
+        self.assert_close(sum_products([(f, b)], [], self.N, self.NDIM), f * b)
+
+    def test_batches_and_jets_fall_back(self, outer_sums):
+        """A (B,) batch has no fiber axis, and a jet is no array: each sum
+        is the streamed one bit for bit, with no matrix product."""
+        rng = np.random.default_rng(94)
+        u, v, w = self.arrays(rng, (12,), (12,), (12,))
+        b, f = self.arrays(rng, (8, 8, 8, 1, 1), (1, 1, 1, 16, 8))
+        tag = _new_tag()
+        jb, jf = Jet([b, 2.0 * b], tag), Jet([f, f * f], tag)
+        cases = [
+            (2, 1, [(u, v), (v, w)], [(w, u)]),
+            (self.N, self.NDIM, [(jb, f), (b, jf)], [(jb, jf)]),
+        ]
+        for n, ndim, plus, minus in cases:
+            self.assert_same_bits(sum_products(plus, minus, n, ndim), self.streamed(plus, minus))
+        assert outer_sums == []
 
 
 class TestCachedLayers:

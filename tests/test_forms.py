@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from types import SimpleNamespace
@@ -1291,6 +1292,93 @@ class TestStructuralZeros:
             for idx in itertools.product(range(s.dim), repeat=degree):
                 u, v = (np.broadcast_to(tget(c, idx), grid.shape) for c in (a, b))
                 assert np.array_equal(u, v), idx
+
+
+def streamed_deltaH_coeffs(tower, psi):
+    """delta_H as :func:`forms.deltaH_coeffs` formed it with every product
+    streamed into one of two sums, the added and the subtracted terms: the
+    reference of :class:`TestOuterProductCodifferential`."""
+    n = tower.n
+    val, dx, dy = tower.partials(psi.on)
+    delta = functools.cache(connection._delta_entry(tower, dx, dy))
+    gi = tower.gi
+    zero = is_structural_zero
+
+    def products(pairs):
+        return (u * v for u, v in pairs if not (zero(u) or zero(v)))
+
+    def traced(I, parity):
+        for j in range(n):
+            if j not in I:
+                J = tuple(sorted((j,) + I))
+                if J.index(j) % 2 == parity:
+                    yield from products((gi[i][j], delta(i, J)) for i in range(n))
+
+    def corrections(I):
+        gamma, T = tower.Gamma_trace, tower.nabla0T_raised
+        for p in range(n):
+            v = tget(val, (p,) + I)
+            yield from products(((v, gamma[p]), (v, T[p])))
+        for t, k in enumerate(I):
+            R = tower.Gamma_raised
+            for p in range(n):
+                sub = I[:t] + (p,) + I[t + 1 :]
+                yield from products((tget(val, (j,) + sub), R[p][j][k]) for j in range(n) if j != p)
+
+    def entry(I):
+        plus = sum_terms(itertools.chain(corrections(I), traced(I, 1)))
+        minus = sum_terms(traced(I, 0))
+        return plus if zero(minus) else plus - minus
+
+    return forms.form_build(n, psi.degree - 1, entry)
+
+
+class TestOuterProductCodifferential:
+    """delta_H sums the pairs g^ij (delta_i psi)_J whose one factor is
+    constant along the fiber and the other along the base as one matrix
+    product (``connection._outer_sum``), and every other pair one product
+    at a time, as :func:`streamed_deltaH_coeffs` sums it."""
+
+    REL_TOL = 1e-14  # times the largest |entry| of the streamed delta_H
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_x_independent_metric_takes_one_matrix_product_per_entry(self, p, outer_sums):
+        """On randers-torus-3d g^ij varies over the fiber alone and a trig
+        form over the base alone, and Gamma and nabla0T vanish."""
+        s = bi.get_metric("randers-torus-3d")
+        grid = small_grid(s)
+        tower = grid.tower(s)
+        psi = bi.random_trig_form(np.random.default_rng(40 + p), s, p)
+        want = streamed_deltaH_coeffs(tower, psi)
+        got = deltaH_coeffs(tower, psi)
+        entries = list(itertools.combinations(range(s.dim), p - 1))
+        assert len(outer_sums) == len(entries) and all(outer_sums)
+        for I in entries:
+            a, b = tget(got, I), tget(want, I)
+            assert a.shape == b.shape == grid.shape
+            assert np.max(np.abs(a - b)) <= self.REL_TOL * np.max(np.abs(b)), I
+
+    def test_base_dependent_grid_batches_and_points_sum_as_before(self, outer_sums):
+        """g^ij of base_dependent_randers(2) spans all nodes, a batch has no
+        fiber axis and a point's factors are floats: no matrix product, and
+        the streamed delta_H bit for bit."""
+        s2, s3 = base_dependent_randers(2), bi.get_metric("randers-torus-3d")
+        towers = [
+            QuadratureGrid.for_structure(s2, (16, 16), (24,)).tower(s2),
+            TestSeededPartials.batch_tower(s3),
+        ]
+        for s in (s2, s3):
+            towers += [LocalTower(s, list(z.x), list(z.y)) for z in sample_points(s, 2, seed=44)]
+        for tower in towers:
+            rng = np.random.default_rng(45)
+            for p in range(1, tower.n + 1):
+                psi = bi.random_trig_form(rng, tower.s, p)
+                got, want = deltaH_coeffs(tower, psi), streamed_deltaH_coeffs(tower, psi)
+                for I in itertools.combinations(range(tower.n), p - 1):
+                    a, b = tget(got, I), tget(want, I)
+                    assert type(a) is type(b) and np.shape(a) == np.shape(b)
+                    assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (p, I)
+        assert outer_sums == []
 
 
 def hilbert_form(s):

@@ -434,6 +434,22 @@ class TestVectorMode:
         grad_wrt(lambda a, b: grad_wrt(fn, (a, b), 1), POINTS[n], 0)
         assert len(calls) == 1
 
+    def test_only_readers_of_the_value_build_it(self, monkeypatch):
+        """A vector pass builds its value tree (``jets._value``) only for
+        list_value_grad and the point pass of grad_xy: grad_wrt and both
+        levels of hessian_wrt at a point, and grad_xy's y pass on arrays,
+        drop it."""
+        built, value = [], jets._value
+        monkeypatch.setattr(jets, "_value", lambda res, tag: built.append(1) or value(res, tag))
+        fn = SCALARS[2][0]
+        grad_wrt(fn, POINTS[2], 0)
+        hessian_wrt(fn, POINTS[2], 1)
+        assert built == []
+        grad_xy(fn, *ARRAY_POINTS[0])
+        list_value_grad(fn, POINTS[2], 1)
+        grad_xy(fn, *POINTS[2])
+        assert built == [1, 1, 1]
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_point_hessian_matches_loop(self, n):
         for fn in SCALARS[n]:
