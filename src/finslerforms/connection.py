@@ -23,19 +23,20 @@ reads (below), and ``deltaGamma`` and ``deltaCmix``, as their readers
 ``dgy`` = 2 C is not, so that no tower holds C twice.
 
 A tower is differentiated in two ways.  A layer's own partials are taken
-at jet-valued coordinates, which evaluates F^2 under nested jets; the
-curvature blocks are built on these.  Each of Tt, N, Gamma, Cmix and
-nabla0T has exactly one cached partial per coordinate list (``dN_x``,
-``dN_y``, through :func:`_rebuilt_partial`).  At a point a tower caches one
+at jet-valued coordinates, which evaluates the family's g
+(:func:`metric.metric_components`) under nested jets; the curvature blocks
+are built on these.  Each of Tt, N, Gamma, Cmix and nabla0T has exactly one
+cached partial per coordinate list (``dN_x``, ``dN_y``, through
+:func:`_rebuilt_partial`).  At a point a tower caches one
 child, itself at x and y seeded together, and splits every first partial
 it needs off the matching layer of that child: both lists of those layers,
 and ``dgx`` and the Cartan tensor C, half of g's y partial, off g.  The
 child computes only the layers read and takes its own partials from its
 own child.  On arrays no child is cached, since a grid tower outlives the
 call: each list is its own per-coordinate pass (:func:`jets.grad_wrt`) at
-fresh rebuilt towers, which keeps F^2 under nested jets from holding n
-tangents per node array.  This is the one rule that reads the shape of the
-coordinates.
+fresh rebuilt towers, which keeps the family's g under nested jets from
+holding n tangents per node array.  This is the one rule that reads the
+shape of the coordinates.
 
 Whatever is computed from the tower's layers (a :class:`TensorField`, a
 form, nabla T inside nabla nabla T, :func:`cov_hh`) is a kernel tower ->
@@ -175,10 +176,10 @@ class LocalTower:
     G and N are algebra over :func:`_christoffel` of ``dgx``, Gamma over that
     of delta_c g_ij; N contracts C_ljk G^k, not Cmix.  A layer's own partials
     (``dN_x``, ``dN_y``, ...) are taken at jet-valued coordinates, which
-    evaluates F^2 under nested jets, and cached once per coordinate list.  At
-    a point C, ``dgx`` and both lists of every such partial are split off the
-    layers of one cached child (:attr:`_child`); on arrays each is its own
-    pass at fresh rebuilt towers.  ``dgx`` is g's x partial and C half its y
+    evaluates the family's g under nested jets, and cached once per
+    coordinate list.  At a point C, ``dgx`` and both lists of every such
+    partial are split off the layers of one cached child (:attr:`_child`);
+    on arrays each is its own pass at fresh rebuilt towers.  ``dgx`` is g's x partial and C half its y
     partial ``dgy``, both by this rule.  Kernels computed from the layers,
     such as fields, forms and nabla T, are differentiated by :meth:`partials`.
     """
@@ -224,8 +225,8 @@ class LocalTower:
         are split off the child's ``layer``, the other one cached under
         ``other`` if named.  On arrays it is one per-coordinate pass (:func:`jets.grad_wrt`)
         at fresh rebuilt towers: a vector pass would carry n tangents per node
-        array through F^2 under nested jets, and a child would live as long as
-        the grid."""
+        array through the family's g under nested jets, and a child would live
+        as long as the grid."""
         if self._depth is None:
             rebuilt = lambda a, b: getattr(LocalTower(self.s, a, b), layer)
             return _collapse_zeros(grad_wrt(rebuilt, (self.xs, self.ys), which))

@@ -15,9 +15,10 @@ tangent of coordinate m being ``eye(n)[m]``, and each nesting level keeps its
 directions on its own array axis, so a k-fold nested derivative costs one
 evaluation of the innermost field instead of n^k.  On arrays (quadrature
 grids) it seeds one coordinate per pass with the scalar tangent 1.0.  Its
-array callers are the rebuilt towers of a grid, which run F^2 under nested
-jets over every node, and the angle partials of the grid's volume density,
-which differentiate the fiber parameterization alone.  Vector mode on the
+array callers are the rebuilt towers of a grid, which run the metric
+family's g (``metric.metric_components``) under nested jets over every node,
+and the angle partials of the grid's volume density, which differentiate
+the fiber parameterization alone.  Vector mode on the
 towers would grow each nested scalar from 2^k to (1+n)^k node arrays, which
 raised peak memory by 25% (3D) to 92% (2D) on the benchmark grids.  At a point a tower caches one child at the
 coordinates :func:`_seed` seeds and splits each layer it reads off that
@@ -32,7 +33,8 @@ connection tower are differentiated by it, or by the x pass of
 :func:`list_value_grad` alone where N vanishes: ``LocalTower.partials``
 hands it a kernel that builds a lifted tower at the seeded coordinates,
 which reads its layers off the parent's cached values and partials, so a
-pass costs a few array operations per node rather than F^2 under jets.
+pass costs a few array operations per node rather than the family's g
+under jets.
 
 :func:`trig_sum` evaluates the seeded trigonometric generators in closed
 form.  On arrays it keeps the cosine and sine of the phase K x of the last
@@ -334,9 +336,9 @@ def grad_wrt(fn, lists, which):
     each nesting level on its own direction axis (see :func:`_vector_grad`).
     With array-valued coordinates each coordinate gets its own pass and a
     scalar tangent 1.0.  This stays per coordinate because its array callers
-    rebuild the tower at the seeded coordinates, where F^2 runs under nested
-    jets, and vector mode multiplies every node array of every level by its n
-    directions: on the benchmark grids peak memory rose from 50.5 to 97.0 MB
+    rebuild the tower at the seeded coordinates, where the family's g runs
+    under nested jets, and vector mode multiplies every node array of every
+    level by its n directions: on the benchmark grids peak memory rose from 50.5 to 97.0 MB
     (2D) and from 95.3 to 119.0 MB (3D).  ``fn`` must take every jet it
     depends on through its arguments.  A caller that reads the partials along
     both lists of ``fn(xs, ys)`` takes them from :func:`grad_xy`, whose
@@ -360,7 +362,9 @@ def hessian_wrt(fn, lists, which):
 
     At a point one nested vector pass gives the whole matrix from a single
     evaluation of ``fn``; on arrays the n(n+1)/2 pairs i <= j are seeded with
-    two tags each and mirrored.
+    two tags each and mirrored.  In the engine it is the custom family's g,
+    half the y-Hessian of F^2 (``metric.f2_hessian``); the other families
+    give g in closed form.
     """
     depth = _point_depth(lists)
     if depth is not None:
@@ -494,8 +498,8 @@ def list_value_grad(fn, lists, which):
 
     On arrays each tangent is a node array times ``eye(n)[m]``, n times the
     memory of the node array, so this suits fields whose cost is light per
-    node, such as forms on a lifted tower; F^2 under nested jets takes the
-    per-coordinate passes of :func:`grad_wrt` there.
+    node, such as forms on a lifted tower; the family's g under nested jets
+    takes the per-coordinate passes of :func:`grad_wrt` there.
     """
     res, tag, partials = _vector_grad(fn, lists, which, _leaf_depth(lists))
     return _value(res, tag), partials

@@ -1,10 +1,14 @@
 """Finsler structures and the zeroth layer of the tensor tower.
 
 A :class:`FinslerStructure` evaluates F(x, y) and validates a point of the
-slit tangent bundle (:meth:`FinslerStructure._coords`).  The component
-helpers of g, g^-1, T and the Hilbert form are generic: they accept floats,
-batched numpy arrays or jets, so higher layers can differentiate straight
-through them.  The Cartan tensor has no helper here:
+slit tangent bundle (:meth:`FinslerStructure._coords`).  Its family owns the
+fundamental tensor: each constructor supplies a g kernel beside F^2, in
+closed form for the Randers, Riemannian and Euclidean families and as half
+the y-Hessian of F^2 (:func:`f2_hessian`) for a custom one, and every layer
+of the tower starts at the family's g (:func:`metric_components`).  The
+component helpers of g, g^-1, T and the Hilbert form are generic: they
+accept floats, batched numpy arrays or jets, so higher layers can
+differentiate straight through them.  The Cartan tensor has no helper here:
 ``connection.LocalTower.C`` takes it as half of g's y partial, by the rule
 that gives every partial of a tower layer.
 
@@ -128,7 +132,13 @@ class TensorValue:
 
 
 def metric_components(s, xs, ys):
-    """Fundamental tensor g_ij = half the y-Hessian of F^2 (generic)."""
+    """Fundamental tensor g_ij at generic (xs, ys): the family's g (:meth:`FinslerStructure.g`)."""
+    return s.g(xs, ys)
+
+
+def f2_hessian(s, xs, ys):
+    """g_ij = half the y-Hessian of F^2, F^2 read through ``s.f2``: the
+    custom family's g."""
     n = s.dim
     h = jets.hessian_wrt(s.f2, (xs, ys), 1)
     rows = [[None] * n for _ in range(n)]
@@ -206,24 +216,38 @@ def hilbert_components(s, xs, ys):
 class FinslerStructure:
     """A Finsler metric family on a single chart.
 
+    A family supplies two generic kernels: F^2, which F and the Hilbert form
+    read, and g, where every layer of the tower starts.  The Randers,
+    Riemannian and Euclidean families give g in closed form; a custom family
+    gives half the y-Hessian of its F^2 (:func:`f2_hessian`).  A g kernel is
+    called as ``kernel(s, xs, ys)`` with this structure, so that the custom
+    one reads F^2 through ``s.f2``, and returns the symmetric nested rows of
+    g_ij.
+
     Construction validates positivity and strong convexity by sampling: the
-    fundamental tensor must pass a Cholesky check at a lattice of chart
-    points and directions.
+    family's g must pass a Cholesky check at a lattice of chart points and
+    directions, and a coefficient field a(x), which the closed forms read as
+    given, must be symmetric at those points.
     """
 
-    def __init__(self, dim, chart, family, f2_generic, label=""):
+    def __init__(self, dim, chart, family, f2_generic, g_generic, label=""):
         self.dim = int(dim)
         self.chart = chart if chart is not None else default_chart(dim)
         if self.chart.dim != self.dim:
             raise ConfigError("chart dimension does not match metric dimension")
         self.family = family
         self._f2 = f2_generic
+        self._g = g_generic
         self.label = label or family
         self._validate()
 
-    # generic scalar evaluation, the root of the whole tower
+    # generic scalar evaluation of F^2
     def f2(self, xs, ys):
         return self._f2(xs, ys)
+
+    # the family's fundamental tensor, the root of the whole tower
+    def g(self, xs, ys):
+        return self._g(self, xs, ys)
 
     def __repr__(self):
         return f"FinslerStructure({self.label!r}, dim={self.dim})"
@@ -238,14 +262,17 @@ class FinslerStructure:
                 acc = acc + ys[k] * ys[k]
             return acc
 
-        return cls(dim, chart, "euclidean", f2, label="euclidean")
+        def g(s, xs, ys):
+            return [[1.0 if i == j else 0.0 for j in range(dim)] for i in range(dim)]
+
+        return cls(dim, chart, "euclidean", f2, g, label="euclidean")
 
     @classmethod
     def riemannian(cls, a, dim=None, chart=None, label="riemannian"):
-        """Riemannian structure F = sqrt(a_ij y^i y^j).
+        """Riemannian structure F = sqrt(a_ij y^i y^j), whose g is a(x).
 
         ``a`` is a constant symmetric matrix or a callable ``a(xs)`` returning
-        nested lists of generic scalars.
+        symmetric nested lists of generic scalars.
         """
         a_field, dim = _matrix_field(a, dim)
 
@@ -257,11 +284,21 @@ class FinslerStructure:
                     acc = acc + aij[i][j] * (ys[i] * ys[j])
             return acc
 
-        return cls(dim, chart, "riemannian", f2, label=label)
+        def g(s, xs, ys):
+            return [list(row) for row in a_field(xs)]
+
+        s = cls(dim, chart, "riemannian", f2, g, label=label)
+        s._check_coefficients(a_field)
+        return s
 
     @classmethod
     def randers(cls, a, b, dim=None, chart=None, label="randers"):
-        """Randers structure F = sqrt(a_ij y^i y^j) + b_i y^i."""
+        """Randers structure F = alpha + beta, alpha = sqrt(a_ij y^i y^j) and
+        beta = b_i y^i, whose g is in closed form (Bao, Chern & Shen (2000),
+        ch. 11): with l_i = a_ij y^j / alpha,
+
+            g_ij = (F / alpha)(a_ij - l_i l_j) + (l_i + b_i)(l_j + b_j).
+        """
         a_field, dim = _matrix_field(a, dim)
         b_field = _vector_field(b, dim)
 
@@ -277,13 +314,37 @@ class FinslerStructure:
             F = gsqrt(quad) + lin
             return F * F
 
-        s = cls(dim, chart, "randers", f2, label=label)
-        s._check_randers(a_field, b_field)
+        def g(s, xs, ys):
+            aij, bi = a_field(xs), b_field(xs)
+            ay = []  # a_ij y^j
+            for i in range(dim):
+                acc = aij[i][0] * ys[0]
+                for j in range(1, dim):
+                    acc = acc + aij[i][j] * ys[j]
+                ay.append(acc)
+            quad, beta = ay[0] * ys[0], bi[0] * ys[0]
+            for i in range(1, dim):
+                quad = quad + ay[i] * ys[i]
+                beta = beta + bi[i] * ys[i]
+            alpha = gsqrt(quad)
+            inv = jets._reciprocal(alpha)
+            ell = [v * inv for v in ay]
+            ratio = (alpha + beta) * inv  # F / alpha
+            lb = [ell[i] + bi[i] for i in range(dim)]
+            rows = [[None] * dim for _ in range(dim)]
+            for i in range(dim):
+                for j in range(i, dim):
+                    rows[i][j] = rows[j][i] = ratio * (aij[i][j] - ell[i] * ell[j]) + lb[i] * lb[j]
+            return rows
+
+        s = cls(dim, chart, "randers", f2, g, label=label)
+        s._check_coefficients(a_field, b_field)
         return s
 
     @classmethod
     def custom(cls, f2_generic, dim, chart=None, label="custom"):
-        return cls(dim, chart, "custom", f2_generic, label=label)
+        """A structure from its F^2 alone, whose g is :func:`f2_hessian`."""
+        return cls(dim, chart, "custom", f2_generic, f2_hessian, label=label)
 
     # -- validation ------------------------------------------------------------
 
@@ -324,10 +385,16 @@ class FinslerStructure:
                 raise NotPositiveDefinite(f"{self.label}: F^2 not positive at {where}")
             _cholesky_check(g[k], where=where, label=self.label)
 
-    def _check_randers(self, a_field, b_field):
+    def _check_coefficients(self, a_field, b_field=None):
+        """ConfigError unless a(x) is symmetric at every validation point
+        and, for a Randers drift b(x), of a-norm below 1 there."""
         xs, _ = self._sample_points()
         for x in xs:
             a = np.array(a_field(list(x)), float)
+            if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * max(1.0, np.max(np.abs(a)))):
+                raise ConfigError(f"coefficient matrix must be symmetric, not at x={x.tolist()}")
+            if b_field is None:
+                continue
             b = np.array(b_field(list(x)), float)
             norm = float(np.sqrt(b @ np.linalg.solve(a, b)))
             if norm >= 1.0:

@@ -155,5 +155,28 @@ def outer_sums(monkeypatch):
     return calls
 
 
+def custom_twin(s):
+    """The custom structure of ``s``'s F^2 on its chart, whose g is the F^2
+    Hessian (:func:`metric.f2_hessian`) where ``s`` has its family's g."""
+    return FinslerStructure.custom(s._f2, s.dim, chart=s.chart, label=f"{s.label}-custom")
+
+
+# the root kernel a count reads: the family's g of a structure, or the F^2 of
+# its custom twin, which the Hessian route evaluates under nested jets
+ROOTS = ["family-g", "custom-f2"]
+
+
+def counted_root(s, root, monkeypatch):
+    """(structure, calls) for a root of :data:`ROOTS`: ``s`` with one entry
+    appended to ``calls`` per call of its g kernel, or its :func:`custom_twin`
+    with one per evaluation of F^2."""
+    if root == "custom-f2":
+        s = custom_twin(s)
+    name = {"family-g": "g", "custom-f2": "f2"}[root]
+    calls, kernel = [], getattr(s, name)
+    monkeypatch.setattr(s, name, lambda xs, ys: calls.append(1) or kernel(xs, ys))
+    return s, calls
+
+
 def sample_points(s, count, seed=11):
     return bi.random_chart_points(np.random.default_rng(seed), s, count)

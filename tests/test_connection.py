@@ -47,8 +47,11 @@ from finslerforms.quadrature import QuadratureGrid
 from finslerforms.scenario import POINT_READERS
 
 from conftest import (
+    ROOTS,
     base_dependent_randers,
     base_dependent_randers_fields,
+    counted_root,
+    custom_twin,
     randers_base_fields,
     randers_spray,
     sample_points,
@@ -637,15 +640,30 @@ def trig_tensor_field(s, variance, seed):
 
 class TestSecondCovariantDerivative:
     """cov_hh, the covariant derivative of nabla T read off seeded children,
-    against the parent's product rule on second partials."""
+    against the parent's product rule on second partials.
+
+    nabla T comes back bit for bit as cov_h computes it at the tower, except
+    on a batch of the closed-form Randers metric, where it is held to
+    REL_TOL.  There the x pass of cov_hh takes the field's y partials at
+    x-seeded coordinates, so ``jets.trig_sum`` appends the x rows and takes
+    a matrix product of 3 rows where the tower's own y pass takes one of 1
+    row, which BLAS rounds otherwise (gemm, not gemv).  For the rank-2 field
+    those y partials differ from the tower's by an ulp in 10 of their 48
+    node values on either route to g, and N times them rounds alike on the
+    F^2 Hessian's N (the custom twin, kept bit for bit) but not on the
+    closed form's, where 2 of the 48 node values of nabla T differ by one
+    ulp."""
 
     REL_TOL = 1e-14  # times the largest |entry| of the reference
 
-    @pytest.mark.parametrize("name", ["randers-base", "randers-torus-3d"])
+    @pytest.mark.parametrize("name", ["randers-base", "randers-base-custom", "randers-torus-3d"])
     @pytest.mark.parametrize("variance", ["u", "l", "ll"])
     @pytest.mark.parametrize("batch", [False, True])
     def test_matches_product_rule(self, name, variance, batch, randers_base):
-        s = randers_base if name == "randers-base" else bi.get_metric(name)
+        if name == "randers-base-custom":
+            s = custom_twin(randers_base)
+        else:
+            s = randers_base if name == "randers-base" else bi.get_metric(name)
         T = trig_tensor_field(s, variance, seed=71)
         if batch:
             pts = sample_points(s, 6)
@@ -667,8 +685,11 @@ class TestSecondCovariantDerivative:
             # the field and nabla T come back as computed at the tower, bit for bit
             val, dx, dy = T.partials(tower.xs, tower.ys)
             assert np.array_equal(pack(p1[0], rank), pack(val, rank))
-            nab = cov_h(tower, val, dx, dy, variance)
-            assert np.array_equal(pack(W, rank + 1), pack(nab, rank + 1))
+            nab = pack(cov_h(tower, val, dx, dy, variance), rank + 1)
+            if batch and name == "randers-base":
+                assert np.max(np.abs(pack(W, rank + 1) - nab)) <= self.REL_TOL * np.max(np.abs(nab))
+            else:
+                assert np.array_equal(pack(W, rank + 1), nab)
 
 
 class TestPack:
@@ -696,18 +717,17 @@ class TestOnePartialPerList:
     PARTIALS = (("dT_x", "dT_y"), ("dN_x", "dN_y"), ("dGamma_x", "dGamma_y"),
                 ("dCmix_x", "dCmix_y"), ("d_nabla0T_x", "d_nabla0T_y"))
 
+    @pytest.mark.parametrize("root", ROOTS)
     @pytest.mark.parametrize("order", ["hh-hv-vv", "hv-hh-vv"])
-    def test_f2_evaluations_do_not_depend_on_block_order(self, order, randers_base, monkeypatch):
-        s = randers_base
+    def test_root_evaluations_do_not_depend_on_block_order(
+        self, order, root, randers_base, monkeypatch
+    ):
+        """3 evaluations of the family's g, and on the custom twin 3 of F^2,
+        in either order of the curvature blocks."""
+        s, calls = counted_root(randers_base, root, monkeypatch)
         blocks = {"hh": hh_components, "hv": hv_components, "vv": vv_components}
         z = sample_points(s, 1)[0]
-        calls, f2 = [], s._f2
-
-        def counted(xs, ys):
-            calls.append(1)
-            return f2(xs, ys)
-
-        monkeypatch.setattr(s, "_f2", counted)
+        calls.clear()  # count from here: drawing the point evaluates F^2
         tower = tower_at(s, (z.x, z.y))
         for name in order.split("-"):
             blocks[name](tower)

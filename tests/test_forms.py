@@ -48,7 +48,7 @@ from finslerforms.metric import hilbert_components
 from finslerforms.quadrature import QuadratureGrid, bochner_integral, form_grid_norm
 from finslerforms.scenario import run_task
 
-from conftest import base_dependent_randers, sample_points
+from conftest import ROOTS, base_dependent_randers, counted_root, sample_points
 
 
 def trig_point(s, seed=11):
@@ -145,23 +145,19 @@ class TestLaplacian:
                     b = laplacian_expansion(s, phi).at(s, (z.x, z.y)).data
                     assert np.max(np.abs(a - b)) < 1e-5, (name, p)
 
+    @pytest.mark.parametrize("root", ROOTS)
     @pytest.mark.parametrize("laplacian", [horizontal_laplacian, laplacian_expansion])
-    def test_f2_evaluations_at_a_point(self, laplacian, randers_base, monkeypatch):
+    def test_root_evaluations_at_a_point(self, laplacian, root, randers_base, monkeypatch):
         """The composed and the expanded Laplacian of a 1-form at a point each
-        take 4 evaluations of F^2: every form or nabla phi is differentiated
-        along x and y in one pass, every layer partial of a tower, C and dgx
-        among them, is split off its one child tower, seeded along x and y in
-        one pass, and the spray G and N are algebra over dgx and C."""
-        s = randers_base
+        take 4 evaluations of the family's g, and the custom twin's Hessian
+        route 4 of F^2: every form or nabla phi is differentiated along x and
+        y in one pass, every layer partial of a tower, C and dgx among them,
+        is split off its one child tower, seeded along x and y in one pass,
+        and the spray G and N are algebra over dgx and C."""
+        s, calls = counted_root(randers_base, root, monkeypatch)
         phi = bi.random_trig_form(np.random.default_rng(0), s, 1)
         z = trig_point(s)
-        calls, f2 = [], s._f2
-
-        def counted(xs, ys):
-            calls.append(1)
-            return f2(xs, ys)
-
-        monkeypatch.setattr(s, "_f2", counted)
+        calls.clear()  # count from here: drawing the point evaluates F^2
         laplacian(s, phi).at(s, (z.x, z.y))
         assert len(calls) == 4
 
@@ -268,22 +264,18 @@ class TestWeitzenbock:
                 lap = horizontal_laplacian(s, af.horizontal).at(s, (z.x, z.y)).data
                 assert np.max(np.abs(res + lap)) < 1e-5, name
 
+    @pytest.mark.parametrize("root", ROOTS)
     @pytest.mark.parametrize("name", ["randers-torus", "randers-torus-3d"])
-    def test_f2_evaluations_at_a_point(self, name, monkeypatch):
-        """At a point the residual takes 5 evaluations of F^2 in 2D and in 3D:
-        the lifted towers under nabla nabla seed x and y in one pass, each
-        tower splits every layer partial, C and dgx among them, off its one
-        child tower, and G and N make no pass of their own."""
-        s = bi.get_metric(name)
+    def test_root_evaluations_at_a_point(self, name, root, monkeypatch):
+        """At a point the residual takes 5 evaluations of the family's g in 2D
+        and in 3D, and the custom twin's Hessian route 5 of F^2: the lifted
+        towers under nabla nabla seed x and y in one pass, each tower splits
+        every layer partial, C and dgx among them, off its one child tower,
+        and G and N make no pass of their own."""
+        s, calls = counted_root(bi.get_metric(name), root, monkeypatch)
         X = bi.random_trig_vector(np.random.default_rng(0), s)
         z = trig_point(s)
-        calls, f2 = [], s._f2
-
-        def counted(xs, ys):
-            calls.append(1)
-            return f2(xs, ys)
-
-        monkeypatch.setattr(s, "_f2", counted)
+        calls.clear()  # count from here: drawing the point evaluates F^2
         weitzenbock_residual(tower_at(s, (z.x, z.y)), X)
         assert len(calls) == 5
 
@@ -780,22 +772,17 @@ class TestSeededPartials:
             for a, b in zip(got, want):
                 assert np.max(np.abs(a - b)) <= self.REL_TOL * scale, form.label
 
+    @pytest.mark.parametrize("root", ROOTS)
     @pytest.mark.parametrize("name", ["randers-base", "randers-torus-3d"])
-    def test_warm_grid_evaluates_no_f2(self, name, randers_base, monkeypatch):
+    def test_warm_grid_evaluates_no_root(self, name, root, randers_base, monkeypatch):
         """Once the grid tower holds its layers and their partials, a Bochner
         integral, d_H and delta_H of operator forms and the expanded Laplacian
-        (second covariant derivatives) of a leaf form read them alone."""
-        s = metric_by_id(name, randers_base)
+        (second covariant derivatives) of a leaf form read them alone: no
+        evaluation of the family's g, nor of F^2 on the custom twin's Hessian
+        route, where the cold pass makes some."""
+        s, calls = counted_root(metric_by_id(name, randers_base), root, monkeypatch)
         grid = self.grid_for(s)
         tower = grid.tower(s)
-        calls = []
-        f2 = s._f2
-
-        def counted(xs, ys):
-            calls.append(1)
-            return f2(xs, ys)
-
-        monkeypatch.setattr(s, "_f2", counted)
         for seed, expect_cold in ((61, True), (62, False)):
             calls.clear()
             rng = np.random.default_rng(seed)

@@ -29,6 +29,8 @@ from finslerforms.metric import FinslerStructure
 from finslerforms.quadrature import QuadratureGrid
 from finslerforms.scenario import run_task
 
+from conftest import ROOTS, counted_root
+
 
 def field(xs, ys):
     return gsin(xs[0] * ys[0]) + gsqrt(ys[0] * ys[0] + ys[1] * ys[1]) * gcos(xs[1])
@@ -469,18 +471,15 @@ class TestVectorMode:
             want = loop_hessian(fn, (xs, ys), 1)
             assert [v.hex() for v in flat(got)] == [v.hex() for v in flat(want)]
 
-    def test_curvature_f2_count_does_not_grow_with_dimension(self):
+    @pytest.mark.parametrize("root", ROOTS)
+    def test_curvature_root_count_does_not_grow_with_dimension(self, root, monkeypatch):
+        """3 evaluations of the family's g for the three curvature blocks in 2D
+        and in 3D, and as many of F^2 on the custom twin's Hessian route."""
         counts = []
         for n, b in ((2, [0.5, 0.0]), (3, [0.3, 0.0, 0.0])):
-            s = FinslerStructure.randers(np.eye(n).tolist(), b)
+            s, calls = counted_root(FinslerStructure.randers(np.eye(n).tolist(), b), root, monkeypatch)
             z = bi.random_chart_points(np.random.default_rng(1), s, 1)[0]
-            f2, calls = s.f2, []
-
-            def counted(xs, ys, f2=f2, calls=calls):
-                calls.append(None)
-                return f2(xs, ys)
-
-            s.f2 = counted
+            calls.clear()  # count from here: drawing the point evaluates F^2
             tower = tower_at(s, (z.x, z.y))
             for kernel in (hh_components, hv_components, vv_components):
                 kernel(tower)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from finslerforms import builtins as bi
-from finslerforms.connection import LocalTower, tower_at
+from finslerforms.connection import LocalTower, pack, tower_at
 from finslerforms.errors import (
     ConfigError,
     DomainError,
@@ -14,7 +14,7 @@ from finslerforms.errors import (
     SingularMetric,
     ZeroVector,
 )
-from finslerforms.jets import JetRequest, fd_partial
+from finslerforms.jets import JetRequest, fd_partial, gsin, gsqrt
 from finslerforms.metric import (
     ChartSpec,
     FinslerStructure,
@@ -23,7 +23,7 @@ from finslerforms.metric import (
     metric_components,
 )
 
-from conftest import sample_points
+from conftest import base_dependent_randers, custom_twin, sample_points
 
 FAMILIES = ["euclidean", "randers-torus", "riemannian-torus", "riemannian-sphere", "quartic-torus"]
 
@@ -126,7 +126,8 @@ class TestBatchedValidation:
         ids=["non-positive-f2", "cholesky-pivot"],
     )
     def test_first_failing_sample_is_named(self, f2, message):
-        s = FinslerStructure.euclidean(2)
+        # a custom structure: its g is the Hessian of the F^2 put in below
+        s = FinslerStructure.custom(FinslerStructure.euclidean(2)._f2, 2, label="euclidean")
         s._f2 = f2
         with pytest.raises(NotPositiveDefinite) as want:
             loop_validate(s)
@@ -285,6 +286,78 @@ class TestTensorLayer:
         assert randers.cartan_tensor((z.x, z.y)).variance == "lll"
 
 
+# every built-in whose family gives g in closed form, then the base-dependent Randers metrics
+CLOSED_FORMS = [k for k in bi.METRIC_IDS if bi.get_metric(k).family != "custom"] + [
+    "randers-base", "base-dependent-2", "base-dependent-3", "base-dependent-4",
+]
+
+
+class TestFamilyG:
+    """The family's g in closed form against the F^2 Hessian of its custom
+    twin: g and C at seeded points, on a (B,) batch and on a grid tower.
+    Riemannian and Euclidean families are hex-identical leaf by leaf, with
+    the same leaf shapes; Randers ones agree to REL_TOL.  y lies on the
+    indicatrix, so C and g share a scale: both are held to the largest
+    |g_ij|, since where C nearly cancels either route rounds to some 1e-13
+    of the largest |C_ijk|."""
+
+    REL_TOL = 1e-14
+
+    @staticmethod
+    def metric(name, randers_base):
+        if name == "randers-base":
+            return randers_base
+        if name.startswith("base-dependent-"):
+            return base_dependent_randers(int(name[-1]))
+        return bi.get_metric(name)
+
+    @staticmethod
+    def grid_coords(s, base=2, fiber=3, seed=5):
+        """Coordinates shaped as a quadrature grid's, base axes then fiber
+        axes: each x_i varies along its own base axis, and y = u / F(x, u)
+        for unit directions u on the n - 1 fiber axes.  (A QuadratureGrid
+        takes 8 nodes per axis at least, over 2 million nodes in 4D.)"""
+        n = s.dim
+        ndim = 2 * n - 1
+        xs = []
+        for i in range(n):
+            lo, hi = s.chart.interior(i)
+            shape = [1] * ndim
+            shape[i] = base
+            xs.append(np.linspace(lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo), base).reshape(shape))
+        u = np.random.default_rng(seed).normal(size=(n,) + (1,) * n + (fiber,) * (n - 1))
+        u /= np.sqrt(np.sum(u * u, axis=0))
+        F = gsqrt(s.f2(xs, list(u)))
+        return xs, [c / F for c in u]
+
+    def coordinates(self, s):
+        """(kind, xs, ys): three seeded points, a batch of 5 and a grid."""
+        out = [("point", list(z.x), list(z.y)) for z in sample_points(s, 3)]
+        pts = sample_points(s, 5, seed=12)
+        out.append(("batch", list(np.array([z.x for z in pts]).T), list(np.array([z.y for z in pts]).T)))
+        return out + [("grid", *self.grid_coords(s))]
+
+    @pytest.mark.parametrize("name", CLOSED_FORMS)
+    def test_matches_the_f2_hessian(self, name, randers_base):
+        s = self.metric(name, randers_base)
+        twin = custom_twin(s)
+        leaves = lambda tower: [v for row in tower.g for v in row] + [
+            v for block in tower.C for row in block for v in row
+        ]
+        for kind, xs, ys in self.coordinates(s):
+            got, want = LocalTower(s, xs, ys), LocalTower(twin, xs, ys)
+            if s.family == "randers":
+                scale = np.max(np.abs(pack(want.g, 2)))
+                for layer, rank in (("g", 2), ("C", 3)):
+                    a, b = (pack(getattr(t, layer), rank) for t in (got, want))
+                    assert np.max(np.abs(a - b)) <= self.REL_TOL * scale, (kind, layer)
+            else:
+                a, b = leaves(got), leaves(want)
+                assert [np.shape(v) for v in a] == [np.shape(v) for v in b], kind
+                hexes = lambda vs: [[w.hex() for w in np.ravel(v).tolist()] for v in vs]
+                assert hexes(a) == hexes(b), kind
+
+
 class TestChartSpec:
     def test_margin_validation(self):
         with pytest.raises(ConfigError):
@@ -308,6 +381,17 @@ MALFORMED_CONSTRUCTIONS = {
     ),
     "non-symmetric-a": (
         lambda: FinslerStructure.riemannian([[1.0, 0.5], [0.0, 1.0]]), "must be symmetric"
+    ),
+    # the closed forms read a(x) as given, where the F^2 Hessian saw its symmetric part
+    "non-symmetric-callable-a": (
+        lambda: FinslerStructure.riemannian(lambda xs: [[1.0, 0.1 * gsin(xs[0])], [0.0, 1.0]], dim=2),
+        "must be symmetric",
+    ),
+    "non-symmetric-callable-randers-a": (
+        lambda: FinslerStructure.randers(
+            lambda xs: [[1.0, 0.1], [0.0, 1.0]], lambda xs: [0.1, 0.0], dim=2
+        ),
+        "must be symmetric",
     ),
     "a-of-the-wrong-size": (
         lambda: FinslerStructure.riemannian(np.eye(2), dim=3), "does not match coefficient matrix"
