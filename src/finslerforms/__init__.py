@@ -19,7 +19,6 @@ from .forms import (
     horizontal_codifferential,
     horizontal_differential,
     horizontal_laplacian,
-    is_h_harmonic,
     laplacian_expansion,
     pointwise_inner,
     weitzenbock_residual,
@@ -34,6 +33,7 @@ from .quadrature import (
     divergence_integral_check,
     global_inner_product,
     integrate_scalar,
+    is_h_harmonic,
     volume_density,
 )
 

@@ -52,7 +52,6 @@ test suite pins down.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Callable
@@ -515,33 +514,3 @@ def energy_identity_residuals(s, X: TensorField, z):
     dH_norm2 = 0.25 * _g_norm2(tower, anti)
     r2 = jets.primal(cross - _g_norm2(tower, nabL) + 2.0 * dH_norm2)
     return float(r1), float(r2)
-
-
-def is_h_harmonic(s, phi: HorizontalForm, grid, tol=1e-8):
-    """Grid verdict on harmonicity with the closed/co-closed cross-check."""
-    from . import quadrature
-
-    lap = laplacian_expansion(s, phi)
-    lap_norm = quadrature.form_grid_norm(s, lap, grid)
-    phi_norm = quadrature.form_grid_norm(s, phi, grid)
-    if phi.degree < s.dim:
-        dH_norm = quadrature.form_grid_norm(s, horizontal_differential(s, phi), grid)
-    else:
-        dH_norm = 0.0
-    if phi.degree >= 1:
-        deltaH_norm = quadrature.form_grid_norm(s, horizontal_codifferential(s, phi), grid)
-    else:
-        deltaH_norm = 0.0
-    harmonic = lap_norm <= tol
-    tol_derived = math.sqrt(tol * max(1.0, phi_norm)) + grid.tolerance * (1.0 + phi_norm**2)
-    both_closed = dH_norm <= tol_derived and deltaH_norm <= tol_derived
-    return {
-        "laplacian_norm": lap_norm,
-        "dH_norm": dH_norm,
-        "deltaH_norm": deltaH_norm,
-        "form_norm": phi_norm,
-        "tol": tol,
-        "tol_derived": tol_derived,
-        "verdict": "harmonic" if harmonic else "not harmonic",
-        "equivalence_consistent": harmonic == both_closed,
-    }

@@ -18,10 +18,12 @@ grids) it seeds one coordinate per pass with the scalar tangent 1.0.  Its
 array callers are the rebuilt towers of a grid, which run the metric
 family's g (``metric.metric_components``) under nested jets over every node,
 and the angle partials of the grid's volume density, which differentiate
-the fiber parameterization alone.  Vector mode on the
-towers would grow each nested scalar from 2^k to (1+n)^k node arrays, which
-raised peak memory by 25% (3D) to 92% (2D) on the benchmark grids.  At a point a tower caches one child at the
-coordinates :func:`_seed` seeds and splits each layer it reads off that
+the fiber parameterization alone.  Vector mode on the towers would grow
+each nested scalar from 2^k to (1+n)^k node arrays, which raised the peak
+RSS of the grid-2d benchmark workload by 32%.  A second partial is one
+pass nested in another: one vector pass per level at a point, n^2
+per-coordinate passes on arrays.  At a point a tower caches one child at
+the coordinates :func:`_seed` seeds and splits each layer it reads off that
 child with :func:`_split`, as :func:`_vector_grad` does with its result.
 
 :func:`grad_xy` gives the x- and y-partials together, for the horizontal
@@ -338,8 +340,9 @@ def grad_wrt(fn, lists, which):
     scalar tangent 1.0.  This stays per coordinate because its array callers
     rebuild the tower at the seeded coordinates, where the family's g runs
     under nested jets, and vector mode multiplies every node array of every
-    level by its n directions: on the benchmark grids peak memory rose from 50.5 to 97.0 MB
-    (2D) and from 95.3 to 119.0 MB (3D).  ``fn`` must take every jet it
+    level by its n directions: the peak RSS of the grid-2d benchmark
+    workload rose from 48.9 to 64.5 MB (+32%), and of mixed-3d from 50.6 to
+    50.8 MB.  ``fn`` must take every jet it
     depends on through its arguments.  A caller that reads the partials along
     both lists of ``fn(xs, ys)`` takes them from :func:`grad_xy`, whose
     passes are all vector passes.
@@ -355,34 +358,6 @@ def grad_wrt(fn, lists, which):
         seeded[which][m] = Jet([v, 1.0], tag)
         out.append(tree_map(lambda s: _taylor_coeff(s, tag, 1), fn(*seeded)))
     return out
-
-
-def hessian_wrt(fn, lists, which):
-    """Second derivatives ``out[i][j]`` of a scalar ``fn(*lists)`` along one list.
-
-    At a point one nested vector pass gives the whole matrix from a single
-    evaluation of ``fn``; on arrays the n(n+1)/2 pairs i <= j are seeded with
-    two tags each and mirrored.  In the engine it is the custom family's g,
-    half the y-Hessian of F^2 (``metric.f2_hessian``); the other families
-    give g in closed form.
-    """
-    depth = _point_depth(lists)
-    if depth is not None:
-        inner = lambda *ls: _vector_grad(fn, ls, which, depth + 1)[2]
-        return _vector_grad(inner, lists, which, depth)[2]
-    n = len(lists[which])
-    rows = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            t1 = _new_tag()
-            t2 = _new_tag()
-            seeded = [list(l) for l in lists]
-            vec = seeded[which]
-            vec[i] = Jet([vec[i], 1.0], t1)
-            vec[j] = Jet([vec[j], 1.0], t2)
-            val = _taylor_coeff(_taylor_coeff(fn(*seeded), t2, 1), t1, 1)
-            rows[i][j] = rows[j][i] = val
-    return rows
 
 
 def _leaf_depth(lists):

@@ -138,9 +138,10 @@ def metric_components(s, xs, ys):
 
 def f2_hessian(s, xs, ys):
     """g_ij = half the y-Hessian of F^2, F^2 read through ``s.f2``: the
-    custom family's g."""
+    custom family's g, the y partials of F^2's y partials (:func:`jets.grad_y`
+    nested), of which the entries i <= j are read."""
     n = s.dim
-    h = jets.hessian_wrt(s.f2, (xs, ys), 1)
+    h = jets.grad_y(lambda a, b: jets.grad_y(s.f2, a, b), xs, ys)
     rows = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):

@@ -449,6 +449,34 @@ def adjointness_defect(s, phi, psi, grid: QuadratureGrid) -> float:
     return abs(lhs - rhs) / (1.0 + abs(lhs))
 
 
+def is_h_harmonic(s, phi, grid, tol=1e-8):
+    """Grid verdict on harmonicity with the closed/co-closed cross-check."""
+    lap = _forms.laplacian_expansion(s, phi)
+    lap_norm = form_grid_norm(s, lap, grid)
+    phi_norm = form_grid_norm(s, phi, grid)
+    if phi.degree < s.dim:
+        dH_norm = form_grid_norm(s, _forms.horizontal_differential(s, phi), grid)
+    else:
+        dH_norm = 0.0
+    if phi.degree >= 1:
+        deltaH_norm = form_grid_norm(s, _forms.horizontal_codifferential(s, phi), grid)
+    else:
+        deltaH_norm = 0.0
+    harmonic = lap_norm <= tol
+    tol_derived = math.sqrt(tol * max(1.0, phi_norm)) + grid.tolerance * (1.0 + phi_norm**2)
+    both_closed = dH_norm <= tol_derived and deltaH_norm <= tol_derived
+    return {
+        "laplacian_norm": lap_norm,
+        "dH_norm": dH_norm,
+        "deltaH_norm": deltaH_norm,
+        "form_norm": phi_norm,
+        "tol": tol,
+        "tol_derived": tol_derived,
+        "verdict": "harmonic" if harmonic else "not harmonic",
+        "equivalence_consistent": harmonic == both_closed,
+    }
+
+
 def bochner_integral(s, X: TensorField, grid: QuadratureGrid) -> dict:
     """Curvature and gradient integrals for the harmonic field classification.
 

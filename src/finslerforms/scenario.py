@@ -22,7 +22,6 @@ import numpy as np
 
 from . import builtins as bi
 from . import curvature as curvature_mod
-from . import forms as forms_mod
 from . import metric as metric_mod
 from . import quadrature as quad
 from .connection import TensorField, pack, tower_at
@@ -274,7 +273,7 @@ def _parse_laplacian(s, kind, params, ints, tolerance, where):
     opts = {"tol": _parse_tolerance(params["tol"], f"{where}: 'tol'")} if "tol" in params else {}
 
     def run(grid, rng):
-        report = forms_mod.is_h_harmonic(s, phi, grid, **opts)
+        report = quad.is_h_harmonic(s, phi, grid, **opts)
         return {"form": phi.label, **report}, bool(report["equivalence_consistent"])
 
     return run

@@ -23,7 +23,6 @@ from finslerforms.forms import (
     bochner_scalar_at,
     energy_identity_residuals,
     horizontal_laplacian,
-    is_h_harmonic,
     laplacian_expansion,
 )
 from finslerforms.quadrature import (
@@ -31,6 +30,7 @@ from finslerforms.quadrature import (
     adjointness_defect,
     bochner_integral,
     divergence_integral_check,
+    is_h_harmonic,
 )
 
 ALL_FAMILIES = list(bi.METRIC_IDS)

@@ -749,7 +749,7 @@ class TestCommandLine:
         grid = quadrature.QuadratureGrid.for_structure(s, (8, 8), (8,))
         head = {"metric": s.label, "grid": grid.meta()}
         phi = bi.get_form("sin-x1-dx1", s)
-        verdict = forms.is_h_harmonic(s, phi, grid, tol=1e-8)
+        verdict = quadrature.is_h_harmonic(s, phi, grid, tol=1e-8)
         lap = {**head, "pass": verdict["equivalence_consistent"], "form": phi.label, **verdict}
         res = quadrature.bochner_integral(s, bi.get_field("sin-x1-d1", s), grid)
         ok = res["divergence_defect"] <= grid.tolerance and abs(res["sum"]) <= grid.tolerance
@@ -847,12 +847,10 @@ class TestCommandLine:
     def test_laplacian_points_computes_only_the_expansion(self, capsys, tmp_path, monkeypatch):
         """--points writes per-node rows through the output helper and runs
         no grid norms; without --format csv it is a configuration error."""
-        from finslerforms import forms
-
         def no_norms(*args, **kwargs):
             raise AssertionError("--points ran is_h_harmonic")
 
-        monkeypatch.setattr(forms, "is_h_harmonic", no_norms)
+        monkeypatch.setattr(quadrature, "is_h_harmonic", no_norms)
         path = tmp_path / "lap.csv"
         argv = ("laplacian", "--metric", "euclidean", "--form", "sin-x1-dx1", "--grid", "8,8x8")
         code, out, _ = run_cli(capsys, *argv, "--format", "csv", "--points", "--out", str(path))

@@ -37,7 +37,6 @@ from finslerforms.forms import (
     horizontal_differential,
     horizontal_laplacian,
     inner_coeffs,
-    is_h_harmonic,
     laplacian_expansion,
     laplacian_expansion_coeffs,
     pointwise_inner,
@@ -45,7 +44,7 @@ from finslerforms.forms import (
 )
 from finslerforms.jets import gcos, gsin, grad_x, grad_y
 from finslerforms.metric import hilbert_components
-from finslerforms.quadrature import QuadratureGrid, bochner_integral, form_grid_norm
+from finslerforms.quadrature import QuadratureGrid, bochner_integral, form_grid_norm, is_h_harmonic
 from finslerforms.scenario import run_task
 
 from conftest import ROOTS, base_dependent_randers, counted_root, sample_points
@@ -694,6 +693,55 @@ class TestConnectionIdentities:
             gamma_y = np.einsum("ijk,j->ik", np.asarray(tower.Gamma, float), np.asarray(z.y, float))
             assert np.max(np.abs(N)) > 1e-3
             assert np.max(np.abs(N - gamma_y)) <= self.TOL * np.max(np.abs(N))
+
+
+class TestHorizontalComplex:
+    """d_H^2 is the curvature of N: [delta_k, delta_h] = -R^r_kh d/dy^r with
+    R^r_kh = ``flag[r][k][h]``, since the Gamma terms cancel in the
+    alternation, so (d_H^2 phi)_{khI} = -sum over cyclic (k, h, I) of
+    R^r_kh d(phi_I)/dy^r.  d_H composed with itself against the tower's
+    ``flag`` and the y partials of the form itself, at seeded points."""
+
+    REL_TOL = 1e-13  # times max |d_H^2 phi|
+    METRICS = {
+        "randers-base-2d": lambda: base_dependent_randers(2),
+        "randers-base-3d": lambda: base_dependent_randers(3),
+        "randers-base-4d": lambda: base_dependent_randers(4),
+        "riemannian-sphere": lambda: bi.get_metric("riemannian-sphere"),
+    }
+    CASES = [(name, 0) for name in METRICS] + [("randers-base-3d", 1), ("randers-base-4d", 1)]
+
+    @staticmethod
+    def form(s, p):
+        """f = (y^1 + 0.3 y^n) / F for p = 0, phi_i = (y^(i+1 mod n) + 0.3 y^i) / F for p = 1."""
+        n = s.dim
+
+        def coeffs(xs, ys):
+            F = jets.gsqrt(s.f2(xs, ys))
+            if p == 0:
+                return (ys[0] + 0.3 * ys[n - 1]) / F
+            return [(ys[(i + 1) % n] + 0.3 * ys[i]) / F for i in range(n)]
+
+        return HorizontalForm(p, coeffs)
+
+    @pytest.mark.parametrize("name, p", CASES)
+    def test_square_is_the_curvature_of_n(self, name, p):
+        s = self.METRICS[name]()
+        n, phi = s.dim, self.form(s, p)
+        dd = forms.horizontal_differential(s, forms.horizontal_differential(s, phi))
+        for z in sample_points(s, 3):
+            got = dd.at(s, (z.x, z.y)).data
+            R = np.asarray(tower_at(s, (z.x, z.y)).flag, float)  # R[r][k][h]
+            dy = np.asarray(jets.grad_y(phi.coeffs, list(z.x), list(z.y)), float)  # dy[r][I]
+            if p == 0:
+                want = -np.einsum("rkh,r->kh", R, dy)
+            else:
+                RdI = np.einsum("rkh,ri->khi", R, dy)  # R^r_kh d(phi_i)/dy^r
+                want = -(RdI + RdI.transpose(1, 2, 0) + RdI.transpose(2, 0, 1))
+            scale = np.max(np.abs(got))
+            assert scale > 1e-2
+            assert got.shape == (n,) * (p + 2)
+            assert np.max(np.abs(got - want)) <= self.REL_TOL * scale
 
 
 class TestSeededPartials:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from finslerforms import builtins as bi
-from finslerforms import quadrature
+from finslerforms import jets, quadrature
 from finslerforms.connection import LocalTower
 from finslerforms.errors import DegreeMismatch, DomainError, GridError, PoleSingularity
 from finslerforms.forms import (
@@ -16,7 +16,6 @@ from finslerforms.forms import (
     horizontal_differential,
     horizontal_laplacian,
     inner_coeffs,
-    is_h_harmonic,
     laplacian_expansion,
     lowered_form,
 )
@@ -32,6 +31,7 @@ from finslerforms.quadrature import (
     form_grid_norm,
     global_inner_product,
     integrate_scalar,
+    is_h_harmonic,
     volume_density,
 )
 
@@ -437,6 +437,55 @@ class TestInnerProductRoutes:
         finally:
             tracemalloc.stop()
         assert peak < grid.num_nodes * 8
+
+
+def one_form_of_x(s, first_node):
+    """cos x2 dx1 + sin x1 (dx2 + ...), a 1-form of x alone whose first
+    component is multiplied by ``first_node`` at the node where x1 and x2 take
+    their first values, and by 1.0 elsewhere."""
+
+    def fn(xs):
+        x1, x2 = jets.primal(xs[0]), jets.primal(xs[1])
+        factor = np.where((x1 == x1.flat[0]) & (x2 == x2.flat[0]), first_node, 1.0)
+        return [gcos(xs[1]) * factor] + [gsin(xs[0])] * (s.dim - 1)
+
+    return HorizontalForm.of_x(1, fn, label=f"one-form-of-x({first_node})")
+
+
+def with_deltaH_psi(s, phi):
+    """(phi, delta_H psi) for a seeded trig 2-form psi."""
+    psi = bi.random_trig_form(np.random.default_rng(5), s, 2)
+    return phi, horizontal_codifferential(s, psi)
+
+
+class TestNonFiniteIntegrand:
+    """A form that is NaN at one node makes global_inner_product raise
+    GridError on each route: two factors of x alone against the fiber
+    marginal (1), one of x alone against one that varies along the fiber
+    (2), and two that vary over all nodes (neither)."""
+
+    CASES = {  # setting, the pair (a form of x alone -> the pair), its routes
+        "phi-phi": ("randers-torus-3d", lambda s, phi: (phi, phi), {1}),
+        "phi-deltaH-psi": ("randers-torus-3d", with_deltaH_psi, {2}),
+        "deltaH-phi-deltaH-phi": (
+            "base-dependent-randers",
+            lambda s, phi: (horizontal_codifferential(s, phi),) * 2,
+            set(),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_guard_raises_on_every_route(self, case, monkeypatch):
+        name, pair, routes = self.CASES[case]
+        make, base, fiber = ROUTE_SETTINGS[name]
+        s = make()
+        grid = QuadratureGrid.for_structure(s, base, fiber)
+        finite = global_inner_product(s, *pair(s, one_form_of_x(s, 1.0)), grid)
+        assert math.isfinite(finite) and finite != 0.0
+        taken = TestInnerProductRoutes.routes_taken(monkeypatch, s, grid)
+        with pytest.raises(GridError, match="integrand is not finite at some node"):
+            global_inner_product(s, *pair(s, one_form_of_x(s, np.nan)), grid)
+        assert taken == routes
 
 
 class TestDivergenceIntegral:
