@@ -76,13 +76,18 @@ Outer products.  On a grid the first n node axes are the base and the
 rest the fiber.  A sum of products u_t v_t in which each pair has one
 factor constant along every fiber axis and the other constant along every
 base axis, as g^ij and delta_c of a form of x alone are on an
-x-independent metric, is a sum of outer products: :func:`sum_products`
-stacks the base factors into B (base nodes x K) and the fiber factors into
-V (K x fiber nodes) and forms B @ V, one matrix product in place of a
-multiply and an add over every node per term.  It is broadcasting algebra,
-exact up to rounding for any arrays that pass the shape test; floats,
-jets and batch arrays never pass it, and their pairs are summed in order,
-as :func:`sum_terms` sums them.
+x-independent metric, is a sum of outer products.  :func:`sum_products`
+stacks the base factors into B (K x base nodes) and the fiber factors into
+V (K x fiber nodes) and returns them as one :class:`OuterSum`, which stays
+factored until it is read: an integral (``quadrature``) contracts B and V
+against the grid's weights at base-plus-fiber size, and any other reader
+materializes it as the matrix product B.T @ V over base + fiber nodes, one
+product in place of a multiply and an add over every node per term.  It is
+broadcasting algebra, exact up to rounding for any arrays that pass the
+shape test.  A tower tests shapes only where every g^ij is constant along
+the base (:attr:`LocalTower.outer_ndim`), decided once per tower; floats,
+jets and batch arrays never pass, and elsewhere, as where g^ij spans all
+nodes, the pairs are summed in order, as :func:`sum_terms` sums them.
 """
 
 from __future__ import annotations
@@ -404,6 +409,24 @@ class LocalTower:
         """nabla0T_raised[j] = T^j = g^ij (nabla_0 T)_i."""
         return [_dot(row, self.nabla0T) for row in self.gi]
 
+    @cached_property
+    def outer_ndim(self):
+        """The node-axis count of the coordinates where every g^ij is a float
+        or an array constant along every base axis, so that a pair of the
+        tower's factors may be an outer product (:func:`sum_products`); None
+        at a point, on a batch and where some g^ij is a jet or varies along
+        the base, where no pair is tested."""
+        n, ndim = self.n, getattr(jets.primal(self.ys[0]), "ndim", 0)
+        if ndim <= n:
+            return None
+        for v in (v for row in self.gi for v in row):
+            if isinstance(v, jets.Jet):
+                return None
+            aligned = ((1,) * ndim + np.shape(v))[-ndim:]  # as broadcasting aligns it
+            if any(d != 1 for d in aligned[:n]):
+                return None
+        return ndim
+
 
 def _lifted(layer, x_partial, y_partial, rank):
     """Cached ``layer`` of a :class:`_LiftedTower`, lifted from its parent."""
@@ -478,8 +501,10 @@ def sum_products(plus, minus, n, ndim):
     """sum u v over the pairs (u, v) of ``plus``, minus that over ``minus``,
     leaving out every pair with a structural-zero factor; the structural
     zero if none is left.  The factors are scalars at nodes of ``ndim`` axes,
-    the first ``n`` of them the base.  The pairs that are outer products
-    (:func:`_base_and_fiber`) are summed as one matrix product
+    the first ``n`` of them the base.  ``ndim`` is None where no pair can be
+    an outer product (:attr:`LocalTower.outer_ndim`), and then every pair is
+    summed in order, with no shape test.  Otherwise the pairs that are outer
+    products (:func:`_base_and_fiber`) are held as one :class:`OuterSum`
     (:func:`_outer_sum`), the sign of a subtracted pair folded into its
     fiber factor, and added last; the others are summed in order, as
     :func:`sum_terms` sums them, the added ones and then the subtracted ones.
@@ -491,7 +516,7 @@ def sum_products(plus, minus, n, ndim):
         for u, v in pairs:
             if zero(u) or zero(v):
                 continue
-            split = _base_and_fiber(u, v, n, ndim)
+            split = None if ndim is None else _base_and_fiber(u, v, n, ndim)
             if split is None:
                 yield u * v
             else:
@@ -531,14 +556,45 @@ def _base_and_fiber(u, v, n, ndim):
 
 def _outer_sum(pairs):
     """sum_t b_t f_t over pairs of a base factor b_t and a fiber factor f_t
-    (:func:`_base_and_fiber`) as one matrix product B @ V, the base factors
-    stacked as the columns of B (base nodes x K) and the fiber factors as
-    the rows of V (K x fiber nodes), shaped to the base then the fiber axes."""
+    (:func:`_base_and_fiber`) as one :class:`OuterSum`, the base factors
+    stacked as the rows of B (K x base nodes) and the fiber factors as the
+    rows of V (K x fiber nodes), each broadcast to the shape of its kind."""
     base = np.broadcast_shapes(*(b.shape for b, _ in pairs))
     fiber = np.broadcast_shapes(*(f.shape for _, f in pairs))
     B = np.stack([np.broadcast_to(b, base) for b, _ in pairs]).reshape(len(pairs), -1)
     V = np.stack([np.broadcast_to(f, fiber) for _, f in pairs]).reshape(len(pairs), -1)
-    return (B.T @ V).reshape(base + fiber)
+    return OuterSum(B, V, base, fiber)
+
+
+class OuterSum(np.lib.mixins.NDArrayOperatorsMixin):
+    """A sum of outer products held as its factors: B (K x base nodes) and V
+    (K x fiber nodes), of the node shapes ``base`` and ``fiber``, negated
+    if ``negated``.  An integral contracts the factors with the grid's
+    weights (``quadrature``); np.asarray, every ufunc and every arithmetic
+    operator materialize it as (B.T @ V) reshaped to base + fiber, negated if
+    ``negated``.  Negation stays factored, so :func:`forms.form_build`
+    fills the permuted entries of a form without a product over the nodes."""
+
+    __slots__ = ("B", "V", "base", "fiber", "negated")
+
+    def __init__(self, B, V, base, fiber, negated=False):
+        self.B, self.V, self.base, self.fiber, self.negated = B, V, base, fiber, negated
+
+    @property
+    def shape(self):
+        return self.base + self.fiber
+
+    def __array__(self, dtype=None, copy=None):
+        out = (self.B.T @ self.V).reshape(self.shape)
+        out = -out if self.negated else out
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        inputs = [np.asarray(v) if isinstance(v, OuterSum) else v for v in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+    def __neg__(self):
+        return OuterSum(self.B, self.V, self.base, self.fiber, not self.negated)
 
 
 def _dot(a, b):

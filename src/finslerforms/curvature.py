@@ -23,6 +23,7 @@ from .connection import (
     TensorField,
     cov_hh,
     cov_v,
+    is_structural_zero,
     nested_build,
     pack,
     require_vector_field,
@@ -36,7 +37,9 @@ FLAG_CROSS_CHECK_TOL = 1e-6
 
 
 def hh_components(tower: LocalTower):
-    """hh[h][k][i][j]: curvature with upper index h, argument k, plane (i, j)."""
+    """hh[h][k][i][j]: curvature with upper index h, argument k, plane (i, j).
+    A structural-zero flag component adds no flag-times-Cmix term, so where
+    the flag, Gamma and delta Gamma vanish every entry is the structural zero."""
     n = tower.n
     dG = tower.deltaGamma
     Gamma = tower.Gamma
@@ -48,7 +51,8 @@ def hh_components(tower: LocalTower):
         acc = dG[i][h][j][k] - dG[j][h][i][k]
         for l in range(n):
             acc = acc + Gamma[l][j][k] * Gamma[h][i][l] - Gamma[l][i][k] * Gamma[h][j][l]
-            acc = acc + flag[l][i][j] * Cmix[h][l][k]
+            if not is_structural_zero(flag[l][i][j]):
+                acc = acc + flag[l][i][j] * Cmix[h][l][k]
         return acc
 
     return nested_build(n, 4, entry)
@@ -87,9 +91,14 @@ def vv_components(tower: LocalTower):
 
 
 def ricci_components(tower: LocalTower):
+    """Ric_ij = hh^l_ilj, with no term for a structural-zero component."""
     n = tower.n
     hh = hh_components(tower)
-    return [[sum_terms(hh[l][i][l][j] for l in range(n)) for j in range(n)] for i in range(n)]
+
+    def entry(i, j):
+        return sum_terms(v for v in (hh[l][i][l][j] for l in range(n)) if not is_structural_zero(v))
+
+    return [[entry(i, j) for j in range(n)] for i in range(n)]
 
 
 def checked_flag(tower: LocalTower):

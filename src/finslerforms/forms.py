@@ -38,7 +38,8 @@ co-differential contracts delta_c and the form with the tower's cached
 Gamma_trace, Gamma_raised and nabla0T_raised, summing each entry's
 products by :func:`connection.sum_products`, whose outer-product pairs
 (a factor constant along the fiber times one constant along the base)
-are one matrix product.  The pointwise inner product
+stay factored until they are integrated or read (:class:`connection.OuterSum`),
+and so does |nabla X|^2 of the Bochner integrals.  The pointwise inner product
 is the Gram determinant sum over increasing indices, which equals the full
 contraction with weight 1/p! (see :func:`inner_coeffs`); the global inner
 product of :mod:`.quadrature` takes the same terms, with the same minors
@@ -53,7 +54,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 from typing import Callable
 
 from . import connection, jets
@@ -191,13 +192,13 @@ def deltaH_coeffs(tower: LocalTower, psi: HorizontalForm):
     delta_H psi and those subtracted: no pair with a structural-zero factor
     is formed, and where one factor is constant along the fiber and the
     other along the base, as g^ij and delta_c of a form of x alone are on an
-    x-independent metric, the pairs are one matrix product.
+    x-independent metric, the pairs are one :class:`connection.OuterSum`,
+    which an integral contracts without a product over the nodes.
     """
     n = tower.n
     val, dx, dy = tower.partials(psi.on)
     delta = functools.cache(connection._delta_entry(tower, dx, dy))
-    gi = tower.gi
-    ndim = getattr(jets.primal(tower.ys[0]), "ndim", 0)  # node axes: n base, then fiber
+    gi, ndim = tower.gi, tower.outer_ndim
 
     def traced(I, parity):
         # (g^ij, (delta_i psi)_J) over the j whose slot in J has this parity
@@ -421,29 +422,36 @@ def weitzenbock_residual(tower: LocalTower, X: TensorField):
 
 
 def bochner_scalar_at(tower: LocalTower, X: TensorField):
-    """Curvature quadratic form classifying harmonic vector fields."""
+    """Curvature quadratic form classifying harmonic vector fields,
+
+        K = Ric_tk X^k X^t - X^k (nabla^v_r X^j) R^r_jk - X^k (nabla_k X^j) (nabla_0 T)_j,
+
+    with nabla^v_r the vertical covariant derivative and R^r_jk the flag
+    curvature.  A term whose Ricci, flag or nabla_0 T factor is the
+    structural zero is not formed, and the vertical or horizontal
+    derivative of X is taken only where a term it feeds is left: on an
+    x-independent metric, where all three vanish, K is the structural zero.
+    """
     require_vector_field(X, "bochner scalar needs")
-    n = tower.n
-    val, dx, dy = X.partials(tower.xs, tower.ys)
-    nabU = cov_h(tower, val, dx, dy, "u")  # nabU[k][j] = nabla_k X^j
-    vt = cov_v(tower, val, dy, "u")
+    n, zero = tower.n, is_structural_zero
     ricci = ricci_components(tower)
     flag = tower.flag
     nT = tower.nabla0T
-    acc = sum_terms(val[k] * val[t] * ricci[t][k] for k in range(n) for t in range(n))
-    acc = acc - sum_terms(
-        val[k] * vt[r][j] * flag[r][j][k]
-        for k in range(n)
-        for r in range(n)
-        for j in range(n)
-    )
-    trace = [
-        val[k] * nabU[k][j] * nT[j]
-        for k in range(n)
-        for j in range(n)
-        if not is_structural_zero(nT[j])
-    ]
-    return acc - sum_terms(trace) if trace else acc
+    pairs = [(k, t) for k in range(n) for t in range(n) if not zero(ricci[t][k])]
+    flags = [(k, r, j) for k in range(n) for r in range(n) for j in range(n)
+             if not zero(flag[r][j][k])]
+    trace = [(k, j) for k in range(n) for j in range(n) if not zero(nT[j])]
+    if not (pairs or flags or trace):
+        return 0.0
+    val, dx, dy = X.partials(tower.xs, tower.ys)
+    acc = sum_terms(val[k] * val[t] * ricci[t][k] for k, t in pairs)
+    if flags:
+        vt = cov_v(tower, val, dy, "u")
+        acc = acc - sum_terms(val[k] * vt[r][j] * flag[r][j][k] for k, r, j in flags)
+    if trace:
+        nabU = cov_h(tower, val, dx, dy, "u")  # nabU[k][j] = nabla_k X^j
+        acc = acc - sum_terms(val[k] * nabU[k][j] * nT[j] for k, j in trace)
+    return acc
 
 
 def _g_norm2(tower, A):
@@ -457,10 +465,21 @@ def _g_norm2(tower, A):
 
 
 def gradient_norm_squared_at(tower: LocalTower, X: TensorField):
-    """Squared norm of the horizontal covariant derivative of the lowered field."""
+    """|nabla X|^2 = g^ia g_kl nabla_i X^k nabla_a X^l, the squared norm of the
+    horizontal covariant derivative of the lowered field (by h-metricity
+    nabla_i X_j = g_jk nabla_i X^k).  Each term is the pair (g^ia g_kl,
+    nabla_i X^k nabla_a X^l), summed by :func:`connection.sum_products`:
+    where g is constant along the base and nabla X along the fiber, as for
+    a field of x alone on an x-independent metric, the sum is one
+    :class:`connection.OuterSum`."""
     require_vector_field(X, "gradient norm needs")
-    # nabla_i X_j = g_jk nabla_i X^k by h-metricity
-    return _g_norm2(tower, [tower.lower(row) for row in cov_h(tower, *tower.partials(X.on), "u")])
+    n, g, gi = tower.n, tower.g, tower.gi
+    nab = cov_h(tower, *tower.partials(X.on), "u")  # nab[i][k] = nabla_i X^k
+    pairs = (
+        (gi[i][a] * g[k][l], nab[i][k] * nab[a][l])
+        for i, a, k, l in product(range(n), repeat=4)
+    )
+    return sum_products(pairs, (), n, tower.outer_ndim)
 
 
 def transport_form(s, X: TensorField) -> HorizontalForm:

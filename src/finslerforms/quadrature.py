@@ -31,10 +31,25 @@ fiber of det(g^IJ) w rho, which the grid caches once per metric and (I, J)
 along the fiber, it is multiplied by w * rho once per component, reduced
 over the fiber against det(g^IJ) and dotted with the other.  The remaining
 terms accumulate over all nodes and meet w * rho in one dot.
+
+A sum of outer products (:class:`connection.OuterSum`: delta_H of a form of
+x alone and |nabla X|^2 of a field of x alone, on an x-independent metric)
+is integrated without a product over the nodes.  Where the density is
+constant along every base axis, the grid holds w * rho as two factors
+(:meth:`QuadratureGrid.weight_factors`): the product of the base weights,
+and the fiber weights times rho.  :func:`integrate_scalar` and the
+one-varies route of :func:`global_inner_product` then reduce the sum's
+fiber factors against the fiber weights times the minor, take its base
+factors' K sums and multiply by the base weights: base-plus-fiber work.
+On every other grid, and wherever the sum meets a factor that varies along
+the fiber, it is materialized and takes the routes above.  A total that is
+not finite is checked on the materialized values, so the same error is
+raised on every route.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -43,7 +58,7 @@ from itertools import combinations, product
 import numpy as np
 
 from . import forms as _forms
-from .connection import LocalTower, TensorField, is_structural_zero, tget, tower_at
+from .connection import LocalTower, OuterSum, TensorField, is_structural_zero, tget, tower_at
 from .errors import (
     DegreeMismatch,
     DomainError,
@@ -255,6 +270,25 @@ class QuadratureGrid:
             self._cache[key] = (s, wr)
         return self._cache[key][1]
 
+    def weight_factors(self, s):
+        """(w_base, w_fiber * rho), the base-shaped and the fiber-shaped
+        factor of w * rho, where the density is constant along every base
+        axis, as on an x-independent metric; None elsewhere.  Built at the
+        first integral that reads it (:func:`_outer_fiber_sum`), cached per
+        grid and metric and shared read-only."""
+        key = ("weight_factors", id(s))
+        if key not in self._cache:
+            k, rho = self.n_base, _padded(self.density(s), len(self.shape))
+            factors = None
+            if all(d == 1 for d in rho.shape[:k]):
+                ws = [w for _, w in self._nw]
+                wb = functools.reduce(np.multiply.outer, ws[:k])
+                wf = functools.reduce(np.multiply.outer, ws[k:]) * rho.reshape(rho.shape[k:])
+                wb.flags.writeable = wf.flags.writeable = False
+                factors = (wb, wf)
+            self._cache[key] = (s, factors)
+        return self._cache[key][1]
+
     def fiber_marginal(self, s, rows, cols):
         """M_IJ = sum over the fiber nodes of det(g^IJ) * w * rho, at base
         shape, for I = ``rows`` and J = ``cols``: all that an inner product of
@@ -323,13 +357,22 @@ def integrate_scalar(s, f, grid: QuadratureGrid) -> float:
     grid's broadcast-shaped node coordinates, or a precomputed array
     broadcastable to the grid shape.  The integral is one product with the
     grid's w * rho (:meth:`QuadratureGrid.weighted_density`) and one sum.
+    The structural zero integrates to 0.0 with no product, and a
+    :class:`connection.OuterSum` meets the factored w * rho at
+    base-plus-fiber size where the grid has it (the module docstring).
     w * rho is finite and positive, so a non-finite node makes the sum
     non-finite, and only then are the values scanned.
     """
     vals = f(*grid.coords_for(s)) if callable(f) else f
-    vals = np.broadcast_to(np.asarray(vals, float), grid.shape)
+    if is_structural_zero(vals):
+        return 0.0
+    factors = grid.weight_factors(s) if isinstance(vals, OuterSum) else None
     with np.errstate(invalid="ignore"):  # inf - inf in the sum: raised below
-        total = float(np.sum(vals * grid.weighted_density(s)))
+        if factors is not None:
+            total = float(np.sum(_outer_fiber_sum(vals, factors, 1.0)))
+        else:
+            vals = np.broadcast_to(np.asarray(vals, float), grid.shape)
+            total = float(np.sum(vals * grid.weighted_density(s)))
     if not math.isfinite(total) and not np.all(np.isfinite(vals)):
         raise GridError("integrand is not finite at some node")
     return total
@@ -342,9 +385,12 @@ def global_inner_product(s, phi, psi, grid: QuadratureGrid) -> float:
     grid's w * rho at the shapes of its factors (the module docstring): two
     factors constant along the fiber meet the cached fiber marginal M_IJ at
     base size; where one alone varies along the fiber, it times w * rho is
-    formed once per component and reduced over the fiber against det(g^IJ);
-    the other terms are summed over all nodes and meet w * rho in one dot.
-    A structural-zero factor adds no term.
+    formed once per component and reduced over the fiber against det(g^IJ),
+    or, if it is a :class:`connection.OuterSum` and the grid holds w * rho
+    factored, its factors are reduced at base-plus-fiber size; the other
+    terms are summed over all nodes and meet w * rho in one dot.  An outer
+    sum that meets any other route is materialized once.  A structural-zero
+    factor adds no term.
     """
     if phi.degree != psi.degree:
         raise DegreeMismatch(f"degrees {phi.degree} and {psi.degree} differ")
@@ -355,10 +401,24 @@ def global_inner_product(s, phi, psi, grid: QuadratureGrid) -> float:
     combos = list(combinations(range(s.dim), phi.degree))
 
     def factors(tree):
-        # (component, whether it varies along some fiber axis), by index I
+        # (component, whether it varies along some fiber axis), by index I;
+        # an outer sum is kept as it is
         vals = ((I, tget(tree, I)) for I in combos)
-        padded = ((I, _padded(v, ndim)) for I, v in vals if not is_structural_zero(v))
-        return {I: (v, any(d != 1 for d in v.shape[k:])) for I, v in padded}
+        kept = (
+            (I, v if isinstance(v, OuterSum) else _padded(v, ndim))
+            for I, v in vals
+            if not is_structural_zero(v)
+        )
+        return {I: (v, any(d != 1 for d in v.shape[k:])) for I, v in kept}
+
+    materialized = {}  # id of an outer sum -> its node array, formed once
+
+    def dense(v):
+        if not isinstance(v, OuterSum):
+            return v
+        if id(v) not in materialized:
+            materialized[id(v)] = np.asarray(v)
+        return materialized[id(v)]
 
     fa = factors(a)
     fb = fa if b is a else factors(b)
@@ -368,15 +428,27 @@ def global_inner_product(s, phi, psi, grid: QuadratureGrid) -> float:
     with np.errstate(invalid="ignore"):  # inf - inf in a sum: raised below
         for (I, (u, u_varies)), (J, (v, v_varies)) in product(fa.items(), fb.items()):
             if not (u_varies or v_varies):
-                on_base = on_base + u[at_base] * v[at_base] * grid.fiber_marginal(s, I, J)
+                marginal = grid.fiber_marginal(s, I, J)
+                on_base = on_base + dense(u)[at_base] * dense(v)[at_base] * marginal
             elif u_varies and v_varies:
-                on_grid = on_grid + u * v * _forms.inverse_minor(tower.gi, I, J)
+                on_grid = on_grid + dense(u) * dense(v) * _forms.inverse_minor(tower.gi, I, J)
             else:
                 other, base = (u, v) if u_varies else (v, u)
-                one_varies.setdefault(id(other), (other, []))[1].append((base[at_base], I, J))
+                terms = one_varies.setdefault(id(other), (other, []))[1]
+                terms.append((dense(base)[at_base], I, J))
         wr = grid.weighted_density(s)
         for other, terms in one_varies.values():
-            W = other * wr  # once per component, and one at a time
+            # an outer sum meets the factored w * rho where its minors are
+            # constant along the base, as g^ij is wherever outer_ndim is set
+            factors = None
+            if isinstance(other, OuterSum) and tower.outer_ndim is not None:
+                factors = grid.weight_factors(s)
+            if factors is not None:
+                for base, I, J in terms:
+                    minor = _forms.inverse_minor(tower.gi, I, J)
+                    on_base = on_base + base * _outer_fiber_sum(other, factors, minor)
+                continue
+            W = dense(other) * wr  # once per component, and one at a time
             for base, I, J in terms:
                 minor = _forms.inverse_minor(tower.gi, I, J)
                 on_base = on_base + base * _fiber_sum(W, minor, k)
@@ -412,6 +484,27 @@ def _fiber_sum(W, m, k):
         m = m if m.shape == W.shape else np.broadcast_to(m, W.shape)
         out = np.einsum("xy,xy->x", W2, m.reshape(W2.shape))
     return out.reshape(base)
+
+
+def _outer_fiber_sum(S, factors, m):
+    """sum over the fiber nodes of S * w * rho * m, at base shape, for S an
+    :class:`connection.OuterSum`, ``factors`` the grid's (w_base, w_fiber *
+    rho) (:meth:`QuadratureGrid.weight_factors`) and m a minor det(g^IJ)
+    constant along every base axis: the fiber factors V meet w_fiber * rho
+    * m summed down to their own shape, the base factors B take the K sums
+    and w_base multiplies the result, with no product over the nodes."""
+    wb, wf = factors
+    m = _padded(m, wb.ndim + wf.ndim)[(0,) * wb.ndim]
+    out = (S.V @ _summed_to(wf * m, S.fiber).reshape(-1)) @ S.B
+    out = out.reshape(S.base) * wb
+    return -out if S.negated else out
+
+
+def _summed_to(w, shape):
+    """``w`` summed over every axis where ``shape`` has length 1, keeping it:
+    the weights a factor of that shape meets, broadcasting in reverse."""
+    axes = tuple(a for a, d in enumerate(shape) if d == 1 and w.shape[a] != 1)
+    return w.sum(axis=axes, keepdims=True) if axes else w
 
 
 def form_grid_norm(s, phi, grid: QuadratureGrid) -> float:

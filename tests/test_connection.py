@@ -230,6 +230,7 @@ class TestSumProducts:
         return [rng.standard_normal(shape) for shape in shapes]
 
     def assert_close(self, got, want):
+        got = np.asarray(got)  # an outer sum, materialized
         assert np.shape(got) == np.shape(want)
         assert np.max(np.abs(got - want)) <= self.REL_TOL * np.max(np.abs(want))
 
@@ -262,7 +263,7 @@ class TestSumProducts:
         got = sum_products(plus, minus, self.N, self.NDIM)
         assert outer_sums == [3]
         assert got.shape == (1, 8, 8, 16, 8)  # on the grid's axes
-        self.assert_close(got[0], self.streamed(plus, minus))
+        self.assert_close(np.asarray(got)[0], self.streamed(plus, minus))
 
     def test_pairs_that_do_not_separate_are_streamed(self, outer_sums):
         """A node-array factor, a float or a structural zero: no matrix

@@ -1226,10 +1226,17 @@ class TestStructuralZeros:
         assert got[0][0] is partly and got[0][1] == 0.0 and type(got[0][1]) is float
         assert got[1][0] is jet and isinstance(got[1][1], np.ndarray)
 
+    # |nabla X|^2 on the collapsed tower is one sum of outer products, on
+    # the explicit one a sum over the nodes; they differ by rounding, measured
+    # at 1.7e-16 (randers-torus) and 2.9e-16 (randers-torus-3d) of the max
+    GRAD_NORM_REL_TOL = 1e-14
+
     @pytest.mark.parametrize("name", ["randers-torus", "randers-torus-3d"])
     def test_kernels_match_explicit_zero_arrays(self, name):
         """A fresh tower whose vanishing layers are arrays of zeros gives the
-        same d_H, delta_H, inner products and Bochner integrands."""
+        same d_H, delta_H, inner products and Bochner scalar, bit for bit, and
+        the same |nabla X|^2 up to rounding, as the collapsed tower contracts
+        it in another order."""
         s = bi.get_metric(name)
         grid = small_grid(s)
         xs, ys = grid.coords_for(s)
@@ -1258,8 +1265,12 @@ class TestStructuralZeros:
                 kernels.append(("laplacian_exp", p, lambda tw: laplacian_expansion_coeffs(tw, phi)))
             for label, degree, kernel in kernels:
                 same(kernel(collapsed), kernel(explicit), degree, (label, p))
-        for integrand in (forms.bochner_scalar_at, forms.gradient_norm_squared_at):
-            same(integrand(collapsed, X), integrand(explicit, X), 0, integrand.__name__)
+        same(forms.bochner_scalar_at(collapsed, X), forms.bochner_scalar_at(explicit, X), 0, "K")
+        got, want = (
+            np.broadcast_to(np.asarray(forms.gradient_norm_squared_at(tw, X)), grid.shape)
+            for tw in (collapsed, explicit)
+        )
+        assert np.max(np.abs(got - want)) <= self.GRAD_NORM_REL_TOL * np.max(np.abs(want))
 
     def test_delta_forms_no_product_with_a_zero_y_partial(self, monkeypatch):
         """Where N does not vanish, a trig form's y partials are structural

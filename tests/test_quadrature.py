@@ -7,11 +7,14 @@ import pytest
 
 from finslerforms import builtins as bi
 from finslerforms import jets, quadrature
-from finslerforms.connection import LocalTower
+from finslerforms.connection import LocalTower, OuterSum, cov_h
 from finslerforms.errors import DegreeMismatch, DomainError, GridError, PoleSingularity
 from finslerforms.forms import (
     HorizontalForm,
+    _g_norm2,
+    bochner_scalar_at,
     deltaH_coeffs,
+    gradient_norm_squared_at,
     horizontal_codifferential,
     horizontal_differential,
     horizontal_laplacian,
@@ -342,9 +345,15 @@ class TestInnerProductRoutes:
     @staticmethod
     def routes_taken(monkeypatch, s, grid):
         """The routes a call takes: 1 where it reads a fiber marginal, 2 where
-        it reduces a factor times w * rho over the fiber."""
+        it reduces a factor times w * rho over the fiber, "2 factored" where it
+        reduces the factors of an outer sum against the factored w * rho."""
         taken, wr = set(), grid.weighted_density(s)
         marginal, fiber_sum = QuadratureGrid.fiber_marginal, quadrature._fiber_sum
+        outer_fiber_sum = quadrature._outer_fiber_sum
+
+        def spy_outer_fiber_sum(*args):
+            taken.add("2 factored")
+            return outer_fiber_sum(*args)
 
         def spy_marginal(self, *args):
             taken.add(1)
@@ -357,6 +366,7 @@ class TestInnerProductRoutes:
 
         monkeypatch.setattr(QuadratureGrid, "fiber_marginal", spy_marginal)
         monkeypatch.setattr(quadrature, "_fiber_sum", spy_fiber_sum)
+        monkeypatch.setattr(quadrature, "_outer_fiber_sum", spy_outer_fiber_sum)
         return taken
 
     @staticmethod
@@ -461,12 +471,14 @@ def with_deltaH_psi(s, phi):
 class TestNonFiniteIntegrand:
     """A form that is NaN at one node makes global_inner_product raise
     GridError on each route: two factors of x alone against the fiber
-    marginal (1), one of x alone against one that varies along the fiber
-    (2), and two that vary over all nodes (neither)."""
+    marginal (1), one of x alone against an outer sum that varies along the
+    fiber, reduced against the factored w * rho (2 factored), and two that
+    vary over all nodes (neither)."""
 
     CASES = {  # setting, the pair (a form of x alone -> the pair), its routes
         "phi-phi": ("randers-torus-3d", lambda s, phi: (phi, phi), {1}),
-        "phi-deltaH-psi": ("randers-torus-3d", with_deltaH_psi, {2}),
+        # delta_H psi is an outer sum on this metric, whose factors are reduced
+        "phi-deltaH-psi": ("randers-torus-3d", with_deltaH_psi, {"2 factored"}),
         "deltaH-phi-deltaH-phi": (
             "base-dependent-randers",
             lambda s, phi: (horizontal_codifferential(s, phi),) * 2,
@@ -486,6 +498,166 @@ class TestNonFiniteIntegrand:
         with pytest.raises(GridError, match="integrand is not finite at some node"):
             global_inner_product(s, *pair(s, one_form_of_x(s, np.nan)), grid)
         assert taken == routes
+
+
+# x-independent metrics and grids where delta_H of a form of x alone and
+# |nabla X|^2 of a field of x alone are sums of outer products
+FACTORED_SETTINGS = {
+    "randers-torus-3d": ((8, 8, 8), (16, 8)),
+    "randers-torus": ((16, 16), (24,)),
+}
+
+
+def leaves(tree):
+    return [v for c in tree for v in leaves(c)] if isinstance(tree, list) else [tree]
+
+
+def nan_at_first_node(phi):
+    """The form of x alone ``phi`` times NaN at the node where x1 and x2 take
+    their first values, and 1.0 elsewhere."""
+
+    def fn(xs):
+        x1, x2 = jets.primal(xs[0]), jets.primal(xs[1])
+        factor = np.where((x1 == x1.flat[0]) & (x2 == x2.flat[0]), np.nan, 1.0)
+        return tree_map(lambda v: v * factor, phi.on.fn(xs))
+
+    return HorizontalForm.of_x(phi.degree, fn, label=f"nan-at-first-node({phi.label})")
+
+
+def materialized(form):
+    """``form`` with every outer sum among its coefficients a node array."""
+    kernel = lambda tw: tree_map(np.asarray, form.on(tw))
+    return HorizontalForm(form.degree, form.coeffs, label=form.label, kernel=kernel)
+
+
+class TestFactoredIntegrals:
+    """On an x-independent metric delta_H of a form of x alone is a
+    connection.OuterSum, which the integrals contract against the grid's
+    factored w * rho at base-plus-fiber size; each integral agrees with the
+    same values materialized over every node."""
+
+    REL_TOL = 1e-14
+
+    @pytest.fixture(scope="class", params=list(FACTORED_SETTINGS))
+    def setting(self, request):
+        s = bi.get_metric(request.param)
+        base, fiber = FACTORED_SETTINGS[request.param]
+        return s, QuadratureGrid.for_structure(s, base, fiber)
+
+    @staticmethod
+    def factored_calls(monkeypatch):
+        """The calls of the factored reduction, as a list that grows."""
+        calls, reduce = [], quadrature._outer_fiber_sum
+
+        def spy(*args):
+            calls.append(1)
+            return reduce(*args)
+
+        monkeypatch.setattr(quadrature, "_outer_fiber_sum", spy)
+        return calls
+
+    def test_materialized_sum_is_the_matrix_product(self, setting):
+        """Every entry of delta_H is an outer sum or the structural zero, and
+        np.asarray of it is B.T @ V on base + fiber, negated where the entry
+        is a permuted one, bit for bit."""
+        s, grid = setting
+        tower = grid.tower(s)
+        rng = np.random.default_rng(60)
+        for p in range(1, s.dim + 1):
+            tree = deltaH_coeffs(tower, bi.random_trig_form(rng, s, p))
+            sums = [v for v in leaves(tree) if not (type(v) is float and v == 0.0)]
+            assert sums and all(isinstance(v, OuterSum) for v in sums), p
+            assert any(S.negated for S in sums) == (p >= 3)
+            for S in sums:
+                want = (S.B.T @ S.V).reshape(S.base + S.fiber)
+                got = np.asarray(S)
+                assert got.shape == S.shape == want.shape
+                assert got.tobytes() == (-want if S.negated else want).tobytes()
+
+    def test_integrals_match_the_materialized_route(self, setting, monkeypatch):
+        """(phi, delta_H psi) for every p, and for p = 1 the integral of
+        delta_H psi and the divergence check, against the materialized values;
+        an integral of delta_H cancels, so it is held to the integral of its
+        absolute value."""
+        s, grid = setting
+        tower = grid.tower(s)
+        rng = np.random.default_rng(61)
+        calls = self.factored_calls(monkeypatch)
+        for p in range(1, s.dim + 1):
+            phi, psi = bi.random_trig_form(rng, s, p - 1), bi.random_trig_form(rng, s, p)
+            dpsi = horizontal_codifferential(s, psi)
+            del calls[:]
+            want = global_inner_product(s, phi, materialized(dpsi), grid)
+            assert not calls
+            got = global_inner_product(s, phi, dpsi, grid)
+            assert calls, p
+            assert abs(got - want) <= self.REL_TOL * abs(want), (p, got, want)
+        pi = bi.random_trig_form(rng, s, 1)
+        S = deltaH_coeffs(tower, pi)
+        scale = integrate_scalar(s, np.abs(np.asarray(S)), grid)
+        del calls[:]
+        got, want = integrate_scalar(s, S, grid), integrate_scalar(s, np.asarray(S), grid)
+        assert calls and abs(got - want) <= self.REL_TOL * scale
+        del calls[:]
+        got = divergence_integral_check(s, pi, grid)
+        assert calls
+        deltaH = quadrature._forms.deltaH_coeffs
+        dense = lambda tw, f: np.asarray(deltaH(tw, f))
+        monkeypatch.setattr(quadrature._forms, "deltaH_coeffs", dense)
+        want = divergence_integral_check(s, pi, grid)
+        assert abs(got - want) <= self.REL_TOL * scale
+
+    def test_nan_factor_raises(self, setting, monkeypatch):
+        """A NaN node in psi makes the factors of delta_H psi NaN: the factored
+        total is not finite, and the materialized scan raises GridError."""
+        s, grid = setting
+        rng = np.random.default_rng(62)
+        calls = self.factored_calls(monkeypatch)
+        for p in range(1, s.dim + 1):
+            phi = bi.random_trig_form(rng, s, p - 1)
+            psi = nan_at_first_node(bi.random_trig_form(rng, s, p))
+            with pytest.raises(GridError, match="integrand is not finite at some node"):
+                global_inner_product(s, phi, horizontal_codifferential(s, psi), grid)
+            if p == 1:
+                with pytest.raises(GridError, match="integrand is not finite at some node"):
+                    integrate_scalar(s, deltaH_coeffs(grid.tower(s), psi), grid)
+        assert calls
+
+    def test_curvature_scalar_is_the_structural_zero(self, monkeypatch):
+        """On randers-torus-3d Ricci, the flag curvature and nabla_0 T vanish,
+        so K is the float 0.0 and integrates to 0.0 with no grid product."""
+        s = bi.get_metric("randers-torus-3d")
+        base, fiber = FACTORED_SETTINGS["randers-torus-3d"]
+        grid = QuadratureGrid.for_structure(s, base, fiber)
+        X = bi.random_trig_vector(np.random.default_rng(63), s)
+        K = bochner_scalar_at(grid.tower(s), X)
+        assert type(K) is float and K == 0.0
+
+        def refused(self, s):
+            raise AssertionError("the structural zero reads no weights")
+
+        monkeypatch.setattr(QuadratureGrid, "weighted_density", refused)
+        monkeypatch.setattr(QuadratureGrid, "weight_factors", refused)
+        assert integrate_scalar(s, K, grid) == 0.0
+
+    @pytest.mark.parametrize("name", list(ROUTE_SETTINGS))
+    def test_gradient_norm_matches_g_norm2(self, name):
+        """g^ia g_kl nabla_i X^k nabla_a X^l, an outer sum where it separates,
+        against A_ij A^ij of A = nabla X lowered (h-metricity), node by node
+        and integrated."""
+        make, base, fiber = ROUTE_SETTINGS[name]
+        s = make()
+        grid = QuadratureGrid.for_structure(s, base, fiber)
+        tower = grid.tower(s)
+        X = bi.random_trig_vector(np.random.default_rng(64), s)
+        nab = cov_h(tower, *tower.partials(X.on), "u")
+        want = _g_norm2(tower, [tower.lower(row) for row in nab])
+        G = gradient_norm_squared_at(tower, X)
+        assert isinstance(G, OuterSum) == (name == "randers-torus-3d")
+        got = np.asarray(G)
+        assert np.max(np.abs(got - want)) <= self.REL_TOL * np.max(np.abs(want))
+        got, want = integrate_scalar(s, G, grid), integrate_scalar(s, want, grid)
+        assert abs(got - want) <= self.REL_TOL * abs(want)
 
 
 class TestDivergenceIntegral:
